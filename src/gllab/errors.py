@@ -58,7 +58,15 @@ class TiltTooLargeError(ConstructionFailedError):
 
 
 class InversionError(ConstructionFailedError):
-    """Monotone numeric inversion failed (input not monotone)."""
+    """Monotone numeric inversion failed: the function is not monotone or
+    not finite, the target is out of range, or the search did not converge.
+
+    ``residual`` is the worst |F(x) - y| left when the search itself failed.
+    """
+
+    def __init__(self, msg, residual=None):
+        super().__init__(msg)
+        self.residual = residual
 
 
 class CertificationFailedError(ConstructionFailedError):

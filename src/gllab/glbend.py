@@ -161,6 +161,91 @@ def mu_inequality(mu, b):
 
 
 # ---------------------------------------------------------------------------
+# monotone inversion
+# ---------------------------------------------------------------------------
+
+def _invert_monotone(F, dF, y, lo, hi, max_iter=100):
+    """Solve F(x) = y on [lo, hi] for every entry of y at once.
+
+    F must be strictly monotone on [lo, hi] and accept arrays; dF is its
+    derivative.  Each x is seeded by linear interpolation in a 65-point
+    table of F and bracketed by its table cell.  Safeguarded Newton
+    steps follow; a step that would leave the bracket, or that fails to
+    halve the one before, is replaced by bisection, and every evaluation
+    shrinks the bracket.  A point stops when its step or bracket is within
+    a few ulps of the interval scale (about 1e-15 relative).
+
+    Raises InversionError, carrying the worst residual |F(x) - y| where one
+    exists, if the table is not finite or not strictly monotone, if some y
+    lies outside [F(lo), F(hi)], if F turns non-finite during the search,
+    or if some point is unconverged after ``max_iter`` steps or converged
+    with a residual far above rounding (a jump in F).
+    """
+    y = np.asarray(y, dtype=float)
+    shape = y.shape
+    y = y.ravel()
+    xs = np.linspace(lo, hi, 65)
+    Fs = np.asarray(F(xs), dtype=float)
+    if not np.all(np.isfinite(Fs)):
+        raise InversionError("inverted function is not finite on its table")
+    sign = 1.0 if Fs[-1] > Fs[0] else -1.0
+    if not np.all(sign * np.diff(Fs) > 0):
+        raise InversionError(
+            f"inverted function is not strictly monotone on [{lo}, {hi}]")
+    # orient so that G = sign * F increases
+    Gs = sign * Fs
+    # residuals up to y_tol count as rounding: a y that far outside the
+    # range is clamped to its end, and a converged x may leave that much
+    y_tol = 1e-12 * float(np.abs(Fs).max())
+    yy = sign * y
+    outside = ~((yy >= Gs[0] - y_tol) & (yy <= Gs[-1] + y_tol))
+    if outside.any():
+        raise InversionError(
+            f"target {y[outside][0]!r} outside the range "
+            f"[{min(Fs[0], Fs[-1])!r}, {max(Fs[0], Fs[-1])!r}]")
+    yy = np.clip(yy, Gs[0], Gs[-1])
+    cell = np.clip(np.searchsorted(Gs, yy), 1, xs.size - 1)
+    x_lo, x_hi = xs[cell - 1], xs[cell]
+    x = np.interp(yy, Gs, xs)
+    last = x_hi - x_lo
+    x_tol = 4.0 * np.finfo(float).eps * max(abs(lo), abs(hi))
+    g = np.zeros_like(x)
+    act = np.arange(x.size)
+    for _ in range(max_iter):
+        if act.size == 0:
+            break
+        xa = x[act]
+        ga = sign * np.asarray(F(xa), dtype=float) - yy[act]
+        if not np.all(np.isfinite(ga)):
+            raise InversionError(
+                "inverted function turned non-finite during the search")
+        g[act] = ga
+        lo_a = np.where(ga < 0, xa, x_lo[act])
+        hi_a = np.where(ga > 0, xa, x_hi[act])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            xn = xa - ga / (sign * np.asarray(dF(xa), dtype=float))
+        bisect = ~((xn > lo_a) & (xn < hi_a)) \
+            | (np.abs(xn - xa) > 0.5 * np.abs(last[act]))
+        xn = np.where(bisect, 0.5 * (lo_a + hi_a), xn)
+        step = xn - xa
+        x[act] = np.where(ga == 0, xa, xn)
+        x_lo[act], x_hi[act], last[act] = lo_a, hi_a, step
+        done = (ga == 0) | (np.abs(step) <= x_tol) | (hi_a - lo_a <= x_tol)
+        act = act[~done]
+    if act.size:
+        worst = float(np.abs(g[act]).max())
+        raise InversionError(
+            f"{act.size} points unconverged after {max_iter} steps; "
+            f"worst residual {worst:.3e}", residual=worst)
+    worst = float(np.abs(g).max()) if g.size else 0.0
+    if worst > y_tol:
+        raise InversionError(
+            f"inversion residual {worst:.3e} exceeds {y_tol:.3e} "
+            f"(inverted function not continuous?)", residual=worst)
+    return x.reshape(shape)
+
+
+# ---------------------------------------------------------------------------
 # curve segments
 # ---------------------------------------------------------------------------
 
@@ -272,7 +357,11 @@ class GraphSeg:
     """Arc-length parameterization of the graph r = prof(t - t_offset).
 
     ``prof`` is any object with __call__/d1/d2 and a domain attribute ``b``;
-    the segment covers t in [t_offset + a, t_offset + b_local].
+    the segment covers t in [t_offset + a, t_offset + b_local].  The arc
+    length S(t) is tabulated once (Simpson on a dense grid, interpolated by a
+    cubic spline); since S' = sqrt(1 + prof'^2) >= 1 it is strictly
+    increasing, and t(s) is found for all s at once by ``_invert_monotone``
+    (table seed, then safeguarded Newton with S' as the derivative).
     """
 
     kind = "graph"
@@ -292,25 +381,19 @@ class GraphSeg:
         S = cumulative_simpson(speed, x=tl, initial=0.0)
         self.length = float(S[-1])
         self._S = CubicSpline(tl, S)
-        self._tl = tl
+        self._dS = self._S.derivative()
 
     def _t_of_s(self, s):
-        s = np.atleast_1d(np.asarray(s, dtype=float))
-        out = np.empty_like(s)
+        """Graph parameter t at arc length s; exact at both ends."""
+        s = np.clip(np.asarray(s, dtype=float), 0.0, self.length)
         a, bb = self.t_range
-        for i, sv in enumerate(s):
-            sv = min(max(sv, 0.0), self.length)
-            if sv <= 0.0:
-                out[i] = a
-            elif sv >= self.length:
-                out[i] = bb
-            else:
-                out[i] = brentq(lambda t: self._S(t) - sv, a, bb,
-                                xtol=1e-14, rtol=1e-15)
-        return out
+        out = np.where(s <= 0.0, a, bb)
+        inner = (s > 0.0) & (s < self.length)
+        if inner.any():
+            out[inner] = _invert_monotone(self._S, self._dS, s[inner], a, bb)
+        return out[()]
 
     def eval(self, s):
-        shape = np.shape(s)
         tl = self._t_of_s(s)
         F = self.prof(tl)
         d1 = self.prof.d1(tl)
@@ -319,8 +402,6 @@ class GraphSeg:
         pt = np.stack([tl + self.t_offset, F], axis=-1)
         tan = np.stack([1.0 / sp, d1 / sp], axis=-1)
         k = d2 / sp ** 3
-        if shape == ():
-            return pt[0], tan[0], k[0]
         return pt, tan, k
 
     def to_json(self):
@@ -848,16 +929,15 @@ def final_bending_tilt(transition, t_inf_pp, extend_to=None,
     r_new = f_new(tm)
     m_new = (1.0 + f_new.d1(tm) ** 2) / (2.0 * r_new) - f_new.d2(tm)
     lo_r, hi_r = float(f(params.tinf)), params.r0
-    for rv, mv in zip(r_new, m_new):
-        if not lo_r < rv < hi_r:
-            continue
-        t_old = brentq(lambda t: float(f(t)) - rv, 0.0, params.tinf,
-                       xtol=1e-13)
-        m_old = float((1.0 + f.d1(t_old) ** 2) / (2.0 * f(t_old))
-                      - f.d2(t_old))
-        if mv < m_old - margin_slack * max(1.0, abs(m_old)):
-            raise ConstructionFailedError(
-                f"tilt decreased the graph-inequality margin at r = {rv:.6g}")
+    inside = (r_new > lo_r) & (r_new < hi_r)
+    r_in, m_in = r_new[inside], m_new[inside]
+    t_old = _invert_monotone(f, f.d1, r_in, 0.0, params.tinf)
+    m_old = (1.0 + f.d1(t_old) ** 2) / (2.0 * f(t_old)) - f.d2(t_old)
+    worse = m_in < m_old - margin_slack * np.maximum(1.0, np.abs(m_old))
+    if worse.any():
+        raise ConstructionFailedError(
+            f"tilt decreased the graph-inequality margin at "
+            f"r = {r_in[np.argmax(worse)]:.6g}")
     return f_new
 
 
@@ -874,14 +954,22 @@ def _shift_poly(coeffs, origin_old, origin_new):
 class InverseBlend:
     """h_s with h_s^{-1} = (1-s) f^{-1} + s l^{-1} for strictly decreasing f.
 
-    ``f`` decreases from r0 at t = 0; ``l`` is the line r0 + m0 t.  The blend
-    of the inverses is itself a strictly decreasing function of r, inverted
-    pointwise by bracketed root finding.  Exact derivative formulas:
+    ``f`` decreases from r0 at t = 0; ``l`` is the line r0 + m0 t.  Rather
+    than invert the blend of inverses in r (a root find wrapped around the
+    root find for f^{-1}), substitute tau = f^{-1}(r):
 
-        h'(t)  = 1 / hinv'(r)
-        h''(t) = -hinv''(r) / hinv'(r)^3
-        hinv'(r)  = (1-s)/f'(tau) + s/m0,        tau = f^{-1}(r)
-        hinv''(r) = -(1-s) f''(tau)/f'(tau)^3.
+        hinv(f(tau)) = T(tau) = (1-s) tau + s (f(tau) - r0)/m0,
+        T'(tau) = (1-s) + s f'(tau)/m0 > 0,
+
+    so h_s(t) = f(tau) where T(tau) = t: one monotone solve for all t at
+    once (``_invert_monotone``).  The derivatives follow from the tau-jet:
+
+        h'(t)   = 1 / hinv'(r)
+        h''(t)  = -hinv''(r) / hinv'(r)^3
+        h'''(t) = -(hinv'''(r) hinv'(r) - 3 hinv''(r)^2) / hinv'(r)^5
+        hinv'(r)   = (1-s)/f'(tau) + s/m0
+        hinv''(r)  = -(1-s) f''(tau)/f'(tau)^3
+        hinv'''(r) = -(1-s) (f'''(tau) f'(tau) - 3 f''(tau)^2)/f'(tau)^5.
     """
 
     def __init__(self, f, m0, s, r_floor_frac=1e-3):
@@ -895,54 +983,66 @@ class InverseBlend:
         self.r_end = float(f(f.b))
         if self.r_end <= 0:
             self.r_end = self.r0 * r_floor_frac
-        self.t_end_f = float(brentq(
-            lambda tt: float(f(tt)) - self.r_end, 0.0, f.b, xtol=1e-14)) \
-            if self.r_end > float(f(f.b)) else f.b
-        # blended domain length
-        self.b = (1.0 - self.s) * self.t_end_f \
-            + self.s * (self.r_end - self.r0) / self.m0
+        if self.r_end > float(f(f.b)):
+            try:
+                self.t_end_f = float(brentq(
+                    lambda tt: float(f(tt)) - self.r_end, 0.0, f.b,
+                    xtol=1e-14))
+            except ValueError as exc:
+                raise InversionError(
+                    f"profile never reaches r_end = {self.r_end:.6g}: "
+                    f"{exc}") from exc
+        else:
+            self.t_end_f = f.b
+        # blended domain length, T(t_end_f)
+        self.b = self._T(self.t_end_f, self.r_end)
 
-    def _finv(self, r):
-        return brentq(lambda t: float(self.f(t)) - r, 0.0, self.t_end_f,
-                      xtol=1e-14)
+    def _T(self, tau, r):
+        return (1.0 - self.s) * tau + self.s * (r - self.r0) / self.m0
+
+    def _tau(self, t):
+        """tau = f^{-1}(h_s(t)) for t clamped to [0, b]."""
+        t = np.clip(np.asarray(t, dtype=float), 0.0, self.b)
+        f, s, m0 = self.f, self.s, self.m0
+        return _invert_monotone(
+            lambda tau: self._T(tau, f(tau)),
+            lambda tau: (1.0 - s) + s * f.d1(tau) / m0,
+            t, 0.0, self.t_end_f)
 
     def _hinv(self, r):
-        return (1.0 - self.s) * self._finv(r) \
-            + self.s * (r - self.r0) / self.m0
+        """The defining blend (1-s) f^{-1}(r) + s (r - r0)/m0."""
+        tau = _invert_monotone(self.f, self.f.d1, r, 0.0, self.t_end_f)
+        return self._T(tau, r)
 
-    def _r_of_t(self, t):
-        lo, hi = self.r_end, self.r0
-        return brentq(lambda r: self._hinv(r) - t, lo, hi, xtol=1e-14)
-
-    def _jet(self, t):
-        t = float(min(max(t, 0.0), self.b))
-        r = self._r_of_t(t)
-        tau = self._finv(r)
-        fp = float(self.f.d1(tau))
-        fpp = float(self.f.d2(tau))
-        hinv1 = (1.0 - self.s) / fp + self.s / self.m0
-        hinv2 = -(1.0 - self.s) * fpp / fp ** 3
-        return r, 1.0 / hinv1, -hinv2 / hinv1 ** 3
+    def jet(self, t, k=2):
+        """(h, h', ..., h^(k))(t) for k <= 3, from one solve for tau."""
+        tau = self._tau(t)
+        f, s = self.f, self.s
+        out = [f(tau)]
+        if k >= 1:
+            fp = f.d1(tau)
+            hinv1 = (1.0 - s) / fp + s / self.m0
+            out.append(1.0 / hinv1)
+        if k >= 2:
+            fpp = f.d2(tau)
+            hinv2 = -(1.0 - s) * fpp / fp ** 3
+            out.append(-hinv2 / hinv1 ** 3)
+        if k >= 3:
+            hinv3 = -(1.0 - s) * (f.d3(tau) * fp - 3.0 * fpp ** 2) / fp ** 5
+            out.append(-(hinv3 * hinv1 - 3.0 * hinv2 ** 2) / hinv1 ** 5)
+        return tuple(out)
 
     def __call__(self, t):
-        return self._vec(t, 0)
+        return self.jet(t, 0)[0]
 
     def d1(self, t):
-        return self._vec(t, 1)
+        return self.jet(t, 1)[1]
 
     def d2(self, t):
-        return self._vec(t, 2)
+        return self.jet(t, 2)[2]
 
-    def d3(self, t, h=1e-5):
-        t = np.asarray(t, dtype=float)
-        return (self._vec(np.minimum(t + h, self.b), 2)
-                - self._vec(np.maximum(t - h, 0.0), 2)) / (2.0 * h)
-
-    def _vec(self, t, order):
-        t = np.asarray(t, dtype=float)
-        if t.ndim == 0:
-            return self._jet(float(t))[order]
-        return np.array([self._jet(float(tv))[order] for tv in t])
+    def d3(self, t):
+        return self.jet(t, 3)[3]
 
 
 def final_isotopy(f, l_line, s_grid=None, n_t=201):
@@ -968,8 +1068,8 @@ def final_isotopy(f, l_line, s_grid=None, n_t=201):
     for s in s_grid:
         h = InverseBlend(f, m0, float(s))
         t = np.linspace(0.0, h.b, n_t)[1:-1]
-        vals = h(t)
-        m = float(np.min((1.0 + h.d1(t) ** 2) / (2.0 * vals) - h.d2(t)))
+        vals, d1, d2 = h.jet(t)
+        m = float(np.min((1.0 + d1 ** 2) / (2.0 * vals) - d2))
         family.append(h)
         margins.append(m)
     return family, margins

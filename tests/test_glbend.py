@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from gllab.errors import (ConstructionFailedError, InvalidBendError,
                           InvalidSpecError, InversionError,
                           NoFeasibleBendError, OutOfRegimeError,
                           TiltTooLargeError)
-from gllab.glbend import (ArcSeg, BendConstants, BumpSeg, Curve2D, LineSeg,
+from gllab.fnspace import PolyPiece, SmoothFn1D
+from gllab.glbend import (ArcSeg, BendConstants, BumpSeg, Curve2D, GraphSeg,
+                          InverseBlend, LineSeg, _invert_monotone,
                           assemble_gamma, check_cureqn, check_diffkeqn,
                           check_keqn, final_bending_tilt, final_isotopy,
                           initial_bend, initial_isotopy, mu_inequality,
@@ -196,3 +199,161 @@ class TestIsotopies:
             final_isotopy(g, (params.r0 + 1.0, params.m0))
         with pytest.raises(InversionError):
             final_isotopy(g, (params.r0, 0.5))
+
+
+@pytest.fixture(scope="module")
+def tilted(transition):
+    params, _ = transition
+    return final_bending_tilt(transition, params.C2)
+
+
+def _blend_jet_reference(h, t):
+    """(h, h', h'') at scalar t by the nested scalar root finds of the
+    definition: r solves hinv(r) = t, where hinv calls f^{-1} by brentq."""
+    f, s, m0, r0 = h.f, h.s, h.m0, h.r0
+
+    def finv(r):
+        return brentq(lambda tt: float(f(tt)) - r, 0.0, h.t_end_f,
+                      xtol=1e-15, rtol=1e-15)
+
+    def hinv(r):
+        return (1.0 - s) * finv(r) + s * (r - r0) / m0
+
+    if t <= 0.0:
+        r = r0
+    elif t >= h.b:
+        r = h.r_end
+    else:
+        r = brentq(lambda rr: hinv(rr) - t, h.r_end, r0,
+                   xtol=1e-15, rtol=1e-15)
+    tau = finv(r)
+    fp, fpp = float(f.d1(tau)), float(f.d2(tau))
+    hinv1 = (1.0 - s) / fp + s / m0
+    hinv2 = -(1.0 - s) * fpp / fp ** 3
+    return r, 1.0 / hinv1, -hinv2 / hinv1 ** 3
+
+
+class TestInverseBlend:
+
+    @pytest.mark.parametrize("s", [0.0, 0.35, 0.7, 1.0])
+    def test_jet_matches_nested_scalar_reference(self, tilted, transition, s):
+        params, _ = transition
+        h = InverseBlend(tilted, params.m0, s)
+        t = np.linspace(0.0, h.b, 9)
+        got = np.array(h.jet(t))
+        ref = np.array([_blend_jet_reference(h, float(tv)) for tv in t]).T
+        for order in range(3):
+            scale_ = np.abs(ref[order]).max()
+            np.testing.assert_allclose(got[order], ref[order], rtol=1e-10,
+                                       atol=1e-10 * scale_)
+        # the views agree with the jet, and scalar input gives scalars
+        assert np.array_equal(h(t), got[0])
+        assert np.array_equal(h.d2(t), got[2])
+        assert np.ndim(h(0.5 * h.b)) == 0
+        assert h(0.0) == params.r0
+
+    @pytest.mark.parametrize("s", [0.0, 0.5, 1.0])
+    def test_d3_closed_form_matches_difference_of_d2(self, tilted,
+                                                      transition, s):
+        params, _ = transition
+        h = InverseBlend(tilted, params.m0, s)
+        t = np.linspace(0.0, h.b, 41)[1:-1]
+        # stay clear of the profile's piece junctions, where the third derivative jumps
+        breaks = np.array([p.interval[1] for p in tilted.pieces[:-1]])
+        tau = h._tau(t)
+        t = t[np.abs(tau[:, None] - breaks[None, :]).min(axis=1) > 1e-3]
+        assert t.size > 20
+        step = 1e-5
+        fd = (h.d2(t + step) - h.d2(t - step)) / (2.0 * step)
+        d3 = h.d3(t)
+        scale_ = max(np.abs(fd).max(), 1.0)
+        np.testing.assert_allclose(d3, fd, rtol=1e-5, atol=1e-6 * scale_)
+
+    def test_profile_reaching_zero_is_cut_at_floor(self):
+        # f = 1 - t/2 - t^2/2 reaches 0 at t = 1; the blend stops at r_end
+        f = SmoothFn1D(1.0, [PolyPiece((0.0, 1.0), [1.0, -0.5, -0.5])])
+        h = InverseBlend(f, -0.5, 0.5)
+        assert h.r_end == pytest.approx(1e-3) and h.t_end_f < 1.0
+        r, d1, d2 = h.jet(np.array([0.0, h.b]))
+        np.testing.assert_allclose(r, [1.0, h.r_end], rtol=0, atol=1e-13)
+        assert np.all(d1 < 0)
+
+    def test_profile_without_level_raises_typed(self):
+        # decreasing but negative from the start: no level r_end exists
+        f = SmoothFn1D(1.0, [PolyPiece((0.0, 1.0), [-0.1, -1.0])])
+        with pytest.raises(InversionError):
+            InverseBlend(f, -1.0, 0.5)
+
+
+class TestInvertMonotone:
+
+    def test_inverts_increasing_and_decreasing(self):
+        y = np.linspace(0.0, 2.0, 101)
+        x = _invert_monotone(lambda x: x ** 3 + x, lambda x: 3 * x ** 2 + 1,
+                             y, 0.0, 1.0)
+        np.testing.assert_allclose(x ** 3 + x, y, rtol=0, atol=1e-14)
+        x = _invert_monotone(np.cos, lambda x: -np.sin(x), [1.0, 0.5], 0.0,
+                             2.0)
+        np.testing.assert_allclose(x, [0.0, np.pi / 3], rtol=1e-15)
+
+    def test_non_monotone_raises(self):
+        with pytest.raises(InversionError):
+            _invert_monotone(lambda x: (x - 0.5) ** 2, lambda x: 2 * (x - 0.5),
+                             [0.1], 0.0, 1.0)
+
+    def test_target_outside_range_raises(self):
+        with pytest.raises(InversionError):
+            _invert_monotone(lambda x: x, np.ones_like, [0.5, 2.0], 0.0, 1.0)
+        with pytest.raises(InversionError):
+            _invert_monotone(lambda x: x, np.ones_like, [np.nan], 0.0, 1.0)
+
+    def test_nan_producing_function_raises(self):
+        def on_table(x):
+            return np.where(x > 0.7, np.nan, x)
+
+        def between_table_points(x):
+            return np.where(np.abs(x - 0.503) < 1e-3, np.nan, x)
+
+        for F in (on_table, between_table_points):
+            with pytest.raises(InversionError):
+                _invert_monotone(F, np.ones_like, [0.503], 0.0, 1.0)
+
+    def test_jump_reports_residual(self):
+        # monotone on the table, but y = 1 falls inside the jump at 1/2
+        with pytest.raises(InversionError) as err:
+            _invert_monotone(lambda x: x + (x > 0.5), np.ones_like, [1.0],
+                             0.0, 1.0)
+        assert err.value.residual == pytest.approx(0.5, rel=1e-6)
+
+    def test_step_budget_reports_residual(self):
+        with pytest.raises(InversionError) as err:
+            _invert_monotone(lambda x: x ** 3 + x, lambda x: 3 * x ** 2 + 1,
+                             np.linspace(0.1, 1.9, 7), 0.0, 1.0, max_iter=1)
+        assert 0 < err.value.residual < 1e-2
+
+
+class TestGraphSeg:
+
+    def test_arc_length_round_trip(self, transition):
+        _, f = transition
+        seg = GraphSeg(f, t_offset=0.3)
+        s = np.linspace(0.0, seg.length, 257)
+        t = seg._t_of_s(s)
+        assert t[0] == seg.t_range[0] and t[-1] == seg.t_range[1]
+        assert np.all(np.diff(t) > 0)
+        np.testing.assert_allclose(seg._S(t), s, rtol=0,
+                                   atol=1e-13 * seg.length)
+        # out-of-range arc lengths clamp to the exact ends
+        assert seg._t_of_s(-1.0) == seg.t_range[0]
+        assert seg._t_of_s(2 * seg.length) == seg.t_range[1]
+        # scalar in, scalar out, also through eval
+        assert np.ndim(seg._t_of_s(0.4 * seg.length)) == 0
+        pt, tan, k = seg.eval(0.4 * seg.length)
+        assert pt.shape == (2,) and tan.shape == (2,) and np.ndim(k) == 0
+
+
+def test_tilt_margin_check_can_fail(transition):
+    params, _ = transition
+    # a negative slack demands a margin gain the tilt cannot deliver
+    with pytest.raises(ConstructionFailedError, match="margin at r ="):
+        final_bending_tilt(transition, params.C2, margin_slack=-1.0)
