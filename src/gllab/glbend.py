@@ -164,7 +164,11 @@ def mu_inequality(mu, b):
 # monotone inversion
 # ---------------------------------------------------------------------------
 
-def _invert_monotone(F, dF, y, lo, hi, max_iter=100):
+# Newton/bisection steps allowed per point in _invert_monotone
+_INVERT_MAX_ITER = 100
+
+
+def _invert_monotone(F, dF, y, lo, hi):
     """Solve F(x) = y on [lo, hi] for every entry of y at once.
 
     F must be strictly monotone on [lo, hi] and accept arrays; dF is its
@@ -178,8 +182,8 @@ def _invert_monotone(F, dF, y, lo, hi, max_iter=100):
     Raises InversionError, carrying the worst residual |F(x) - y| where one
     exists, if the table is not finite or not strictly monotone, if some y
     lies outside [F(lo), F(hi)], if F turns non-finite during the search,
-    or if some point is unconverged after ``max_iter`` steps or converged
-    with a residual far above rounding (a jump in F).
+    or if some point is unconverged after ``_INVERT_MAX_ITER`` steps or
+    converged with a residual far above rounding (a jump in F).
     """
     y = np.asarray(y, dtype=float)
     shape = y.shape
@@ -211,7 +215,7 @@ def _invert_monotone(F, dF, y, lo, hi, max_iter=100):
     x_tol = 4.0 * np.finfo(float).eps * max(abs(lo), abs(hi))
     g = np.zeros_like(x)
     act = np.arange(x.size)
-    for _ in range(max_iter):
+    for _ in range(_INVERT_MAX_ITER):
         if act.size == 0:
             break
         xa = x[act]
@@ -235,7 +239,7 @@ def _invert_monotone(F, dF, y, lo, hi, max_iter=100):
     if act.size:
         worst = float(np.abs(g[act]).max())
         raise InversionError(
-            f"{act.size} points unconverged after {max_iter} steps; "
+            f"{act.size} points unconverged after {_INVERT_MAX_ITER} steps; "
             f"worst residual {worst:.3e}", residual=worst)
     worst = float(np.abs(g).max()) if g.size else 0.0
     if worst > y_tol:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
+from gllab import glbend
 from gllab.errors import (ConstructionFailedError, InvalidBendError,
                           InvalidSpecError, InversionError,
                           NoFeasibleBendError, OutOfRegimeError,
@@ -325,10 +326,11 @@ class TestInvertMonotone:
                              0.0, 1.0)
         assert err.value.residual == pytest.approx(0.5, rel=1e-6)
 
-    def test_step_budget_reports_residual(self):
+    def test_step_budget_reports_residual(self, monkeypatch):
+        monkeypatch.setattr(glbend, "_INVERT_MAX_ITER", 1)
         with pytest.raises(InversionError) as err:
             _invert_monotone(lambda x: x ** 3 + x, lambda x: 3 * x ** 2 + 1,
-                             np.linspace(0.1, 1.9, 7), 0.0, 1.0, max_iter=1)
+                             np.linspace(0.1, 1.9, 7), 0.0, 1.0)
         assert 0 < err.value.residual < 1e-2
 
 
