@@ -10,15 +10,15 @@ chain-complex consistency (integer boundary with d^2 = 0), exactness (the
 cylinder condition), unimodular cancelling bases, and finally an ordered
 cancellation plan with a unit intersection certificate per pair.
 
-All matrix arithmetic is exact: Python integers for eliminations and normal
-forms, Fractions for rank computations.
+All matrix arithmetic is exact and in Python integers: fraction-free
+(Bareiss) elimination for ranks and determinants, growth-controlled
+unimodular row/column operations for normal forms.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .errors import (HypothesisViolationError, InconsistentBoundaryError,
                      InvalidSpecError, NoIntegralBasisError,
@@ -42,7 +42,7 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# exact integer/rational matrix helpers
+# exact integer matrix helpers
 # ---------------------------------------------------------------------------
 
 def _as_int_matrix(m, rows, cols, what):
@@ -73,59 +73,54 @@ def _identity(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def _det_unimodular(m):
-    """Determinant by Fraction elimination (used to assert unimodularity)."""
-    n = len(m)
-    a = [[Fraction(x) for x in row] for row in m]
-    det = Fraction(1)
-    for c in range(n):
-        piv = next((r for r in range(c, n) if a[r][c] != 0), None)
+def _nearest(a, b):
+    """The integer nearest a / b (halves round up), so |a - q b| <= |b| / 2."""
+    return (2 * a + b) // (2 * b)
+
+
+def _bareiss(m):
+    """(rank, determinant) of an integer matrix by fraction-free elimination.
+
+    Bareiss elimination: each update divides exactly by the previous pivot,
+    so every entry stays an integer minor of m and nothing swells.  The
+    determinant is 0 unless m is square of full rank (1 for the empty one).
+    """
+    a = [list(r) for r in m]
+    rows, cols = len(a), len(a[0]) if a else 0
+    sign, prev, r = 1, 1, 0
+    for c in range(cols):
+        piv = next((i for i in range(r, rows) if a[i][c]), None)
         if piv is None:
-            return 0
-        if piv != c:
-            a[c], a[piv] = a[piv], a[c]
-            det = -det
-        det *= a[c][c]
-        inv = 1 / a[c][c]
-        for r in range(c + 1, n):
-            f = a[r][c] * inv
-            if f:
-                a[r] = [x - f * y for x, y in zip(a[r], a[c])]
-    return int(det) if det.denominator == 1 else det
+            continue
+        if piv != r:
+            a[r], a[piv] = a[piv], a[r]
+            sign = -sign
+        p = a[r][c]
+        for i in range(r + 1, rows):
+            f = a[i][c]
+            a[i] = [(x * p - f * y) // prev for x, y in zip(a[i], a[r])]
+        prev = p
+        r += 1
+        if r == rows:
+            break
+    return r, (sign * prev if r == rows == cols else 0)
 
 
 def rational_rank(m):
-    """Rank over the rationals via exact Fraction elimination."""
-    if not m or not m[0]:
-        return 0
-    a = [[Fraction(x) for x in row] for row in m]
-    rows, cols = len(a), len(a[0])
-    rank = 0
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if a[i][c] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = 1 / a[r][c]
-        for i in range(r + 1, rows):
-            f = a[i][c] * inv
-            if f:
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        r += 1
-        rank += 1
-        if r == rows:
-            break
-    return rank
+    """Rank over the rationals (exact, by fraction-free elimination)."""
+    return _bareiss(m)[0]
 
 
 def smith_normal_form(m):
     """Diagonalize an integer matrix by unimodular row/column operations.
 
     Returns (d, s, s_inv, t) with  s @ m @ t = d  diagonal (invariant factors
-    along the diagonal, each dividing the next), s and t unimodular, and
-    s_inv the exact integer inverse of s.  Pivots are chosen by smallest
-    absolute value, ties by lowest index.
+    along the diagonal, each non-negative and dividing the next), s and t
+    unimodular, and s_inv the exact integer inverse of s.  Step k starts
+    from the smallest nonzero entry of the remaining block; each pass then
+    re-picks the pivot as the smallest nonzero entry of column k (then of
+    row k) and reduces the others by nearest-integer quotients, so every
+    remainder is at most half the pivot.  Ties go to the lowest index.
     """
     rows = len(m)
     cols = len(m[0]) if rows else 0
@@ -181,30 +176,28 @@ def smith_normal_form(m):
             row_swap(k, bi)
         if bj != k:
             col_swap(k, bj)
-        if d[k][k] < 0:
-            row_neg(k)
-        # reduce the pivot row and column; repeat until both are clear
-        dirty = True
-        while dirty:
-            dirty = False
+        # clear column k, then row k, until both are clear; the pivot
+        # shrinks on every pass that leaves a remainder
+        while True:
+            bi = min((i for i in range(k, rows) if d[i][k]),
+                     key=lambda i: abs(d[i][k]))
+            if bi != k:
+                row_swap(k, bi)
             for i in range(k + 1, rows):
                 if d[i][k]:
-                    qq = d[i][k] // d[k][k]
-                    row_add(i, k, -qq)
-                    if d[i][k]:
-                        row_swap(k, i)
-                        if d[k][k] < 0:
-                            row_neg(k)
-                        dirty = True
+                    row_add(i, k, -_nearest(d[i][k], d[k][k]))
+            bj = min((j for j in range(k, cols) if d[k][j]),
+                     key=lambda j: abs(d[k][j]))
+            if bj != k:
+                col_swap(k, bj)
             for j in range(k + 1, cols):
                 if d[k][j]:
-                    qq = d[k][j] // d[k][k]
-                    col_add(j, k, -qq)
-                    if d[k][j]:
-                        col_swap(k, j)
-                        if d[k][k] < 0:
-                            row_neg(k)
-                        dirty = True
+                    col_add(j, k, -_nearest(d[k][j], d[k][k]))
+            if not any(d[i][k] for i in range(k + 1, rows)) and \
+                    not any(d[k][j] for j in range(k + 1, cols)):
+                break
+        if d[k][k] < 0:
+            row_neg(k)
         # divisibility: fold in any remaining entry the pivot does not divide
         bad = next(((i, j) for i in range(k + 1, rows)
                     for j in range(k + 1, cols)
@@ -426,8 +419,8 @@ def choose_cancelling_bases(cc):
             raise NoIntegralBasisError(
                 f"d_{k} has non-unit invariant factors {factors}: no "
                 "integral cancelling basis exists")
-        det_s = _det_unimodular(s)
-        det_t = _det_unimodular(t)
+        det_s = _bareiss(s)[1]
+        det_t = _bareiss(t)[1]
         if abs(det_s) != 1 or abs(det_t) != 1:
             raise InconsistentBoundaryError(
                 "normal-form transforms are not unimodular")

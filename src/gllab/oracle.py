@@ -31,7 +31,6 @@ __all__ = [
     "principal_curvatures",
     "geodesic_sphere_fit",
     "sphere_patch",
-    "cap_rescaling_deviation",
     "euclidean_chart",
     "polar_chart",
     "perturbed_quadratic_chart",
@@ -274,31 +273,6 @@ def geodesic_sphere_fit(chart, center, radii, directions=None):
     coef, res, _, _ = np.linalg.lstsq(rows, rhs, rcond=None)
     resid = float(np.sqrt(np.mean((rows @ coef - rhs) ** 2)))
     return {"c_m1": float(coef[0]), "c_1": float(coef[1]), "residual": resid}
-
-
-def cap_rescaling_deviation(chart, center, eps, n_samples=7):
-    """Max deviation of the 1/eps^2-rescaled eps-sphere metric from round.
-
-    Pulls the chart metric back along a sphere patch, rescales by 1/eps^2,
-    and compares componentwise to the same pullback for the unit round sphere
-    sitting in a Euclidean chart (the eps -> 0 limit).
-    """
-    d = chart.dim
-    flat = euclidean_chart(d)
-    rng = np.random.default_rng(0)
-    dirs = _fit_directions(d) + list(rng.normal(size=(n_samples - 3, d)))
-    h = chart.step
-    worst = 0.0
-    for w in dirs:
-        hs = sphere_patch(chart, center, eps, w)
-        ref = sphere_patch(flat, np.zeros(d), 1.0, w)
-        u0 = np.zeros(d - 1)
-        _, J, _ = _embedding_jet(hs, u0)
-        G = J.T @ chart.metric(hs.point(u0)) @ J / eps ** 2
-        _, Jr, _ = _embedding_jet(ref, u0)
-        Gr = Jr.T @ flat.metric(ref.point(u0)) @ Jr
-        worst = max(worst, float(np.abs(G - Gr).max()))
-    return worst
 
 
 # ---------------------------------------------------------------------------

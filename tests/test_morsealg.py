@@ -2,6 +2,7 @@
 
 import json
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +12,7 @@ from gllab.errors import (HypothesisViolationError, InconsistentBoundaryError,
                           InvalidSpecError, NoIntegralBasisError,
                           NotACylinderError)
 from gllab.morsealg import (CancellationPlan, ChainComplex, CriticalPoint,
-                            MorseDescription, build_chain_complex,
+                            MorseDescription, _bareiss, build_chain_complex,
                             cancellation_plan, check_admissible,
                             check_cylinder_exactness,
                             choose_cancelling_bases, rational_rank, reverse,
@@ -27,6 +28,42 @@ def two_point(n=7, b=1):
 def mat_mul(a, b):
     return [[sum(a[i][t] * b[t][j] for t in range(len(b)))
              for j in range(len(b[0]))] for i in range(len(a))]
+
+
+def eye(n):
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+def rand_unimod(rng, n):
+    """Identity scrambled by 3n random row operations with c in [-2, 2]."""
+    m = eye(n)
+    for _ in range(3 * n):
+        i, j = rng.randrange(n), rng.randrange(n)
+        if i != j:
+            c = rng.randint(-2, 2)
+            for k in range(n):
+                m[i][k] += c * m[j][k]
+    return m
+
+
+def fraction_rank_det(m):
+    """Reference (rank, det) by Fraction Gaussian elimination."""
+    a = [[Fraction(x) for x in row] for row in m]
+    rows, cols = len(a), len(a[0]) if a else 0
+    det, r = Fraction(1), 0
+    for c in range(cols):
+        piv = next((i for i in range(r, rows) if a[i][c]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            a[r], a[piv] = a[piv], a[r]
+            det = -det
+        det *= a[r][c]
+        for i in range(r + 1, rows):
+            f = a[i][c] / a[r][c]
+            a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        r += 1
+    return r, (det if r == rows == cols else 0)
 
 
 class TestDescriptions:
@@ -118,24 +155,66 @@ class TestChainComplex:
         assert rational_rank([[1, 0], [0, 2]]) == 2
         assert rational_rank([]) == 0
 
+    @given(st.integers(0, 7), st.integers(0, 7), st.integers(0, 10 ** 6))
+    @settings(max_examples=150, deadline=None)
+    def test_bareiss_matches_fraction_elimination(self, r, c, seed):
+        rng = random.Random(seed)
+        if rng.random() < 0.5:
+            c = r
+        lim = rng.choice([1, 2, 30])           # small entries give zero pivots
+        m = [[rng.randint(-lim, lim) for _ in range(c)] for _ in range(r)]
+        if r >= 3 and rng.random() < 0.5:      # rank-deficient
+            i, j, k = rng.sample(range(r), 3)
+            m[i] = [x + y for x, y in zip(m[j], m[k])]
+        if r and rng.random() < 0.3:
+            m[rng.randrange(r)] = [0] * c
+        if c and rng.random() < 0.3:
+            zero = rng.randrange(c)
+            for row in m:
+                row[zero] = 0
+        rank, det = _bareiss(m)
+        assert (rank, det) == fraction_rank_det(m)
+        assert type(det) is int
+        assert rational_rank(m) == rank
+
+    def test_bareiss_small_cases(self):
+        assert _bareiss([]) == (0, 1)
+        assert rational_rank([[]]) == 0
+        assert _bareiss([[0, 1], [1, 0]]) == (2, -1)
+        assert _bareiss([[0, 0], [0, 3]]) == (1, 0)
+
 
 class TestNormalForm:
-    @given(st.integers(1, 4), st.integers(1, 4), st.integers(0, 10 ** 6))
+    @given(st.integers(1, 8), st.integers(1, 8), st.integers(0, 10 ** 6))
     @settings(max_examples=60, deadline=None)
     def test_snf_random(self, r, c, seed):
         rng = random.Random(seed)
-        m = [[rng.randint(-9, 9) for _ in range(c)] for _ in range(r)]
+        m = [[rng.randint(-50, 50) for _ in range(c)] for _ in range(r)]
         d, s, s_inv, t = smith_normal_form(m)
         assert mat_mul(mat_mul(s, m), t) == d
-        assert mat_mul(s, s_inv) == \
-            [[1 if i == j else 0 for j in range(r)] for i in range(r)]
+        assert mat_mul(s, s_inv) == eye(r)
         diag = [d[i][i] for i in range(min(r, c))]
+        assert all(a >= 0 for a in diag)
         for a, b in zip(diag, diag[1:]):
             assert (b % a == 0) if a else (b == 0)
         for i in range(r):
             for j in range(c):
                 if i != j:
                     assert d[i][j] == 0
+
+    # scrambled unimodular cylinders whose transforms swell to thousands of
+    # bits (and take minutes) unless each pass re-picks the smallest pivot
+    @pytest.mark.parametrize("rank, gen_seed", [
+        (8, 8044), (12, 12009), (13, 13006), (14, 14001)])
+    def test_snf_scrambled_unimodular_stays_small(self, rank, gen_seed):
+        rng = random.Random(gen_seed)
+        m = mat_mul(rand_unimod(rng, rank), rand_unimod(rng, rank))
+        d, s, s_inv, t = smith_normal_form(m)
+        assert mat_mul(mat_mul(s, m), t) == d
+        assert mat_mul(s, s_inv) == eye(rank)
+        assert d == eye(rank)
+        for mat in (s, s_inv, t):
+            assert all(-2 ** 63 <= x < 2 ** 63 for row in mat for x in row)
 
     def test_bases_identity(self):
         bases = choose_cancelling_bases(build_chain_complex(two_point()))
@@ -214,20 +293,7 @@ class TestPlans:
     @settings(max_examples=40, deadline=None)
     def test_scrambled_cylinders(self, m_pairs, seed):
         rng = random.Random(seed)
-
-        def rand_unimod(n):
-            m = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-            for _ in range(3 * n):
-                i, j = rng.randrange(n), rng.randrange(n)
-                if i != j:
-                    c = rng.randint(-2, 2)
-                    for k in range(n):
-                        m[i][k] += c * m[j][k]
-            return m
-
-        eye = [[1 if i == j else 0 for j in range(m_pairs)]
-               for i in range(m_pairs)]
-        M = mat_mul(mat_mul(rand_unimod(m_pairs), eye), rand_unimod(m_pairs))
+        M = mat_mul(rand_unimod(rng, m_pairs), rand_unimod(rng, m_pairs))
         pts = [CriticalPoint(f"l{i}", 3, 0.3) for i in range(m_pairs)] + \
               [CriticalPoint(f"h{i}", 4, 0.7) for i in range(m_pairs)]
         desc = MorseDescription(7, pts, {(4, 3): M})
