@@ -392,9 +392,12 @@ def build_chain_complex(desc):
 
 def check_cylinder_exactness(cc):
     """Exactness at every degree: rank d_k + rank d_{k+1} = rank C_k."""
+    rank = {}
     for k in cc.degrees():
-        if rational_rank(cc.d(k)) + rational_rank(cc.d(k + 1)) \
-                != cc.ranks.get(k, 0):
+        for j in (k, k + 1):
+            if j not in rank:
+                rank[j] = rational_rank(cc.d(j))
+        if rank[k] + rank[k + 1] != cc.ranks.get(k, 0):
             return False
     return True
 

@@ -5,6 +5,7 @@ import io
 import numpy as np
 import pytest
 
+import gllab.curvature as curvature
 from gllab.curvature import (CylFamilyMetric, DoublyWarpedMetric, Phi2D,
                              WarpedSphereMetric, canonical_variation_scalar,
                              make_smoothstep, ricci_warped,
@@ -12,10 +13,10 @@ from gllab.curvature import (CylFamilyMetric, DoublyWarpedMetric, Phi2D,
                              scalar_warped, slowdown_concordance,
                              write_curvature_csv)
 from gllab.errors import (CertificationFailedError, DomainMismatchError,
-                          InvalidSpecError)
+                          InvalidSpecError, SingularProfileError)
 from gllab.fnspace import (SinePiece, SmoothFn1D, TorpedoSpec,
-                           make_double_torpedo, make_torpedo, reflect,
-                           sample_grid)
+                           linear_homotopy, make_double_torpedo, make_torpedo,
+                           reflect, sample_grid, scale)
 
 
 def round_profile(n=7, radius=1.0):
@@ -120,6 +121,76 @@ class TestCylFamily:
             canonical_variation_scalar(1.0, 1.0, 0.0)
 
 
+def round_to_double_torpedo(b=6.0, delta=0.5, n=7):
+    f0 = SmoothFn1D(b, [SinePiece((0.0, b), b / np.pi, np.pi / b)])
+    f1 = make_double_torpedo(delta, b)
+
+    def path(sig):
+        return WarpedSphereMetric(n, linear_homotopy(f0, f1, sig),
+                                  open_profile=True)
+    return path
+
+
+def per_row_slowdown(path, n, grid_shape, budget):
+    """Reference slowdown search that rebuilds phi's profiles per partial.
+
+    Every s-row looks up path(eta(s)) anew for the value, for each of the
+    central differences in s and for each t-partial (8 profiles a row), as
+    the search once did.  Returns the R grid of every L tried, then
+    (Lambda, L, min R) on success or the best minimum when the budget runs
+    out.
+    """
+    b = path(0.0).f.b
+    ns, nt = grid_shape
+    tgrid = np.linspace(0.0, b, nt + 2)[1:-1]
+    grids = []
+    best = -np.inf
+    L = 1.0
+    for _ in range(budget):
+        eta = make_smoothstep(L)
+        h = L * 1e-4
+
+        def profile_at(s):
+            return path(float(np.clip(eta(np.clip(s, 0.0, L)), 0.0, 1.0))).f
+
+        def val(s, t):
+            return profile_at(float(s))(t)
+
+        def ds(s, t):
+            return (val(s + h, t) - val(s - h, t)) / (2.0 * h)
+
+        def dss(s, t):
+            return (val(s + h, t) - 2.0 * val(s, t) + val(s - h, t)) / h ** 2
+
+        phi = Phi2D(val, ds, lambda s, t: profile_at(float(s)).d1(t), dss,
+                    lambda s, t: profile_at(float(s)).d2(t))
+        cyl = CylFamilyMetric(n - 1, phi)
+        sgrid = np.linspace(0.0, L, ns + 2)[1:-1]
+        R = np.empty((ns, nt))
+        for i, sv in enumerate(sgrid):
+            R[i] = scalar_cyl_family(cyl, sv, tgrid)
+        grids.append(R)
+        mn = float(R.min())
+        if mn > 0.0:
+            return grids, (1.0 / L, L, mn)
+        best = max(best, mn)
+        L *= 2.0
+    return grids, best
+
+
+def record_curvature(monkeypatch):
+    """Flattened values of every scalar_cyl_family call slowdown makes."""
+    values = []
+
+    def recording(m, s, t):
+        R = scalar_cyl_family(m, s, t)
+        values.append(np.ravel(R))
+        return R
+
+    monkeypatch.setattr(curvature, "scalar_cyl_family", recording)
+    return values
+
+
 class TestSlowdown:
     def test_smoothstep_shape(self):
         eta = make_smoothstep(2.0)
@@ -130,20 +201,70 @@ class TestSlowdown:
         assert np.all(np.diff(vals) >= -1e-12)
 
     def test_round_to_double_torpedo(self):
-        b = 6.0
-        f0 = SmoothFn1D(b, [SinePiece((0.0, b), b / np.pi, np.pi / b)])
-        f1 = make_double_torpedo(0.5, b)
-        from gllab.fnspace import linear_homotopy
-
-        def path(sig):
-            return WarpedSphereMetric(7, linear_homotopy(f0, f1, sig),
-                                      open_profile=True)
-
-        lam, eta, cert = slowdown_concordance(path, 7,
+        lam, eta, cert = slowdown_concordance(round_to_double_torpedo(), 7,
                                               grid_shape=(60, 60))
         assert cert.passed
         assert lam > 0
         assert np.isclose(eta.b, 1.0 / lam)
+
+    def test_matches_per_row_reference(self, monkeypatch):
+        path = round_to_double_torpedo()
+        values = record_curvature(monkeypatch)
+        lam, eta, cert = slowdown_concordance(path, 7, grid_shape=(60, 60))
+        grids, (ref_lam, ref_L, ref_min) = per_row_slowdown(
+            path, 7, (60, 60), 20)
+        assert (lam, eta.b, cert.min_scalar) == (ref_lam, ref_L, ref_min)
+        assert np.array_equal(np.concatenate(values),
+                              np.concatenate([R.ravel() for R in grids]))
+        i, j = np.unravel_index(np.argmin(grids[-1]), (60, 60))
+        assert cert.extra["argmin_s"] == np.linspace(0.0, ref_L, 62)[1 + i]
+        assert cert.extra["argmin_t"] == np.linspace(0.0, 6.0, 62)[1 + j]
+        assert cert.extra["L_tried"] == [2.0 ** k for k in range(len(grids))]
+        assert cert.to_json()["extra"] == cert.extra
+
+    def test_failure_matches_per_row_reference(self, monkeypatch):
+        path = round_to_double_torpedo()
+        values = record_curvature(monkeypatch)
+        with pytest.raises(CertificationFailedError) as err:
+            slowdown_concordance(path, 7, grid_shape=(60, 60), budget=2)
+        grids, best = per_row_slowdown(path, 7, (60, 60), 2)
+        assert err.value.best_margin == best < 0
+        assert np.array_equal(np.concatenate(values),
+                              np.concatenate([R.ravel() for R in grids]))
+
+    def test_one_profile_per_distinct_sigma(self, monkeypatch):
+        ns = 40
+        inner = round_to_double_torpedo()
+        calls, starts = [], []
+
+        def path(sig):
+            calls.append(sig)
+            return inner(sig)
+
+        def smoothstep(L):
+            starts.append(len(calls))
+            return make_smoothstep(L)
+
+        monkeypatch.setattr(curvature, "make_smoothstep", smoothstep)
+        _lam, _eta, cert = slowdown_concordance(path, 7, grid_shape=(ns, 30))
+        assert cert.passed
+        assert len(starts) == len(cert.extra["L_tried"]) >= 2
+        for lo, hi in zip(starts, starts[1:] + [len(calls)]):
+            per_L = calls[lo:hi]
+            assert len(per_L) <= 3 * ns + 2
+            assert len(set(per_L)) == len(per_L)
+            assert {0.0, 1.0} <= set(per_L)
+
+    def test_non_positive_middle_profile_raises(self):
+        f = round_to_double_torpedo()(0.0).f
+
+        def path(sig):
+            # positive at both ends, negative around sigma = 1/2
+            return WarpedSphereMetric(7, scale(f, 1.0 - 8.0 * sig * (1 - sig)),
+                                      open_profile=True)
+
+        with pytest.raises(SingularProfileError):
+            slowdown_concordance(path, 7, grid_shape=(20, 20))
 
     def test_non_psc_path_rejected(self):
         b = np.pi / 3

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gllab.morsealg as morsealg
 from gllab.errors import (HypothesisViolationError, InconsistentBoundaryError,
                           InvalidSpecError, NoIntegralBasisError,
                           NotACylinderError)
@@ -149,6 +150,19 @@ class TestChainComplex:
         assert check_cylinder_exactness(cc)
         with pytest.raises(NoIntegralBasisError):
             choose_cancelling_bases(cc)
+
+    def test_exactness_ranks_each_boundary_once(self, monkeypatch):
+        ranked = []
+
+        def counting_rank(m):
+            ranked.append(m)
+            return rational_rank(m)
+
+        monkeypatch.setattr(morsealg, "rational_rank", counting_rank)
+        cc = build_chain_complex(two_point())
+        assert check_cylinder_exactness(cc)
+        # d_3, d_4 and d_5, each once (d_4 enters the checks at degrees 3, 4)
+        assert ranked == [cc.d(3), cc.d(4), cc.d(5)]
 
     def test_rational_rank(self):
         assert rational_rank([[1, 2], [2, 4]]) == 1
