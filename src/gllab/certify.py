@@ -6,37 +6,41 @@ it was sampled on, the minimum value found, and the tolerance it was compared
 against.  Certificates are produced all over the toolkit (curvature scans,
 bend synthesis, schedule compilation) and serialize to JSON.
 
-``pmap`` is the one concurrency primitive: a deterministic, order-preserving
-parallel map whose worker count is capped by the ``GLLAB_THREADS`` environment
-variable.  All scan workloads in the toolkit are pure functions over immutable
-inputs, so a thread map is safe.
+``pmap`` is the order-preserving map that every scan over grid cells,
+leaves or homotopy parameters goes through.  It runs serially: the scans are
+GIL-bound Python, and a thread pool measured slower than one thread.
+``write_csv`` is the one CSV writer behind every table the toolkit emits.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 
 def thread_count():
-    """Worker cap for scan parallelism (env ``GLLAB_THREADS``, default 1)."""
-    raw = os.environ.get("GLLAB_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 1
-    return max(n, 1)
+    """Number of workers ``pmap`` uses: always 1."""
+    return 1
 
 
 def pmap(fn, items):
-    """Order-preserving map, parallel when GLLAB_THREADS > 1."""
-    items = list(items)
-    n = thread_count()
-    if n <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=n) as ex:
-        return list(ex.map(fn, items))
+    """Order-preserving map of ``fn`` over ``items``."""
+    return [fn(x) for x in items]
+
+
+def write_csv(path_or_buf, header, rows):
+    """Write ``header`` and ``rows`` as CSV to a path or a text buffer.
+
+    Strings are written as they are and numbers with ``%.17g``.
+    """
+    lines = [header]
+    lines += [",".join(v if isinstance(v, str) else "%.17g" % v for v in row)
+              for row in rows]
+    text = "\n".join(lines) + "\n"
+    if hasattr(path_or_buf, "write"):
+        path_or_buf.write(text)
+    else:
+        with open(path_or_buf, "w") as fh:
+            fh.write(text)
 
 
 @dataclass

@@ -30,6 +30,7 @@ import click
 import numpy as np
 
 from . import errors as E
+from .certify import write_csv
 from .curvature import WarpedSphereMetric, scalar_warped, write_curvature_csv
 from .fnspace import TorpedoSpec, make_torpedo, sample_grid, write_profile_csv
 from .glbend import (BendConstants, assemble_gamma, final_bending_tilt,
@@ -56,20 +57,19 @@ _ALGEBRAIC = (E.AlgebraicRejection,)
 
 @dataclass
 class RunConfig:
-    """Tolerances, grid densities, and output conventions for a run."""
+    """Settings of a run: ``junction_tolerance`` is the assembly tolerance
+    of ``bend`` (segment junctions, tail radius), ``density`` the torpedo
+    sampling density (points per unit length), then where and in which
+    format outputs go."""
 
     junction_tolerance: float = 1e-8
-    margin_tolerance: float = 1e-12
-    oracle_agreement: float = 1e-5
     density: int = 256
     output_dir: str = "."
     format: str = "csv"
 
     def __post_init__(self):
-        for name in ("junction_tolerance", "margin_tolerance",
-                     "oracle_agreement"):
-            if getattr(self, name) <= 0:
-                raise E.InvalidSpecError(f"{name} must be > 0")
+        if self.junction_tolerance <= 0:
+            raise E.InvalidSpecError("junction_tolerance must be > 0")
         if self.density < 64:
             raise E.InvalidSpecError("density must be >= 64")
         if self.format not in ("csv", "json"):
@@ -196,7 +196,8 @@ def bend(ctx, R0, C, Cp, q, r1, r0, emit_isotopy):
         consts = BendConstants(R0=R0, C=C, Cp=Cp, q=q)
         prefix = initial_bend(consts, r1=r1)
         trans = synth_transition(consts, r0=r0, theta0=prefix[1])
-        profile = assemble_gamma(consts, prefix, trans)
+        profile = assemble_gamma(consts, prefix, trans,
+                                 junction_tolerance=cfg.junction_tolerance)
         write_bend_csv(profile, _outpath(cfg, "bend_margins.csv"))
         cert = profile.certificate
         click.echo(f"min curve-inequality margin: {cert.min_scalar:.17g}")
@@ -206,11 +207,8 @@ def bend(ctx, R0, C, Cp, q, r1, r0, emit_isotopy):
             s_grid = np.linspace(0.0, 1.0, 21)
             _family, margins = final_isotopy(
                 tilted, (params.r0, params.m0), s_grid)
-            lines = ["s,margin"]
-            for s, mg in zip(s_grid, margins):
-                lines.append(f"{s:.17g},{mg:.17g}")
-            with open(_outpath(cfg, "bend_isotopy.csv"), "w") as fh:
-                fh.write("\n".join(lines) + "\n")
+            write_csv(_outpath(cfg, "bend_isotopy.csv"), "s,margin",
+                      zip(s_grid, margins))
             if min(margins) <= 0:
                 click.echo(f"isotopy margin failed: {min(margins):.6g}",
                            err=True)

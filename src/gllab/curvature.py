@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certify import IsotopyCertificate
+from .certify import IsotopyCertificate, write_csv
 from .errors import (CertificationFailedError, DomainMismatchError,
                      InvalidSpecError, SingularProfileError)
 from .fnspace import (ConstPiece, PolyPiece, SmoothFn1D, _quintic_match,
@@ -51,6 +51,9 @@ _END_SNAP = 1e-12
 # a warping function smaller than this away from the endpoints is treated as
 # an interior zero
 _INTERIOR_ZERO = 1e-13
+
+# a warping function at most this large at an endpoint closes there
+_END_ZERO = 1e-9
 
 
 @dataclass
@@ -163,11 +166,46 @@ class CylFamilyMetric:
 # scalar / Ricci evaluation
 # ---------------------------------------------------------------------------
 
-def _endpoint_masks(f, t):
-    snap = _END_SNAP * max(1.0, f.b)
-    at0 = np.abs(t) <= snap
-    atb = np.abs(t - f.b) <= snap
-    return at0, atb
+def _closed_form(profiles, t, n_out, interior, limit):
+    """Evaluate a closed-form curvature of warping ``profiles`` at t.
+
+    The profiles share one domain (0, b).  ``interior(jets)`` takes one
+    (f, f', f'') jet per profile and returns ``n_out`` values; it serves the
+    interior points and any endpoint where no profile vanishes.  At an
+    endpoint where exactly one profile, index ``i``, vanishes the 0/0
+    quotients are replaced by ``limit(jets, i, sign)``, given (f, ..., f''')
+    jets and sign = -1 at t = 0, +1 at t = b.  Returns a tuple of ``n_out``
+    floats for scalar t, else of arrays shaped like t.
+    """
+    t = np.asarray(t, dtype=float)
+    tv = np.atleast_1d(t)
+    b = profiles[0].b
+    snap = _END_SNAP * max(1.0, b)
+    at0, atb = np.abs(tv) <= snap, np.abs(tv - b) <= snap
+    inner = ~(at0 | atb)
+    outs = [np.empty_like(tv) for _ in range(n_out)]
+    if inner.any():
+        jets = [f.jet(tv[inner], 2) for f in profiles]
+        if min(np.abs(jet[0]).min() for jet in jets) < _INTERIOR_ZERO:
+            raise SingularProfileError(
+                "a warping function vanishes at an interior point")
+        for out, val in zip(outs, interior(jets)):
+            out[inner] = val
+    for mask, tend, sign in ((at0, 0.0, -1.0), (atb, b, 1.0)):
+        if not mask.any():
+            continue
+        jets = [tuple(float(x) for x in f.jet(tend, 3)) for f in profiles]
+        closing = [i for i, jet in enumerate(jets) if abs(jet[0]) <= _END_ZERO]
+        if len(closing) > 1:
+            raise SingularProfileError(
+                "both warping functions vanish at the same endpoint")
+        vals = (limit(jets, closing[0], sign) if closing
+                else interior([jet[:3] for jet in jets]))
+        for out, val in zip(outs, vals):
+            out[mask] = val
+    if t.ndim == 0:
+        return tuple(float(out[0]) for out in outs)
+    return tuple(outs)
 
 
 def scalar_warped(m, t):
@@ -177,34 +215,17 @@ def scalar_warped(m, t):
     endpoint where f vanishes both quotients tend to (-+) f''' there, giving
     R(0) = -n(n-1) f'''(0) and R(b) = +n(n-1) f'''(b).
     """
-    n, f = m.n, m.f
-    t = np.asarray(t, dtype=float)
-    scalar = (t.ndim == 0)
-    tv = np.atleast_1d(t).astype(float)
-    at0, atb = _endpoint_masks(f, tv)
-    interior = ~(at0 | atb)
-    F = f(tv)
-    out = np.empty_like(tv)
-    if interior.any():
-        Fi = F[interior]
-        if np.abs(Fi).min() < _INTERIOR_ZERO:
-            raise SingularProfileError(
-                "profile vanishes at an interior point")
-        ti = tv[interior]
-        d1, d2 = f.d1(ti), f.d2(ti)
-        out[interior] = (-2.0 * (n - 1) * d2 / Fi
-                         + (n - 1) * (n - 2) * (1.0 - d1 ** 2) / Fi ** 2)
-    for mask, tend, sign in ((at0, 0.0, -1.0), (atb, f.b, 1.0)):
-        if not mask.any():
-            continue
-        fe = float(f(tend))
-        if abs(fe) <= 1e-9:
-            out[mask] = sign * n * (n - 1) * float(f.d3(tend))
-        else:
-            d1, d2 = float(f.d1(tend)), float(f.d2(tend))
-            out[mask] = (-2.0 * (n - 1) * d2 / fe
-                         + (n - 1) * (n - 2) * (1.0 - d1 ** 2) / fe ** 2)
-    return float(out[0]) if scalar else out
+    n = m.n
+
+    def interior(jets):
+        (f, d1, d2), = jets
+        return [-2.0 * (n - 1) * d2 / f
+                + (n - 1) * (n - 2) * (1.0 - d1 ** 2) / f ** 2]
+
+    def limit(jets, _closing, sign):
+        return [sign * n * (n - 1) * jets[0][3]]
+
+    return _closed_form([m.f], t, 1, interior, limit)[0]
 
 
 def ricci_warped(m, t):
@@ -213,38 +234,17 @@ def ricci_warped(m, t):
     Interior values are -(n-1) f''/f and (n-2)(1-f'^2)/f^2 - f''/f; at a
     vanishing endpoint both tend to (-+)(n-1) f''' there.
     """
-    n, f = m.n, m.f
-    t = np.asarray(t, dtype=float)
-    scalar = (t.ndim == 0)
-    tv = np.atleast_1d(t).astype(float)
-    at0, atb = _endpoint_masks(f, tv)
-    interior = ~(at0 | atb)
-    F = f(tv)
-    rt = np.empty_like(tv)
-    rs = np.empty_like(tv)
-    if interior.any():
-        Fi = F[interior]
-        if np.abs(Fi).min() < _INTERIOR_ZERO:
-            raise SingularProfileError("profile vanishes at an interior point")
-        ti = tv[interior]
-        d1, d2 = f.d1(ti), f.d2(ti)
-        rt[interior] = -(n - 1) * d2 / Fi
-        rs[interior] = (n - 2) * (1.0 - d1 ** 2) / Fi ** 2 - d2 / Fi
-    for mask, tend, sign in ((at0, 0.0, -1.0), (atb, f.b, 1.0)):
-        if not mask.any():
-            continue
-        fe = float(f(tend))
-        if abs(fe) <= 1e-9:
-            lim = sign * (n - 1) * float(f.d3(tend))
-            rt[mask] = lim
-            rs[mask] = lim
-        else:
-            d1, d2 = float(f.d1(tend)), float(f.d2(tend))
-            rt[mask] = -(n - 1) * d2 / fe
-            rs[mask] = (n - 2) * (1.0 - d1 ** 2) / fe ** 2 - d2 / fe
-    if scalar:
-        return float(rt[0]), float(rs[0])
-    return rt, rs
+    n = m.n
+
+    def interior(jets):
+        (f, d1, d2), = jets
+        return -(n - 1) * d2 / f, (n - 2) * (1.0 - d1 ** 2) / f ** 2 - d2 / f
+
+    def limit(jets, _closing, sign):
+        lim = sign * (n - 1) * jets[0][3]
+        return lim, lim
+
+    return _closed_form([m.f], t, 2, interior, limit)
 
 
 def scalar_doubly_warped(m, t):
@@ -259,51 +259,31 @@ def scalar_doubly_warped(m, t):
     quotients collapse to third-derivative limits; e.g. with v(0) = 0:
 
         R(0) = -2p(1+q) u''(0)/u(0) + p(p-1)/u(0)^2 - q(q+1) v'''(0).
+
+    Both factors vanishing at one endpoint raises ``SingularProfileError``.
     """
-    p, q, u, v = m.p, m.q, m.u, m.v
-    t = np.asarray(t, dtype=float)
-    scalar = (t.ndim == 0)
-    tv = np.atleast_1d(t).astype(float)
-    at0, atb = _endpoint_masks(u, tv)
-    interior = ~(at0 | atb)
-    out = np.empty_like(tv)
-    if interior.any():
-        ti = tv[interior]
-        U, V = u(ti), v(ti)
-        if min(np.abs(U).min(), np.abs(V).min()) < _INTERIOR_ZERO:
-            raise SingularProfileError(
-                "a warping function vanishes at an interior point")
-        u1, u2 = u.d1(ti), u.d2(ti)
-        v1, v2 = v.d1(ti), v.d2(ti)
-        out[interior] = (-2.0 * p * u2 / U - 2.0 * q * v2 / V
-                         + p * (p - 1) * (1.0 - u1 ** 2) / U ** 2
-                         + q * (q - 1) * (1.0 - v1 ** 2) / V ** 2
-                         - 2.0 * p * q * u1 * v1 / (U * V))
-    for mask, tend in ((at0, 0.0), (atb, u.b)):
-        if not mask.any():
-            continue
-        ue, ve = float(u(tend)), float(v(tend))
-        if abs(ve) <= 1e-9 and abs(ue) > 1e-9:
+    p, q = m.p, m.q
+
+    def interior(jets):
+        (U, u1, u2), (V, v1, v2) = jets
+        return [-2.0 * p * u2 / U - 2.0 * q * v2 / V
+                + p * (p - 1) * (1.0 - u1 ** 2) / U ** 2
+                + q * (q - 1) * (1.0 - v1 ** 2) / V ** 2
+                - 2.0 * p * q * u1 * v1 / (U * V)]
+
+    def limit(jets, closing, _sign):
+        (U, u1, u2, u3), (V, v1, v2, v3) = jets
+        if closing == 1:
             # v closes here (t = 0 style end)
-            out[mask] = (-2.0 * p * (1 + q) * float(u.d2(tend)) / ue
-                         + p * (p - 1) * (1.0 - float(u.d1(tend)) ** 2) / ue ** 2
-                         - q * (q + 1) * float(v.d3(tend)))
-        elif abs(ue) <= 1e-9 and abs(ve) > 1e-9:
-            # u closes here (t = b style end)
-            out[mask] = (p * (p + 1) * float(u.d3(tend))
-                         - 2.0 * q * (1 + p) * float(v.d2(tend)) / ve
-                         + q * (q - 1) * (1.0 - float(v.d1(tend)) ** 2) / ve ** 2)
-        elif abs(ue) > 1e-9 and abs(ve) > 1e-9:
-            u1, u2 = float(u.d1(tend)), float(u.d2(tend))
-            v1, v2 = float(v.d1(tend)), float(v.d2(tend))
-            out[mask] = (-2.0 * p * u2 / ue - 2.0 * q * v2 / ve
-                         + p * (p - 1) * (1.0 - u1 ** 2) / ue ** 2
-                         + q * (q - 1) * (1.0 - v1 ** 2) / ve ** 2
-                         - 2.0 * p * q * u1 * v1 / (ue * ve))
-        else:
-            raise SingularProfileError(
-                "both warping functions vanish at the same endpoint")
-    return float(out[0]) if scalar else out
+            return [-2.0 * p * (1 + q) * u2 / U
+                    + p * (p - 1) * (1.0 - u1 ** 2) / U ** 2
+                    - q * (q + 1) * v3]
+        # u closes here (t = b style end)
+        return [p * (p + 1) * u3
+                - 2.0 * q * (1 + p) * v2 / V
+                + q * (q - 1) * (1.0 - v1 ** 2) / V ** 2]
+
+    return _closed_form([m.u, m.v], t, 1, interior, limit)[0]
 
 
 def scalar_cyl_family(m, s, t):
@@ -442,14 +422,5 @@ def slowdown_concordance(path, n, grid_shape=(200, 200), budget=20,
 def write_curvature_csv(m, path_or_buf, density=256):
     """CSV curvature profile with columns t, R, Ric_t, Ric_sphere."""
     t = sample_grid(m.f.b, density)
-    R = scalar_warped(m, t)
-    rt, rs = ricci_warped(m, t)
-    data = np.column_stack([t, R, rt, rs])
-    header = "t,R,Ric_t,Ric_sphere"
-    if hasattr(path_or_buf, "write"):
-        np.savetxt(path_or_buf, data, fmt="%.17g", delimiter=",",
-                   header=header, comments="")
-    else:
-        with open(path_or_buf, "w") as fh:
-            np.savetxt(fh, data, fmt="%.17g", delimiter=",",
-                       header=header, comments="")
+    write_csv(path_or_buf, "t,R,Ric_t,Ric_sphere",
+              np.column_stack([t, scalar_warped(m, t), *ricci_warped(m, t)]))

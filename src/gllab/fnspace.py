@@ -11,19 +11,25 @@ Three families of membership predicates are provided:
 * ``check_U_membership``  -- profiles positive at 0 and closing at b,
 * ``check_V_membership``  -- profiles closing at 0 and positive at b.
 
-All three families are convex, which is what makes linear homotopies between
-members useful; see ``linear_homotopy``.
+All three run one table of end conditions.  The families are convex, which
+is what makes linear homotopies between members useful; see
+``linear_homotopy``.
+
+Every profile in the toolkit (``SmoothFn1D`` here, and the composite and
+blended profiles of ``hypersurface`` and ``glbend``) has the same contract: a
+domain length ``b`` and ``jet(t, k)``, which returns (f, f', ..., f^(k)) for
+k <= 3 from one evaluation pass.
 """
 
 from __future__ import annotations
 
-import io
 import json
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.interpolate import CubicSpline, PPoly
 
+from .certify import write_csv
 from .errors import ConstructionFailedError, DomainMismatchError, InvalidSpecError
 
 __all__ = [
@@ -273,22 +279,38 @@ class SmoothFn1D:
                         f"junction at t={t:.6g} fails C{order} contract: "
                         f"{lv!r} vs {rv!r}")
 
-    def _eval(self, t, order):
+    def _locate(self, t):
+        """(t, t as 1-d, index of the piece holding each point)."""
         t = np.asarray(t, dtype=float)
-        scalar = (t.ndim == 0)
         tv = np.atleast_1d(t)
         if tv.size and (tv.min() < -1e-9 * max(1.0, self.b)
                         or tv.max() > self.b * (1 + 1e-9) + 1e-9):
             raise InvalidSpecError(
                 f"evaluation outside [0, {self.b}]: range "
                 f"[{tv.min()}, {tv.max()}]")
-        idx = np.searchsorted(self._breaks, tv, side="right")
+        return t, tv, np.searchsorted(self._breaks, tv, side="right")
+
+    def jet(self, t, k=2):
+        """(f, f', ..., f^(k))(t) for k <= 3; scalars for scalar t."""
+        t, tv, idx = self._locate(t)
+        outs = [np.empty_like(tv) for _ in range(k + 1)]
+        for i, piece in enumerate(self.pieces):
+            mask = idx == i
+            if mask.any():
+                ti = tv[mask]
+                for order, out in enumerate(outs):
+                    out[mask] = piece.eval(ti, order)
+        return tuple(out[0] if t.ndim == 0 else out for out in outs)
+
+    def _eval(self, t, order):
+        # one order only: a view must not pay for the lower orders of a jet
+        t, tv, idx = self._locate(t)
         out = np.empty_like(tv)
         for i, piece in enumerate(self.pieces):
             mask = idx == i
             if mask.any():
                 out[mask] = piece.eval(tv[mask], order)
-        return out[0] if scalar else out
+        return out[0] if t.ndim == 0 else out
 
     def __call__(self, t):
         return self._eval(t, 0)
@@ -322,15 +344,7 @@ class SmoothFn1D:
 def write_profile_csv(f, path_or_buf, density=DEFAULT_GRID_DENSITY):
     """CSV sampling export with columns t, f, f', f''."""
     t = sample_grid(f.b, density)
-    data = np.column_stack([t, f(t), f.d1(t), f.d2(t)])
-    header = "t,f,d1,d2"
-    if hasattr(path_or_buf, "write"):
-        np.savetxt(path_or_buf, data, fmt="%.17g", delimiter=",",
-                   header=header, comments="")
-    else:
-        with open(path_or_buf, "w") as fh:
-            np.savetxt(fh, data, fmt="%.17g", delimiter=",",
-                       header=header, comments="")
+    write_csv(path_or_buf, "t,f,d1,d2", np.column_stack([t, *f.jet(t, 2)]))
 
 
 # ---------------------------------------------------------------------------
@@ -538,89 +552,71 @@ class MembershipReport:
         return f"<MembershipReport {self.space}: {status} ({len(self.conditions)} conditions)>"
 
 
-def _near_end_windows(b, window_frac):
-    w = window_frac * b
-    lo = np.linspace(0.0, w, 33)[1:]        # exclude the endpoint itself
-    hi = np.linspace(b - w, b, 33)[:-1]
-    return lo, hi
+# space -> (profile letter, kind of the end at 0, kind of the end at b).
+# An end kind of +1 or -1 closes a fiber sphere there with f' = +-1; 0 is an
+# open end where the profile stays positive.
+_SPACES = {"F": ("f", 1, -1), "U": ("u", 0, -1), "V": ("v", 1, 0)}
+
+# tolerances of the membership conditions: |value| at an end, max f'' on the
+# grid, and the width of the near-end windows as a fraction of b
+_END_TOL = 1e-8
+_CONCAVITY_SLACK = 1e-12
+_END_WINDOW = 0.05
 
 
-def check_F_membership(f, grid_density=DEFAULT_GRID_DENSITY, end_tol=1e-8,
-                       concavity_slack=1e-12, end_window=0.05):
-    """Conditions for dt^2 + f^2 * (round fiber) to close smoothly at both ends.
+def _check_membership(f, space):
+    """Membership of ``f`` in one of the ``_SPACES``, from its end jets.
 
-    Endpoint derivative conditions are checked to the representable order
-    (even orders 0 and 2, plus the strict sign of order 3); higher orders are
-    recorded as unchecked.
+    A closing end needs f = 0, f' = +-1, f'' = 0, the sign of f''' that
+    rounds off the closing fiber, and f'' < 0 nearby; an open end needs
+    f > 0 and vanishing odd derivatives.  Every space asks for f'' <= 0 on
+    a uniform grid.  Derivative conditions beyond order 3 are recorded as
+    unchecked.
     """
+    letter, kind0, kindb = _SPACES[space]
     b = f.b
-    rep = MembershipReport("F(0,%g)" % b)
-    rep.add("f(0)=0", abs(float(f(0.0))) <= end_tol, f"value {float(f(0.0)):.3e}")
-    rep.add("f(b)=0", abs(float(f(b))) <= end_tol, f"value {float(f(b)):.3e}")
-    rep.add("d1(0)=1", abs(float(f.d1(0.0)) - 1.0) <= end_tol,
-            f"value {float(f.d1(0.0)):.6g}")
-    rep.add("d1(b)=-1", abs(float(f.d1(b)) + 1.0) <= end_tol,
-            f"value {float(f.d1(b)):.6g}")
-    rep.add("d2(0)=0", abs(float(f.d2(0.0))) <= end_tol)
-    rep.add("d2(b)=0", abs(float(f.d2(b))) <= end_tol)
-    rep.add("even derivatives of order >= 4 at ends", None,
-            "beyond representable order")
-    t = sample_grid(b, grid_density)
-    m = float(f.d2(t).max())
-    rep.add("d2 <= 0 on grid", m <= concavity_slack, f"max d2 = {m:.3e}")
-    rep.add("d3(0) < 0", float(f.d3(0.0)) < 0.0, f"value {float(f.d3(0.0)):.6g}")
-    rep.add("d3(b) > 0", float(f.d3(b)) > 0.0, f"value {float(f.d3(b)):.6g}")
-    lo, hi = _near_end_windows(b, end_window)
-    rep.add("d2 < 0 near 0", bool((f.d2(lo) < 0).all()))
-    rep.add("d2 < 0 near b", bool((f.d2(hi) < 0).all()))
+    rep = MembershipReport(f"{space}(0,{b:g})")
+    t = sample_grid(b)
+    w = _END_WINDOW * b
+    lo = np.linspace(0.0, w, 33)[1:]        # exclude the endpoints themselves
+    hi = np.linspace(b - w, b, 33)[:-1]
+    d2 = f.jet(np.concatenate([t, lo, hi]), 2)[2]
+    near = {"0": d2[t.size:t.size + lo.size], "b": d2[t.size + lo.size:]}
+    unchecked = {}
+    for e, kind, tend in (("0", kind0, 0.0), ("b", kindb, b)):
+        v0, v1, v2, v3 = (float(x) for x in f.jet(tend, 3))
+        if kind:
+            rep.add(f"{letter}({e})=0", abs(v0) <= _END_TOL, f"value {v0:.3e}")
+            rep.add(f"d1({e})={kind}", abs(v1 - kind) <= _END_TOL,
+                    f"value {v1:.6g}")
+            rep.add(f"d2({e})=0", abs(v2) <= _END_TOL)
+            rep.add(f"d3({e}) {'<' if kind > 0 else '>'} 0", kind * v3 < 0.0,
+                    f"value {v3:.6g}")
+            rep.add(f"d2 < 0 near {e}", bool((near[e] < 0).all()))
+            unchecked.setdefault("even derivatives of order >= 4", []).append(e)
+        else:
+            rep.add(f"{letter}({e}) > 0", v0 > 0.0, f"value {v0:.6g}")
+            rep.add(f"d1({e})=0", abs(v1) <= _END_TOL)
+            rep.add(f"d3({e})=0", abs(v3) <= _END_TOL)
+            unchecked.setdefault("odd derivatives of order >= 5", []).append(e)
+    for text, ends in unchecked.items():
+        where = "ends" if len(ends) == 2 else ends[0]
+        rep.add(f"{text} at {where}", None, "beyond representable order")
+    m = float(d2[:t.size].max())
+    rep.add("d2 <= 0 on grid", m <= _CONCAVITY_SLACK, f"max d2 = {m:.3e}")
     return rep
 
 
-def check_U_membership(u, grid_density=DEFAULT_GRID_DENSITY, end_tol=1e-8,
-                       concavity_slack=1e-12, end_window=0.05):
+def check_F_membership(f):
+    """Conditions for dt^2 + f^2 * (round fiber) to close at both ends."""
+    return _check_membership(f, "F")
+
+
+def check_U_membership(u):
     """Conditions for a profile positive at 0 that closes a fiber at b."""
-    b = u.b
-    rep = MembershipReport("U(0,%g)" % b)
-    rep.add("u(0) > 0", float(u(0.0)) > 0.0, f"value {float(u(0.0)):.6g}")
-    rep.add("d1(0)=0", abs(float(u.d1(0.0))) <= end_tol)
-    rep.add("d3(0)=0", abs(float(u.d3(0.0))) <= end_tol)
-    rep.add("odd derivatives of order >= 5 at 0", None,
-            "beyond representable order")
-    rep.add("u(b)=0", abs(float(u(b))) <= end_tol, f"value {float(u(b)):.3e}")
-    rep.add("d1(b)=-1", abs(float(u.d1(b)) + 1.0) <= end_tol,
-            f"value {float(u.d1(b)):.6g}")
-    rep.add("d2(b)=0", abs(float(u.d2(b))) <= end_tol)
-    rep.add("even derivatives of order >= 4 at b", None,
-            "beyond representable order")
-    t = sample_grid(b, grid_density)
-    m = float(u.d2(t).max())
-    rep.add("d2 <= 0 on grid", m <= concavity_slack, f"max d2 = {m:.3e}")
-    _, hi = _near_end_windows(b, end_window)
-    rep.add("d2 < 0 near b", bool((u.d2(hi) < 0).all()))
-    rep.add("d3(b) > 0", float(u.d3(b)) > 0.0, f"value {float(u.d3(b)):.6g}")
-    return rep
+    return _check_membership(u, "U")
 
 
-def check_V_membership(v, grid_density=DEFAULT_GRID_DENSITY, end_tol=1e-8,
-                       concavity_slack=1e-12, end_window=0.05):
+def check_V_membership(v):
     """Mirror of ``check_U_membership``: closes at 0, positive at b."""
-    b = v.b
-    rep = MembershipReport("V(0,%g)" % b)
-    rep.add("v(0)=0", abs(float(v(0.0))) <= end_tol, f"value {float(v(0.0)):.3e}")
-    rep.add("d1(0)=1", abs(float(v.d1(0.0)) - 1.0) <= end_tol,
-            f"value {float(v.d1(0.0)):.6g}")
-    rep.add("d2(0)=0", abs(float(v.d2(0.0))) <= end_tol)
-    rep.add("even derivatives of order >= 4 at 0", None,
-            "beyond representable order")
-    rep.add("v(b) > 0", float(v(b)) > 0.0, f"value {float(v(b)):.6g}")
-    rep.add("d1(b)=0", abs(float(v.d1(b))) <= end_tol)
-    rep.add("d3(b)=0", abs(float(v.d3(b))) <= end_tol)
-    rep.add("odd derivatives of order >= 5 at b", None,
-            "beyond representable order")
-    t = sample_grid(b, grid_density)
-    m = float(v.d2(t).max())
-    rep.add("d2 <= 0 on grid", m <= concavity_slack, f"max d2 = {m:.3e}")
-    lo, _ = _near_end_windows(b, end_window)
-    rep.add("d2 < 0 near 0", bool((v.d2(lo) < 0).all()))
-    rep.add("d3(0) < 0", float(v.d3(0.0)) < 0.0, f"value {float(v.d3(0.0)):.6g}")
-    return rep
+    return _check_membership(v, "V")

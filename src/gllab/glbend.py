@@ -31,12 +31,12 @@ from scipy.integrate import cumulative_simpson
 from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
 
-from .certify import IsotopyCertificate
+from .certify import IsotopyCertificate, write_csv
 from .errors import (AssemblyError, ConstructionFailedError, InvalidBendError,
                      InvalidSpecError, InversionError, NoFeasibleBendError,
                      OutOfRegimeError, TiltTooLargeError)
 from .fnspace import (PolyPiece, SmoothFn1D, TorpedoSpec, _quintic_match,
-                      make_torpedo, scale)
+                      make_torpedo, reflect, scale)
 
 __all__ = [
     "BendConstants",
@@ -142,15 +142,20 @@ def check_keqn(k, r, theta, consts, r0, theta0):
     return float(k) < np.sin(theta) / (2.0 * r)
 
 
+def _graph_margin(jet):
+    """(1 + f'^2)/(2 f) - f'' from the jet (f, f', f'')."""
+    F, d1, d2 = jet
+    return (1.0 + d1 ** 2) / (2.0 * F) - d2
+
+
 def check_diffkeqn(f, grid=None):
     """Min over the grid of (1 + f'^2)/(2 f) - f''; pass iff > 0."""
     if grid is None:
         grid = np.linspace(0.0, f.b, 10001)
-    grid = np.asarray(grid, dtype=float)
-    F = f(grid)
-    if np.min(F) <= 0:
+    jet = f.jet(np.asarray(grid, dtype=float), 2)
+    if np.min(jet[0]) <= 0:
         raise InvalidSpecError("profile must be positive on the grid")
-    return float(np.min((1.0 + f.d1(grid) ** 2) / (2.0 * F) - f.d2(grid)))
+    return float(np.min(_graph_margin(jet)))
 
 
 def mu_inequality(mu, b):
@@ -360,10 +365,10 @@ class BumpSeg:
 class GraphSeg:
     """Arc-length parameterization of the graph r = prof(t - t_offset).
 
-    ``prof`` is any object with __call__/d1/d2 and a domain attribute ``b``;
-    the segment covers t in [t_offset + a, t_offset + b_local].  The arc
-    length S(t) is tabulated once (Simpson on a dense grid, interpolated by a
-    cubic spline); since S' = sqrt(1 + prof'^2) >= 1 it is strictly
+    ``prof`` is any profile (domain length ``b`` and ``jet``); the segment
+    covers t in [t_offset + a, t_offset + b_local].  The arc length S(t) is
+    tabulated once (Simpson on a dense grid, interpolated by a cubic
+    spline); since S' = sqrt(1 + prof'^2) >= 1 it is strictly
     increasing, and t(s) is found for all s at once by ``_invert_monotone``
     (table seed, then safeguarded Newton with S' as the derivative).
     """
@@ -381,7 +386,7 @@ class GraphSeg:
             raise InvalidSpecError("empty graph range")
         n = max(int(np.ceil((bb - a) * density)) | 1, 4097)
         tl = np.linspace(a, bb, n)
-        speed = np.sqrt(1.0 + self.prof.d1(tl) ** 2)
+        speed = np.sqrt(1.0 + self.prof.jet(tl, 1)[1] ** 2)
         S = cumulative_simpson(speed, x=tl, initial=0.0)
         self.length = float(S[-1])
         self._S = CubicSpline(tl, S)
@@ -399,9 +404,7 @@ class GraphSeg:
 
     def eval(self, s):
         tl = self._t_of_s(s)
-        F = self.prof(tl)
-        d1 = self.prof.d1(tl)
-        d2 = self.prof.d2(tl)
+        F, d1, d2 = self.prof.jet(tl, 2)
         sp = np.sqrt(1.0 + d1 ** 2)
         pt = np.stack([tl + self.t_offset, F], axis=-1)
         tan = np.stack([1.0 / sp, d1 / sp], axis=-1)
@@ -554,15 +557,8 @@ class BendProfile:
 
 def write_bend_csv(profile, path_or_buf, n_samples=2048):
     """CSV emission of (s, t, r, k, theta, margin) along the curve."""
-    cols = np.column_stack(profile.margins(n_samples))
-    header = "s,t,r,k,theta,margin"
-    if hasattr(path_or_buf, "write"):
-        np.savetxt(path_or_buf, cols, fmt="%.17g", delimiter=",",
-                   header=header, comments="")
-    else:
-        with open(path_or_buf, "w") as fh:
-            np.savetxt(fh, cols, fmt="%.17g", delimiter=",",
-                       header=header, comments="")
+    write_csv(path_or_buf, "s,t,r,k,theta,margin",
+              np.column_stack(profile.margins(n_samples)))
 
 
 # ---------------------------------------------------------------------------
@@ -744,29 +740,6 @@ def default_tail_spec(params, factor=10.0):
     return TorpedoSpec(r_inf, tube_length=factor * r_inf)
 
 
-class _ShiftedReflectedProfile:
-    """r(t) = prof(b_total - t) for t in [0, b_total]; order-3 jet available."""
-
-    def __init__(self, prof):
-        self.prof = prof
-        self.b = prof.b
-
-    def __call__(self, t):
-        return self.prof(self.b - np.asarray(t, dtype=float))
-
-    def d1(self, t):
-        return -self.prof.d1(self.b - np.asarray(t, dtype=float))
-
-    def d2(self, t):
-        return self.prof.d2(self.b - np.asarray(t, dtype=float))
-
-    def d3(self, t):
-        return -self.prof.d3(self.b - np.asarray(t, dtype=float))
-
-    def to_json(self):
-        return {"kind": "reflected", "of": self.prof.to_json()}
-
-
 def assemble_gamma(consts, prefix, transition, tail_spec=None,
                    tail_factor=10.0, junction_tolerance=1e-8,
                    n_samples=10000):
@@ -811,7 +784,7 @@ def assemble_gamma(consts, prefix, transition, tail_spec=None,
     # the cap of the tail has feature size r_inf, so the arc-length table
     # needs a spacing well below that
     tail_density = max(2048.0, 8192.0 / r_inf)
-    tail_seg = GraphSeg(_ShiftedReflectedProfile(tail_prof),
+    tail_seg = GraphSeg(reflect(tail_prof),
                         t_offset=t_inf_global, density=tail_density)
     t_bar = t_inf_global + tail_prof.b
     curve = Curve2D(list(curve_prefix.segments) + [line, trans_seg, tail_seg])
@@ -930,13 +903,13 @@ def final_bending_tilt(transition, t_inf_pp, extend_to=None,
             "tilted profile loses positivity before the end of its domain")
     # margins compared at matched r-levels against the unmodified profile
     tm = np.linspace(0.0, min(t_inf_pp, end), 513)[1:-1]
-    r_new = f_new(tm)
-    m_new = (1.0 + f_new.d1(tm) ** 2) / (2.0 * r_new) - f_new.d2(tm)
+    jet_new = f_new.jet(tm, 2)
+    r_new, m_new = jet_new[0], _graph_margin(jet_new)
     lo_r, hi_r = float(f(params.tinf)), params.r0
     inside = (r_new > lo_r) & (r_new < hi_r)
     r_in, m_in = r_new[inside], m_new[inside]
     t_old = _invert_monotone(f, f.d1, r_in, 0.0, params.tinf)
-    m_old = (1.0 + f.d1(t_old) ** 2) / (2.0 * f(t_old)) - f.d2(t_old)
+    m_old = _graph_margin(f.jet(t_old, 2))
     worse = m_in < m_old - margin_slack * np.maximum(1.0, np.abs(m_old))
     if worse.any():
         raise ConstructionFailedError(
@@ -1020,47 +993,33 @@ class InverseBlend:
 
     def jet(self, t, k=2):
         """(h, h', ..., h^(k))(t) for k <= 3, from one solve for tau."""
-        tau = self._tau(t)
-        f, s = self.f, self.s
-        out = [f(tau)]
+        f = self.f.jet(self._tau(t), k)
+        s = self.s
+        out = [f[0]]
         if k >= 1:
-            fp = f.d1(tau)
-            hinv1 = (1.0 - s) / fp + s / self.m0
+            hinv1 = (1.0 - s) / f[1] + s / self.m0
             out.append(1.0 / hinv1)
         if k >= 2:
-            fpp = f.d2(tau)
-            hinv2 = -(1.0 - s) * fpp / fp ** 3
+            hinv2 = -(1.0 - s) * f[2] / f[1] ** 3
             out.append(-hinv2 / hinv1 ** 3)
         if k >= 3:
-            hinv3 = -(1.0 - s) * (f.d3(tau) * fp - 3.0 * fpp ** 2) / fp ** 5
+            hinv3 = -(1.0 - s) * (f[3] * f[1] - 3.0 * f[2] ** 2) / f[1] ** 5
             out.append(-(hinv3 * hinv1 - 3.0 * hinv2 ** 2) / hinv1 ** 5)
         return tuple(out)
-
-    def __call__(self, t):
-        return self.jet(t, 0)[0]
-
-    def d1(self, t):
-        return self.jet(t, 1)[1]
-
-    def d2(self, t):
-        return self.jet(t, 2)[2]
-
-    def d3(self, t):
-        return self.jet(t, 3)[3]
 
 
 def final_isotopy(f, l_line, s_grid=None, n_t=201):
     """Linear homotopy of inverses from the graph of f to its start line.
 
     ``l_line`` is the line r0 + m0*t through the start of f: either a pair
-    (r0, m0) or anything with value/d1 callables.  Returns (list of h_s
+    (r0, m0) or a profile.  Returns (list of h_s
     profiles, list of graph-inequality margins); h_0 reproduces f and h_1 is
     the line exactly.
     """
     if isinstance(l_line, (tuple, list)):
         r0_line, m0 = (float(x) for x in l_line)
     else:
-        r0_line, m0 = float(l_line(0.0)), float(l_line.d1(0.0))
+        r0_line, m0 = (float(x) for x in l_line.jet(0.0, 1))
     if abs(r0_line - float(f(0.0))) > 1e-9:
         raise InvalidSpecError("line must pass through the start of f")
     if m0 >= 0:
@@ -1072,10 +1031,8 @@ def final_isotopy(f, l_line, s_grid=None, n_t=201):
     for s in s_grid:
         h = InverseBlend(f, m0, float(s))
         t = np.linspace(0.0, h.b, n_t)[1:-1]
-        vals, d1, d2 = h.jet(t)
-        m = float(np.min((1.0 + d1 ** 2) / (2.0 * vals) - d2))
         family.append(h)
-        margins.append(m)
+        margins.append(float(np.min(_graph_margin(h.jet(t)))))
     return family, margins
 
 

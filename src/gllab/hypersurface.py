@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .certify import IsotopyCertificate, pmap
+from .certify import IsotopyCertificate, pmap, write_csv
 from .curvature import DoublyWarpedMetric, scalar_doubly_warped
 from .errors import (CertificationFailedError, DomainMismatchError,
                      InvalidBendError, InvalidSpecError)
@@ -98,34 +98,27 @@ class ModelAmbient:
 class _RadiusProfile:
     """r along the curve as a function of arc length, with derivatives.
 
-    d1 = dr/ds is the r-component of the unit tangent; d2 = k sin(theta)
-    follows from differentiating the tangent; d3 is a central difference
-    of d2 (only endpoint limits ever need it).
+    r' = dr/ds is the r-component of the unit tangent; r'' = k sin(theta)
+    follows from differentiating the tangent; r''' is a central difference
+    of r'' (only endpoint limits ever need it).
     """
 
     def __init__(self, curve):
         self.curve = curve
         self.b = curve.length
 
-    def __call__(self, s):
-        pt, _, _ = self.curve.eval(s)
-        return pt[..., 1]
-
-    def d1(self, s):
-        _, tan, _ = self.curve.eval(s)
-        return tan[..., 1]
-
-    def d2(self, s):
-        _, tan, k = self.curve.eval(s)
-        return k * tan[..., 0]
-
-    def d3(self, s, h=None):
-        if h is None:
-            h = 1e-6 * max(1.0, self.b)
+    def jet(self, s, k=2):
+        """(r, r', ..., r^(k))(s) for k <= 3, from one ``curve.eval``."""
         s = np.asarray(s, dtype=float)
-        hi = np.minimum(s + h, self.b)
-        lo = np.maximum(s - h, 0.0)
-        return (self.d2(hi) - self.d2(lo)) / (hi - lo)
+        if k < 3:
+            pt, tan, kap = self.curve.eval(s)
+            return (pt[..., 1], tan[..., 1], kap * tan[..., 0])[:k + 1]
+        # r''' needs r'' at s +- h as well: evaluate all three at once
+        h = 1e-6 * max(1.0, self.b)
+        hi, lo = np.minimum(s + h, self.b), np.maximum(s - h, 0.0)
+        pt, tan, kap = self.curve.eval(np.stack([s, hi, lo]))
+        d2 = kap * tan[..., 0]
+        return pt[0, ..., 1], tan[0, ..., 1], d2[0], (d2[1] - d2[2]) / (hi - lo)
 
     def to_json(self):
         return {"kind": "curve-radius", "curve": self.curve.to_json()}
@@ -304,31 +297,26 @@ class _CornerJets:
 class CompositeProfile:
     """prof(coord(t)) with derivatives from the chain rule.
 
-    ``jet`` maps an array t to (x, x', x'', x''') for the planar coordinate.
+    ``coord`` maps an array t to (x, x', x'', x''') for the planar coordinate.
     """
 
-    def __init__(self, prof, jet, b):
+    def __init__(self, prof, coord, b):
         self.prof = prof
-        self.jet = jet
+        self.coord = coord
         self.b = float(b)
 
-    def __call__(self, t):
-        x = self.jet(t)[0]
-        return self.prof(x)
-
-    def d1(self, t):
-        x, x1, _, _ = self.jet(t)
-        return self.prof.d1(x) * x1
-
-    def d2(self, t):
-        x, x1, x2, _ = self.jet(t)
-        return self.prof.d2(x) * x1 ** 2 + self.prof.d1(x) * x2
-
-    def d3(self, t):
-        x, x1, x2, x3 = self.jet(t)
-        return (self.prof.d3(x) * x1 ** 3
-                + 3.0 * self.prof.d2(x) * x1 * x2
-                + self.prof.d1(x) * x3)
+    def jet(self, t, k=2):
+        """(f, f', ..., f^(k))(t) for k <= 3, from one coordinate jet."""
+        x, x1, x2, x3 = self.coord(t)
+        f = self.prof.jet(x, k)
+        out = [f[0]]
+        if k >= 1:
+            out.append(f[1] * x1)
+        if k >= 2:
+            out.append(f[2] * x1 ** 2 + f[1] * x2)
+        if k >= 3:
+            out.append(f[3] * x1 ** 3 + 3.0 * f[2] * x1 * x2 + f[1] * x3)
+        return tuple(out)
 
     def to_json(self):
         d = {"kind": "composite", "b": self.b}
@@ -434,7 +422,7 @@ def connected_sum_foliation(lambda_half_curve, tau, nu_grid, eps, delta_p,
             bad = [cnd.name for cnd in ru.failures() + rv.failures()]
             raise CertificationFailedError(
                 f"leaf nu = {nu} fails membership: {bad}")
-        metric = DoublyWarpedMetric(p, q, u, v)
+        metric = DoublyWarpedMetric(p, q, u, v, open_profile=True)
         t = np.linspace(0.0, jt.b, n_t)
         r_min = float(np.min(scalar_doubly_warped(metric, t)))
         if r_min <= 0:
@@ -457,17 +445,6 @@ def connected_sum_foliation(lambda_half_curve, tau, nu_grid, eps, delta_p,
 
 def write_foliation_csv(family, cert, path_or_buf):
     """Per-leaf minima: columns nu, length, min_scalar."""
-    minima = cert.extra["per_leaf_min"]
-    rows = np.column_stack([
-        np.asarray(family.nu_grid, dtype=float),
-        np.asarray([c.length for c in family.curves], dtype=float),
-        np.asarray(minima, dtype=float),
-    ])
-    header = "nu,length,min_scalar"
-    if hasattr(path_or_buf, "write"):
-        np.savetxt(path_or_buf, rows, fmt="%.17g", delimiter=",",
-                   header=header, comments="")
-    else:
-        with open(path_or_buf, "w") as fh:
-            np.savetxt(fh, rows, fmt="%.17g", delimiter=",",
-                       header=header, comments="")
+    write_csv(path_or_buf, "nu,length,min_scalar",
+              zip(family.nu_grid, [c.length for c in family.curves],
+                  cert.extra["per_leaf_min"]))

@@ -14,7 +14,7 @@ and carrying a numeric positivity certificate:
 * ``transition-smoothing`` — the corner smoothing between consecutive
   critical levels.
 
-Everything is deterministic; batch sweeps parallelize over grid cells only.
+Everything is deterministic; batch sweeps map over grid cells one by one.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .certify import IsotopyCertificate, pmap
+from .certify import IsotopyCertificate, pmap, write_csv
 from .curvature import (DoublyWarpedMetric, WarpedSphereMetric,
                         scalar_doubly_warped, scalar_warped)
 from .errors import (CertificationFailedError, CompilationFailedError,
@@ -146,15 +146,9 @@ class Schedule:
 
 def write_schedule_csv(schedule, path_or_buf):
     """Stage-by-stage curvature minima: columns index,kind,min_scalar."""
-    lines = ["index,kind,min_scalar"]
-    for i, seg in enumerate(schedule.segments):
-        lines.append(f"{i},{seg.kind},{seg.certificate.min_scalar:.17g}")
-    text = "\n".join(lines) + "\n"
-    if hasattr(path_or_buf, "write"):
-        path_or_buf.write(text)
-    else:
-        with open(path_or_buf, "w") as fh:
-            fh.write(text)
+    write_csv(path_or_buf, "index,kind,min_scalar",
+              [(i, seg.kind, seg.certificate.min_scalar)
+               for i, seg in enumerate(schedule.segments)])
 
 
 # ---------------------------------------------------------------------------
@@ -489,15 +483,9 @@ class DemoReport:
                 "endpoints": [d.to_json() for d in self.endpoints]}
 
     def write_csv(self, path_or_buf):
-        lines = ["stage,min_scalar"]
-        for st in self.stages:
-            lines.append(f"{st['id']},{st['certificate'].min_scalar:.17g}")
-        text = "\n".join(lines) + "\n"
-        if hasattr(path_or_buf, "write"):
-            path_or_buf.write(text)
-        else:
-            with open(path_or_buf, "w") as fh:
-                fh.write(text)
+        write_csv(path_or_buf, "stage,min_scalar",
+                  [(st["id"], st["certificate"].min_scalar)
+                   for st in self.stages])
 
 
 def two_surgery_demo(n, p, radius=1.0):

@@ -1,12 +1,23 @@
 """CLI contract: exit codes, emitted files, determinism."""
 
+import io
 import json
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from gllab.certify import IsotopyCertificate
 from gllab.cli import RunConfig, main
+from gllab.curvature import WarpedSphereMetric, write_curvature_csv
 from gllab.errors import InvalidSpecError
+from gllab.fnspace import TorpedoSpec, make_torpedo, write_profile_csv
+from gllab.glbend import (BendConstants, assemble_gamma, initial_bend,
+                          quarter_bend_curve, synth_transition,
+                          write_bend_csv)
+from gllab.hypersurface import connected_sum_foliation, write_foliation_csv
+from gllab.schedule import (DemoReport, MetricDescriptor, Schedule, Segment,
+                            write_schedule_csv)
 
 TWO_POINT = {
     "n": 7,
@@ -33,6 +44,24 @@ class TestRunConfig:
             RunConfig(density=32)
         with pytest.raises(InvalidSpecError):
             RunConfig(format="xml")
+
+    @pytest.mark.parametrize("key", ["margin_tolerance", "oracle_agreement"])
+    def test_deleted_key_exit_2(self, runner, tmp_path, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: 1e-6}))
+        res = runner.invoke(main, ["--config", str(cfg),
+                                   "torpedo", "--delta", "0.5"])
+        assert res.exit_code == 2
+
+    def test_junction_tolerance_reaches_bend(self, runner, tmp_path):
+        # the default bend's segment junction residual is about 5.6e-17
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"junction_tolerance": 1e-20,
+                                   "output_dir": str(tmp_path)}))
+        res = runner.invoke(main, ["--config", str(cfg), "bend",
+                                   "--r0q", "1.5", "--q", "3"])
+        assert res.exit_code == 3
+        assert "junction residual" in res.output
 
 
 class TestTorpedoCmd:
@@ -158,3 +187,35 @@ class TestDeterminism:
         res = runner.invoke(main, ["--config", str(cfg),
                                    "torpedo", "--delta", "0.5"])
         assert res.exit_code == 2
+
+
+def test_writers_give_same_bytes_to_buffer_and_path(tmp_path):
+    f = make_torpedo(TorpedoSpec(0.5))
+    consts = BendConstants(R0=1.5, q=3)
+    prefix = initial_bend(consts, r1=0.5)
+    bend = assemble_gamma(consts, prefix, synth_transition(
+        consts, r0=0.2, theta0=prefix[1]))
+    corner = quarter_bend_curve(1.0, 1.0, 0.4, eps=0.25, delta=0.25)
+    family, fol_cert = connected_sum_foliation(
+        corner, tau=0.05, nu_grid=[0.0, 1.0], eps=0.25, delta_p=0.25, q=4)
+    desc = MetricDescriptor("warped")
+    cert = IsotopyCertificate("grid", np.float64(2.5))
+    writers = [
+        lambda out: write_profile_csv(f, out, density=64),
+        lambda out: write_curvature_csv(
+            WarpedSphereMetric(5, f, open_profile=True), out, density=64),
+        lambda out: write_bend_csv(bend, out, n_samples=64),
+        lambda out: write_foliation_csv(family, fol_cert, out),
+        lambda out: write_schedule_csv(
+            Schedule([Segment("product-extension", {}, desc, desc, cert)]),
+            out),
+        DemoReport(5, 1, 3, [{"id": "round", "certificate": cert}],
+                   (desc, desc)).write_csv,
+    ]
+    for i, write in enumerate(writers):
+        buf = io.StringIO()
+        write(buf)
+        path = tmp_path / f"out{i}.csv"
+        write(str(path))
+        assert path.read_bytes() == buf.getvalue().encode()
+        assert buf.getvalue().count("\n") >= 2

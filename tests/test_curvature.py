@@ -41,7 +41,7 @@ class TestWarped:
 
     def test_round_sphere_ricci(self):
         m = WarpedSphereMetric(7, round_profile())
-        t = np.linspace(0.1, np.pi - 0.1, 101)
+        t = np.linspace(0.0, np.pi, 101)      # both endpoint limits included
         rt, rs = ricci_warped(m, t)
         assert np.allclose(rt, 6.0, rtol=1e-9)
         assert np.allclose(rs, 6.0, rtol=1e-9)
@@ -98,6 +98,19 @@ class TestDoublyWarped:
     def test_membership_gate(self):
         with pytest.raises(InvalidSpecError):
             DoublyWarpedMetric(2, 4, sin_profile(), sin_profile())
+
+    def test_vanishing_factors_raise(self):
+        # both factors close at t = 0
+        m = DoublyWarpedMetric(2, 4, sin_profile(), sin_profile(),
+                               open_profile=True)
+        assert np.isfinite(scalar_doubly_warped(m, 0.5))
+        with pytest.raises(SingularProfileError):
+            scalar_doubly_warped(m, np.array([0.5, 0.0]))
+        # u = cos t vanishes at the interior point pi/2 of (0, pi)
+        m = DoublyWarpedMetric(2, 4, cos_profile(np.pi), sin_profile(np.pi),
+                               open_profile=True)
+        with pytest.raises(SingularProfileError):
+            scalar_doubly_warped(m, np.array([0.5, np.pi / 2]))
 
 
 class TestCylFamily:

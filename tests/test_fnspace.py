@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gllab.errors import InvalidSpecError
-from gllab.fnspace import (ConstPiece, PolyPiece, SinePiece, SmoothFn1D,
-                           TorpedoSpec, check_F_membership,
+from gllab.fnspace import (ConstPiece, LinCombPiece, PolyPiece, SinePiece,
+                           SmoothFn1D, TorpedoSpec, check_F_membership,
                            check_U_membership, check_V_membership,
                            linear_homotopy, make_double_torpedo,
                            make_torpedo, reflect, sample_grid, scale,
@@ -42,6 +42,20 @@ class TestPieces:
         with pytest.raises(InvalidSpecError):
             SmoothFn1D(2.0, [ConstPiece((0, 1), 1.0),
                              ConstPiece((1, 2), 2.0)])
+
+    def test_jet_matches_single_order_views(self):
+        f = make_double_torpedo(0.5, 4.0)
+        t = np.concatenate([sample_grid(f.b, 64),
+                            [p.interval[1] for p in f.pieces]])
+        views = (f, f.d1, f.d2, f.d3)
+        for k in range(4):
+            jet = f.jet(t, k)
+            assert len(jet) == k + 1
+            for order, values in enumerate(jet):
+                assert np.array_equal(values, views[order](t))
+        scalar = f.jet(1.3, 3)
+        assert all(np.ndim(x) == 0 for x in scalar)
+        assert scalar == tuple(view(1.3) for view in views)
 
     def test_json_round_trip(self):
         f = make_torpedo(TorpedoSpec(0.5))
@@ -123,6 +137,28 @@ class TestMembership:
 
     def test_torpedo_in_V(self):
         assert check_V_membership(make_torpedo(TorpedoSpec(0.5))).passed
+
+    @pytest.mark.parametrize("check, member", [
+        (check_F_membership, (np.pi, 0.0)),         # sin t on (0, pi)
+        (check_U_membership, (np.pi / 2, np.pi / 2)),  # cos t on (0, pi/2)
+        (check_V_membership, (np.pi / 2, 0.0)),     # sin t on (0, pi/2)
+    ])
+    def test_every_checked_condition_can_fail(self, check, member):
+        b, phase = member
+        sine = SinePiece((0.0, b), 1.0, 1.0, phase)
+        rep = check(SmoothFn1D(b, [sine]))
+        assert rep.passed
+        # tampered profiles: the member plus +-(t - o)^k / 2 about either
+        # end, and the negated member
+        tampered = [
+            SmoothFn1D(b, [LinCombPiece((0.0, b), [
+                (1.0, sine), (c, PolyPiece((0.0, b), [0.0] * k + [1.0],
+                                           origin=o))])])
+            for k in range(4) for o in (0.0, b) for c in (0.5, -0.5)]
+        tampered.append(scale(SmoothFn1D(b, [sine]), -1.0))
+        failed = {c.name for f in tampered for c in check(f).failures()}
+        checked = {c.name for c in rep.conditions if c.passed is not None}
+        assert checked - failed == set()
 
 
 class TestStructuralOps:

@@ -176,10 +176,11 @@ class TestIsotopies:
         assert min(margins) > 0
         # endpoints: h_0 = f, h_1 = line
         t = np.linspace(0.0, g.b, 50)[1:-1]
-        assert np.allclose(family[0](t), g(t), atol=1e-8)
+        assert np.allclose(family[0].jet(t, 0)[0], g(t), atol=1e-8)
         h1 = family[-1]
         tl = np.linspace(0.0, h1.b, 50)[1:-1]
-        assert np.allclose(h1(tl), params.r0 + params.m0 * tl, atol=1e-8)
+        assert np.allclose(h1.jet(tl, 0)[0], params.r0 + params.m0 * tl,
+                           atol=1e-8)
 
     def test_final_isotopy_inversion_invariant(self, transition):
         params, _ = transition
@@ -189,9 +190,9 @@ class TestIsotopies:
         for h in family:
             t = np.linspace(0.0, h.b, 33)[1:-1]
             for tv in t:
-                r = float(h(tv))
+                r = float(h.jet(tv, 0)[0])
                 t_back = h._hinv(r)
-                assert abs(float(h(t_back)) - r) < 1e-8
+                assert abs(float(h.jet(t_back, 0)[0]) - r) < 1e-8
 
     def test_final_isotopy_guards(self, transition):
         params, _ = transition
@@ -247,11 +248,13 @@ class TestInverseBlend:
             scale_ = np.abs(ref[order]).max()
             np.testing.assert_allclose(got[order], ref[order], rtol=1e-10,
                                        atol=1e-10 * scale_)
-        # the views agree with the jet, and scalar input gives scalars
-        assert np.array_equal(h(t), got[0])
-        assert np.array_equal(h.d2(t), got[2])
-        assert np.ndim(h(0.5 * h.b)) == 0
-        assert h(0.0) == params.r0
+        # a lower-order jet is a prefix of a higher one, and scalar input
+        # gives scalars
+        for k in range(4):
+            for lower, higher in zip(h.jet(t, k), h.jet(t, 3)):
+                assert np.array_equal(lower, higher)
+        assert all(np.ndim(x) == 0 for x in h.jet(0.5 * h.b, 3))
+        assert h.jet(0.0, 0)[0] == params.r0
 
     @pytest.mark.parametrize("s", [0.0, 0.5, 1.0])
     def test_d3_closed_form_matches_difference_of_d2(self, tilted,
@@ -265,8 +268,8 @@ class TestInverseBlend:
         t = t[np.abs(tau[:, None] - breaks[None, :]).min(axis=1) > 1e-3]
         assert t.size > 20
         step = 1e-5
-        fd = (h.d2(t + step) - h.d2(t - step)) / (2.0 * step)
-        d3 = h.d3(t)
+        fd = (h.jet(t + step)[2] - h.jet(t - step)[2]) / (2.0 * step)
+        d3 = h.jet(t, 3)[3]
         scale_ = max(np.abs(fd).max(), 1.0)
         np.testing.assert_allclose(d3, fd, rtol=1e-5, atol=1e-6 * scale_)
 

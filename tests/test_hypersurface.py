@@ -6,13 +6,15 @@ import warnings
 import numpy as np
 import pytest
 
+import gllab.curvature as curvature
 import gllab.hypersurface as hyp
 from gllab.curvature import scalar_doubly_warped
 from gllab.errors import (CertificationFailedError, DomainMismatchError,
                           InvalidBendError)
-from gllab.fnspace import check_U_membership, check_V_membership
-from gllab.glbend import (BendConstants, assemble_gamma, initial_bend,
-                          quarter_bend_curve, synth_transition)
+from gllab.fnspace import (SinePiece, SmoothFn1D, check_U_membership,
+                           check_V_membership)
+from gllab.glbend import (ArcSeg, BendConstants, Curve2D, assemble_gamma,
+                          initial_bend, quarter_bend_curve, synth_transition)
 from gllab.hypersurface import (FoliationFamily, ModelAmbient,
                                 PairSumCoefficientNote,
                                 connected_sum_foliation, gauss_scalar_on_M,
@@ -83,6 +85,32 @@ class TestPullbackIdentity:
             mixed_torpedo_via_J(0.5, 0.5, 0.9, 2.0, 0.05)
 
 
+class TestProfileJets:
+    def test_radius_jet_on_quarter_circle(self):
+        # r(s) = cos s along the unit arc from angle pi/2 down to 0
+        v = hyp._RadiusProfile(Curve2D([ArcSeg((0.0, 0.0), 1.0,
+                                               np.pi / 2, 0.0)]))
+        s = np.linspace(0.0, np.pi / 2, 9)[1:-1]
+        jet = v.jet(s, 3)
+        exact = (np.cos(s), -np.sin(s), -np.cos(s), np.sin(s))
+        for got, want in zip(jet, exact):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-7)
+        for lower, higher in zip(v.jet(s, 2), jet):
+            assert np.array_equal(lower, higher)
+
+    def test_composite_jet_matches_differences(self):
+        # smooth case: a sine profile composed with a pure quarter arc
+        corner = hyp._CornerJets(0.0, 0.4)
+        prof = SmoothFn1D(0.4, [SinePiece((0.0, 0.4), 0.3, 1.0 / 0.3)])
+        u = hyp.CompositeProfile(prof, corner.x_jet, corner.b)
+        t = np.linspace(0.1, 0.9, 9) * corner.b
+        jet, h = u.jet(t, 3), 1e-5
+        for k in (1, 2, 3):
+            fd = (u.jet(t + h, 3)[k - 1] - u.jet(t - h, 3)[k - 1]) / (2 * h)
+            np.testing.assert_allclose(jet[k], fd, rtol=1e-6,
+                                       atol=1e-6 * np.abs(fd).max())
+
+
 @pytest.fixture(scope="module")
 def family_cert():
     corner = quarter_bend_curve(1.0, 1.0, 0.4, eps=0.25, delta=0.25)
@@ -105,6 +133,22 @@ class TestFoliation:
         for u, v in family.leaves[::5]:
             assert check_U_membership(u).passed
             assert check_V_membership(v).passed
+
+    def test_membership_checked_once_per_leaf(self, monkeypatch):
+        calls = []
+        for mod in (hyp, curvature):
+            for name in ("check_U_membership", "check_V_membership"):
+                def counted(f, _check=getattr(mod, name), _name=name):
+                    calls.append(_name)
+                    return _check(f)
+                monkeypatch.setattr(mod, name, counted)
+        corner = quarter_bend_curve(1.0, 1.0, 0.4, eps=0.25, delta=0.25)
+        family, _ = connected_sum_foliation(
+            corner, tau=0.05, nu_grid=[0.0, 0.5, 1.0], eps=0.25,
+            delta_p=0.25, p=2, q=4)
+        assert len(family.leaves) == 3
+        assert sorted(calls) == ["check_U_membership"] * 3 \
+            + ["check_V_membership"] * 3
 
     def test_csv(self, family_cert):
         family, cert = family_cert
