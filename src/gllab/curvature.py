@@ -6,10 +6,12 @@ Three metric shapes are covered:
 * ``DoublyWarpedMetric``   dt^2 + u(t)^2 ds_p^2 + v(t)^2 ds_q^2
 * ``CylFamilyMetric``      ds^2 + dt^2 + phi(s,t)^2 ds_q^2  (2-D base)
 
-Scalar and Ricci curvature come from the standard warped-product formulas.
-Where a warping function vanishes at a domain endpoint the 0/0 quotients are
-replaced by their third-derivative limits, which removes all endpoint noise;
-interior zeros raise ``SingularProfileError``.
+Scalar and Ricci curvature come from the standard warped-product formulas,
+read off one jet per warping function (``Phi2D.jet`` for the cylinder
+family).  Where a warping function closes a fiber at a domain endpoint
+(f = 0, |f'| = 1) the 0/0 quotients are replaced by their third-derivative
+limits; a cone point (|f'| != 1 there) and interior zeros raise
+``SingularProfileError``.
 
 ``slowdown_concordance`` certifies that a path of psc warped metrics can be
 run as a psc metric on a cylinder after slowing the parameter down enough
@@ -25,9 +27,9 @@ import numpy as np
 from .certify import IsotopyCertificate, write_csv
 from .errors import (CertificationFailedError, DomainMismatchError,
                      InvalidSpecError, SingularProfileError)
-from .fnspace import (ConstPiece, PolyPiece, SmoothFn1D, _quintic_match,
-                      check_F_membership, check_U_membership,
-                      check_V_membership, sample_grid)
+from .fnspace import (_END_TOL, ConstPiece, PolyPiece, SmoothFn1D,
+                      _quintic_match, check_F_membership,
+                      check_U_membership, check_V_membership, sample_grid)
 
 __all__ = [
     "WarpedSphereMetric",
@@ -127,27 +129,24 @@ class DoublyWarpedMetric:
 
 
 class Phi2D:
-    """Positive function of (s, t) with first and second partials.
+    """Positive function of (s, t) with its pure partials through order 2.
 
-    The callables must be vectorized over equal-shaped arrays.  The mixed
-    partial is never needed: the base (s, t) is flat, so only the Laplacian
-    phi_ss + phi_tt and |grad phi|^2 = phi_s^2 + phi_t^2 enter the scalar
-    curvature.
+    ``jet(s, t, k)`` returns (phi, (phi_s, phi_t), (phi_ss, phi_tt))[:k + 1]
+    for k <= 2.  The mixed partial is never needed: the base (s, t) is flat,
+    so only the Laplacian phi_ss + phi_tt and |grad phi|^2 = phi_s^2 +
+    phi_t^2 enter the scalar curvature.
     """
 
-    def __init__(self, value, ds, dt, dss, dtt):
-        self.value = value
-        self.ds = ds
-        self.dt = dt
-        self.dss = dss
-        self.dtt = dtt
+    def __init__(self, jet):
+        self.jet = jet
 
     @classmethod
     def from_profile(cls, f):
         """s-independent family: phi(s, t) = f(t)."""
-        zero = lambda s, t: np.zeros_like(np.asarray(t, dtype=float))
-        return cls(lambda s, t: f(t), zero, lambda s, t: f.d1(t),
-                   zero, lambda s, t: f.d2(t))
+        def jet(s, t, k=2):
+            F = f.jet(t, k)
+            return (F[0], *((np.zeros_like(d), d) for d in F[1:]))
+        return cls(jet)
 
 
 @dataclass
@@ -174,8 +173,9 @@ def _closed_form(profiles, t, n_out, interior, limit):
     interior points and any endpoint where no profile vanishes.  At an
     endpoint where exactly one profile, index ``i``, vanishes the 0/0
     quotients are replaced by ``limit(jets, i, sign)``, given (f, ..., f''')
-    jets and sign = -1 at t = 0, +1 at t = b.  Returns a tuple of ``n_out``
-    floats for scalar t, else of arrays shaped like t.
+    jets and sign = -1 at t = 0, +1 at t = b; a closing slope other than
+    +-1 is a cone point and raises ``SingularProfileError``.  Returns a
+    tuple of ``n_out`` floats for scalar t, else of arrays shaped like t.
     """
     t = np.asarray(t, dtype=float)
     tv = np.atleast_1d(t)
@@ -199,6 +199,10 @@ def _closed_form(profiles, t, n_out, interior, limit):
         if len(closing) > 1:
             raise SingularProfileError(
                 "both warping functions vanish at the same endpoint")
+        if closing and abs(abs(jets[closing[0]][1]) - 1.0) > _END_TOL:
+            raise SingularProfileError(
+                f"a warping function closes at t = {tend:.6g} with slope "
+                f"{jets[closing[0]][1]:.6g}: a cone point")
         vals = (limit(jets, closing[0], sign) if closing
                 else interior([jet[:3] for jet in jets]))
         for out, val in zip(outs, vals):
@@ -206,6 +210,11 @@ def _closed_form(profiles, t, n_out, interior, limit):
     if t.ndim == 0:
         return tuple(float(out[0]) for out in outs)
     return tuple(outs)
+
+
+def _fiber_scalar(q, phi, grad2, lap):
+    """R of a flat base times S^q warped by phi, given |grad phi|^2, Lap phi."""
+    return -2.0 * q * lap / phi + q * (q - 1) * (1.0 - grad2) / phi ** 2
 
 
 def scalar_warped(m, t):
@@ -219,8 +228,7 @@ def scalar_warped(m, t):
 
     def interior(jets):
         (f, d1, d2), = jets
-        return [-2.0 * (n - 1) * d2 / f
-                + (n - 1) * (n - 2) * (1.0 - d1 ** 2) / f ** 2]
+        return [_fiber_scalar(n - 1, f, d1 ** 2, d2)]
 
     def limit(jets, _closing, sign):
         return [sign * n * (n - 1) * jets[0][3]]
@@ -290,18 +298,15 @@ def scalar_cyl_family(m, s, t):
     """Scalar curvature of ds^2 + dt^2 + phi^2 ds_qtilde^2 at (s, t).
 
     R = -2 qtilde (phi_ss + phi_tt)/phi
-        + qtilde (qtilde - 1) (1 - phi_s^2 - phi_t^2)/phi^2.
+        + qtilde (qtilde - 1) (1 - phi_s^2 - phi_t^2)/phi^2,
+
+    the interior formula of ``scalar_warped``.  phi must stay positive on
+    the whole rectangle, so no endpoint limit applies.
     """
-    qt = m.qtilde
-    phi = m.phi
-    s = np.asarray(s, dtype=float)
-    t = np.asarray(t, dtype=float)
-    P = phi.value(s, t)
+    P, (ps, pt), (pss, ptt) = m.phi.jet(s, t, 2)
     if np.min(np.abs(P)) < _INTERIOR_ZERO or np.min(P) <= 0:
         raise SingularProfileError("phi must stay positive on the rectangle")
-    lap = phi.dss(s, t) + phi.dtt(s, t)
-    grad2 = phi.ds(s, t) ** 2 + phi.dt(s, t) ** 2
-    return -2.0 * qt * lap / P + qt * (qt - 1) * (1.0 - grad2) / P ** 2
+    return _fiber_scalar(m.qtilde, P, ps ** 2 + pt ** 2, pss + ptt)
 
 
 def canonical_variation_scalar(base_R, fiber_R_at_unit, delta):
@@ -340,24 +345,23 @@ def _path_rows(path, sig, tgrid, h):
 
     Row i of ``sig`` holds sigma at s_i - h, s_i and s_i + h.  The s-partials
     are central differences of the profiles at those three values; the
-    t-partials come from the centre profile.  Each profile is built once per
-    distinct sigma: sigma is monotone in s, so only the previous row's
-    profiles can recur (on the flat ends of eta every row shares one).
+    t-partials come from the centre profile's jet.  Each profile is built
+    and evaluated once per distinct sigma: sigma is monotone in s, so only
+    the previous row's profiles can recur (on the flat ends of eta every
+    row shares one).
     """
     prev = {}
     for row in sig:
         cur = {}
-        for sv in row:
-            if sv in prev:
-                cur[sv] = prev[sv]
-            elif sv not in cur:
-                f = path(float(sv)).f
-                cur[sv] = (f, f(tgrid))
+        # the outer profiles need values only, the centre its t-jet
+        for sv, k in zip(row, (0, 2, 0)):
+            f, jet = cur.get(sv) or prev.get(sv) or (path(float(sv)).f, ())
+            cur[sv] = (f, jet if len(jet) > k else f.jet(tgrid, k))
         prev = cur
-        (_, Pm), (f, P), (_, Pp) = (cur[sv] for sv in row)
-        arrays = (P, (Pp - Pm) / (2.0 * h), f.d1(tgrid),
-                  (Pp - 2.0 * P + Pm) / h ** 2, f.d2(tgrid))
-        yield Phi2D(*(lambda s, t, a=a: a for a in arrays))
+        (Pm, *_), (P, d1, d2), (Pp, *_) = (cur[sv][1] for sv in row)
+        jet = (P, ((Pp - Pm) / (2.0 * h), d1),
+               ((Pp - 2.0 * P + Pm) / h ** 2, d2))
+        yield Phi2D(lambda s, t, k=2, jet=jet: jet[:k + 1])
 
 
 def slowdown_concordance(path, n, grid_shape=(200, 200), budget=20,

@@ -27,7 +27,7 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline, PPoly
+from scipy.interpolate import PPoly
 
 from .certify import write_csv
 from .errors import ConstructionFailedError, DomainMismatchError, InvalidSpecError
@@ -87,9 +87,7 @@ class PolyPiece:
 
     def eval(self, t, order=0):
         t = np.asarray(t, dtype=float)
-        if order > 3 + len(self.coeffs):
-            return np.zeros_like(t)
-        c = self._dcoeffs[order] if order <= 3 else np.polynomial.polynomial.polyder(self.coeffs, order)
+        c = self._dcoeffs[order]
         if c.size == 0:
             return np.zeros_like(t)
         return np.polynomial.polynomial.polyval(t - self.origin, c)
@@ -148,16 +146,8 @@ class SplinePiece:
         for _ in range(3):
             self._derivs.append(self._derivs[-1].derivative())
 
-    @classmethod
-    def from_samples(cls, x, y, bc_type="not-a-knot"):
-        cs = CubicSpline(x, y, bc_type=bc_type)
-        return cls((x[0], x[-1]), cs)
-
     def eval(self, t, order=0):
-        t = np.asarray(t, dtype=float)
-        if order > 3:
-            return np.zeros_like(t)
-        return self._derivs[order](t)
+        return self._derivs[order](np.asarray(t, dtype=float))
 
     def to_json(self):
         return {"kind": self.kind, "interval": list(self.interval),
@@ -279,8 +269,10 @@ class SmoothFn1D:
                         f"junction at t={t:.6g} fails C{order} contract: "
                         f"{lv!r} vs {rv!r}")
 
-    def _locate(self, t):
-        """(t, t as 1-d, index of the piece holding each point)."""
+    def jet(self, t, k=2):
+        """(f, f', ..., f^(k))(t) for k <= 3; scalars for scalar t."""
+        if k not in (0, 1, 2, 3):
+            raise InvalidSpecError(f"jet order must be 0..3, got {k!r}")
         t = np.asarray(t, dtype=float)
         tv = np.atleast_1d(t)
         if tv.size and (tv.min() < -1e-9 * max(1.0, self.b)
@@ -288,41 +280,25 @@ class SmoothFn1D:
             raise InvalidSpecError(
                 f"evaluation outside [0, {self.b}]: range "
                 f"[{tv.min()}, {tv.max()}]")
-        return t, tv, np.searchsorted(self._breaks, tv, side="right")
-
-    def jet(self, t, k=2):
-        """(f, f', ..., f^(k))(t) for k <= 3; scalars for scalar t."""
-        t, tv, idx = self._locate(t)
-        outs = [np.empty_like(tv) for _ in range(k + 1)]
-        for i, piece in enumerate(self.pieces):
-            mask = idx == i
-            if mask.any():
-                ti = tv[mask]
-                for order, out in enumerate(outs):
-                    out[mask] = piece.eval(ti, order)
-        return tuple(out[0] if t.ndim == 0 else out for out in outs)
-
-    def _eval(self, t, order):
-        # one order only: a view must not pay for the lower orders of a jet
-        t, tv, idx = self._locate(t)
-        out = np.empty_like(tv)
-        for i, piece in enumerate(self.pieces):
-            mask = idx == i
-            if mask.any():
-                out[mask] = piece.eval(tv[mask], order)
-        return out[0] if t.ndim == 0 else out
+        idx = np.searchsorted(self._breaks, tv, side="right")
+        if tv.size == 1:
+            # most calls are one point: evaluate its piece without masks
+            piece = self.pieces[idx.flat[0]]
+            outs = [piece.eval(tv, order) for order in range(k + 1)]
+        else:
+            outs = [np.empty_like(tv) for _ in range(k + 1)]
+            for i, piece in enumerate(self.pieces):
+                mask = idx == i
+                if mask.any():
+                    ti = tv[mask]
+                    for order, out in enumerate(outs):
+                        out[mask] = piece.eval(ti, order)
+        if t.ndim == 0:
+            return tuple(out[0] for out in outs)
+        return tuple(outs)
 
     def __call__(self, t):
-        return self._eval(t, 0)
-
-    def d1(self, t):
-        return self._eval(t, 1)
-
-    def d2(self, t):
-        return self._eval(t, 2)
-
-    def d3(self, t):
-        return self._eval(t, 3)
+        return self.jet(t, 0)[0]
 
     # -- serialization ------------------------------------------------------
 
@@ -490,11 +466,11 @@ def make_torpedo(spec):
             pieces.append(ConstPiece((te, b), d))
         f = SmoothFn1D(b, pieces)
     # verification grid: concavity and monotonicity
-    t = sample_grid(b)
-    if f.d2(t).max() > 1e-10:
+    _, d1, d2 = f.jet(sample_grid(b), 2)
+    if d2.max() > 1e-10:
         raise ConstructionFailedError(
-            f"blend lost concavity: max d2 = {f.d2(t).max():.3e}")
-    if f.d1(t).min() < -1e-10:
+            f"blend lost concavity: max d2 = {d2.max():.3e}")
+    if d1.min() < -1e-10:
         raise ConstructionFailedError("torpedo profile must be nondecreasing")
     return f
 

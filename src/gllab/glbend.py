@@ -173,16 +173,17 @@ def mu_inequality(mu, b):
 _INVERT_MAX_ITER = 100
 
 
-def _invert_monotone(F, dF, y, lo, hi):
+def _invert_monotone(F, y, lo, hi):
     """Solve F(x) = y on [lo, hi] for every entry of y at once.
 
-    F must be strictly monotone on [lo, hi] and accept arrays; dF is its
-    derivative.  Each x is seeded by linear interpolation in a 65-point
-    table of F and bracketed by its table cell.  Safeguarded Newton
-    steps follow; a step that would leave the bracket, or that fails to
-    halve the one before, is replaced by bisection, and every evaluation
-    shrinks the bracket.  A point stops when its step or bracket is within
-    a few ulps of the interval scale (about 1e-15 relative).
+    ``F`` maps an array x to the pair (F(x), F'(x)) from one evaluation; F
+    must be strictly monotone on [lo, hi].  Each x is seeded by linear
+    interpolation in a 65-point table of F and bracketed by its table
+    cell.  Safeguarded Newton steps follow; a step that would leave the
+    bracket, or that fails to halve the one before, is replaced by
+    bisection, and every evaluation shrinks the bracket.  A point stops
+    when its step or bracket is within a few ulps of the interval scale
+    (about 1e-15 relative).
 
     Raises InversionError, carrying the worst residual |F(x) - y| where one
     exists, if the table is not finite or not strictly monotone, if some y
@@ -194,7 +195,7 @@ def _invert_monotone(F, dF, y, lo, hi):
     shape = y.shape
     y = y.ravel()
     xs = np.linspace(lo, hi, 65)
-    Fs = np.asarray(F(xs), dtype=float)
+    Fs = np.asarray(F(xs)[0], dtype=float)
     if not np.all(np.isfinite(Fs)):
         raise InversionError("inverted function is not finite on its table")
     sign = 1.0 if Fs[-1] > Fs[0] else -1.0
@@ -224,7 +225,8 @@ def _invert_monotone(F, dF, y, lo, hi):
         if act.size == 0:
             break
         xa = x[act]
-        ga = sign * np.asarray(F(xa), dtype=float) - yy[act]
+        Fa, dFa = F(xa)
+        ga = sign * np.asarray(Fa, dtype=float) - yy[act]
         if not np.all(np.isfinite(ga)):
             raise InversionError(
                 "inverted function turned non-finite during the search")
@@ -232,7 +234,7 @@ def _invert_monotone(F, dF, y, lo, hi):
         lo_a = np.where(ga < 0, xa, x_lo[act])
         hi_a = np.where(ga > 0, xa, x_hi[act])
         with np.errstate(divide="ignore", invalid="ignore"):
-            xn = xa - ga / (sign * np.asarray(dF(xa), dtype=float))
+            xn = xa - ga / (sign * np.asarray(dFa, dtype=float))
         bisect = ~((xn > lo_a) & (xn < hi_a)) \
             | (np.abs(xn - xa) > 0.5 * np.abs(last[act]))
         xn = np.where(bisect, 0.5 * (lo_a + hi_a), xn)
@@ -276,6 +278,9 @@ class LineSeg:
             np.broadcast_to(self.dir, np.shape(s) + (2,)), \
             np.zeros(np.shape(s))
 
+    def dk(self, s):
+        return np.zeros(np.shape(s))
+
     def to_json(self):
         return {"kind": self.kind, "p0": self.p0.tolist(),
                 "p1": self.p1.tolist()}
@@ -303,6 +308,9 @@ class ArcSeg:
         tan = self.orient * np.stack([-np.sin(ang), np.cos(ang)], axis=-1)
         k = np.full(np.shape(s), self.orient / self.radius)
         return pt, tan, k
+
+    def dk(self, s):
+        return np.zeros(np.shape(s))
 
     def to_json(self):
         return {"kind": self.kind, "center": self.center.tolist(),
@@ -350,6 +358,10 @@ class BumpSeg:
         tan = np.stack([np.sin(th), -np.cos(th)], axis=-1)
         k = 0.5 * self.k_max * (1.0 - np.cos(2 * np.pi * s / self.length))
         return pt, tan, k
+
+    def dk(self, s):
+        w = 2 * np.pi / self.length
+        return 0.5 * self.k_max * w * np.sin(w * np.asarray(s, dtype=float))
 
     @property
     def end(self):
@@ -399,7 +411,8 @@ class GraphSeg:
         out = np.where(s <= 0.0, a, bb)
         inner = (s > 0.0) & (s < self.length)
         if inner.any():
-            out[inner] = _invert_monotone(self._S, self._dS, s[inner], a, bb)
+            out[inner] = _invert_monotone(
+                lambda t: (self._S(t), self._dS(t)), s[inner], a, bb)
         return out[()]
 
     def eval(self, s):
@@ -410,6 +423,12 @@ class GraphSeg:
         tan = np.stack([1.0 / sp, d1 / sp], axis=-1)
         k = d2 / sp ** 3
         return pt, tan, k
+
+    def dk(self, s):
+        """dk/ds = (f''' - 3 f' f''^2/(1 + f'^2))/(1 + f'^2)^2 at t(s)."""
+        _, d1, d2, d3 = self.prof.jet(self._t_of_s(s), 3)
+        sp2 = 1.0 + d1 ** 2
+        return (d3 - 3.0 * d1 * d2 ** 2 / sp2) / sp2 ** 2
 
     def to_json(self):
         d = {"kind": self.kind, "t_offset": self.t_offset,
@@ -430,26 +449,39 @@ class Curve2D:
             [[0.0], np.cumsum([seg.length for seg in self.segments])])
         self.length = float(self.cum[-1])
 
-    def _locate(self, s):
-        s = np.atleast_1d(np.asarray(s, dtype=float))
-        idx = np.clip(np.searchsorted(self.cum, s, side="right") - 1,
-                      0, len(self.segments) - 1)
-        return s, idx
-
-    def eval(self, s):
-        shape = np.shape(s)
-        sv, idx = self._locate(s)
-        pt = np.empty(sv.shape + (2,))
-        tan = np.empty(sv.shape + (2,))
-        k = np.empty(sv.shape)
+    def _gather(self, s, part, tails):
+        """``part(seg, local arc length)`` on each segment's share of s,
+        gathered into arrays of shape s.shape + tail, one per ``tails``."""
+        sv = np.atleast_1d(np.asarray(s, dtype=float))
+        idx = np.searchsorted(self.cum[1:-1], sv, side="right")
+        outs = tuple(np.empty(sv.shape + tail) for tail in tails)
         for i, seg in enumerate(self.segments):
             mask = idx == i
             if mask.any():
-                p, tg, kk = seg.eval(sv[mask] - self.cum[i])
-                pt[mask], tan[mask], k[mask] = p, tg, kk
-        if shape == ():
-            return pt[0], tan[0], k[0]
-        return pt, tan, k
+                for out, val in zip(outs, part(seg, sv[mask] - self.cum[i])):
+                    out[mask] = val
+        return tuple(out[0] for out in outs) if np.shape(s) == () else outs
+
+    def eval(self, s):
+        """(P, T, kappa)(s): position, unit tangent and signed curvature."""
+        return self._gather(s, lambda seg, sl: seg.eval(sl),
+                            ((2,), (2,), ()))
+
+    def jet(self, s, k=2):
+        """(P, P', ..., P^(k))(s) for k <= 3, each with a trailing (t, r)
+        axis: P' = T, P'' = kappa N, P''' = kappa' N - kappa^2 T, with
+        N = (-T_r, T_t) the left normal and kappa' from the segments' dk."""
+        if k < 3:
+            pt, tan, kap = self.eval(s)
+        else:
+            pt, tan, kap, dk = self._gather(
+                s, lambda seg, sl: (*seg.eval(sl), seg.dk(sl)),
+                ((2,), (2,), (), ()))
+        nrm = np.stack([-tan[..., 1], tan[..., 0]], axis=-1)
+        out = (pt, tan, kap[..., None] * nrm)[:k + 1]
+        if k < 3:
+            return out
+        return out + (dk[..., None] * nrm - (kap ** 2)[..., None] * tan,)
 
     def point(self, s):
         return self.eval(s)[0]
@@ -823,7 +855,7 @@ def initial_isotopy(f0, lambda_grid=None, n_t=512):
     if lambda_grid is None:
         lambda_grid = np.linspace(0.0, 1.0, 11)
     t = np.linspace(0.0, f0.b, n_t)
-    bvals = f0.d1(t) ** 2
+    bvals = f0.jet(t, 1)[1] ** 2
     if bvals.max() >= 0.25:
         raise OutOfRegimeError(
             f"slope condition violated: max f0'^2 = {bvals.max():.6g} >= 1/4")
@@ -908,7 +940,7 @@ def final_bending_tilt(transition, t_inf_pp, extend_to=None,
     lo_r, hi_r = float(f(params.tinf)), params.r0
     inside = (r_new > lo_r) & (r_new < hi_r)
     r_in, m_in = r_new[inside], m_new[inside]
-    t_old = _invert_monotone(f, f.d1, r_in, 0.0, params.tinf)
+    t_old = _invert_monotone(lambda t: f.jet(t, 1), r_in, 0.0, params.tinf)
     m_old = _graph_margin(f.jet(t_old, 2))
     worse = m_in < m_old - margin_slack * np.maximum(1.0, np.abs(m_old))
     if worse.any():
@@ -953,14 +985,12 @@ class InverseBlend:
         self.f = f
         self.m0 = float(m0)
         self.s = float(s)
-        self.r0 = float(f(0.0))
-        t = np.linspace(0.0, f.b, 4097)
-        if f.d1(t).max() >= 0:
+        F, d1 = f.jet(np.linspace(0.0, f.b, 4097), 1)
+        if d1.max() >= 0:
             raise InversionError("profile must be strictly decreasing")
-        self.r_end = float(f(f.b))
-        if self.r_end <= 0:
-            self.r_end = self.r0 * r_floor_frac
-        if self.r_end > float(f(f.b)):
+        self.r0, f_end = float(F[0]), float(F[-1])
+        self.r_end = f_end if f_end > 0 else self.r0 * r_floor_frac
+        if self.r_end > f_end:
             try:
                 self.t_end_f = float(brentq(
                     lambda tt: float(f(tt)) - self.r_end, 0.0, f.b,
@@ -980,15 +1010,18 @@ class InverseBlend:
     def _tau(self, t):
         """tau = f^{-1}(h_s(t)) for t clamped to [0, b]."""
         t = np.clip(np.asarray(t, dtype=float), 0.0, self.b)
-        f, s, m0 = self.f, self.s, self.m0
-        return _invert_monotone(
-            lambda tau: self._T(tau, f(tau)),
-            lambda tau: (1.0 - s) + s * f.d1(tau) / m0,
-            t, 0.0, self.t_end_f)
+        s, m0 = self.s, self.m0
+
+        def T(tau):
+            f0, f1 = self.f.jet(tau, 1)
+            return self._T(tau, f0), (1.0 - s) + s * f1 / m0
+
+        return _invert_monotone(T, t, 0.0, self.t_end_f)
 
     def _hinv(self, r):
         """The defining blend (1-s) f^{-1}(r) + s (r - r0)/m0."""
-        tau = _invert_monotone(self.f, self.f.d1, r, 0.0, self.t_end_f)
+        tau = _invert_monotone(lambda x: self.f.jet(x, 1), r, 0.0,
+                               self.t_end_f)
         return self._T(tau, r)
 
     def jet(self, t, k=2):

@@ -15,6 +15,10 @@ h = d rho^2 + f_eps(rho)^2 ds_p^2 + dr^2 + f_delta(r)^2 ds_q^2, whose
 pullback along a corner curve reproduces the mixed torpedo metric exactly,
 and the leaf family foliating the region between such an embedded sphere and
 a small geodesic sphere (the connected-sum isotopy).
+
+Curves exist only as ``Curve2D`` segments.  A coordinate of a curve, read
+through ``Curve2D.jet``, is the induced radius r(s) or, composed with a
+torpedo (``CompositeProfile``), a warping function of a leaf.
 """
 
 from __future__ import annotations
@@ -95,33 +99,21 @@ class ModelAmbient:
         return self.p * (self.p - 1) / self.epsilon ** 2
 
 
-class _RadiusProfile:
-    """r along the curve as a function of arc length, with derivatives.
+class _CurveCoordinate:
+    """One coordinate (0 = t, 1 = r) of a unit-speed curve as a profile of
+    arc length: its jet is that component of ``Curve2D.jet``."""
 
-    r' = dr/ds is the r-component of the unit tangent; r'' = k sin(theta)
-    follows from differentiating the tangent; r''' is a central difference
-    of r'' (only endpoint limits ever need it).
-    """
-
-    def __init__(self, curve):
+    def __init__(self, curve, axis):
         self.curve = curve
+        self.axis = axis
         self.b = curve.length
 
     def jet(self, s, k=2):
-        """(r, r', ..., r^(k))(s) for k <= 3, from one ``curve.eval``."""
-        s = np.asarray(s, dtype=float)
-        if k < 3:
-            pt, tan, kap = self.curve.eval(s)
-            return (pt[..., 1], tan[..., 1], kap * tan[..., 0])[:k + 1]
-        # r''' needs r'' at s +- h as well: evaluate all three at once
-        h = 1e-6 * max(1.0, self.b)
-        hi, lo = np.minimum(s + h, self.b), np.maximum(s - h, 0.0)
-        pt, tan, kap = self.curve.eval(np.stack([s, hi, lo]))
-        d2 = kap * tan[..., 0]
-        return pt[0, ..., 1], tan[0, ..., 1], d2[0], (d2[1] - d2[2]) / (hi - lo)
+        return tuple(d[..., self.axis] for d in self.curve.jet(s, k))
 
     def to_json(self):
-        return {"kind": "curve-radius", "curve": self.curve.to_json()}
+        return {"kind": "curve-coordinate", "axis": self.axis,
+                "curve": self.curve.to_json()}
 
 
 def _const_profile(value, b):
@@ -147,7 +139,7 @@ def induced_metric_on_M(bend, amb):
     """
     curve = _curve_of(bend)
     u = _const_profile(amb.epsilon, curve.length)
-    v = _RadiusProfile(curve)
+    v = _CurveCoordinate(curve, 1)
     return DoublyWarpedMetric(amb.p, amb.q, u, v, open_profile=True)
 
 
@@ -240,82 +232,47 @@ def mixed_torpedo_via_J(eps, delta, c1, c2, bend_radius, p=2, q=2,
 # the connected-sum foliation
 # ---------------------------------------------------------------------------
 
-class _CornerJets:
-    """Analytic jets of the corner curve with edge length e and radius R.
+def _corner_curve(edge, radius):
+    """The corner curve with edge length e and bend radius R.
 
-    The curve runs from (e + R, 0) vertically to (e + R, e), around a
-    quarter arc centered at (e, e), then horizontally to (0, e + R).
-    With e = 0 it is the circular arc of radius R about the origin.
+    It runs from (e + R, 0) vertically to (e + R, e), around a quarter arc
+    centered at (e, e), then horizontally to (0, e + R).  With e = 0 it is
+    the circular arc of radius R about the origin.
     """
-
-    def __init__(self, edge, radius):
-        if radius <= 0:
-            raise InvalidSpecError("radius must be positive")
-        if edge < 0:
-            raise InvalidSpecError("edge length must be nonnegative")
-        self.e = float(edge)
-        self.R = float(radius)
-        self.c = self.e + self.R
-        self.b = 2.0 * self.e + self.R * np.pi / 2.0
-
-    def _phase(self, t):
-        t = np.asarray(t, dtype=float)
-        on_arc = (t >= self.e) & (t <= self.e + self.R * np.pi / 2.0)
-        phi = np.where(on_arc, (t - self.e) / self.R, 0.0)
-        before = t < self.e
-        after = t > self.e + self.R * np.pi / 2.0
-        return t, phi, before, on_arc, after
-
-    def x_jet(self, t):
-        t, phi, before, on_arc, after = self._phase(t)
-        x = np.select([before, on_arc], [self.c, self.e + self.R * np.cos(phi)],
-                      default=self.b - t)
-        x1 = np.select([before, on_arc], [0.0, -np.sin(phi)], default=-1.0)
-        x2 = np.where(on_arc, -np.cos(phi) / self.R, 0.0)
-        x3 = np.where(on_arc, np.sin(phi) / self.R ** 2, 0.0)
-        return x, x1, x2, x3
-
-    def y_jet(self, t):
-        t, phi, before, on_arc, after = self._phase(t)
-        y = np.select([before, on_arc], [t, self.e + self.R * np.sin(phi)],
-                      default=self.c)
-        y1 = np.select([before, on_arc], [1.0, np.cos(phi)], default=0.0)
-        y2 = np.where(on_arc, -np.sin(phi) / self.R, 0.0)
-        y3 = np.where(on_arc, -np.cos(phi) / self.R ** 2, 0.0)
-        return y, y1, y2, y3
-
-    def curve(self):
-        segs = []
-        if self.e > 0:
-            segs.append(LineSeg((self.c, 0.0), (self.c, self.e)))
-        segs.append(ArcSeg((self.e, self.e), self.R, 0.0, np.pi / 2.0))
-        if self.e > 0:
-            segs.append(LineSeg((self.e, self.c), (0.0, self.c)))
-        return Curve2D(segs)
+    if edge < 0:
+        raise InvalidSpecError("edge length must be nonnegative")
+    e, c = float(edge), float(edge) + float(radius)
+    arc = ArcSeg((e, e), radius, 0.0, np.pi / 2.0)
+    if e == 0:
+        return Curve2D([arc])
+    return Curve2D([LineSeg((c, 0.0), (c, e)), arc,
+                    LineSeg((e, c), (0.0, c))])
 
 
 class CompositeProfile:
     """prof(coord(t)) with derivatives from the chain rule.
 
-    ``coord`` maps an array t to (x, x', x'', x''') for the planar coordinate.
+    ``prof`` and ``coord`` are profiles (``b`` and ``jet``); the composite
+    lives on the domain of ``coord``.
     """
 
-    def __init__(self, prof, coord, b):
+    def __init__(self, prof, coord):
         self.prof = prof
         self.coord = coord
-        self.b = float(b)
+        self.b = coord.b
 
     def jet(self, t, k=2):
         """(f, f', ..., f^(k))(t) for k <= 3, from one coordinate jet."""
-        x, x1, x2, x3 = self.coord(t)
-        f = self.prof.jet(x, k)
+        x = self.coord.jet(t, k)
+        f = self.prof.jet(x[0], k)
         out = [f[0]]
         if k >= 1:
-            out.append(f[1] * x1)
+            out.append(f[1] * x[1])
         if k >= 2:
-            out.append(f[2] * x1 ** 2 + f[1] * x2)
+            out.append(f[2] * x[1] ** 2 + f[1] * x[2])
         if k >= 3:
-            out.append(f[3] * x1 ** 3 + 3.0 * f[2] * x1 * x2 + f[1] * x3)
+            out.append(f[3] * x[1] ** 3 + 3.0 * f[2] * x[1] * x[2]
+                       + f[1] * x[3])
         return tuple(out)
 
     def to_json(self):
@@ -403,19 +360,19 @@ def connected_sum_foliation(lambda_half_curve, tau, nu_grid, eps, delta_p,
     f_eps = _torpedo_on(eps, c)
     f_del = _torpedo_on(delta_p, c)
     nu_grid = [float(nu) for nu in nu_grid]
-    jets = []
+    curves = []
     for nu in nu_grid:
         if not 0.0 <= nu <= 1.0:
             raise InvalidSpecError("nu must lie in [0, 1]")
         if nu >= 0.5:
-            jets.append(_CornerJets(edge * (2.0 * nu - 1.0), radius))
+            curves.append(_corner_curve(edge * (2.0 * nu - 1.0), radius))
         else:
-            jets.append(_CornerJets(0.0, tau + 2.0 * nu * (radius - tau)))
+            curves.append(_corner_curve(0.0, tau + 2.0 * nu * (radius - tau)))
 
     def leaf(args):
-        nu, jt = args
-        u = CompositeProfile(f_eps, jt.x_jet, jt.b)
-        v = CompositeProfile(f_del, jt.y_jet, jt.b)
+        nu, curve = args
+        u = CompositeProfile(f_eps, _CurveCoordinate(curve, 0))
+        v = CompositeProfile(f_del, _CurveCoordinate(curve, 1))
         ru = check_U_membership(u)
         rv = check_V_membership(v)
         if not (ru.passed and rv.passed):
@@ -423,18 +380,17 @@ def connected_sum_foliation(lambda_half_curve, tau, nu_grid, eps, delta_p,
             raise CertificationFailedError(
                 f"leaf nu = {nu} fails membership: {bad}")
         metric = DoublyWarpedMetric(p, q, u, v, open_profile=True)
-        t = np.linspace(0.0, jt.b, n_t)
+        t = np.linspace(0.0, curve.length, n_t)
         r_min = float(np.min(scalar_doubly_warped(metric, t)))
         if r_min <= 0:
             raise CertificationFailedError(
                 f"leaf nu = {nu} loses scalar positivity", best_margin=r_min)
         return (u, v), r_min
 
-    results = pmap(leaf, list(zip(nu_grid, jets)))
+    results = pmap(leaf, list(zip(nu_grid, curves)))
     leaves = [uv for uv, _ in results]
     minima = [m for _, m in results]
-    family = FoliationFamily(nu_grid, [jt.curve() for jt in jets], tau,
-                             leaves=leaves)
+    family = FoliationFamily(nu_grid, curves, tau, leaves=leaves)
     cert = IsotopyCertificate(
         grid=f"{len(nu_grid)} leaves x {n_t} samples",
         min_scalar=float(min(minima)),

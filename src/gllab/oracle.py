@@ -365,7 +365,7 @@ def cyl_family_chart(phi, qtilde, s_range, t_range, step=1e-4,
                      angle_lo=0.3, angle_hi=np.pi - 0.3):
     """Chart for ds^2 + dt^2 + phi(s,t)^2 ds_qtilde^2 in nested angles."""
     def g(x):
-        val = float(phi.value(x[0], x[1]))
+        val = float(phi.jet(x[0], x[1], 0)[0])
         fiber = val ** 2 * _sphere_angle_metric(qtilde, x[2:])
         return np.diag(np.concatenate([[1.0, 1.0], fiber]))
     rect = [tuple(s_range), tuple(t_range)] + \

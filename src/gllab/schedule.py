@@ -194,23 +194,22 @@ def _mixed_torpedo_profiles(eps, delta, b):
     return u, v
 
 
-def _certify_homotopy(p, q, u0, v0, u1, v1, n_lambda=11, density=256,
-                      tolerance=0.0):
-    """Min scalar of the linear profile homotopy over a (lambda, t) grid."""
-    t = sample_grid(u0.b, density, interior=True)
-    lams = np.linspace(0.0, 1.0, n_lambda)
-
-    def at(lam):
-        m = DoublyWarpedMetric(p, q, linear_homotopy(u0, u1, lam),
-                               linear_homotopy(v0, v1, lam),
-                               open_profile=True)
-        return float(np.min(scalar_doubly_warped(m, t)))
-
-    mins = pmap(at, lams)
+def _homotopy_certificate(metric_at, scalar, t):
+    """Min of ``scalar(metric_at(lambda), t)`` over 11 lambdas in [0, 1]."""
+    mins = pmap(lambda lam: float(np.min(scalar(metric_at(lam), t))),
+                np.linspace(0.0, 1.0, 11))
     return IsotopyCertificate(
-        grid=f"{n_lambda} x {t.size} (lambda, t) interior grid",
-        min_scalar=float(min(mins)), tolerance=tolerance,
-        label="profile homotopy")
+        grid=f"11 x {t.size} (lambda, t) interior grid",
+        min_scalar=float(min(mins)), label="profile homotopy")
+
+
+def _certify_homotopy(p, q, u0, v0, u1, v1):
+    """The linear homotopy of doubly warped profiles (u0, v0) -> (u1, v1)."""
+    return _homotopy_certificate(
+        lambda lam: DoublyWarpedMetric(p, q, linear_homotopy(u0, u1, lam),
+                                       linear_homotopy(v0, v1, lam),
+                                       open_profile=True),
+        scalar_doubly_warped, sample_grid(u0.b, 256, interior=True))
 
 
 def _standardize_search(p, q, radius, delta_start=0.5, budget=20):
@@ -538,20 +537,11 @@ def two_surgery_demo(n, p, radius=1.0):
     push("surgery-2", bend2.certificate)
 
     # stage 5: linear homotopy of the profile to a torpedo form
-    b = g_round.b
-    tor = make_double_torpedo(delta, b)
-    lams = np.linspace(0.0, 1.0, 11)
-    t = sample_grid(b, 256, interior=True)
-
-    def homotopy_min(lam):
-        m = WarpedSphereMetric(n, linear_homotopy(g_round.f, tor, lam),
-                               open_profile=True)
-        return float(np.min(scalar_warped(m, t)))
-
-    mins = pmap(homotopy_min, lams)
-    push("f-to-torpedo", IsotopyCertificate(
-        grid=f"11 x {t.size} (lambda, t) interior grid",
-        min_scalar=float(min(mins)), label="profile homotopy"))
+    tor = make_double_torpedo(delta, g_round.b)
+    push("f-to-torpedo", _homotopy_certificate(
+        lambda lam: WarpedSphereMetric(
+            n, linear_homotopy(g_round.f, tor, lam), open_profile=True),
+        scalar_warped, sample_grid(g_round.b, 256, interior=True)))
 
     # stage 6: connected-sum foliation isotopy (caps small enough that the
     # corner bend clears the delta*pi/2 lines)

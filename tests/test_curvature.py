@@ -39,6 +39,20 @@ class TestWarped:
         R = scalar_warped(m, t)
         assert np.allclose(R, 42.0, rtol=1e-9)
 
+    @pytest.mark.parametrize("slope,cone", [(0.5, True), (1 + 2e-8, True),
+                                            (1 + 5e-9, False)])
+    def test_cone_point_end_raises(self, slope, cone):
+        # slope * sin t closes at both ends with |f'| = slope
+        m = WarpedSphereMetric(7, scale(round_profile(), slope),
+                               open_profile=True)
+        assert np.isfinite(scalar_warped(m, 0.5))
+        for t in (0.0, np.array([0.5, np.pi])):
+            if cone:
+                with pytest.raises(SingularProfileError, match="cone point"):
+                    scalar_warped(m, t)
+            else:
+                assert np.isfinite(scalar_warped(m, t)).all()
+
     def test_round_sphere_ricci(self):
         m = WarpedSphereMetric(7, round_profile())
         t = np.linspace(0.0, np.pi, 101)      # both endpoint limits included
@@ -125,7 +139,7 @@ class TestCylFamily:
         R_expected = scalar_warped(m, t) - 0.0
         # dt^2 + f^2 ds_4^2 sits inside ds^2 + dt^2 + f^2 ds_4^2; the scalar
         # curvature is unchanged by the flat s-factor
-        assert np.allclose(R_cyl, R_expected, rtol=1e-9)
+        assert np.array_equal(R_cyl, R_expected)
 
     def test_canonical_variation(self):
         assert np.isclose(canonical_variation_scalar(3.0, 6.0, 0.5),
@@ -175,9 +189,11 @@ def per_row_slowdown(path, n, grid_shape, budget):
         def dss(s, t):
             return (val(s + h, t) - 2.0 * val(s, t) + val(s - h, t)) / h ** 2
 
-        phi = Phi2D(val, ds, lambda s, t: profile_at(float(s)).d1(t), dss,
-                    lambda s, t: profile_at(float(s)).d2(t))
-        cyl = CylFamilyMetric(n - 1, phi)
+        def jet(s, t, k=2):
+            _, d1, d2 = profile_at(float(s)).jet(t, 2)
+            return (val(s, t), (ds(s, t), d1), (dss(s, t), d2))[:k + 1]
+
+        cyl = CylFamilyMetric(n - 1, Phi2D(jet))
         sgrid = np.linspace(0.0, L, ns + 2)[1:-1]
         R = np.empty((ns, nt))
         for i, sv in enumerate(sgrid):

@@ -47,15 +47,32 @@ class TestPieces:
         f = make_double_torpedo(0.5, 4.0)
         t = np.concatenate([sample_grid(f.b, 64),
                             [p.interval[1] for p in f.pieces]])
-        views = (f, f.d1, f.d2, f.d3)
+        # each point belongs to the piece whose interval holds it, a
+        # breakpoint to the piece on its right
+        owner = np.searchsorted(f._breaks, t, side="right")
         for k in range(4):
             jet = f.jet(t, k)
             assert len(jet) == k + 1
             for order, values in enumerate(jet):
-                assert np.array_equal(values, views[order](t))
+                for i, piece in enumerate(f.pieces):
+                    mine = owner == i
+                    assert np.array_equal(values[mine],
+                                          piece.eval(t[mine], order))
+        # one point at a time gives the same bits as the whole array
+        for j in range(0, t.size, 7):
+            assert f.jet(t[j], 3) == tuple(x[j] for x in f.jet(t, 3))
+            assert f.jet(t[j:j + 1], 3)[3].shape == (1,)
         scalar = f.jet(1.3, 3)
         assert all(np.ndim(x) == 0 for x in scalar)
-        assert scalar == tuple(view(1.3) for view in views)
+        piece = f.pieces[int(np.searchsorted(f._breaks, 1.3, side="right"))]
+        assert scalar == tuple(piece.eval([1.3], order)[0]
+                               for order in range(4))
+        assert f(1.3) == scalar[0]
+
+    @pytest.mark.parametrize("k", [-1, 4])
+    def test_jet_order_outside_range_raises_typed(self, k):
+        with pytest.raises(InvalidSpecError):
+            make_torpedo(TorpedoSpec(0.5)).jet(0.3, k)
 
     def test_json_round_trip(self):
         f = make_torpedo(TorpedoSpec(0.5))
@@ -73,13 +90,13 @@ class TestTorpedo:
         t_cap = np.linspace(0.0, delta * np.pi / 4.0, 50)
         assert np.allclose(f(t_cap), delta * np.sin(t_cap / delta))
         assert np.allclose(f(f.b), delta)
-        assert abs(f.d1(0.0) - 1.0) < 1e-12
+        assert abs(f.jet(0.0, 1)[1] - 1.0) < 1e-12
 
     @pytest.mark.parametrize("delta", [0.25, 0.5, 1.0])
     def test_blend_concave(self, delta):
         f = make_torpedo(TorpedoSpec(delta))
         t = sample_grid(f.b, 4096)
-        assert float(np.max(f.d2(t))) <= 1e-10
+        assert float(np.max(f.jet(t, 2)[2])) <= 1e-10
 
     def test_zero_blend_is_c1(self):
         f = make_torpedo(TorpedoSpec(0.5, blend_width=0.0))
@@ -167,14 +184,14 @@ class TestStructuralOps:
         g = reflect(reflect(f))
         t = sample_grid(f.b, 256)
         assert np.allclose(f(t), g(t), atol=1e-14)
-        assert np.allclose(f.d1(t), g.d1(t), atol=1e-12)
+        assert np.allclose(f.jet(t, 1)[1], g.jet(t, 1)[1], atol=1e-12)
 
     def test_scale(self):
         f = _sin_profile()
         g = scale(f, 2.5)
         t = sample_grid(f.b, 128)
         assert np.allclose(g(t), 2.5 * f(t))
-        assert np.allclose(g.d2(t), 2.5 * f.d2(t))
+        assert np.allclose(g.jet(t, 2)[2], 2.5 * f.jet(t, 2)[2])
 
     def test_linear_homotopy_endpoints_and_midpoint(self):
         f0 = make_torpedo(TorpedoSpec(0.5, tube_length=1.0))
@@ -187,7 +204,8 @@ class TestStructuralOps:
                            atol=1e-12)
         mid = linear_homotopy(f0, f1, 0.5)
         assert np.allclose(mid(t), 0.5 * (f0(t) + f1(t)), atol=1e-12)
-        assert np.allclose(mid.d2(t), 0.5 * (f0.d2(t) + f1.d2(t)),
+        assert np.allclose(mid.jet(t, 2)[2],
+                           0.5 * (f0.jet(t, 2)[2] + f1.jet(t, 2)[2]),
                            atol=1e-10)
 
     def test_homotopy_preserves_V_membership(self):

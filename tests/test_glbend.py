@@ -69,6 +69,30 @@ class TestSegments:
         arc = Curve2D([ArcSeg((1.0, 1.0), 0.5, 0.0, np.pi / 2)])
         assert arc.unit_speed_residual() < 1e-8
 
+    def test_dk_matches_difference_of_curvature(self, transition):
+        bend = assemble_gamma(MODEL, initial_bend(MODEL, r1=0.5), transition)
+        tail = bend.curve.segments[-1]
+        assert isinstance(tail, GraphSeg)
+        # the tail's profile is only C^2 at its breakpoints: stay clear
+        knots = tail._S([p.interval[1] for p in tail.prof.pieces[:-1]])
+        for seg, skip in ((BumpSeg((0.0, 0.5), 0.0, 1.2, 0.25), []),
+                          (tail, knots)):
+            L = seg.length
+            s = np.linspace(0.0, L, 41)[1:-1]
+            s = s[np.all(np.abs(s[:, None] - np.asarray(skip)) > 0.01 * L,
+                         axis=1)]
+            assert s.size > 20
+            h = 1e-5 * L
+            fd = (seg.eval(s + h)[2] - seg.eval(s - h)[2]) / (2 * h)
+            np.testing.assert_allclose(seg.dk(s), fd, rtol=1e-6,
+                                       atol=1e-6 * np.abs(fd).max())
+            # the curve's third derivative dk N - k^2 T against a
+            # difference of its second, k N
+            curve = Curve2D([seg])
+            fd = (curve.jet(s + h)[2] - curve.jet(s - h)[2]) / (2 * h)
+            np.testing.assert_allclose(curve.jet(s, 3)[3], fd, rtol=1e-6,
+                                       atol=1e-6 * np.abs(fd).max())
+
     def test_quarter_bend_length_pin(self):
         c = quarter_bend_curve(2.0, 2.0, 0.5)
         assert np.isclose(c.length, 1.5 + 1.5 + np.pi / 4, rtol=1e-12)
@@ -229,7 +253,7 @@ def _blend_jet_reference(h, t):
         r = brentq(lambda rr: hinv(rr) - t, h.r_end, r0,
                    xtol=1e-15, rtol=1e-15)
     tau = finv(r)
-    fp, fpp = float(f.d1(tau)), float(f.d2(tau))
+    _, fp, fpp = (float(x) for x in f.jet(tau, 2))
     hinv1 = (1.0 - s) / fp + s / m0
     hinv2 = -(1.0 - s) * fpp / fp ** 3
     return r, 1.0 / hinv1, -hinv2 / hinv1 ** 3
@@ -293,23 +317,25 @@ class TestInvertMonotone:
 
     def test_inverts_increasing_and_decreasing(self):
         y = np.linspace(0.0, 2.0, 101)
-        x = _invert_monotone(lambda x: x ** 3 + x, lambda x: 3 * x ** 2 + 1,
+        x = _invert_monotone(lambda x: (x ** 3 + x, 3 * x ** 2 + 1),
                              y, 0.0, 1.0)
         np.testing.assert_allclose(x ** 3 + x, y, rtol=0, atol=1e-14)
-        x = _invert_monotone(np.cos, lambda x: -np.sin(x), [1.0, 0.5], 0.0,
-                             2.0)
+        x = _invert_monotone(lambda x: (np.cos(x), -np.sin(x)), [1.0, 0.5],
+                             0.0, 2.0)
         np.testing.assert_allclose(x, [0.0, np.pi / 3], rtol=1e-15)
 
     def test_non_monotone_raises(self):
         with pytest.raises(InversionError):
-            _invert_monotone(lambda x: (x - 0.5) ** 2, lambda x: 2 * (x - 0.5),
+            _invert_monotone(lambda x: ((x - 0.5) ** 2, 2 * (x - 0.5)),
                              [0.1], 0.0, 1.0)
 
     def test_target_outside_range_raises(self):
         with pytest.raises(InversionError):
-            _invert_monotone(lambda x: x, np.ones_like, [0.5, 2.0], 0.0, 1.0)
+            _invert_monotone(lambda x: (x, np.ones_like(x)), [0.5, 2.0],
+                             0.0, 1.0)
         with pytest.raises(InversionError):
-            _invert_monotone(lambda x: x, np.ones_like, [np.nan], 0.0, 1.0)
+            _invert_monotone(lambda x: (x, np.ones_like(x)), [np.nan],
+                             0.0, 1.0)
 
     def test_nan_producing_function_raises(self):
         def on_table(x):
@@ -320,19 +346,20 @@ class TestInvertMonotone:
 
         for F in (on_table, between_table_points):
             with pytest.raises(InversionError):
-                _invert_monotone(F, np.ones_like, [0.503], 0.0, 1.0)
+                _invert_monotone(lambda x: (F(x), np.ones_like(x)), [0.503],
+                                 0.0, 1.0)
 
     def test_jump_reports_residual(self):
         # monotone on the table, but y = 1 falls inside the jump at 1/2
         with pytest.raises(InversionError) as err:
-            _invert_monotone(lambda x: x + (x > 0.5), np.ones_like, [1.0],
-                             0.0, 1.0)
+            _invert_monotone(lambda x: (x + (x > 0.5), np.ones_like(x)),
+                             [1.0], 0.0, 1.0)
         assert err.value.residual == pytest.approx(0.5, rel=1e-6)
 
     def test_step_budget_reports_residual(self, monkeypatch):
         monkeypatch.setattr(glbend, "_INVERT_MAX_ITER", 1)
         with pytest.raises(InversionError) as err:
-            _invert_monotone(lambda x: x ** 3 + x, lambda x: 3 * x ** 2 + 1,
+            _invert_monotone(lambda x: (x ** 3 + x, 3 * x ** 2 + 1),
                              np.linspace(0.1, 1.9, 7), 0.0, 1.0)
         assert 0 < err.value.residual < 1e-2
 

@@ -10,7 +10,7 @@ import gllab.curvature as curvature
 import gllab.hypersurface as hyp
 from gllab.curvature import scalar_doubly_warped
 from gllab.errors import (CertificationFailedError, DomainMismatchError,
-                          InvalidBendError)
+                          InvalidBendError, SingularProfileError)
 from gllab.fnspace import (SinePiece, SmoothFn1D, check_U_membership,
                            check_V_membership)
 from gllab.glbend import (ArcSeg, BendConstants, Curve2D, assemble_gamma,
@@ -42,6 +42,15 @@ class TestGaussIdentity:
         Ri = scalar_doubly_warped(m, s)
         rel = np.abs(Rg - Ri) / np.maximum(1.0, np.abs(Ri))
         assert float(rel.max()) < 1e-6
+
+    def test_cone_point_end_raises(self, certified_bend):
+        # the tail graph meets r = 0 at 45 degrees: r'(L) = -1/sqrt(2)
+        m = induced_metric_on_M(certified_bend, ModelAmbient(2, 3, 0.3))
+        L = certified_bend.curve.length
+        assert m.v.jet(L, 1)[1] == pytest.approx(-np.sqrt(0.5), abs=1e-9)
+        assert np.isfinite(scalar_doubly_warped(m, L - 1e-3))
+        with pytest.raises(SingularProfileError, match="cone point"):
+            scalar_doubly_warped(m, L)
 
     def test_note_emitted_once_per_run(self, certified_bend):
         amb = ModelAmbient(p=2, q=3, epsilon=0.3)
@@ -88,22 +97,22 @@ class TestPullbackIdentity:
 class TestProfileJets:
     def test_radius_jet_on_quarter_circle(self):
         # r(s) = cos s along the unit arc from angle pi/2 down to 0
-        v = hyp._RadiusProfile(Curve2D([ArcSeg((0.0, 0.0), 1.0,
-                                               np.pi / 2, 0.0)]))
+        v = hyp._CurveCoordinate(Curve2D([ArcSeg((0.0, 0.0), 1.0,
+                                                 np.pi / 2, 0.0)]), 1)
         s = np.linspace(0.0, np.pi / 2, 9)[1:-1]
         jet = v.jet(s, 3)
         exact = (np.cos(s), -np.sin(s), -np.cos(s), np.sin(s))
         for got, want in zip(jet, exact):
-            np.testing.assert_allclose(got, want, rtol=0, atol=1e-7)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
         for lower, higher in zip(v.jet(s, 2), jet):
             assert np.array_equal(lower, higher)
 
     def test_composite_jet_matches_differences(self):
         # smooth case: a sine profile composed with a pure quarter arc
-        corner = hyp._CornerJets(0.0, 0.4)
+        corner = hyp._corner_curve(0.0, 0.4)
         prof = SmoothFn1D(0.4, [SinePiece((0.0, 0.4), 0.3, 1.0 / 0.3)])
-        u = hyp.CompositeProfile(prof, corner.x_jet, corner.b)
-        t = np.linspace(0.1, 0.9, 9) * corner.b
+        u = hyp.CompositeProfile(prof, hyp._CurveCoordinate(corner, 0))
+        t = np.linspace(0.1, 0.9, 9) * corner.length
         jet, h = u.jet(t, 3), 1e-5
         for k in (1, 2, 3):
             fd = (u.jet(t + h, 3)[k - 1] - u.jet(t - h, 3)[k - 1]) / (2 * h)
