@@ -324,15 +324,12 @@ def canonical_variation_scalar(base_R, fiber_R_at_unit, delta):
 # slowdown concordance
 # ---------------------------------------------------------------------------
 
-def make_smoothstep(L, k1=None, k2=None):
-    """Quintic smoothstep on (0, L): 0 up to k1, 1 from k2 on, C^2 between."""
+def make_smoothstep(L):
+    """Quintic smoothstep on (0, L): 0 up to L/4, 1 from 3L/4, C^2 between."""
     L = float(L)
-    if k1 is None:
-        k1 = 0.25 * L
-    if k2 is None:
-        k2 = 0.75 * L
-    if not 0.0 < k1 < k2 < L:
-        raise InvalidSpecError("need 0 < k1 < k2 < L")
+    if not L > 0.0:
+        raise InvalidSpecError("need L > 0")
+    k1, k2 = 0.25 * L, 0.75 * L
     coeffs = _quintic_match(k1, (0.0, 0.0, 0.0), k2, (1.0, 0.0, 0.0))
     pieces = [ConstPiece((0.0, k1), 0.0),
               PolyPiece((k1, k2), coeffs, origin=k1),
@@ -364,8 +361,7 @@ def _path_rows(path, sig, tgrid, h):
         yield Phi2D(lambda s, t, k=2, jet=jet: jet[:k + 1])
 
 
-def slowdown_concordance(path, n, grid_shape=(200, 200), budget=20,
-                         tolerance=0.0):
+def slowdown_concordance(path, n, grid_shape=(200, 200), budget=20):
     """Find a slowdown factor making a psc path run as a psc cylinder metric.
 
     ``path`` maps sigma in [0, 1] to a WarpedSphereMetric of dimension ``n``
@@ -384,7 +380,7 @@ def slowdown_concordance(path, n, grid_shape=(200, 200), budget=20,
     tgrid = np.linspace(0.0, b, nt + 2)[1:-1]
     for g, tag in ((g0, "start"), (g1, "end")):
         mn = float(np.min(scalar_warped(g, tgrid)))
-        if mn <= tolerance:
+        if mn <= 0:
             raise CertificationFailedError(
                 f"path {tag} metric is not psc (min R = {mn:.6g})",
                 best_margin=mn)
@@ -405,10 +401,10 @@ def slowdown_concordance(path, n, grid_shape=(200, 200), budget=20,
                                      tgrid)
         i, j = np.unravel_index(np.argmin(R), R.shape)
         mn = float(R[i, j])
-        if mn > tolerance:
+        if mn > 0:
             cert = IsotopyCertificate(
                 grid=f"{ns}x{nt} interior grid, L={L:.6g}",
-                min_scalar=mn, tolerance=tolerance, label="slowdown",
+                min_scalar=mn, label="slowdown",
                 extra={"argmin_s": float(sgrid[i]),
                        "argmin_t": float(tgrid[j]), "L_tried": tried})
             return 1.0 / L, eta, cert

@@ -82,7 +82,15 @@ class DegenerateEmbeddingError(GLLabError):
 
 
 class CompilationFailedError(ConstructionFailedError):
-    """Schedule compilation exhausted its search budget."""
+    """Schedule compilation exhausted its search budget.
+
+    ``best_margin`` is the best certificate minimum the search reached
+    (-inf when no candidate got as far as a certificate).
+    """
+
+    def __init__(self, msg, best_margin):
+        super().__init__(msg)
+        self.best_margin = best_margin
 
 
 class DemoFailedError(ConstructionFailedError):

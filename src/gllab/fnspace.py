@@ -27,7 +27,6 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import PPoly
 
 from .certify import write_csv
 from .errors import ConstructionFailedError, DomainMismatchError, InvalidSpecError
@@ -40,7 +39,6 @@ __all__ = [
     "PolyPiece",
     "SinePiece",
     "ConstPiece",
-    "SplinePiece",
     "LinCombPiece",
     "ReflectPiece",
     "make_torpedo",
@@ -134,27 +132,6 @@ class ConstPiece:
                 "coeffs": [self.value]}
 
 
-class SplinePiece:
-    """Tabulated cubic spline (C^2; third derivative is piecewise constant)."""
-
-    kind = "spline"
-
-    def __init__(self, interval, ppoly):
-        self.interval = (float(interval[0]), float(interval[1]))
-        self.ppoly = ppoly
-        self._derivs = [ppoly]
-        for _ in range(3):
-            self._derivs.append(self._derivs[-1].derivative())
-
-    def eval(self, t, order=0):
-        return self._derivs[order](np.asarray(t, dtype=float))
-
-    def to_json(self):
-        return {"kind": self.kind, "interval": list(self.interval),
-                "knots": np.asarray(self.ppoly.x).tolist(),
-                "coeffs": np.asarray(self.ppoly.c).tolist()}
-
-
 class LinCombPiece:
     """Weighted sum of other pieces (used by homotopies and rescalings)."""
 
@@ -206,9 +183,6 @@ def _piece_from_json(d):
         return SinePiece(d["interval"], a, w, ph)
     if kind == "const":
         return ConstPiece(d["interval"], d["coeffs"][0])
-    if kind == "spline":
-        pp = PPoly(np.asarray(d["coeffs"]), np.asarray(d["knots"]))
-        return SplinePiece(d["interval"], pp)
     if kind == "linear-combination":
         return LinCombPiece(d["interval"],
                             [(w, _piece_from_json(p)) for w, p in d["terms"]])
@@ -475,7 +449,19 @@ def make_torpedo(spec):
     return f
 
 
-def make_double_torpedo(delta, b, blend_width=None):
+def _torpedo_on(delta, total):
+    """Cap/tube profile of cap radius delta on a domain of length total.
+
+    The blend window is min(cap/4, (total - cap)/2), cap = delta*pi/2, and
+    the rest of the domain is tube.  The caller checks that total > cap.
+    """
+    cap = delta * np.pi / 2.0
+    w = min(0.25 * cap, 0.5 * (total - cap))
+    return make_torpedo(TorpedoSpec(delta, tube_length=total - cap - w,
+                                    blend_width=w))
+
+
+def make_double_torpedo(delta, b):
     """Mirror-symmetric profile: cap/tube on [0, b/2] reflected onto [b/2, b].
 
     Requires b/2 > delta*pi/2 so the cap fits in each half.
@@ -484,12 +470,7 @@ def make_double_torpedo(delta, b, blend_width=None):
     if b / 2.0 <= cap:
         raise InvalidSpecError(
             f"domain too short: need b/2 > delta*pi/2 = {cap:.6g}, got b/2 = {b / 2.0:.6g}")
-    avail = b / 2.0 - cap
-    if blend_width is None:
-        blend_width = min(0.5 * avail, 0.25 * cap)
-    spec = TorpedoSpec(delta, tube_length=avail - blend_width,
-                       blend_width=blend_width)
-    half = make_torpedo(spec)
+    half = _torpedo_on(delta, b / 2.0)
     assert abs(half.b - b / 2.0) < 1e-12 * max(1.0, b)
     mirrored = [ReflectPiece((b - p.interval[1], b - p.interval[0]), p, b)
                 for p in reversed(half.pieces)]

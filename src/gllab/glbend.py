@@ -328,14 +328,15 @@ class BumpSeg:
 
     kind = "bump"
 
-    def __init__(self, start, theta_in, k_max, length, density=32768):
+    def __init__(self, start, theta_in, k_max, length):
         self.start = np.asarray(start, dtype=float)
         self.theta_in = float(theta_in)
         self.k_max = float(k_max)
         self.length = float(length)
         if self.length <= 0 or self.k_max < 0:
             raise InvalidSpecError("bump needs positive length, k_max >= 0")
-        n = max(int(np.ceil(self.length * density)) | 1, 257)
+        # 32768 integration samples per unit arc length
+        n = max(int(np.ceil(self.length * 32768)) | 1, 257)
         s = np.linspace(0.0, self.length, n)
         th = self.theta_in + self._theta_local(s)
         t = self.start[0] + cumulative_simpson(np.sin(th), x=s, initial=0.0)
@@ -378,7 +379,7 @@ class GraphSeg:
     """Arc-length parameterization of the graph r = prof(t - t_offset).
 
     ``prof`` is any profile (domain length ``b`` and ``jet``); the segment
-    covers t in [t_offset + a, t_offset + b_local].  The arc length S(t) is
+    covers t in [t_offset, t_offset + b].  The arc length S(t) is
     tabulated once (Simpson on a dense grid, interpolated by a cubic
     spline); since S' = sqrt(1 + prof'^2) >= 1 it is strictly
     increasing, and t(s) is found for all s at once by ``_invert_monotone``
@@ -387,15 +388,11 @@ class GraphSeg:
 
     kind = "graph"
 
-    def __init__(self, prof, t_offset=0.0, t_range=None, density=2048):
+    def __init__(self, prof, t_offset=0.0, density=2048):
         self.prof = prof
         self.t_offset = float(t_offset)
-        if t_range is None:
-            t_range = (0.0, prof.b)
-        self.t_range = (float(t_range[0]), float(t_range[1]))
+        self.t_range = (0.0, float(prof.b))
         a, bb = self.t_range
-        if not bb > a:
-            raise InvalidSpecError("empty graph range")
         n = max(int(np.ceil((bb - a) * density)) | 1, 4097)
         tl = np.linspace(a, bb, n)
         speed = np.sqrt(1.0 + self.prof.jet(tl, 1)[1] ** 2)
@@ -491,7 +488,8 @@ class Curve2D:
         _, tan, _ = self.eval(s)
         return np.arctan2(tan[..., 0], -tan[..., 1])
 
-    def unit_speed_residual(self, n_samples=1000, h=1e-6):
+    def unit_speed_residual(self, n_samples=1000):
+        h = 1e-6
         s = np.linspace(2 * h, self.length - 2 * h, n_samples)
         # skip samples straddling segment junctions, where the FD is biased
         keep = np.ones(len(s), dtype=bool)
@@ -522,6 +520,10 @@ class Curve2D:
 # bend profile
 # ---------------------------------------------------------------------------
 
+# the torpedo tail runs for at least this many cap radii r_inf
+_TAIL_FACTOR = 10.0
+
+
 @dataclass
 class BendProfile:
     """The full bending curve with its landmarks and certification data."""
@@ -547,9 +549,10 @@ class BendProfile:
         t_order = (0.0, lm["t1p"], lm["t0"], lm["t_inf"], lm["t_bar"])
         if not all(a < b for a, b in zip(t_order, t_order[1:])):
             raise AssemblyError(f"t-landmark ordering violated: {t_order}")
-        if lm["t_bar"] - lm["t_inf"] < 10.0 * lm["r_inf"] - 1e-12:
+        if lm["t_bar"] - lm["t_inf"] < _TAIL_FACTOR * lm["r_inf"] - 1e-12:
             raise AssemblyError(
-                "tail too short: t_bar - t_inf must be >= 10 r_inf")
+                "tail too short: t_bar - t_inf must be >= "
+                f"{_TAIL_FACTOR:g} r_inf")
         start = self.curve.point(0.0)
         if abs(start[0]) > 1e-9 or abs(start[1] - lm["r_bar"]) > 1e-9:
             raise AssemblyError(f"curve must start at (0, r_bar), got {start}")
@@ -571,13 +574,13 @@ class BendProfile:
         margin = check_cureqn(self.consts, k, r, theta)
         return s, pt[:, 0], r, k, theta, margin
 
-    def certify(self, n_samples=10000, tolerance=0.0):
+    def certify(self, n_samples=10000):
         s, t, r, k, theta, margin = self.margins(n_samples)
         finite = margin[np.isfinite(margin)]
         mn = float(finite.min()) if finite.size else np.inf
         self.certificate = IsotopyCertificate(
             grid=f"{n_samples} arc-length samples",
-            min_scalar=mn, tolerance=tolerance, label="curve inequality")
+            min_scalar=mn, label="curve inequality")
         return self.certificate
 
     def to_json(self):
@@ -597,14 +600,20 @@ def write_bend_csv(profile, path_or_buf, n_samples=2048):
 # the initial bend
 # ---------------------------------------------------------------------------
 
-def initial_bend(consts, r1, r_bar=None, budget=40, n_check=2001):
+# halvings of theta0 that initial_bend tries
+_BEND_HALVINGS = 40
+
+
+def initial_bend(consts, r1):
     """Bend the vertical line to a small angle theta0 with a curvature bump.
 
-    The bump k(s) = k_max (1 - cos(4 pi s / r1))/2 has support length r1/2
-    and integral k_max r1/4 = theta0.  theta0 starts at the largest value
-    allowed by the arcsin(sqrt(R0/C)) bound and tan^2(theta0) < 1/4, and is
-    halved until the curve inequality holds with positive margin along the
-    bump.  Returns (prefix curve, theta0, k_max).
+    The curve starts at (0, r_bar), r_bar = 1.25 r1, and runs straight down
+    to (0, r1).  The bump k(s) = k_max (1 - cos(4 pi s / r1))/2 has support
+    length r1/2 and integral k_max r1/4 = theta0.  theta0 starts at the
+    largest value allowed by the arcsin(sqrt(R0/C)) bound and
+    tan^2(theta0) < 1/4, and is halved until the curve inequality holds with
+    positive margin along the bump (2001 samples).  Returns (prefix curve,
+    theta0, k_max).
     """
     if consts.R0 <= 0:
         raise NoFeasibleBendError(
@@ -612,30 +621,26 @@ def initial_bend(consts, r1, r_bar=None, budget=40, n_check=2001):
             "can satisfy the curve inequality near theta = 0")
     if r1 <= 0:
         raise InvalidSpecError("r1 must be positive")
-    if r_bar is None:
-        r_bar = 1.25 * r1
-    if r_bar <= r1:
-        raise InvalidSpecError("need r_bar > r1")
     cap = np.arctan(0.5) * 0.99  # tan^2(theta0) < 1/4
     if consts.C > 0:
         cap = min(cap, 0.99 * np.arcsin(min(1.0, np.sqrt(consts.R0 / consts.C))))
     theta0 = cap
     last = None
-    for _ in range(budget):
+    for _ in range(_BEND_HALVINGS):
         k_max = 4.0 * theta0 / r1
         bump = BumpSeg((0.0, r1), 0.0, k_max, r1 / 2.0)
-        s = np.linspace(0.0, bump.length, n_check)
+        s = np.linspace(0.0, bump.length, 2001)
         pt, tan, k = bump.eval(s)
         theta = np.arctan2(tan[:, 0], -tan[:, 1])
         margin = check_cureqn(consts, k, pt[:, 1], theta)
         finite = margin[np.isfinite(margin)]
         if pt[:, 1].min() > 0 and (finite.size == 0 or finite.min() > 0):
-            prefix = Curve2D([LineSeg((0.0, r_bar), (0.0, r1)), bump])
+            prefix = Curve2D([LineSeg((0.0, 1.25 * r1), (0.0, r1)), bump])
             return prefix, theta0, k_max
         last = float(finite.min()) if finite.size else None
         theta0 *= 0.5
     raise NoFeasibleBendError(
-        f"no feasible bend angle after {budget} halvings "
+        f"no feasible bend angle after {_BEND_HALVINGS} halvings "
         f"(last margin {last})")
 
 
@@ -688,7 +693,11 @@ def _transition_pieces(p):
     return [piece1, piece2, piece3]
 
 
-def synth_transition(consts, r0, theta0, budget=30, n_check=10001):
+# halvings of delta0, and of delta_inf per delta0, that synth_transition tries
+_TRANSITION_HALVINGS = 30
+
+
+def synth_transition(consts, r0, theta0):
     """Three-piece C^2 graph bending slope m0 = -1/tan(theta0) to horizontal.
 
     Pieces (cubic-in, parabola, cubic-out) are glued with C^2 junctions made
@@ -698,7 +707,8 @@ def synth_transition(consts, r0, theta0, budget=30, n_check=10001):
 
     with c = 1/(2 C1).  delta0 and delta_inf are found by halving until the
     strict graph inequality f'' < (1 + f'^2)/(2 f) holds with positive margin
-    and the profile stays positive.  The graph is parameterized from t0 = 0.
+    and the profile stays positive on a 10001-point grid.  The graph is
+    parameterized from t0 = 0.
 
     Returns (TransitionParams, SmoothFn1D on (0, t_inf)).
     """
@@ -710,7 +720,7 @@ def synth_transition(consts, r0, theta0, budget=30, n_check=10001):
     m0 = -1.0 / np.tan(theta0)
     delta0 = 0.5 * r0
     last_err = None
-    for _ in range(budget):
+    for _ in range(_TRANSITION_HALVINGS):
         # positive root of (delta0^2/48) C1^2 + (r0 + delta0 m0/2) C1
         #                  - (1/2 + m0^2) = 0
         a2 = delta0 ** 2 / 48.0
@@ -733,7 +743,7 @@ def synth_transition(consts, r0, theta0, budget=30, n_check=10001):
         C2 = t0p - 2.0 * m0 / C1 - 0.5 * delta0
         delta_inf = delta0
         ok = False
-        for _ in range(budget):
+        for _ in range(_TRANSITION_HALVINGS):
             tinfp = C2 - 0.5 * delta_inf
             tinf = C2 + 0.5 * delta_inf
             val_inf = c - C1 * delta_inf ** 2 / 48.0
@@ -744,7 +754,7 @@ def synth_transition(consts, r0, theta0, budget=30, n_check=10001):
             params = TransitionParams(r0, m0, delta0, delta_inf, C1, C2, c,
                                       t0, t0p, tinfp, tinf)
             f = SmoothFn1D(tinf, _transition_pieces(params))
-            grid = np.linspace(0.0, tinf, n_check)
+            grid = np.linspace(0.0, tinf, 10001)
             if f(grid).min() <= 0:
                 delta_inf *= 0.5
                 last_err = "profile lost positivity"
@@ -766,20 +776,20 @@ def synth_transition(consts, r0, theta0, budget=30, n_check=10001):
 # assembly
 # ---------------------------------------------------------------------------
 
-def default_tail_spec(params, factor=10.0):
-    """Torpedo spec for the tail: cap radius r_inf = f(t_inf), tube >= factor*r_inf."""
+def default_tail_spec(params):
+    """Torpedo spec for the tail: cap radius r_inf = f(t_inf), tube
+    _TAIL_FACTOR * r_inf."""
     r_inf = params.c - params.C1 * params.delta_inf ** 2 / 48.0
-    return TorpedoSpec(r_inf, tube_length=factor * r_inf)
+    return TorpedoSpec(r_inf, tube_length=_TAIL_FACTOR * r_inf)
 
 
-def assemble_gamma(consts, prefix, transition, tail_spec=None,
-                   tail_factor=10.0, junction_tolerance=1e-8,
-                   n_samples=10000):
+def assemble_gamma(consts, prefix, transition, junction_tolerance=1e-8):
     """Glue prefix bend, straight slope, transition graph, and torpedo tail.
 
     ``prefix`` is the (curve, theta0, k_max) output of initial_bend under
     ``consts``; ``transition`` the (params, f) output of synth_transition for
-    the same theta0.  Returns a certified BendProfile.
+    the same theta0; the tail is ``default_tail_spec(params)``.  Returns a
+    BendProfile certified on 10000 arc-length samples.
     """
     curve_prefix, theta0, _k_max = prefix
     params, f = transition
@@ -803,16 +813,12 @@ def assemble_gamma(consts, prefix, transition, tail_spec=None,
     trans_seg = GraphSeg(f, t_offset=t0_global)
     t_inf_global = t0_global + params.tinf
     r_inf = float(f(params.tinf))
-    if tail_spec is None:
-        tail_spec = default_tail_spec(params, tail_factor)
+    tail_spec = default_tail_spec(params)
     if abs(tail_spec.delta - r_inf) > junction_tolerance:
         raise AssemblyError(
             f"tail cap radius {tail_spec.delta:.8g} does not match "
             f"r_inf = {r_inf:.8g}")
     tail_prof = make_torpedo(tail_spec)
-    if tail_prof.b < tail_factor * r_inf - 1e-12:
-        raise AssemblyError(
-            f"tail too short: need length >= {tail_factor} * r_inf")
     # the cap of the tail has feature size r_inf, so the arc-length table
     # needs a spacing well below that
     tail_density = max(2048.0, 8192.0 / r_inf)
@@ -828,7 +834,7 @@ def assemble_gamma(consts, prefix, transition, tail_spec=None,
                  "r_inf": r_inf, "t1p": t1p, "t0": t0_global,
                  "t_inf": t_inf_global, "t_bar": t_bar}
     profile = BendProfile(curve, consts, theta0, landmarks)
-    cert = profile.certify(n_samples)
+    cert = profile.certify()
     if not cert.passed:
         raise AssemblyError(
             f"assembled curve fails the inequality: min margin "
@@ -840,7 +846,7 @@ def assemble_gamma(consts, prefix, transition, tail_spec=None,
 # isotopies
 # ---------------------------------------------------------------------------
 
-def initial_isotopy(f0, lambda_grid=None, n_t=512):
+def initial_isotopy(f0, lambda_grid=None):
     """Scale the bend graph: the family lambda * f0 for lambda in [0, 1].
 
     ``f0`` is the bend region viewed as a graph over the r-axis, so its slope
@@ -849,12 +855,12 @@ def initial_isotopy(f0, lambda_grid=None, n_t=512):
 
         mu^3 b - mu b - mu + 1 >= 0,   mu = lambda^(2/3),
 
-    which is returned as the minimum over the (lambda, t) grid, along with
-    the scaled family itself.
+    which is returned as the minimum over the (lambda, t) grid (512 values
+    of t), along with the scaled family itself.
     """
     if lambda_grid is None:
         lambda_grid = np.linspace(0.0, 1.0, 11)
-    t = np.linspace(0.0, f0.b, n_t)
+    t = np.linspace(0.0, f0.b, 512)
     bvals = f0.jet(t, 1)[1] ** 2
     if bvals.max() >= 0.25:
         raise OutOfRegimeError(
@@ -866,7 +872,7 @@ def initial_isotopy(f0, lambda_grid=None, n_t=512):
 
 
 def final_bending_tilt(transition, t_inf_pp, extend_to=None,
-                       n_check=4001, margin_slack=1e-9):
+                       margin_slack=1e-9):
     """Straighten the transition tail from t_inf'' on, tilting it downward.
 
     The second derivative of f is cut off at t_inf'' (mollified over a window
@@ -929,7 +935,7 @@ def final_bending_tilt(transition, t_inf_pp, extend_to=None,
         pieces.append(PolyPiece((t_inf_pp, end), [val, slope],
                                 origin=t_inf_pp))
     f_new = SmoothFn1D(end, pieces)
-    grid = np.linspace(0.0, end, n_check)
+    grid = np.linspace(0.0, end, 4001)
     if f_new(grid).min() <= 0:
         raise TiltTooLargeError(
             "tilted profile loses positivity before the end of its domain")
@@ -981,7 +987,7 @@ class InverseBlend:
         hinv'''(r) = -(1-s) (f'''(tau) f'(tau) - 3 f''(tau)^2)/f'(tau)^5.
     """
 
-    def __init__(self, f, m0, s, r_floor_frac=1e-3):
+    def __init__(self, f, m0, s):
         self.f = f
         self.m0 = float(m0)
         self.s = float(s)
@@ -989,7 +995,8 @@ class InverseBlend:
         if d1.max() >= 0:
             raise InversionError("profile must be strictly decreasing")
         self.r0, f_end = float(F[0]), float(F[-1])
-        self.r_end = f_end if f_end > 0 else self.r0 * r_floor_frac
+        # a profile that reaches r = 0 is cut at a thousandth of r0
+        self.r_end = f_end if f_end > 0 else self.r0 * 1e-3
         if self.r_end > f_end:
             try:
                 self.t_end_f = float(brentq(

@@ -32,9 +32,8 @@ from .certify import IsotopyCertificate, pmap, write_csv
 from .curvature import DoublyWarpedMetric, scalar_doubly_warped
 from .errors import (CertificationFailedError, DomainMismatchError,
                      InvalidBendError, InvalidSpecError)
-from .fnspace import (PolyPiece, SmoothFn1D, TorpedoSpec,
-                      check_U_membership, check_V_membership, make_torpedo,
-                      reflect)
+from .fnspace import (PolyPiece, SmoothFn1D, _torpedo_on, check_U_membership,
+                      check_V_membership, reflect)
 from .glbend import ArcSeg, Curve2D, LineSeg, quarter_bend_curve
 
 __all__ = [
@@ -171,19 +170,11 @@ def gauss_scalar_on_M(bend, amb, s):
 # the J-embedding mixed-torpedo identity
 # ---------------------------------------------------------------------------
 
-def _torpedo_on(delta, total):
-    """Cap/tube profile of cap radius delta with total domain length total."""
-    cap = delta * np.pi / 2.0
-    if total <= cap:
-        raise InvalidBendError(
-            f"domain {total:.6g} too short for a cap of radius {delta:.6g}")
-    w = min(0.25 * cap, 0.5 * (total - cap))
-    return make_torpedo(TorpedoSpec(delta, tube_length=total - cap - w,
-                                    blend_width=w))
+# samples of the corner curve on which mixed_torpedo_via_J checks the identity
+_J_SAMPLES = 2001
 
 
-def mixed_torpedo_via_J(eps, delta, c1, c2, bend_radius, p=2, q=2,
-                        n_samples=2001):
+def mixed_torpedo_via_J(eps, delta, c1, c2, bend_radius, p=2, q=2):
     """Pull the product-of-torpedoes metric back along the corner embedding.
 
     The embedding J sends (t, phi, theta) to ((x(t), phi), (y(t), theta))
@@ -196,6 +187,8 @@ def mixed_torpedo_via_J(eps, delta, c1, c2, bend_radius, p=2, q=2,
     max_deviation is the sampled defect of that equality.
     """
     curve = quarter_bend_curve(c1, c2, bend_radius, eps=eps, delta=delta)
+    # quarter_bend_curve's checks give b > c1 > eps*pi/2 and
+    # b > c2 > delta*pi/2, so both caps fit on (0, b)
     b = curve.length
     f_eps = _torpedo_on(eps, b)
     f_del = _torpedo_on(delta, b)
@@ -211,7 +204,7 @@ def mixed_torpedo_via_J(eps, delta, c1, c2, bend_radius, p=2, q=2,
         raise InvalidBendError(
             f"need c2 - bend_radius > {const_del:.6g} so the S^q profile is "
             "constant beyond the bend")
-    s = np.linspace(0.0, b, n_samples)
+    s = np.linspace(0.0, b, _J_SAMPLES)
     pt, tan, _ = curve.eval(s)
     x, y = pt[:, 0], pt[:, 1]
     speed_res = float(np.abs(np.hypot(tan[:, 0], tan[:, 1]) - 1.0).max())
@@ -219,7 +212,7 @@ def mixed_torpedo_via_J(eps, delta, c1, c2, bend_radius, p=2, q=2,
     dev_v = float(np.abs(f_del(np.clip(y, 0.0, b)) - f_del(s)).max())
     metric = DoublyWarpedMetric(p, q, reflect(f_eps), f_del)
     report = {
-        "samples": int(n_samples),
+        "samples": _J_SAMPLES,
         "max_deviation": max(dev_u, dev_v, speed_res),
         "p_factor_deviation": dev_u,
         "q_factor_deviation": dev_v,
@@ -340,8 +333,12 @@ def _corner_params(lambda_half_curve):
     return c - radius, radius
 
 
+# samples per leaf on which connected_sum_foliation checks positivity
+_LEAF_SAMPLES = 401
+
+
 def connected_sum_foliation(lambda_half_curve, tau, nu_grid, eps, delta_p,
-                            p=2, q=2, n_t=401):
+                            p=2, q=2):
     """Leaf metrics interpolating the corner sphere down to a geodesic sphere.
 
     Each leaf nu carries h_nu = dt^2 + f_eps(x(t))^2 ds_p^2
@@ -357,6 +354,11 @@ def connected_sum_foliation(lambda_half_curve, tau, nu_grid, eps, delta_p,
     if not 0 < tau <= radius:
         raise InvalidSpecError("need 0 < tau <= bend radius")
     c = edge + radius
+    for cap_radius in (eps, delta_p):
+        if c <= cap_radius * np.pi / 2.0:
+            raise InvalidBendError(
+                f"domain {c:.6g} too short for a cap of radius "
+                f"{cap_radius:.6g}")
     f_eps = _torpedo_on(eps, c)
     f_del = _torpedo_on(delta_p, c)
     nu_grid = [float(nu) for nu in nu_grid]
@@ -380,7 +382,7 @@ def connected_sum_foliation(lambda_half_curve, tau, nu_grid, eps, delta_p,
             raise CertificationFailedError(
                 f"leaf nu = {nu} fails membership: {bad}")
         metric = DoublyWarpedMetric(p, q, u, v, open_profile=True)
-        t = np.linspace(0.0, curve.length, n_t)
+        t = np.linspace(0.0, curve.length, _LEAF_SAMPLES)
         r_min = float(np.min(scalar_doubly_warped(metric, t)))
         if r_min <= 0:
             raise CertificationFailedError(
@@ -392,7 +394,7 @@ def connected_sum_foliation(lambda_half_curve, tau, nu_grid, eps, delta_p,
     minima = [m for _, m in results]
     family = FoliationFamily(nu_grid, curves, tau, leaves=leaves)
     cert = IsotopyCertificate(
-        grid=f"{len(nu_grid)} leaves x {n_t} samples",
+        grid=f"{len(nu_grid)} leaves x {_LEAF_SAMPLES} samples",
         min_scalar=float(min(minima)),
         label="connected-sum foliation",
         extra={"per_leaf_min": minima})

@@ -80,8 +80,7 @@ class HypersurfaceParam:
 
     chart: MetricChart
     embedding: object
-    outward_from: np.ndarray = None
-    flip_normal: bool = False
+    outward_from: np.ndarray
 
     def point(self, u):
         return np.asarray(self.embedding(np.asarray(u, dtype=float)),
@@ -178,9 +177,9 @@ def _embedding_jet(hs, u):
 def principal_curvatures(hs, u):
     """Eigenvalues (ascending) of the shape operator at parameter value u.
 
-    The second fundamental form is taken with respect to the outward unit
-    normal, so a round sphere of radius eps in a Euclidean chart yields
-    -1/eps in every direction.
+    The second fundamental form is taken with respect to the unit normal
+    pointing away from ``hs.outward_from``, so a round sphere of radius eps
+    about that point in a Euclidean chart yields -1/eps in every direction.
     """
     chart = hs.chart
     x0, J, H = _embedding_jet(hs, u)
@@ -193,12 +192,7 @@ def principal_curvatures(hs, u):
     _, _, vt = np.linalg.svd((G @ J).T)
     eta = vt[-1]
     eta = eta / np.sqrt(eta @ G @ eta)
-    ref = hs.outward_from
-    if ref is None:
-        ref = np.zeros(chart.dim)
-    if eta @ (x0 - ref) < 0:
-        eta = -eta
-    if hs.flip_normal:
+    if eta @ (x0 - hs.outward_from) < 0:
         eta = -eta
     gamma = christoffel(chart, x0)
     # second fundamental form in the parameter basis, w.r.t. outward eta:
@@ -249,7 +243,7 @@ def _fit_directions(dim):
     return out
 
 
-def geodesic_sphere_fit(chart, center, radii, directions=None):
+def geodesic_sphere_fit(chart, center, radii):
     """Least-squares fit lambda(eps) ~ c_{-1}/eps + c_1 * eps.
 
     Principal curvatures of the coordinate eps-spheres about ``center`` are
@@ -257,12 +251,10 @@ def geodesic_sphere_fit(chart, center, radii, directions=None):
     model predicts c_{-1} = -1 with vanishing residual as the radii shrink.
     """
     center = np.asarray(center, dtype=float)
-    if directions is None:
-        directions = _fit_directions(chart.dim)
     rows = []
     rhs = []
     for eps in radii:
-        for w in directions:
+        for w in _fit_directions(chart.dim):
             hs = sphere_patch(chart, center, eps, w)
             lams = principal_curvatures(hs, np.zeros(chart.dim - 1))
             for lam in lams:
@@ -279,46 +271,49 @@ def geodesic_sphere_fit(chart, center, radii, directions=None):
 # chart constructors
 # ---------------------------------------------------------------------------
 
-def euclidean_chart(dim, half_width=2.0, step=1e-4):
-    rect = [(-half_width, half_width)] * dim
-    return MetricChart(dim, rect, lambda x: np.eye(dim), step)
+def euclidean_chart(dim):
+    """Flat R^dim on the cube [-2, 2]^dim."""
+    return MetricChart(dim, [(-2.0, 2.0)] * dim, lambda x: np.eye(dim))
 
 
-def polar_chart(step=1e-4):
+def polar_chart():
     """Flat plane in polar coordinates: dr^2 + r^2 dtheta^2."""
     def g(x):
         return np.diag([1.0, x[0] ** 2])
-    return MetricChart(2, [(0.1, 3.0), (-np.pi, np.pi)], g, step)
+    return MetricChart(2, [(0.1, 3.0), (-np.pi, np.pi)], g)
 
 
-def perturbed_quadratic_chart(dim=3, a=0.1, comp=(1, 1), step=1e-4):
-    """delta_ij plus a quadratic perturbation a*x_0^2 on one component."""
-    i, j = comp
-
+def perturbed_quadratic_chart():
+    """delta_ij on [-1, 1]^3 plus the perturbation 0.1 x_0^2 of g_11."""
     def g(x):
-        m = np.eye(dim)
-        m[i, j] += a * x[0] ** 2
-        m[j, i] = m[i, j]
+        m = np.eye(3)
+        m[1, 1] += 0.1 * x[0] ** 2
         return m
-    return MetricChart(dim, [(-1.0, 1.0)] * dim, g, step)
+    return MetricChart(3, [(-1.0, 1.0)] * 3, g)
 
 
-def round_sphere_normal_chart(dim=3, step=1e-4, half_width=1.2):
-    """Unit round sphere in geodesic normal coordinates about a point.
+def round_sphere_normal_chart():
+    """Unit round 3-sphere in geodesic normal coordinates about a point.
 
     g_ij(x) = xhat_i xhat_j + (sin^2 r / r^2)(delta_ij - xhat_i xhat_j),
-    r = |x|; smooth at 0 with g_ij(0) = delta_ij.
+    r = |x|; smooth at 0 with g_ij(0) = delta_ij.  The chart is the cube
+    [-1.2, 1.2]^3.
     """
     def g(x):
         r2 = float(x @ x)
         if r2 < 1e-24:
-            return np.eye(dim)
+            return np.eye(3)
         r = np.sqrt(r2)
         xhat = x / r
         proj = np.outer(xhat, xhat)
         s = (np.sin(r) / r) ** 2
-        return proj + s * (np.eye(dim) - proj)
-    return MetricChart(dim, [(-half_width, half_width)] * dim, g, step)
+        return proj + s * (np.eye(3) - proj)
+    return MetricChart(3, [(-1.2, 1.2)] * 3, g)
+
+
+# range of every fiber angle in the charts below, clear of the poles where
+# the nested-angle metric degenerates
+_ANGLES = (0.3, np.pi - 0.3)
 
 
 def _sphere_angle_metric(m, angles):
@@ -331,7 +326,7 @@ def _sphere_angle_metric(m, angles):
     return diag
 
 
-def warped_chart(f, n, step=1e-4, angle_lo=0.3, angle_hi=np.pi - 0.3):
+def warped_chart(f, n, step=1e-4):
     """Full coordinate chart for dt^2 + f(t)^2 ds_{n-1}^2.
 
     Coordinates (t, theta_1 ... theta_{n-1}) with the fiber round metric in
@@ -342,12 +337,11 @@ def warped_chart(f, n, step=1e-4, angle_lo=0.3, angle_hi=np.pi - 0.3):
         fiber = _sphere_angle_metric(n - 1, x[1:])
         return np.diag(np.concatenate([[1.0], float(f(t)) ** 2 * fiber]))
     pad = 0.05 * f.b
-    rect = [(pad, f.b - pad)] + [(angle_lo, angle_hi)] * (n - 1)
+    rect = [(pad, f.b - pad)] + [_ANGLES] * (n - 1)
     return MetricChart(n, rect, g, step)
 
 
-def doubly_warped_chart(u, v, p, q, step=1e-4, angle_lo=0.3,
-                        angle_hi=np.pi - 0.3):
+def doubly_warped_chart(u, v, p, q):
     """Chart for dt^2 + u^2 ds_p^2 + v^2 ds_q^2 in nested angles."""
     n = p + q + 1
 
@@ -357,17 +351,15 @@ def doubly_warped_chart(u, v, p, q, step=1e-4, angle_lo=0.3,
         dv = float(v(t)) ** 2 * _sphere_angle_metric(q, x[1 + p:])
         return np.diag(np.concatenate([[1.0], du, dv]))
     pad = 0.05 * u.b
-    rect = [(pad, u.b - pad)] + [(angle_lo, angle_hi)] * (n - 1)
-    return MetricChart(n, rect, g, step)
+    rect = [(pad, u.b - pad)] + [_ANGLES] * (n - 1)
+    return MetricChart(n, rect, g)
 
 
-def cyl_family_chart(phi, qtilde, s_range, t_range, step=1e-4,
-                     angle_lo=0.3, angle_hi=np.pi - 0.3):
+def cyl_family_chart(phi, qtilde, s_range, t_range, step=1e-4):
     """Chart for ds^2 + dt^2 + phi(s,t)^2 ds_qtilde^2 in nested angles."""
     def g(x):
         val = float(phi.jet(x[0], x[1], 0)[0])
         fiber = val ** 2 * _sphere_angle_metric(qtilde, x[2:])
         return np.diag(np.concatenate([[1.0, 1.0], fiber]))
-    rect = [tuple(s_range), tuple(t_range)] + \
-        [(angle_lo, angle_hi)] * qtilde
+    rect = [tuple(s_range), tuple(t_range)] + [_ANGLES] * qtilde
     return MetricChart(2 + qtilde, rect, g, step)

@@ -212,17 +212,23 @@ def _certify_homotopy(p, q, u0, v0, u1, v1):
         scalar_doubly_warped, sample_grid(u0.b, 256, interior=True))
 
 
-def _standardize_search(p, q, radius, delta_start=0.5, budget=20):
+# values of delta, halved from 0.5, that _standardize_search tries
+_STANDARDIZE_BUDGET = 20
+
+
+def _standardize_search(p, q, radius):
     """Halve delta until the round -> mixed-torpedo homotopy certifies.
 
     Returns (delta, (u1, v1), certificate).  The eps cap is tied to delta
-    (equal caps) and both torpedoes live on the round join domain.
+    (equal caps) and both torpedoes live on the round join domain.  An
+    exhausted search raises CompilationFailedError carrying the best
+    homotopy minimum seen as ``best_margin``.
     """
     g = round_doubly_warped(p, q, radius)
     b = g.b
-    delta = delta_start
+    delta = 0.5
     best = -np.inf
-    for _ in range(budget):
+    for _ in range(_STANDARDIZE_BUDGET):
         try:
             u1, v1 = _mixed_torpedo_profiles(delta, delta, b)
             ru = check_U_membership(u1)
@@ -236,14 +242,14 @@ def _standardize_search(p, q, radius, delta_start=0.5, budget=20):
             pass
         delta *= 0.5
     raise CompilationFailedError(
-        f"standardization delta search exhausted (budget {budget}, "
-        f"best margin {best:.6g})")
+        f"standardization delta search exhausted (budget "
+        f"{_STANDARDIZE_BUDGET}, best margin {best:.6g})", best_margin=best)
 
 
-def _handle_attach(consts, r1=0.5, r0=0.2):
-    """Certified bent curve through the handle for the given constants."""
-    prefix = initial_bend(consts, r1=r1)
-    trans = synth_transition(consts, r0=r0, theta0=prefix[1])
+def _handle_attach(consts):
+    """Certified bent curve through the handle (r1 = 0.5, r0 = 0.2)."""
+    prefix = initial_bend(consts, r1=0.5)
+    trans = synth_transition(consts, r0=0.2, theta0=prefix[1])
     return assemble_gamma(consts, prefix, trans)
 
 
@@ -513,7 +519,7 @@ def two_surgery_demo(n, p, radius=1.0):
         if not cert.passed:
             raise DemoFailedError(
                 f"stage {stage_id!r} failed: min scalar "
-                f"{cert.min_scalar:.6g}")
+                f"{cert.min_scalar:.6g}", stage=stage_id)
         return cert
 
     # stage 1: the round metric itself

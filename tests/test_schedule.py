@@ -5,8 +5,11 @@ import io
 import numpy as np
 import pytest
 
+from gllab import schedule
+from gllab.certify import IsotopyCertificate
 from gllab.curvature import WarpedSphereMetric
-from gllab.errors import (CertificationFailedError, HypothesisViolationError,
+from gllab.errors import (CertificationFailedError, CompilationFailedError,
+                          DemoFailedError, HypothesisViolationError,
                           InvalidSpecError, InvalidWindowError)
 from gllab.fnspace import SinePiece, SmoothFn1D
 from gllab.morsealg import CriticalPoint, MorseDescription
@@ -26,6 +29,16 @@ def one_point_desc(index=3):
 
 
 class TestCompile:
+    def test_exhausted_standardize_search_reports_best_margin(
+            self, monkeypatch):
+        monkeypatch.setattr(schedule, "_STANDARDIZE_BUDGET", 1)
+        monkeypatch.setattr(
+            schedule, "_certify_homotopy",
+            lambda *args: IsotopyCertificate(grid="stub", min_scalar=-0.5))
+        with pytest.raises(CompilationFailedError) as err:
+            schedule._standardize_search(2, 4, 1.0)
+        assert err.value.best_margin == -0.5
+
     def test_empty_desc_single_product(self, g0):
         s = compile_gl_cobordism(g0, MorseDescription(7, []))
         assert [seg.kind for seg in s.segments] == ["product-extension"]
@@ -174,6 +187,15 @@ class TestDemo:
             two_surgery_demo(7, 4)
         with pytest.raises(InvalidSpecError):
             two_surgery_demo(7, 0)
+
+    def test_failing_stage_is_named(self, monkeypatch):
+        class FailedBend:
+            certificate = IsotopyCertificate(grid="stub", min_scalar=-1.0)
+        monkeypatch.setattr(schedule, "_handle_attach",
+                            lambda consts: FailedBend())
+        with pytest.raises(DemoFailedError) as err:
+            two_surgery_demo(5, 1)
+        assert err.value.stage == "surgery-1"
 
     def test_stage_ids_and_endpoints(self):
         rep = two_surgery_demo(7, 2)
