@@ -23,8 +23,7 @@ from __future__ import annotations
 
 import json
 import os
-import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import click
 import numpy as np

@@ -85,10 +85,6 @@ class WarpedSphereMetric:
     def b(self):
         return self.f.b
 
-    def to_json(self):
-        return {"kind": "warped", "n": self.n, "open_profile": self.open_profile,
-                "f": self.f.to_json()}
-
 
 @dataclass
 class DoublyWarpedMetric:
@@ -121,11 +117,6 @@ class DoublyWarpedMetric:
     @property
     def b(self):
         return self.u.b
-
-    def to_json(self):
-        return {"kind": "doubly-warped", "p": self.p, "q": self.q,
-                "open_profile": self.open_profile,
-                "u": self.u.to_json(), "v": self.v.to_json()}
 
 
 class Phi2D:

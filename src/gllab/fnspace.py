@@ -15,10 +15,11 @@ All three run one table of end conditions.  The families are convex, which
 is what makes linear homotopies between members useful; see
 ``linear_homotopy``.
 
-Every profile in the toolkit (``SmoothFn1D`` here, and the composite and
-blended profiles of ``hypersurface`` and ``glbend``) has the same contract: a
-domain length ``b`` and ``jet(t, k)``, which returns (f, f', ..., f^(k)) for
-k <= 3 from one evaluation pass.
+Every profile in the toolkit (``SmoothFn1D`` and ``LinearCombination`` here,
+and the composite and blended profiles of ``hypersurface`` and ``glbend``) has
+the same contract: a domain length ``b`` and ``jet(t, k)``, which returns
+(f, f', ..., f^(k)) for k <= 3 from one evaluation pass.  Only ``SmoothFn1D``
+serialises.
 """
 
 from __future__ import annotations
@@ -33,13 +34,13 @@ from .errors import ConstructionFailedError, DomainMismatchError, InvalidSpecErr
 
 __all__ = [
     "SmoothFn1D",
+    "LinearCombination",
     "TorpedoSpec",
     "MembershipReport",
     "ConditionResult",
     "PolyPiece",
     "SinePiece",
     "ConstPiece",
-    "LinCombPiece",
     "ReflectPiece",
     "make_torpedo",
     "make_double_torpedo",
@@ -132,28 +133,6 @@ class ConstPiece:
                 "coeffs": [self.value]}
 
 
-class LinCombPiece:
-    """Weighted sum of other pieces (used by homotopies and rescalings)."""
-
-    kind = "linear-combination"
-
-    def __init__(self, interval, terms):
-        self.interval = (float(interval[0]), float(interval[1]))
-        self.terms = [(float(w), p) for w, p in terms]
-
-    def eval(self, t, order=0):
-        t = np.asarray(t, dtype=float)
-        out = np.zeros_like(t)
-        for w, p in self.terms:
-            if w != 0.0:
-                out = out + w * p.eval(t, order)
-        return out
-
-    def to_json(self):
-        return {"kind": self.kind, "interval": list(self.interval),
-                "terms": [[w, p.to_json()] for w, p in self.terms]}
-
-
 class ReflectPiece:
     """Evaluates inner(b - t); reflection about the domain midpoint."""
 
@@ -183,17 +162,27 @@ def _piece_from_json(d):
         return SinePiece(d["interval"], a, w, ph)
     if kind == "const":
         return ConstPiece(d["interval"], d["coeffs"][0])
-    if kind == "linear-combination":
-        return LinCombPiece(d["interval"],
-                            [(w, _piece_from_json(p)) for w, p in d["terms"]])
     if kind == "reflect":
         return ReflectPiece(d["interval"], _piece_from_json(d["of"]), d["b"])
     raise InvalidSpecError(f"unknown piece kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
-# the profile carrier
+# the profile carriers
 # ---------------------------------------------------------------------------
+
+def _jet_points(t, k, b):
+    """t as a float array after checking the jet order k and that t lies
+    in [0, b] (up to rounding)."""
+    if k not in (0, 1, 2, 3):
+        raise InvalidSpecError(f"jet order must be 0..3, got {k!r}")
+    t = np.asarray(t, dtype=float)
+    if t.size and (t.min() < -1e-9 * max(1.0, b)
+                   or t.max() > b * (1 + 1e-9) + 1e-9):
+        raise InvalidSpecError(
+            f"evaluation outside [0, {b}]: range [{t.min()}, {t.max()}]")
+    return t
+
 
 class SmoothFn1D:
     """Piecewise-analytic C^2 function on (0, b), derivatives up to order 3.
@@ -201,14 +190,12 @@ class SmoothFn1D:
     ``pieces`` must tile [0, b] with strictly increasing breakpoints.  At every
     interior breakpoint the adjacent pieces must agree in value and in the
     derivative orders listed in ``junction_orders`` (default: 0, 1, 2 -- the
-    C^2 contract) to within ``junction_tolerance``.
+    C^2 contract) to within ``DEFAULT_JUNCTION_TOL``.
     """
 
-    def __init__(self, b, pieces, junction_tolerance=DEFAULT_JUNCTION_TOL,
-                 junction_orders=(0, 1, 2)):
+    def __init__(self, b, pieces, junction_orders=(0, 1, 2)):
         self.b = float(b)
         self.pieces = list(pieces)
-        self.junction_tolerance = float(junction_tolerance)
         self.junction_orders = tuple(junction_orders)
         if self.b <= 0:
             raise InvalidSpecError("domain length must be positive")
@@ -220,7 +207,7 @@ class SmoothFn1D:
         self._breaks = np.array([p.interval[1] for p in self.pieces[:-1]])
 
     def _validate_partition(self):
-        tol = max(self.junction_tolerance, 1e-12) * max(1.0, self.b)
+        tol = DEFAULT_JUNCTION_TOL * max(1.0, self.b)
         if abs(self.pieces[0].interval[0]) > tol:
             raise InvalidSpecError("first piece must start at 0")
         if abs(self.pieces[-1].interval[1] - self.b) > tol:
@@ -238,22 +225,15 @@ class SmoothFn1D:
                 lv = float(left.eval(t, order))
                 rv = float(right.eval(t, order))
                 scale_ = max(1.0, abs(lv), abs(rv))
-                if abs(lv - rv) > self.junction_tolerance * scale_:
+                if abs(lv - rv) > DEFAULT_JUNCTION_TOL * scale_:
                     raise InvalidSpecError(
                         f"junction at t={t:.6g} fails C{order} contract: "
                         f"{lv!r} vs {rv!r}")
 
     def jet(self, t, k=2):
         """(f, f', ..., f^(k))(t) for k <= 3; scalars for scalar t."""
-        if k not in (0, 1, 2, 3):
-            raise InvalidSpecError(f"jet order must be 0..3, got {k!r}")
-        t = np.asarray(t, dtype=float)
+        t = _jet_points(t, k, self.b)
         tv = np.atleast_1d(t)
-        if tv.size and (tv.min() < -1e-9 * max(1.0, self.b)
-                        or tv.max() > self.b * (1 + 1e-9) + 1e-9):
-            raise InvalidSpecError(
-                f"evaluation outside [0, {self.b}]: range "
-                f"[{tv.min()}, {tv.max()}]")
         idx = np.searchsorted(self._breaks, tv, side="right")
         if tv.size == 1:
             # most calls are one point: evaluate its piece without masks
@@ -291,6 +271,31 @@ class SmoothFn1D:
         return cls.from_json(json.loads(s), **kw)
 
 
+class LinearCombination:
+    """The profile sum_i w_i f_i of ``terms`` (w_i, f_i) on one domain.
+
+    Each term is any profile (``b`` and ``jet``); the combination reads
+    nothing else of it.  ``jet`` skips zero weights and adds the weighted
+    term jets in order onto 0.0.
+    """
+
+    def __init__(self, terms):
+        self.terms = [(float(w), f) for w, f in terms]
+        self.b = float(self.terms[0][1].b)
+
+    def jet(self, t, k=2):
+        """(f, f', ..., f^(k))(t) for k <= 3; scalars for scalar t."""
+        t = _jet_points(t, k, self.b)
+        outs = [np.zeros_like(t)] * (k + 1)
+        for w, f in self.terms:
+            if w != 0.0:
+                outs = [o + w * d for o, d in zip(outs, f.jet(t, k))]
+        return tuple(o[()] for o in outs)
+
+    def __call__(self, t):
+        return self.jet(t, 0)[0]
+
+
 def write_profile_csv(f, path_or_buf, density=DEFAULT_GRID_DENSITY):
     """CSV sampling export with columns t, f, f', f''."""
     t = sample_grid(f.b, density)
@@ -305,18 +310,12 @@ def reflect(f):
     """The profile t -> f(b - t) on the same domain."""
     pieces = [ReflectPiece((f.b - p.interval[1], f.b - p.interval[0]), p, f.b)
               for p in reversed(f.pieces)]
-    return SmoothFn1D(f.b, pieces, f.junction_tolerance, f.junction_orders)
+    return SmoothFn1D(f.b, pieces, f.junction_orders)
 
 
 def scale(f, a):
     """The profile a * f."""
-    pieces = [LinCombPiece(p.interval, [(a, p)]) for p in f.pieces]
-    return SmoothFn1D(f.b, pieces, f.junction_tolerance, f.junction_orders)
-
-
-def _piece_at(f, t):
-    idx = int(np.searchsorted(f._breaks, t, side="right"))
-    return f.pieces[idx]
+    return LinearCombination([(a, f)])
 
 
 def linear_homotopy(f0, f1, s):
@@ -329,19 +328,7 @@ def linear_homotopy(f0, f1, s):
         raise DomainMismatchError(
             f"domain lengths differ: {f0.b} vs {f1.b}")
     s = float(s)
-    breaks = np.union1d(
-        np.concatenate([[0.0], f0._breaks, [f0.b]]),
-        np.concatenate([[0.0], f1._breaks, [f1.b]]))
-    pieces = []
-    for a, c in zip(breaks, breaks[1:]):
-        if c - a <= 1e-14 * max(1.0, f0.b):
-            continue
-        mid = 0.5 * (a + c)
-        pieces.append(LinCombPiece(
-            (a, c), [(1.0 - s, _piece_at(f0, mid)), (s, _piece_at(f1, mid))]))
-    tol = max(f0.junction_tolerance, f1.junction_tolerance)
-    orders = tuple(sorted(set(f0.junction_orders) & set(f1.junction_orders)))
-    return SmoothFn1D(f0.b, pieces, tol, orders)
+    return LinearCombination([(1.0 - s, f0), (s, f1)])
 
 
 # ---------------------------------------------------------------------------
@@ -475,7 +462,7 @@ def make_double_torpedo(delta, b):
     mirrored = [ReflectPiece((b - p.interval[1], b - p.interval[0]), p, b)
                 for p in reversed(half.pieces)]
     shifted = list(half.pieces) + mirrored
-    return SmoothFn1D(b, shifted, half.junction_tolerance, half.junction_orders)
+    return SmoothFn1D(b, shifted, half.junction_orders)
 
 
 # ---------------------------------------------------------------------------

@@ -281,10 +281,6 @@ class LineSeg:
     def dk(self, s):
         return np.zeros(np.shape(s))
 
-    def to_json(self):
-        return {"kind": self.kind, "p0": self.p0.tolist(),
-                "p1": self.p1.tolist()}
-
 
 class ArcSeg:
     """Circular arc; ``ccw`` decides the traversal (and the curvature sign)."""
@@ -311,10 +307,6 @@ class ArcSeg:
 
     def dk(self, s):
         return np.zeros(np.shape(s))
-
-    def to_json(self):
-        return {"kind": self.kind, "center": self.center.tolist(),
-                "radius": self.radius, "ang0": self.ang0, "ang1": self.ang1}
 
 
 class BumpSeg:
@@ -369,11 +361,6 @@ class BumpSeg:
         return np.array([float(self._t(self.length)),
                          float(self._r(self.length))])
 
-    def to_json(self):
-        return {"kind": self.kind, "start": self.start.tolist(),
-                "theta_in": self.theta_in, "k_max": self.k_max,
-                "length": self.length}
-
 
 class GraphSeg:
     """Arc-length parameterization of the graph r = prof(t - t_offset).
@@ -426,13 +413,6 @@ class GraphSeg:
         _, d1, d2, d3 = self.prof.jet(self._t_of_s(s), 3)
         sp2 = 1.0 + d1 ** 2
         return (d3 - 3.0 * d1 * d2 ** 2 / sp2) / sp2 ** 2
-
-    def to_json(self):
-        d = {"kind": self.kind, "t_offset": self.t_offset,
-             "t_range": list(self.t_range)}
-        if hasattr(self.prof, "to_json"):
-            d["profile"] = self.prof.to_json()
-        return d
 
 
 class Curve2D:
@@ -511,10 +491,6 @@ class Curve2D:
                         float(np.abs(ta - tb).max()))
         return worst
 
-    def to_json(self):
-        return {"length": self.length,
-                "segments": [seg.to_json() for seg in self.segments]}
-
 
 # ---------------------------------------------------------------------------
 # bend profile
@@ -582,12 +558,6 @@ class BendProfile:
             grid=f"{n_samples} arc-length samples",
             min_scalar=mn, label="curve inequality")
         return self.certificate
-
-    def to_json(self):
-        return {"curve": self.curve.to_json(), "theta0": self.theta0,
-                "landmarks": dict(self.landmarks),
-                "constants": {"R0": self.consts.R0, "C": self.consts.C,
-                              "Cp": self.consts.Cp, "q": self.consts.q}}
 
 
 def write_bend_csv(profile, path_or_buf, n_samples=2048):

@@ -110,10 +110,6 @@ class _CurveCoordinate:
     def jet(self, s, k=2):
         return tuple(d[..., self.axis] for d in self.curve.jet(s, k))
 
-    def to_json(self):
-        return {"kind": "curve-coordinate", "axis": self.axis,
-                "curve": self.curve.to_json()}
-
 
 def _const_profile(value, b):
     return SmoothFn1D(b, [PolyPiece((0.0, b), [float(value)])])
@@ -268,12 +264,6 @@ class CompositeProfile:
                        + f[1] * x[3])
         return tuple(out)
 
-    def to_json(self):
-        d = {"kind": "composite", "b": self.b}
-        if hasattr(self.prof, "to_json"):
-            d["profile"] = self.prof.to_json()
-        return d
-
 
 @dataclass
 class FoliationFamily:
@@ -305,13 +295,6 @@ class FoliationFamily:
             if np.any(k < -1e-9):
                 raise InvalidSpecError(
                     f"leaf nu = {nu}: concavity violated (k < 0)")
-
-    def to_json(self):
-        return {
-            "tau": self.tau,
-            "nu_grid": [float(nu) for nu in self.nu_grid],
-            "curves": [c.to_json() for c in self.curves],
-        }
 
 
 def _corner_params(lambda_half_curve):

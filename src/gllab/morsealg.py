@@ -597,9 +597,6 @@ def cancellation_plan(desc):
                               "kind": "direct"})
                 unpaired[k + 1].remove(hi_id)
         unpaired[k] = []
-        if k == 0:
-            # leftover index-1 columns stay for the k = 1 stage (excess)
-            pass
     remaining = [pid for ids in unpaired.values() for pid in ids]
     if remaining:
         raise NotACylinderError(

@@ -15,7 +15,7 @@ genuine cross-check rather than a tautology.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -37,7 +37,7 @@ from .fnspace import (SinePiece, SmoothFn1D, TorpedoSpec, _quintic_match,
 from .glbend import (BendConstants, assemble_gamma, initial_bend,
                      quarter_bend_curve, synth_transition)
 from .hypersurface import connected_sum_foliation, mixed_torpedo_via_J
-from .morsealg import check_admissible, reverse, well_index
+from .morsealg import check_admissible, reverse
 
 __all__ = [
     "MetricDescriptor",
@@ -351,10 +351,11 @@ def compile_gl_cobordism(g0, desc):
         state = seg_end
         # standardize near the surgery sphere
         delta, (u1, v1), std_cert = _standardize_search(p_dim, q_dim, radius)
+        # u1 is a reflected torpedo, so its tube is its first piece
         std = MetricDescriptor(
             "mixed-torpedo",
             {"p": p_dim, "q": q_dim, "eps": delta, "delta": delta,
-             "tube_u": u1.pieces[-1].interval[1] - u1.pieces[-1].interval[0],
+             "tube_u": u1.pieces[0].interval[1] - u1.pieces[0].interval[0],
              "tube_v": v1.pieces[-1].interval[1] - v1.pieces[-1].interval[0],
              "b": u1.b},
             region="standard")

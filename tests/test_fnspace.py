@@ -8,12 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gllab.errors import InvalidSpecError
-from gllab.fnspace import (ConstPiece, LinCombPiece, PolyPiece, SinePiece,
-                           SmoothFn1D, TorpedoSpec, check_F_membership,
-                           check_U_membership, check_V_membership,
-                           linear_homotopy, make_double_torpedo,
-                           make_torpedo, reflect, sample_grid, scale,
-                           write_profile_csv)
+from gllab.fnspace import (ConstPiece, LinearCombination, PolyPiece,
+                           SinePiece, SmoothFn1D, TorpedoSpec,
+                           check_F_membership, check_U_membership,
+                           check_V_membership, linear_homotopy,
+                           make_double_torpedo, make_torpedo, reflect,
+                           sample_grid, scale, write_profile_csv)
 
 
 def _sin_profile(b=np.pi):
@@ -162,17 +162,17 @@ class TestMembership:
     ])
     def test_every_checked_condition_can_fail(self, check, member):
         b, phase = member
-        sine = SinePiece((0.0, b), 1.0, 1.0, phase)
-        rep = check(SmoothFn1D(b, [sine]))
+        sine = SmoothFn1D(b, [SinePiece((0.0, b), 1.0, 1.0, phase)])
+        rep = check(sine)
         assert rep.passed
         # tampered profiles: the member plus +-(t - o)^k / 2 about either
         # end, and the negated member
         tampered = [
-            SmoothFn1D(b, [LinCombPiece((0.0, b), [
-                (1.0, sine), (c, PolyPiece((0.0, b), [0.0] * k + [1.0],
-                                           origin=o))])])
+            LinearCombination([
+                (1.0, sine), (c, SmoothFn1D(b, [PolyPiece(
+                    (0.0, b), [0.0] * k + [1.0], origin=o)]))])
             for k in range(4) for o in (0.0, b) for c in (0.5, -0.5)]
-        tampered.append(scale(SmoothFn1D(b, [sine]), -1.0))
+        tampered.append(scale(sine, -1.0))
         failed = {c.name for f in tampered for c in check(f).failures()}
         checked = {c.name for c in rep.conditions if c.passed is not None}
         assert checked - failed == set()
@@ -223,3 +223,94 @@ class TestStructuralOps:
         lines = buf.getvalue().strip().splitlines()
         assert lines[0] == "t,f,d1,d2"
         assert len(lines) > 64
+
+
+class _PiecewiseSum:
+    """Reference: the weighted sum of pieces that homotopies and rescalings
+    were once built from, one per interval of the union of breakpoints."""
+
+    def __init__(self, interval, terms):
+        self.interval = interval
+        self.terms = terms
+
+    def eval(self, t, order=0):
+        t = np.asarray(t, dtype=float)
+        out = np.zeros_like(t)
+        for w, p in self.terms:
+            if w != 0.0:
+                out = out + w * p.eval(t, order)
+        return out
+
+
+def _piece_at(f, t):
+    return f.pieces[int(np.searchsorted(f._breaks, t, side="right"))]
+
+
+def _piecewise_combination(terms):
+    """sum w_i f_i of SmoothFn1D terms rebuilt piece by piece."""
+    b = terms[0][1].b
+    breaks = np.unique(np.concatenate(
+        [np.concatenate([[0.0], f._breaks, [f.b]]) for _, f in terms]))
+    pieces = [_PiecewiseSum((a, c), [(float(w), _piece_at(f, 0.5 * (a + c)))
+                                     for w, f in terms])
+              for a, c in zip(breaks, breaks[1:])
+              if c - a > 1e-14 * max(1.0, b)]
+    orders = set.intersection(*[set(f.junction_orders) for _, f in terms])
+    return SmoothFn1D(b, pieces, junction_orders=tuple(sorted(orders)))
+
+
+def _c1_and_c2_torpedo():
+    f0 = make_torpedo(TorpedoSpec(0.5, tube_length=1.0, blend_width=0.0))
+    f1 = make_torpedo(TorpedoSpec(0.3, tube_length=f0.b - 0.3 * np.pi / 2
+                                  - TorpedoSpec(0.3).blend_width))
+    return f0, f1
+
+
+def _round_and_double_torpedo():
+    b = 5.0
+    f0 = SmoothFn1D(b, [SinePiece((0.0, b), b / np.pi, np.pi / b)])
+    return f0, make_double_torpedo(0.5, b)
+
+
+def _assert_same_jets(got, want, inputs):
+    t = np.concatenate([sample_grid(want.b, 64)]
+                       + [[p.interval[1] for p in f.pieces] for f in inputs])
+    for k in range(4):
+        for g, w in zip(got.jet(t, k), want.jet(t, k)):
+            assert np.array_equal(g, w)
+        for x in t[::5]:
+            one = got.jet(x, k)
+            assert all(np.ndim(v) == 0 for v in one)
+            assert one == want.jet(x, k)
+
+
+class TestLinearCombination:
+    @pytest.mark.parametrize("pair", [_round_and_double_torpedo,
+                                      _c1_and_c2_torpedo])
+    @pytest.mark.parametrize("s", [0.0, 0.25, 0.5, 1.0])
+    def test_homotopy_matches_piecewise_sum(self, pair, s):
+        f0, f1 = pair()
+        _assert_same_jets(linear_homotopy(f0, f1, s),
+                          _piecewise_combination([(1.0 - s, f0), (s, f1)]),
+                          (f0, f1))
+
+    @pytest.mark.parametrize("a", [0.0, -1.0, 2.5])
+    def test_scale_matches_piecewise_sum(self, a):
+        f = make_double_torpedo(0.5, 5.0)
+        _assert_same_jets(scale(f, a), _piecewise_combination([(a, f)]), (f,))
+
+    @pytest.mark.parametrize("combine", [
+        lambda f0, f1: linear_homotopy(f0, f1, 0.5),
+        lambda f0, f1: linear_homotopy(f0, f1, 0.0),
+        lambda f0, f1: scale(f0, 2.5),
+        lambda f0, f1: scale(f0, 0.0),
+    ])
+    def test_outside_domain_raises(self, combine):
+        g = combine(*_round_and_double_torpedo())
+        for t in (-1e-3, g.b + 1e-3, [0.0, g.b + 1e-3]):
+            with pytest.raises(InvalidSpecError):
+                g.jet(t, 2)
+            with pytest.raises(InvalidSpecError):
+                g(t)
+        with pytest.raises(InvalidSpecError):
+            g.jet(0.5, 4)

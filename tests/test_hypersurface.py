@@ -11,8 +11,9 @@ import gllab.hypersurface as hyp
 from gllab.curvature import scalar_doubly_warped
 from gllab.errors import (CertificationFailedError, DomainMismatchError,
                           InvalidBendError, SingularProfileError)
-from gllab.fnspace import (SinePiece, SmoothFn1D, check_U_membership,
-                           check_V_membership)
+from gllab.fnspace import (PolyPiece, SinePiece, SmoothFn1D,
+                           check_U_membership, check_V_membership,
+                           linear_homotopy, scale)
 from gllab.glbend import (ArcSeg, BendConstants, Curve2D, assemble_gamma,
                           initial_bend, quarter_bend_curve, synth_transition)
 from gllab.hypersurface import (FoliationFamily, ModelAmbient,
@@ -118,6 +119,26 @@ class TestProfileJets:
             fd = (u.jet(t + h, 3)[k - 1] - u.jet(t - h, 3)[k - 1]) / (2 * h)
             np.testing.assert_allclose(jet[k], fd, rtol=1e-6,
                                        atol=1e-6 * np.abs(fd).max())
+
+    def test_homotopy_of_composite_leaves(self):
+        # two leaves on one corner curve: profiles that are not SmoothFn1D
+        corner = hyp._corner_curve(0.2, 0.4)
+        x = hyp._CurveCoordinate(corner, 0)
+        c = 0.6
+        u0 = hyp.CompositeProfile(
+            SmoothFn1D(c, [SinePiece((0.0, c), 0.5, 1.0 / 0.5)]), x)
+        u1 = hyp.CompositeProfile(
+            SmoothFn1D(c, [PolyPiece((0.0, c), [0.1, 0.5, -0.2])]), x)
+        t = np.linspace(0.0, corner.length, 33)
+        a, b = u0.jet(t, 3), u1.jet(t, 3)
+        for got, j0, j1 in zip(linear_homotopy(u0, u1, 0.25).jet(t, 3), a, b):
+            assert np.array_equal(got, 0.0 + 0.75 * j0 + 0.25 * j1)
+        for got, j0 in zip(scale(u0, -2.0).jet(t, 3), a):
+            assert np.array_equal(got, 0.0 + -2.0 * j0)
+        other = hyp.CompositeProfile(u0.prof, hyp._CurveCoordinate(
+            hyp._corner_curve(0.1, 0.5), 0))
+        with pytest.raises(DomainMismatchError):
+            linear_homotopy(u0, other, 0.5)
 
 
 @pytest.fixture(scope="module")

@@ -86,6 +86,19 @@ class TestCompile:
         assert lines[0] == "index,kind,min_scalar"
         assert len(lines) == 4
 
+    def test_mixed_torpedo_tubes_equal_when_eps_is_delta(self):
+        desc = one_point_desc()
+        s = compile_gl_cobordism(round_metric(7, 1.5), desc)
+        std = next(seg for seg in s.segments if seg.kind == "standardize")
+        pr = std.end.params
+        assert pr["eps"] == pr["delta"]
+        assert pr["tube_u"] == pr["tube_v"] > 0
+        attach = next(seg for seg in s.segments if seg.kind == "handle-attach")
+        tube_u, tube_v = attach.parameters["tube_lengths"]
+        assert tube_u == tube_v
+        _, rep = compile_reverse(s, desc)
+        assert rep["tube_rescale"][0] == rep["tube_rescale"][1]
+
     def test_schedule_json(self, g0):
         s = compile_gl_cobordism(g0, one_point_desc())
         blob = s.dumps()
