@@ -57,9 +57,10 @@ _ALGEBRAIC = (E.AlgebraicRejection,)
 @dataclass
 class RunConfig:
     """Settings of a run: ``junction_tolerance`` is the assembly tolerance
-    of ``bend`` (segment junctions, tail radius), ``density`` the torpedo
-    sampling density (points per unit length), then where and in which
-    format outputs go."""
+    of ``bend`` on its segment junctions, ``density`` the torpedo sampling
+    density (points per unit length), then where outputs go and, for
+    ``torpedo`` only, their format.  ``bend`` always writes CSV, ``morse``
+    JSON and ``demo`` both."""
 
     junction_tolerance: float = 1e-8
     density: int = 256

@@ -8,10 +8,13 @@ Three metric shapes are covered:
 
 Scalar and Ricci curvature come from the standard warped-product formulas,
 read off one jet per warping function (``Phi2D.jet`` for the cylinder
-family).  Where a warping function closes a fiber at a domain endpoint
-(f = 0, |f'| = 1) the 0/0 quotients are replaced by their third-derivative
-limits; a cone point (|f'| != 1 there) and interior zeros raise
-``SingularProfileError``.
+family).  R is written once, over the quotients A_i = f_i''/f_i,
+B_i = (1 - f_i'^2)/f_i^2 and C_ij = f_i'f_j'/(f_i f_j), and Ricci once,
+over A and B.  At an end where a factor f_c closes (f_c = 0, |f_c'| = 1)
+one l'Hospital rule replaces the 0/0 quotients, whichever factor closes at
+whichever end: A_c = f_c'''/f_c', B_c = -A_c and C_cj = f_j''/f_j.  A cone
+point (|f_c'| != 1), a factor left open there with f_j' != 0, and interior
+zeros raise ``SingularProfileError``.
 
 ``slowdown_concordance`` certifies that a path of psc warped metrics can be
 run as a psc metric on a cylinder after slowing the parameter down enough
@@ -156,17 +159,27 @@ class CylFamilyMetric:
 # scalar / Ricci evaluation
 # ---------------------------------------------------------------------------
 
-def _closed_form(profiles, t, n_out, interior, limit):
-    """Evaluate a closed-form curvature of warping ``profiles`` at t.
+def _open_quotients(f, d1, d2):
+    """A = f''/f, B = (1 - f'^2)/f^2 and D = f'/f of a nonzero warping f."""
+    return d2 / f, (1.0 - d1 ** 2) / f ** 2, d1 / f
 
-    The profiles share one domain (0, b).  ``interior(jets)`` takes one
-    (f, f', f'') jet per profile and returns ``n_out`` values; it serves the
-    interior points and any endpoint where no profile vanishes.  At an
-    endpoint where exactly one profile, index ``i``, vanishes the 0/0
-    quotients are replaced by ``limit(jets, i, sign)``, given (f, ..., f''')
-    jets and sign = -1 at t = 0, +1 at t = b; a closing slope other than
-    +-1 is a cone point and raises ``SingularProfileError``.  Returns a
-    tuple of ``n_out`` floats for scalar t, else of arrays shaped like t.
+
+def _closed_form(dims, profiles, t, formula):
+    """Evaluate ``formula(dims, A, B, C)`` for warping ``profiles`` at t.
+
+    The profiles share one domain (0, b); profile i warps a round sphere of
+    dimension ``dims[i]``.  A curvature formula sees each profile only
+    through A_i = f_i''/f_i and B_i = (1 - f_i'^2)/f_i^2, and each pair
+    i < j through C[i, j] = f_i' f_j'/(f_i f_j).  At an end where profile c
+    closes (f_c = 0) these are 0/0, and their l'Hospital limits take their
+    place:
+
+        A_c = f_c'''/f_c',   B_c = -f_c'''/f_c',   C_cj = f_j''/f_j = A_j.
+
+    The rule needs |f_c'| = 1 there (any other slope is a cone point) and
+    f_j' = 0 for every factor j that stays open; either failing raises
+    ``SingularProfileError``, as do two factors closing at one end and an
+    interior zero.  Returns ``formula``'s value, floats for scalar t.
     """
     t = np.asarray(t, dtype=float)
     tv = np.atleast_1d(t)
@@ -174,15 +187,17 @@ def _closed_form(profiles, t, n_out, interior, limit):
     snap = _END_SNAP * max(1.0, b)
     at0, atb = np.abs(tv) <= snap, np.abs(tv - b) <= snap
     inner = ~(at0 | atb)
-    outs = [np.empty_like(tv) for _ in range(n_out)]
+    # D_i = f_i'/f_i, left 0 where f_i closes; ``ends`` holds (mask, c)
+    A, B, D = (np.zeros((len(profiles),) + tv.shape) for _ in range(3))
+    ends = []
     if inner.any():
         jets = [f.jet(tv[inner], 2) for f in profiles]
         if min(np.abs(jet[0]).min() for jet in jets) < _INTERIOR_ZERO:
             raise SingularProfileError(
                 "a warping function vanishes at an interior point")
-        for out, val in zip(outs, interior(jets)):
-            out[inner] = val
-    for mask, tend, sign in ((at0, 0.0, -1.0), (atb, b, 1.0)):
+        for i, jet in enumerate(jets):
+            A[i][inner], B[i][inner], D[i][inner] = _open_quotients(*jet)
+    for mask, tend in ((at0, 0.0), (atb, b)):
         if not mask.any():
             continue
         jets = [tuple(float(x) for x in f.jet(tend, 3)) for f in profiles]
@@ -190,114 +205,91 @@ def _closed_form(profiles, t, n_out, interior, limit):
         if len(closing) > 1:
             raise SingularProfileError(
                 "both warping functions vanish at the same endpoint")
-        if closing and abs(abs(jets[closing[0]][1]) - 1.0) > _END_TOL:
-            raise SingularProfileError(
-                f"a warping function closes at t = {tend:.6g} with slope "
-                f"{jets[closing[0]][1]:.6g}: a cone point")
-        vals = (limit(jets, closing[0], sign) if closing
-                else interior([jet[:3] for jet in jets]))
-        for out, val in zip(outs, vals):
-            out[mask] = val
-    if t.ndim == 0:
-        return tuple(float(out[0]) for out in outs)
-    return tuple(outs)
+        for i, (f, d1, d2, d3) in enumerate(jets):
+            if i in closing:
+                if abs(abs(d1) - 1.0) > _END_TOL:
+                    raise SingularProfileError(
+                        f"a warping function closes at t = {tend:.6g} with "
+                        f"slope {d1:.6g}: a cone point")
+                A[i][mask], B[i][mask] = d3 / d1, -d3 / d1
+                ends.append((mask, i))
+            elif closing and abs(d1) > _END_TOL:
+                raise SingularProfileError(
+                    f"a warping function stays open at t = {tend:.6g} with "
+                    f"slope {d1:.6g} where another closes")
+            else:
+                A[i][mask], B[i][mask], D[i][mask] = _open_quotients(f, d1, d2)
+    C = {(i, j): D[i] * D[j]
+         for i in range(len(profiles)) for j in range(i + 1, len(profiles))}
+    for mask, c in ends:
+        for (i, j), Cij in C.items():
+            if c in (i, j):
+                Cij[mask] = A[j if i == c else i][mask]
+    out = formula(dims, A, B, C)
+    if t.ndim:
+        return out
+    out = np.asarray(out)[..., 0]
+    return float(out) if out.ndim == 0 else tuple(map(float, out))
 
 
-def _fiber_scalar(q, phi, grad2, lap):
-    """R of a flat base times S^q warped by phi, given |grad phi|^2, Lap phi."""
-    return -2.0 * q * lap / phi + q * (q - 1) * (1.0 - grad2) / phi ** 2
+def _scalar(dims, A, B, C):
+    """R of dt^2 (or a flat base) + sum_i f_i^2 ds_{q_i}^2:
+
+        R = sum_i (-2 q_i A_i + q_i (q_i - 1) B_i) - 2 sum_{i<j} q_i q_j C_ij
+    """
+    R = sum(-2.0 * q * a + q * (q - 1) * b for q, a, b in zip(dims, A, B))
+    return R - sum(2.0 * dims[i] * dims[j] * c for (i, j), c in C.items())
+
+
+def _ricci(dims, A, B, C):
+    """(Ric(d/dt), Ric(sphere direction)) = (-q A, (q - 1) B - A)."""
+    (q,), (a,), (b,) = dims, A, B
+    return -q * a, (q - 1) * b - a
 
 
 def scalar_warped(m, t):
     """Scalar curvature of dt^2 + f^2 ds_{n-1}^2 at t (scalar or array).
 
-    R = -2(n-1) f''/f + (n-1)(n-2)(1 - f'^2)/f^2 in the interior; at an
-    endpoint where f vanishes both quotients tend to (-+) f''' there, giving
-    R(0) = -n(n-1) f'''(0) and R(b) = +n(n-1) f'''(b).
+    R = -2(n-1) f''/f + (n-1)(n-2)(1 - f'^2)/f^2; at an end where f closes
+    this tends to -n(n-1) f'''/f' there.
     """
-    n = m.n
-
-    def interior(jets):
-        (f, d1, d2), = jets
-        return [_fiber_scalar(n - 1, f, d1 ** 2, d2)]
-
-    def limit(jets, _closing, sign):
-        return [sign * n * (n - 1) * jets[0][3]]
-
-    return _closed_form([m.f], t, 1, interior, limit)[0]
+    return _closed_form([m.n - 1], [m.f], t, _scalar)
 
 
 def ricci_warped(m, t):
     """(Ric(d/dt), Ric(sphere direction)) for the warped metric.
 
-    Interior values are -(n-1) f''/f and (n-2)(1-f'^2)/f^2 - f''/f; at a
-    vanishing endpoint both tend to (-+)(n-1) f''' there.
+    Interior values are -(n-1) f''/f and (n-2)(1-f'^2)/f^2 - f''/f; at an
+    end where f closes both tend to -(n-1) f'''/f' there.
     """
-    n = m.n
-
-    def interior(jets):
-        (f, d1, d2), = jets
-        return -(n - 1) * d2 / f, (n - 2) * (1.0 - d1 ** 2) / f ** 2 - d2 / f
-
-    def limit(jets, _closing, sign):
-        lim = sign * (n - 1) * jets[0][3]
-        return lim, lim
-
-    return _closed_form([m.f], t, 2, interior, limit)
+    return _closed_form([m.n - 1], [m.f], t, _ricci)
 
 
 def scalar_doubly_warped(m, t):
     """Scalar curvature of dt^2 + u^2 ds_p^2 + v^2 ds_q^2 at t.
 
-    Interior formula:
-
         R = -2p u''/u - 2q v''/v + p(p-1)(1-u'^2)/u^2
-            + q(q-1)(1-v'^2)/v^2 - 2pq u'v'/(uv)
+            + q(q-1)(1-v'^2)/v^2 - 2pq u'v'/(uv),
 
-    At an endpoint where exactly one factor closes (v at 0, u at b) the 0/0
-    quotients collapse to third-derivative limits; e.g. with v(0) = 0:
-
-        R(0) = -2p(1+q) u''(0)/u(0) + p(p-1)/u(0)^2 - q(q+1) v'''(0).
-
-    Both factors vanishing at one endpoint raises ``SingularProfileError``.
+    with ``_closed_form``'s limits at an end where either factor closes,
+    whichever end that is.  Both factors vanishing at one end raises
+    ``SingularProfileError``.
     """
-    p, q = m.p, m.q
-
-    def interior(jets):
-        (U, u1, u2), (V, v1, v2) = jets
-        return [-2.0 * p * u2 / U - 2.0 * q * v2 / V
-                + p * (p - 1) * (1.0 - u1 ** 2) / U ** 2
-                + q * (q - 1) * (1.0 - v1 ** 2) / V ** 2
-                - 2.0 * p * q * u1 * v1 / (U * V)]
-
-    def limit(jets, closing, _sign):
-        (U, u1, u2, u3), (V, v1, v2, v3) = jets
-        if closing == 1:
-            # v closes here (t = 0 style end)
-            return [-2.0 * p * (1 + q) * u2 / U
-                    + p * (p - 1) * (1.0 - u1 ** 2) / U ** 2
-                    - q * (q + 1) * v3]
-        # u closes here (t = b style end)
-        return [p * (p + 1) * u3
-                - 2.0 * q * (1 + p) * v2 / V
-                + q * (q - 1) * (1.0 - v1 ** 2) / V ** 2]
-
-    return _closed_form([m.u, m.v], t, 1, interior, limit)[0]
+    return _closed_form([m.p, m.q], [m.u, m.v], t, _scalar)
 
 
 def scalar_cyl_family(m, s, t):
     """Scalar curvature of ds^2 + dt^2 + phi^2 ds_qtilde^2 at (s, t).
 
-    R = -2 qtilde (phi_ss + phi_tt)/phi
-        + qtilde (qtilde - 1) (1 - phi_s^2 - phi_t^2)/phi^2,
-
-    the interior formula of ``scalar_warped``.  phi must stay positive on
-    the whole rectangle, so no endpoint limit applies.
+    ``_scalar`` with A = (phi_ss + phi_tt)/phi and
+    B = (1 - phi_s^2 - phi_t^2)/phi^2.  phi must stay positive on the whole
+    rectangle, so no endpoint limit applies.
     """
     P, (ps, pt), (pss, ptt) = m.phi.jet(s, t, 2)
     if np.min(np.abs(P)) < _INTERIOR_ZERO or np.min(P) <= 0:
         raise SingularProfileError("phi must stay positive on the rectangle")
-    return _fiber_scalar(m.qtilde, P, ps ** 2 + pt ** 2, pss + ptt)
+    return _scalar([m.qtilde], [(pss + ptt) / P],
+                   [(1.0 - (ps ** 2 + pt ** 2)) / P ** 2], {})
 
 
 def canonical_variation_scalar(base_R, fiber_R_at_unit, delta):

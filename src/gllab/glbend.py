@@ -644,6 +644,11 @@ class TransitionParams:
             raise InvalidSpecError(
                 f"parameter equation residual too large: {resid:.3e}")
 
+    @property
+    def r_inf(self):
+        """The graph's value at t_inf, where it turns horizontal."""
+        return self.c - self.C1 * self.delta_inf ** 2 / 48.0
+
 
 def _transition_pieces(p):
     """The three polynomial pieces on [t0, t0'], [t0', tinf'], [tinf', tinf]."""
@@ -656,9 +661,8 @@ def _transition_pieces(p):
     piece2 = PolyPiece((p.t0p, p.tinfp),
                        [p.c + 0.25 * c1 * d ** 2, 0.5 * c1 * d, 0.25 * c1],
                        origin=p.t0p)
-    val_inf = p.c - c1 * p.delta_inf ** 2 / 48.0
     piece3 = PolyPiece((p.tinfp, p.tinf),
-                       [val_inf, 0.0, 0.0, -c1 / (12.0 * p.delta_inf)],
+                       [p.r_inf, 0.0, 0.0, -c1 / (12.0 * p.delta_inf)],
                        origin=p.tinf)
     return [piece1, piece2, piece3]
 
@@ -692,21 +696,12 @@ def synth_transition(consts, r0, theta0):
     last_err = None
     for _ in range(_TRANSITION_HALVINGS):
         # positive root of (delta0^2/48) C1^2 + (r0 + delta0 m0/2) C1
-        #                  - (1/2 + m0^2) = 0
+        #                  - (1/2 + m0^2) = 0; a2 > 0 > a0, so the
+        # discriminant exceeds a1^2 and the root is real and positive
         a2 = delta0 ** 2 / 48.0
         a1 = r0 + 0.5 * delta0 * m0
         a0 = -(0.5 + m0 ** 2)
-        disc = a1 ** 2 - 4.0 * a2 * a0
-        if disc <= 0:
-            delta0 *= 0.5
-            last_err = "no real C1 root"
-            continue
-        C1 = (-a1 + np.sqrt(disc)) / (2.0 * a2) if a2 > 0 \
-            else -a0 / a1
-        if C1 <= 0:
-            delta0 *= 0.5
-            last_err = "nonpositive C1 root"
-            continue
+        C1 = (-a1 + np.sqrt(a1 ** 2 - 4.0 * a2 * a0)) / (2.0 * a2)
         c = 1.0 / (2.0 * C1)
         t0 = 0.0
         t0p = t0 + delta0
@@ -714,17 +709,15 @@ def synth_transition(consts, r0, theta0):
         delta_inf = delta0
         ok = False
         for _ in range(_TRANSITION_HALVINGS):
-            tinfp = C2 - 0.5 * delta_inf
-            tinf = C2 + 0.5 * delta_inf
-            val_inf = c - C1 * delta_inf ** 2 / 48.0
-            if tinfp <= t0p or val_inf <= 0:
+            params = TransitionParams(r0, m0, delta0, delta_inf, C1, C2, c,
+                                      t0, t0p, C2 - 0.5 * delta_inf,
+                                      C2 + 0.5 * delta_inf)
+            if params.tinfp <= t0p or params.r_inf <= 0:
                 delta_inf *= 0.5
                 last_err = "landmark ordering or positivity failed"
                 continue
-            params = TransitionParams(r0, m0, delta0, delta_inf, C1, C2, c,
-                                      t0, t0p, tinfp, tinf)
-            f = SmoothFn1D(tinf, _transition_pieces(params))
-            grid = np.linspace(0.0, tinf, 10001)
+            f = SmoothFn1D(params.tinf, _transition_pieces(params))
+            grid = np.linspace(0.0, params.tinf, 10001)
             if f(grid).min() <= 0:
                 delta_inf *= 0.5
                 last_err = "profile lost positivity"
@@ -749,8 +742,7 @@ def synth_transition(consts, r0, theta0):
 def default_tail_spec(params):
     """Torpedo spec for the tail: cap radius r_inf = f(t_inf), tube
     _TAIL_FACTOR * r_inf."""
-    r_inf = params.c - params.C1 * params.delta_inf ** 2 / 48.0
-    return TorpedoSpec(r_inf, tube_length=_TAIL_FACTOR * r_inf)
+    return TorpedoSpec(params.r_inf, tube_length=_TAIL_FACTOR * params.r_inf)
 
 
 def assemble_gamma(consts, prefix, transition, junction_tolerance=1e-8):
@@ -782,13 +774,8 @@ def assemble_gamma(consts, prefix, transition, junction_tolerance=1e-8):
     # transition graph shifted to start at t0_global
     trans_seg = GraphSeg(f, t_offset=t0_global)
     t_inf_global = t0_global + params.tinf
-    r_inf = float(f(params.tinf))
-    tail_spec = default_tail_spec(params)
-    if abs(tail_spec.delta - r_inf) > junction_tolerance:
-        raise AssemblyError(
-            f"tail cap radius {tail_spec.delta:.8g} does not match "
-            f"r_inf = {r_inf:.8g}")
-    tail_prof = make_torpedo(tail_spec)
+    r_inf = params.r_inf
+    tail_prof = make_torpedo(default_tail_spec(params))
     # the cap of the tail has feature size r_inf, so the arc-length table
     # needs a spacing well below that
     tail_density = max(2048.0, 8192.0 / r_inf)

@@ -391,11 +391,12 @@ def compile_reverse(schedule, desc):
     """Compile the upside-down schedule and compare end descriptors.
 
     The reversed description must be admissible.  The reversed schedule
-    runs the forward segments backwards (each keeping its certificate);
-    the identity report rebuilds the forward standardized descriptor and
-    the reversed schedule's final descriptor at a common tube length and
-    reports the max sampled profile deviation — the two agree up to tube
-    length by construction, so the report certifies the bookkeeping.
+    runs the forward segments backwards (each keeping its certificate).
+    The identity report rebuilds the forward standard form (u, v) and the
+    reversed one at a common tube length.  Reversal swaps (eps, u) with
+    (delta, v) and t with b - t, so the report compares u(t) with the
+    reversed v(b - t), and v(t) with the reversed u(b - t), and gives the
+    max sampled deviation.
 
     Returns (reversed schedule, report dict).
     """
@@ -417,10 +418,10 @@ def compile_reverse(schedule, desc):
         # rebuild both descriptors at a common tube length and sample
         common_b = pr["eps"] * np.pi / 2.0 + TorpedoSpec(pr["eps"]).blend_width + 1.0
         ua, va = _mixed_torpedo_profiles(pr["eps"], pr["delta"], common_b)
-        ub, vb = _mixed_torpedo_profiles(pr["eps"], pr["delta"], common_b)
+        ub, vb = _mixed_torpedo_profiles(pr["delta"], pr["eps"], common_b)
         t = sample_grid(common_b, 256)
-        dev = max(float(np.max(np.abs(ua(t) - ub(t)))),
-                  float(np.max(np.abs(va(t) - vb(t)))))
+        dev = max(float(np.max(np.abs(ua(t) - vb(common_b - t)))),
+                  float(np.max(np.abs(va(t) - ub(common_b - t)))))
         report = {"identity": dev < 1e-8,
                   "max_profile_deviation": dev,
                   "tube_rescale": [pr["tube_u"], pr["tube_v"]],

@@ -14,9 +14,10 @@ from gllab.curvature import (CylFamilyMetric, DoublyWarpedMetric, Phi2D,
                              write_curvature_csv)
 from gllab.errors import (CertificationFailedError, DomainMismatchError,
                           InvalidSpecError, SingularProfileError)
-from gllab.fnspace import (SinePiece, SmoothFn1D, TorpedoSpec,
-                           linear_homotopy, make_double_torpedo, make_torpedo,
-                           reflect, sample_grid, scale)
+from gllab.fnspace import (ConstPiece, PolyPiece, SinePiece, SmoothFn1D,
+                           TorpedoSpec, linear_homotopy, make_double_torpedo,
+                           make_torpedo, reflect, sample_grid, scale)
+from gllab.schedule import round_doubly_warped, round_metric
 
 
 def round_profile(n=7, radius=1.0):
@@ -87,13 +88,29 @@ class TestWarped:
 
 
 class TestDoublyWarped:
-    @pytest.mark.parametrize("p,q", [(2, 4), (3, 3), (1, 5)])
+    @pytest.mark.parametrize("p,q", [(2, 4), (3, 3), (1, 5), (2, 3)])
     def test_round_join_pin(self, p, q):
-        m = DoublyWarpedMetric(p, q, cos_profile(), sin_profile())
+        g = round_doubly_warped(p, q)
+        # the reversed join swaps the roles: u closes at t = 0, v at t = b
+        rev = DoublyWarpedMetric(q, p, g.v, g.u, open_profile=True)
         n = p + q + 1
         t = np.linspace(0.0, np.pi / 2, 501)
-        assert np.allclose(scalar_doubly_warped(m, t), n * (n - 1),
-                           rtol=1e-9)
+        for m in (g, rev):
+            assert np.allclose(scalar_doubly_warped(m, t), n * (n - 1),
+                               rtol=1e-9)
+            for tend in (0.0, m.b):
+                assert np.isclose(scalar_doubly_warped(m, tend), n * (n - 1),
+                                  rtol=1e-9)
+
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_zero_dimensional_factor_is_warped(self, n):
+        # p = 0: dt^2 + v^2 ds_{n-1}^2, with v closing at both ends
+        g = round_metric(n, 1.2)
+        one = SmoothFn1D(g.b, [ConstPiece((0.0, g.b), 1.0)])
+        m = DoublyWarpedMetric(0, n - 1, one, g.f, open_profile=True)
+        t = np.array([0.0, g.b / 2, g.b])
+        assert np.allclose(scalar_doubly_warped(m, t), scalar_warped(g, t),
+                           rtol=1e-12)
 
     def test_mixed_torpedo_positive(self):
         b = np.pi / 2
@@ -125,6 +142,18 @@ class TestDoublyWarped:
                                open_profile=True)
         with pytest.raises(SingularProfileError):
             scalar_doubly_warped(m, np.array([0.5, np.pi / 2]))
+
+    def test_open_factor_slope_at_closing_end_raises(self):
+        # v = sin t closes at t = 0 where u = 1 + t/2 has slope 1/2: R blows
+        # up like -6/t there, so no finite endpoint value exists
+        b = np.pi / 2
+        u = SmoothFn1D(b, [PolyPiece((0.0, b), [1.0, 0.5])])
+        m = DoublyWarpedMetric(2, 3, u, sin_profile(), open_profile=True)
+        assert scalar_doubly_warped(m, 1e-6) < -5e6
+        assert np.isfinite(scalar_doubly_warped(m, np.array([0.5, b]))).all()
+        for t in (0.0, np.array([0.5, 0.0])):
+            with pytest.raises(SingularProfileError, match="stays open"):
+                scalar_doubly_warped(m, t)
 
 
 class TestCylFamily:

@@ -11,7 +11,7 @@ from gllab.curvature import WarpedSphereMetric
 from gllab.errors import (CertificationFailedError, CompilationFailedError,
                           DemoFailedError, HypothesisViolationError,
                           InvalidSpecError, InvalidWindowError)
-from gllab.fnspace import SinePiece, SmoothFn1D
+from gllab.fnspace import SinePiece, SmoothFn1D, reflect, scale
 from gllab.morsealg import CriticalPoint, MorseDescription
 from gllab.schedule import (DemoReport, batch_sweep, compile_gl_cobordism,
                             compile_reverse, round_doubly_warped,
@@ -114,6 +114,23 @@ class TestReverse:
         assert rep["max_profile_deviation"] < 1e-8
         assert len(rs.segments) == len(s.segments)
         assert rs.segments[0].start == s.segments[-1].end
+
+    @pytest.mark.parametrize("tamper", ["scaled", "unreflected"])
+    def test_tampered_standard_form_breaks_identity(self, g0, monkeypatch,
+                                                     tamper):
+        desc = one_point_desc()
+        s = compile_gl_cobordism(g0, desc)
+        mixed = schedule._mixed_torpedo_profiles
+
+        def profiles(eps, delta, b):
+            u, v = mixed(eps, delta, b)
+            # reflecting u again leaves it closing at t = 0, like v
+            return (scale(u, 1.001) if tamper == "scaled" else reflect(u)), v
+
+        monkeypatch.setattr(schedule, "_mixed_torpedo_profiles", profiles)
+        _, rep = compile_reverse(s, desc)
+        assert not rep["identity"]
+        assert rep["max_profile_deviation"] > 1e-4
 
     def test_empty_trivial(self, g0):
         s = compile_gl_cobordism(g0, MorseDescription(7, []))
