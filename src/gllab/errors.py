@@ -42,7 +42,15 @@ class SingularProfileError(GLLabError):
 
 
 class ConstructionFailedError(GLLabError):
-    """A numeric synthesis step (root find / parameter search) failed."""
+    """A numeric synthesis step (root find / parameter search) failed.
+
+    ``best_margin`` is the best margin the failed step reached, or None
+    when it reached none.
+    """
+
+    def __init__(self, msg, best_margin=None):
+        super().__init__(msg)
+        self.best_margin = best_margin
 
 
 class NoFeasibleBendError(ConstructionFailedError):
@@ -72,10 +80,6 @@ class InversionError(ConstructionFailedError):
 class CertificationFailedError(ConstructionFailedError):
     """A positivity certificate could not be produced within budget."""
 
-    def __init__(self, msg, best_margin=None):
-        super().__init__(msg)
-        self.best_margin = best_margin
-
 
 class DegenerateEmbeddingError(GLLabError):
     """Embedding Jacobian is rank-deficient at a sample point."""
@@ -87,10 +91,6 @@ class CompilationFailedError(ConstructionFailedError):
     ``best_margin`` is the best certificate minimum the search reached
     (-inf when no candidate got as far as a certificate).
     """
-
-    def __init__(self, msg, best_margin):
-        super().__init__(msg)
-        self.best_margin = best_margin
 
 
 class DemoFailedError(ConstructionFailedError):

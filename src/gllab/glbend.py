@@ -583,7 +583,9 @@ def initial_bend(consts, r1):
     largest value allowed by the arcsin(sqrt(R0/C)) bound and
     tan^2(theta0) < 1/4, and is halved until the curve inequality holds with
     positive margin along the bump (2001 samples).  Returns (prefix curve,
-    theta0, k_max).
+    theta0, k_max).  An exhausted search raises NoFeasibleBendError whose
+    ``best_margin`` is the largest sampled minimum it reached (None if no
+    sample was finite).
     """
     if consts.R0 <= 0:
         raise NoFeasibleBendError(
@@ -595,7 +597,7 @@ def initial_bend(consts, r1):
     if consts.C > 0:
         cap = min(cap, 0.99 * np.arcsin(min(1.0, np.sqrt(consts.R0 / consts.C))))
     theta0 = cap
-    last = None
+    best = None
     for _ in range(_BEND_HALVINGS):
         k_max = 4.0 * theta0 / r1
         bump = BumpSeg((0.0, r1), 0.0, k_max, r1 / 2.0)
@@ -607,11 +609,13 @@ def initial_bend(consts, r1):
         if pt[:, 1].min() > 0 and (finite.size == 0 or finite.min() > 0):
             prefix = Curve2D([LineSeg((0.0, 1.25 * r1), (0.0, r1)), bump])
             return prefix, theta0, k_max
-        last = float(finite.min()) if finite.size else None
+        if finite.size:
+            m = float(finite.min())
+            best = m if best is None else max(best, m)
         theta0 *= 0.5
     raise NoFeasibleBendError(
         f"no feasible bend angle after {_BEND_HALVINGS} halvings "
-        f"(last margin {last})")
+        f"(best margin {best})", best_margin=best)
 
 
 # ---------------------------------------------------------------------------
@@ -684,7 +688,9 @@ def synth_transition(consts, r0, theta0):
     and the profile stays positive on a 10001-point grid.  The graph is
     parameterized from t0 = 0.
 
-    Returns (TransitionParams, SmoothFn1D on (0, t_inf)).
+    Returns (TransitionParams, SmoothFn1D on (0, t_inf)).  An exhausted
+    search raises ConstructionFailedError whose ``best_margin`` is the
+    largest finite graph-inequality margin it reached (None if none).
     """
     bound = consts.r0_bound()
     if not 0 < r0 < bound:
@@ -694,6 +700,7 @@ def synth_transition(consts, r0, theta0):
     m0 = -1.0 / np.tan(theta0)
     delta0 = 0.5 * r0
     last_err = None
+    best = None
     for _ in range(_TRANSITION_HALVINGS):
         # positive root of (delta0^2/48) C1^2 + (r0 + delta0 m0/2) C1
         #                  - (1/2 + m0^2) = 0; a2 > 0 > a0, so the
@@ -726,13 +733,16 @@ def synth_transition(consts, r0, theta0):
             if margin > 0:
                 ok = True
                 break
+            if np.isfinite(margin):
+                best = margin if best is None else max(best, margin)
             delta_inf *= 0.5
             last_err = f"diffkeqn margin {margin:.3e}"
         if ok:
             return params, f
         delta0 *= 0.5
     raise ConstructionFailedError(
-        f"transition search exhausted: {last_err}")
+        f"transition search exhausted: {last_err} (best margin {best})",
+        best_margin=best)
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,10 @@
 
 This module is the independent brute-force verifier for every closed-form
 curvature formula in the toolkit.  A :class:`MetricChart` is nothing but a
-callable returning the metric components g_ij at a point on a coordinate
-rectangle; Christoffel symbols, the Riemann tensor, and scalar curvature are
-then assembled from central differences, and extrinsic data (second
+callable returning the metric components g_ij at a batch of points on a
+coordinate rectangle; Christoffel symbols, the Riemann tensor, and scalar
+curvature are then assembled from central differences, each from one
+batched call on its whole stencil, and extrinsic data (second
 fundamental form, principal curvatures) from finite differences of an
 embedding map.
 
@@ -45,9 +46,10 @@ __all__ = [
 class MetricChart:
     """Coordinate metric evaluator on a rectangle.
 
-    ``g`` maps a point (length-``dim`` array) to a symmetric positive-definite
-    ``dim x dim`` matrix.  ``step`` is the finite-difference spacing used by
-    every derived quantity.
+    ``g`` maps an ``(N, dim)`` array of points (rows) to the ``(N, dim, dim)``
+    array of their symmetric positive-definite metric matrices.  ``metric``,
+    the one entry point, also takes one length-``dim`` point as a batch of
+    one.  ``step`` is the finite-difference spacing of every derived quantity.
     """
 
     dim: int
@@ -71,7 +73,9 @@ class MetricChart:
         return MetricChart(self.dim, self.rectangle, self.g, step)
 
     def metric(self, x):
-        return np.asarray(self.g(np.asarray(x, dtype=float)), dtype=float)
+        x = np.asarray(x, dtype=float)
+        G = np.asarray(self.g(np.atleast_2d(x)), dtype=float)
+        return G[0] if x.ndim == 1 else G
 
 
 @dataclass
@@ -91,42 +95,56 @@ class HypersurfaceParam:
 # intrinsic curvature
 # ---------------------------------------------------------------------------
 
-def _dg(chart, x, i):
-    """Central difference of the metric matrix along coordinate i."""
-    h = chart.step
-    e = np.zeros(chart.dim)
-    e[i] = h
-    return (chart.metric(x + e) - chart.metric(x - e)) / (2.0 * h)
+def _offsets(d, h):
+    """The 2d + 1 stencil offsets as rows: 0, then +h e_i, then -h e_i."""
+    eye = h * np.eye(d)
+    return np.concatenate([np.zeros((1, d)), eye, -eye])
+
+
+def _gamma(G, h):
+    """(Gamma, g) at each centre; G[..., m, :, :] is g at centre + offset m."""
+    d = G.shape[-1]
+    g = G[..., 0, :, :]
+    # dg[..., l, i, j] = g_ij,l by central differences
+    dg = (G[..., 1:1 + d, :, :] - G[..., 1 + d:, :, :]) / (2.0 * h)
+    # lowered symbol: Gamma_{l,ij} = 1/2 (g_{il,j} + g_{jl,i} - g_{ij,l})
+    low = 0.5 * (np.einsum("...jil->...lij", dg)
+                 + np.einsum("...ijl->...lij", dg) - dg)
+    return np.einsum("...kl,...lij->...kij", np.linalg.inv(g), low), g
+
+
+def _christoffel(chart, x):
+    """Gamma and g at x, from one metric call on the 2d + 1 points."""
+    return _gamma(chart.metric(x + _offsets(chart.dim, chart.step)),
+                  chart.step)
 
 
 def christoffel(chart, x):
     """Gamma^k_ij = 1/2 g^{kl} (g_{il,j} + g_{jl,i} - g_{ij,l})."""
-    x = np.asarray(x, dtype=float)
-    d = chart.dim
-    dg = np.stack([_dg(chart, x, i) for i in range(d)])  # dg[l, i, j] = g_ij,l
-    ginv = np.linalg.inv(chart.metric(x))
-    # lowered symbol: Gamma_{l,ij} = 1/2 (g_{il,j} + g_{jl,i} - g_{ij,l})
-    low = 0.5 * (np.einsum("jil->lij", dg) + np.einsum("ijl->lij", dg)
-                 - dg)
-    return np.einsum("kl,lij->kij", ginv, low)
+    return _christoffel(chart, x)[0]
+
+
+def _riemann(chart, x):
+    """R^l_{ijk} and g at x, from one metric call on the nested stencil:
+    each centre c in {x, x + h e_i, x - h e_i} with its own c +- h e_l."""
+    d, h = chart.dim, chart.step
+    off = _offsets(d, h)
+    points = (x + off)[:, None, :] + off[None, :, :]
+    G = chart.metric(points.reshape(-1, d)).reshape(2 * d + 1, 2 * d + 1,
+                                                    d, d)
+    gammas, g = _gamma(G, h)
+    gamma = gammas[0]
+    # dgamma[i, l, j, k] = d_i Gamma^l_jk
+    dgamma = (gammas[1:1 + d] - gammas[1 + d:]) / (2.0 * h)
+    quad = np.einsum("lim,mjk->lijk", gamma, gamma)
+    R = (np.einsum("iljk->lijk", dgamma) - np.einsum("jlik->lijk", dgamma)
+         + quad - np.einsum("ljik->lijk", quad))
+    return R, g[0]
 
 
 def riemann(chart, x):
     """R^l_{ijk} = d_i Gamma^l_jk - d_j Gamma^l_ik + Gamma*Gamma terms."""
-    x = np.asarray(x, dtype=float)
-    d = chart.dim
-    h = chart.step
-    gamma = christoffel(chart, x)
-    dgamma = np.empty((d, d, d, d))  # dgamma[i, l, j, k] = d_i Gamma^l_jk
-    for i in range(d):
-        e = np.zeros(d)
-        e[i] = h
-        dgamma[i] = (christoffel(chart, x + e) - christoffel(chart, x - e)) \
-            / (2.0 * h)
-    quad = np.einsum("lim,mjk->lijk", gamma, gamma)
-    R = (np.einsum("iljk->lijk", dgamma) - np.einsum("jlik->lijk", dgamma)
-         + quad - np.einsum("ljik->lijk", quad))
-    return R
+    return _riemann(chart, x)[0]
 
 
 def ricci_from_chart(chart, x):
@@ -136,9 +154,9 @@ def ricci_from_chart(chart, x):
 
 def scalar_from_chart(chart, x):
     """Scalar curvature g^{jk} Ric_jk, second-order accurate in the step."""
-    x = np.asarray(x, dtype=float)
-    ginv = np.linalg.inv(chart.metric(x))
-    return float(np.einsum("jk,jk->", ginv, ricci_from_chart(chart, x)))
+    R, g = _riemann(chart, x)
+    ric = np.einsum("iijk->jk", R)
+    return float(np.einsum("jk,jk->", np.linalg.inv(g), ric))
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +201,7 @@ def principal_curvatures(hs, u):
     """
     chart = hs.chart
     x0, J, H = _embedding_jet(hs, u)
-    G = chart.metric(x0)
+    gamma, G = _christoffel(chart, x0)
     induced = J.T @ G @ J
     if np.linalg.matrix_rank(J, tol=1e-8) < J.shape[1]:
         raise DegenerateEmbeddingError(
@@ -194,7 +212,6 @@ def principal_curvatures(hs, u):
     eta = eta / np.sqrt(eta @ G @ eta)
     if eta @ (x0 - hs.outward_from) < 0:
         eta = -eta
-    gamma = christoffel(chart, x0)
     # second fundamental form in the parameter basis, w.r.t. outward eta:
     # A_ab = g(-grad_a eta, t_b) = +g(eta, D_a t_b),
     # with D_a t_b = H_ab + Gamma(J_a, J_b)
@@ -271,24 +288,30 @@ def geodesic_sphere_fit(chart, center, radii):
 # chart constructors
 # ---------------------------------------------------------------------------
 
+def _diag(D):
+    """(N, d, d) diagonal matrices from their (N, d) diagonals."""
+    return D[:, :, None] * np.eye(D.shape[1])
+
+
 def euclidean_chart(dim):
     """Flat R^dim on the cube [-2, 2]^dim."""
-    return MetricChart(dim, [(-2.0, 2.0)] * dim, lambda x: np.eye(dim))
+    return MetricChart(dim, [(-2.0, 2.0)] * dim,
+                       lambda X: _diag(np.ones(X.shape)))
 
 
 def polar_chart():
     """Flat plane in polar coordinates: dr^2 + r^2 dtheta^2."""
-    def g(x):
-        return np.diag([1.0, x[0] ** 2])
+    def g(X):
+        return _diag(np.column_stack([np.ones(len(X)), X[:, 0] ** 2]))
     return MetricChart(2, [(0.1, 3.0), (-np.pi, np.pi)], g)
 
 
 def perturbed_quadratic_chart():
     """delta_ij on [-1, 1]^3 plus the perturbation 0.1 x_0^2 of g_11."""
-    def g(x):
-        m = np.eye(3)
-        m[1, 1] += 0.1 * x[0] ** 2
-        return m
+    def g(X):
+        D = np.ones(X.shape)
+        D[:, 1] += 0.1 * X[:, 0] ** 2
+        return _diag(D)
     return MetricChart(3, [(-1.0, 1.0)] * 3, g)
 
 
@@ -296,18 +319,19 @@ def round_sphere_normal_chart():
     """Unit round 3-sphere in geodesic normal coordinates about a point.
 
     g_ij(x) = xhat_i xhat_j + (sin^2 r / r^2)(delta_ij - xhat_i xhat_j),
-    r = |x|; smooth at 0 with g_ij(0) = delta_ij.  The chart is the cube
-    [-1.2, 1.2]^3.
+    r = |x|; smooth at 0 with g_ij(0) = delta_ij, which rows with
+    r^2 < 1e-24 take without dividing.  The chart is the cube [-1.2, 1.2]^3.
     """
-    def g(x):
-        r2 = float(x @ x)
-        if r2 < 1e-24:
-            return np.eye(3)
-        r = np.sqrt(r2)
-        xhat = x / r
-        proj = np.outer(xhat, xhat)
+    def g(X):
+        out = _diag(np.ones(X.shape))
+        r2 = np.einsum("ni,ni->n", X, X)
+        away = r2 >= 1e-24
+        r = np.sqrt(r2[away])
+        xhat = X[away] / r[:, None]
+        proj = xhat[:, :, None] * xhat[:, None, :]
         s = (np.sin(r) / r) ** 2
-        return proj + s * (np.eye(3) - proj)
+        out[away] = proj + s[:, None, None] * (np.eye(3) - proj)
+        return out
     return MetricChart(3, [(-1.2, 1.2)] * 3, g)
 
 
@@ -316,13 +340,10 @@ def round_sphere_normal_chart():
 _ANGLES = (0.3, np.pi - 0.3)
 
 
-def _sphere_angle_metric(m, angles):
-    """Round S^m metric in nested spherical angles, as a diagonal."""
-    diag = np.empty(m)
-    acc = 1.0
-    for i in range(m):
-        diag[i] = acc
-        acc *= np.sin(angles[i]) ** 2
+def _sphere_angle_metric(angles):
+    """Round S^m metrics in nested angles (N, m), as (N, m) diagonals."""
+    diag = np.ones(angles.shape)
+    diag[:, 1:] = np.cumprod(np.sin(angles[:, :-1]) ** 2, axis=1)
     return diag
 
 
@@ -332,10 +353,9 @@ def warped_chart(f, n, step=1e-4):
     Coordinates (t, theta_1 ... theta_{n-1}) with the fiber round metric in
     nested spherical angles.
     """
-    def g(x):
-        t = x[0]
-        fiber = _sphere_angle_metric(n - 1, x[1:])
-        return np.diag(np.concatenate([[1.0], float(f(t)) ** 2 * fiber]))
+    def g(X):
+        fiber = f(X[:, 0])[:, None] ** 2 * _sphere_angle_metric(X[:, 1:])
+        return _diag(np.column_stack([np.ones(len(X)), fiber]))
     pad = 0.05 * f.b
     rect = [(pad, f.b - pad)] + [_ANGLES] * (n - 1)
     return MetricChart(n, rect, g, step)
@@ -345,11 +365,11 @@ def doubly_warped_chart(u, v, p, q):
     """Chart for dt^2 + u^2 ds_p^2 + v^2 ds_q^2 in nested angles."""
     n = p + q + 1
 
-    def g(x):
-        t = x[0]
-        du = float(u(t)) ** 2 * _sphere_angle_metric(p, x[1:1 + p])
-        dv = float(v(t)) ** 2 * _sphere_angle_metric(q, x[1 + p:])
-        return np.diag(np.concatenate([[1.0], du, dv]))
+    def g(X):
+        t = X[:, 0]
+        du = u(t)[:, None] ** 2 * _sphere_angle_metric(X[:, 1:1 + p])
+        dv = v(t)[:, None] ** 2 * _sphere_angle_metric(X[:, 1 + p:])
+        return _diag(np.column_stack([np.ones(len(X)), du, dv]))
     pad = 0.05 * u.b
     rect = [(pad, u.b - pad)] + [_ANGLES] * (n - 1)
     return MetricChart(n, rect, g)
@@ -357,9 +377,9 @@ def doubly_warped_chart(u, v, p, q):
 
 def cyl_family_chart(phi, qtilde, s_range, t_range, step=1e-4):
     """Chart for ds^2 + dt^2 + phi(s,t)^2 ds_qtilde^2 in nested angles."""
-    def g(x):
-        val = float(phi.jet(x[0], x[1], 0)[0])
-        fiber = val ** 2 * _sphere_angle_metric(qtilde, x[2:])
-        return np.diag(np.concatenate([[1.0, 1.0], fiber]))
+    def g(X):
+        val = phi.jet(X[:, 0], X[:, 1], 0)[0][:, None]
+        fiber = val ** 2 * _sphere_angle_metric(X[:, 2:])
+        return _diag(np.column_stack([np.ones((len(X), 2)), fiber]))
     rect = [tuple(s_range), tuple(t_range)] + [_ANGLES] * qtilde
     return MetricChart(2 + qtilde, rect, g, step)

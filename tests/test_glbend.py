@@ -116,6 +116,27 @@ class TestSynthesis:
         with pytest.raises(NoFeasibleBendError):
             initial_bend(BendConstants(R0=0.0, q=2), r1=0.5)
 
+    def test_exhausted_bend_search_reports_best_margin(self, monkeypatch):
+        monkeypatch.setattr(glbend, "_BEND_HALVINGS", 1)
+        with pytest.raises(NoFeasibleBendError) as err:
+            initial_bend(BendConstants(R0=1.0, q=3), r1=0.5)
+        best = err.value.best_margin
+        assert isinstance(best, float) and -np.inf < best < 0
+        assert f"best margin {best}" in str(err.value)
+
+    def test_exhausted_transition_search_reports_best_margin(
+            self, monkeypatch):
+        monkeypatch.setattr(glbend, "_TRANSITION_HALVINGS", 1)
+        # the one (delta0, delta_inf) attempt fails its landmarks: no margin
+        with pytest.raises(ConstructionFailedError) as err:
+            synth_transition(MODEL, r0=0.2, theta0=0.4)
+        assert err.value.best_margin is None
+        # the attempt reaches the graph inequality, which fails
+        monkeypatch.setattr(glbend, "check_diffkeqn", lambda f, grid: -0.25)
+        with pytest.raises(ConstructionFailedError) as err:
+            synth_transition(MODEL, r0=0.2, theta0=1.0)
+        assert err.value.best_margin == -0.25
+
     def test_transition_junctions_and_diffkeqn(self):
         _, theta0, _ = initial_bend(MODEL, r1=0.5)
         params, f = synth_transition(MODEL, r0=0.2, theta0=theta0)

@@ -1,13 +1,16 @@
 """Finite-difference tensor engine vs closed forms and flat pins."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from gllab.curvature import (CylFamilyMetric, DoublyWarpedMetric, Phi2D,
                              WarpedSphereMetric, scalar_cyl_family,
                              scalar_doubly_warped, scalar_warped)
-from gllab.fnspace import SinePiece, SmoothFn1D
-from gllab.oracle import (cyl_family_chart, doubly_warped_chart,
+from gllab.fnspace import (SinePiece, SmoothFn1D, TorpedoSpec, make_torpedo,
+                           reflect)
+from gllab.oracle import (christoffel, cyl_family_chart, doubly_warped_chart,
                           euclidean_chart, geodesic_sphere_fit,
                           perturbed_quadratic_chart, polar_chart,
                           ricci_from_chart, round_sphere_normal_chart,
@@ -103,3 +106,144 @@ def test_cyl_family_agreement():
         R_fd = scalar_from_chart(ch, x)
         R_cf = float(scalar_cyl_family(cyl, x[0], x[1]))
         assert abs(R_fd - R_cf) < 1e-4 * max(1.0, abs(R_cf))
+
+
+# ---------------------------------------------------------------------------
+# batched stencil vs the one-point-at-a-time reference
+# ---------------------------------------------------------------------------
+
+def _ref_dg(chart, x, i):
+    h = chart.step
+    e = np.zeros(chart.dim)
+    e[i] = h
+    return (chart.metric(x + e) - chart.metric(x - e)) / (2.0 * h)
+
+
+def ref_christoffel(chart, x):
+    """Gamma from 2d + 1 one-point metric calls (the per-point algorithm)."""
+    d = chart.dim
+    dg = np.stack([_ref_dg(chart, x, i) for i in range(d)])
+    ginv = np.linalg.inv(chart.metric(x))
+    low = 0.5 * (np.einsum("jil->lij", dg) + np.einsum("ijl->lij", dg)
+                 - dg)
+    return np.einsum("kl,lij->kij", ginv, low)
+
+
+def ref_riemann(chart, x):
+    d, h = chart.dim, chart.step
+    gamma = ref_christoffel(chart, x)
+    dgamma = np.empty((d, d, d, d))
+    for i in range(d):
+        e = np.zeros(d)
+        e[i] = h
+        dgamma[i] = (ref_christoffel(chart, x + e)
+                     - ref_christoffel(chart, x - e)) / (2.0 * h)
+    quad = np.einsum("lim,mjk->lijk", gamma, gamma)
+    return (np.einsum("iljk->lijk", dgamma) - np.einsum("jlik->lijk", dgamma)
+            + quad - np.einsum("ljik->lijk", quad))
+
+
+def ref_ricci(chart, x):
+    return np.einsum("iijk->jk", ref_riemann(chart, x))
+
+
+def ref_scalar(chart, x):
+    ginv = np.linalg.inv(chart.metric(x))
+    return float(np.einsum("jk,jk->", ginv, ref_ricci(chart, x)))
+
+
+def _torpedo():
+    return make_torpedo(TorpedoSpec(0.5, tube_length=1.0))
+
+
+def _round_join():
+    b = np.pi / 2
+    return (SmoothFn1D(b, [SinePiece((0, b), 1.0, 1.0, phase=np.pi / 2)]),
+            SmoothFn1D(b, [SinePiece((0, b), 1.0, 1.0)]))
+
+
+def _cyl_chart(f, qtilde):
+    pad = 0.1 * f.b
+    return cyl_family_chart(Phi2D.from_profile(f), qtilde, (0.0, 1.0),
+                            (pad, f.b - pad), step=2e-4)
+
+
+# every chart constructor, at the dimensions the benchmark pool uses
+CHARTS = {
+    "euclidean": lambda: euclidean_chart(3),
+    "polar": polar_chart,
+    "perturbed": perturbed_quadratic_chart,
+    "round-sphere-normal": round_sphere_normal_chart,
+    **{f"warped-round-n{n}": (lambda n=n: warped_chart(round_profile(), n))
+       for n in (3, 4, 5)},
+    **{f"warped-torpedo-n{n}": (lambda n=n: warped_chart(_torpedo(), n))
+       for n in (3, 4, 5)},
+    **{f"doubly-round-p{p}q{q}":
+       (lambda p=p, q=q: doubly_warped_chart(*_round_join(), p, q))
+       for p in (1, 2) for q in (1, 2)},
+    **{f"doubly-torpedo-p{p}q{q}":
+       (lambda p=p, q=q: doubly_warped_chart(reflect(_torpedo()), _torpedo(),
+                                             p, q))
+       for p in (1, 2) for q in (1, 2)},
+    **{f"cyl-round-q{q}": (lambda q=q: _cyl_chart(round_profile(), q))
+       for q in (1, 2, 3)},
+    **{f"cyl-torpedo-q{q}": (lambda q=q: _cyl_chart(_torpedo(), q))
+       for q in (1, 2, 3)},
+}
+
+
+def _random_points(chart, n, seed):
+    rng = np.random.default_rng(seed)
+    return np.array([[rng.uniform(lo, hi) for lo, hi in chart.rectangle]
+                     for _ in range(n)])
+
+
+def _close(got, ref, rel=1e-7):
+    """Agreement relative to the reference's largest entry (at least 1)."""
+    got, ref = np.asarray(got), np.asarray(ref)
+    return np.max(np.abs(got - ref)) <= rel * max(1.0, np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("name", sorted(CHARTS))
+def test_batched_stencil_matches_per_point_reference(name):
+    chart = CHARTS[name]()
+    for x in _random_points(chart, 3, seed=len(name)):
+        assert _close(christoffel(chart, x), ref_christoffel(chart, x))
+        assert _close(ricci_from_chart(chart, x), ref_ricci(chart, x))
+        assert _close(scalar_from_chart(chart, x), ref_scalar(chart, x))
+
+
+@pytest.mark.parametrize("name", sorted(CHARTS))
+def test_metric_batch_equals_one_point_calls(name):
+    chart = CHARTS[name]()
+    X = _random_points(chart, 50, seed=7)
+    G = chart.metric(X)
+    assert G.shape == (50, chart.dim, chart.dim)
+    np.testing.assert_array_equal(G, [chart.metric(x) for x in X])
+
+
+class TestRoundSphereOrigin:
+    def test_mixed_batch_takes_identity_at_origin(self):
+        ch = round_sphere_normal_chart()
+        X = np.array([[0.0, 0.0, 0.0], [0.3, -0.2, 0.5], [1e-13, 0.0, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            G = ch.metric(X)
+        np.testing.assert_array_equal(G[0], np.eye(3))
+        np.testing.assert_array_equal(G[2], np.eye(3))
+        np.testing.assert_array_equal(G[1], ch.metric(X[1]))
+
+    def test_scalar_at_origin(self):
+        # the nested stencil about 0 holds the origin itself 2d + 1 times
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            R = scalar_from_chart(round_sphere_normal_chart(), np.zeros(3))
+        assert abs(R - 6.0) < 1e-5 * 6.0
+
+    def test_geodesic_fit_about_origin_unchanged(self):
+        # values of the one-point-at-a-time algorithm
+        fit = geodesic_sphere_fit(round_sphere_normal_chart(), np.zeros(3),
+                                  [0.05, 0.1, 0.2, 0.3])
+        assert fit["c_m1"] == pytest.approx(-1.0000070272712138, rel=1e-9)
+        assert fit["c_1"] == pytest.approx(0.3350716280726897, rel=1e-9)
+        assert fit["residual"] == pytest.approx(9.90495116437e-05, rel=1e-9)
