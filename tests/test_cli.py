@@ -2,11 +2,16 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import gllab
 from gllab.certify import IsotopyCertificate
 from gllab.cli import RunConfig, main
 from gllab.curvature import WarpedSphereMetric, write_curvature_csv
@@ -219,3 +224,12 @@ def test_writers_give_same_bytes_to_buffer_and_path(tmp_path):
         write(str(path))
         assert path.read_bytes() == buf.getvalue().encode()
         assert buf.getvalue().count("\n") >= 2
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is a test-only dependency: the runtime must not import it
+    src = str(Path(gllab.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = "import gllab.cli, sys; assert 'scipy' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=60,
+                   env=dict(os.environ, PYTHONPATH=path))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from gllab import glbend
@@ -330,8 +331,20 @@ class TestInverseBlend:
     def test_profile_without_level_raises_typed(self):
         # decreasing but negative from the start: no level r_end exists
         f = SmoothFn1D(1.0, [PolyPiece((0.0, 1.0), [-0.1, -1.0])])
-        with pytest.raises(InversionError):
+        with pytest.raises(InversionError) as err:
             InverseBlend(f, -1.0, 0.5)
+        # the floor r_end = r0/1000 lies 0.0999 above the range [-1.1, -0.1]
+        assert err.value.residual == pytest.approx(0.1 - 1e-4, rel=1e-12)
+
+    @pytest.mark.parametrize("coeffs", [[1.0, -0.5, -0.5],
+                                        [0.4, -1.0, 0.3, -0.1]])
+    def test_blend_end_matches_scipy_brentq(self, coeffs):
+        f = SmoothFn1D(1.0, [PolyPiece((0.0, 1.0), coeffs)])
+        h = InverseBlend(f, -0.5, 0.5)
+        ref = brentq(lambda t: float(f(t)) - h.r_end, 0.0, 1.0,
+                     xtol=1e-15, rtol=1e-15)
+        assert 0.0 < h.t_end_f < 1.0
+        assert abs(h.t_end_f - ref) <= 1e-13
 
 
 class TestInvertMonotone:
@@ -403,6 +416,48 @@ class TestGraphSeg:
         assert np.ndim(seg._t_of_s(0.4 * seg.length)) == 0
         pt, tan, k = seg.eval(0.4 * seg.length)
         assert pt.shape == (2,) and tan.shape == (2,) and np.ndim(k) == 0
+
+
+def _quad_cumulative(dF, x, breaks=()):
+    """The integrals of dF from x[0] to every x, by adaptive quad on the
+    intervals between consecutive x, split at ``breaks``."""
+    steps = [0.0]
+    for lo, hi in zip(x[:-1], x[1:]):
+        cut = [lo] + [b for b in breaks if lo < b < hi] + [hi]
+        steps.append(sum(quad(dF, a, b, epsabs=1e-16, epsrel=1e-14)[0]
+                         for a, b in zip(cut[:-1], cut[1:])))
+    return np.cumsum(steps)
+
+
+class TestArcLengthTables:
+    """The Hermite tables against adaptive quad on assembled bends: the CLI
+    default (R0 = 1, q = 2), the R0 = 1.5, q = 3 model (the same curve,
+    since theta0 sits at its cap in both) and a pool configuration with a
+    longer tail."""
+
+    @pytest.mark.parametrize("R0, q, r1, r0", [(1.0, 2, 0.5, 0.2),
+                                               (1.5, 3, 0.5, 0.2),
+                                               (3.0, 5, 0.6, 0.15)])
+    def test_tables_match_adaptive_quad(self, R0, q, r1, r0):
+        consts = BendConstants(R0=R0, q=q)
+        prefix = initial_bend(consts, r1=r1)
+        bend = assemble_gamma(consts, prefix, synth_transition(
+            consts, r0=r0, theta0=prefix[1]))
+        _, bump, _, trans, tail = bend.curve.segments
+        for seg in (trans, tail):
+            prof = seg.prof
+            t = np.linspace(0.0, prof.b, 401)
+            ref = _quad_cumulative(
+                lambda x: np.sqrt(1.0 + float(prof.jet(x, 1)[1]) ** 2), t,
+                [p.interval[1] for p in prof.pieces[:-1]])
+            np.testing.assert_allclose(seg._S(t), ref, rtol=0, atol=1e-13)
+        s = np.linspace(0.0, bump.length, 401)
+        pt = bump.eval(s)[0]
+        for col, dF in ((0, lambda x: np.sin(bump.theta(x))),
+                        (1, lambda x: -np.cos(bump.theta(x)))):
+            np.testing.assert_allclose(
+                pt[:, col] - bump.start[col], _quad_cumulative(dF, s),
+                rtol=0, atol=1e-13)
 
 
 def test_tilt_margin_check_can_fail(transition):
