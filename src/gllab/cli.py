@@ -2,8 +2,10 @@
 
 Subcommands construct and certify the library's objects and emit static
 plot data (CSV/JSON).  Outputs are deterministic: no timestamps, fixed
-column orders, floats printed with %.17g.  Exit codes form a stable
-contract:
+column orders, floats printed with %.17g.  Two group options set where
+and how a run writes: ``--output-dir`` (default ".") and ``--format``
+(csv or json, read by ``torpedo`` only; ``bend`` always writes CSV,
+``morse`` JSON and ``demo`` both).  Exit codes form a stable contract:
 
     0  success (all certificates pass)
     2  invalid input
@@ -23,7 +25,6 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
 
 import click
 import numpy as np
@@ -54,31 +55,8 @@ _CONSTRUCTION = (E.ConstructionFailedError, E.SingularProfileError,
 _ALGEBRAIC = (E.AlgebraicRejection,)
 
 
-@dataclass
-class RunConfig:
-    """Settings of a run: ``junction_tolerance`` is the assembly tolerance
-    of ``bend`` on its segment junctions, ``density`` the torpedo sampling
-    density (points per unit length), then where outputs go and, for
-    ``torpedo`` only, their format.  ``bend`` always writes CSV, ``morse``
-    JSON and ``demo`` both."""
-
-    junction_tolerance: float = 1e-8
-    density: int = 256
-    output_dir: str = "."
-    format: str = "csv"
-
-    def __post_init__(self):
-        if self.junction_tolerance <= 0:
-            raise E.InvalidSpecError("junction_tolerance must be > 0")
-        if self.density < 64:
-            raise E.InvalidSpecError("density must be >= 64")
-        if self.format not in ("csv", "json"):
-            raise E.InvalidSpecError("format must be 'csv' or 'json'")
-
-    @classmethod
-    def from_file(cls, path):
-        with open(path) as fh:
-            return cls(**json.load(fh))
+# torpedo sampling density, points per unit length
+_TORPEDO_DENSITY = 256
 
 
 def _exit_code_for(exc):
@@ -100,9 +78,10 @@ def _run(ctx, fn):
     ctx.exit(code if code is not None else EXIT_OK)
 
 
-def _outpath(cfg, name):
-    os.makedirs(cfg.output_dir, exist_ok=True)
-    return os.path.join(cfg.output_dir, name)
+def _outpath(ctx, name):
+    out = ctx.obj["output_dir"]
+    os.makedirs(out, exist_ok=True)
+    return os.path.join(out, name)
 
 
 def _write_json(path, payload):
@@ -113,25 +92,14 @@ def _write_json(path, payload):
 
 
 @click.group()
-@click.option("--config", type=click.Path(exists=True, dir_okay=False),
-              default=None, help="RunConfig JSON file.")
-@click.option("--output-dir", default=None, help="Output directory.")
-@click.option("--format", "fmt", default=None,
+@click.option("--output-dir", default=".", help="Output directory.")
+@click.option("--format", "fmt", default="csv",
               type=click.Choice(["csv", "json"]), help="Output format.")
 @click.pass_context
-def main(ctx, config, output_dir, fmt):
+def main(ctx, output_dir, fmt):
     """Construction and certification toolkit for rotationally symmetric
     positive-scalar-curvature metrics."""
-    try:
-        cfg = RunConfig.from_file(config) if config else RunConfig()
-        if output_dir is not None:
-            cfg.output_dir = output_dir
-        if fmt is not None:
-            cfg.format = fmt
-    except Exception as exc:
-        click.echo(f"error: {type(exc).__name__}: {exc}", err=True)
-        ctx.exit(EXIT_INVALID)
-    ctx.obj = cfg
+    ctx.obj = {"output_dir": output_dir, "format": fmt}
 
 
 @main.command()
@@ -146,26 +114,24 @@ def torpedo(ctx, delta, tube, blend, n):
 
     Exit 0 iff the positivity certificate passes.
     """
-    cfg = ctx.obj
-
     def go():
         spec = TorpedoSpec(delta, tube_length=tube, blend_width=blend)
         f = make_torpedo(spec)
         m = WarpedSphereMetric(n, f, open_profile=True)
-        t = sample_grid(f.b, cfg.density, interior=True)
+        t = sample_grid(f.b, _TORPEDO_DENSITY, interior=True)
         min_r = float(np.min(scalar_warped(m, t)))
-        if cfg.format == "json":
-            _write_json(_outpath(cfg, "torpedo.json"), {
+        if ctx.obj["format"] == "json":
+            _write_json(_outpath(ctx, "torpedo.json"), {
                 "spec": {"delta": spec.delta, "tube_length": spec.tube_length,
                          "blend_width": spec.blend_width, "n": n},
                 "profile": f.to_json(),
                 "min_scalar": min_r,
             })
         else:
-            write_profile_csv(f, _outpath(cfg, "torpedo_profile.csv"),
-                              density=cfg.density)
-            write_curvature_csv(m, _outpath(cfg, "torpedo_curvature.csv"),
-                                density=cfg.density)
+            write_profile_csv(f, _outpath(ctx, "torpedo_profile.csv"),
+                              density=_TORPEDO_DENSITY)
+            write_curvature_csv(m, _outpath(ctx, "torpedo_curvature.csv"),
+                                density=_TORPEDO_DENSITY)
         click.echo(f"min scalar curvature: {min_r:.17g}")
         return EXIT_OK if min_r > 0 else EXIT_CONSTRUCTION
 
@@ -190,15 +156,12 @@ def bend(ctx, R0, C, Cp, q, r1, r0, emit_isotopy):
 
     Exit 0 iff all curve-inequality margins are positive.
     """
-    cfg = ctx.obj
-
     def go():
         consts = BendConstants(R0=R0, C=C, Cp=Cp, q=q)
         prefix = initial_bend(consts, r1=r1)
         trans = synth_transition(consts, r0=r0, theta0=prefix[1])
-        profile = assemble_gamma(consts, prefix, trans,
-                                 junction_tolerance=cfg.junction_tolerance)
-        write_bend_csv(profile, _outpath(cfg, "bend_margins.csv"))
+        profile = assemble_gamma(consts, prefix, trans)
+        write_bend_csv(profile, _outpath(ctx, "bend_margins.csv"))
         cert = profile.certificate
         click.echo(f"min curve-inequality margin: {cert.min_scalar:.17g}")
         if emit_isotopy:
@@ -207,7 +170,7 @@ def bend(ctx, R0, C, Cp, q, r1, r0, emit_isotopy):
             s_grid = np.linspace(0.0, 1.0, 21)
             _family, margins = final_isotopy(
                 tilted, (params.r0, params.m0), s_grid)
-            write_csv(_outpath(cfg, "bend_isotopy.csv"), "s,margin",
+            write_csv(_outpath(ctx, "bend_isotopy.csv"), "s,margin",
                       zip(s_grid, margins))
             if min(margins) <= 0:
                 click.echo(f"isotopy margin failed: {min(margins):.6g}",
@@ -227,13 +190,11 @@ def morse(ctx, file):
     Exit 4 on algebraic rejection (inconsistent boundary, inexactness,
     non-unit invariant factors).
     """
-    cfg = ctx.obj
-
     def go():
         with open(file) as fh:
             desc = MorseDescription.from_json(json.load(fh))
         plan = cancellation_plan(desc)
-        _write_json(_outpath(cfg, "plan.json"), {"plan": plan.to_json()})
+        _write_json(_outpath(ctx, "plan.json"), {"plan": plan.to_json()})
         n_aux = len(plan.auxiliary_points) // 2
         click.echo(f"plan: {len(plan.steps)} steps, "
                    f"{n_aux} auxiliary insertions")
@@ -251,12 +212,10 @@ def demo(ctx, n, p):
 
     Emits per-stage curvature minima; exit 0 iff every stage certifies.
     """
-    cfg = ctx.obj
-
     def go():
         report = two_surgery_demo(n, p)
-        report.write_csv(_outpath(cfg, "demo_stages.csv"))
-        _write_json(_outpath(cfg, "demo_report.json"), report.to_json())
+        report.write_csv(_outpath(ctx, "demo_stages.csv"))
+        _write_json(_outpath(ctx, "demo_report.json"), report.to_json())
         for st in report.stages:
             cert = st["certificate"]
             mark = "ok" if cert.passed else "FAIL"

@@ -586,10 +586,10 @@ class BendProfile:
         pt, tan, k = self.curve.eval(s)
         theta = np.arctan2(tan[:, 0], -tan[:, 1])
         r = pt[:, 1]
-        # the closing point r = 0 is the smooth tip of the cap (k < 0 there,
-        # which passes unconditionally); avoid 0/0 in the rhs
-        r = np.maximum(r, 1e-300)
-        margin = check_cureqn(self.consts, k, r, theta)
+        # the closing sample s = L is the smooth tip of the cap, where r and
+        # k are rounding noise about 0: concave down, so its margin is +inf
+        margin = np.append(
+            check_cureqn(self.consts, k[:-1], r[:-1], theta[:-1]), np.inf)
         return s, pt[:, 0], r, k, theta, margin
 
     def certify(self, n_samples=10000):
@@ -797,7 +797,11 @@ def default_tail_spec(params):
     return TorpedoSpec(params.r_inf, tube_length=_TAIL_FACTOR * params.r_inf)
 
 
-def assemble_gamma(consts, prefix, transition, junction_tolerance=1e-8):
+# largest position or tangent jump assemble_gamma accepts between segments
+_JUNCTION_TOL = 1e-8
+
+
+def assemble_gamma(consts, prefix, transition):
     """Glue prefix bend, straight slope, transition graph, and torpedo tail.
 
     ``prefix`` is the (curve, theta0, k_max) output of initial_bend under
@@ -831,10 +835,10 @@ def assemble_gamma(consts, prefix, transition, junction_tolerance=1e-8):
     tail_seg = GraphSeg(reflect(tail_prof), t_offset=t_inf_global)
     t_bar = t_inf_global + tail_prof.b
     curve = Curve2D(list(curve_prefix.segments) + [line, trans_seg, tail_seg])
-    if curve.junction_residual() > junction_tolerance:
+    if curve.junction_residual() > _JUNCTION_TOL:
         raise AssemblyError(
             f"segment junction residual {curve.junction_residual():.3e} "
-            f"exceeds {junction_tolerance}")
+            f"exceeds {_JUNCTION_TOL}")
     landmarks = {"r_bar": r_bar, "r1": r1, "r1p": r1p, "r0": r0,
                  "r_inf": r_inf, "t1p": t1p, "t0": t0_global,
                  "t_inf": t_inf_global, "t_bar": t_bar}
@@ -876,15 +880,18 @@ def initial_isotopy(f0, lambda_grid=None):
     return family, float(expr.min())
 
 
-def final_bending_tilt(transition, t_inf_pp, extend_to=None,
-                       margin_slack=1e-9):
+# relative margin loss final_bending_tilt tolerates at matched r-levels
+_TILT_SLACK = 1e-9
+
+
+def final_bending_tilt(transition, t_inf_pp, extend_to=None):
     """Straighten the transition tail from t_inf'' on, tilting it downward.
 
     The second derivative of f is cut off at t_inf'' (mollified over a window
     of width delta_inf/8 so the result is exactly C^2) and the profile
     continues as a straight line of small negative slope.  The graph
     inequality margin at matched r-levels must not drop below the unmodified
-    margin by more than ``margin_slack``.
+    margin by more than ``_TILT_SLACK`` (relative, floored at 1).
 
     With t_inf'' = t_inf the profile is returned unchanged.  By default the
     straight tail descends exactly to the original end value f(t_inf), so the
@@ -953,7 +960,7 @@ def final_bending_tilt(transition, t_inf_pp, extend_to=None,
     r_in, m_in = r_new[inside], m_new[inside]
     t_old = _invert_monotone(lambda t: f.jet(t, 1), r_in, 0.0, params.tinf)
     m_old = _graph_margin(f.jet(t_old, 2))
-    worse = m_in < m_old - margin_slack * np.maximum(1.0, np.abs(m_old))
+    worse = m_in < m_old - _TILT_SLACK * np.maximum(1.0, np.abs(m_old))
     if worse.any():
         raise ConstructionFailedError(
             f"tilt decreased the graph-inequality margin at "
@@ -1047,15 +1054,11 @@ class InverseBlend:
 def final_isotopy(f, l_line, s_grid=None, n_t=201):
     """Linear homotopy of inverses from the graph of f to its start line.
 
-    ``l_line`` is the line r0 + m0*t through the start of f: either a pair
-    (r0, m0) or a profile.  Returns (list of h_s
-    profiles, list of graph-inequality margins); h_0 reproduces f and h_1 is
-    the line exactly.
+    ``l_line`` is the pair (r0, m0) of the line r0 + m0*t through the start
+    of f.  Returns (list of h_s profiles, list of graph-inequality margins);
+    h_0 reproduces f and h_1 is the line exactly.
     """
-    if isinstance(l_line, (tuple, list)):
-        r0_line, m0 = (float(x) for x in l_line)
-    else:
-        r0_line, m0 = (float(x) for x in l_line.jet(0.0, 1))
+    r0_line, m0 = (float(x) for x in l_line)
     if abs(r0_line - float(f(0.0))) > 1e-9:
         raise InvalidSpecError("line must pass through the start of f")
     if m0 >= 0:

@@ -298,22 +298,23 @@ class FoliationFamily:
 
 
 def _corner_params(lambda_half_curve):
-    """Extract (edge, radius) from a corner curve or a (c, radius) pair."""
-    if isinstance(lambda_half_curve, Curve2D):
-        segs = lambda_half_curve.segments
-        kinds = [s.kind for s in segs]
-        if kinds != ["line", "arc", "line"]:
-            raise InvalidSpecError(
-                "expected a line-arc-line corner curve, got " + repr(kinds))
-        c1 = float(segs[0].p0[0])
-        c2 = float(segs[2].p1[1])
-        if abs(c1 - c2) > 1e-12 * max(1.0, abs(c1)):
-            raise InvalidSpecError(
-                "foliation needs a symmetric corner curve (c1 = c2), got "
-                f"c1 = {c1:.6g}, c2 = {c2:.6g}")
-        return c1 - segs[1].radius, float(segs[1].radius)
-    c, radius = (float(x) for x in lambda_half_curve)
-    return c - radius, radius
+    """Extract (edge, radius) from a line-arc-line corner curve."""
+    if not isinstance(lambda_half_curve, Curve2D):
+        raise InvalidSpecError(
+            "expected a corner Curve2D, got "
+            f"{type(lambda_half_curve).__name__}")
+    segs = lambda_half_curve.segments
+    kinds = [s.kind for s in segs]
+    if kinds != ["line", "arc", "line"]:
+        raise InvalidSpecError(
+            "expected a line-arc-line corner curve, got " + repr(kinds))
+    c1 = float(segs[0].p0[0])
+    c2 = float(segs[2].p1[1])
+    if abs(c1 - c2) > 1e-12 * max(1.0, abs(c1)):
+        raise InvalidSpecError(
+            "foliation needs a symmetric corner curve (c1 = c2), got "
+            f"c1 = {c1:.6g}, c2 = {c2:.6g}")
+    return c1 - segs[1].radius, float(segs[1].radius)
 
 
 # samples per leaf on which connected_sum_foliation checks positivity

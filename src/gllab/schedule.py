@@ -14,7 +14,9 @@ and carrying a numeric positivity certificate:
 * ``transition-smoothing`` — the corner smoothing between consecutive
   critical levels.
 
-Everything is deterministic; batch sweeps map over grid cells one by one.
+Everything is deterministic.  ``compile_gl_cobordism`` and
+``compile_reverse`` build a schedule from a Morse description;
+``two_surgery_demo`` runs the steps for two consecutive surgeries.
 """
 
 from __future__ import annotations
@@ -48,7 +50,6 @@ __all__ = [
     "compile_reverse",
     "two_surgery_demo",
     "smooth_YsYt",
-    "batch_sweep",
     "round_metric",
     "round_doubly_warped",
     "write_schedule_csv",
@@ -127,14 +128,6 @@ class Schedule:
         if not self.segments:
             return np.inf
         return min(s.certificate.min_scalar for s in self.segments)
-
-    @property
-    def start(self):
-        return self.segments[0].start if self.segments else None
-
-    @property
-    def end(self):
-        return self.segments[-1].end if self.segments else None
 
     def to_json(self):
         return {"segments": [s.to_json() for s in self.segments],
@@ -401,7 +394,7 @@ def compile_reverse(schedule, desc):
     Returns (reversed schedule, report dict).
     """
     rdesc = reverse(desc)
-    if not rdesc.flags.get("admissible", check_admissible(rdesc)):
+    if not rdesc.flags["admissible"]:
         raise HypothesisViolationError(
             "reversed description is not admissible")
     rsegs = []
@@ -578,64 +571,3 @@ def two_surgery_demo(n, p, radius=1.0):
          "r_inf_2": bend2.landmarks["r_inf"]},
         region="transition")
     return DemoReport(n=n, p=p, q=q, stages=stages, endpoints=(start, end))
-
-
-# ---------------------------------------------------------------------------
-# batch sweeps
-# ---------------------------------------------------------------------------
-
-def batch_sweep(g0_family, desc_family):
-    """Compile every (g0, desc) grid cell; collect failures per cell.
-
-    Returns a dict with "cells" (one record per grid point, either the
-    schedule or the error message) and "shared_delta": the single
-    standardization delta certifying every successful cell, when one exists
-    (the smallest per-cell delta, revalidated against each cell), else None.
-    """
-    g0_family = list(g0_family)
-    desc_family = list(desc_family)
-    grid = [(i, j) for i in range(len(g0_family))
-            for j in range(len(desc_family))]
-
-    def run(cell):
-        i, j = cell
-        try:
-            sched = compile_gl_cobordism(g0_family[i], desc_family[j])
-            return {"g0": i, "desc": j, "ok": True, "schedule": sched}
-        except Exception as exc:  # per-cell failures are collected, not fatal
-            return {"g0": i, "desc": j, "ok": False,
-                    "error": f"{type(exc).__name__}: {exc}"}
-
-    cells = pmap(run, grid)
-    deltas = []
-    for cell in cells:
-        if cell["ok"]:
-            for seg in cell["schedule"].segments:
-                if seg.kind == "standardize":
-                    deltas.append((seg.parameters["delta"], cell["g0"],
-                                   seg.start, seg.end))
-    shared = None
-    if deltas:
-        cand = min(d for d, *_ in deltas)
-        ok = True
-        for cell in cells:
-            if not cell["ok"]:
-                continue
-            for seg in cell["schedule"].segments:
-                if seg.kind != "standardize":
-                    continue
-                radius = _round_radius_of(g0_family[cell["g0"]])
-                pq = seg.end.params
-                try:
-                    u1, v1 = _mixed_torpedo_profiles(cand, cand,
-                                                     radius * np.pi / 2.0)
-                    g = round_doubly_warped(pq["p"], pq["q"], radius)
-                    cert = _certify_homotopy(pq["p"], pq["q"], g.u, g.v,
-                                             u1, v1)
-                    if not cert.passed:
-                        ok = False
-                except InvalidSpecError:
-                    ok = False
-        if ok:
-            shared = cand
-    return {"cells": cells, "shared_delta": shared}

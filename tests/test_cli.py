@@ -13,9 +13,9 @@ from click.testing import CliRunner
 
 import gllab
 from gllab.certify import IsotopyCertificate
-from gllab.cli import RunConfig, main
+from gllab import glbend
+from gllab.cli import main
 from gllab.curvature import WarpedSphereMetric, write_curvature_csv
-from gllab.errors import InvalidSpecError
 from gllab.fnspace import TorpedoSpec, make_torpedo, write_profile_csv
 from gllab.glbend import (BendConstants, assemble_gamma, initial_bend,
                           quarter_bend_curve, synth_transition,
@@ -38,32 +38,34 @@ def runner():
 
 
 class TestRunConfig:
-    def test_defaults_valid(self):
-        cfg = RunConfig()
-        assert cfg.format == "csv"
+    """A run is set by the group options --output-dir and --format alone."""
 
-    def test_invariants(self):
-        with pytest.raises(InvalidSpecError):
-            RunConfig(junction_tolerance=0.0)
-        with pytest.raises(InvalidSpecError):
-            RunConfig(density=32)
-        with pytest.raises(InvalidSpecError):
-            RunConfig(format="xml")
+    def test_defaults_valid(self, runner):
+        with runner.isolated_filesystem():
+            res = runner.invoke(main, ["torpedo", "--delta", "0.5"])
+            assert res.exit_code == 0
+            assert sorted(os.listdir(".")) == ["torpedo_curvature.csv",
+                                               "torpedo_profile.csv"]
 
-    @pytest.mark.parametrize("key", ["margin_tolerance", "oracle_agreement"])
-    def test_deleted_key_exit_2(self, runner, tmp_path, key):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({key: 1e-6}))
-        res = runner.invoke(main, ["--config", str(cfg),
+    def test_invariants(self, runner):
+        res = runner.invoke(main, ["--format", "xml",
                                    "torpedo", "--delta", "0.5"])
         assert res.exit_code == 2
 
-    def test_junction_tolerance_reaches_bend(self, runner, tmp_path):
+    @pytest.mark.parametrize("key", ["margin_tolerance", "oracle_agreement",
+                                     "junction_tolerance", "density"])
+    def test_deleted_key_exit_2(self, runner, key):
+        flag = "--" + key.replace("_", "-")
+        res = runner.invoke(main, [flag, "1e-6",
+                                   "torpedo", "--delta", "0.5"])
+        assert res.exit_code == 2
+        assert "No such option" in res.output and flag in res.output
+
+    def test_junction_tolerance_reaches_bend(self, runner, tmp_path,
+                                             monkeypatch):
         # the default bend's segment junction residual is about 5.6e-17
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"junction_tolerance": 1e-20,
-                                   "output_dir": str(tmp_path)}))
-        res = runner.invoke(main, ["--config", str(cfg), "bend",
+        monkeypatch.setattr(glbend, "_JUNCTION_TOL", 1e-20)
+        res = runner.invoke(main, ["--output-dir", str(tmp_path), "bend",
                                    "--r0q", "1.5", "--q", "3"])
         assert res.exit_code == 3
         assert "junction residual" in res.output
@@ -177,21 +179,15 @@ class TestDeterminism:
                         + (d / "demo_report.json").read_bytes())
         assert outs[0] == outs[1]
 
-    def test_config_file(self, runner, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"density": 128,
-                                   "output_dir": str(tmp_path / "out")}))
-        res = runner.invoke(main, ["--config", str(cfg),
-                                   "torpedo", "--delta", "0.5"])
-        assert res.exit_code == 0
-        assert (tmp_path / "out" / "torpedo_profile.csv").exists()
-
     def test_bad_config_exit_2(self, runner, tmp_path):
+        # settings come from flags only; a config file is a usage error
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"density": 8}))
+        cfg.write_text(json.dumps({"output_dir": str(tmp_path / "out")}))
         res = runner.invoke(main, ["--config", str(cfg),
                                    "torpedo", "--delta", "0.5"])
         assert res.exit_code == 2
+        assert "No such option" in res.output and "--config" in res.output
+        assert not (tmp_path / "out").exists()
 
 
 def test_writers_give_same_bytes_to_buffer_and_path(tmp_path):

@@ -167,6 +167,21 @@ class TestSynthesis:
         assert cert.passed and cert.min_scalar > 0
         assert profile.curve.junction_residual() < 1e-8
 
+    @pytest.mark.parametrize("R0, q", [(1.5, 3), (3.0, 5)])
+    def test_closing_sample_reports_its_r_and_passes(self, R0, q):
+        # at the cap tip r and k are rounding noise about 0 (r is exactly 0
+        # for R0 = 3, q = 5); the table shows that r and a margin of +inf
+        consts = BendConstants(R0=R0, q=q)
+        prefix = initial_bend(consts, r1=0.5)
+        profile = assemble_gamma(consts, prefix, synth_transition(
+            consts, r0=0.2, theta0=prefix[1]))
+        s, _t, r, _k, _theta, margin = profile.margins(2048)
+        assert r[-1] == profile.curve.point(s)[-1, 1]
+        assert abs(r[-1]) < 1e-9
+        assert margin[-1] == np.inf
+        assert profile.certificate.min_scalar == \
+            profile.margins()[5][:-1].min()
+
 
 @pytest.fixture(scope="module")
 def transition():
@@ -210,7 +225,7 @@ class TestIsotopies:
 
     def test_tilt_too_large(self, transition):
         params, _ = transition
-        with pytest.raises((TiltTooLargeError, ConstructionFailedError)):
+        with pytest.raises(TiltTooLargeError):
             final_bending_tilt(transition, params.C2,
                                extend_to=params.tinf + 100.0)
 
@@ -460,8 +475,9 @@ class TestArcLengthTables:
                 rtol=0, atol=1e-13)
 
 
-def test_tilt_margin_check_can_fail(transition):
+def test_tilt_margin_check_can_fail(transition, monkeypatch):
     params, _ = transition
     # a negative slack demands a margin gain the tilt cannot deliver
+    monkeypatch.setattr(glbend, "_TILT_SLACK", -1.0)
     with pytest.raises(ConstructionFailedError, match="margin at r ="):
-        final_bending_tilt(transition, params.C2, margin_slack=-1.0)
+        final_bending_tilt(transition, params.C2)

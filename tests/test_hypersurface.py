@@ -10,7 +10,8 @@ import gllab.curvature as curvature
 import gllab.hypersurface as hyp
 from gllab.curvature import scalar_doubly_warped
 from gllab.errors import (CertificationFailedError, DomainMismatchError,
-                          InvalidBendError, SingularProfileError)
+                          InvalidBendError, InvalidSpecError,
+                          SingularProfileError)
 from gllab.fnspace import (PolyPiece, SinePiece, SmoothFn1D,
                            check_U_membership, check_V_membership,
                            linear_homotopy, scale)
@@ -190,7 +191,12 @@ class TestFoliation:
 
     def test_negative_tau_rejected(self):
         corner = quarter_bend_curve(1.0, 1.0, 0.4, eps=0.25, delta=0.25)
-        with pytest.raises(Exception):
+        with pytest.raises(InvalidSpecError, match="tau"):
             connected_sum_foliation(corner, tau=-0.1,
                                     nu_grid=np.linspace(0, 1, 3),
+                                    eps=0.25, delta_p=0.25)
+
+    def test_corner_must_be_a_curve(self):
+        with pytest.raises(InvalidSpecError, match="Curve2D"):
+            connected_sum_foliation((1.0, 0.4), tau=0.05, nu_grid=[0.0],
                                     eps=0.25, delta_p=0.25)

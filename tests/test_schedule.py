@@ -1,4 +1,4 @@
-"""Schedule compilation, reversal, smoothing windows, sweeps, demo."""
+"""Schedule compilation, reversal, smoothing windows, demo."""
 
 import io
 
@@ -13,7 +13,7 @@ from gllab.errors import (CertificationFailedError, CompilationFailedError,
                           InvalidSpecError, InvalidWindowError)
 from gllab.fnspace import SinePiece, SmoothFn1D, reflect, scale
 from gllab.morsealg import CriticalPoint, MorseDescription
-from gllab.schedule import (DemoReport, batch_sweep, compile_gl_cobordism,
+from gllab.schedule import (DemoReport, compile_gl_cobordism,
                             compile_reverse, round_doubly_warped,
                             round_metric, smooth_YsYt, two_surgery_demo,
                             write_schedule_csv)
@@ -52,6 +52,14 @@ class TestCompile:
         # chaining: descriptors match end-to-start
         for a, b in zip(s.segments, s.segments[1:]):
             assert a.end == b.start
+
+    def test_non_psc_g0_rejected(self):
+        b = np.pi / 3
+        bad = WarpedSphereMetric(
+            7, SmoothFn1D(b, [SinePiece((0.0, b), 0.5, 3.0)]),
+            open_profile=True)
+        with pytest.raises(CertificationFailedError, match="not certified"):
+            compile_gl_cobordism(bad, one_point_desc())
 
     def test_top_index_rejected(self, g0):
         with pytest.raises(HypothesisViolationError):
@@ -180,29 +188,6 @@ class TestSmoothing:
             smooth_YsYt(Y1, Y1, 0.5, 1.0, 0.2)
         with pytest.raises(InvalidWindowError):
             smooth_YsYt(Y1, Y1, 1.0, 0.5, 0.0)
-
-
-class TestSweep:
-    def test_radius_family_shared_delta(self):
-        desc = one_point_desc()
-        out = batch_sweep([round_metric(7, r) for r in (0.8, 1.0, 1.2)],
-                          [desc])
-        assert all(c["ok"] for c in out["cells"])
-        assert out["shared_delta"] is not None
-
-    def test_empty_grid(self):
-        out = batch_sweep([], [])
-        assert out["cells"] == [] and out["shared_delta"] is None
-
-    def test_non_psc_cell_isolated(self):
-        b = np.pi / 3
-        bad = WarpedSphereMetric(
-            7, SmoothFn1D(b, [SinePiece((0.0, b), 0.5, 3.0)]),
-            open_profile=True)
-        out = batch_sweep([round_metric(7, 1.0), bad], [one_point_desc()])
-        oks = [c["ok"] for c in out["cells"]]
-        assert oks == [True, False]
-        assert "CertificationFailedError" in out["cells"][1]["error"]
 
 
 class TestDemo:
