@@ -18,7 +18,11 @@ zeros raise ``SingularProfileError``.
 
 ``slowdown_concordance`` certifies that a path of psc warped metrics can be
 run as a psc metric on a cylinder after slowing the parameter down enough
-(reparameterize by a smoothstep over a long enough interval).
+(reparameterize by a smoothstep over a long enough interval).  It doubles
+the interval length L and evaluates the path once per distinct sigma over
+the whole search: the closed-form smoothstep has eta_L(L x) == eta_1(x) bit
+for bit for L = 2^k, so every L samples the same sigma and only the finite
+difference step h = 1e-4 L changes.
 """
 
 from __future__ import annotations
@@ -30,9 +34,9 @@ import numpy as np
 from .certify import IsotopyCertificate, write_csv
 from .errors import (CertificationFailedError, DomainMismatchError,
                      InvalidSpecError, SingularProfileError)
-from .fnspace import (_END_TOL, ConstPiece, PolyPiece, SmoothFn1D,
-                      _quintic_match, check_F_membership,
-                      check_U_membership, check_V_membership, sample_grid)
+from .fnspace import (_END_TOL, DEFAULT_GRID_DENSITY, ConstPiece, PolyPiece,
+                      SmoothFn1D, check_F_membership, check_U_membership,
+                      check_V_membership, sample_grid)
 
 __all__ = [
     "WarpedSphereMetric",
@@ -308,40 +312,60 @@ def canonical_variation_scalar(base_R, fiber_R_at_unit, delta):
 # ---------------------------------------------------------------------------
 
 def make_smoothstep(L):
-    """Quintic smoothstep on (0, L): 0 up to L/4, 1 from 3L/4, C^2 between."""
+    """Quintic smoothstep on (0, L): 0 up to L/4, 1 from 3L/4, C^2 between.
+
+    The ramp is 10y^3 - 15y^4 + 6y^5, y = (t - L/4)/(L/2), in powers of
+    t - L/4.  For L = 2^k every breakpoint, coefficient and Horner step is
+    the L = 1 one times a power of two, so eta_L(L x) == eta_1(x) exactly.
+    """
     L = float(L)
     if not L > 0.0:
         raise InvalidSpecError("need L > 0")
-    k1, k2 = 0.25 * L, 0.75 * L
-    coeffs = _quintic_match(k1, (0.0, 0.0, 0.0), k2, (1.0, 0.0, 0.0))
+    k1, k2, w = 0.25 * L, 0.75 * L, 0.5 * L
+    coeffs = [0.0, 0.0, 0.0, 10.0 / w ** 3, -15.0 / w ** 4, 6.0 / w ** 5]
     pieces = [ConstPiece((0.0, k1), 0.0),
               PolyPiece((k1, k2), coeffs, origin=k1),
               ConstPiece((k2, L), 1.0)]
     return SmoothFn1D(L, pieces)
 
 
-def _path_rows(path, sig, tgrid, h):
-    """Per row of ``sig``, the Phi2D of phi(s, t) = path(sigma(s)).f(t) on it.
+# rows of the (s, t) grid per vectorised scalar_cyl_family call
+_ROW_BLOCK = 32
 
-    Row i of ``sig`` holds sigma at s_i - h, s_i and s_i + h.  The s-partials
-    are central differences of the profiles at those three values; the
-    t-partials come from the centre profile's jet.  Each profile is built
-    and evaluated once per distinct sigma: sigma is monotone in s, so only
-    the previous row's profiles can recur (on the flat ends of eta every
-    row shares one).
+
+def _path_jets(path, sig, tgrid, known):
+    """t-jet on ``tgrid`` of path(sigma).f at each distinct sigma of ``sig``.
+
+    Row i of ``sig`` holds sigma at s_i - h, s_i and s_i + h; the outer
+    values need f only, the centre f, f' and f''.  ``known`` maps sigma to
+    profiles already built; the others are dropped once their jet is taken.
     """
-    prev = {}
+    order = {}
     for row in sig:
-        cur = {}
-        # the outer profiles need values only, the centre its t-jet
         for sv, k in zip(row, (0, 2, 0)):
-            f, jet = cur.get(sv) or prev.get(sv) or (path(float(sv)).f, ())
-            cur[sv] = (f, jet if len(jet) > k else f.jet(tgrid, k))
-        prev = cur
-        (Pm, *_), (P, d1, d2), (Pp, *_) = (cur[sv][1] for sv in row)
+            order[sv] = max(k, order.get(sv, 0))
+    return {sv: (known[sv] if sv in known else path(sv).f).jet(tgrid, k)
+            for sv, k in order.items()}
+
+
+def _slowdown_grid(n, jets, sig, sgrid, tgrid, h):
+    """R of ds^2 + dt^2 + phi^2 ds_{n-2}^2, phi(s, t) = path(sigma(s)).f(t).
+
+    The s-partials are central differences of row i's outer jets, the
+    t-partials the centre's jet; R is evaluated ``_ROW_BLOCK`` rows a call.
+    """
+    R = np.empty((len(sgrid), len(tgrid)))
+    for lo in range(0, len(sgrid), _ROW_BLOCK):
+        rows = sig[lo:lo + _ROW_BLOCK]
+        Pm, P, Pp = (np.array([jets[row[c]][0] for row in rows])
+                     for c in range(3))
+        d1, d2 = (np.array([jets[row[1]][k] for row in rows]) for k in (1, 2))
         jet = (P, ((Pp - Pm) / (2.0 * h), d1),
                ((Pp - 2.0 * P + Pm) / h ** 2, d2))
-        yield Phi2D(lambda s, t, k=2, jet=jet: jet[:k + 1])
+        phi = Phi2D(lambda s, t, k=2, jet=jet: jet[:k + 1])
+        R[lo:lo + len(rows)] = scalar_cyl_family(
+            CylFamilyMetric(n - 1, phi), sgrid[lo:lo + len(rows), None], tgrid)
+    return R
 
 
 def slowdown_concordance(path, n, grid_shape=(200, 200), budget=20):
@@ -353,13 +377,24 @@ def slowdown_concordance(path, n, grid_shape=(200, 200), budget=20):
     cylinder metric is a product there), and L is doubled (Lambda = 1/L
     halved from 1) until the full (s, t) grid certifies min scalar > 0.
 
+    The path is evaluated once per distinct sigma over the whole search,
+    not once per L.  This is exact: round L's s-grid and h = 1e-4 L are
+    L times those of L = 1 and eta_L(L x) == eta_1(x) bit for bit, so every
+    round samples the same sigma at s_i - h, s_i, s_i + h; only h changes.
+
     Returns (Lambda, eta profile on (0, L), certificate).  The certificate's
-    ``extra`` holds where the minimum sits (``argmin_s``, ``argmin_t``) and
-    every L tried (``L_tried``).
+    ``extra`` holds where the minimum sits (``argmin_s``, ``argmin_t``),
+    every L tried (``L_tried``) and the number of distinct sigma at which
+    the path was evaluated (``profiles``).  ``grid_shape`` entries or a
+    ``budget`` below 1 raise ``InvalidSpecError``.
     """
+    ns, nt = grid_shape
+    if min(ns, nt, budget) < 1:
+        raise InvalidSpecError(
+            f"slowdown needs a grid of at least 1x1 and a budget of at least "
+            f"1, got grid_shape={tuple(grid_shape)}, budget={budget}")
     g0, g1 = path(0.0), path(1.0)
     b = g0.f.b
-    ns, nt = grid_shape
     tgrid = np.linspace(0.0, b, nt + 2)[1:-1]
     for g, tag in ((g0, "start"), (g1, "end")):
         mn = float(np.min(scalar_warped(g, tgrid)))
@@ -368,20 +403,21 @@ def slowdown_concordance(path, n, grid_shape=(200, 200), budget=20):
                 f"path {tag} metric is not psc (min R = {mn:.6g})",
                 best_margin=mn)
 
+    known = {0.0: g0.f, 1.0: g1.f}
     best = -np.inf
     L = 1.0
     tried = []
+    jets = None
     for _ in range(budget):
         eta = make_smoothstep(L)
         h = L * 1e-4
         tried.append(L)
         sgrid = np.linspace(0.0, L, ns + 2)[1:-1]
-        sig = np.clip(eta(np.clip(sgrid[:, None] + [-h, 0.0, h], 0.0, L)),
-                      0.0, 1.0)
-        R = np.empty((ns, nt))
-        for i, phi in enumerate(_path_rows(path, sig, tgrid, h)):
-            R[i] = scalar_cyl_family(CylFamilyMetric(n - 1, phi), sgrid[i],
-                                     tgrid)
+        if jets is None:
+            sig = np.clip(eta(np.clip(sgrid[:, None] + [-h, 0.0, h], 0.0, L)),
+                          0.0, 1.0).tolist()
+            jets = _path_jets(path, sig, tgrid, known)
+        R = _slowdown_grid(n, jets, sig, sgrid, tgrid, h)
         i, j = np.unravel_index(np.argmin(R), R.shape)
         mn = float(R[i, j])
         if mn > 0:
@@ -389,7 +425,8 @@ def slowdown_concordance(path, n, grid_shape=(200, 200), budget=20):
                 grid=f"{ns}x{nt} interior grid, L={L:.6g}",
                 min_scalar=mn, label="slowdown",
                 extra={"argmin_s": float(sgrid[i]),
-                       "argmin_t": float(tgrid[j]), "L_tried": tried})
+                       "argmin_t": float(tgrid[j]), "L_tried": tried,
+                       "profiles": len(jets.keys() | known.keys())})
             return 1.0 / L, eta, cert
         best = max(best, mn)
         L *= 2.0
@@ -402,7 +439,7 @@ def slowdown_concordance(path, n, grid_shape=(200, 200), budget=20):
 # export
 # ---------------------------------------------------------------------------
 
-def write_curvature_csv(m, path_or_buf, density=256):
+def write_curvature_csv(m, path_or_buf, density=DEFAULT_GRID_DENSITY):
     """CSV curvature profile with columns t, R, Ric_t, Ric_sphere."""
     t = sample_grid(m.f.b, density)
     write_csv(path_or_buf, "t,R,Ric_t,Ric_sphere",

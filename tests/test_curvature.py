@@ -15,8 +15,9 @@ from gllab.curvature import (CylFamilyMetric, DoublyWarpedMetric, Phi2D,
 from gllab.errors import (CertificationFailedError, DomainMismatchError,
                           InvalidSpecError, SingularProfileError)
 from gllab.fnspace import (ConstPiece, PolyPiece, SinePiece, SmoothFn1D,
-                           TorpedoSpec, linear_homotopy, make_double_torpedo,
-                           make_torpedo, reflect, sample_grid, scale)
+                           TorpedoSpec, _quintic_match, linear_homotopy,
+                           make_double_torpedo, make_torpedo, reflect,
+                           sample_grid, scale, write_profile_csv)
 from gllab.schedule import round_doubly_warped, round_metric
 
 
@@ -293,25 +294,24 @@ class TestSlowdown:
     def test_one_profile_per_distinct_sigma(self, monkeypatch):
         ns = 40
         inner = round_to_double_torpedo()
-        calls, starts = [], []
+        calls, rounds = [], []
 
         def path(sig):
             calls.append(sig)
             return inner(sig)
 
         def smoothstep(L):
-            starts.append(len(calls))
+            rounds.append(L)
             return make_smoothstep(L)
 
         monkeypatch.setattr(curvature, "make_smoothstep", smoothstep)
         _lam, _eta, cert = slowdown_concordance(path, 7, grid_shape=(ns, 30))
         assert cert.passed
-        assert len(starts) == len(cert.extra["L_tried"]) >= 2
-        for lo, hi in zip(starts, starts[1:] + [len(calls)]):
-            per_L = calls[lo:hi]
-            assert len(per_L) <= 3 * ns + 2
-            assert len(set(per_L)) == len(per_L)
-            assert {0.0, 1.0} <= set(per_L)
+        # one smoothstep per L, one path call per distinct sigma overall
+        assert rounds == cert.extra["L_tried"] and len(rounds) >= 2
+        assert len(calls) <= 3 * ns + 2
+        assert len(set(calls)) == len(calls) == cert.extra["profiles"]
+        assert {0.0, 1.0} <= set(calls)
 
     def test_non_positive_middle_profile_raises(self):
         f = round_to_double_torpedo()(0.0).f
@@ -334,6 +334,38 @@ class TestSlowdown:
         with pytest.raises(CertificationFailedError):
             slowdown_concordance(path, 7, grid_shape=(10, 10), budget=2)
 
+    @pytest.mark.parametrize("grid_shape, budget", [
+        ((0, 10), 20), ((10, 0), 20), ((-3, 10), 20), ((10, 10), 0)])
+    def test_bad_grid_or_budget_raises_typed(self, grid_shape, budget):
+        calls = []
+
+        def path(sig):
+            calls.append(sig)
+            return round_to_double_torpedo()(sig)
+
+        with pytest.raises(InvalidSpecError):
+            slowdown_concordance(path, 7, grid_shape=grid_shape,
+                                 budget=budget)
+        assert calls == []
+
+
+class TestSmoothstep:
+    x = np.linspace(0.0, 1.0, 1001)
+
+    @pytest.mark.parametrize("k", range(11))
+    def test_scales_exactly_by_powers_of_two(self, k):
+        L = 2.0 ** k
+        assert np.array_equal(make_smoothstep(L)(L * self.x),
+                              make_smoothstep(1.0)(self.x))
+
+    @pytest.mark.parametrize("k", range(11))
+    def test_closed_form_matches_quintic_solve(self, k):
+        L = 2.0 ** k
+        ref = _quintic_match(0.25 * L, (0.0, 0.0, 0.0), 0.75 * L,
+                             (1.0, 0.0, 0.0))
+        coeffs = make_smoothstep(L).pieces[1].coeffs
+        assert np.max(np.abs(coeffs - ref)) <= 1e-14 * np.max(np.abs(ref))
+
 
 def test_curvature_csv():
     m = WarpedSphereMetric(7, round_profile())
@@ -342,3 +374,15 @@ def test_curvature_csv():
     lines = buf.getvalue().strip().splitlines()
     assert lines[0] == "t,R,Ric_t,Ric_sphere"
     assert len(lines) > 64
+
+
+def test_default_density_tables_share_t():
+    f = round_profile()
+    bufs = io.StringIO(), io.StringIO()
+    write_profile_csv(f, bufs[0])
+    write_curvature_csv(WarpedSphereMetric(7, f), bufs[1])
+    t_profile, t_curvature = ([line.split(",")[0] for line in
+                               buf.getvalue().splitlines()[1:]]
+                              for buf in bufs)
+    assert t_profile == t_curvature
+    assert len(t_profile) == len(sample_grid(f.b))
