@@ -2,9 +2,9 @@
 
 An :class:`IsotopyCertificate` is a sampled numeric record witnessing strict
 positivity of scalar curvature along a constructed metric or family: the grid
-it was sampled on, the minimum value found, and the tolerance it was compared
-against.  Certificates are produced all over the toolkit (curvature scans,
-bend synthesis, schedule compilation) and serialize to JSON.
+it was sampled on and the minimum value found, which must exceed 0.
+Certificates are produced all over the toolkit (curvature scans, bend
+synthesis, schedule compilation) and serialize to JSON.
 
 ``pmap`` is the order-preserving map that every scan over grid cells,
 leaves or homotopy parameters goes through.  It runs serially: the scans are
@@ -45,27 +45,22 @@ def write_csv(path_or_buf, header, rows):
 
 @dataclass
 class IsotopyCertificate:
-    """Positivity witness: pass iff min_scalar > tolerance >= 0."""
+    """Positivity witness: pass iff min_scalar > 0 (a NaN fails)."""
 
     grid: str
     min_scalar: float
-    tolerance: float = 0.0
     label: str = ""
     extra: dict = field(default_factory=dict)
 
-    def __post_init__(self):
-        if self.tolerance < 0:
-            raise ValueError("tolerance must be nonnegative")
-
     @property
     def passed(self):
-        return self.min_scalar > self.tolerance
+        return self.min_scalar > 0
 
     def to_json(self):
         return {
             "grid": self.grid,
             "min_scalar": self.min_scalar,
-            "tolerance": self.tolerance,
+            "tolerance": 0.0,  # the report format keeps the retired field
             "label": self.label,
             "passed": bool(self.passed),
             **({"extra": self.extra} if self.extra else {}),

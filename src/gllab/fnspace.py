@@ -2,8 +2,8 @@
 
 Profiles are C^2 functions on (0, b) carrying derivative evaluation up to
 order 3.  They are the carriers for every rotationally symmetric metric in the
-toolkit: cap/tube ("torpedo") profiles, round-sphere profiles, and the various
-deformation families built from them.
+toolkit: cap/tube ("torpedo") profiles, whose layout ``TorpedoSpec`` alone
+decides, round-sphere profiles, and the deformation families built from them.
 
 Three families of membership predicates are provided:
 
@@ -235,18 +235,13 @@ class SmoothFn1D:
         t = _jet_points(t, k, self.b)
         tv = np.atleast_1d(t)
         idx = np.searchsorted(self._breaks, tv, side="right")
-        if tv.size == 1:
-            # most calls are one point: evaluate its piece without masks
-            piece = self.pieces[idx.flat[0]]
-            outs = [piece.eval(tv, order) for order in range(k + 1)]
-        else:
-            outs = [np.empty_like(tv) for _ in range(k + 1)]
-            for i, piece in enumerate(self.pieces):
-                mask = idx == i
-                if mask.any():
-                    ti = tv[mask]
-                    for order, out in enumerate(outs):
-                        out[mask] = piece.eval(ti, order)
+        outs = [np.empty_like(tv) for _ in range(k + 1)]
+        for i, piece in enumerate(self.pieces):
+            mask = idx == i
+            if mask.any():
+                ti = tv[mask]
+                for order, out in enumerate(outs):
+                    out[mask] = piece.eval(ti, order)
         if t.ndim == 0:
             return tuple(out[0] for out in outs)
         return tuple(outs)
@@ -306,11 +301,15 @@ def write_profile_csv(f, path_or_buf, density=DEFAULT_GRID_DENSITY):
 # structural operations
 # ---------------------------------------------------------------------------
 
+def _mirrored(pieces, b):
+    """The pieces t -> p(b - t) of ``pieces`` mirrored about b/2, in order."""
+    return [ReflectPiece((b - p.interval[1], b - p.interval[0]), p, b)
+            for p in reversed(pieces)]
+
+
 def reflect(f):
     """The profile t -> f(b - t) on the same domain."""
-    pieces = [ReflectPiece((f.b - p.interval[1], f.b - p.interval[0]), p, f.b)
-              for p in reversed(f.pieces)]
-    return SmoothFn1D(f.b, pieces, f.junction_orders)
+    return SmoothFn1D(f.b, _mirrored(f.pieces, f.b), f.junction_orders)
 
 
 def scale(f, a):
@@ -339,14 +338,15 @@ def linear_homotopy(f0, f1, s):
 class TorpedoSpec:
     """Cap radius, straight tube length, and the C^2 blend window half-width.
 
-    Total domain length is  delta*pi/2 + blend_width + tube_length.  The
-    profile follows delta*sin(t/delta) up to delta*pi/2 - 2*blend_width, is
-    the constant delta from delta*pi/2 + blend_width onward, and is a quintic
-    interpolant in between (matched to order 2 at both ends).  The 2:1 window
-    split is what keeps the interpolant concave; a symmetric window overshoots.
+    Along (0, b) the profile follows delta*sin(t/delta) up to
+    cap - 2*blend_width (``cap`` = delta*pi/2), is a quintic interpolant
+    (matched to order 2 at both ends) up to ``flat_from`` = cap + blend_width,
+    and the constant delta from there to ``b`` = flat_from + tube_length.  The
+    2:1 window split is what keeps the interpolant concave; a symmetric window
+    overshoots.
 
     ``blend_width = 0`` is accepted and produces the classical merely-C^1
-    cap/tube junction.
+    cap/tube junction.  Every size must be finite.
     """
 
     delta: float
@@ -354,20 +354,30 @@ class TorpedoSpec:
     blend_width: float | None = None
 
     def __post_init__(self):
-        if self.delta <= 0:
-            raise InvalidSpecError("delta must be positive")
-        if self.tube_length < 0:
-            raise InvalidSpecError("tube_length must be nonnegative")
+        if not 0 < self.delta < np.inf:
+            raise InvalidSpecError("delta must be positive and finite")
+        if not 0 <= self.tube_length < np.inf:
+            raise InvalidSpecError("tube_length must be finite and >= 0")
         if self.blend_width is None:
             self.blend_width = 0.25 * self.delta * np.pi / 2.0
-        if self.blend_width < 0:
-            raise InvalidSpecError("blend_width must be nonnegative")
+        if not 0 <= self.blend_width < np.inf:
+            raise InvalidSpecError("blend_width must be finite and >= 0")
         if self.blend_width >= 0.499 * self.delta * np.pi / 2.0:
             raise InvalidSpecError("blend_width must be below delta*pi/4")
 
     @property
+    def cap(self):
+        """End of the sine cap, where delta*sin(t/delta) reaches delta."""
+        return self.delta * np.pi / 2.0
+
+    @property
+    def flat_from(self):
+        """Where the profile becomes the constant delta."""
+        return self.cap + self.blend_width
+
+    @property
     def b(self):
-        return self.delta * np.pi / 2.0 + self.blend_width + self.tube_length
+        return self.flat_from + self.tube_length
 
 
 def _quintic_match(t0, y0, t1, y1):
@@ -400,32 +410,24 @@ def _quintic_match(t0, y0, t1, y1):
 def make_torpedo(spec):
     """Cap/tube profile: sine cap of radius delta, constant tube, quintic blend.
 
-    The result is concave (d2 <= 0), which is verified on a dense grid.
+    The blend joins the cap and the tube with C^2 junctions; without one
+    the cap meets the tube at ``spec.cap`` with a C^1 junction.  The result
+    is concave (d2 <= 0), which is verified on a dense grid.
     """
     if not isinstance(spec, TorpedoSpec):
         raise InvalidSpecError("make_torpedo expects a TorpedoSpec")
-    d = spec.delta
-    w = spec.blend_width
-    cap = d * np.pi / 2.0
-    b = spec.b
-    pieces = []
+    d, cap, b = spec.delta, spec.cap, spec.b
     # a blend window below working precision degenerates to the C^1 junction
-    if w < 1e-9 * cap:
-        w = 0.0
-    if w == 0.0:
-        pieces.append(SinePiece((0.0, cap), d, 1.0 / d))
-        if b > cap:
-            pieces.append(ConstPiece((cap, b), d))
-        f = SmoothFn1D(b, pieces, junction_orders=(0, 1))
-    else:
-        ts, te = cap - 2.0 * w, cap + w
+    w = spec.blend_width if spec.blend_width >= 1e-9 * cap else 0.0
+    ts, te = cap - 2.0 * w, (spec.flat_from if w else cap)
+    pieces = [SinePiece((0.0, ts), d, 1.0 / d)]
+    if w:
         y0 = (d * np.sin(ts / d), np.cos(ts / d), -np.sin(ts / d) / d)
         coeffs = _quintic_match(ts, y0, te, (d, 0.0, 0.0))
-        pieces.append(SinePiece((0.0, ts), d, 1.0 / d))
         pieces.append(PolyPiece((ts, te), coeffs, origin=ts))
-        if b > te:
-            pieces.append(ConstPiece((te, b), d))
-        f = SmoothFn1D(b, pieces)
+    if b > te:
+        pieces.append(ConstPiece((te, b), d))
+    f = SmoothFn1D(b, pieces, (0, 1, 2) if w else (0, 1))
     # verification grid: concavity and monotonicity
     _, d1, d2 = f.jet(sample_grid(b), 2)
     if d2.max() > 1e-10:
@@ -437,15 +439,17 @@ def make_torpedo(spec):
 
 
 def _torpedo_on(delta, total):
-    """Cap/tube profile of cap radius delta on a domain of length total.
+    """The TorpedoSpec of cap radius delta on a domain of length total.
 
     The blend window is min(cap/4, (total - cap)/2), cap = delta*pi/2, and
-    the rest of the domain is tube.  The caller checks that total > cap.
+    the rest of the domain is tube; total must exceed cap.
     """
     cap = delta * np.pi / 2.0
+    if total <= cap:
+        raise InvalidSpecError(
+            f"domain too short: need {total:.6g} > delta*pi/2 = {cap:.6g}")
     w = min(0.25 * cap, 0.5 * (total - cap))
-    return make_torpedo(TorpedoSpec(delta, tube_length=total - cap - w,
-                                    blend_width=w))
+    return TorpedoSpec(delta, tube_length=total - cap - w, blend_width=w)
 
 
 def make_double_torpedo(delta, b):
@@ -453,16 +457,9 @@ def make_double_torpedo(delta, b):
 
     Requires b/2 > delta*pi/2 so the cap fits in each half.
     """
-    cap = delta * np.pi / 2.0
-    if b / 2.0 <= cap:
-        raise InvalidSpecError(
-            f"domain too short: need b/2 > delta*pi/2 = {cap:.6g}, got b/2 = {b / 2.0:.6g}")
-    half = _torpedo_on(delta, b / 2.0)
-    assert abs(half.b - b / 2.0) < 1e-12 * max(1.0, b)
-    mirrored = [ReflectPiece((b - p.interval[1], b - p.interval[0]), p, b)
-                for p in reversed(half.pieces)]
-    shifted = list(half.pieces) + mirrored
-    return SmoothFn1D(b, shifted, half.junction_orders)
+    half = make_torpedo(_torpedo_on(delta, b / 2.0))
+    return SmoothFn1D(b, half.pieces + _mirrored(half.pieces, b),
+                      half.junction_orders)
 
 
 # ---------------------------------------------------------------------------

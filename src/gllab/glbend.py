@@ -6,7 +6,8 @@ back to horizontal), and finishes in a cap/tube ("torpedo") tail meeting the
 t-axis.  Rotating the ambient product metric around it produces the surgery
 metric; positivity of the induced scalar curvature reduces to a pointwise
 inequality along the curve relating its curvature k, its height r, and the
-angle theta of the outward normal against the horizontal.
+angle theta of the outward normal against the horizontal.  It is sampled
+by ``_cureqn_samples`` and certified by ``_least_margin``: a NaN fails.
 
 The inequality ledger is, from strongest to weakest assumption:
 
@@ -16,9 +17,10 @@ The inequality ledger is, from strongest to weakest assumption:
 * ``check_diffkeqn`` f'' < (1 + f'^2)/(2 f)  (the graph form of keqn)
 
 Conventions (fixed throughout): unit-speed curves with tangent
-T = (sin(theta), -cos(theta)); k = dtheta/ds is the standard planar signed
-curvature; for a graph r = f(t) traversed with increasing t this gives
-k = f''/(1 + f'^2)^(3/2) and sin(theta) = 1/sqrt(1 + f'^2).
+T = (sin(theta), -cos(theta)), so theta = atan2(T_t, -T_r) (``_normal_angle``);
+k = dtheta/ds is the standard planar signed curvature; for a graph r = f(t)
+traversed with increasing t this gives k = f''/(1 + f'^2)^(3/2) and
+sin(theta) = 1/sqrt(1 + f'^2).
 """
 
 from __future__ import annotations
@@ -77,10 +79,10 @@ class BendConstants:
     q: int = 2
 
     def __post_init__(self):
-        if self.q < 2:
+        if not self.q >= 2:
             raise InvalidSpecError("q must be >= 2 (codimension >= 3)")
-        if self.R0 < 0 or self.C < 0 or self.Cp < 0:
-            raise InvalidSpecError("R0, C, Cp must be nonnegative")
+        if not all(0 <= x < np.inf for x in (self.R0, self.C, self.Cp)):
+            raise InvalidSpecError("R0, C, Cp must be nonnegative and finite")
 
     def r0_bound(self):
         """Upper bound on r0 for the keqn regime: min(1/sqrt(4C), 1/sqrt(2C'))."""
@@ -123,6 +125,28 @@ def check_cureqn(consts, k, r, theta):
     if margin.ndim == 0:
         return float(margin)
     return margin
+
+
+def _normal_angle(tan):
+    """theta = atan2(T_t, -T_r): the normal angle of a unit tangent T."""
+    return np.arctan2(tan[..., 0], -tan[..., 1])
+
+
+def _cureqn_samples(consts, curve, s, closing_tip=False):
+    """(P, k, theta, margin) at arc lengths s of a curve or segment; a
+    ``closing_tip`` sample (r, k ~ 0, concave down) gets margin +inf."""
+    pt, tan, k = curve.eval(s)
+    theta = _normal_angle(tan)
+    n = s.size - 1 if closing_tip else s.size
+    margin = np.full(s.size, np.inf)
+    margin[:n] = check_cureqn(consts, k[:n], pt[:n, 1], theta[:n])
+    return pt, k, theta, margin
+
+
+def _least_margin(margin):
+    """Least margin, skipping only the +inf of concave-down samples."""
+    rest = margin[margin != np.inf]
+    return float(rest.min()) if rest.size else np.inf
 
 
 def check_keqn(k, r, theta, consts, r0, theta0):
@@ -490,25 +514,23 @@ class Curve2D:
         """(P, P', ..., P^(k))(s) for k <= 3, each with a trailing (t, r)
         axis: P' = T, P'' = kappa N, P''' = kappa' N - kappa^2 T, with
         N = (-T_r, T_t) the left normal and kappa' from the segments' dk."""
-        if k < 3:
-            pt, tan, kap = self.eval(s)
-        else:
-            pt, tan, kap, dk = self._gather(
-                s, lambda seg, sl: (*seg.eval(sl), seg.dk(sl)),
-                ((2,), (2,), (), ()))
+        def part(seg, sl):
+            return (*seg.eval(sl), seg.dk(sl)) if k == 3 else seg.eval(sl)
+
+        pt, tan, kap, *dk = self._gather(s, part,
+                                         ((2,), (2,), (), ())[:3 + (k == 3)])
         nrm = np.stack([-tan[..., 1], tan[..., 0]], axis=-1)
         out = (pt, tan, kap[..., None] * nrm)[:k + 1]
         if k < 3:
             return out
-        return out + (dk[..., None] * nrm - (kap ** 2)[..., None] * tan,)
+        return out + (dk[0][..., None] * nrm - (kap ** 2)[..., None] * tan,)
 
     def point(self, s):
         return self.eval(s)[0]
 
     def theta(self, s):
-        """Normal angle against the horizontal: theta = atan2(t', -r')."""
-        _, tan, _ = self.eval(s)
-        return np.arctan2(tan[..., 0], -tan[..., 1])
+        """Normal angle against the horizontal (``_normal_angle``)."""
+        return _normal_angle(self.eval(s)[1])
 
     def unit_speed_residual(self, n_samples=1000):
         h = 1e-6
@@ -583,22 +605,15 @@ class BendProfile:
     def margins(self, n_samples=10000):
         """(s, t, r, k, theta, margin) arrays along the curve."""
         s = np.linspace(0.0, self.curve.length, n_samples)
-        pt, tan, k = self.curve.eval(s)
-        theta = np.arctan2(tan[:, 0], -tan[:, 1])
-        r = pt[:, 1]
-        # the closing sample s = L is the smooth tip of the cap, where r and
-        # k are rounding noise about 0: concave down, so its margin is +inf
-        margin = np.append(
-            check_cureqn(self.consts, k[:-1], r[:-1], theta[:-1]), np.inf)
-        return s, pt[:, 0], r, k, theta, margin
+        pt, k, theta, margin = _cureqn_samples(self.consts, self.curve, s,
+                                               closing_tip=True)
+        return s, pt[:, 0], pt[:, 1], k, theta, margin
 
     def certify(self, n_samples=10000):
-        s, t, r, k, theta, margin = self.margins(n_samples)
-        finite = margin[np.isfinite(margin)]
-        mn = float(finite.min()) if finite.size else np.inf
         self.certificate = IsotopyCertificate(
             grid=f"{n_samples} arc-length samples",
-            min_scalar=mn, label="curve inequality")
+            min_scalar=_least_margin(self.margins(n_samples)[-1]),
+            label="curve inequality")
         return self.certificate
 
 
@@ -624,17 +639,17 @@ def initial_bend(consts, r1):
     length r1/2 and integral k_max r1/4 = theta0.  theta0 starts at the
     largest value allowed by the arcsin(sqrt(R0/C)) bound and
     tan^2(theta0) < 1/4, and is halved until the curve inequality holds with
-    positive margin along the bump (2001 samples).  Returns (prefix curve,
-    theta0, k_max).  An exhausted search raises NoFeasibleBendError whose
-    ``best_margin`` is the largest sampled minimum it reached (None if no
-    sample was finite).
+    positive margin along the bump (2001 samples, ``_least_margin``).
+    Returns (prefix curve, theta0, k_max).  An exhausted search raises
+    NoFeasibleBendError whose ``best_margin`` is the largest finite sampled
+    minimum it reached (None if none was finite).
     """
     if consts.R0 <= 0:
         raise NoFeasibleBendError(
             "R0 must be strictly positive: with R0 = 0 no bend angle "
             "can satisfy the curve inequality near theta = 0")
-    if r1 <= 0:
-        raise InvalidSpecError("r1 must be positive")
+    if not 0 < r1 < np.inf:
+        raise InvalidSpecError("r1 must be positive and finite")
     cap = np.arctan(0.5) * 0.99  # tan^2(theta0) < 1/4
     if consts.C > 0:
         cap = min(cap, 0.99 * np.arcsin(min(1.0, np.sqrt(consts.R0 / consts.C))))
@@ -643,17 +658,14 @@ def initial_bend(consts, r1):
     for _ in range(_BEND_HALVINGS):
         k_max = 4.0 * theta0 / r1
         bump = BumpSeg((0.0, r1), 0.0, k_max, r1 / 2.0)
-        s = np.linspace(0.0, bump.length, 2001)
-        pt, tan, k = bump.eval(s)
-        theta = np.arctan2(tan[:, 0], -tan[:, 1])
-        margin = check_cureqn(consts, k, pt[:, 1], theta)
-        finite = margin[np.isfinite(margin)]
-        if pt[:, 1].min() > 0 and (finite.size == 0 or finite.min() > 0):
+        pt, _, _, margin = _cureqn_samples(
+            consts, bump, np.linspace(0.0, bump.length, 2001))
+        least = _least_margin(margin)
+        if pt[:, 1].min() > 0 and least > 0:
             prefix = Curve2D([LineSeg((0.0, 1.25 * r1), (0.0, r1)), bump])
             return prefix, theta0, k_max
-        if finite.size:
-            m = float(finite.min())
-            best = m if best is None else max(best, m)
+        if np.isfinite(least):
+            best = least if best is None else max(best, least)
         theta0 *= 0.5
     raise NoFeasibleBendError(
         f"no feasible bend angle after {_BEND_HALVINGS} halvings "
@@ -869,6 +881,8 @@ def initial_isotopy(f0, lambda_grid=None):
     """
     if lambda_grid is None:
         lambda_grid = np.linspace(0.0, 1.0, 11)
+    if len(lambda_grid) == 0:
+        raise InvalidSpecError("lambda_grid must hold at least one value")
     t = np.linspace(0.0, f0.b, 512)
     bvals = f0.jet(t, 1)[1] ** 2
     if bvals.max() >= 0.25:

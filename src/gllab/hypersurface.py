@@ -33,8 +33,8 @@ from .curvature import DoublyWarpedMetric, scalar_doubly_warped
 from .errors import (CertificationFailedError, DomainMismatchError,
                      InvalidBendError, InvalidSpecError)
 from .fnspace import (PolyPiece, SmoothFn1D, _torpedo_on, check_U_membership,
-                      check_V_membership, reflect)
-from .glbend import ArcSeg, Curve2D, LineSeg, quarter_bend_curve
+                      check_V_membership, make_torpedo, reflect)
+from .glbend import ArcSeg, BendProfile, Curve2D, LineSeg, quarter_bend_curve
 
 __all__ = [
     "ModelAmbient",
@@ -116,14 +116,12 @@ def _const_profile(value, b):
 
 
 def _curve_of(bend):
-    """Accept a BendProfile (certified) or a bare Curve2D."""
-    curve = getattr(bend, "curve", bend)
-    if not isinstance(curve, Curve2D):
-        raise InvalidSpecError("expected a bend profile or a planar curve")
-    cert = getattr(bend, "certificate", None)
-    if cert is not None and not cert.passed:
-        raise InvalidSpecError("bend profile carries a failing certificate")
-    return curve
+    """The curve of a BendProfile whose certificate passed."""
+    if not isinstance(bend, BendProfile):
+        raise InvalidSpecError("expected a certified bend profile")
+    if bend.certificate is None or not bend.certificate.passed:
+        raise InvalidSpecError("bend profile carries no passing certificate")
+    return bend.curve
 
 
 def induced_metric_on_M(bend, amb):
@@ -186,20 +184,18 @@ def mixed_torpedo_via_J(eps, delta, c1, c2, bend_radius, p=2, q=2):
     # quarter_bend_curve's checks give b > c1 > eps*pi/2 and
     # b > c2 > delta*pi/2, so both caps fit on (0, b)
     b = curve.length
-    f_eps = _torpedo_on(eps, b)
-    f_del = _torpedo_on(delta, b)
+    s_eps, s_del = _torpedo_on(eps, b), _torpedo_on(delta, b)
+    f_eps, f_del = make_torpedo(s_eps), make_torpedo(s_del)
     # the profiles must already be constant where the curve leaves the
     # respective straight piece, else the pointwise identity degrades
-    const_eps = f_eps.pieces[1].interval[1]
-    const_del = f_del.pieces[1].interval[1]
-    if c1 - bend_radius <= const_eps:
+    if c1 - bend_radius <= s_eps.flat_from:
         raise InvalidBendError(
-            f"need c1 - bend_radius > {const_eps:.6g} so the S^p profile is "
-            "constant before the bend")
-    if c2 - bend_radius <= const_del:
+            f"need c1 - bend_radius > {s_eps.flat_from:.6g} so the S^p "
+            "profile is constant before the bend")
+    if c2 - bend_radius <= s_del.flat_from:
         raise InvalidBendError(
-            f"need c2 - bend_radius > {const_del:.6g} so the S^q profile is "
-            "constant beyond the bend")
+            f"need c2 - bend_radius > {s_del.flat_from:.6g} so the S^q "
+            "profile is constant beyond the bend")
     s = np.linspace(0.0, b, _J_SAMPLES)
     pt, tan, _ = curve.eval(s)
     x, y = pt[:, 0], pt[:, 1]
@@ -337,15 +333,17 @@ def connected_sum_foliation(lambda_half_curve, tau, nu_grid, eps, delta_p,
     edge, radius = _corner_params(lambda_half_curve)
     if not 0 < tau <= radius:
         raise InvalidSpecError("need 0 < tau <= bend radius")
+    nu_grid = [float(nu) for nu in nu_grid]
+    if not nu_grid:
+        raise InvalidSpecError("nu_grid must hold at least one leaf")
     c = edge + radius
     for cap_radius in (eps, delta_p):
         if c <= cap_radius * np.pi / 2.0:
             raise InvalidBendError(
                 f"domain {c:.6g} too short for a cap of radius "
                 f"{cap_radius:.6g}")
-    f_eps = _torpedo_on(eps, c)
-    f_del = _torpedo_on(delta_p, c)
-    nu_grid = [float(nu) for nu in nu_grid]
+    f_eps = make_torpedo(_torpedo_on(eps, c))
+    f_del = make_torpedo(_torpedo_on(delta_p, c))
     curves = []
     for nu in nu_grid:
         if not 0.0 <= nu <= 1.0:

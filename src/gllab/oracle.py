@@ -347,32 +347,29 @@ def _sphere_angle_metric(angles):
     return diag
 
 
-def warped_chart(f, n, step=1e-4):
-    """Full coordinate chart for dt^2 + f(t)^2 ds_{n-1}^2.
+def _warped_chart(dims, profiles, step):
+    """Chart for dt^2 + sum_i f_i(t)^2 ds_{dims[i]}^2: coordinates t, 5% of
+    the shared domain clear of each end, then each fiber's nested angles."""
+    cuts = np.cumsum([1, *dims])
 
-    Coordinates (t, theta_1 ... theta_{n-1}) with the fiber round metric in
-    nested spherical angles.
-    """
     def g(X):
-        fiber = f(X[:, 0])[:, None] ** 2 * _sphere_angle_metric(X[:, 1:])
-        return _diag(np.column_stack([np.ones(len(X)), fiber]))
-    pad = 0.05 * f.b
-    rect = [(pad, f.b - pad)] + [_ANGLES] * (n - 1)
-    return MetricChart(n, rect, g, step)
+        t = X[:, 0]
+        fibers = [f(t)[:, None] ** 2 * _sphere_angle_metric(X[:, lo:hi])
+                  for f, lo, hi in zip(profiles, cuts[:-1], cuts[1:])]
+        return _diag(np.column_stack([np.ones(len(X)), *fibers]))
+    pad = 0.05 * profiles[0].b
+    rect = [(pad, profiles[0].b - pad)] + [_ANGLES] * sum(dims)
+    return MetricChart(1 + sum(dims), rect, g, step)
+
+
+def warped_chart(f, n, step=1e-4):
+    """Full coordinate chart for dt^2 + f(t)^2 ds_{n-1}^2."""
+    return _warped_chart([n - 1], [f], step)
 
 
 def doubly_warped_chart(u, v, p, q):
     """Chart for dt^2 + u^2 ds_p^2 + v^2 ds_q^2 in nested angles."""
-    n = p + q + 1
-
-    def g(X):
-        t = X[:, 0]
-        du = u(t)[:, None] ** 2 * _sphere_angle_metric(X[:, 1:1 + p])
-        dv = v(t)[:, None] ** 2 * _sphere_angle_metric(X[:, 1 + p:])
-        return _diag(np.column_stack([np.ones(len(X)), du, dv]))
-    pad = 0.05 * u.b
-    rect = [(pad, u.b - pad)] + [_ANGLES] * (n - 1)
-    return MetricChart(n, rect, g)
+    return _warped_chart([p, q], [u, v], 1e-4)
 
 
 def cyl_family_chart(phi, qtilde, s_range, t_range, step=1e-4):

@@ -148,13 +148,16 @@ def write_schedule_csv(schedule, path_or_buf):
 # round building blocks
 # ---------------------------------------------------------------------------
 
+def _sine_profile(radius, b, phase=0.0):
+    """radius*sin(t/radius + phase) on (0, b), for a finite radius > 0."""
+    if not 0 < radius < np.inf:
+        raise InvalidSpecError("radius must be positive and finite")
+    return SmoothFn1D(b, [SinePiece((0.0, b), radius, 1.0 / radius, phase)])
+
+
 def round_metric(n, radius=1.0):
     """The round n-sphere of the given radius as a warped metric."""
-    if radius <= 0:
-        raise InvalidSpecError("radius must be positive")
-    b = radius * np.pi
-    prof = SmoothFn1D(b, [SinePiece((0.0, b), radius, 1.0 / radius)])
-    return WarpedSphereMetric(n, prof)
+    return WarpedSphereMetric(n, _sine_profile(radius, radius * np.pi))
 
 
 def round_doubly_warped(p, q, radius=1.0):
@@ -163,10 +166,8 @@ def round_doubly_warped(p, q, radius=1.0):
     u = radius*cos(t/radius), v = radius*sin(t/radius) on (0, radius*pi/2).
     """
     b = radius * np.pi / 2.0
-    u = SmoothFn1D(b, [SinePiece((0.0, b), radius, 1.0 / radius,
-                                 phase=np.pi / 2.0)])
-    v = SmoothFn1D(b, [SinePiece((0.0, b), radius, 1.0 / radius)])
-    return DoublyWarpedMetric(p, q, u, v)
+    return DoublyWarpedMetric(p, q, _sine_profile(radius, b, np.pi / 2.0),
+                              _sine_profile(radius, b))
 
 
 def _mixed_torpedo_profiles(eps, delta, b):
@@ -175,10 +176,8 @@ def _mixed_torpedo_profiles(eps, delta, b):
     u is a reflected eps-torpedo (closes at b), v a delta-torpedo (closes
     at 0); tube lengths absorb whatever b leaves after caps and blends.
     """
-    su = TorpedoSpec(eps)
-    sv = TorpedoSpec(delta)
-    tube_u = b - (su.delta * np.pi / 2.0 + su.blend_width)
-    tube_v = b - (sv.delta * np.pi / 2.0 + sv.blend_width)
+    tube_u = b - TorpedoSpec(eps).flat_from
+    tube_v = b - TorpedoSpec(delta).flat_from
     if tube_u <= 0 or tube_v <= 0:
         raise InvalidSpecError(
             f"domain {b:.6g} too short for caps eps={eps}, delta={delta}")
@@ -344,13 +343,12 @@ def compile_gl_cobordism(g0, desc):
         state = seg_end
         # standardize near the surgery sphere
         delta, (u1, v1), std_cert = _standardize_search(p_dim, q_dim, radius)
-        # u1 is a reflected torpedo, so its tube is its first piece
+        # equal caps (eps = delta) on one domain: u and v share one tube
+        tube = u1.b - TorpedoSpec(delta).flat_from
         std = MetricDescriptor(
             "mixed-torpedo",
             {"p": p_dim, "q": q_dim, "eps": delta, "delta": delta,
-             "tube_u": u1.pieces[0].interval[1] - u1.pieces[0].interval[0],
-             "tube_v": v1.pieces[-1].interval[1] - v1.pieces[-1].interval[0],
-             "b": u1.b},
+             "tube_u": tube, "tube_v": tube, "b": u1.b},
             region="standard")
         segments.append(Segment(
             "standardize", {"delta": delta, "eps": delta}, state, std,
@@ -409,7 +407,7 @@ def compile_reverse(schedule, desc):
     if fwd_std is not None:
         pr = fwd_std.params
         # rebuild both descriptors at a common tube length and sample
-        common_b = pr["eps"] * np.pi / 2.0 + TorpedoSpec(pr["eps"]).blend_width + 1.0
+        common_b = TorpedoSpec(pr["eps"]).b
         ua, va = _mixed_torpedo_profiles(pr["eps"], pr["delta"], common_b)
         ub, vb = _mixed_torpedo_profiles(pr["delta"], pr["eps"], common_b)
         t = sample_grid(common_b, 256)

@@ -120,6 +120,19 @@ class TestBendCmd:
         assert all(float(ln.split(",")[1]) > 0 for ln in lines[1:])
 
 
+@pytest.mark.parametrize("args", [
+    ["bend", "--r0q", "nan"], ["bend", "--r0q", "inf"],
+    ["bend", "--r0q", "1.5", "--cbound", "nan"],
+    ["bend", "--r0q", "1.5", "--r1", "nan"],
+    ["torpedo", "--delta", "nan"], ["torpedo", "--delta", "0.5", "--tube", "nan"],
+    ["torpedo", "--delta", "0.5", "--blend", "nan"]])
+def test_non_finite_size_exit_2(runner, tmp_path, args):
+    res = runner.invoke(main, ["--output-dir", str(tmp_path)] + args)
+    assert res.exit_code == 2
+    assert "InvalidSpecError" in res.output
+    assert not list(tmp_path.iterdir())
+
+
 class TestMorseCmd:
     def test_two_point_plan(self, runner, tmp_path):
         src = tmp_path / "desc.json"

@@ -114,6 +114,29 @@ class TestTorpedo:
         with pytest.raises(InvalidSpecError):
             TorpedoSpec(0.5, blend_width=0.5 * np.pi / 4.0)
 
+    @pytest.mark.parametrize("kw", [
+        {"delta": np.nan}, {"delta": np.inf},
+        {"delta": 0.5, "tube_length": np.nan},
+        {"delta": 0.5, "tube_length": np.inf},
+        {"delta": 0.5, "blend_width": np.nan}])
+    def test_non_finite_sizes_raise_typed(self, kw):
+        with pytest.raises(InvalidSpecError, match="finite"):
+            TorpedoSpec(**kw)
+
+    @pytest.mark.parametrize("blend", [None, 0.1, 0.0])
+    def test_flat_from_is_where_the_tube_starts(self, blend):
+        spec = TorpedoSpec(0.5, blend_width=blend)
+        f = make_torpedo(spec)
+        assert spec.b == spec.flat_from + spec.tube_length
+        if blend == 0.0:
+            assert spec.flat_from == spec.cap
+        F, d1, d2 = f.jet(np.linspace(spec.flat_from, spec.b, 257), 2)
+        assert np.all(F == spec.delta)
+        assert not np.any(d1) and not np.any(d2)
+        # still bending just before it
+        before = np.linspace(0.5 * spec.cap, spec.flat_from, 257)[:-1]
+        assert np.all(f.jet(before, 2)[2] < 0)
+
     @given(delta=st.floats(0.05, 2.0), frac=st.floats(0.0, 0.45))
     @settings(max_examples=40, deadline=None)
     def test_profile_bounded_by_delta(self, delta, frac):

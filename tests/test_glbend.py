@@ -24,6 +24,14 @@ MODEL = BendConstants(R0=1.5, q=3)
 
 
 class TestInequalityLedger:
+    @pytest.mark.parametrize("kw", [
+        {"R0": np.nan}, {"R0": np.inf}, {"R0": 1.5, "C": np.nan},
+        {"R0": 1.5, "C": np.inf}, {"R0": 1.5, "Cp": np.nan},
+        {"R0": 1.5, "Cp": np.inf}])
+    def test_constants_must_be_finite(self, kw):
+        with pytest.raises(InvalidSpecError, match="finite"):
+            BendConstants(**kw)
+
     def test_rhs_pin(self):
         # frozen regression value, computed independently
         consts = BendConstants(R0=1.0, C=4.0, Cp=0.0, q=3)
@@ -167,6 +175,27 @@ class TestSynthesis:
         assert cert.passed and cert.min_scalar > 0
         assert profile.curve.junction_residual() < 1e-8
 
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    def test_non_finite_margin_sample_fails(self, monkeypatch, bad):
+        # one interior sample of the curve inequality turns NaN or -inf
+        prefix = initial_bend(MODEL, r1=0.5)
+        profile = assemble_gamma(MODEL, prefix, synth_transition(
+            MODEL, r0=0.2, theta0=prefix[1]))
+        real = glbend.check_cureqn
+
+        def spoiled(*args):
+            margin = np.array(real(*args), dtype=float)
+            margin[margin.size // 2] = bad
+            return margin
+        monkeypatch.setattr(glbend, "check_cureqn", spoiled)
+        cert = profile.certify()
+        assert not cert.passed
+        np.testing.assert_equal(cert.min_scalar, bad)
+        # no bump with such a sample is accepted, and none gives a best margin
+        with pytest.raises(NoFeasibleBendError) as err:
+            initial_bend(MODEL, r1=0.5)
+        assert err.value.best_margin is None
+
     @pytest.mark.parametrize("R0, q", [(1.5, 3), (3.0, 5)])
     def test_closing_sample_reports_its_r_and_passes(self, R0, q):
         # at the cap tip r and k are rounding noise about 0 (r is exactly 0
@@ -201,6 +230,11 @@ class TestIsotopies:
         assert np.allclose(family[-1](t), f0(t))
         assert np.allclose(family[0](t), 0.0)
         assert np.allclose(family[1](t), 0.5 * f0(t))
+
+    def test_initial_isotopy_empty_grid_raises_typed(self):
+        f0 = SmoothFn1D(1.0, [PolyPiece((0.0, 1.0), [1.0, 0.3, 0.05])])
+        with pytest.raises(InvalidSpecError, match="lambda_grid"):
+            initial_isotopy(f0, lambda_grid=[])
 
     def test_initial_isotopy_slope_guard(self, transition):
         _params, f = transition
@@ -411,6 +445,21 @@ class TestInvertMonotone:
             _invert_monotone(lambda x: (x ** 3 + x, 3 * x ** 2 + 1),
                              np.linspace(0.1, 1.9, 7), 0.0, 1.0)
         assert 0 < err.value.residual < 1e-2
+
+
+def test_curve_jet_orders_agree_bitwise():
+    # a bend curve holds line, bump and graph segments; only k = 3 calls dk
+    prefix = initial_bend(MODEL, r1=0.5)
+    curve = assemble_gamma(MODEL, prefix, synth_transition(
+        MODEL, r0=0.2, theta0=prefix[1])).curve
+    assert {"bump", "graph"} <= {seg.kind for seg in curve.segments}
+    for s in (np.linspace(0.0, curve.length, 1001), 0.37 * curve.length):
+        full = curve.jet(s, 3)
+        for k in range(4):
+            got = curve.jet(s, k)
+            assert len(got) == k + 1
+            for lower, higher in zip(got, full):
+                assert np.array_equal(lower, higher)
 
 
 class TestGraphSeg:

@@ -71,6 +71,13 @@ class TestGaussIdentity:
             gauss_scalar_on_M(certified_bend, amb,
                               certified_bend.curve.length + 1.0)
 
+    def test_bare_curve_rejected(self, certified_bend):
+        amb = ModelAmbient(p=2, q=3, epsilon=0.3)
+        with pytest.raises(InvalidSpecError, match="certified bend"):
+            induced_metric_on_M(certified_bend.curve, amb)
+        with pytest.raises(InvalidSpecError, match="certified bend"):
+            gauss_scalar_on_M(certified_bend.curve, amb, 0.5)
+
     def test_ambient_scalar(self):
         amb = ModelAmbient(p=3, q=2, epsilon=0.5)
         assert np.isclose(amb.ambient_scalar(), 3 * 2 / 0.25)
@@ -194,6 +201,12 @@ class TestFoliation:
         with pytest.raises(InvalidSpecError, match="tau"):
             connected_sum_foliation(corner, tau=-0.1,
                                     nu_grid=np.linspace(0, 1, 3),
+                                    eps=0.25, delta_p=0.25)
+
+    def test_empty_nu_grid_raises_typed(self):
+        corner = quarter_bend_curve(1.0, 1.0, 0.4, eps=0.25, delta=0.25)
+        with pytest.raises(InvalidSpecError, match="nu_grid"):
+            connected_sum_foliation(corner, tau=0.05, nu_grid=[],
                                     eps=0.25, delta_p=0.25)
 
     def test_corner_must_be_a_curve(self):

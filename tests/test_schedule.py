@@ -86,6 +86,13 @@ class TestCompile:
         s = compile_gl_cobordism(g, one_point_desc())
         assert s.min_scalar > 0
 
+    @pytest.mark.parametrize("radius", [0.0, -1.0, np.nan, np.inf])
+    @pytest.mark.parametrize("build", [lambda r: round_metric(7, r),
+                                       lambda r: round_doubly_warped(2, 3, r)])
+    def test_round_builders_reject_bad_radius(self, build, radius):
+        with pytest.raises(InvalidSpecError, match="radius"):
+            build(radius)
+
     def test_csv(self, g0):
         s = compile_gl_cobordism(g0, one_point_desc())
         buf = io.StringIO()
