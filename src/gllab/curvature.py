@@ -183,7 +183,9 @@ def _closed_form(dims, profiles, t, formula):
     The rule needs |f_c'| = 1 there (any other slope is a cone point) and
     f_j' = 0 for every factor j that stays open; either failing raises
     ``SingularProfileError``, as do two factors closing at one end and an
-    interior zero.  Returns ``formula``'s value, floats for scalar t.
+    interior zero.  Each profile is evaluated once, at the interior points
+    followed by the ends present: to order 3 when an end is present, else
+    to order 2.  Returns ``formula``'s value, floats for scalar t.
     """
     t = np.asarray(t, dtype=float)
     tv = np.atleast_1d(t)
@@ -191,20 +193,23 @@ def _closed_form(dims, profiles, t, formula):
     snap = _END_SNAP * max(1.0, b)
     at0, atb = np.abs(tv) <= snap, np.abs(tv - b) <= snap
     inner = ~(at0 | atb)
+    ends_at = [(mask, tend) for mask, tend in ((at0, 0.0), (atb, b))
+               if mask.any()]
+    n_in = int(inner.sum())
+    pts = np.concatenate([tv[inner], [tend for _, tend in ends_at]])
+    all_jets = [f.jet(pts, 3 if ends_at else 2) for f in profiles]
     # D_i = f_i'/f_i, left 0 where f_i closes; ``ends`` holds (mask, c)
     A, B, D = (np.zeros((len(profiles),) + tv.shape) for _ in range(3))
     ends = []
-    if inner.any():
-        jets = [f.jet(tv[inner], 2) for f in profiles]
+    if n_in:
+        jets = [[d[:n_in] for d in jet[:3]] for jet in all_jets]
         if min(np.abs(jet[0]).min() for jet in jets) < _INTERIOR_ZERO:
             raise SingularProfileError(
                 "a warping function vanishes at an interior point")
         for i, jet in enumerate(jets):
             A[i][inner], B[i][inner], D[i][inner] = _open_quotients(*jet)
-    for mask, tend in ((at0, 0.0), (atb, b)):
-        if not mask.any():
-            continue
-        jets = [tuple(float(x) for x in f.jet(tend, 3)) for f in profiles]
+    for e, (mask, tend) in enumerate(ends_at, start=n_in):
+        jets = [tuple(float(x[e]) for x in jet) for jet in all_jets]
         closing = [i for i, jet in enumerate(jets) if abs(jet[0]) <= _END_ZERO]
         if len(closing) > 1:
             raise SingularProfileError(

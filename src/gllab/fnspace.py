@@ -512,7 +512,8 @@ def _check_membership(f, space):
     rounds off the closing fiber, and f'' < 0 nearby; an open end needs
     f > 0 and vanishing odd derivatives.  Every space asks for f'' <= 0 on
     a uniform grid.  Derivative conditions beyond order 3 are recorded as
-    unchecked.
+    unchecked.  One ``f.jet(., 3)`` call reads the grid, the near-end
+    windows and both ends.
     """
     letter, kind0, kindb = _SPACES[space]
     b = f.b
@@ -521,11 +522,12 @@ def _check_membership(f, space):
     w = _END_WINDOW * b
     lo = np.linspace(0.0, w, 33)[1:]        # exclude the endpoints themselves
     hi = np.linspace(b - w, b, 33)[:-1]
-    d2 = f.jet(np.concatenate([t, lo, hi]), 2)[2]
+    jet = f.jet(np.concatenate([t, lo, hi, [0.0, b]]), 3)
+    d2 = jet[2][:-2]
     near = {"0": d2[t.size:t.size + lo.size], "b": d2[t.size + lo.size:]}
     unchecked = {}
-    for e, kind, tend in (("0", kind0, 0.0), ("b", kindb, b)):
-        v0, v1, v2, v3 = (float(x) for x in f.jet(tend, 3))
+    for e, kind, end in (("0", kind0, -2), ("b", kindb, -1)):
+        v0, v1, v2, v3 = (float(x[end]) for x in jet)
         if kind:
             rep.add(f"{letter}({e})=0", abs(v0) <= _END_TOL, f"value {v0:.3e}")
             rep.add(f"d1({e})={kind}", abs(v1 - kind) <= _END_TOL,

@@ -542,8 +542,9 @@ class Curve2D:
         s = s[keep]
         # fourth-order stencil: small-radius caps have position derivatives
         # growing like 1/r^3, so a second-order difference is too noisy
-        d = (-self.point(s + 2 * h) + 8 * self.point(s + h)
-             - 8 * self.point(s - h) + self.point(s - 2 * h)) / (12.0 * h)
+        p2, p1, m1, m2 = np.split(self.point(np.concatenate(
+            [s + 2 * h, s + h, s - h, s - 2 * h])), 4)
+        d = (-p2 + 8 * p1 - 8 * m1 + m2) / (12.0 * h)
         return float(np.abs(np.linalg.norm(d, axis=-1) - 1.0).max())
 
     def junction_residual(self):

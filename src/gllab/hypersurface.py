@@ -100,7 +100,11 @@ class ModelAmbient:
 
 class _CurveCoordinate:
     """One coordinate (0 = t, 1 = r) of a unit-speed curve as a profile of
-    arc length: its jet is that component of ``Curve2D.jet``."""
+    arc length: its jet is that component of ``Curve2D.jet``.
+
+    ``curve`` is a ``Curve2D`` or a ``_LastCurveJet`` of one, through which
+    the two coordinates of a foliation leaf share one curve evaluation.
+    """
 
     def __init__(self, curve, axis):
         self.curve = curve
@@ -109,6 +113,31 @@ class _CurveCoordinate:
 
     def jet(self, s, k=2):
         return tuple(d[..., self.axis] for d in self.curve.jet(s, k))
+
+
+class _LastCurveJet:
+    """A curve that keeps its last ``Curve2D.jet`` call: points, order, jet.
+
+    A call at the same points (compared bit for bit) and an order no higher
+    than the kept one returns the kept jet cut to that order; any other
+    call evaluates the curve and keeps that instead.  The kept arrays are
+    read-only, so no reader can change what another reads.
+    """
+
+    def __init__(self, curve):
+        self.curve = curve
+        self.length = curve.length
+        self._s = self._k = self._jet = None
+
+    def jet(self, s, k=2):
+        s = np.asarray(s, dtype=float)
+        if (self._jet is None or k > self._k or s.shape != self._s.shape
+                or s.tobytes() != self._s.tobytes()):
+            self._s, self._k = s.copy(), k
+            self._jet = self.curve.jet(s, k)
+            for d in self._jet:
+                d.flags.writeable = False
+        return self._jet[:k + 1]
 
 
 def _const_profile(value, b):
@@ -238,7 +267,9 @@ class CompositeProfile:
     """prof(coord(t)) with derivatives from the chain rule.
 
     ``prof`` and ``coord`` are profiles (``b`` and ``jet``); the composite
-    lives on the domain of ``coord``.
+    lives on the domain of ``coord``.  A foliation leaf's u and v are two
+    composites whose coordinates read one ``_LastCurveJet`` during the
+    leaf's checks, so each check evaluates the curve once.
     """
 
     def __init__(self, prof, coord):
@@ -256,7 +287,11 @@ class CompositeProfile:
         if k >= 2:
             out.append(f[2] * x[1] ** 2 + f[1] * x[2])
         if k >= 3:
-            out.append(f[3] * x[1] ** 3 + 3.0 * f[2] * x[1] * x[2]
+            # x'^2 x', not x'^3: numpy's ** 3 calls pow per point, ~40x
+            # slower.  The two may differ in the last bit, but the checks
+            # read third derivatives only at a leaf's ends, where x' is 0,
+            # +-1 or cos(pi/2) ~ 6e-17, whose cube is below the sum's ulp
+            out.append(f[3] * (x[1] ** 2 * x[1]) + 3.0 * f[2] * x[1] * x[2]
                        + f[1] * x[3])
         return tuple(out)
 
@@ -326,9 +361,12 @@ def connected_sum_foliation(lambda_half_curve, tau, nu_grid, eps, delta_p,
     the corner curve shrink linearly to zero; for nu in [0, 1/2] the bend
     radius shrinks linearly down to tau.  Every leaf is checked for
     smooth-closing membership of both profiles and for positive scalar
-    curvature; the first failing leaf aborts with its nu.
+    curvature; the first failing leaf aborts with its nu.  Both caps must
+    fit on the corner's domain (``_torpedo_on`` raises InvalidSpecError).
 
-    Returns (FoliationFamily, IsotopyCertificate).
+    Returns (FoliationFamily, IsotopyCertificate).  The certificate's
+    ``extra`` holds ``per_leaf_min`` and where the least sample sits: its
+    leaf ``argmin_nu`` and arc length ``argmin_t``.
     """
     edge, radius = _corner_params(lambda_half_curve)
     if not 0 < tau <= radius:
@@ -337,11 +375,6 @@ def connected_sum_foliation(lambda_half_curve, tau, nu_grid, eps, delta_p,
     if not nu_grid:
         raise InvalidSpecError("nu_grid must hold at least one leaf")
     c = edge + radius
-    for cap_radius in (eps, delta_p):
-        if c <= cap_radius * np.pi / 2.0:
-            raise InvalidBendError(
-                f"domain {c:.6g} too short for a cap of radius "
-                f"{cap_radius:.6g}")
     f_eps = make_torpedo(_torpedo_on(eps, c))
     f_del = make_torpedo(_torpedo_on(delta_p, c))
     curves = []
@@ -353,10 +386,15 @@ def connected_sum_foliation(lambda_half_curve, tau, nu_grid, eps, delta_p,
         else:
             curves.append(_corner_curve(0.0, tau + 2.0 * nu * (radius - tau)))
 
+    def profiles(curve):
+        return (CompositeProfile(f_eps, _CurveCoordinate(curve, 0)),
+                CompositeProfile(f_del, _CurveCoordinate(curve, 1)))
+
     def leaf(args):
         nu, curve = args
-        u = CompositeProfile(f_eps, _CurveCoordinate(curve, 0))
-        v = CompositeProfile(f_del, _CurveCoordinate(curve, 1))
+        # u and v share one curve jet per check; the family keeps profiles
+        # of the bare curve, so the record ends with these checks
+        u, v = profiles(_LastCurveJet(curve))
         ru = check_U_membership(u)
         rv = check_V_membership(v)
         if not (ru.passed and rv.passed):
@@ -365,21 +403,25 @@ def connected_sum_foliation(lambda_half_curve, tau, nu_grid, eps, delta_p,
                 f"leaf nu = {nu} fails membership: {bad}")
         metric = DoublyWarpedMetric(p, q, u, v, open_profile=True)
         t = np.linspace(0.0, curve.length, _LEAF_SAMPLES)
-        r_min = float(np.min(scalar_doubly_warped(metric, t)))
-        if r_min <= 0:
+        R = scalar_doubly_warped(metric, t)
+        i = int(np.argmin(R))
+        if not R[i] > 0:
             raise CertificationFailedError(
-                f"leaf nu = {nu} loses scalar positivity", best_margin=r_min)
-        return (u, v), r_min
+                f"leaf nu = {nu} loses scalar positivity",
+                best_margin=float(R[i]))
+        return profiles(curve), float(R[i]), float(t[i])
 
     results = pmap(leaf, list(zip(nu_grid, curves)))
-    leaves = [uv for uv, _ in results]
-    minima = [m for _, m in results]
-    family = FoliationFamily(nu_grid, curves, tau, leaves=leaves)
+    minima = [m for _, m, _ in results]
+    j = int(np.argmin(minima))
+    family = FoliationFamily(nu_grid, curves, tau,
+                             leaves=[uv for uv, _, _ in results])
     cert = IsotopyCertificate(
         grid=f"{len(nu_grid)} leaves x {_LEAF_SAMPLES} samples",
-        min_scalar=float(min(minima)),
+        min_scalar=minima[j],
         label="connected-sum foliation",
-        extra={"per_leaf_min": minima})
+        extra={"per_leaf_min": minima, "argmin_nu": nu_grid[j],
+               "argmin_t": results[j][2]})
     return family, cert
 
 

@@ -179,6 +179,19 @@ class TestDemoCmd:
         res = runner.invoke(main, ["demo", "--n", "7", "--p", "4"])
         assert res.exit_code == 2
 
+    def test_foliation_report_says_where_its_minimum_is(self, runner,
+                                                        tmp_path):
+        res = runner.invoke(main, ["--output-dir", str(tmp_path),
+                                   "demo", "--n", "7", "--p", "2"])
+        assert res.exit_code == 0
+        report = json.loads((tmp_path / "demo_report.json").read_text())
+        cert = next(st["certificate"] for st in report["stages"]
+                    if st["id"] == "foliation")
+        extra = cert["extra"]
+        assert set(extra) == {"per_leaf_min", "argmin_nu", "argmin_t"}
+        assert min(extra["per_leaf_min"]) == cert["min_scalar"]
+        assert 0.0 <= extra["argmin_nu"] <= 1.0 and extra["argmin_t"] >= 0.0
+
 
 class TestDeterminism:
     def test_byte_identical_outputs(self, runner, tmp_path):

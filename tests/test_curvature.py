@@ -156,6 +156,27 @@ class TestDoublyWarped:
             with pytest.raises(SingularProfileError, match="stays open"):
                 scalar_doubly_warped(m, t)
 
+    def test_one_jet_call_per_profile(self, counted):
+        # order 3 only when an end is among the points
+        g = round_doubly_warped(2, 4)
+        u, v = counted(g.u), counted(g.v)
+        m = DoublyWarpedMetric(2, 4, u, v, open_profile=True)
+        t = np.linspace(0.0, g.b, 33)
+        for pts in (t, t[1:-1], t[:-1], t[1:], g.b):
+            scalar_doubly_warped(m, pts)
+        assert u.orders == v.orders == [3, 2, 3, 3, 3]
+
+    @pytest.mark.parametrize("p,q", [(2, 4), (3, 3), (1, 5)])
+    def test_ends_match_one_point_calls_bitwise(self, p, q):
+        g = round_doubly_warped(p, q)
+        rev = DoublyWarpedMetric(q, p, g.v, g.u, open_profile=True)
+        t = np.linspace(0.0, g.b, 257)
+        for m in (g, rev):
+            joined = np.concatenate([[scalar_doubly_warped(m, 0.0)],
+                                     scalar_doubly_warped(m, t[1:-1]),
+                                     [scalar_doubly_warped(m, g.b)]])
+            assert np.array_equal(scalar_doubly_warped(m, t), joined)
+
 
 class TestCylFamily:
     def test_constant_family_matches_warped(self):

@@ -200,6 +200,30 @@ class TestMembership:
         checked = {c.name for c in rep.conditions if c.passed is not None}
         assert checked - failed == set()
 
+    @pytest.mark.parametrize("check", [check_F_membership, check_U_membership,
+                                       check_V_membership])
+    def test_one_jet_call_per_check(self, check, counted):
+        f = counted(make_torpedo(TorpedoSpec(0.5)))
+        check(f)
+        assert f.orders == [3]
+
+    @pytest.mark.parametrize("check", [check_F_membership, check_U_membership,
+                                       check_V_membership])
+    @pytest.mark.parametrize("f", [
+        make_torpedo(TorpedoSpec(0.5)),
+        reflect(make_torpedo(TorpedoSpec(0.3, tube_length=0.4))),
+        make_double_torpedo(0.4, 3.0),
+        _sin_profile(),
+        LinearCombination([(1.0, _sin_profile()), (0.5, SmoothFn1D(
+            np.pi, [PolyPiece((0.0, np.pi), [0.0, 0.0, 0.0, 1.0])]))]),
+    ])
+    def test_end_conditions_match_one_point_jets(self, check, f,
+                                                 one_point_ends):
+        # conditions and details, bit for bit, as read from one-point calls
+        ref = one_point_ends(f)
+        assert check(f).conditions == check(ref).conditions
+        assert ref.ends_read >= 2
+
 
 class TestStructuralOps:
     def test_reflect_involution(self):

@@ -530,3 +530,25 @@ def test_tilt_margin_check_can_fail(transition, monkeypatch):
     monkeypatch.setattr(glbend, "_TILT_SLACK", -1.0)
     with pytest.raises(ConstructionFailedError, match="margin at r ="):
         final_bending_tilt(transition, params.C2)
+
+
+@pytest.mark.parametrize("which", ["bend", "corner", "tight corner"])
+def test_unit_speed_residual_matches_four_call_stencil(which):
+    # one point call on the joined stencil reads the four separate calls
+    if which == "bend":
+        prefix = initial_bend(MODEL, r1=0.5)
+        curve = assemble_gamma(MODEL, prefix, synth_transition(
+            MODEL, r0=0.2, theta0=prefix[1])).curve
+    else:
+        curve = quarter_bend_curve(1.0, 1.0, 0.4 if which == "corner" else 0.05)
+    for n in (200, 1000):
+        h = 1e-6
+        s = np.linspace(2 * h, curve.length - 2 * h, n)
+        keep = np.ones(len(s), dtype=bool)
+        for c in curve.cum[1:-1]:
+            keep &= np.abs(s - c) > 3 * h
+        s = s[keep]
+        d = (-curve.point(s + 2 * h) + 8 * curve.point(s + h)
+             - 8 * curve.point(s - h) + curve.point(s - 2 * h)) / (12.0 * h)
+        want = float(np.abs(np.linalg.norm(d, axis=-1) - 1.0).max())
+        assert curve.unit_speed_residual(n) == want

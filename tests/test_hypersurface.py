@@ -8,7 +8,7 @@ import pytest
 
 import gllab.curvature as curvature
 import gllab.hypersurface as hyp
-from gllab.curvature import scalar_doubly_warped
+from gllab.curvature import DoublyWarpedMetric, scalar_doubly_warped
 from gllab.errors import (CertificationFailedError, DomainMismatchError,
                           InvalidBendError, InvalidSpecError,
                           SingularProfileError)
@@ -213,3 +213,115 @@ class TestFoliation:
         with pytest.raises(InvalidSpecError, match="Curve2D"):
             connected_sum_foliation((1.0, 0.4), tau=0.05, nu_grid=[0.0],
                                     eps=0.25, delta_p=0.25)
+
+    @pytest.mark.parametrize("eps, delta_p", [(0.7, 0.25), (0.25, 0.7)])
+    def test_cap_too_long_raises_typed(self, eps, delta_p):
+        # the corner's domain is 1.0 and 0.7 pi/2 > 1: no cap fits
+        corner = quarter_bend_curve(1.0, 1.0, 0.4, eps=0.25, delta=0.25)
+        with pytest.raises(InvalidSpecError, match="domain too short"):
+            connected_sum_foliation(corner, tau=0.05, nu_grid=[0.0],
+                                    eps=eps, delta_p=delta_p)
+
+    def test_certificate_says_where_its_minimum_is(self, family_cert):
+        family, cert = family_cert
+        ex = cert.extra
+        assert type(ex["argmin_nu"]) is float
+        assert type(ex["argmin_t"]) is float
+        j = family.nu_grid.index(ex["argmin_nu"])
+        assert j == ex["per_leaf_min"].index(min(ex["per_leaf_min"]))
+        assert ex["per_leaf_min"][j] == cert.min_scalar
+        u, v = family.leaves[j]
+        m = DoublyWarpedMetric(2, 4, u, v, open_profile=True)
+        t = np.linspace(0.0, family.curves[j].length, hyp._LEAF_SAMPLES)
+        R = scalar_doubly_warped(m, t)
+        assert ex["argmin_t"] == t[np.argmin(R)]
+        assert R.min() == cert.min_scalar
+
+    def test_nan_sample_fails_the_leaf(self, monkeypatch):
+        def spoiled(m, t):
+            R = scalar_doubly_warped(m, t)
+            R[len(R) // 2] = np.nan
+            return R
+        monkeypatch.setattr(hyp, "scalar_doubly_warped", spoiled)
+        corner = quarter_bend_curve(1.0, 1.0, 0.4, eps=0.25, delta=0.25)
+        with pytest.raises(CertificationFailedError, match="positivity"):
+            connected_sum_foliation(corner, tau=0.05, nu_grid=[0.0, 1.0],
+                                    eps=0.25, delta_p=0.25)
+
+
+class TestLeafEvaluation:
+    """Each leaf check reads its curve once, shared by u and v."""
+
+    def test_leaf_reads_its_curve_at_most_twice(self, monkeypatch):
+        corner = quarter_bend_curve(1.0, 1.0, 0.4, eps=0.25, delta=0.25)
+        calls = {"jet": 0, "eval": 0}
+        for name in calls:
+            def counted(self, *args, _orig=getattr(Curve2D, name),
+                        _name=name, **kw):
+                calls[_name] += 1
+                return _orig(self, *args, **kw)
+            monkeypatch.setattr(Curve2D, name, counted)
+        nu_grid = [0.0, 0.3, 0.5, 0.8, 1.0]
+        family, _ = connected_sum_foliation(
+            corner, tau=0.05, nu_grid=nu_grid, eps=0.25, delta_p=0.25,
+            p=2, q=4)
+        # two jets in the checks, two evaluations in FoliationFamily
+        assert calls["jet"] <= 2 * len(nu_grid)
+        assert calls["eval"] <= 2 * len(nu_grid)
+        calls["eval"] = 0
+        FoliationFamily(family.nu_grid, family.curves, family.tau)
+        assert calls["eval"] <= 2 * len(nu_grid)
+
+    @pytest.mark.parametrize("leaf", [0, 5, 12, 20])
+    def test_leaf_checks_match_one_point_end_jets(self, family_cert, leaf,
+                                                  one_point_ends):
+        family, _ = family_cert
+        u, v = family.leaves[leaf]
+        for check, f in ((check_U_membership, u), (check_V_membership, v)):
+            ref = one_point_ends(f)
+            assert check(f).conditions == check(ref).conditions
+            assert ref.ends_read >= 2
+        m = DoublyWarpedMetric(2, 4, u, v, open_profile=True)
+        t = np.linspace(0.0, u.b, hyp._LEAF_SAMPLES)
+        joined = np.concatenate([[scalar_doubly_warped(m, 0.0)],
+                                 scalar_doubly_warped(m, t[1:-1]),
+                                 [scalar_doubly_warped(m, u.b)]])
+        assert np.array_equal(scalar_doubly_warped(m, t), joined)
+
+    def test_end_third_derivatives_match_pow_form(self, family_cert):
+        # x'^2 x' in place of x'^3 changes no bit that a check reads
+        family, _ = family_cert
+        for u, v in family.leaves:
+            for g in (u, v):
+                ends = np.array([0.0, g.b])
+                x = g.coord.jet(ends, 3)
+                f = g.prof.jet(x[0], 3)
+                want = (f[3] * x[1] ** 3 + 3.0 * f[2] * x[1] * x[2]
+                        + f[1] * x[3])
+                assert np.array_equal(g.jet(ends, 3)[3], want)
+
+    def test_shared_curve_jet_is_read_only(self):
+        rec = hyp._LastCurveJet(hyp._corner_curve(0.2, 0.4))
+        s = np.linspace(0.0, rec.length, 9)
+        for d in rec.jet(s, 3) + hyp._CurveCoordinate(rec, 1).jet(s, 3):
+            with pytest.raises(ValueError, match="read-only"):
+                d[0] = 1.0
+
+    def test_shared_curve_jet_only_for_same_points_and_order(self):
+        curve = hyp._corner_curve(0.2, 0.4)
+        rec = hyp._LastCurveJet(curve)
+        calls = []
+
+        def counted(s, k=2):
+            calls.append(k)
+            return Curve2D.jet(curve, s, k)
+        curve.jet = counted
+        s = np.linspace(0.0, curve.length, 17)
+        for pts, k, n_calls in ((s, 2, 1), (s.copy(), 1, 1), (s, 3, 2),
+                                (s, 2, 2), (s[:-1], 2, 3), (s + 1e-12, 2, 4),
+                                (s + 1e-12, 3, 5), (0.5, 3, 6), (0.5, 3, 6)):
+            got = rec.jet(pts, k)
+            assert len(calls) == n_calls
+            assert len(got) == k + 1
+            for d, want in zip(got, Curve2D.jet(curve, pts, k)):
+                assert np.array_equal(d, want)
