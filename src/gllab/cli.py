@@ -32,7 +32,8 @@ import numpy as np
 from . import errors as E
 from .certify import write_csv
 from .curvature import WarpedSphereMetric, scalar_warped, write_curvature_csv
-from .fnspace import TorpedoSpec, make_torpedo, sample_grid, write_profile_csv
+from .fnspace import (_CSV_DENSITY, TorpedoSpec, make_torpedo, sample_grid,
+                      write_profile_csv)
 from .glbend import (BendConstants, assemble_gamma, final_bending_tilt,
                      final_isotopy, initial_bend, synth_transition,
                      write_bend_csv)
@@ -53,10 +54,6 @@ _INVALID = (E.InvalidSpecError, E.DomainMismatchError, E.OutOfRegimeError,
 _CONSTRUCTION = (E.ConstructionFailedError, E.SingularProfileError,
                  E.DegenerateEmbeddingError)
 _ALGEBRAIC = (E.AlgebraicRejection,)
-
-
-# torpedo sampling density, points per unit length
-_TORPEDO_DENSITY = 256
 
 
 def _exit_code_for(exc):
@@ -118,7 +115,7 @@ def torpedo(ctx, delta, tube, blend, n):
         spec = TorpedoSpec(delta, tube_length=tube, blend_width=blend)
         f = make_torpedo(spec)
         m = WarpedSphereMetric(n, f, open_profile=True)
-        t = sample_grid(f.b, _TORPEDO_DENSITY, interior=True)
+        t = sample_grid(f.b, _CSV_DENSITY, interior=True)
         min_r = float(np.min(scalar_warped(m, t)))
         if ctx.obj["format"] == "json":
             _write_json(_outpath(ctx, "torpedo.json"), {
@@ -128,10 +125,8 @@ def torpedo(ctx, delta, tube, blend, n):
                 "min_scalar": min_r,
             })
         else:
-            write_profile_csv(f, _outpath(ctx, "torpedo_profile.csv"),
-                              density=_TORPEDO_DENSITY)
-            write_curvature_csv(m, _outpath(ctx, "torpedo_curvature.csv"),
-                                density=_TORPEDO_DENSITY)
+            write_profile_csv(f, _outpath(ctx, "torpedo_profile.csv"))
+            write_curvature_csv(m, _outpath(ctx, "torpedo_curvature.csv"))
         click.echo(f"min scalar curvature: {min_r:.17g}")
         return EXIT_OK if min_r > 0 else EXIT_CONSTRUCTION
 

@@ -34,7 +34,7 @@ import numpy as np
 from .certify import IsotopyCertificate, write_csv
 from .errors import (CertificationFailedError, DomainMismatchError,
                      InvalidSpecError, SingularProfileError)
-from .fnspace import (_END_TOL, DEFAULT_GRID_DENSITY, ConstPiece, PolyPiece,
+from .fnspace import (_CSV_DENSITY, _END_TOL, ConstPiece, PolyPiece,
                       SmoothFn1D, check_F_membership, check_U_membership,
                       check_V_membership, sample_grid)
 
@@ -48,7 +48,6 @@ __all__ = [
     "scalar_doubly_warped",
     "scalar_cyl_family",
     "slowdown_concordance",
-    "canonical_variation_scalar",
     "make_smoothstep",
     "write_curvature_csv",
 ]
@@ -301,17 +300,6 @@ def scalar_cyl_family(m, s, t):
                    [(1.0 - (ps ** 2 + pt ** 2)) / P ** 2], {})
 
 
-def canonical_variation_scalar(base_R, fiber_R_at_unit, delta):
-    """Total scalar curvature after scaling the fiber metric by delta^2.
-
-    For a flat-distribution submersion this is fiber_R_at_unit/delta^2 +
-    base_R (the |A|^2 correction vanishes).
-    """
-    if delta <= 0:
-        raise InvalidSpecError("delta must be positive")
-    return fiber_R_at_unit / delta ** 2 + base_R
-
-
 # ---------------------------------------------------------------------------
 # slowdown concordance
 # ---------------------------------------------------------------------------
@@ -336,6 +324,7 @@ def make_smoothstep(L):
 
 # rows of the (s, t) grid per vectorised scalar_cyl_family call
 _ROW_BLOCK = 32
+_SLOWDOWN_BUDGET = 20  # lengths L = 1, 2, 4, ... tried before giving up
 
 
 def _path_jets(path, sig, tgrid, known):
@@ -373,14 +362,15 @@ def _slowdown_grid(n, jets, sig, sgrid, tgrid, h):
     return R
 
 
-def slowdown_concordance(path, n, grid_shape=(200, 200), budget=20):
+def slowdown_concordance(path, n, grid_shape=(200, 200)):
     """Find a slowdown factor making a psc path run as a psc cylinder metric.
 
     ``path`` maps sigma in [0, 1] to a WarpedSphereMetric of dimension ``n``
     on a fixed (0, b).  The path is reparameterized by a quintic smoothstep
     eta over an interval of length L (constant near both ends, so the
     cylinder metric is a product there), and L is doubled (Lambda = 1/L
-    halved from 1) until the full (s, t) grid certifies min scalar > 0.
+    halved from 1) until the full (s, t) grid certifies min scalar > 0, at
+    most ``_SLOWDOWN_BUDGET`` times.
 
     The path is evaluated once per distinct sigma over the whole search,
     not once per L.  This is exact: round L's s-grid and h = 1e-4 L are
@@ -390,14 +380,14 @@ def slowdown_concordance(path, n, grid_shape=(200, 200), budget=20):
     Returns (Lambda, eta profile on (0, L), certificate).  The certificate's
     ``extra`` holds where the minimum sits (``argmin_s``, ``argmin_t``),
     every L tried (``L_tried``) and the number of distinct sigma at which
-    the path was evaluated (``profiles``).  ``grid_shape`` entries or a
-    ``budget`` below 1 raise ``InvalidSpecError``.
+    the path was evaluated (``profiles``).  ``grid_shape`` entries below 1
+    raise ``InvalidSpecError``.
     """
     ns, nt = grid_shape
-    if min(ns, nt, budget) < 1:
+    if min(ns, nt) < 1:
         raise InvalidSpecError(
-            f"slowdown needs a grid of at least 1x1 and a budget of at least "
-            f"1, got grid_shape={tuple(grid_shape)}, budget={budget}")
+            f"slowdown needs a grid of at least 1x1, got "
+            f"grid_shape={tuple(grid_shape)}")
     g0, g1 = path(0.0), path(1.0)
     b = g0.f.b
     tgrid = np.linspace(0.0, b, nt + 2)[1:-1]
@@ -413,7 +403,7 @@ def slowdown_concordance(path, n, grid_shape=(200, 200), budget=20):
     L = 1.0
     tried = []
     jets = None
-    for _ in range(budget):
+    for _ in range(_SLOWDOWN_BUDGET):
         eta = make_smoothstep(L)
         h = L * 1e-4
         tried.append(L)
@@ -436,7 +426,7 @@ def slowdown_concordance(path, n, grid_shape=(200, 200), budget=20):
         best = max(best, mn)
         L *= 2.0
     raise CertificationFailedError(
-        f"no slowdown factor certified within budget {budget}",
+        f"no slowdown factor certified within budget {_SLOWDOWN_BUDGET}",
         best_margin=best)
 
 
@@ -444,8 +434,8 @@ def slowdown_concordance(path, n, grid_shape=(200, 200), budget=20):
 # export
 # ---------------------------------------------------------------------------
 
-def write_curvature_csv(m, path_or_buf, density=DEFAULT_GRID_DENSITY):
+def write_curvature_csv(m, path_or_buf):
     """CSV curvature profile with columns t, R, Ric_t, Ric_sphere."""
-    t = sample_grid(m.f.b, density)
+    t = sample_grid(m.f.b, _CSV_DENSITY)
     write_csv(path_or_buf, "t,R,Ric_t,Ric_sphere",
               np.column_stack([t, scalar_warped(m, t), *ricci_warped(m, t)]))

@@ -24,7 +24,6 @@ serialises.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,13 +48,13 @@ __all__ = [
     "check_V_membership",
     "linear_homotopy",
     "reflect",
-    "scale",
     "sample_grid",
     "write_profile_csv",
 ]
 
 DEFAULT_JUNCTION_TOL = 1e-9
 DEFAULT_GRID_DENSITY = 1024  # points per unit length
+_CSV_DENSITY = 256  # points per unit length of the profile and curvature CSVs
 
 
 def sample_grid(b, density=DEFAULT_GRID_DENSITY, interior=False):
@@ -252,18 +251,16 @@ class SmoothFn1D:
     # -- serialization ------------------------------------------------------
 
     def to_json(self):
-        return {"b": self.b, "pieces": [p.to_json() for p in self.pieces]}
+        """JSON form; ``junction_orders`` is written only when not C^2."""
+        out = {"b": self.b, "pieces": [p.to_json() for p in self.pieces]}
+        if self.junction_orders != (0, 1, 2):
+            out["junction_orders"] = list(self.junction_orders)
+        return out
 
     @classmethod
-    def from_json(cls, d, **kw):
-        return cls(d["b"], [_piece_from_json(p) for p in d["pieces"]], **kw)
-
-    def dumps(self):
-        return json.dumps(self.to_json(), sort_keys=True)
-
-    @classmethod
-    def loads(cls, s, **kw):
-        return cls.from_json(json.loads(s), **kw)
+    def from_json(cls, d):
+        return cls(d["b"], [_piece_from_json(p) for p in d["pieces"]],
+                   d.get("junction_orders", (0, 1, 2)))
 
 
 class LinearCombination:
@@ -291,9 +288,9 @@ class LinearCombination:
         return self.jet(t, 0)[0]
 
 
-def write_profile_csv(f, path_or_buf, density=DEFAULT_GRID_DENSITY):
+def write_profile_csv(f, path_or_buf):
     """CSV sampling export with columns t, f, f', f''."""
-    t = sample_grid(f.b, density)
+    t = sample_grid(f.b, _CSV_DENSITY)
     write_csv(path_or_buf, "t,f,d1,d2", np.column_stack([t, *f.jet(t, 2)]))
 
 
@@ -310,11 +307,6 @@ def _mirrored(pieces, b):
 def reflect(f):
     """The profile t -> f(b - t) on the same domain."""
     return SmoothFn1D(f.b, _mirrored(f.pieces, f.b), f.junction_orders)
-
-
-def scale(f, a):
-    """The profile a * f."""
-    return LinearCombination([(a, f)])
 
 
 def linear_homotopy(f0, f1, s):

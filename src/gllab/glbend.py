@@ -13,8 +13,8 @@ The inequality ledger is, from strongest to weakest assumption:
 
 * ``check_cureqn``   k (1 + C' r^2) < R0 r/sin(theta) + (q-1) sin(theta)/r
                      - C r sin(theta)   (always true when k <= 0)
-* ``check_keqn``     k < sin(theta)/(2 r)   (valid for r <= r0, theta >= theta0)
-* ``check_diffkeqn`` f'' < (1 + f'^2)/(2 f)  (the graph form of keqn)
+* ``check_diffkeqn`` f'' < (1 + f'^2)/(2 f), the graph form of
+                     k < sin(theta)/(2 r)  (valid for r <= r0, theta >= theta0)
 
 Conventions (fixed throughout): unit-speed curves with tangent
 T = (sin(theta), -cos(theta)), so theta = atan2(T_t, -T_r) (``_normal_angle``);
@@ -35,7 +35,7 @@ from .errors import (AssemblyError, ConstructionFailedError, InvalidBendError,
                      InvalidSpecError, InversionError, NoFeasibleBendError,
                      OutOfRegimeError, TiltTooLargeError)
 from .fnspace import (PolyPiece, SmoothFn1D, TorpedoSpec, _quintic_match,
-                      make_torpedo, reflect, scale)
+                      make_torpedo, reflect)
 
 __all__ = [
     "BendConstants",
@@ -48,14 +48,12 @@ __all__ = [
     "BendProfile",
     "rhs_cureqn",
     "check_cureqn",
-    "check_keqn",
     "check_diffkeqn",
     "mu_inequality",
     "initial_bend",
     "synth_transition",
     "assemble_gamma",
     "default_tail_spec",
-    "initial_isotopy",
     "final_bending_tilt",
     "final_isotopy",
     "InverseBlend",
@@ -149,31 +147,18 @@ def _least_margin(margin):
     return float(rest.min()) if rest.size else np.inf
 
 
-def check_keqn(k, r, theta, consts, r0, theta0):
-    """k < sin(theta)/(2r), valid only for r in (0, r0] with theta >= theta0."""
-    if not 0 < r0 < consts.r0_bound():
-        raise OutOfRegimeError(
-            f"r0 = {r0} outside (0, {consts.r0_bound():.6g})")
-    r = float(r)
-    theta = float(theta)
-    if not 0 < r <= r0:
-        raise OutOfRegimeError(f"r = {r} outside (0, r0 = {r0}]")
-    if theta < theta0:
-        raise OutOfRegimeError(f"theta = {theta} below theta0 = {theta0}")
-    return float(k) < np.sin(theta) / (2.0 * r)
-
-
 def _graph_margin(jet):
     """(1 + f'^2)/(2 f) - f'' from the jet (f, f', f'')."""
     F, d1, d2 = jet
     return (1.0 + d1 ** 2) / (2.0 * F) - d2
 
 
-def check_diffkeqn(f, grid=None):
-    """Min over the grid of (1 + f'^2)/(2 f) - f''; pass iff > 0."""
-    if grid is None:
-        grid = np.linspace(0.0, f.b, 10001)
-    jet = f.jet(np.asarray(grid, dtype=float), 2)
+def check_diffkeqn(f):
+    """Min of (1 + f'^2)/(2 f) - f'' on 10001 points of [0, b]; pass iff > 0.
+
+    ``f`` must be positive there, or ``InvalidSpecError`` is raised.
+    """
+    jet = f.jet(np.linspace(0.0, f.b, 10001), 2)
     if np.min(jet[0]) <= 0:
         raise InvalidSpecError("profile must be positive on the grid")
     return float(np.min(_graph_margin(jet)))
@@ -784,7 +769,7 @@ def synth_transition(consts, r0, theta0):
                 delta_inf *= 0.5
                 last_err = "profile lost positivity"
                 continue
-            margin = check_diffkeqn(f, grid)
+            margin = check_diffkeqn(f)
             if margin > 0:
                 ok = True
                 break
@@ -868,38 +853,11 @@ def assemble_gamma(consts, prefix, transition):
 # isotopies
 # ---------------------------------------------------------------------------
 
-def initial_isotopy(f0, lambda_grid=None):
-    """Scale the bend graph: the family lambda * f0 for lambda in [0, 1].
-
-    ``f0`` is the bend region viewed as a graph over the r-axis, so its slope
-    is tan(theta) <= tan(theta0) and b = f0'^2 < 1/4.  Curvature does not
-    increase anywhere along the family because
-
-        mu^3 b - mu b - mu + 1 >= 0,   mu = lambda^(2/3),
-
-    which is returned as the minimum over the (lambda, t) grid (512 values
-    of t), along with the scaled family itself.
-    """
-    if lambda_grid is None:
-        lambda_grid = np.linspace(0.0, 1.0, 11)
-    if len(lambda_grid) == 0:
-        raise InvalidSpecError("lambda_grid must hold at least one value")
-    t = np.linspace(0.0, f0.b, 512)
-    bvals = f0.jet(t, 1)[1] ** 2
-    if bvals.max() >= 0.25:
-        raise OutOfRegimeError(
-            f"slope condition violated: max f0'^2 = {bvals.max():.6g} >= 1/4")
-    mus = np.asarray(lambda_grid, dtype=float) ** (2.0 / 3.0)
-    expr = mu_inequality(mus[:, None], bvals[None, :])
-    family = [scale(f0, float(lam)) for lam in lambda_grid]
-    return family, float(expr.min())
-
-
 # relative margin loss final_bending_tilt tolerates at matched r-levels
 _TILT_SLACK = 1e-9
 
 
-def final_bending_tilt(transition, t_inf_pp, extend_to=None):
+def final_bending_tilt(transition, t_inf_pp):
     """Straighten the transition tail from t_inf'' on, tilting it downward.
 
     The second derivative of f is cut off at t_inf'' (mollified over a window
@@ -908,17 +866,17 @@ def final_bending_tilt(transition, t_inf_pp, extend_to=None):
     inequality margin at matched r-levels must not drop below the unmodified
     margin by more than ``_TILT_SLACK`` (relative, floored at 1).
 
-    With t_inf'' = t_inf the profile is returned unchanged.  By default the
+    With t_inf'' = t_inf the profile is returned unchanged.  Otherwise the
     straight tail descends exactly to the original end value f(t_inf), so the
-    tilted profile covers the same r-range as the input; ``extend_to``
-    overrides the tail end, and if the line reaches zero the tilt is rejected.
+    tilted profile covers the same r-range as the input; a profile that is
+    not positive on its whole domain is rejected.
     """
     params, f = transition
     if not params.C2 <= t_inf_pp <= params.tinf:
         raise InvalidSpecError(
             f"t_inf'' must lie in [C2, t_inf] = "
             f"[{params.C2:.6g}, {params.tinf:.6g}]")
-    if t_inf_pp == params.tinf and extend_to is None:
+    if t_inf_pp == params.tinf:
         return f
     w = params.delta_inf / 8.0
     cut0 = t_inf_pp - w
@@ -949,15 +907,10 @@ def final_bending_tilt(transition, t_inf_pp, extend_to=None):
         h = hi - lo
         val = float(npoly.polyval(h, fc))
         slope = float(npoly.polyval(h, d1c))
-    if slope >= 0 and t_inf_pp < params.tinf:
+    if slope >= 0:
         raise ConstructionFailedError("tilted tail slope must be negative")
-    if extend_to is not None:
-        end = extend_to
-    elif slope < 0:
-        # descend to the original end value so the r-range is preserved
-        end = t_inf_pp + (val - float(f(params.tinf))) / (-slope)
-    else:
-        end = t_inf_pp
+    # descend to the original end value so the r-range is preserved
+    end = t_inf_pp + (val - float(f(params.tinf))) / (-slope)
     if end > t_inf_pp:
         pieces.append(PolyPiece((t_inf_pp, end), [val, slope],
                                 origin=t_inf_pp))

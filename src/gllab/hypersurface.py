@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .certify import IsotopyCertificate, pmap, write_csv
+from .certify import IsotopyCertificate, pmap
 from .curvature import DoublyWarpedMetric, scalar_doubly_warped
 from .errors import (CertificationFailedError, DomainMismatchError,
                      InvalidBendError, InvalidSpecError)
@@ -44,7 +44,6 @@ __all__ = [
     "gauss_scalar_on_M",
     "mixed_torpedo_via_J",
     "connected_sum_foliation",
-    "write_foliation_csv",
 ]
 
 
@@ -423,10 +422,3 @@ def connected_sum_foliation(lambda_half_curve, tau, nu_grid, eps, delta_p,
         extra={"per_leaf_min": minima, "argmin_nu": nu_grid[j],
                "argmin_t": results[j][2]})
     return family, cert
-
-
-def write_foliation_csv(family, cert, path_or_buf):
-    """Per-leaf minima: columns nu, length, min_scalar."""
-    write_csv(path_or_buf, "nu,length,min_scalar",
-              zip(family.nu_grid, [c.length for c in family.curves],
-                  cert.extra["per_leaf_min"]))

@@ -47,18 +47,19 @@ __all__ = [
 
 def _as_int_matrix(m, rows, cols, what):
     """Validate and normalize a nested sequence to a rows x cols int matrix."""
-    out = [[0] * cols for _ in range(rows)]
-    m = [list(r) for r in m]
+    try:
+        m = [list(r) for r in m]
+        out = [[int(val) for val in r] for r in m]
+    except (TypeError, ValueError, OverflowError):
+        raise InvalidSpecError(f"{what}: not a matrix of finite numbers") \
+            from None
     if len(m) != rows or any(len(r) != cols for r in m):
         raise InvalidSpecError(
             f"{what}: expected shape {rows} x {cols}, got "
             f"{len(m)} x {[len(r) for r in m]}")
-    for i, row in enumerate(m):
-        for j, val in enumerate(row):
-            iv = int(val)
-            if iv != val:
-                raise InvalidSpecError(f"{what}: non-integer entry {val!r}")
-            out[i][j] = iv
+    if out != m:
+        val = next(v for r, o in zip(m, out) for v, iv in zip(r, o) if iv != v)
+        raise InvalidSpecError(f"{what}: non-integer entry {val!r}")
     return out
 
 
@@ -295,16 +296,35 @@ class MorseDescription:
 
     @classmethod
     def from_json(cls, data):
+        """Read the JSON form; a malformed one raises ``InvalidSpecError``."""
         if isinstance(data, str):
             data = json.loads(data)
-        points = [CriticalPoint(p["id"], int(p["index"]), float(p["level"]))
+        if not (isinstance(data, dict) and isinstance(data.get("points"), list)
+                and all(isinstance(x, dict) for x in [
+                    data.get("boundary", {}), data.get("flags", {}),
+                    *data["points"]])):
+            raise InvalidSpecError(
+                "a description is an object holding a list of point objects "
+                "and optional boundary and flags objects")
+        points = [CriticalPoint(p["id"], _number(p["index"], "index", True),
+                                _number(p["level"], "level"))
                   for p in data["points"]]
         boundary = {}
         for key, mat in data.get("boundary", {}).items():
             hi, lo = (int(x) for x in key.split("->"))
             boundary[(hi, lo)] = mat
-        return cls(int(data["n"]), points, boundary,
+        return cls(_number(data["n"], "n", True), points, boundary,
                    dict(data.get("flags", {})))
+
+
+def _number(val, what, integral=False):
+    """A JSON number, as an int if ``integral``; anything else, or a
+    fraction where an integer is due, raises ``InvalidSpecError``."""
+    if isinstance(val, bool) or not isinstance(val, (int, float)) or (
+            integral and isinstance(val, float) and not val.is_integer()):
+        noun = "an integer" if integral else "a number"
+        raise InvalidSpecError(f"{what} must be {noun}, got {val!r}")
+    return int(val) if integral else val
 
 
 def check_admissible(desc):

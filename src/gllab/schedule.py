@@ -469,9 +469,6 @@ class DemoReport:
     def passed(self):
         return all(st["certificate"].passed for st in self.stages)
 
-    def minima(self):
-        return {st["id"]: st["certificate"].min_scalar for st in self.stages}
-
     def to_json(self):
         return {"n": self.n, "p": self.p, "q": self.q,
                 "passed": bool(self.passed),

@@ -18,9 +18,7 @@ from gllab.cli import main
 from gllab.curvature import WarpedSphereMetric, write_curvature_csv
 from gllab.fnspace import TorpedoSpec, make_torpedo, write_profile_csv
 from gllab.glbend import (BendConstants, assemble_gamma, initial_bend,
-                          quarter_bend_curve, synth_transition,
-                          write_bend_csv)
-from gllab.hypersurface import connected_sum_foliation, write_foliation_csv
+                          synth_transition, write_bend_csv)
 from gllab.schedule import (DemoReport, MetricDescriptor, Schedule, Segment,
                             write_schedule_csv)
 
@@ -165,6 +163,28 @@ class TestMorseCmd:
         kinds = {s["kind"] for s in plan["steps"]}
         assert kinds == {"auxiliary-inserted"}
 
+    @pytest.mark.parametrize("text", [
+        "[]", "3",
+        json.dumps(dict(TWO_POINT, points=[1] + TWO_POINT["points"][1:])),
+        json.dumps(dict(TWO_POINT, boundary=[])),
+        json.dumps(dict(TWO_POINT, flags=3)),
+        json.dumps(TWO_POINT).replace("[[1]]", "[[null]]"),
+        json.dumps(TWO_POINT).replace("[[1]]", "[[1e400]]"),
+        json.dumps(dict(TWO_POINT, n=7.5)),
+        json.dumps(TWO_POINT).replace('"index": 3', '"index": 3.7'),
+        json.dumps(TWO_POINT).replace('"level": 0.25', '"level": null'),
+    ], ids=["array", "number", "point-not-object", "boundary-list",
+            "flags-number", "null-entry", "overflow-entry", "fractional-n",
+            "fractional-index", "null-level"])
+    def test_malformed_description_exit_2(self, runner, tmp_path, text):
+        src = tmp_path / "desc.json"
+        src.write_text(text)
+        res = runner.invoke(main, ["--output-dir", str(tmp_path / "out"),
+                                   "morse", str(src)])
+        assert res.exit_code == 2
+        assert "InvalidSpecError" in res.output
+        assert not (tmp_path / "out").exists()
+
 
 class TestDemoCmd:
     def test_demo_exit_0(self, runner, tmp_path):
@@ -195,15 +215,17 @@ class TestDemoCmd:
 
 class TestDeterminism:
     def test_byte_identical_outputs(self, runner, tmp_path):
-        outs = []
-        for tag in ("a", "b"):
-            d = tmp_path / tag
-            res = runner.invoke(main, ["--output-dir", str(d), "demo",
-                                       "--n", "5", "--p", "1"])
-            assert res.exit_code == 0
-            outs.append((d / "demo_stages.csv").read_bytes()
-                        + (d / "demo_report.json").read_bytes())
-        assert outs[0] == outs[1]
+        for i, args in enumerate([
+                ["demo", "--n", "5", "--p", "1"],
+                ["bend", "--r0q", "1.5", "--q", "3", "--emit-isotopy"],
+                ["--format", "json", "torpedo", "--delta", "0.5"]]):
+            outs = []
+            for tag in ("a", "b"):
+                d = tmp_path / f"{i}{tag}"
+                res = runner.invoke(main, ["--output-dir", str(d)] + args)
+                assert res.exit_code == 0
+                outs.append({p.name: p.read_bytes() for p in d.iterdir()})
+            assert outs[0] == outs[1] and outs[0]
 
     def test_bad_config_exit_2(self, runner, tmp_path):
         # settings come from flags only; a config file is a usage error
@@ -222,17 +244,13 @@ def test_writers_give_same_bytes_to_buffer_and_path(tmp_path):
     prefix = initial_bend(consts, r1=0.5)
     bend = assemble_gamma(consts, prefix, synth_transition(
         consts, r0=0.2, theta0=prefix[1]))
-    corner = quarter_bend_curve(1.0, 1.0, 0.4, eps=0.25, delta=0.25)
-    family, fol_cert = connected_sum_foliation(
-        corner, tau=0.05, nu_grid=[0.0, 1.0], eps=0.25, delta_p=0.25, q=4)
     desc = MetricDescriptor("warped")
     cert = IsotopyCertificate("grid", np.float64(2.5))
     writers = [
-        lambda out: write_profile_csv(f, out, density=64),
+        lambda out: write_profile_csv(f, out),
         lambda out: write_curvature_csv(
-            WarpedSphereMetric(5, f, open_profile=True), out, density=64),
+            WarpedSphereMetric(5, f, open_profile=True), out),
         lambda out: write_bend_csv(bend, out, n_samples=64),
-        lambda out: write_foliation_csv(family, fol_cert, out),
         lambda out: write_schedule_csv(
             Schedule([Segment("product-extension", {}, desc, desc, cert)]),
             out),

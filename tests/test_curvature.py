@@ -7,17 +7,17 @@ import pytest
 
 import gllab.curvature as curvature
 from gllab.curvature import (CylFamilyMetric, DoublyWarpedMetric, Phi2D,
-                             WarpedSphereMetric, canonical_variation_scalar,
-                             make_smoothstep, ricci_warped,
+                             WarpedSphereMetric, make_smoothstep, ricci_warped,
                              scalar_cyl_family, scalar_doubly_warped,
                              scalar_warped, slowdown_concordance,
                              write_curvature_csv)
 from gllab.errors import (CertificationFailedError, DomainMismatchError,
                           InvalidSpecError, SingularProfileError)
-from gllab.fnspace import (ConstPiece, PolyPiece, SinePiece, SmoothFn1D,
-                           TorpedoSpec, _quintic_match, linear_homotopy,
+from gllab.fnspace import (_CSV_DENSITY, ConstPiece, LinearCombination,
+                           PolyPiece, SinePiece, SmoothFn1D, TorpedoSpec,
+                           _quintic_match, linear_homotopy,
                            make_double_torpedo, make_torpedo, reflect,
-                           sample_grid, scale, write_profile_csv)
+                           sample_grid, write_profile_csv)
 from gllab.schedule import round_doubly_warped, round_metric
 
 
@@ -45,8 +45,9 @@ class TestWarped:
                                             (1 + 5e-9, False)])
     def test_cone_point_end_raises(self, slope, cone):
         # slope * sin t closes at both ends with |f'| = slope
-        m = WarpedSphereMetric(7, scale(round_profile(), slope),
-                               open_profile=True)
+        m = WarpedSphereMetric(
+            7, LinearCombination([(slope, round_profile())]),
+            open_profile=True)
         assert np.isfinite(scalar_warped(m, 0.5))
         for t in (0.0, np.array([0.5, np.pi])):
             if cone:
@@ -192,11 +193,6 @@ class TestCylFamily:
         # curvature is unchanged by the flat s-factor
         assert np.array_equal(R_cyl, R_expected)
 
-    def test_canonical_variation(self):
-        assert np.isclose(canonical_variation_scalar(3.0, 6.0, 0.5),
-                          6.0 / 0.25 + 3.0)
-        with pytest.raises(InvalidSpecError):
-            canonical_variation_scalar(1.0, 1.0, 0.0)
 
 
 def round_to_double_torpedo(b=6.0, delta=0.5, n=7):
@@ -305,8 +301,9 @@ class TestSlowdown:
     def test_failure_matches_per_row_reference(self, monkeypatch):
         path = round_to_double_torpedo()
         values = record_curvature(monkeypatch)
+        monkeypatch.setattr(curvature, "_SLOWDOWN_BUDGET", 2)
         with pytest.raises(CertificationFailedError) as err:
-            slowdown_concordance(path, 7, grid_shape=(60, 60), budget=2)
+            slowdown_concordance(path, 7, grid_shape=(60, 60))
         grids, best = per_row_slowdown(path, 7, (60, 60), 2)
         assert err.value.best_margin == best < 0
         assert np.array_equal(np.concatenate(values),
@@ -339,25 +336,30 @@ class TestSlowdown:
 
         def path(sig):
             # positive at both ends, negative around sigma = 1/2
-            return WarpedSphereMetric(7, scale(f, 1.0 - 8.0 * sig * (1 - sig)),
-                                      open_profile=True)
+            return WarpedSphereMetric(
+                7, LinearCombination([(1.0 - 8.0 * sig * (1 - sig), f)]),
+                open_profile=True)
 
         with pytest.raises(SingularProfileError):
             slowdown_concordance(path, 7, grid_shape=(20, 20))
 
-    def test_non_psc_path_rejected(self):
+    def test_non_psc_path_rejected(self, monkeypatch):
         b = np.pi / 3
         f = SmoothFn1D(b, [SinePiece((0.0, b), 0.5, 3.0)])
 
         def path(sig):
             return WarpedSphereMetric(7, f, open_profile=True)
 
+        monkeypatch.setattr(curvature, "_SLOWDOWN_BUDGET", 2)
         with pytest.raises(CertificationFailedError):
-            slowdown_concordance(path, 7, grid_shape=(10, 10), budget=2)
+            slowdown_concordance(path, 7, grid_shape=(10, 10))
 
     @pytest.mark.parametrize("grid_shape, budget", [
-        ((0, 10), 20), ((10, 0), 20), ((-3, 10), 20), ((10, 10), 0)])
-    def test_bad_grid_or_budget_raises_typed(self, grid_shape, budget):
+        ((0, 10), 20), ((10, 0), 20), ((-3, 10), 20)])
+    def test_bad_grid_or_budget_raises_typed(self, grid_shape, budget,
+                                             monkeypatch):
+        # the grid is checked before the path is read, whatever the budget
+        monkeypatch.setattr(curvature, "_SLOWDOWN_BUDGET", budget)
         calls = []
 
         def path(sig):
@@ -365,8 +367,7 @@ class TestSlowdown:
             return round_to_double_torpedo()(sig)
 
         with pytest.raises(InvalidSpecError):
-            slowdown_concordance(path, 7, grid_shape=grid_shape,
-                                 budget=budget)
+            slowdown_concordance(path, 7, grid_shape=grid_shape)
         assert calls == []
 
 
@@ -391,7 +392,7 @@ class TestSmoothstep:
 def test_curvature_csv():
     m = WarpedSphereMetric(7, round_profile())
     buf = io.StringIO()
-    write_curvature_csv(m, buf, density=64)
+    write_curvature_csv(m, buf)
     lines = buf.getvalue().strip().splitlines()
     assert lines[0] == "t,R,Ric_t,Ric_sphere"
     assert len(lines) > 64
@@ -406,4 +407,4 @@ def test_default_density_tables_share_t():
                                buf.getvalue().splitlines()[1:]]
                               for buf in bufs)
     assert t_profile == t_curvature
-    assert len(t_profile) == len(sample_grid(f.b))
+    assert len(t_profile) == len(sample_grid(f.b, _CSV_DENSITY))

@@ -10,15 +10,14 @@ from scipy.optimize import brentq
 from gllab import glbend
 from gllab.errors import (ConstructionFailedError, InvalidBendError,
                           InvalidSpecError, InversionError,
-                          NoFeasibleBendError, OutOfRegimeError,
-                          TiltTooLargeError)
+                          NoFeasibleBendError)
 from gllab.fnspace import PolyPiece, SmoothFn1D
 from gllab.glbend import (ArcSeg, BendConstants, BumpSeg, Curve2D, GraphSeg,
                           InverseBlend, LineSeg, _invert_monotone,
                           assemble_gamma, check_cureqn, check_diffkeqn,
-                          check_keqn, final_bending_tilt, final_isotopy,
-                          initial_bend, initial_isotopy, mu_inequality,
-                          quarter_bend_curve, rhs_cureqn, synth_transition)
+                          final_bending_tilt, final_isotopy, initial_bend,
+                          mu_inequality, quarter_bend_curve, rhs_cureqn,
+                          synth_transition)
 
 MODEL = BendConstants(R0=1.5, q=3)
 
@@ -44,17 +43,6 @@ class TestInequalityLedger:
     def test_concave_passes_unconditionally(self):
         assert check_cureqn(MODEL, -5.0, 0.3, 0.2) == np.inf
         assert check_cureqn(MODEL, 0.0, 0.3, 0.2) == np.inf
-
-    def test_keqn_regime_guards(self):
-        consts = BendConstants(R0=1.0, C=4.0, q=2)
-        # r0 bound = 1/sqrt(4C) = 0.25
-        assert check_keqn(0.1, 0.2, 0.5, consts, r0=0.24, theta0=0.3)
-        with pytest.raises(OutOfRegimeError):
-            check_keqn(0.1, 0.2, 0.5, consts, r0=0.3, theta0=0.3)
-        with pytest.raises(OutOfRegimeError):
-            check_keqn(0.1, 0.5, 0.5, consts, r0=0.24, theta0=0.3)
-        with pytest.raises(OutOfRegimeError):
-            check_keqn(0.1, 0.2, 0.1, consts, r0=0.24, theta0=0.3)
 
     @given(mu=st.floats(0.0, 1.0), b=st.floats(0.0, 0.2499))
     @settings(max_examples=200, deadline=None)
@@ -141,7 +129,7 @@ class TestSynthesis:
             synth_transition(MODEL, r0=0.2, theta0=0.4)
         assert err.value.best_margin is None
         # the attempt reaches the graph inequality, which fails
-        monkeypatch.setattr(glbend, "check_diffkeqn", lambda f, grid: -0.25)
+        monkeypatch.setattr(glbend, "check_diffkeqn", lambda f: -0.25)
         with pytest.raises(ConstructionFailedError) as err:
             synth_transition(MODEL, r0=0.2, theta0=1.0)
         assert err.value.best_margin == -0.25
@@ -220,28 +208,6 @@ def transition():
 
 class TestIsotopies:
 
-    def test_initial_isotopy_scaling_family(self):
-        from gllab.fnspace import PolyPiece, SmoothFn1D
-        # gentle graph with slope below 1/2 everywhere
-        f0 = SmoothFn1D(1.0, [PolyPiece((0.0, 1.0), [1.0, 0.3, 0.05])])
-        family, min_expr = initial_isotopy(f0, lambda_grid=[0.0, 0.5, 1.0])
-        assert min_expr >= -1e-12
-        t = np.linspace(0.0, 1.0, 11)
-        assert np.allclose(family[-1](t), f0(t))
-        assert np.allclose(family[0](t), 0.0)
-        assert np.allclose(family[1](t), 0.5 * f0(t))
-
-    def test_initial_isotopy_empty_grid_raises_typed(self):
-        f0 = SmoothFn1D(1.0, [PolyPiece((0.0, 1.0), [1.0, 0.3, 0.05])])
-        with pytest.raises(InvalidSpecError, match="lambda_grid"):
-            initial_isotopy(f0, lambda_grid=[])
-
-    def test_initial_isotopy_slope_guard(self, transition):
-        _params, f = transition
-        # the transition graph starts far steeper than 1/2
-        with pytest.raises(OutOfRegimeError):
-            initial_isotopy(f)
-
     def test_tilt_identity_at_tinf(self, transition):
         params, f = transition
         assert final_bending_tilt(transition, params.tinf) is f
@@ -256,12 +222,6 @@ class TestIsotopies:
         g = final_bending_tilt(transition, params.C2)
         assert np.isclose(float(g(g.b)), float(f(params.tinf)), atol=1e-9)
         assert check_diffkeqn(g) > 0
-
-    def test_tilt_too_large(self, transition):
-        params, _ = transition
-        with pytest.raises(TiltTooLargeError):
-            final_bending_tilt(transition, params.C2,
-                               extend_to=params.tinf + 100.0)
 
     def test_final_isotopy_margins_positive(self, transition):
         params, _ = transition

@@ -1,6 +1,5 @@
 """Hypersurface geometry: Gauss identity, pullback identity, foliation."""
 
-import io
 import warnings
 
 import numpy as np
@@ -12,16 +11,15 @@ from gllab.curvature import DoublyWarpedMetric, scalar_doubly_warped
 from gllab.errors import (CertificationFailedError, DomainMismatchError,
                           InvalidBendError, InvalidSpecError,
                           SingularProfileError)
-from gllab.fnspace import (PolyPiece, SinePiece, SmoothFn1D,
-                           check_U_membership, check_V_membership,
-                           linear_homotopy, scale)
+from gllab.fnspace import (LinearCombination, PolyPiece, SinePiece,
+                           SmoothFn1D, check_U_membership,
+                           check_V_membership, linear_homotopy)
 from gllab.glbend import (ArcSeg, BendConstants, Curve2D, assemble_gamma,
                           initial_bend, quarter_bend_curve, synth_transition)
 from gllab.hypersurface import (FoliationFamily, ModelAmbient,
                                 PairSumCoefficientNote,
                                 connected_sum_foliation, gauss_scalar_on_M,
-                                induced_metric_on_M, mixed_torpedo_via_J,
-                                write_foliation_csv)
+                                induced_metric_on_M, mixed_torpedo_via_J)
 
 
 @pytest.fixture(scope="module")
@@ -141,7 +139,7 @@ class TestProfileJets:
         a, b = u0.jet(t, 3), u1.jet(t, 3)
         for got, j0, j1 in zip(linear_homotopy(u0, u1, 0.25).jet(t, 3), a, b):
             assert np.array_equal(got, 0.0 + 0.75 * j0 + 0.25 * j1)
-        for got, j0 in zip(scale(u0, -2.0).jet(t, 3), a):
+        for got, j0 in zip(LinearCombination([(-2.0, u0)]).jet(t, 3), a):
             assert np.array_equal(got, 0.0 + -2.0 * j0)
         other = hyp.CompositeProfile(u0.prof, hyp._CurveCoordinate(
             hyp._corner_curve(0.1, 0.5), 0))
@@ -187,14 +185,6 @@ class TestFoliation:
         assert len(family.leaves) == 3
         assert sorted(calls) == ["check_U_membership"] * 3 \
             + ["check_V_membership"] * 3
-
-    def test_csv(self, family_cert):
-        family, cert = family_cert
-        buf = io.StringIO()
-        write_foliation_csv(family, cert, buf)
-        lines = buf.getvalue().strip().splitlines()
-        assert lines[0] == "nu,length,min_scalar"
-        assert len(lines) == 22
 
     def test_negative_tau_rejected(self):
         corner = quarter_bend_curve(1.0, 1.0, 0.4, eps=0.25, delta=0.25)

@@ -11,7 +11,7 @@ from gllab.curvature import WarpedSphereMetric
 from gllab.errors import (CertificationFailedError, CompilationFailedError,
                           DemoFailedError, HypothesisViolationError,
                           InvalidSpecError, InvalidWindowError)
-from gllab.fnspace import SinePiece, SmoothFn1D, reflect, scale
+from gllab.fnspace import LinearCombination, SinePiece, SmoothFn1D, reflect
 from gllab.morsealg import CriticalPoint, MorseDescription
 from gllab.schedule import (DemoReport, compile_gl_cobordism,
                             compile_reverse, round_doubly_warped,
@@ -140,7 +140,8 @@ class TestReverse:
         def profiles(eps, delta, b):
             u, v = mixed(eps, delta, b)
             # reflecting u again leaves it closing at t = 0, like v
-            return (scale(u, 1.001) if tamper == "scaled" else reflect(u)), v
+            return (LinearCombination([(1.001, u)]) if tamper == "scaled"
+                    else reflect(u)), v
 
         monkeypatch.setattr(schedule, "_mixed_torpedo_profiles", profiles)
         _, rep = compile_reverse(s, desc)
@@ -202,7 +203,7 @@ class TestDemo:
         rep = two_surgery_demo(5, 1)
         assert isinstance(rep, DemoReport)
         assert rep.passed
-        assert all(v > 0 for v in rep.minima().values())
+        assert all(st["certificate"].min_scalar > 0 for st in rep.stages)
 
     def test_q_precondition(self):
         with pytest.raises(HypothesisViolationError):
