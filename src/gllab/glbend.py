@@ -764,12 +764,12 @@ def synth_transition(consts, r0, theta0):
                 last_err = "landmark ordering or positivity failed"
                 continue
             f = SmoothFn1D(params.tinf, _transition_pieces(params))
-            grid = np.linspace(0.0, params.tinf, 10001)
-            if f(grid).min() <= 0:
+            try:
+                margin = check_diffkeqn(f)
+            except InvalidSpecError:
                 delta_inf *= 0.5
                 last_err = "profile lost positivity"
                 continue
-            margin = check_diffkeqn(f)
             if margin > 0:
                 ok = True
                 break
@@ -833,10 +833,11 @@ def assemble_gamma(consts, prefix, transition):
     tail_seg = GraphSeg(reflect(tail_prof), t_offset=t_inf_global)
     t_bar = t_inf_global + tail_prof.b
     curve = Curve2D(list(curve_prefix.segments) + [line, trans_seg, tail_seg])
-    if curve.junction_residual() > _JUNCTION_TOL:
+    residual = curve.junction_residual()
+    if residual > _JUNCTION_TOL:
         raise AssemblyError(
-            f"segment junction residual {curve.junction_residual():.3e} "
-            f"exceeds {_JUNCTION_TOL}")
+            f"segment junction residual {residual:.3e} exceeds "
+            f"{_JUNCTION_TOL}")
     landmarks = {"r_bar": r_bar, "r1": r1, "r1p": r1p, "r0": r0,
                  "r_inf": r_inf, "t1p": t1p, "t0": t0_global,
                  "t_inf": t_inf_global, "t_bar": t_bar}
@@ -869,7 +870,8 @@ def final_bending_tilt(transition, t_inf_pp):
     With t_inf'' = t_inf the profile is returned unchanged.  Otherwise the
     straight tail descends exactly to the original end value f(t_inf), so the
     tilted profile covers the same r-range as the input; a profile that is
-    not positive on its whole domain is rejected.
+    not positive on its whole domain is rejected, and so, as a
+    ConstructionFailedError, is a cut-off that already lies below f(t_inf).
     """
     params, f = transition
     if not params.C2 <= t_inf_pp <= params.tinf:
@@ -911,6 +913,10 @@ def final_bending_tilt(transition, t_inf_pp):
         raise ConstructionFailedError("tilted tail slope must be negative")
     # descend to the original end value so the r-range is preserved
     end = t_inf_pp + (val - float(f(params.tinf))) / (-slope)
+    if end < t_inf_pp:
+        raise ConstructionFailedError(
+            f"cut-off profile already lies below f(t_inf) at t_inf'' = "
+            f"{t_inf_pp:.6g}")
     if end > t_inf_pp:
         pieces.append(PolyPiece((t_inf_pp, end), [val, slope],
                                 origin=t_inf_pp))

@@ -16,7 +16,8 @@ and carrying a numeric positivity certificate:
 
 Everything is deterministic.  ``compile_gl_cobordism`` and
 ``compile_reverse`` build a schedule from a Morse description;
-``two_surgery_demo`` runs the steps for two consecutive surgeries.
+``two_surgery_demo`` compiles its first handle over the round sphere, then
+adds the cancelling surgery and the return chain.
 """
 
 from __future__ import annotations
@@ -39,7 +40,8 @@ from .fnspace import (SinePiece, SmoothFn1D, TorpedoSpec, _quintic_match,
 from .glbend import (BendConstants, assemble_gamma, initial_bend,
                      quarter_bend_curve, synth_transition)
 from .hypersurface import connected_sum_foliation, mixed_torpedo_via_J
-from .morsealg import check_admissible, reverse
+from .morsealg import (CriticalPoint, MorseDescription, check_admissible,
+                       reverse)
 
 __all__ = [
     "MetricDescriptor",
@@ -75,12 +77,6 @@ class MetricDescriptor:
     def to_json(self):
         return {"kind": self.kind, "region": self.region,
                 "params": self.params}
-
-    def __eq__(self, other):
-        if not isinstance(other, MetricDescriptor):
-            return NotImplemented
-        return json.dumps(self.to_json(), sort_keys=True) == \
-            json.dumps(other.to_json(), sort_keys=True)
 
 
 @dataclass
@@ -238,8 +234,10 @@ def _standardize_search(p, q, radius):
         f"{_STANDARDIZE_BUDGET}, best margin {best:.6g})", best_margin=best)
 
 
-def _handle_attach(consts):
-    """Certified bent curve through the handle (r1 = 0.5, r0 = 0.2)."""
+def _handle_attach(cert, q):
+    """Certified bent curve through a handle with fiber S^q (r1 = 0.5,
+    r0 = 0.2), taking R0 = cert.min_scalar / (2q) from the incoming margin."""
+    consts = BendConstants(R0=cert.min_scalar / (2.0 * q), q=q)
     prefix = initial_bend(consts, r1=0.5)
     trans = synth_transition(consts, r0=0.2, theta0=prefix[1])
     return assemble_gamma(consts, prefix, trans)
@@ -260,37 +258,31 @@ def _is_well_indexed(desc):
     return all(a < b for a, b in zip(levels, levels[1:]))
 
 
-def _certify_g0(g0):
-    """Interior-grid positivity certificate for the incoming metric."""
-    t = sample_grid(g0.b, 512, interior=True)
+def _read_g0(g0):
+    """(certificate, descriptor, radius) of the incoming metric.
+
+    The certificate is g0's interior-grid positivity; the radius is exact
+    for a round g0 and a domain scale otherwise.
+    """
     if isinstance(g0, WarpedSphereMetric):
-        mn = float(np.min(scalar_warped(g0, t)))
+        scalar, radius, kind = scalar_warped, g0.b / np.pi, "warped"
+        dims, profiles = {"n": g0.n}, {"f": g0.f}
     elif isinstance(g0, DoublyWarpedMetric):
-        mn = float(np.min(scalar_doubly_warped(g0, t)))
+        scalar, radius = scalar_doubly_warped, g0.b * 2.0 / np.pi
+        kind = "doubly-warped"
+        dims, profiles = {"p": g0.p, "q": g0.q}, {"u": g0.u, "v": g0.v}
     else:
         raise InvalidSpecError(
             "g0 must be a warped or doubly-warped metric")
+    t = sample_grid(g0.b, 512, interior=True)
+    mn = float(np.min(scalar(g0, t)))
     cert = IsotopyCertificate(grid=f"{t.size} interior samples",
                               min_scalar=mn, label="incoming metric")
     if not cert.passed:
         raise CertificationFailedError(
             f"g0 is not certified psc (min R = {mn:.6g})", best_margin=mn)
-    return cert
-
-
-def _g0_descriptor(g0):
-    if isinstance(g0, WarpedSphereMetric):
-        return MetricDescriptor("warped", {"n": g0.n, "f": g0.f.to_json()})
-    return MetricDescriptor("doubly-warped",
-                            {"p": g0.p, "q": g0.q,
-                             "u": g0.u.to_json(), "v": g0.v.to_json()})
-
-
-def _round_radius_of(g0):
-    """Radius when g0 is a round warped sphere; domain-scale otherwise."""
-    if isinstance(g0, WarpedSphereMetric):
-        return g0.b / np.pi
-    return g0.b * 2.0 / np.pi
+    params = {**dims, **{k: f.to_json() for k, f in profiles.items()}}
+    return cert, MetricDescriptor(kind, params), radius
 
 
 def compile_gl_cobordism(g0, desc):
@@ -309,9 +301,7 @@ def compile_gl_cobordism(g0, desc):
         raise InvalidSpecError(
             "description must be well-indexed (run well_index first)")
     n = desc.n
-    g0_cert = _certify_g0(g0)
-    state = _g0_descriptor(g0)
-    radius = _round_radius_of(g0)
+    g0_cert, state, radius = _read_g0(g0)
     segments = []
     points = sorted(desc.points, key=lambda pt: (pt.level, pt.id))
     if not points:
@@ -335,12 +325,9 @@ def compile_gl_cobordism(g0, desc):
                 state, end, segments[-1].certificate))
             state = end
         # product extension up to the critical level
-        seg_end = MetricDescriptor(state.kind, dict(state.params),
-                                   region=state.region)
         segments.append(Segment(
             "product-extension", {"span": [prev_level, pt.level]},
-            state, seg_end, g0_cert))
-        state = seg_end
+            state, state, g0_cert))
         # standardize near the surgery sphere
         delta, (u1, v1), std_cert = _standardize_search(p_dim, q_dim, radius)
         # equal caps (eps = delta) on one domain: u and v share one tube
@@ -355,9 +342,7 @@ def compile_gl_cobordism(g0, desc):
             std_cert))
         state = std
         # attach the handle through the bent curve
-        consts = BendConstants(R0=std_cert.min_scalar / (2.0 * q_dim),
-                               q=q_dim)
-        bend = _handle_attach(consts)
+        bend = _handle_attach(std_cert, q_dim)
         post = MetricDescriptor(
             "post-surgery",
             {"index": k, "p": p_dim, "q": q_dim,
@@ -486,12 +471,14 @@ class DemoReport:
 def two_surgery_demo(n, p, radius=1.0):
     """Round sphere -> two consecutive surgeries -> certified return chain.
 
-    Runs the full pipeline: certify the round metric, standardize it near
-    the first surgery sphere S^p, attach the index-(p+1) handle, attach the
-    cancelling index-(p+2) handle, then the adjustment chain back: a linear
-    profile homotopy to a torpedo form, the connected-sum foliation isotopy,
-    and the mixed-torpedo pullback-identity check.  Every stage carries an
-    IsotopyCertificate; a failing stage raises with its stage id.
+    The first three stages are the segments of the schedule compiled for
+    the index-(p+1) handle over the round metric: the round metric's own
+    certificate, the standardization near S^p and the handle attachment.
+    The demo then attaches the cancelling index-(p+2) handle and runs the
+    adjustment chain back: a linear profile homotopy to a torpedo form, the
+    connected-sum foliation isotopy, and the mixed-torpedo pullback-identity
+    check.  Every stage carries an IsotopyCertificate; a failing stage
+    raises with its stage id.
     """
     q = n - p - 1
     if p < 1:
@@ -512,24 +499,19 @@ def two_surgery_demo(n, p, radius=1.0):
                 f"{cert.min_scalar:.6g}", stage=stage_id)
         return cert
 
-    # stage 1: the round metric itself
+    # stages 1-3: the compiled first handle (index p+1, fiber S^q) over the
+    # round metric; its product extension certifies the round metric itself
     g_round = round_metric(n, radius)
-    push("round", _certify_g0(g_round))
-
-    # stage 2: standardize near S^p
-    delta, (u1, v1), std_cert = _standardize_search(p, q, radius)
-    push("standardize", std_cert)
-
-    # stage 3: first surgery (handle index p+1, fiber S^q)
-    consts1 = BendConstants(R0=std_cert.min_scalar / (2.0 * q), q=q)
-    bend1 = _handle_attach(consts1)
-    push("surgery-1", bend1.certificate)
+    first = compile_gl_cobordism(
+        g_round, MorseDescription(n, [CriticalPoint("h1", p + 1, 0.25)]))
+    extend, std, attach = first.segments
+    for stage_id, seg in (("round", extend), ("standardize", std),
+                          ("surgery-1", attach)):
+        push(stage_id, seg.certificate)
+    delta = std.parameters["delta"]
 
     # stage 4: cancelling surgery (handle index p+2, fiber S^{q-1})
-    q2 = q - 1
-    consts2 = BendConstants(R0=bend1.certificate.min_scalar / (2.0 * q2),
-                            q=q2)
-    bend2 = _handle_attach(consts2)
+    bend2 = _handle_attach(attach.certificate, q - 1)
     push("surgery-2", bend2.certificate)
 
     # stage 5: linear homotopy of the profile to a torpedo form
@@ -558,11 +540,11 @@ def two_surgery_demo(n, p, radius=1.0):
         label="mixed torpedo",
         extra={"max_pullback_deviation": rep["max_deviation"]}))
 
-    start = _g0_descriptor(g_round)
     end = MetricDescriptor(
         "post-surgery",
         {"index": p + 2, "p": p, "q": q, "delta": delta,
-         "r_inf_1": bend1.landmarks["r_inf"],
+         "r_inf_1": attach.end.params["r_inf"],
          "r_inf_2": bend2.landmarks["r_inf"]},
         region="transition")
-    return DemoReport(n=n, p=p, q=q, stages=stages, endpoints=(start, end))
+    return DemoReport(n=n, p=p, q=q, stages=stages,
+                      endpoints=(extend.start, end))

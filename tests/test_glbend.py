@@ -153,6 +153,26 @@ class TestSynthesis:
         assert np.isclose(float(f(params.tinf)),
                           params.c - params.C1 * params.delta_inf ** 2 / 48)
 
+    def test_transition_evaluates_each_candidate_once(self, monkeypatch):
+        prefix = initial_bend(MODEL, r1=0.5)
+        candidates, full_jets = [], []
+        pieces, jet = glbend._transition_pieces, SmoothFn1D.jet
+
+        def counted_pieces(params):
+            candidates.append(params)
+            return pieces(params)
+
+        def counted_jet(self, t, k=2):
+            if np.size(t) == 10001:
+                full_jets.append(k)
+            return jet(self, t, k)
+
+        monkeypatch.setattr(glbend, "_transition_pieces", counted_pieces)
+        monkeypatch.setattr(SmoothFn1D, "jet", counted_jet)
+        synth_transition(MODEL, r0=0.2, theta0=prefix[1])
+        assert candidates
+        assert full_jets == [2] * len(candidates)
+
     @pytest.mark.parametrize("q", [2, 3, 4])
     def test_assemble_gamma_certifies(self, q):
         consts = BendConstants(R0=1.5, q=q)
@@ -216,6 +236,22 @@ class TestIsotopies:
         params, _ = transition
         with pytest.raises(InvalidSpecError):
             final_bending_tilt(transition, params.C2 - 0.01)
+
+    @pytest.mark.parametrize("frac", [0.75, 0.8, 0.95])
+    def test_tilt_below_end_value_is_a_construction_error(self, transition,
+                                                          frac):
+        # from about 0.75 of [C2, t_inf] on, the cut-off profile already
+        # lies below f(t_inf) at t_inf'', so no tail can descend to it
+        params, _ = transition
+        t_inf_pp = params.C2 + frac * (params.tinf - params.C2)
+        with pytest.raises(ConstructionFailedError, match="t_inf''"):
+            final_bending_tilt(transition, t_inf_pp)
+
+    def test_tilt_inside_window_still_builds(self, transition):
+        params, f = transition
+        g = final_bending_tilt(
+            transition, params.C2 + 0.7 * (params.tinf - params.C2))
+        assert np.isclose(float(g(g.b)), float(f(params.tinf)), atol=1e-9)
 
     def test_tilt_preserves_range_and_margin(self, transition):
         params, f = transition

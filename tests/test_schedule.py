@@ -1,5 +1,6 @@
 """Schedule compilation, reversal, smoothing windows, demo."""
 
+import dataclasses
 import io
 
 import numpy as np
@@ -114,6 +115,15 @@ class TestCompile:
         _, rep = compile_reverse(s, desc)
         assert rep["tube_rescale"][0] == rep["tube_rescale"][1]
 
+    def test_broken_chaining_rejected(self, g0):
+        segs = compile_gl_cobordism(g0, one_point_desc()).segments
+        std = segs[1]
+        params = dict(std.start.params, n=8)
+        tampered = dataclasses.replace(
+            std, start=dataclasses.replace(std.start, params=params))
+        with pytest.raises(InvalidSpecError, match="chaining broken"):
+            schedule.Schedule([segs[0], tampered, segs[2]])
+
     def test_schedule_json(self, g0):
         s = compile_gl_cobordism(g0, one_point_desc())
         blob = s.dumps()
@@ -214,11 +224,42 @@ class TestDemo:
     def test_failing_stage_is_named(self, monkeypatch):
         class FailedBend:
             certificate = IsotopyCertificate(grid="stub", min_scalar=-1.0)
-        monkeypatch.setattr(schedule, "_handle_attach",
-                            lambda consts: FailedBend())
+        real = schedule._handle_attach
+        fibers = []
+
+        def handle_attach(cert, q):
+            # the compiler's first handle is real; the demo's own fails
+            fibers.append(q)
+            return real(cert, q) if len(fibers) == 1 else FailedBend()
+
+        monkeypatch.setattr(schedule, "_handle_attach", handle_attach)
         with pytest.raises(DemoFailedError) as err:
             two_surgery_demo(5, 1)
-        assert err.value.stage == "surgery-1"
+        assert err.value.stage == "surgery-2"
+        assert fibers == [3, 2]
+
+    @pytest.mark.parametrize("n, p", [(7, 2), (5, 1)])
+    def test_first_stages_are_the_compiled_handle(self, monkeypatch, n, p):
+        compiled = compile_gl_cobordism(
+            round_metric(n, 1.0),
+            MorseDescription(n, [CriticalPoint("w", p + 1, 0.5)]))
+        r0s = []
+        real = schedule.BendConstants
+
+        def bend_constants(**kw):
+            r0s.append(kw["R0"])
+            return real(**kw)
+
+        monkeypatch.setattr(schedule, "BendConstants", bend_constants)
+        rep = two_surgery_demo(n, p)
+        firsts = [st["certificate"].to_json() for st in rep.stages[:3]]
+        assert firsts == [seg.certificate.to_json()
+                          for seg in compiled.segments]
+        assert rep.endpoints[0] == compiled.segments[0].start
+        # stage 4 shares the surgery-1 margin over the fiber S^(q-1)
+        q = n - p - 1
+        assert r0s[-1] == rep.stages[2]["certificate"].min_scalar / (
+            2.0 * (q - 1))
 
     def test_stage_ids_and_endpoints(self):
         rep = two_surgery_demo(7, 2)
