@@ -47,20 +47,15 @@ EXIT_INVALID = 2
 EXIT_CONSTRUCTION = 3
 EXIT_ALGEBRAIC = 4
 
+# a json.JSONDecodeError is a ValueError; anything unlisted is a failure (3)
 _INVALID = (E.InvalidSpecError, E.DomainMismatchError, E.OutOfRegimeError,
             E.InvalidBendError, E.InvalidWindowError,
-            E.HypothesisViolationError, json.JSONDecodeError, KeyError,
-            ValueError)
-_CONSTRUCTION = (E.ConstructionFailedError, E.SingularProfileError,
-                 E.DegenerateEmbeddingError)
-_ALGEBRAIC = (E.AlgebraicRejection,)
+            E.HypothesisViolationError, KeyError, ValueError)
 
 
 def _exit_code_for(exc):
-    if isinstance(exc, _ALGEBRAIC):
+    if isinstance(exc, E.AlgebraicRejection):
         return EXIT_ALGEBRAIC
-    if isinstance(exc, _CONSTRUCTION):
-        return EXIT_CONSTRUCTION
     if isinstance(exc, _INVALID):
         return EXIT_INVALID
     return EXIT_CONSTRUCTION
@@ -167,9 +162,9 @@ def bend(ctx, R0, C, Cp, q, r1, r0, emit_isotopy):
                 tilted, (params.r0, params.m0), s_grid)
             write_csv(_outpath(ctx, "bend_isotopy.csv"), "s,margin",
                       zip(s_grid, margins))
-            if min(margins) <= 0:
-                click.echo(f"isotopy margin failed: {min(margins):.6g}",
-                           err=True)
+            least = np.min(margins)
+            if not least > 0:
+                click.echo(f"isotopy margin failed: {least:.6g}", err=True)
                 return EXIT_CONSTRUCTION
         return EXIT_OK if cert.passed else EXIT_CONSTRUCTION
 

@@ -431,23 +431,19 @@ def make_torpedo(spec):
 
 
 def _torpedo_on(delta, total):
-    """The TorpedoSpec of cap radius delta on a domain of length total.
-
-    The blend window is min(cap/4, (total - cap)/2), cap = delta*pi/2, and
-    the rest of the domain is tube; total must exceed cap.
-    """
-    cap = delta * np.pi / 2.0
-    if total <= cap:
-        raise InvalidSpecError(
-            f"domain too short: need {total:.6g} > delta*pi/2 = {cap:.6g}")
-    w = min(0.25 * cap, 0.5 * (total - cap))
-    return TorpedoSpec(delta, tube_length=total - cap - w, blend_width=w)
+    """The one layout of a delta-torpedo on (0, total): the default blend
+    and the rest of the domain as tube.  No tube left raises."""
+    tube = total - TorpedoSpec(delta).flat_from
+    if not tube > 0:
+        raise InvalidSpecError(f"domain too short: {total:.6g} leaves no "
+                               f"tube after the cap of delta = {delta:.6g}")
+    return TorpedoSpec(delta, tube_length=tube)
 
 
 def make_double_torpedo(delta, b):
     """Mirror-symmetric profile: cap/tube on [0, b/2] reflected onto [b/2, b].
 
-    Requires b/2 > delta*pi/2 so the cap fits in each half.
+    Requires b/2 > cap + blend (``flat_from``) so each half keeps a tube.
     """
     half = make_torpedo(_torpedo_on(delta, b / 2.0))
     return SmoothFn1D(b, half.pieces + _mirrored(half.pieces, b),

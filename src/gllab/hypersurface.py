@@ -32,8 +32,9 @@ from .certify import IsotopyCertificate, pmap
 from .curvature import DoublyWarpedMetric, scalar_doubly_warped
 from .errors import (CertificationFailedError, DomainMismatchError,
                      InvalidBendError, InvalidSpecError)
-from .fnspace import (PolyPiece, SmoothFn1D, _torpedo_on, check_U_membership,
-                      check_V_membership, make_torpedo, reflect)
+from .fnspace import (PolyPiece, SmoothFn1D, TorpedoSpec, _torpedo_on,
+                      check_U_membership, check_V_membership, make_torpedo,
+                      reflect)
 from .glbend import ArcSeg, BendProfile, Curve2D, LineSeg, quarter_bend_curve
 
 __all__ = [
@@ -209,21 +210,22 @@ def mixed_torpedo_via_J(eps, delta, c1, c2, bend_radius, p=2, q=2):
     max_deviation is the sampled defect of that equality.
     """
     curve = quarter_bend_curve(c1, c2, bend_radius, eps=eps, delta=delta)
-    # quarter_bend_curve's checks give b > c1 > eps*pi/2 and
-    # b > c2 > delta*pi/2, so both caps fit on (0, b)
-    b = curve.length
-    s_eps, s_del = _torpedo_on(eps, b), _torpedo_on(delta, b)
-    f_eps, f_del = make_torpedo(s_eps), make_torpedo(s_del)
     # the profiles must already be constant where the curve leaves the
-    # respective straight piece, else the pointwise identity degrades
-    if c1 - bend_radius <= s_eps.flat_from:
+    # respective straight piece, else the pointwise identity degrades; as
+    # b > c - bend_radius for c = c1, c2, each torpedo then keeps a tube
+    flat_eps = TorpedoSpec(eps).flat_from
+    flat_del = TorpedoSpec(delta).flat_from
+    if c1 - bend_radius <= flat_eps:
         raise InvalidBendError(
-            f"need c1 - bend_radius > {s_eps.flat_from:.6g} so the S^p "
+            f"need c1 - bend_radius > {flat_eps:.6g} so the S^p "
             "profile is constant before the bend")
-    if c2 - bend_radius <= s_del.flat_from:
+    if c2 - bend_radius <= flat_del:
         raise InvalidBendError(
-            f"need c2 - bend_radius > {s_del.flat_from:.6g} so the S^q "
+            f"need c2 - bend_radius > {flat_del:.6g} so the S^q "
             "profile is constant beyond the bend")
+    b = curve.length
+    f_eps = make_torpedo(_torpedo_on(eps, b))
+    f_del = make_torpedo(_torpedo_on(delta, b))
     s = np.linspace(0.0, b, _J_SAMPLES)
     pt, tan, _ = curve.eval(s)
     x, y = pt[:, 0], pt[:, 1]
@@ -233,7 +235,7 @@ def mixed_torpedo_via_J(eps, delta, c1, c2, bend_radius, p=2, q=2):
     metric = DoublyWarpedMetric(p, q, reflect(f_eps), f_del)
     report = {
         "samples": _J_SAMPLES,
-        "max_deviation": max(dev_u, dev_v, speed_res),
+        "max_deviation": float(np.max([dev_u, dev_v, speed_res])),
         "p_factor_deviation": dev_u,
         "q_factor_deviation": dev_v,
         "unit_speed_residual": speed_res,
@@ -360,8 +362,9 @@ def connected_sum_foliation(lambda_half_curve, tau, nu_grid, eps, delta_p,
     the corner curve shrink linearly to zero; for nu in [0, 1/2] the bend
     radius shrinks linearly down to tau.  Every leaf is checked for
     smooth-closing membership of both profiles and for positive scalar
-    curvature; the first failing leaf aborts with its nu.  Both caps must
-    fit on the corner's domain (``_torpedo_on`` raises InvalidSpecError).
+    curvature; the first failing leaf aborts with its nu.  Both torpedoes
+    keep the default blend, so the corner's c = edge + radius must exceed
+    each cap + blend (else ``_torpedo_on`` raises InvalidSpecError).
 
     Returns (FoliationFamily, IsotopyCertificate).  The certificate's
     ``extra`` holds ``per_leaf_min`` and where the least sample sits: its

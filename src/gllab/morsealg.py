@@ -477,12 +477,15 @@ class CancellationPlan:
 
 
 def _unit_pivot_pairing(mat, row_ids, col_ids):
-    """Pair every row with a column through +-1 pivots, sliding as needed.
+    """Pair every row with a column through +-1 pivots, sliding columns.
 
-    Integer row/column elimination: choose the smallest-magnitude nonzero
-    entry; if it is not a unit, Euclidean row/column steps shrink it (handle
-    slides); a stuck non-unit entry means no integral pairing exists.
-    Rows and columns keep their original identities throughout.
+    Integer column elimination: choose the smallest-magnitude nonzero
+    entry; if it is not a unit, Euclidean column steps shrink it (handle
+    slides).  A pivot p that divides its whole row is stuck: every maximal
+    minor of the remaining rows is then a multiple of p, slides of rows or
+    columns keep the gcd of those minors, and a unit pairing needs it to be
+    1, so no integral pairing exists.  Rows and columns keep their original
+    identities throughout.
 
     Returns (pairs, leftover_col_ids, col_ops) where pairs is a list of
     (col_id, row_id, certificate) and col_ops the elementary column
@@ -511,27 +514,15 @@ def _unit_pivot_pairing(mat, row_ids, col_ids):
                 "rows remain with zero intersection against all columns")
         v, bi, bj = best
         while abs(mat[bi][bj]) != 1:
-            # shrink with a euclidean step in the pivot row or column
-            done = False
-            for j in cols:
-                if j != bj and mat[bi][j] % mat[bi][bj]:
-                    col_add(j, bj, -(mat[bi][j] // mat[bi][bj]))
-                    bj = j if abs(mat[bi][j]) < abs(mat[bi][bj]) else bj
-                    done = True
-                    break
-            if not done:
-                for i in rows:
-                    if i != bi and mat[i][bj] % mat[bi][bj]:
-                        q = mat[i][bj] // mat[bi][bj]
-                        for j in cols:
-                            mat[i][j] -= q * mat[bi][j]
-                        bi = i if abs(mat[i][bj]) < abs(mat[bi][bj]) else bi
-                        done = True
-                        break
-            if not done:
+            # shrink with a euclidean step in the pivot row
+            j = next((j for j in cols
+                      if j != bj and mat[bi][j] % mat[bi][bj]), None)
+            if j is None:
                 raise NoIntegralBasisError(
                     f"intersection number {mat[bi][bj]} is not a unit and "
                     "cannot be reduced by slides")
+            col_add(j, bj, -(mat[bi][j] // mat[bi][bj]))
+            bj = j          # the nonzero remainder is smaller than the pivot
         cert = mat[bi][bj]
         # clear the pivot row so later pairings are independent
         for j in cols:

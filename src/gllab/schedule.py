@@ -34,7 +34,7 @@ from .errors import (CertificationFailedError, CompilationFailedError,
                      DemoFailedError, HypothesisViolationError,
                      InvalidSpecError, InvalidWindowError)
 from .fnspace import (SinePiece, SmoothFn1D, TorpedoSpec, _quintic_match,
-                      check_U_membership, check_V_membership,
+                      _torpedo_on, check_U_membership, check_V_membership,
                       linear_homotopy, make_double_torpedo, make_torpedo,
                       reflect, sample_grid)
 from .glbend import (BendConstants, assemble_gamma, initial_bend,
@@ -170,16 +170,10 @@ def _mixed_torpedo_profiles(eps, delta, b):
     """(u, v) mixed-torpedo profiles on a common domain (0, b).
 
     u is a reflected eps-torpedo (closes at b), v a delta-torpedo (closes
-    at 0); tube lengths absorb whatever b leaves after caps and blends.
+    at 0), each laid out on (0, b) by ``_torpedo_on``.
     """
-    tube_u = b - TorpedoSpec(eps).flat_from
-    tube_v = b - TorpedoSpec(delta).flat_from
-    if tube_u <= 0 or tube_v <= 0:
-        raise InvalidSpecError(
-            f"domain {b:.6g} too short for caps eps={eps}, delta={delta}")
-    u = reflect(make_torpedo(TorpedoSpec(eps, tube_length=tube_u)))
-    v = make_torpedo(TorpedoSpec(delta, tube_length=tube_v))
-    return u, v
+    return (reflect(make_torpedo(_torpedo_on(eps, b))),
+            make_torpedo(_torpedo_on(delta, b)))
 
 
 def _homotopy_certificate(metric_at, scalar, t):
@@ -188,7 +182,7 @@ def _homotopy_certificate(metric_at, scalar, t):
                 np.linspace(0.0, 1.0, 11))
     return IsotopyCertificate(
         grid=f"11 x {t.size} (lambda, t) interior grid",
-        min_scalar=float(min(mins)), label="profile homotopy")
+        min_scalar=float(np.min(mins)), label="profile homotopy")
 
 
 def _certify_homotopy(p, q, u0, v0, u1, v1):
@@ -331,7 +325,7 @@ def compile_gl_cobordism(g0, desc):
         # standardize near the surgery sphere
         delta, (u1, v1), std_cert = _standardize_search(p_dim, q_dim, radius)
         # equal caps (eps = delta) on one domain: u and v share one tube
-        tube = u1.b - TorpedoSpec(delta).flat_from
+        tube = _torpedo_on(delta, u1.b).tube_length
         std = MetricDescriptor(
             "mixed-torpedo",
             {"p": p_dim, "q": q_dim, "eps": delta, "delta": delta,
@@ -396,8 +390,8 @@ def compile_reverse(schedule, desc):
         ua, va = _mixed_torpedo_profiles(pr["eps"], pr["delta"], common_b)
         ub, vb = _mixed_torpedo_profiles(pr["delta"], pr["eps"], common_b)
         t = sample_grid(common_b, 256)
-        dev = max(float(np.max(np.abs(ua(t) - vb(common_b - t)))),
-                  float(np.max(np.abs(va(t) - ub(common_b - t)))))
+        dev = float(np.max([np.abs(ua(t) - vb(common_b - t)),
+                            np.abs(va(t) - ub(common_b - t))]))
         report = {"identity": dev < 1e-8,
                   "max_profile_deviation": dev,
                   "tube_rescale": [pr["tube_u"], pr["tube_v"]],
@@ -486,9 +480,6 @@ def two_surgery_demo(n, p, radius=1.0):
     if q < 3:
         raise HypothesisViolationError(
             f"two consecutive surgeries need q = n - p - 1 >= 3, got {q}")
-    if p + 2 > n - 2:
-        raise HypothesisViolationError(
-            f"second handle index {p + 2} exceeds n - 2 = {n - 2}")
     stages = []
 
     def push(stage_id, cert):

@@ -13,7 +13,7 @@ from click.testing import CliRunner
 
 import gllab
 from gllab.certify import IsotopyCertificate
-from gllab import glbend
+from gllab import cli, glbend
 from gllab.cli import main
 from gllab.curvature import WarpedSphereMetric, write_curvature_csv
 from gllab.fnspace import TorpedoSpec, make_torpedo, write_profile_csv
@@ -117,6 +117,27 @@ class TestBendCmd:
         assert len(lines) == 22
         assert all(float(ln.split(",")[1]) > 0 for ln in lines[1:])
 
+    def test_failing_isotopy_exit_3(self, runner, tmp_path):
+        # the least margin is -99.5, at s = 0.9
+        res = runner.invoke(main, ["--output-dir", str(tmp_path), "bend",
+                                   "--r0q", "3.0", "--q", "4",
+                                   "--emit-isotopy"])
+        assert res.exit_code == 3
+        assert "isotopy margin failed: -99.5" in res.output
+
+    def test_nan_isotopy_margin_exit_3(self, runner, tmp_path, monkeypatch):
+        def final_isotopy(tilted, start, s_grid):
+            margins = [1.0] * len(s_grid)
+            margins[10] = np.nan
+            return None, margins
+
+        monkeypatch.setattr(cli, "final_isotopy", final_isotopy)
+        res = runner.invoke(main, ["--output-dir", str(tmp_path), "bend",
+                                   "--r0q", "1.5", "--q", "3",
+                                   "--emit-isotopy"])
+        assert res.exit_code == 3
+        assert "isotopy margin failed: nan" in res.output
+
 
 @pytest.mark.parametrize("args", [
     ["bend", "--r0q", "nan"], ["bend", "--r0q", "inf"],
@@ -147,6 +168,14 @@ class TestMorseCmd:
         src.write_text(json.dumps(bad))
         res = runner.invoke(main, ["morse", str(src)])
         assert res.exit_code == 4
+
+    def test_non_unit_intersection_exit_4(self, runner, tmp_path):
+        src = tmp_path / "desc.json"
+        src.write_text(json.dumps(dict(TWO_POINT, boundary={"4->3": [[2]]})))
+        res = runner.invoke(main, ["--output-dir", str(tmp_path / "out"),
+                                   "morse", str(src)])
+        assert res.exit_code == 4
+        assert "NoIntegralBasisError" in res.output
 
     def test_excess_index1_auxiliary(self, runner, tmp_path):
         desc = {"n": 6,

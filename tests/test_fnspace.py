@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from gllab.errors import InvalidSpecError
 from gllab.fnspace import (ConstPiece, LinearCombination, PolyPiece,
-                           SinePiece, SmoothFn1D, TorpedoSpec,
+                           SinePiece, SmoothFn1D, TorpedoSpec, _torpedo_on,
                            check_F_membership, check_U_membership,
                            check_V_membership, linear_homotopy,
                            make_double_torpedo, make_torpedo, reflect,
@@ -157,6 +157,23 @@ class TestTorpedo:
         f = make_double_torpedo(0.5, 6.0)
         t = np.linspace(0.0, 6.0, 101)
         assert np.allclose(f(t), f(6.0 - t), atol=1e-12)
+
+    @pytest.mark.parametrize("total", [0.8, 0.95])
+    def test_domain_without_tube_raises(self, total):
+        # cap + blend = 5 * 0.5 * pi / 8 = 0.9817: no tube is left, and the
+        # blend is not shrunk to make room
+        with pytest.raises(InvalidSpecError, match="domain too short"):
+            _torpedo_on(0.5, total)
+
+    def test_short_tube_keeps_the_default_blend(self):
+        spec = _torpedo_on(0.5, 0.99)
+        assert spec.blend_width == 0.5 * np.pi / 8
+        assert spec.tube_length == 0.99 - TorpedoSpec(0.5).flat_from
+        assert spec.b == pytest.approx(0.99, abs=1e-15)
+
+    def test_double_torpedo_needs_a_tube_in_each_half(self):
+        with pytest.raises(InvalidSpecError, match="domain too short"):
+            make_double_torpedo(0.5, 1.9)
 
 
 class TestMembership:

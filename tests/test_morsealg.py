@@ -303,6 +303,30 @@ class TestPlans:
         assert sorted(plan.covered_ids()) == ["a", "b1", "b2", "c"]
         assert len(plan.steps) == 2
 
+    def test_column_slides_propagate_one_degree_up(self):
+        # pairing index 2 with index 3 slides the index-3 columns; the
+        # pairing of index 3 with index 4 only finds units in the slid rows
+        pts = ([CriticalPoint("a", 2, 0.2)]
+               + [CriticalPoint(f"b{i}", 3, 0.5) for i in range(3)]
+               + [CriticalPoint(f"c{i}", 4, 0.8) for i in range(2)])
+        desc = MorseDescription(
+            7, pts, {(3, 2): [[-2, 2, -11]],
+                     (4, 3): [[-47, 8], [19, -3], [12, -2]]})
+        plan = cancellation_plan(desc)
+        assert [s["pair"] for s in plan.steps] == \
+            [("b2", "a"), ("c0", "b0"), ("c1", "b1")]
+        assert all(s["certificate"] in (1, -1) for s in plan.steps)
+
+    def test_pivot_dividing_its_row_is_stuck(self):
+        # exact over Q, but det = 2: the pivot 2 divides its row [2, 4], so
+        # every maximal minor is even and no slide reaches a unit
+        pts = [CriticalPoint(f"l{i}", 3, 0.3) for i in range(2)] + \
+              [CriticalPoint(f"h{i}", 4, 0.7) for i in range(2)]
+        desc = MorseDescription(7, pts, {(4, 3): [[2, 4], [3, 7]]})
+        with pytest.raises(NoIntegralBasisError,
+                           match="intersection number 2 is not a unit"):
+            cancellation_plan(desc)
+
     @given(st.integers(1, 4), st.integers(0, 10 ** 6))
     @settings(max_examples=40, deadline=None)
     def test_scrambled_cylinders(self, m_pairs, seed):

@@ -124,6 +124,32 @@ class TestCompile:
         with pytest.raises(InvalidSpecError, match="chaining broken"):
             schedule.Schedule([segs[0], tampered, segs[2]])
 
+    def test_standardize_halves_delta_when_no_tube_is_left(self):
+        # the round join domain is 0.55 pi/2 = 0.864, shorter than the cap
+        # and blend of delta = 0.5 (0.982), so the search moves on to 0.25
+        s = compile_gl_cobordism(round_metric(7, 0.55), one_point_desc())
+        std = s.segments[1]
+        assert std.parameters == {"delta": 0.25, "eps": 0.25}
+        assert std.end.params["tube_u"] > 0
+
+    def test_failing_certificate_rejected(self, g0):
+        segs = compile_gl_cobordism(g0, one_point_desc()).segments
+        failed = dataclasses.replace(
+            segs[2], certificate=IsotopyCertificate(grid="stub",
+                                                    min_scalar=-1.0))
+        with pytest.raises(CertificationFailedError,
+                           match="failing certificates"):
+            schedule.Schedule([segs[0], segs[1], failed])
+
+    def test_nan_sample_fails_the_homotopy(self):
+        # a NaN after the first lambda must not be dropped by the minimum
+        cert = schedule._homotopy_certificate(
+            lambda lam: lam,
+            lambda lam, t: np.full(t.shape, np.nan if lam == 0.5 else 42.0),
+            np.linspace(0.0, 1.0, 5))
+        assert np.isnan(cert.min_scalar)
+        assert not cert.passed
+
     def test_schedule_json(self, g0):
         s = compile_gl_cobordism(g0, one_point_desc())
         blob = s.dumps()
@@ -157,6 +183,25 @@ class TestReverse:
         _, rep = compile_reverse(s, desc)
         assert not rep["identity"]
         assert rep["max_profile_deviation"] > 1e-4
+
+    def test_nan_deviation_breaks_identity(self, g0, monkeypatch):
+        # a NaN in the second comparison (v against the reversed u) must
+        # not be dropped by the maximum
+        desc = one_point_desc()
+        s = compile_gl_cobordism(g0, desc)
+        mixed = schedule._mixed_torpedo_profiles
+        calls = []
+
+        def profiles(eps, delta, b):
+            u, v = mixed(eps, delta, b)
+            calls.append(b)
+            return u, (LinearCombination([(np.nan, v)]) if len(calls) == 1
+                       else v)
+
+        monkeypatch.setattr(schedule, "_mixed_torpedo_profiles", profiles)
+        _, rep = compile_reverse(s, desc)
+        assert not rep["identity"]
+        assert np.isnan(rep["max_profile_deviation"])
 
     def test_empty_trivial(self, g0):
         s = compile_gl_cobordism(g0, MorseDescription(7, []))
