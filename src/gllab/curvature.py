@@ -393,7 +393,7 @@ def slowdown_concordance(path, n, grid_shape=(200, 200)):
     tgrid = np.linspace(0.0, b, nt + 2)[1:-1]
     for g, tag in ((g0, "start"), (g1, "end")):
         mn = float(np.min(scalar_warped(g, tgrid)))
-        if mn <= 0:
+        if not mn > 0:
             raise CertificationFailedError(
                 f"path {tag} metric is not psc (min R = {mn:.6g})",
                 best_margin=mn)

@@ -456,8 +456,10 @@ def make_double_torpedo(delta, b):
 
 @dataclass
 class ConditionResult:
+    """One membership condition; every recorded condition can fail."""
+
     name: str
-    passed: bool | None  # None = representable order exhausted, unchecked
+    passed: bool
     detail: str = ""
 
 
@@ -471,10 +473,10 @@ class MembershipReport:
 
     @property
     def passed(self):
-        return all(c.passed for c in self.conditions if c.passed is not None)
+        return all(c.passed for c in self.conditions)
 
     def failures(self):
-        return [c for c in self.conditions if c.passed is False]
+        return [c for c in self.conditions if not c.passed]
 
     def __repr__(self):
         status = "pass" if self.passed else "FAIL"
@@ -499,9 +501,9 @@ def _check_membership(f, space):
     A closing end needs f = 0, f' = +-1, f'' = 0, the sign of f''' that
     rounds off the closing fiber, and f'' < 0 nearby; an open end needs
     f > 0 and vanishing odd derivatives.  Every space asks for f'' <= 0 on
-    a uniform grid.  Derivative conditions beyond order 3 are recorded as
-    unchecked.  One ``f.jet(., 3)`` call reads the grid, the near-end
-    windows and both ends.
+    a uniform grid.  The report lists only these conditions: derivatives
+    above order 3 are not representable, so none is recorded.  One
+    ``f.jet(., 3)`` call reads the grid, the near-end windows and both ends.
     """
     letter, kind0, kindb = _SPACES[space]
     b = f.b
@@ -513,7 +515,6 @@ def _check_membership(f, space):
     jet = f.jet(np.concatenate([t, lo, hi, [0.0, b]]), 3)
     d2 = jet[2][:-2]
     near = {"0": d2[t.size:t.size + lo.size], "b": d2[t.size + lo.size:]}
-    unchecked = {}
     for e, kind, end in (("0", kind0, -2), ("b", kindb, -1)):
         v0, v1, v2, v3 = (float(x[end]) for x in jet)
         if kind:
@@ -524,15 +525,10 @@ def _check_membership(f, space):
             rep.add(f"d3({e}) {'<' if kind > 0 else '>'} 0", kind * v3 < 0.0,
                     f"value {v3:.6g}")
             rep.add(f"d2 < 0 near {e}", bool((near[e] < 0).all()))
-            unchecked.setdefault("even derivatives of order >= 4", []).append(e)
         else:
             rep.add(f"{letter}({e}) > 0", v0 > 0.0, f"value {v0:.6g}")
             rep.add(f"d1({e})=0", abs(v1) <= _END_TOL)
             rep.add(f"d3({e})=0", abs(v3) <= _END_TOL)
-            unchecked.setdefault("odd derivatives of order >= 5", []).append(e)
-    for text, ends in unchecked.items():
-        where = "ends" if len(ends) == 2 else ends[0]
-        rep.add(f"{text} at {where}", None, "beyond representable order")
     m = float(d2[:t.size].max())
     rep.add("d2 <= 0 on grid", m <= _CONCAVITY_SLACK, f"max d2 = {m:.3e}")
     return rep

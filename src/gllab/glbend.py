@@ -533,13 +533,12 @@ class Curve2D:
         return float(np.abs(np.linalg.norm(d, axis=-1) - 1.0).max())
 
     def junction_residual(self):
-        worst = 0.0
+        gaps = [0.0]
         for i in range(len(self.segments) - 1):
             pa, ta, _ = self.segments[i].eval(self.segments[i].length)
             pb, tb, _ = self.segments[i + 1].eval(0.0)
-            worst = max(worst, float(np.abs(pa - pb).max()),
-                        float(np.abs(ta - tb).max()))
-        return worst
+            gaps += [np.abs(pa - pb).max(), np.abs(ta - tb).max()]
+        return float(np.max(gaps))
 
 
 # ---------------------------------------------------------------------------
@@ -834,7 +833,7 @@ def assemble_gamma(consts, prefix, transition):
     t_bar = t_inf_global + tail_prof.b
     curve = Curve2D(list(curve_prefix.segments) + [line, trans_seg, tail_seg])
     residual = curve.junction_residual()
-    if residual > _JUNCTION_TOL:
+    if not residual <= _JUNCTION_TOL:
         raise AssemblyError(
             f"segment junction residual {residual:.3e} exceeds "
             f"{_JUNCTION_TOL}")

@@ -299,34 +299,16 @@ class CompositeProfile:
 
 @dataclass
 class FoliationFamily:
-    """Leaves (x_nu, y_nu) sweeping from the corner curve to a small arc."""
+    """Leaves (x_nu, y_nu) sweeping from the corner curve to a small arc.
+
+    Plain data: each leaf curve (line, quarter arc, line) has unit speed,
+    x' in [-1, 0], y' in [0, 1] and k >= 0 by construction.
+    """
 
     nu_grid: list
     curves: list
     tau: float
     leaves: list = field(default_factory=list)  # (u, v) profile pairs
-
-    def __post_init__(self):
-        if self.tau <= 0:
-            raise InvalidSpecError("tau must be positive")
-        for nu, curve in zip(self.nu_grid, self.curves):
-            res = curve.unit_speed_residual(n_samples=200)
-            if res > 1e-8:
-                raise InvalidSpecError(
-                    f"leaf nu = {nu}: unit-speed residual {res:.3e}")
-            s = np.linspace(0.0, curve.length, 257)
-            _, tan, k = curve.eval(s)
-            if np.any(tan[:, 0] > 1e-9) or np.any(tan[:, 0] < -1 - 1e-9):
-                raise InvalidSpecError(
-                    f"leaf nu = {nu}: x-velocity leaves [-1, 0]")
-            if np.any(tan[:, 1] < -1e-9) or np.any(tan[:, 1] > 1 + 1e-9):
-                raise InvalidSpecError(
-                    f"leaf nu = {nu}: y-velocity leaves [0, 1]")
-            # curvature k >= 0 with this orientation is exactly the
-            # simultaneous concavity x'' <= 0, y'' <= 0 of the quarter turn
-            if np.any(k < -1e-9):
-                raise InvalidSpecError(
-                    f"leaf nu = {nu}: concavity violated (k < 0)")
 
 
 def _corner_params(lambda_half_curve):

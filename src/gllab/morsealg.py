@@ -612,8 +612,4 @@ def cancellation_plan(desc):
     if remaining:
         raise NotACylinderError(
             f"points left unpaired after planning: {remaining}")
-    plan = CancellationPlan(steps=steps, auxiliary_points=aux_points)
-    n_points = len(desc.points)
-    n_aux = len(aux_points)
-    assert len(plan.steps) == (n_points + n_aux) // 2
-    return plan
+    return CancellationPlan(steps=steps, auxiliary_points=aux_points)

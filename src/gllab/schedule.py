@@ -33,8 +33,8 @@ from .curvature import (DoublyWarpedMetric, WarpedSphereMetric,
 from .errors import (CertificationFailedError, CompilationFailedError,
                      DemoFailedError, HypothesisViolationError,
                      InvalidSpecError, InvalidWindowError)
-from .fnspace import (SinePiece, SmoothFn1D, TorpedoSpec, _quintic_match,
-                      _torpedo_on, check_U_membership, check_V_membership,
+from .fnspace import (SinePiece, SmoothFn1D, _quintic_match, _torpedo_on,
+                      check_U_membership, check_V_membership,
                       linear_homotopy, make_double_torpedo, make_torpedo,
                       reflect, sample_grid)
 from .glbend import (BendConstants, assemble_gamma, initial_bend,
@@ -358,15 +358,15 @@ def compile_gl_cobordism(g0, desc):
 
 
 def compile_reverse(schedule, desc):
-    """Compile the upside-down schedule and compare end descriptors.
+    """Reverse the schedule's segment order and check its standard form.
 
     The reversed description must be admissible.  The reversed schedule
-    runs the forward segments backwards (each keeping its certificate).
-    The identity report rebuilds the forward standard form (u, v) and the
-    reversed one at a common tube length.  Reversal swaps (eps, u) with
-    (delta, v) and t with b - t, so the report compares u(t) with the
-    reversed v(b - t), and v(t) with the reversed u(b - t), and gives the
-    max sampled deviation.
+    runs the forward segments in reverse order, ends swapped, each keeping
+    its certificate; nothing is compiled.  Reversal swaps (eps, u) with
+    (delta, v) and t with b - t, so it keeps the recorded standard form
+    when its tubes are the one layout of its caps on b: the report gives
+    the larger deviation of tube_u and tube_v from ``_torpedo_on`` (which
+    raises ``InvalidSpecError`` when b leaves a cap no tube).
 
     Returns (reversed schedule, report dict).
     """
@@ -385,17 +385,13 @@ def compile_reverse(schedule, desc):
                     if s.kind == "standardize"), None)
     if fwd_std is not None:
         pr = fwd_std.params
-        # rebuild both descriptors at a common tube length and sample
-        common_b = TorpedoSpec(pr["eps"]).b
-        ua, va = _mixed_torpedo_profiles(pr["eps"], pr["delta"], common_b)
-        ub, vb = _mixed_torpedo_profiles(pr["delta"], pr["eps"], common_b)
-        t = sample_grid(common_b, 256)
-        dev = float(np.max([np.abs(ua(t) - vb(common_b - t)),
-                            np.abs(va(t) - ub(common_b - t))]))
+        b = pr["b"]
+        dev = float(np.max([
+            abs(pr["tube_u"] - _torpedo_on(pr["eps"], b).tube_length),
+            abs(pr["tube_v"] - _torpedo_on(pr["delta"], b).tube_length)]))
         report = {"identity": dev < 1e-8,
                   "max_profile_deviation": dev,
-                  "tube_rescale": [pr["tube_u"], pr["tube_v"]],
-                  "common_tube_domain": common_b}
+                  "tube_rescale": [pr["tube_u"], pr["tube_v"]]}
     return rschedule, report
 
 

@@ -354,6 +354,22 @@ class TestSlowdown:
         with pytest.raises(CertificationFailedError):
             slowdown_concordance(path, 7, grid_shape=(10, 10))
 
+    def test_nan_start_metric_rejected(self):
+        # a NaN minimum must not pass the end metrics' psc check
+        inner = round_to_double_torpedo()
+        f = inner(0.0).f
+
+        def path(sig):
+            if sig == 0.0:
+                return WarpedSphereMetric(
+                    7, LinearCombination([(np.nan, f)]), open_profile=True)
+            return inner(sig)
+
+        with pytest.raises(CertificationFailedError,
+                           match="path start metric is not psc") as err:
+            slowdown_concordance(path, 7, grid_shape=(20, 20))
+        assert np.isnan(err.value.best_margin)
+
     @pytest.mark.parametrize("grid_shape, budget", [
         ((0, 10), 20), ((10, 0), 20), ((-3, 10), 20)])
     def test_bad_grid_or_budget_raises_typed(self, grid_shape, budget,

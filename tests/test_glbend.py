@@ -8,8 +8,8 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from gllab import glbend
-from gllab.errors import (ConstructionFailedError, InvalidBendError,
-                          InvalidSpecError, InversionError,
+from gllab.errors import (AssemblyError, ConstructionFailedError,
+                          InvalidBendError, InvalidSpecError, InversionError,
                           NoFeasibleBendError)
 from gllab.fnspace import PolyPiece, SmoothFn1D
 from gllab.glbend import (ArcSeg, BendConstants, BumpSeg, Curve2D, GraphSeg,
@@ -89,6 +89,16 @@ class TestSegments:
             fd = (curve.jet(s + h)[2] - curve.jet(s - h)[2]) / (2 * h)
             np.testing.assert_allclose(curve.jet(s, 3)[3], fd, rtol=1e-6,
                                        atol=1e-6 * np.abs(fd).max())
+
+    def test_nan_junction_gap_is_kept(self):
+        class NanSeg(LineSeg):
+            def eval(self, s):
+                p, t, k = super().eval(s)
+                return np.full_like(p, np.nan), t, k
+
+        curve = Curve2D([LineSeg((0.0, 1.0), (0.0, 0.5)),
+                         NanSeg((0.0, 0.5), (0.0, 0.0))])
+        assert np.isnan(curve.junction_residual())
 
     def test_quarter_bend_length_pin(self):
         c = quarter_bend_curve(2.0, 2.0, 0.5)
@@ -182,6 +192,14 @@ class TestSynthesis:
         cert = profile.certificate
         assert cert.passed and cert.min_scalar > 0
         assert profile.curve.junction_residual() < 1e-8
+
+    def test_nan_junction_residual_raises(self, monkeypatch):
+        prefix = initial_bend(MODEL, r1=0.5)
+        trans = synth_transition(MODEL, r0=0.2, theta0=prefix[1])
+        monkeypatch.setattr(Curve2D, "junction_residual",
+                            lambda self: np.nan)
+        with pytest.raises(AssemblyError, match="junction residual"):
+            assemble_gamma(MODEL, prefix, trans)
 
     @pytest.mark.parametrize("bad", [np.nan, -np.inf])
     def test_non_finite_margin_sample_fails(self, monkeypatch, bad):

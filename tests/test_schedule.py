@@ -12,7 +12,7 @@ from gllab.curvature import WarpedSphereMetric
 from gllab.errors import (CertificationFailedError, CompilationFailedError,
                           DemoFailedError, HypothesisViolationError,
                           InvalidSpecError, InvalidWindowError)
-from gllab.fnspace import LinearCombination, SinePiece, SmoothFn1D, reflect
+from gllab.fnspace import SinePiece, SmoothFn1D
 from gllab.morsealg import CriticalPoint, MorseDescription
 from gllab.schedule import (DemoReport, compile_gl_cobordism,
                             compile_reverse, round_doubly_warped,
@@ -166,42 +166,36 @@ class TestReverse:
         assert len(rs.segments) == len(s.segments)
         assert rs.segments[0].start == s.segments[-1].end
 
-    @pytest.mark.parametrize("tamper", ["scaled", "unreflected"])
-    def test_tampered_standard_form_breaks_identity(self, g0, monkeypatch,
-                                                     tamper):
+    @pytest.mark.parametrize("tamper", [
+        {"eps": 0.125}, {"tube_u": 99.0}, {"b": 5.0},
+        {"eps": 0.125, "tube_u": 3.0}], ids=["eps", "tube_u", "b",
+                                             "eps_and_tube_u"])
+    def test_tampered_standard_form_breaks_identity(self, g0, tamper):
         desc = one_point_desc()
         s = compile_gl_cobordism(g0, desc)
-        mixed = schedule._mixed_torpedo_profiles
-
-        def profiles(eps, delta, b):
-            u, v = mixed(eps, delta, b)
-            # reflecting u again leaves it closing at t = 0, like v
-            return (LinearCombination([(1.001, u)]) if tamper == "scaled"
-                    else reflect(u)), v
-
-        monkeypatch.setattr(schedule, "_mixed_torpedo_profiles", profiles)
+        std = next(seg for seg in s.segments if seg.kind == "standardize")
+        std.end.params.update(tamper)
         _, rep = compile_reverse(s, desc)
         assert not rep["identity"]
         assert rep["max_profile_deviation"] > 1e-4
 
-    def test_nan_deviation_breaks_identity(self, g0, monkeypatch):
-        # a NaN in the second comparison (v against the reversed u) must
-        # not be dropped by the maximum
+    def test_nan_deviation_breaks_identity(self, g0):
+        # a NaN tube must not be dropped by the maximum
         desc = one_point_desc()
         s = compile_gl_cobordism(g0, desc)
-        mixed = schedule._mixed_torpedo_profiles
-        calls = []
-
-        def profiles(eps, delta, b):
-            u, v = mixed(eps, delta, b)
-            calls.append(b)
-            return u, (LinearCombination([(np.nan, v)]) if len(calls) == 1
-                       else v)
-
-        monkeypatch.setattr(schedule, "_mixed_torpedo_profiles", profiles)
+        std = next(seg for seg in s.segments if seg.kind == "standardize")
+        std.end.params["tube_v"] = np.nan
         _, rep = compile_reverse(s, desc)
         assert not rep["identity"]
         assert np.isnan(rep["max_profile_deviation"])
+
+    def test_domain_without_room_for_a_cap_raises(self, g0):
+        desc = one_point_desc()
+        s = compile_gl_cobordism(g0, desc)
+        std = next(seg for seg in s.segments if seg.kind == "standardize")
+        std.end.params["b"] = 0.1
+        with pytest.raises(InvalidSpecError, match="domain too short"):
+            compile_reverse(s, desc)
 
     def test_empty_trivial(self, g0):
         s = compile_gl_cobordism(g0, MorseDescription(7, []))
