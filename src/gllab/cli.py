@@ -144,9 +144,13 @@ def torpedo(ctx, delta, tube, blend, n):
 def bend(ctx, R0, C, Cp, q, r1, r0, emit_isotopy):
     """Synthesize the full bending curve; emit its margin table.
 
-    Exit 0 iff all curve-inequality margins are positive.
+    Exit 0 iff all curve-inequality margins are positive; r0 >= r1/2
+    (the transition would start inside the initial bump) exits 2.
     """
     def go():
+        if not r0 < r1 / 2.0:
+            raise E.InvalidSpecError(
+                f"need r0 < r1/2, got r0 = {r0:.6g}, r1 = {r1:.6g}")
         consts = BendConstants(R0=R0, C=C, Cp=Cp, q=q)
         prefix = initial_bend(consts, r1=r1)
         trans = synth_transition(consts, r0=r0, theta0=prefix[1])

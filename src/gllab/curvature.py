@@ -22,7 +22,8 @@ run as a psc metric on a cylinder after slowing the parameter down enough
 the interval length L and evaluates the path once per distinct sigma over
 the whole search: the closed-form smoothstep has eta_L(L x) == eta_1(x) bit
 for bit for L = 2^k, so every L samples the same sigma and only the finite
-difference step h = 1e-4 L changes.
+difference step h = 1e-4 L changes.  The terms of a linear path are
+evaluated once for the whole search, not once per sigma.
 """
 
 from __future__ import annotations
@@ -34,8 +35,9 @@ import numpy as np
 from .certify import IsotopyCertificate, write_csv
 from .errors import (CertificationFailedError, DomainMismatchError,
                      InvalidSpecError, SingularProfileError)
-from .fnspace import (_CSV_DENSITY, _END_TOL, ConstPiece, PolyPiece,
-                      SmoothFn1D, check_F_membership, check_U_membership,
+from .fnspace import (_CSV_DENSITY, _END_TOL, ConstPiece, LinearCombination,
+                      PolyPiece, SmoothFn1D, _combine_jets, _same_domain,
+                      check_F_membership, check_U_membership,
                       check_V_membership, sample_grid)
 
 __all__ = [
@@ -105,7 +107,7 @@ class DoublyWarpedMetric:
     def __post_init__(self):
         if self.p < 0 or self.q < 0:
             raise InvalidSpecError("fiber dimensions must be nonnegative")
-        if abs(self.u.b - self.v.b) > 1e-9 * max(1.0, self.u.b):
+        if not _same_domain(self.u.b, self.v.b):
             raise DomainMismatchError(
                 f"u and v domain lengths differ: {self.u.b} vs {self.v.b}")
         if not self.open_profile:
@@ -327,19 +329,49 @@ _ROW_BLOCK = 32
 _SLOWDOWN_BUDGET = 20  # lengths L = 1, 2, 4, ... tried before giving up
 
 
-def _path_jets(path, sig, tgrid, known):
-    """t-jet on ``tgrid`` of path(sigma).f at each distinct sigma of ``sig``.
+def _check_path_metric(m, sig, n, b):
+    """m = path(sig) after checking it has dimension n and domain (0, b)."""
+    if m.n != n:
+        raise InvalidSpecError(
+            f"path metric at sigma = {sig:.6g} has dimension {m.n}, not "
+            f"n = {n}")
+    if not _same_domain(b, m.f.b):
+        raise DomainMismatchError(
+            f"path profile at sigma = {sig:.6g} lives on (0, {m.f.b:.6g}), "
+            f"not on the start metric's (0, {b:.6g})")
+    return m
+
+
+def _path_jets(profile_at, sig, tgrid):
+    """t-jet on ``tgrid`` of ``profile_at(sigma)`` at each distinct sigma.
 
     Row i of ``sig`` holds sigma at s_i - h, s_i and s_i + h; the outer
-    values need f only, the centre f, f' and f''.  ``known`` maps sigma to
-    profiles already built; the others are dropped once their jet is taken.
+    values need f only, the centre f, f' and f''.  A profile is dropped
+    once its jet is taken.  The jet of a ``LinearCombination`` is
+    ``_combine_jets`` over its terms' jets, and each distinct term (by
+    identity) is evaluated once, to order 2, for the whole search: a linear
+    path reads each of its two end profiles once here, not once per sigma.
+    Any other profile is evaluated itself.
     """
     order = {}
     for row in sig:
         for sv, k in zip(row, (0, 2, 0)):
             order[sv] = max(k, order.get(sv, 0))
-    return {sv: (known[sv] if sv in known else path(sv).f).jet(tgrid, k)
-            for sv, k in order.items()}
+    # id(f) -> (f, jet): holding f keeps its id from being reused
+    terms = {}
+
+    def term_jet(f):
+        if id(f) not in terms:
+            terms[id(f)] = f, f.jet(tgrid, 2)
+        return terms[id(f)][1]
+
+    jets = {}
+    for sv, k in order.items():
+        prof = profile_at(sv)
+        jets[sv] = (_combine_jets(prof.terms, term_jet, tgrid, k)
+                    if isinstance(prof, LinearCombination)
+                    else prof.jet(tgrid, k))
+    return jets
 
 
 def _slowdown_grid(n, jets, sig, sgrid, tgrid, h):
@@ -376,12 +408,18 @@ def slowdown_concordance(path, n, grid_shape=(200, 200)):
     not once per L.  This is exact: round L's s-grid and h = 1e-4 L are
     L times those of L = 1 and eta_L(L x) == eta_1(x) bit for bit, so every
     round samples the same sigma at s_i - h, s_i, s_i + h; only h changes.
+    A sigma-profile that is a ``LinearCombination`` (``linear_homotopy``)
+    is combined from its terms' jets, each term evaluated once on the
+    t-grid for the whole search, with ``LinearCombination.jet``'s
+    arithmetic, so the certificate is the same bit for bit.
 
     Returns (Lambda, eta profile on (0, L), certificate).  The certificate's
     ``extra`` holds where the minimum sits (``argmin_s``, ``argmin_t``),
     every L tried (``L_tried``) and the number of distinct sigma at which
     the path was evaluated (``profiles``).  ``grid_shape`` entries below 1
-    raise ``InvalidSpecError``.
+    raise ``InvalidSpecError``, as does a path metric whose dimension is
+    not ``n``; a sigma-profile whose domain length is not g0's raises
+    ``DomainMismatchError``.
     """
     ns, nt = grid_shape
     if min(ns, nt) < 1:
@@ -390,6 +428,8 @@ def slowdown_concordance(path, n, grid_shape=(200, 200)):
             f"grid_shape={tuple(grid_shape)}")
     g0, g1 = path(0.0), path(1.0)
     b = g0.f.b
+    for sv, g in ((0.0, g0), (1.0, g1)):
+        _check_path_metric(g, sv, n, b)
     tgrid = np.linspace(0.0, b, nt + 2)[1:-1]
     for g, tag in ((g0, "start"), (g1, "end")):
         mn = float(np.min(scalar_warped(g, tgrid)))
@@ -399,6 +439,12 @@ def slowdown_concordance(path, n, grid_shape=(200, 200)):
                 best_margin=mn)
 
     known = {0.0: g0.f, 1.0: g1.f}
+
+    def profile_at(sv):
+        if sv in known:
+            return known[sv]
+        return _check_path_metric(path(sv), sv, n, b).f
+
     best = -np.inf
     L = 1.0
     tried = []
@@ -411,7 +457,7 @@ def slowdown_concordance(path, n, grid_shape=(200, 200)):
         if jets is None:
             sig = np.clip(eta(np.clip(sgrid[:, None] + [-h, 0.0, h], 0.0, L)),
                           0.0, 1.0).tolist()
-            jets = _path_jets(path, sig, tgrid, known)
+            jets = _path_jets(profile_at, sig, tgrid)
         R = _slowdown_grid(n, jets, sig, sgrid, tgrid, h)
         i, j = np.unravel_index(np.argmin(R), R.shape)
         mn = float(R[i, j])

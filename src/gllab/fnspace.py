@@ -263,26 +263,48 @@ class SmoothFn1D:
                    d.get("junction_orders", (0, 1, 2)))
 
 
+def _same_domain(b0, b1):
+    """Whether domain lengths b0 and b1 agree to 1e-9 relative."""
+    return abs(b0 - b1) <= 1e-9 * max(1.0, b0)
+
+
+def _combine_jets(terms, term_jet, t, k):
+    """sum_i w_i f_i^(j)(t), j <= k, of ``terms`` (w_i, f_i).
+
+    ``term_jet(f)`` gives f's jet at t to order k or more.  Zero weights
+    are skipped and the weighted jets added in term order onto 0.0, so any
+    caller that supplies the same term jets gets the same bits.
+    """
+    outs = [np.zeros_like(t)] * (k + 1)
+    for w, f in terms:
+        if w != 0.0:
+            outs = [o + w * d for o, d in zip(outs, term_jet(f))]
+    return tuple(o[()] for o in outs)
+
+
 class LinearCombination:
     """The profile sum_i w_i f_i of ``terms`` (w_i, f_i) on one domain.
 
     Each term is any profile (``b`` and ``jet``); the combination reads
-    nothing else of it.  ``jet`` skips zero weights and adds the weighted
-    term jets in order onto 0.0.
+    nothing else of it.  ``jet`` is ``_combine_jets`` over the term jets.
+    No terms raise ``InvalidSpecError``, terms whose domain lengths differ
+    by more than 1e-9 relative ``DomainMismatchError``.
     """
 
     def __init__(self, terms):
         self.terms = [(float(w), f) for w, f in terms]
+        if not self.terms:
+            raise InvalidSpecError("a linear combination needs a term")
         self.b = float(self.terms[0][1].b)
+        for _, f in self.terms[1:]:
+            if not _same_domain(self.b, f.b):
+                raise DomainMismatchError(
+                    f"domain lengths differ: {self.b} vs {f.b}")
 
     def jet(self, t, k=2):
         """(f, f', ..., f^(k))(t) for k <= 3; scalars for scalar t."""
         t = _jet_points(t, k, self.b)
-        outs = [np.zeros_like(t)] * (k + 1)
-        for w, f in self.terms:
-            if w != 0.0:
-                outs = [o + w * d for o, d in zip(outs, f.jet(t, k))]
-        return tuple(o[()] for o in outs)
+        return _combine_jets(self.terms, lambda f: f.jet(t, k), t, k)
 
     def __call__(self, t):
         return self.jet(t, 0)[0]
@@ -314,10 +336,8 @@ def linear_homotopy(f0, f1, s):
 
     Membership in any of the convex families is preserved for every s in
     [0, 1] whenever both endpoints are members.
+    Endpoints whose domain lengths differ raise ``DomainMismatchError``.
     """
-    if abs(f0.b - f1.b) > 1e-9 * max(1.0, f0.b):
-        raise DomainMismatchError(
-            f"domain lengths differ: {f0.b} vs {f1.b}")
     s = float(s)
     return LinearCombination([(1.0 - s, f0), (s, f1)])
 

@@ -107,6 +107,18 @@ class TestBendCmd:
         res = runner.invoke(main, ["bend", "--r0q", "0"])
         assert res.exit_code == 3
 
+    @pytest.mark.parametrize("r1, r0", [(0.3, 0.2), (0.4, 0.2)])
+    def test_r0_not_below_half_r1_exit_2(self, runner, tmp_path, monkeypatch,
+                                         r1, r0):
+        # rejected before any bend is built; it exited 3 via AssemblyError
+        monkeypatch.setattr(cli, "initial_bend", None)
+        res = runner.invoke(main, ["--output-dir", str(tmp_path), "bend",
+                                   "--r0q", "1.0", "--r1", str(r1),
+                                   "--r0", str(r0)])
+        assert res.exit_code == 2
+        assert "InvalidSpecError: need r0 < r1/2" in res.output
+        assert not list(tmp_path.iterdir())
+
     def test_emit_isotopy(self, runner, tmp_path):
         res = runner.invoke(main, ["--output-dir", str(tmp_path), "bend",
                                    "--r0q", "1.5", "--q", "3",

@@ -370,6 +370,72 @@ class TestSlowdown:
             slowdown_concordance(path, 7, grid_shape=(20, 20))
         assert np.isnan(err.value.best_margin)
 
+    def test_each_path_term_is_evaluated_once(self, monkeypatch):
+        path = round_to_double_torpedo()
+        f0, f1 = (t for _, t in path(0.5).f.terms)
+        calls = []
+        jet = SmoothFn1D.jet
+
+        def counting(f, t, k=2):
+            calls.append((f, np.size(t), k))
+            return jet(f, t, k)
+
+        monkeypatch.setattr(SmoothFn1D, "jet", counting)
+        _lam, _eta, cert = slowdown_concordance(path, 7, grid_shape=(60, 60))
+        assert cert.extra["profiles"] > 50
+        assert len(calls) <= 6
+        for f in (f0, f1):
+            # once in its end metric's psc check, once for every sigma
+            reads = [(size, k) for g, size, k in calls if g is f]
+            assert reads == [(60, 2)] * 2
+
+    def test_opaque_profiles_give_the_same_certificate(self):
+        path = round_to_double_torpedo()
+
+        class Opaque:
+            def __init__(self, f):
+                self.b, self.jet = f.b, f.jet
+
+        def opaque(sig):
+            m = path(sig)
+            return WarpedSphereMetric(m.n, Opaque(m.f), open_profile=True)
+
+        got = slowdown_concordance(opaque, 7, grid_shape=(60, 60))
+        want = slowdown_concordance(path, 7, grid_shape=(60, 60))
+        assert (got[0], got[1].b) == (want[0], want[1].b)
+        assert got[2].to_json() == want[2].to_json()
+        assert got[2].extra["profiles"] == want[2].extra["profiles"] > 50
+
+    @pytest.mark.parametrize("sig_bad", [0.0, 1.0, None])
+    @pytest.mark.parametrize("n_path", [5, 12])
+    def test_path_of_another_dimension_raises(self, sig_bad, n_path):
+        # a path of dimension 7 used to certify at n = 5 and at n = 12
+        inner = round_to_double_torpedo()
+
+        def path(sig):
+            m = inner(sig)
+            if sig_bad is None or sig == sig_bad:
+                m = WarpedSphereMetric(n_path, m.f, open_profile=True)
+            return m
+
+        with pytest.raises(InvalidSpecError, match="has dimension"):
+            slowdown_concordance(path, 7, grid_shape=(20, 20))
+
+    @pytest.mark.parametrize("b_bad", [7.0, 5.0, 6.0 * (1 + 2e-9)])
+    @pytest.mark.parametrize("at_end", [True, False])
+    def test_profile_on_another_domain_raises(self, b_bad, at_end):
+        # a b = 7 profile used to be certified on g0's (0, 6) grid
+        inner = round_to_double_torpedo()
+        other = round_to_double_torpedo(b_bad)
+
+        def path(sig):
+            if (sig == 1.0) if at_end else (0.0 < sig < 1.0):
+                return other(sig)
+            return inner(sig)
+
+        with pytest.raises(DomainMismatchError, match="start metric"):
+            slowdown_concordance(path, 7, grid_shape=(20, 20))
+
     @pytest.mark.parametrize("grid_shape, budget", [
         ((0, 10), 20), ((10, 0), 20), ((-3, 10), 20)])
     def test_bad_grid_or_budget_raises_typed(self, grid_shape, budget,

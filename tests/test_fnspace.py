@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gllab.errors import InvalidSpecError
+from gllab.errors import DomainMismatchError, InvalidSpecError
 from gllab.fnspace import (ConstPiece, LinearCombination, PolyPiece,
                            SinePiece, SmoothFn1D, TorpedoSpec, _torpedo_on,
                            check_F_membership, check_U_membership,
@@ -377,3 +377,19 @@ class TestLinearCombination:
                 g(t)
         with pytest.raises(InvalidSpecError):
             g.jet(0.5, 4)
+
+    def test_no_terms_raises_typed(self):
+        with pytest.raises(InvalidSpecError, match="needs a term"):
+            LinearCombination([])
+
+    @pytest.mark.parametrize("b1", [6.0, 1.98 * (1 + 2e-9), 1.98 * (1 - 2e-9)])
+    def test_terms_on_different_domains_raise(self, b1):
+        # the first term used to fix b alone: (1.98 + 6) f built on b = 1.98
+        f0, f1 = _sin_profile(1.98), _sin_profile(b1)
+        for terms in ([(1.0, f0), (1.0, f1)], [(1.0, f1), (0.0, f0)]):
+            with pytest.raises(DomainMismatchError):
+                LinearCombination(terms)
+
+    def test_terms_within_the_domain_rule_combine(self):
+        f0, f1 = _sin_profile(1.98), _sin_profile(1.98 * (1 + 5e-10))
+        assert LinearCombination([(1.0, f0), (np.nan, f1)]).b == 1.98
