@@ -14,7 +14,11 @@ over A and B.  At an end where a factor f_c closes (f_c = 0, |f_c'| = 1)
 one l'Hospital rule replaces the 0/0 quotients, whichever factor closes at
 whichever end: A_c = f_c'''/f_c', B_c = -A_c and C_cj = f_j''/f_j.  A cone
 point (|f_c'| != 1), a factor left open there with f_j' != 0, and interior
-zeros raise ``SingularProfileError``.
+zeros raise ``SingularProfileError``.  The evaluator is one point set
+(``_closed_form_points``) and one reading of the jets there
+(``_closed_form_from_jets``), so a caller that already holds the jets, a
+foliation leaf or a homotopy family (``_family_scalar``), gets the same
+bits without evaluating a profile again.
 
 ``slowdown_concordance`` certifies that a path of psc warped metrics can be
 run as a psc metric on a cylinder after slowing the parameter down enough
@@ -28,6 +32,7 @@ evaluated once for the whole search, not once per sigma.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,6 +71,18 @@ _INTERIOR_ZERO = 1e-13
 _END_ZERO = 1e-9
 
 
+def _check_dims(least, message, **dims):
+    """Raise ``InvalidSpecError`` unless every sphere dimension in ``dims``
+    is an integer (``numbers.Integral``, not a bool) of at least ``least``;
+    ``message`` says what a too small one breaks."""
+    for name, d in dims.items():
+        if isinstance(d, bool) or not isinstance(d, numbers.Integral):
+            raise InvalidSpecError(
+                f"sphere dimension {name} must be an integer, got {d!r}")
+        if d < least:
+            raise InvalidSpecError(message)
+
+
 @dataclass
 class WarpedSphereMetric:
     """dt^2 + f(t)^2 ds_{n-1}^2 on (0, b).
@@ -80,8 +97,7 @@ class WarpedSphereMetric:
     open_profile: bool = False
 
     def __post_init__(self):
-        if self.n < 3:
-            raise InvalidSpecError("sphere dimension n must be >= 3")
+        _check_dims(3, "sphere dimension n must be >= 3", n=self.n)
         if not self.open_profile:
             rep = check_F_membership(self.f)
             if not rep.passed:
@@ -105,8 +121,8 @@ class DoublyWarpedMetric:
     open_profile: bool = False
 
     def __post_init__(self):
-        if self.p < 0 or self.q < 0:
-            raise InvalidSpecError("fiber dimensions must be nonnegative")
+        _check_dims(0, "fiber dimensions must be nonnegative",
+                    p=self.p, q=self.q)
         if not _same_domain(self.u.b, self.v.b):
             raise DomainMismatchError(
                 f"u and v domain lengths differ: {self.u.b} vs {self.v.b}")
@@ -169,13 +185,30 @@ def _open_quotients(f, d1, d2):
     return d2 / f, (1.0 - d1 ** 2) / f ** 2, d1 / f
 
 
-def _closed_form(dims, profiles, t, formula):
-    """Evaluate ``formula(dims, A, B, C)`` for warping ``profiles`` at t.
+def _closed_form_points(t, b):
+    """Where ``_closed_form`` reads its profiles for samples t on (0, b).
 
-    The profiles share one domain (0, b); profile i warps a round sphere of
-    dimension ``dims[i]``.  A curvature formula sees each profile only
-    through A_i = f_i''/f_i and B_i = (1 - f_i'^2)/f_i^2, and each pair
-    i < j through C[i, j] = f_i' f_j'/(f_i f_j).  At an end where profile c
+    Returns (points, inner, ends): the interior samples in order followed
+    by each end present (0 before b), the mask of interior samples, and
+    one (mask, end) pair per end present, for ``_closed_form_from_jets``.
+    """
+    tv = np.atleast_1d(t)
+    snap = _END_SNAP * max(1.0, b)
+    at0, atb = np.abs(tv) <= snap, np.abs(tv - b) <= snap
+    inner = ~(at0 | atb)
+    ends = [(mask, tend) for mask, tend in ((at0, 0.0), (atb, b))
+            if mask.any()]
+    return np.concatenate([tv[inner], [tend for _, tend in ends]]), inner, ends
+
+
+def _closed_form_from_jets(dims, inner, ends_at, all_jets, formula):
+    """``formula(dims, A, B, C)`` at the samples of ``_closed_form_points``.
+
+    ``all_jets`` holds each profile's jet at those points, to order 3 when
+    an end is present, else to order 2.  A curvature formula sees profile
+    i (warping a round sphere of dimension ``dims[i]``) only through
+    A_i = f_i''/f_i and B_i = (1 - f_i'^2)/f_i^2, and each pair i < j
+    through C[i, j] = f_i' f_j'/(f_i f_j).  At an end where profile c
     closes (f_c = 0) these are 0/0, and their l'Hospital limits take their
     place:
 
@@ -184,24 +217,12 @@ def _closed_form(dims, profiles, t, formula):
     The rule needs |f_c'| = 1 there (any other slope is a cone point) and
     f_j' = 0 for every factor j that stays open; either failing raises
     ``SingularProfileError``, as do two factors closing at one end and an
-    interior zero.  Each profile is evaluated once, at the interior points
-    followed by the ends present: to order 3 when an end is present, else
-    to order 2.  Returns ``formula``'s value, floats for scalar t.
+    interior zero.  Returns ``formula``'s value, one entry per sample.
     """
-    t = np.asarray(t, dtype=float)
-    tv = np.atleast_1d(t)
-    b = profiles[0].b
-    snap = _END_SNAP * max(1.0, b)
-    at0, atb = np.abs(tv) <= snap, np.abs(tv - b) <= snap
-    inner = ~(at0 | atb)
-    ends_at = [(mask, tend) for mask, tend in ((at0, 0.0), (atb, b))
-               if mask.any()]
-    n_in = int(inner.sum())
-    pts = np.concatenate([tv[inner], [tend for _, tend in ends_at]])
-    all_jets = [f.jet(pts, 3 if ends_at else 2) for f in profiles]
     # D_i = f_i'/f_i, left 0 where f_i closes; ``ends`` holds (mask, c)
-    A, B, D = (np.zeros((len(profiles),) + tv.shape) for _ in range(3))
+    A, B, D = (np.zeros((len(all_jets),) + inner.shape) for _ in range(3))
     ends = []
+    n_in = int(inner.sum())
     if n_in:
         jets = [[d[:n_in] for d in jet[:3]] for jet in all_jets]
         if min(np.abs(jet[0]).min() for jet in jets) < _INTERIOR_ZERO:
@@ -230,12 +251,28 @@ def _closed_form(dims, profiles, t, formula):
             else:
                 A[i][mask], B[i][mask], D[i][mask] = _open_quotients(f, d1, d2)
     C = {(i, j): D[i] * D[j]
-         for i in range(len(profiles)) for j in range(i + 1, len(profiles))}
+         for i in range(len(all_jets)) for j in range(i + 1, len(all_jets))}
     for mask, c in ends:
         for (i, j), Cij in C.items():
             if c in (i, j):
                 Cij[mask] = A[j if i == c else i][mask]
-    out = formula(dims, A, B, C)
+    return formula(dims, A, B, C)
+
+
+def _closed_form(dims, profiles, t, formula):
+    """Evaluate ``formula(dims, A, B, C)`` for warping ``profiles`` at t.
+
+    The profiles share one domain (0, b); profile i warps a round sphere of
+    dimension ``dims[i]``.  Each profile is evaluated once, at
+    ``_closed_form_points``: to order 3 when an end is present, else to
+    order 2.  ``_closed_form_from_jets`` reads the jets.  Returns
+    ``formula``'s value, floats for scalar t.
+    """
+    t = np.asarray(t, dtype=float)
+    pts, inner, ends = _closed_form_points(t, profiles[0].b)
+    k = 3 if ends else 2
+    out = _closed_form_from_jets(dims, inner, ends,
+                                 [f.jet(pts, k) for f in profiles], formula)
     if t.ndim:
         return out
     out = np.asarray(out)[..., 0]
@@ -302,6 +339,52 @@ def scalar_cyl_family(m, s, t):
                    [(1.0 - (ps ** 2 + pt ** 2)) / P ** 2], {})
 
 
+def _profile_jets(pts, k):
+    """``jet(prof, j)``: the jet of profile ``prof`` on ``pts`` to order
+    j <= k, for the profiles of one family read at the same points.
+
+    The jet of a ``LinearCombination`` is ``_combine_jets`` over its terms'
+    jets, and each distinct term (by identity) is evaluated once, to order
+    k, however many combinations read it; the bits are those of the
+    combination's own ``jet``.  Any other profile is evaluated itself.
+    """
+    # id(f) -> (f, jet): holding f keeps its id from being reused
+    terms = {}
+
+    def term_jet(f):
+        if id(f) not in terms:
+            terms[id(f)] = f, f.jet(pts, k)
+        return terms[id(f)][1]
+
+    def jet(prof, j=k):
+        if isinstance(prof, LinearCombination):
+            return _combine_jets(prof.terms, term_jet, pts, j)
+        return prof.jet(pts, j)
+    return jet
+
+
+def _family_scalar(t, b):
+    """``scalar(m, t)`` of the warped and doubly warped metrics of one
+    family on (0, b), all read at these samples t.
+
+    It gives ``scalar_warped``'s or ``scalar_doubly_warped``'s values bit
+    for bit, with the warping profiles read through one ``_profile_jets``:
+    a family of linear homotopies evaluates each of its end profiles once,
+    not once per metric.  Its own t argument must be these samples.
+    """
+    pts, inner, ends = _closed_form_points(np.asarray(t, dtype=float), b)
+    jet = _profile_jets(pts, 3 if ends else 2)
+
+    def scalar(m, _t):
+        if isinstance(m, WarpedSphereMetric):
+            dims, profiles = [m.n - 1], [m.f]
+        else:
+            dims, profiles = [m.p, m.q], [m.u, m.v]
+        return _closed_form_from_jets(dims, inner, ends,
+                                      [jet(f) for f in profiles], _scalar)
+    return scalar
+
+
 # ---------------------------------------------------------------------------
 # slowdown concordance
 # ---------------------------------------------------------------------------
@@ -347,31 +430,16 @@ def _path_jets(profile_at, sig, tgrid):
 
     Row i of ``sig`` holds sigma at s_i - h, s_i and s_i + h; the outer
     values need f only, the centre f, f' and f''.  A profile is dropped
-    once its jet is taken.  The jet of a ``LinearCombination`` is
-    ``_combine_jets`` over its terms' jets, and each distinct term (by
-    identity) is evaluated once, to order 2, for the whole search: a linear
-    path reads each of its two end profiles once here, not once per sigma.
-    Any other profile is evaluated itself.
+    once its jet is taken.  The jets come from one ``_profile_jets``: a
+    linear path reads each of its two end profiles once here, to order 2,
+    not once per sigma.
     """
     order = {}
     for row in sig:
         for sv, k in zip(row, (0, 2, 0)):
             order[sv] = max(k, order.get(sv, 0))
-    # id(f) -> (f, jet): holding f keeps its id from being reused
-    terms = {}
-
-    def term_jet(f):
-        if id(f) not in terms:
-            terms[id(f)] = f, f.jet(tgrid, 2)
-        return terms[id(f)][1]
-
-    jets = {}
-    for sv, k in order.items():
-        prof = profile_at(sv)
-        jets[sv] = (_combine_jets(prof.terms, term_jet, tgrid, k)
-                    if isinstance(prof, LinearCombination)
-                    else prof.jet(tgrid, k))
-    return jets
+    jet = _profile_jets(tgrid, 2)
+    return {sv: jet(profile_at(sv), k) for sv, k in order.items()}
 
 
 def _slowdown_grid(n, jets, sig, sgrid, tgrid, h):

@@ -509,32 +509,39 @@ class MembershipReport:
 _SPACES = {"F": ("f", 1, -1), "U": ("u", 0, -1), "V": ("v", 1, 0)}
 
 # tolerances of the membership conditions: |value| at an end, max f'' on the
-# grid, and the width of the near-end windows as a fraction of b
+# grid, and the near-end windows' width as a fraction of b and samples each
 _END_TOL = 1e-8
 _CONCAVITY_SLACK = 1e-12
 _END_WINDOW = 0.05
+_WINDOW_SAMPLES = 32
 
 
-def _check_membership(f, space):
-    """Membership of ``f`` in one of the ``_SPACES``, from its end jets.
+def _membership_points(b):
+    """The points at which a membership check reads a profile on (0, b):
+    the uniform grid, the near-end windows, then the ends 0 and b."""
+    t = sample_grid(b)
+    w = _END_WINDOW * b
+    lo = np.linspace(0.0, w, _WINDOW_SAMPLES + 1)[1:]   # not the ends
+    hi = np.linspace(b - w, b, _WINDOW_SAMPLES + 1)[:-1]
+    return np.concatenate([t, lo, hi, [0.0, b]])
+
+
+def _membership_report(jet, space, b):
+    """Membership in one of the ``_SPACES`` of a profile on (0, b), read
+    from its jet to order 3 at ``_membership_points(b)``.
 
     A closing end needs f = 0, f' = +-1, f'' = 0, the sign of f''' that
     rounds off the closing fiber, and f'' < 0 nearby; an open end needs
     f > 0 and vanishing odd derivatives.  Every space asks for f'' <= 0 on
-    a uniform grid.  The report lists only these conditions: derivatives
-    above order 3 are not representable, so none is recorded.  One
-    ``f.jet(., 3)`` call reads the grid, the near-end windows and both ends.
+    the uniform grid.  The report lists only these conditions: derivatives
+    above order 3 are not representable, so none is recorded.
     """
     letter, kind0, kindb = _SPACES[space]
-    b = f.b
     rep = MembershipReport(f"{space}(0,{b:g})")
-    t = sample_grid(b)
-    w = _END_WINDOW * b
-    lo = np.linspace(0.0, w, 33)[1:]        # exclude the endpoints themselves
-    hi = np.linspace(b - w, b, 33)[:-1]
-    jet = f.jet(np.concatenate([t, lo, hi, [0.0, b]]), 3)
     d2 = jet[2][:-2]
-    near = {"0": d2[t.size:t.size + lo.size], "b": d2[t.size + lo.size:]}
+    n_grid = d2.size - 2 * _WINDOW_SAMPLES
+    near = {"0": d2[n_grid:n_grid + _WINDOW_SAMPLES],
+            "b": d2[n_grid + _WINDOW_SAMPLES:]}
     for e, kind, end in (("0", kind0, -2), ("b", kindb, -1)):
         v0, v1, v2, v3 = (float(x[end]) for x in jet)
         if kind:
@@ -549,9 +556,15 @@ def _check_membership(f, space):
             rep.add(f"{letter}({e}) > 0", v0 > 0.0, f"value {v0:.6g}")
             rep.add(f"d1({e})=0", abs(v1) <= _END_TOL)
             rep.add(f"d3({e})=0", abs(v3) <= _END_TOL)
-    m = float(d2[:t.size].max())
+    m = float(d2[:n_grid].max())
     rep.add("d2 <= 0 on grid", m <= _CONCAVITY_SLACK, f"max d2 = {m:.3e}")
     return rep
+
+
+def _check_membership(f, space):
+    """Membership of ``f`` in one of the ``_SPACES``: one ``f.jet(., 3)``
+    call at ``_membership_points``, read by ``_membership_report``."""
+    return _membership_report(f.jet(_membership_points(f.b), 3), space, f.b)
 
 
 def check_F_membership(f):

@@ -18,7 +18,9 @@ a small geodesic sphere (the connected-sum isotopy).
 
 Curves exist only as ``Curve2D`` segments.  A coordinate of a curve, read
 through ``Curve2D.jet``, is the induced radius r(s) or, composed with a
-torpedo (``CompositeProfile``), a warping function of a leaf.
+torpedo (``CompositeProfile``), a warping function of a leaf.  The
+foliation certifies each leaf from one curve jet and one jet per torpedo,
+taken on every point that the leaf's checks read.
 """
 
 from __future__ import annotations
@@ -29,12 +31,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .certify import IsotopyCertificate, pmap
-from .curvature import DoublyWarpedMetric, scalar_doubly_warped
+from .curvature import (DoublyWarpedMetric, _check_dims,
+                        _closed_form_from_jets, _closed_form_points, _scalar)
 from .errors import (CertificationFailedError, DomainMismatchError,
                      InvalidBendError, InvalidSpecError)
-from .fnspace import (PolyPiece, SmoothFn1D, TorpedoSpec, _torpedo_on,
-                      check_U_membership, check_V_membership, make_torpedo,
-                      reflect)
+from .fnspace import (PolyPiece, SmoothFn1D, TorpedoSpec, _membership_points,
+                      _membership_report, _torpedo_on, make_torpedo, reflect)
 from .glbend import ArcSeg, BendProfile, Curve2D, LineSeg, quarter_bend_curve
 
 __all__ = [
@@ -99,12 +101,8 @@ class ModelAmbient:
 
 
 class _CurveCoordinate:
-    """One coordinate (0 = t, 1 = r) of a unit-speed curve as a profile of
-    arc length: its jet is that component of ``Curve2D.jet``.
-
-    ``curve`` is a ``Curve2D`` or a ``_LastCurveJet`` of one, through which
-    the two coordinates of a foliation leaf share one curve evaluation.
-    """
+    """One coordinate (0 = t, 1 = r) of a unit-speed ``Curve2D`` as a
+    profile of arc length: its jet is that component of ``Curve2D.jet``."""
 
     def __init__(self, curve, axis):
         self.curve = curve
@@ -113,31 +111,6 @@ class _CurveCoordinate:
 
     def jet(self, s, k=2):
         return tuple(d[..., self.axis] for d in self.curve.jet(s, k))
-
-
-class _LastCurveJet:
-    """A curve that keeps its last ``Curve2D.jet`` call: points, order, jet.
-
-    A call at the same points (compared bit for bit) and an order no higher
-    than the kept one returns the kept jet cut to that order; any other
-    call evaluates the curve and keeps that instead.  The kept arrays are
-    read-only, so no reader can change what another reads.
-    """
-
-    def __init__(self, curve):
-        self.curve = curve
-        self.length = curve.length
-        self._s = self._k = self._jet = None
-
-    def jet(self, s, k=2):
-        s = np.asarray(s, dtype=float)
-        if (self._jet is None or k > self._k or s.shape != self._s.shape
-                or s.tobytes() != self._s.tobytes()):
-            self._s, self._k = s.copy(), k
-            self._jet = self.curve.jet(s, k)
-            for d in self._jet:
-                d.flags.writeable = False
-        return self._jet[:k + 1]
 
 
 def _const_profile(value, b):
@@ -264,13 +237,31 @@ def _corner_curve(edge, radius):
                     LineSeg((e, c), (0.0, c))])
 
 
+def _compose(prof, x, k):
+    """(f, f', ..., f^(k)) of prof(x(t)) for k <= 3, by the chain rule
+    from x's jet ``x`` (to order k or more) and one jet of ``prof``."""
+    f = prof.jet(x[0], k)
+    out = [f[0]]
+    if k >= 1:
+        out.append(f[1] * x[1])
+    if k >= 2:
+        out.append(f[2] * x[1] ** 2 + f[1] * x[2])
+    if k >= 3:
+        # x'^2 x', not x'^3: numpy's ** 3 calls pow per point, ~40x
+        # slower.  The two may differ in the last bit, but the checks
+        # read third derivatives only at a leaf's ends, where x' is 0,
+        # +-1 or cos(pi/2) ~ 6e-17, whose cube is below the sum's ulp
+        out.append(f[3] * (x[1] ** 2 * x[1]) + 3.0 * f[2] * x[1] * x[2]
+                   + f[1] * x[3])
+    return tuple(out)
+
+
 class CompositeProfile:
-    """prof(coord(t)) with derivatives from the chain rule.
+    """prof(coord(t)) with derivatives from the chain rule (``_compose``).
 
     ``prof`` and ``coord`` are profiles (``b`` and ``jet``); the composite
     lives on the domain of ``coord``.  A foliation leaf's u and v are two
-    composites whose coordinates read one ``_LastCurveJet`` during the
-    leaf's checks, so each check evaluates the curve once.
+    composites; the foliation certifies them with ``_compose`` too.
     """
 
     def __init__(self, prof, coord):
@@ -280,21 +271,7 @@ class CompositeProfile:
 
     def jet(self, t, k=2):
         """(f, f', ..., f^(k))(t) for k <= 3, from one coordinate jet."""
-        x = self.coord.jet(t, k)
-        f = self.prof.jet(x[0], k)
-        out = [f[0]]
-        if k >= 1:
-            out.append(f[1] * x[1])
-        if k >= 2:
-            out.append(f[2] * x[1] ** 2 + f[1] * x[2])
-        if k >= 3:
-            # x'^2 x', not x'^3: numpy's ** 3 calls pow per point, ~40x
-            # slower.  The two may differ in the last bit, but the checks
-            # read third derivatives only at a leaf's ends, where x' is 0,
-            # +-1 or cos(pi/2) ~ 6e-17, whose cube is below the sum's ulp
-            out.append(f[3] * (x[1] ** 2 * x[1]) + 3.0 * f[2] * x[1] * x[2]
-                       + f[1] * x[3])
-        return tuple(out)
+        return _compose(self.prof, self.coord.jet(t, k), k)
 
 
 @dataclass
@@ -335,6 +312,25 @@ def _corner_params(lambda_half_curve):
 _LEAF_SAMPLES = 401
 
 
+def _leaf_jets(curve, f_eps, f_del, t):
+    """The jets of a leaf's u = f_eps(x) and v = f_del(y) that its checks
+    read: one ``Curve2D.jet`` and one jet per torpedo, to order 3, on the
+    membership points followed by the closed-form points of samples t.
+
+    Returns (membership jets of u and v, closed-form jets of u and v,
+    the interior mask and ends of ``_closed_form_points``).
+    """
+    L = curve.length
+    mem = _membership_points(L)
+    pts, inner, ends = _closed_form_points(t, L)
+    x = curve.jet(np.concatenate([mem, pts]), 3)
+    uv = [_compose(f, tuple(d[..., axis] for d in x), 3)
+          for f, axis in ((f_eps, 0), (f_del, 1))]
+    m = mem.size
+    return ([tuple(d[:m] for d in jet) for jet in uv],
+            [tuple(d[m:] for d in jet) for jet in uv], inner, ends)
+
+
 def connected_sum_foliation(lambda_half_curve, tau, nu_grid, eps, delta_p,
                             p=2, q=2):
     """Leaf metrics interpolating the corner sphere down to a geodesic sphere.
@@ -348,6 +344,14 @@ def connected_sum_foliation(lambda_half_curve, tau, nu_grid, eps, delta_p,
     keep the default blend, so the corner's c = edge + radius must exceed
     each cap + blend (else ``_torpedo_on`` raises InvalidSpecError).
 
+    The leaves are certified one at a time, each from one curve jet and
+    one jet per torpedo (``_leaf_jets``); the membership reports and the
+    scalar curvature are those of ``check_U_membership``,
+    ``check_V_membership`` and ``scalar_doubly_warped`` on the leaf's
+    profiles, bit for bit.  ``p`` and ``q`` must be integers >= 0 and
+    ``nu_grid`` a one-dimensional sequence of numbers, else
+    ``InvalidSpecError``.
+
     Returns (FoliationFamily, IsotopyCertificate).  The certificate's
     ``extra`` holds ``per_leaf_min`` and where the least sample sits: its
     leaf ``argmin_nu`` and arc length ``argmin_t``.
@@ -355,7 +359,15 @@ def connected_sum_foliation(lambda_half_curve, tau, nu_grid, eps, delta_p,
     edge, radius = _corner_params(lambda_half_curve)
     if not 0 < tau <= radius:
         raise InvalidSpecError("need 0 < tau <= bend radius")
-    nu_grid = [float(nu) for nu in nu_grid]
+    _check_dims(0, "fiber dimensions must be nonnegative", p=p, q=q)
+    try:
+        grid = np.asarray(nu_grid, dtype=float)
+    except (TypeError, ValueError) as err:
+        raise InvalidSpecError(f"nu_grid must hold numbers: {err}") from None
+    if grid.ndim != 1:
+        raise InvalidSpecError(
+            f"nu_grid must be one-dimensional, got shape {grid.shape}")
+    nu_grid = grid.tolist()
     if not nu_grid:
         raise InvalidSpecError("nu_grid must hold at least one leaf")
     c = edge + radius
@@ -370,40 +382,37 @@ def connected_sum_foliation(lambda_half_curve, tau, nu_grid, eps, delta_p,
         else:
             curves.append(_corner_curve(0.0, tau + 2.0 * nu * (radius - tau)))
 
-    def profiles(curve):
-        return (CompositeProfile(f_eps, _CurveCoordinate(curve, 0)),
-                CompositeProfile(f_del, _CurveCoordinate(curve, 1)))
-
     def leaf(args):
         nu, curve = args
-        # u and v share one curve jet per check; the family keeps profiles
-        # of the bare curve, so the record ends with these checks
-        u, v = profiles(_LastCurveJet(curve))
-        ru = check_U_membership(u)
-        rv = check_V_membership(v)
+        L = curve.length
+        t = np.linspace(0.0, L, _LEAF_SAMPLES)
+        (mu, mv), cf, inner, ends = _leaf_jets(curve, f_eps, f_del, t)
+        ru = _membership_report(mu, "U", L)
+        rv = _membership_report(mv, "V", L)
         if not (ru.passed and rv.passed):
             bad = [cnd.name for cnd in ru.failures() + rv.failures()]
             raise CertificationFailedError(
                 f"leaf nu = {nu} fails membership: {bad}")
-        metric = DoublyWarpedMetric(p, q, u, v, open_profile=True)
-        t = np.linspace(0.0, curve.length, _LEAF_SAMPLES)
-        R = scalar_doubly_warped(metric, t)
+        R = _closed_form_from_jets([p, q], inner, ends, cf, _scalar)
         i = int(np.argmin(R))
         if not R[i] > 0:
             raise CertificationFailedError(
                 f"leaf nu = {nu} loses scalar positivity",
                 best_margin=float(R[i]))
-        return profiles(curve), float(R[i]), float(t[i])
+        return float(R[i]), float(t[i])
 
     results = pmap(leaf, list(zip(nu_grid, curves)))
-    minima = [m for _, m, _ in results]
+    minima = [m for m, _ in results]
     j = int(np.argmin(minima))
-    family = FoliationFamily(nu_grid, curves, tau,
-                             leaves=[uv for uv, _, _ in results])
+    family = FoliationFamily(
+        nu_grid, curves, tau,
+        leaves=[(CompositeProfile(f_eps, _CurveCoordinate(curve, 0)),
+                 CompositeProfile(f_del, _CurveCoordinate(curve, 1)))
+                for curve in curves])
     cert = IsotopyCertificate(
         grid=f"{len(nu_grid)} leaves x {_LEAF_SAMPLES} samples",
         min_scalar=minima[j],
         label="connected-sum foliation",
         extra={"per_leaf_min": minima, "argmin_nu": nu_grid[j],
-               "argmin_t": results[j][2]})
+               "argmin_t": results[j][1]})
     return family, cert

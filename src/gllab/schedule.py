@@ -29,7 +29,7 @@ import numpy as np
 
 from .certify import IsotopyCertificate, pmap, write_csv
 from .curvature import (DoublyWarpedMetric, WarpedSphereMetric,
-                        scalar_doubly_warped, scalar_warped)
+                        _family_scalar, scalar_doubly_warped, scalar_warped)
 from .errors import (CertificationFailedError, CompilationFailedError,
                      DemoFailedError, HypothesisViolationError,
                      InvalidSpecError, InvalidWindowError)
@@ -177,21 +177,37 @@ def _mixed_torpedo_profiles(eps, delta, b):
 
 
 def _homotopy_certificate(metric_at, scalar, t):
-    """Min of ``scalar(metric_at(lambda), t)`` over 11 lambdas in [0, 1]."""
-    mins = pmap(lambda lam: float(np.min(scalar(metric_at(lam), t))),
-                np.linspace(0.0, 1.0, 11))
+    """Min of ``scalar(metric_at(lambda), t)`` over 11 lambdas in [0, 1].
+
+    The certificate's ``extra`` says where the minimum sits: the first
+    lambda and, at that lambda, the first t attaining it (``argmin_lambda``,
+    ``argmin_t``); a NaN sample is the minimum.
+    """
+    lams = np.linspace(0.0, 1.0, 11)
+
+    def least(lam):
+        R = scalar(metric_at(lam), t)
+        j = int(np.argmin(R))
+        return float(R[j]), j
+
+    mins = pmap(least, lams)
+    i = int(np.argmin([m for m, _ in mins]))
     return IsotopyCertificate(
         grid=f"11 x {t.size} (lambda, t) interior grid",
-        min_scalar=float(np.min(mins)), label="profile homotopy")
+        min_scalar=mins[i][0], label="profile homotopy",
+        extra={"argmin_lambda": float(lams[i]),
+               "argmin_t": float(t[mins[i][1]])})
 
 
 def _certify_homotopy(p, q, u0, v0, u1, v1):
-    """The linear homotopy of doubly warped profiles (u0, v0) -> (u1, v1)."""
+    """The linear homotopy of doubly warped profiles (u0, v0) -> (u1, v1),
+    each end profile evaluated once for every lambda (``_family_scalar``)."""
+    t = sample_grid(u0.b, 256, interior=True)
     return _homotopy_certificate(
         lambda lam: DoublyWarpedMetric(p, q, linear_homotopy(u0, u1, lam),
                                        linear_homotopy(v0, v1, lam),
                                        open_profile=True),
-        scalar_doubly_warped, sample_grid(u0.b, 256, interior=True))
+        _family_scalar(t, u0.b), t)
 
 
 # values of delta, halved from 0.5, that _standardize_search tries
@@ -501,12 +517,14 @@ def two_surgery_demo(n, p, radius=1.0):
     bend2 = _handle_attach(attach.certificate, q - 1)
     push("surgery-2", bend2.certificate)
 
-    # stage 5: linear homotopy of the profile to a torpedo form
+    # stage 5: linear homotopy of the profile to a torpedo form, each end
+    # profile evaluated once for every lambda
     tor = make_double_torpedo(delta, g_round.b)
+    t5 = sample_grid(g_round.b, 256, interior=True)
     push("f-to-torpedo", _homotopy_certificate(
         lambda lam: WarpedSphereMetric(
             n, linear_homotopy(g_round.f, tor, lam), open_profile=True),
-        scalar_warped, sample_grid(g_round.b, 256, interior=True)))
+        _family_scalar(t5, g_round.b), t5))
 
     # stage 6: connected-sum foliation isotopy (caps small enough that the
     # corner bend clears the delta*pi/2 lines)

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-import gllab.curvature as curvature
+import gllab.fnspace as fnspace
 import gllab.hypersurface as hyp
 from gllab.curvature import DoublyWarpedMetric, scalar_doubly_warped
 from gllab.errors import (CertificationFailedError, DomainMismatchError,
@@ -185,20 +185,20 @@ class TestFoliation:
             assert check_V_membership(v).passed
 
     def test_membership_checked_once_per_leaf(self, monkeypatch):
+        # every membership report, the leaf's own or a check_*'s, is one
+        # _membership_report call
         calls = []
-        for mod in (hyp, curvature):
-            for name in ("check_U_membership", "check_V_membership"):
-                def counted(f, _check=getattr(mod, name), _name=name):
-                    calls.append(_name)
-                    return _check(f)
-                monkeypatch.setattr(mod, name, counted)
+        for mod in (hyp, fnspace):
+            def counted(jet, space, b, _report=mod._membership_report):
+                calls.append(space)
+                return _report(jet, space, b)
+            monkeypatch.setattr(mod, "_membership_report", counted)
         corner = quarter_bend_curve(1.0, 1.0, 0.4, eps=0.25, delta=0.25)
         family, _ = connected_sum_foliation(
             corner, tau=0.05, nu_grid=[0.0, 0.5, 1.0], eps=0.25,
             delta_p=0.25, p=2, q=4)
         assert len(family.leaves) == 3
-        assert sorted(calls) == ["check_U_membership"] * 3 \
-            + ["check_V_membership"] * 3
+        assert sorted(calls) == ["U"] * 3 + ["V"] * 3
 
     def test_negative_tau_rejected(self):
         corner = quarter_bend_curve(1.0, 1.0, 0.4, eps=0.25, delta=0.25)
@@ -212,6 +212,27 @@ class TestFoliation:
         with pytest.raises(InvalidSpecError, match="nu_grid"):
             connected_sum_foliation(corner, tau=0.05, nu_grid=[],
                                     eps=0.25, delta_p=0.25)
+
+    @pytest.mark.parametrize("nu_grid, match", [
+        (np.linspace(0, 1, 6).reshape(2, 3), "one-dimensional"),
+        (0.5, "one-dimensional"),
+        ([0.0, [0.5, 1.0]], "numbers"),
+        (["a"], "numbers")], ids=["2-D", "scalar", "ragged", "string"])
+    def test_malformed_nu_grid_raises_typed(self, nu_grid, match):
+        corner = quarter_bend_curve(1.0, 1.0, 0.4, eps=0.25, delta=0.25)
+        with pytest.raises(InvalidSpecError, match=match):
+            connected_sum_foliation(corner, tau=0.05, nu_grid=nu_grid,
+                                    eps=0.25, delta_p=0.25)
+
+    @pytest.mark.parametrize("p, q", [(2.5, 3.5), (np.nan, 4), (2, 4.0),
+                                      (True, 4), (2, "4")])
+    def test_non_integer_fiber_dimension_raises_typed(self, p, q):
+        # no S^2.5 fiber: a non-integer dimension is an input error, not a
+        # passing (or failing) certificate
+        corner = quarter_bend_curve(1.0, 1.0, 0.4, eps=0.25, delta=0.25)
+        with pytest.raises(InvalidSpecError, match="must be an integer"):
+            connected_sum_foliation(corner, tau=0.05, nu_grid=[0.0, 1.0],
+                                    eps=0.25, delta_p=0.25, p=p, q=q)
 
     def test_corner_must_be_a_curve(self):
         with pytest.raises(InvalidSpecError, match="Curve2D"):
@@ -242,11 +263,12 @@ class TestFoliation:
         assert R.min() == cert.min_scalar
 
     def test_nan_sample_fails_the_leaf(self, monkeypatch):
-        def spoiled(m, t):
-            R = scalar_doubly_warped(m, t)
+        # the leaf's scalar curvature is _closed_form_from_jets'
+        def spoiled(*args, _closed_form=hyp._closed_form_from_jets):
+            R = _closed_form(*args)
             R[len(R) // 2] = np.nan
             return R
-        monkeypatch.setattr(hyp, "scalar_doubly_warped", spoiled)
+        monkeypatch.setattr(hyp, "_closed_form_from_jets", spoiled)
         corner = quarter_bend_curve(1.0, 1.0, 0.4, eps=0.25, delta=0.25)
         with pytest.raises(CertificationFailedError, match="positivity"):
             connected_sum_foliation(corner, tau=0.05, nu_grid=[0.0, 1.0],
@@ -254,9 +276,9 @@ class TestFoliation:
 
 
 class TestLeafEvaluation:
-    """Each leaf check reads its curve once, shared by u and v."""
+    """Each leaf is certified from one curve jet and one jet per torpedo."""
 
-    def test_leaf_reads_its_curve_at_most_twice(self, monkeypatch):
+    def test_leaf_reads_its_curve_once(self, monkeypatch):
         corner = quarter_bend_curve(1.0, 1.0, 0.4, eps=0.25, delta=0.25)
         calls = {"jet": 0, "eval": 0}
         for name in calls:
@@ -268,9 +290,56 @@ class TestLeafEvaluation:
         nu_grid = [0.0, 0.3, 0.5, 0.8, 1.0]
         connected_sum_foliation(corner, tau=0.05, nu_grid=nu_grid, eps=0.25,
                                 delta_p=0.25, p=2, q=4)
-        # two jets in the checks, and no evaluation anywhere
-        assert calls["jet"] <= 2 * len(nu_grid)
+        # one jet per leaf, and no evaluation anywhere
+        assert calls["jet"] == len(nu_grid)
         assert calls["eval"] == 0
+
+    def test_family_takes_one_jet_per_leaf_curve_and_torpedo(
+            self, monkeypatch):
+        corner = quarter_bend_curve(1.0, 1.0, 0.4, eps=0.25, delta=0.25)
+        calls = {Curve2D: 0, SmoothFn1D: 0}
+        for cls in calls:
+            def counted(self, *args, _orig=cls.jet, _cls=cls, **kw):
+                calls[_cls] += 1
+                return _orig(self, *args, **kw)
+            monkeypatch.setattr(cls, "jet", counted)
+        connected_sum_foliation(corner, tau=0.05,
+                                nu_grid=np.linspace(0.0, 1.0, 21), eps=0.25,
+                                delta_p=0.25, p=2, q=4)
+        # per leaf: one curve jet, one jet per torpedo; make_torpedo's own
+        # verification grid takes one more per torpedo
+        assert calls[Curve2D] == 21
+        assert calls[SmoothFn1D] <= 2 * 21 + 2
+
+    def test_leaf_minima_match_the_profile_checks(self, family_cert):
+        # the family's own CompositeProfile leaves, checked one profile at
+        # a time, give the certificate's minima bit for bit
+        family, cert = family_cert
+        for (u, v), curve, mn in zip(family.leaves, family.curves,
+                                     cert.extra["per_leaf_min"]):
+            assert check_U_membership(u).passed
+            assert check_V_membership(v).passed
+            m = DoublyWarpedMetric(2, 4, u, v, open_profile=True)
+            t = np.linspace(0.0, curve.length, hyp._LEAF_SAMPLES)
+            assert float(np.min(scalar_doubly_warped(m, t))) == mn
+
+    def test_leaf_reports_match_the_profile_checks(self, monkeypatch):
+        reports = []
+
+        def kept(jet, space, b, _report=hyp._membership_report):
+            reports.append(_report(jet, space, b))
+            return reports[-1]
+        monkeypatch.setattr(hyp, "_membership_report", kept)
+        corner = quarter_bend_curve(1.0, 1.0, 0.4, eps=0.25, delta=0.25)
+        family, _ = connected_sum_foliation(
+            corner, tau=0.05, nu_grid=[0.0, 0.3, 0.5, 0.8, 1.0], eps=0.25,
+            delta_p=0.25, p=2, q=4)
+        want = [check(f) for u, v in family.leaves
+                for check, f in ((check_U_membership, u),
+                                 (check_V_membership, v))]
+        assert [r.space for r in reports] == [r.space for r in want]
+        assert [r.conditions for r in reports] == \
+            [r.conditions for r in want]
 
     @pytest.mark.parametrize("leaf", [0, 5, 12, 20])
     def test_leaf_checks_match_one_point_end_jets(self, family_cert, leaf,
@@ -299,29 +368,3 @@ class TestLeafEvaluation:
                 want = (f[3] * x[1] ** 3 + 3.0 * f[2] * x[1] * x[2]
                         + f[1] * x[3])
                 assert np.array_equal(g.jet(ends, 3)[3], want)
-
-    def test_shared_curve_jet_is_read_only(self):
-        rec = hyp._LastCurveJet(hyp._corner_curve(0.2, 0.4))
-        s = np.linspace(0.0, rec.length, 9)
-        for d in rec.jet(s, 3) + hyp._CurveCoordinate(rec, 1).jet(s, 3):
-            with pytest.raises(ValueError, match="read-only"):
-                d[0] = 1.0
-
-    def test_shared_curve_jet_only_for_same_points_and_order(self):
-        curve = hyp._corner_curve(0.2, 0.4)
-        rec = hyp._LastCurveJet(curve)
-        calls = []
-
-        def counted(s, k=2):
-            calls.append(k)
-            return Curve2D.jet(curve, s, k)
-        curve.jet = counted
-        s = np.linspace(0.0, curve.length, 17)
-        for pts, k, n_calls in ((s, 2, 1), (s.copy(), 1, 1), (s, 3, 2),
-                                (s, 2, 2), (s[:-1], 2, 3), (s + 1e-12, 2, 4),
-                                (s + 1e-12, 3, 5), (0.5, 3, 6), (0.5, 3, 6)):
-            got = rec.jet(pts, k)
-            assert len(calls) == n_calls
-            assert len(got) == k + 1
-            for d, want in zip(got, Curve2D.jet(curve, pts, k)):
-                assert np.array_equal(d, want)

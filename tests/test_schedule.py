@@ -8,11 +8,12 @@ import pytest
 
 from gllab import schedule
 from gllab.certify import IsotopyCertificate
-from gllab.curvature import WarpedSphereMetric
+from gllab.curvature import (DoublyWarpedMetric, WarpedSphereMetric,
+                             scalar_doubly_warped)
 from gllab.errors import (CertificationFailedError, CompilationFailedError,
                           DemoFailedError, HypothesisViolationError,
                           InvalidSpecError, InvalidWindowError)
-from gllab.fnspace import SinePiece, SmoothFn1D
+from gllab.fnspace import SinePiece, SmoothFn1D, linear_homotopy, sample_grid
 from gllab.morsealg import CriticalPoint, MorseDescription
 from gllab.schedule import (DemoReport, compile_gl_cobordism,
                             compile_reverse, round_doubly_warped,
@@ -149,6 +150,42 @@ class TestCompile:
             np.linspace(0.0, 1.0, 5))
         assert np.isnan(cert.min_scalar)
         assert not cert.passed
+
+    def test_homotopy_certificate_says_where_its_minimum_is(self):
+        # ties go to the first lambda, then to the first t
+        R = {0.3: [5.0, 1.0, 1.0], 0.7: [1.0, 2.0, 3.0]}
+        cert = schedule._homotopy_certificate(
+            lambda lam: round(float(lam), 12),
+            lambda lam, t: np.array(R.get(lam, [9.0, 9.0, 9.0])),
+            np.array([0.1, 0.2, 0.3]))
+        assert cert.min_scalar == 1.0
+        assert cert.extra == {"argmin_lambda": np.linspace(0, 1, 11)[3],
+                              "argmin_t": 0.2}
+
+    def test_homotopy_evaluates_each_end_profile_once(self, counted):
+        g = round_doubly_warped(2, 4)
+        ends = [counted(f) for f in
+                (g.u, g.v, *schedule._mixed_torpedo_profiles(0.25, 0.25, g.b))]
+        cert = schedule._certify_homotopy(2, 4, *ends)
+        assert cert.passed
+        assert [f.orders for f in ends] == [[2]] * 4
+
+    @pytest.mark.parametrize("p, q, delta", [(2, 4, 0.25), (1, 5, 0.125),
+                                             (3, 3, 0.5)])
+    def test_homotopy_matches_the_per_lambda_path(self, p, q, delta):
+        # the certificate of the shared end jets is, bit for bit, the one
+        # of evaluating each lambda's LinearCombination profiles
+        g = round_doubly_warped(p, q)
+        u1, v1 = schedule._mixed_torpedo_profiles(delta, delta, g.b)
+        t = sample_grid(g.b, 256, interior=True)
+        lams = np.linspace(0.0, 1.0, 11)
+        R = np.array([scalar_doubly_warped(DoublyWarpedMetric(
+            p, q, linear_homotopy(g.u, u1, lam), linear_homotopy(g.v, v1, lam),
+            open_profile=True), t) for lam in lams])
+        i, j = np.unravel_index(np.argmin(R), R.shape)
+        cert = schedule._certify_homotopy(p, q, g.u, g.v, u1, v1)
+        assert cert.min_scalar == R.min()
+        assert cert.extra == {"argmin_lambda": lams[i], "argmin_t": t[j]}
 
     def test_schedule_json(self, g0):
         s = compile_gl_cobordism(g0, one_point_desc())
@@ -305,6 +342,11 @@ class TestDemo:
         ids = [s["id"] for s in rep.stages]
         assert ids == ["round", "standardize", "surgery-1", "surgery-2",
                        "f-to-torpedo", "foliation", "mtor-endpoint"]
+        for st in rep.stages:
+            if st["id"] in ("standardize", "f-to-torpedo"):
+                ex = st["certificate"].extra
+                assert sorted(ex) == ["argmin_lambda", "argmin_t"]
+                assert 0.0 <= ex["argmin_lambda"] <= 1.0
         start, end = rep.endpoints
         assert start.kind == "warped"
         assert end.kind == "post-surgery"
