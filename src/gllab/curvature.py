@@ -172,8 +172,8 @@ class CylFamilyMetric:
     phi: Phi2D
 
     def __post_init__(self):
-        if self.qtilde < 1:
-            raise InvalidSpecError("fiber sphere dimension must be >= 1")
+        _check_dims(1, "fiber sphere dimension must be >= 1",
+                    qtilde=self.qtilde)
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,19 @@ back to horizontal), and finishes in a cap/tube ("torpedo") tail meeting the
 t-axis.  Rotating the ambient product metric around it produces the surgery
 metric; positivity of the induced scalar curvature reduces to a pointwise
 inequality along the curve relating its curvature k, its height r, and the
-angle theta of the outward normal against the horizontal.  It is sampled
-by ``_cureqn_samples`` and certified by ``_least_margin``: a NaN fails.
+angle theta of the outward normal against the horizontal.  Its margin is
+taken by ``check_cureqn``, and the least sampled margin is certified: a NaN
+sample is the least and fails, and a concave-down sample (+inf) is the
+least only if every sample is.
+
+The geometry of a bend depends only on its scales and its bend angle, not
+on the constants of the inequality.  So the prefix with its bump samples
+for each (r1, theta0), the transition shape for each (r0, theta0) and the
+curve glued from each prefix and transition are kept in small LRU memos
+(``_MEMO_SIZE`` entries each), a curve keeps its own arc-length samples,
+and all of them are shared by every call with the same key; the margin,
+and every check of a build, is taken again on each call against its own
+constants.
 
 The inequality ledger is, from strongest to weakest assumption:
 
@@ -25,12 +36,14 @@ sin(theta) = 1/sqrt(1 + f'^2).
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .certify import IsotopyCertificate, write_csv
+from .curvature import _check_dims
 from .errors import (AssemblyError, ConstructionFailedError, InvalidBendError,
                      InvalidSpecError, InversionError, NoFeasibleBendError,
                      OutOfRegimeError, TiltTooLargeError)
@@ -77,8 +90,7 @@ class BendConstants:
     q: int = 2
 
     def __post_init__(self):
-        if not self.q >= 2:
-            raise InvalidSpecError("q must be >= 2 (codimension >= 3)")
+        _check_dims(2, "q must be >= 2 (codimension >= 3)", q=self.q)
         if not all(0 <= x < np.inf for x in (self.R0, self.C, self.Cp)):
             raise InvalidSpecError("R0, C, Cp must be nonnegative and finite")
 
@@ -130,21 +142,37 @@ def _normal_angle(tan):
     return np.arctan2(tan[..., 0], -tan[..., 1])
 
 
-def _cureqn_samples(consts, curve, s, closing_tip=False):
-    """(P, k, theta, margin) at arc lengths s of a curve or segment; a
-    ``closing_tip`` sample (r, k ~ 0, concave down) gets margin +inf."""
-    pt, tan, k = curve.eval(s)
-    theta = _normal_angle(tan)
-    n = s.size - 1 if closing_tip else s.size
-    margin = np.full(s.size, np.inf)
-    margin[:n] = check_cureqn(consts, k[:n], pt[:n, 1], theta[:n])
-    return pt, k, theta, margin
+# entries kept by each geometry memo, least recently used dropped first
+_MEMO_SIZE = 2
 
 
-def _least_margin(margin):
-    """Least margin, skipping only the +inf of concave-down samples."""
-    rest = margin[margin != np.inf]
-    return float(rest.min()) if rest.size else np.inf
+class _Memo:
+    """``build`` memoized on its arguments, types included, keeping at most
+    ``_MEMO_SIZE`` results.  Arguments without a value equality (curves,
+    profiles) are keys by identity, held by the memo while it keeps them.
+    A miss drops the least recently used results before it builds, so no
+    build runs beside a full memo."""
+
+    def __init__(self, build):
+        self.build = build
+        self.entries = OrderedDict()
+
+    def __call__(self, *args):
+        key = args + tuple(type(a) for a in args)
+        if key in self.entries:
+            self.entries.move_to_end(key)
+            return self.entries[key]
+        while len(self.entries) >= _MEMO_SIZE:
+            self.entries.popitem(last=False)
+        self.entries[key] = value = self.build(*args)
+        return value
+
+
+def _frozen(*arrays):
+    """Mark memoized arrays read-only, so no caller can change a memo."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
 
 
 def _graph_margin(jet):
@@ -466,6 +494,10 @@ class GraphSeg:
         return (d3 - 3.0 * d1 * d2 ** 2 / sp2) / sp2 ** 2
 
 
+# points per Curve2D.eval call in Curve2D.arc_samples
+_SAMPLE_BLOCK = 2000
+
+
 class Curve2D:
     """Unit-speed piecewise curve in the (t, r) plane."""
 
@@ -476,6 +508,7 @@ class Curve2D:
         self.cum = np.concatenate(
             [[0.0], np.cumsum([seg.length for seg in self.segments])])
         self.length = float(self.cum[-1])
+        self._samples = None  # (n, the arrays of arc_samples(n))
 
     def _gather(self, s, part, tails):
         """``part(seg, local arc length)`` on each segment's share of s,
@@ -509,6 +542,20 @@ class Curve2D:
         if k < 3:
             return out
         return out + (dk[0][..., None] * nrm - (kap ** 2)[..., None] * tan,)
+
+    def arc_samples(self, n):
+        """(P, k, theta) at n equal arc-length steps, read-only, kept with
+        the curve for the last n asked.  The points are evaluated
+        ``_SAMPLE_BLOCK`` at a time, which bounds the temporaries."""
+        if self._samples is None or self._samples[0] != n:
+            s = np.linspace(0.0, self.length, n)
+            pt, k, theta = np.empty((n, 2)), np.empty(n), np.empty(n)
+            for i in range(0, n, _SAMPLE_BLOCK):
+                pt[i:i + _SAMPLE_BLOCK], tan, k[i:i + _SAMPLE_BLOCK] = \
+                    self.eval(s[i:i + _SAMPLE_BLOCK])
+                theta[i:i + _SAMPLE_BLOCK] = _normal_angle(tan)
+            self._samples = (n, _frozen(pt, k, theta))
+        return self._samples[1]
 
     def point(self, s):
         return self.eval(s)[0]
@@ -588,17 +635,32 @@ class BendProfile:
             raise AssemblyError(f"curve must end at (t_bar, 0), got {end}")
 
     def margins(self, n_samples=10000):
-        """(s, t, r, k, theta, margin) arrays along the curve."""
+        """(s, t, r, k, theta, margin) arrays along the curve.
+
+        t, r, k and theta are read-only views of the curve's own samples
+        (``Curve2D.arc_samples``); the closing sample at the cap tip (r,
+        k ~ 0, concave down) gets margin +inf.
+        """
+        if not n_samples >= 2:
+            raise InvalidSpecError(
+                f"need at least 2 arc-length samples, got {n_samples}")
         s = np.linspace(0.0, self.curve.length, n_samples)
-        pt, k, theta, margin = _cureqn_samples(self.consts, self.curve, s,
-                                               closing_tip=True)
+        pt, k, theta = self.curve.arc_samples(n_samples)
+        margin = np.full(n_samples, np.inf)
+        margin[:-1] = check_cureqn(self.consts, k[:-1], pt[:-1, 1],
+                                   theta[:-1])
         return s, pt[:, 0], pt[:, 1], k, theta, margin
 
     def certify(self, n_samples=10000):
+        """Certificate of the curve inequality under ``consts``; its
+        ``extra`` says where the minimum sits: the first sample attaining it
+        (``argmin_s``, ``argmin_t``), a NaN sample being the minimum."""
+        s, t, _r, _k, _theta, margin = self.margins(n_samples)
+        i = int(np.argmin(margin))
         self.certificate = IsotopyCertificate(
             grid=f"{n_samples} arc-length samples",
-            min_scalar=_least_margin(self.margins(n_samples)[-1]),
-            label="curve inequality")
+            min_scalar=float(margin[i]), label="curve inequality",
+            extra={"argmin_s": float(s[i]), "argmin_t": float(t[i])})
         return self.certificate
 
 
@@ -616,6 +678,17 @@ def write_bend_csv(profile, path_or_buf, n_samples=2048):
 _BEND_HALVINGS = 40
 
 
+@_Memo
+def _bump_geometry(r1, theta0):
+    """(prefix curve, k_max, r, k, theta) of the bend to angle theta0 at
+    scale r1, with (r, k, theta) at 2001 arc-length samples of its bump."""
+    k_max = 4.0 * theta0 / r1
+    bump = BumpSeg((0.0, r1), 0.0, k_max, r1 / 2.0)
+    pt, tan, k = bump.eval(np.linspace(0.0, bump.length, 2001))
+    prefix = Curve2D([LineSeg((0.0, 1.25 * r1), (0.0, r1)), bump])
+    return (prefix, k_max, *_frozen(pt[:, 1], k, _normal_angle(tan)))
+
+
 def initial_bend(consts, r1):
     """Bend the vertical line to a small angle theta0 with a curvature bump.
 
@@ -624,10 +697,15 @@ def initial_bend(consts, r1):
     length r1/2 and integral k_max r1/4 = theta0.  theta0 starts at the
     largest value allowed by the arcsin(sqrt(R0/C)) bound and
     tan^2(theta0) < 1/4, and is halved until the curve inequality holds with
-    positive margin along the bump (2001 samples, ``_least_margin``).
+    positive margin along the bump (2001 samples; a NaN fails).
     Returns (prefix curve, theta0, k_max).  An exhausted search raises
     NoFeasibleBendError whose ``best_margin`` is the largest finite sampled
     minimum it reached (None if none was finite).
+
+    The prefix curve and the bump samples of each (r1, theta0) are built
+    once (``_bump_geometry``); only the margin under ``consts`` is taken on
+    every call.  The returned curve is shared by every call with the same
+    (r1, theta0) and must not be mutated.
     """
     if consts.R0 <= 0:
         raise NoFeasibleBendError(
@@ -641,13 +719,9 @@ def initial_bend(consts, r1):
     theta0 = cap
     best = None
     for _ in range(_BEND_HALVINGS):
-        k_max = 4.0 * theta0 / r1
-        bump = BumpSeg((0.0, r1), 0.0, k_max, r1 / 2.0)
-        pt, _, _, margin = _cureqn_samples(
-            consts, bump, np.linspace(0.0, bump.length, 2001))
-        least = _least_margin(margin)
-        if pt[:, 1].min() > 0 and least > 0:
-            prefix = Curve2D([LineSeg((0.0, 1.25 * r1), (0.0, r1)), bump])
+        prefix, k_max, r, k, theta = _bump_geometry(float(r1), theta0)
+        least = float(np.min(check_cureqn(consts, k, r, theta)))
+        if r.min() > 0 and least > 0:
             return prefix, theta0, k_max
         if np.isfinite(least):
             best = least if best is None else max(best, least)
@@ -661,8 +735,12 @@ def initial_bend(consts, r1):
 # the transition function
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class TransitionParams:
+    """Parameters of the three-piece transition graph (``synth_transition``);
+    frozen, since one instance is shared by every call with its (r0,
+    theta0)."""
+
     r0: float
     m0: float
     delta0: float
@@ -730,12 +808,23 @@ def synth_transition(consts, r0, theta0):
     Returns (TransitionParams, SmoothFn1D on (0, t_inf)).  An exhausted
     search raises ConstructionFailedError whose ``best_margin`` is the
     largest finite graph-inequality margin it reached (None if none).
+
+    ``consts`` enters only the regime check r0 < ``r0_bound()``, made on
+    every call with the theta0 check.  The search itself runs once per
+    (r0, theta0) (``_transition_shape``): the returned pair is shared by
+    every call with the same key and must not be mutated.
     """
     bound = consts.r0_bound()
     if not 0 < r0 < bound:
         raise OutOfRegimeError(f"need r0 in (0, {bound:.6g}), got {r0}")
     if not 0 < theta0 < np.pi / 2:
         raise InvalidSpecError("theta0 must lie in (0, pi/2)")
+    return _transition_shape(float(r0), float(theta0))
+
+
+@_Memo
+def _transition_shape(r0, theta0):
+    """The (delta0, delta_inf) search of ``synth_transition``."""
     m0 = -1.0 / np.tan(theta0)
     delta0 = 0.5 * r0
     last_err = None
@@ -805,48 +894,64 @@ def assemble_gamma(consts, prefix, transition):
     ``consts``; ``transition`` the (params, f) output of synth_transition for
     the same theta0; the tail is ``default_tail_spec(params)``.  Returns a
     BendProfile certified on 10000 arc-length samples.
+
+    The curve is glued once per prefix curve and transition
+    (``_glued_curve``) and is shared, with its arc-length samples, by every
+    profile built from them; it must not be mutated.  The bump, junction,
+    landmark and certificate checks run on every call.
     """
     curve_prefix, theta0, _k_max = prefix
     params, f = transition
     bump = curve_prefix.segments[-1]
     if not isinstance(bump, BumpSeg):
         raise AssemblyError("prefix must end in a curvature bump")
-    p1 = bump.end
-    t1p, r1p = float(p1[0]), float(p1[1])
-    r1 = float(curve_prefix.segments[0].p1[1])
-    r_bar = float(curve_prefix.segments[0].p0[1])
-    r0 = params.r0
-    if r1p <= r0:
+    r1p = float(bump.end[1])
+    if r1p <= params.r0:
         raise AssemblyError(
-            f"bump already below r0: r1' = {r1p:.6g} <= r0 = {r0:.6g}")
-    # straight stretch of angle theta0 down to the r0 level
-    t0_global = t1p + (r1p - r0) * np.tan(theta0)
-    line = LineSeg(p1, (t0_global, r0))
+            f"bump already below r0: r1' = {r1p:.6g} <= r0 = {params.r0:.6g}")
     if abs(float(bump.theta(bump.length)) - theta0) > 1e-9:
         raise AssemblyError("bump exit angle does not match theta0")
-    # transition graph shifted to start at t0_global
-    trans_seg = GraphSeg(f, t_offset=t0_global)
-    t_inf_global = t0_global + params.tinf
-    r_inf = params.r_inf
-    tail_prof = make_torpedo(default_tail_spec(params))
-    tail_seg = GraphSeg(reflect(tail_prof), t_offset=t_inf_global)
-    t_bar = t_inf_global + tail_prof.b
-    curve = Curve2D(list(curve_prefix.segments) + [line, trans_seg, tail_seg])
+    curve, landmarks = _glued_curve(curve_prefix, float(theta0), params, f)
     residual = curve.junction_residual()
     if not residual <= _JUNCTION_TOL:
         raise AssemblyError(
             f"segment junction residual {residual:.3e} exceeds "
             f"{_JUNCTION_TOL}")
-    landmarks = {"r_bar": r_bar, "r1": r1, "r1p": r1p, "r0": r0,
-                 "r_inf": r_inf, "t1p": t1p, "t0": t0_global,
-                 "t_inf": t_inf_global, "t_bar": t_bar}
-    profile = BendProfile(curve, consts, theta0, landmarks)
+    profile = BendProfile(curve, consts, theta0, dict(landmarks))
     cert = profile.certify()
     if not cert.passed:
         raise AssemblyError(
             f"assembled curve fails the inequality: min margin "
             f"{cert.min_scalar:.3e}")
     return profile
+
+
+@_Memo
+def _glued_curve(curve_prefix, theta0, params, f):
+    """(curve, landmarks) of ``assemble_gamma``: the prefix, the straight
+    stretch of angle theta0 down to r0, the transition graph and the tail."""
+    bump = curve_prefix.segments[-1]
+    p1 = bump.end
+    t1p, r1p = float(p1[0]), float(p1[1])
+    r0 = params.r0
+    t0_global = t1p + (r1p - r0) * np.tan(theta0)
+    line = LineSeg(p1, (t0_global, r0))
+    # transition graph shifted to start at t0_global
+    trans_seg = GraphSeg(f, t_offset=t0_global)
+    t_inf_global = t0_global + params.tinf
+    tail_prof = make_torpedo(default_tail_spec(params))
+    tail_seg = GraphSeg(reflect(tail_prof), t_offset=t_inf_global)
+    curve = Curve2D(list(curve_prefix.segments) + [line, trans_seg, tail_seg])
+    landmarks = {"r_bar": float(curve_prefix.segments[0].p0[1]),
+                 "r1": float(curve_prefix.segments[0].p1[1]), "r1p": r1p,
+                 "r0": r0, "r_inf": params.r_inf, "t1p": t1p,
+                 "t0": t0_global, "t_inf": t_inf_global,
+                 "t_bar": t_inf_global + tail_prof.b}
+    return curve, landmarks
+
+
+# every geometry memo, for a caller that must start from empty ones
+_MEMOS = (_bump_geometry, _transition_shape, _glued_curve)
 
 
 # ---------------------------------------------------------------------------

@@ -84,12 +84,10 @@ class ModelAmbient:
     epsilon: float
 
     def __post_init__(self):
-        if self.q < 2:
-            raise InvalidSpecError("q must be >= 2 (codimension >= 3)")
-        if self.p < 0:
-            raise InvalidSpecError("p must be nonnegative")
-        if self.epsilon <= 0:
-            raise InvalidSpecError("epsilon must be positive")
+        _check_dims(2, "q must be >= 2 (codimension >= 3)", q=self.q)
+        _check_dims(0, "p must be nonnegative", p=self.p)
+        if not 0 < self.epsilon < np.inf:
+            raise InvalidSpecError("epsilon must be positive and finite")
 
     @property
     def n(self):

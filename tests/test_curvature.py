@@ -239,6 +239,15 @@ class TestFamilyScalar:
 
 
 class TestCylFamily:
+    @pytest.mark.parametrize("qtilde", [1.5, 4.0, np.nan, True, "4"])
+    def test_non_integer_fiber_dimension_raises_typed(self, qtilde):
+        with pytest.raises(InvalidSpecError, match="must be an integer"):
+            CylFamilyMetric(qtilde, Phi2D.from_profile(round_profile(5)))
+
+    def test_fiber_dimension_below_one_raises(self):
+        with pytest.raises(InvalidSpecError, match=">= 1"):
+            CylFamilyMetric(np.int64(0), Phi2D.from_profile(round_profile(5)))
+
     def test_constant_family_matches_warped(self):
         f = round_profile(5)
         cyl = CylFamilyMetric(4, Phi2D.from_profile(f))

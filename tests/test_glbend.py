@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from gllab import glbend
+from gllab import glbend, schedule
+from gllab.certify import IsotopyCertificate
 from gllab.errors import (AssemblyError, ConstructionFailedError,
                           InvalidBendError, InvalidSpecError, InversionError,
                           NoFeasibleBendError)
@@ -30,6 +31,11 @@ class TestInequalityLedger:
     def test_constants_must_be_finite(self, kw):
         with pytest.raises(InvalidSpecError, match="finite"):
             BendConstants(**kw)
+
+    @pytest.mark.parametrize("q", [2.5, 3.0, np.nan, True, "3"])
+    def test_fiber_dimension_must_be_an_integer(self, q):
+        with pytest.raises(InvalidSpecError, match="must be an integer"):
+            BendConstants(R0=1.0, q=q)
 
     def test_rhs_pin(self):
         # frozen regression value, computed independently
@@ -236,6 +242,163 @@ class TestSynthesis:
         assert margin[-1] == np.inf
         assert profile.certificate.min_scalar == \
             profile.margins()[5][:-1].min()
+
+
+def _bend(consts, r1=0.5, r0=0.2):
+    prefix = initial_bend(consts, r1=r1)
+    return assemble_gamma(consts, prefix, synth_transition(
+        consts, r0=r0, theta0=prefix[1]))
+
+
+# the cap 0.99 arctan(1/2) of theta0, and bends that reach it or its half
+CAP = 0.99 * np.arctan(0.5)
+AT_CAP = [BendConstants(R0=2.0, q=3), BendConstants(R0=1.2, q=4),
+          BendConstants(R0=1.0, q=5, C=0.5, Cp=0.5)]
+HALVED = [BendConstants(R0=1.5, q=3), BendConstants(R0=1.0, q=2),
+          BendConstants(R0=0.8, q=3, C=0.25)]
+
+
+class TestGeometryMemo:
+    """Each (r1, r0, theta0) is built once; the constants enter only the
+    margins, taken again on every call."""
+
+    def test_memos_stay_within_their_bound(self, monkeypatch):
+        # a miss drops the least recently used entries before it builds
+        held = {memo: [] for memo in glbend._MEMOS}
+        for memo in glbend._MEMOS:
+            def counted(*args, _memo=memo, _build=memo.build):
+                held[_memo].append(len(_memo.entries))
+                return _build(*args)
+            monkeypatch.setattr(memo, "build", counted)
+        n = 2 * glbend._MEMO_SIZE + 1
+        for r1 in np.linspace(0.4, 0.6, n):
+            _bend(MODEL, r1=r1, r0=0.3 * r1)
+            for memo in glbend._MEMOS:
+                assert 0 < len(memo.entries) <= glbend._MEMO_SIZE
+        # every geometry was new: one transition search and one glued
+        # curve each, each built beside at most _MEMO_SIZE - 1 others
+        assert held[glbend._transition_shape] == \
+            held[glbend._glued_curve] == \
+            [min(i, glbend._MEMO_SIZE - 1) for i in range(n)]
+        assert max(held[glbend._bump_geometry]) == glbend._MEMO_SIZE - 1
+
+    def test_blocked_samples_match_one_evaluation(self):
+        curve = _bend(MODEL).curve
+        for n in (10000, 2048, 2 * glbend._SAMPLE_BLOCK + 1):
+            pt, tan, k = curve.eval(np.linspace(0.0, curve.length, n))
+            got = curve.arc_samples(n)
+            for a, b in zip(got, (pt, k, glbend._normal_angle(tan))):
+                assert np.array_equal(a, b)
+            assert curve.arc_samples(n) is got
+
+    def test_second_attach_with_the_same_angle_builds_nothing(
+            self, monkeypatch):
+        # R0 = 1.0 and 1.5 at q = 3 both settle on theta0 = CAP/2 after
+        # one halving, so the test at CAP is shared too
+        first = schedule._handle_attach(IsotopyCertificate("", 6.0), 3)
+        assert first.theta0 == 0.5 * CAP
+        built, evals = [], []
+        for cls in (BumpSeg, GraphSeg, glbend._HermiteTable):
+            def counted(self, *args, _init=cls.__init__, **kwargs):
+                built.append(type(self).__name__)
+                _init(self, *args, **kwargs)
+            monkeypatch.setattr(cls, "__init__", counted)
+        real_eval = Curve2D.eval
+
+        def counted_eval(self, s):
+            evals.append(np.size(s))
+            return real_eval(self, s)
+
+        monkeypatch.setattr(Curve2D, "eval", counted_eval)
+        second = schedule._handle_attach(IsotopyCertificate("", 9.0), 3)
+        assert second.theta0 == first.theta0
+        assert built == []
+        assert evals and max(evals) == 1
+        assert second.curve is first.curve
+        assert second.landmarks == first.landmarks
+        assert second.landmarks is not first.landmarks
+        # the certificate is the second attach's own
+        assert second.certificate is not first.certificate
+        assert second.certificate.min_scalar > first.certificate.min_scalar
+
+    def test_shared_geometry_certifies_like_a_fresh_build(self):
+        shared = [_bend(c) for c in AT_CAP + HALVED]
+        assert [b.theta0 for b in shared] == [CAP] * 3 + [0.5 * CAP] * 3
+        assert all(b.curve is shared[0].curve for b in shared[:3])
+        assert all(b.curve is shared[3].curve for b in shared[3:])
+        for consts, bend in zip(AT_CAP + HALVED, shared):
+            for memo in glbend._MEMOS:
+                memo.entries.clear()
+            fresh = _bend(consts)
+            assert fresh.curve is not bend.curve
+            assert fresh.certificate.to_json() == bend.certificate.to_json()
+            assert fresh.landmarks == bend.landmarks
+            for a, b in zip(fresh.margins(), bend.margins()):
+                assert np.array_equal(a, b)
+
+    def test_array_scales_share_the_float_geometry(self):
+        # a 0-d array is no memo key: the scales and angle enter as floats
+        bend = _bend(MODEL)
+        prefix = initial_bend(MODEL, r1=np.array(0.5))
+        trans = synth_transition(MODEL, r0=np.array(0.2),
+                                 theta0=np.array(prefix[1]))
+        again = assemble_gamma(MODEL, (prefix[0], np.array(prefix[1]),
+                                       prefix[2]), trans)
+        assert again.curve is bend.curve
+
+    def test_shared_samples_are_read_only(self):
+        bend = _bend(MODEL)
+        _s, t, r, k, theta, margin = bend.margins()
+        for shared in (t, r, k, theta):
+            with pytest.raises(ValueError, match="read-only"):
+                shared[0] = 1.0
+        margin[0] = 1.0  # each call's own
+        prefix, _theta0, _k_max = initial_bend(MODEL, r1=0.5)
+        params, _f = synth_transition(MODEL, r0=0.2, theta0=bend.theta0)
+        with pytest.raises(AttributeError):
+            params.r0 = 0.1
+        assert prefix is initial_bend(MODEL, r1=0.5)[0]
+
+
+class TestBendCertificate:
+
+    def test_says_where_its_minimum_sits(self):
+        bend = _bend(MODEL)
+        s, t, _r, _k, _theta, margin = bend.margins()
+        cert = bend.certificate
+        i = int(np.flatnonzero(s == cert.extra["argmin_s"])[0])
+        assert margin[i] == cert.min_scalar == margin.min()
+        assert cert.extra["argmin_t"] == t[i]
+        assert 0 < i < s.size - 1
+        assert cert.to_json()["extra"] == cert.extra
+
+    @pytest.mark.parametrize("tie", [True, False])
+    def test_first_minimum_wins_and_a_nan_is_the_minimum(self, monkeypatch,
+                                                          tie):
+        bend = _bend(MODEL)
+        s, t, *_, margin = bend.margins()
+        lo = int(np.argmin(margin))
+        # two samples tie with the minimum before it, or two turn NaN after
+        spoilt = [lo - 5, lo - 2] if tie else [lo + 7, lo + 3]
+        real = glbend.check_cureqn
+
+        def spoiled(*args):
+            out = np.array(real(*args), dtype=float)
+            out[spoilt] = margin[lo] if tie else np.nan
+            return out
+
+        monkeypatch.setattr(glbend, "check_cureqn", spoiled)
+        cert = bend.certify()
+        first = min(spoilt)
+        assert cert.extra == {"argmin_s": float(s[first]),
+                              "argmin_t": float(t[first])}
+        np.testing.assert_equal(cert.min_scalar,
+                                margin[lo] if tie else np.nan)
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_too_few_samples_raise_typed(self, n):
+        with pytest.raises(InvalidSpecError, match="at least 2"):
+            _bend(MODEL).certify(n)
 
 
 @pytest.fixture(scope="module")
@@ -510,8 +673,8 @@ def _quad_cumulative(dF, x, breaks=()):
 class TestArcLengthTables:
     """The Hermite tables against adaptive quad on assembled bends: the CLI
     default (R0 = 1, q = 2), the R0 = 1.5, q = 3 model (the same curve,
-    since theta0 sits at its cap in both) and a pool configuration with a
-    longer tail."""
+    since both settle on theta0 = CAP/2 after one halving) and a pool
+    configuration with a longer tail."""
 
     @pytest.mark.parametrize("R0, q, r1, r0", [(1.0, 2, 0.5, 0.2),
                                                (1.5, 3, 0.5, 0.2),

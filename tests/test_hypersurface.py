@@ -80,6 +80,22 @@ class TestGaussIdentity:
         amb = ModelAmbient(p=3, q=2, epsilon=0.5)
         assert np.isclose(amb.ambient_scalar(), 3 * 2 / 0.25)
 
+    @pytest.mark.parametrize("p, q", [(2.5, 3.5), (2.0, 3), (2, 3.0),
+                                      (np.nan, 3), (2, np.nan), (True, 3),
+                                      (2, "3")])
+    def test_non_integer_sphere_dimension_raises_typed(self, p, q):
+        with pytest.raises(InvalidSpecError, match="must be an integer"):
+            ModelAmbient(p=p, q=q, epsilon=0.3)
+
+    @pytest.mark.parametrize("eps", [np.nan, np.inf, 0.0, -0.3])
+    def test_epsilon_must_be_positive_and_finite(self, eps):
+        with pytest.raises(InvalidSpecError, match="epsilon"):
+            ModelAmbient(2, 3, epsilon=eps)
+
+    def test_numpy_integer_sphere_dimensions_accepted(self):
+        amb = ModelAmbient(np.int64(3), np.int32(2), 0.5)
+        assert amb.n == 6 and np.isclose(amb.ambient_scalar(), 24.0)
+
 
 class TestPullbackIdentity:
     @pytest.mark.parametrize("eps,delta,c1,c2,R", [

@@ -347,6 +347,10 @@ class TestDemo:
                 ex = st["certificate"].extra
                 assert sorted(ex) == ["argmin_lambda", "argmin_t"]
                 assert 0.0 <= ex["argmin_lambda"] <= 1.0
+            if st["id"] in ("surgery-1", "surgery-2"):
+                ex = st["certificate"].extra
+                assert sorted(ex) == ["argmin_s", "argmin_t"]
+                assert ex["argmin_s"] > 0.0 and ex["argmin_t"] >= 0.0
         start, end = rep.endpoints
         assert start.kind == "warped"
         assert end.kind == "post-surgery"
