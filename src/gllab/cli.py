@@ -49,8 +49,8 @@ EXIT_ALGEBRAIC = 4
 
 # a json.JSONDecodeError is a ValueError; anything unlisted is a failure (3)
 _INVALID = (E.InvalidSpecError, E.DomainMismatchError, E.OutOfRegimeError,
-            E.InvalidBendError, E.InvalidWindowError,
-            E.HypothesisViolationError, KeyError, ValueError)
+            E.InvalidBendError, E.HypothesisViolationError, KeyError,
+            ValueError)
 
 
 def _exit_code_for(exc):

@@ -27,10 +27,6 @@ class InvalidBendError(GLLabError):
     """Quarter-bend geometric constraints violated."""
 
 
-class InvalidWindowError(GLLabError):
-    """Smoothing-band parameters are not strictly ordered."""
-
-
 class HypothesisViolationError(GLLabError):
     """A declared hypothesis flag required for a cancellation step is missing."""
 

@@ -36,6 +36,7 @@ sin(theta) = 1/sqrt(1 + f'^2).
 
 from __future__ import annotations
 
+import numbers
 from collections import OrderedDict
 from dataclasses import dataclass
 
@@ -349,6 +350,8 @@ class LineSeg:
     def __init__(self, p0, p1):
         self.p0 = np.asarray(p0, dtype=float)
         self.p1 = np.asarray(p1, dtype=float)
+        if not np.isfinite([self.p0, self.p1]).all():
+            raise InvalidSpecError("line segment needs finite endpoints")
         d = self.p1 - self.p0
         self.length = float(np.linalg.norm(d))
         if self.length <= 0:
@@ -375,8 +378,9 @@ class ArcSeg:
         self.radius = float(radius)
         self.ang0 = float(ang0)
         self.ang1 = float(ang1)
-        if self.radius <= 0 or self.ang0 == self.ang1:
-            raise InvalidSpecError("degenerate arc")
+        if not (0 < self.radius < np.inf and self.ang0 != self.ang1
+                and np.isfinite([*self.center, self.ang0, self.ang1]).all()):
+            raise InvalidSpecError("degenerate or non-finite arc")
         self.length = self.radius * abs(self.ang1 - self.ang0)
         self.orient = 1.0 if self.ang1 > self.ang0 else -1.0
 
@@ -1134,8 +1138,12 @@ def final_isotopy(f, l_line, s_grid=None, n_t=201):
 
     ``l_line`` is the pair (r0, m0) of the line r0 + m0*t through the start
     of f.  Returns (list of h_s profiles, list of graph-inequality margins);
-    h_0 reproduces f and h_1 is the line exactly.
+    h_0 reproduces f and h_1 is the line exactly.  Each margin is the least
+    over the interior n_t - 2 of n_t points: n_t must be an integer >= 3.
     """
+    if isinstance(n_t, bool) or not isinstance(n_t, numbers.Integral) \
+            or n_t < 3:
+        raise InvalidSpecError(f"n_t must be an integer >= 3, got {n_t!r}")
     r0_line, m0 = (float(x) for x in l_line)
     if abs(r0_line - float(f(0.0))) > 1e-9:
         raise InvalidSpecError("line must pass through the start of f")

@@ -35,9 +35,9 @@ from .curvature import (DoublyWarpedMetric, _check_dims,
                         _closed_form_from_jets, _closed_form_points, _scalar)
 from .errors import (CertificationFailedError, DomainMismatchError,
                      InvalidBendError, InvalidSpecError)
-from .fnspace import (PolyPiece, SmoothFn1D, TorpedoSpec, _membership_points,
+from .fnspace import (ConstPiece, SmoothFn1D, TorpedoSpec, _membership_points,
                       _membership_report, _torpedo_on, make_torpedo, reflect)
-from .glbend import ArcSeg, BendProfile, Curve2D, LineSeg, quarter_bend_curve
+from .glbend import ArcSeg, BendProfile, Curve2D, quarter_bend_curve
 
 __all__ = [
     "ModelAmbient",
@@ -112,7 +112,7 @@ class _CurveCoordinate:
 
 
 def _const_profile(value, b):
-    return SmoothFn1D(b, [PolyPiece((0.0, b), [float(value)])])
+    return SmoothFn1D(b, [ConstPiece((0.0, b), value)])
 
 
 def _curve_of(bend):
@@ -222,17 +222,16 @@ def _corner_curve(edge, radius):
     """The corner curve with edge length e and bend radius R.
 
     It runs from (e + R, 0) vertically to (e + R, e), around a quarter arc
-    centered at (e, e), then horizontally to (0, e + R).  With e = 0 it is
-    the circular arc of radius R about the origin.
+    centered at (e, e), then horizontally to (0, e + R): the quarter bend
+    with c1 = c2 = e + R.  With e = 0 it is the circular arc of radius R
+    about the origin.
     """
     if edge < 0:
         raise InvalidSpecError("edge length must be nonnegative")
-    e, c = float(edge), float(edge) + float(radius)
-    arc = ArcSeg((e, e), radius, 0.0, np.pi / 2.0)
-    if e == 0:
-        return Curve2D([arc])
-    return Curve2D([LineSeg((c, 0.0), (c, e)), arc,
-                    LineSeg((e, c), (0.0, c))])
+    if edge == 0:
+        return Curve2D([ArcSeg((0.0, 0.0), radius, 0.0, np.pi / 2.0)])
+    c = float(edge) + float(radius)
+    return quarter_bend_curve(c, c, radius)
 
 
 def _compose(prof, x, k):

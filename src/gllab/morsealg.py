@@ -115,24 +115,23 @@ def rational_rank(m):
 def smith_normal_form(m):
     """Diagonalize an integer matrix by unimodular row/column operations.
 
-    Returns (d, s, s_inv, t) with  s @ m @ t = d  diagonal (invariant factors
-    along the diagonal, each non-negative and dividing the next), s and t
-    unimodular, and s_inv the exact integer inverse of s.  Step k starts
-    from the smallest nonzero entry of the remaining block; each pass then
-    re-picks the pivot as the smallest nonzero entry of column k (then of
-    row k) and reduces the others by nearest-integer quotients, so every
-    remainder is at most half the pivot.  Ties go to the lowest index.
+    Returns (d, s_inv, t) with  m @ t = s_inv @ d,  d diagonal (invariant
+    factors along the diagonal, each non-negative and dividing the next) and
+    s_inv, t unimodular; s_inv inverts the row transform s of s @ m @ t = d,
+    which is never formed.  Step k starts from the smallest nonzero entry of
+    the remaining block; each pass then re-picks the pivot as the smallest
+    nonzero entry of column k (then of row k) and reduces the others by
+    nearest-integer quotients, so every remainder is at most half the pivot.
+    Ties go to the lowest index.
     """
     rows = len(m)
     cols = len(m[0]) if rows else 0
     d = [list(r) for r in m]
-    s = _identity(rows)
     s_inv = _identity(rows)
     t = _identity(cols)
 
     def row_swap(i, j):
         d[i], d[j] = d[j], d[i]
-        s[i], s[j] = s[j], s[i]
         for r in s_inv:
             r[i], r[j] = r[j], r[i]
 
@@ -145,7 +144,6 @@ def smith_normal_form(m):
     def row_add(dst, src, c):
         # row dst += c * row src; inverse tracked as a column op on s_inv
         d[dst] = [x + c * y for x, y in zip(d[dst], d[src])]
-        s[dst] = [x + c * y for x, y in zip(s[dst], s[src])]
         for r in s_inv:
             r[src] -= c * r[dst]
 
@@ -157,7 +155,6 @@ def smith_normal_form(m):
 
     def row_neg(i):
         d[i] = [-x for x in d[i]]
-        s[i] = [-x for x in s[i]]
         for r in s_inv:
             r[i] = -r[i]
 
@@ -207,7 +204,7 @@ def smith_normal_form(m):
             row_add(k, bad[0], 1)
             continue  # re-run elimination at the same k
         k += 1
-    return d, s, s_inv, t
+    return d, s_inv, t
 
 
 # ---------------------------------------------------------------------------
@@ -428,29 +425,25 @@ def choose_cancelling_bases(cc):
     For each boundary map d: C_{k+1} -> C_k the normal form s d t = diag
     must have all invariant factors equal to 1; then b_i is the i-th column
     of t and z_i the i-th column of s^{-1}, and d(b_i) = z_i holds exactly.
-    Returns {k+1: {"b": [...], "z": [...], "t": t, "s_inv": s_inv}}.
+    Returns {k+1: {"b", "z", "t", "s_inv", "det_s", "det_t"}}, where det s =
+    det s^{-1} = +-1 and det t = +-1, as both are unimodular products.
     """
     out = {}
     for k in sorted(cc.boundary):
         mat = cc.d(k)
         if not mat or not mat[0]:
             continue
-        d, s, s_inv, t = smith_normal_form(mat)
+        d, s_inv, t = smith_normal_form(mat)
         r = sum(1 for i in range(min(len(d), len(d[0]))) if d[i][i])
         factors = [d[i][i] for i in range(r)]
         if any(abs(f) != 1 for f in factors):
             raise NoIntegralBasisError(
                 f"d_{k} has non-unit invariant factors {factors}: no "
                 "integral cancelling basis exists")
-        det_s = _bareiss(s)[1]
-        det_t = _bareiss(t)[1]
-        if abs(det_s) != 1 or abs(det_t) != 1:
-            raise InconsistentBoundaryError(
-                "normal-form transforms are not unimodular")
         b = [[t[i][j] for i in range(len(t))] for j in range(r)]
         z = [[s_inv[i][j] for i in range(len(s_inv))] for j in range(r)]
         out[k] = {"b": b, "z": z, "t": t, "s_inv": s_inv,
-                  "det_s": det_s, "det_t": det_t}
+                  "det_s": _bareiss(s_inv)[1], "det_t": _bareiss(t)[1]}
     return out
 
 

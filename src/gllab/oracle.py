@@ -25,15 +25,11 @@ from .errors import DegenerateEmbeddingError, InvalidSpecError
 __all__ = [
     "MetricChart",
     "HypersurfaceParam",
-    "christoffel",
-    "riemann",
-    "ricci_from_chart",
     "scalar_from_chart",
     "principal_curvatures",
     "geodesic_sphere_fit",
     "sphere_patch",
     "euclidean_chart",
-    "polar_chart",
     "perturbed_quadratic_chart",
     "round_sphere_normal_chart",
     "warped_chart",
@@ -119,11 +115,6 @@ def _christoffel(chart, x):
                   chart.step)
 
 
-def christoffel(chart, x):
-    """Gamma^k_ij = 1/2 g^{kl} (g_{il,j} + g_{jl,i} - g_{ij,l})."""
-    return _christoffel(chart, x)[0]
-
-
 def _riemann(chart, x):
     """R^l_{ijk} and g at x, from one metric call on the nested stencil:
     each centre c in {x, x + h e_i, x - h e_i} with its own c +- h e_l."""
@@ -140,16 +131,6 @@ def _riemann(chart, x):
     R = (np.einsum("iljk->lijk", dgamma) - np.einsum("jlik->lijk", dgamma)
          + quad - np.einsum("ljik->lijk", quad))
     return R, g[0]
-
-
-def riemann(chart, x):
-    """R^l_{ijk} = d_i Gamma^l_jk - d_j Gamma^l_ik + Gamma*Gamma terms."""
-    return _riemann(chart, x)[0]
-
-
-def ricci_from_chart(chart, x):
-    """Ric_jk = R^i_{ijk}."""
-    return np.einsum("iijk->jk", riemann(chart, x))
 
 
 def scalar_from_chart(chart, x):
@@ -297,13 +278,6 @@ def euclidean_chart(dim):
     """Flat R^dim on the cube [-2, 2]^dim."""
     return MetricChart(dim, [(-2.0, 2.0)] * dim,
                        lambda X: _diag(np.ones(X.shape)))
-
-
-def polar_chart():
-    """Flat plane in polar coordinates: dr^2 + r^2 dtheta^2."""
-    def g(X):
-        return _diag(np.column_stack([np.ones(len(X)), X[:, 0] ** 2]))
-    return MetricChart(2, [(0.1, 3.0), (-np.pi, np.pi)], g)
 
 
 def perturbed_quadratic_chart():

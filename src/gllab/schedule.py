@@ -11,8 +11,9 @@ and carrying a numeric positivity certificate:
   cap radius delta found by geometric halving.
 * ``handle-attach`` — the bent-curve construction through the handle, with
   the curve-inequality certificate and the smoothing windows recorded.
-* ``transition-smoothing`` — the corner smoothing between consecutive
-  critical levels.
+* ``transition-smoothing`` — the joint between consecutive critical
+  levels.  It computes no step: its end is the incoming metric retagged
+  "original", and it carries the previous segment's certificate.
 
 Everything is deterministic.  ``compile_gl_cobordism`` and
 ``compile_reverse`` build a schedule from a Morse description;
@@ -32,8 +33,8 @@ from .curvature import (DoublyWarpedMetric, WarpedSphereMetric,
                         _family_scalar, scalar_doubly_warped, scalar_warped)
 from .errors import (CertificationFailedError, CompilationFailedError,
                      DemoFailedError, HypothesisViolationError,
-                     InvalidSpecError, InvalidWindowError)
-from .fnspace import (SinePiece, SmoothFn1D, _quintic_match, _torpedo_on,
+                     InvalidSpecError)
+from .fnspace import (SinePiece, SmoothFn1D, _torpedo_on,
                       check_U_membership, check_V_membership,
                       linear_homotopy, make_double_torpedo, make_torpedo,
                       reflect, sample_grid)
@@ -51,7 +52,6 @@ __all__ = [
     "compile_gl_cobordism",
     "compile_reverse",
     "two_surgery_demo",
-    "smooth_YsYt",
     "round_metric",
     "round_doubly_warped",
     "write_schedule_csv",
@@ -302,7 +302,8 @@ def compile_gl_cobordism(g0, desc):
     level, a standardization homotopy to the mixed-torpedo form near the
     surgery sphere (delta halved until certified), and the handle attachment
     with its curve-inequality certificate; consecutive critical levels are
-    joined by a transition-smoothing segment.
+    joined by a transition-smoothing segment, which computes no step and
+    carries the previous segment's certificate.
     """
     if not check_admissible(desc):
         raise HypothesisViolationError(
@@ -409,37 +410,6 @@ def compile_reverse(schedule, desc):
                   "max_profile_deviation": dev,
                   "tube_rescale": [pr["tube_u"], pr["tube_v"]]}
     return rschedule, report
-
-
-# ---------------------------------------------------------------------------
-# smoothing windows
-# ---------------------------------------------------------------------------
-
-def smooth_YsYt(Ys, Yt, eps1, eps2, eps3):
-    """Replace the fiber-stretch factors by smooth compactly-deviating ones.
-
-    The returned evaluators equal the originals on [eps2, eps1] (and
-    beyond), are identically 1 on [0, eps3], and blend with a quintic
-    smoothstep in between, so Y - Y' is supported in [0, eps2].
-    """
-    if not eps1 > eps2 > eps3 > 0:
-        raise InvalidWindowError(
-            f"need eps1 > eps2 > eps3 > 0, got {(eps1, eps2, eps3)}")
-    coeffs = _quintic_match(eps3, (0.0, 0.0, 0.0), eps2, (1.0, 0.0, 0.0))
-
-    def blend(x):
-        x = np.asarray(x, dtype=float)
-        sigma = np.clip(np.polynomial.polynomial.polyval(x, coeffs), 0.0, 1.0)
-        return np.where(x <= eps3, 0.0, np.where(x >= eps2, 1.0, sigma))
-
-    def make(Y):
-        def Yp(x):
-            x = np.asarray(x, dtype=float)
-            out = 1.0 + blend(x) * (np.asarray(Y(x), dtype=float) - 1.0)
-            return float(out) if out.ndim == 0 else out
-        return Yp
-
-    return make(Ys), make(Yt)
 
 
 # ---------------------------------------------------------------------------

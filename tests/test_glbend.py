@@ -1,5 +1,7 @@
 """Bending curve synthesis: inequalities, segments, assembly, isotopies."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -117,6 +119,24 @@ class TestSegments:
             quarter_bend_curve(1.0, 1.0, 0.4, eps=0.7)
         with pytest.raises(InvalidBendError):
             quarter_bend_curve(1.0, 1.0, 0.4, delta=0.5)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_segments_rejected(self, bad):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidSpecError):
+                LineSeg((bad, 0.0), (bad, 0.6))
+            with pytest.raises(InvalidSpecError):
+                LineSeg((0.0, 0.0), (0.0, bad))
+            with pytest.raises(InvalidSpecError):
+                ArcSeg((0.0, 0.0), bad, 0.0, np.pi / 2)
+            with pytest.raises(InvalidSpecError):
+                ArcSeg((bad, 0.0), 0.5, 0.0, np.pi / 2)
+            with pytest.raises(InvalidSpecError):
+                ArcSeg((0.0, 0.0), 0.5, 0.0, bad)
+            if bad == np.inf:
+                with pytest.raises(InvalidSpecError):
+                    quarter_bend_curve(bad, 1.0, 0.4)
 
 
 class TestSynthesis:
@@ -473,6 +493,19 @@ class TestIsotopies:
             final_isotopy(g, (params.r0 + 1.0, params.m0))
         with pytest.raises(InversionError):
             final_isotopy(g, (params.r0, 0.5))
+
+    @pytest.mark.parametrize("n_t", [2, 0, -5, 11.0, 2.5, True, "11"])
+    def test_final_isotopy_rejects_bad_n_t(self, transition, n_t):
+        params, _ = transition
+        g = final_bending_tilt(transition, params.C2)
+        with pytest.raises(InvalidSpecError):
+            final_isotopy(g, (params.r0, params.m0), [0.5], n_t=n_t)
+
+    def test_final_isotopy_least_n_t(self, transition):
+        params, _ = transition
+        g = final_bending_tilt(transition, params.C2)
+        _, margins = final_isotopy(g, (params.r0, params.m0), [0.5], n_t=3)
+        assert len(margins) == 1 and np.isfinite(margins[0])
 
 
 @pytest.fixture(scope="module")

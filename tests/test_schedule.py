@@ -1,4 +1,4 @@
-"""Schedule compilation, reversal, smoothing windows, demo."""
+"""Schedule compilation, reversal, demo."""
 
 import dataclasses
 import io
@@ -12,12 +12,12 @@ from gllab.curvature import (DoublyWarpedMetric, WarpedSphereMetric,
                              scalar_doubly_warped)
 from gllab.errors import (CertificationFailedError, CompilationFailedError,
                           DemoFailedError, HypothesisViolationError,
-                          InvalidSpecError, InvalidWindowError)
+                          InvalidSpecError)
 from gllab.fnspace import SinePiece, SmoothFn1D, linear_homotopy, sample_grid
 from gllab.morsealg import CriticalPoint, MorseDescription
 from gllab.schedule import (DemoReport, compile_gl_cobordism,
                             compile_reverse, round_doubly_warped,
-                            round_metric, smooth_YsYt, two_surgery_demo,
+                            round_metric, two_surgery_demo,
                             write_schedule_csv)
 
 
@@ -244,44 +244,6 @@ class TestReverse:
         s = compile_gl_cobordism(g0, desc)
         with pytest.raises(HypothesisViolationError):
             compile_reverse(s, desc)
-
-
-class TestSmoothing:
-    def test_identity_on_constant(self):
-        Y1 = lambda x: np.ones_like(np.asarray(x, dtype=float))
-        Ysp, Ytp = smooth_YsYt(Y1, Y1, 1.0, 0.5, 0.2)
-        x = np.linspace(0.0, 1.5, 301)
-        assert np.allclose(Ysp(x), 1.0)
-        assert np.allclose(Ytp(x), 1.0)
-
-    def test_bands(self):
-        Y = lambda x: 1.0 + 0.3 * np.sin(3.0 * np.asarray(x, dtype=float))
-        Yp, _ = smooth_YsYt(Y, Y, 1.0, 0.5, 0.2)
-        x = np.linspace(0.0, 1.5, 601)
-        assert np.allclose(Yp(x[x <= 0.2]), 1.0)
-        assert np.allclose(Yp(x[x >= 0.5]), Y(x[x >= 0.5]))
-        # deviation compactly supported in [0, eps2]
-        assert np.allclose((Yp(x) - Y(x))[x > 0.5], 0.0)
-
-    def test_blend_is_c2(self):
-        Y = lambda x: 1.0 + 0.3 * np.sin(3.0 * np.asarray(x, dtype=float))
-        Yp, _ = smooth_YsYt(Y, Y, 1.0, 0.5, 0.2)
-        h = 1e-4
-        for x0 in (0.2, 0.5):
-            for side in (-1.0, 1.0):
-                a = x0 + side * 2 * h
-                d2_in = (Yp(a + h) - 2 * Yp(a) + Yp(a - h)) / h ** 2
-                b = x0 - side * 2 * h
-                d2_out = (Yp(b + h) - 2 * Yp(b) + Yp(b - h)) / h ** 2
-                # second derivative stays bounded across the junction
-                assert abs(d2_in - d2_out) < 10.0
-
-    def test_window_order_enforced(self):
-        Y1 = lambda x: np.ones_like(np.asarray(x, dtype=float))
-        with pytest.raises(InvalidWindowError):
-            smooth_YsYt(Y1, Y1, 0.5, 1.0, 0.2)
-        with pytest.raises(InvalidWindowError):
-            smooth_YsYt(Y1, Y1, 1.0, 0.5, 0.0)
 
 
 class TestDemo:
