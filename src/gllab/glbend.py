@@ -208,34 +208,42 @@ def mu_inequality(mu, b):
 _INVERT_MAX_ITER = 100
 
 
-def _invert_monotone(F, y, lo, hi):
+def _invert_monotone(F, y, lo, hi, table=None):
     """Solve F(x) = y on [lo, hi] for every entry of y at once.
 
     ``F`` maps an array x to the pair (F(x), F'(x)) from one evaluation; F
-    must be strictly monotone on [lo, hi].  Each x is seeded by linear
-    interpolation in a 65-point table of F and bracketed by its table
-    cell.  Safeguarded Newton steps follow; a step that would leave the
-    bracket, or that fails to halve the one before, is replaced by
-    bisection, and every evaluation shrinks the bracket.  A point stops
+    must be strictly monotone on [lo, hi].  ``table`` is the pair (nodes,
+    F at the nodes) with nodes increasing from lo to hi, and must be F
+    itself at its nodes; by default it is F on 65 equally spaced nodes.
+    Each x is seeded by linear interpolation in the table and bracketed by
+    its table cell.  Safeguarded Newton steps follow; a step that would
+    leave the bracket, or that fails to halve the one before, is replaced
+    by bisection, and every evaluation shrinks the bracket.  A point stops
     when its step or bracket is within a few ulps of the interval scale
-    (about 1e-15 relative).
+    (x_tol, about 1e-15 relative); a Newton step within x_tol has
+    converged, even one that rounds onto the end of its bracket.
 
     Raises InversionError, carrying the worst residual |F(x) - y| where one
-    exists, if the table is not finite or not strictly monotone, if some y
-    lies outside [F(lo), F(hi)] (the residual is then its distance to that
-    range), if F turns non-finite during the search, or if some point is
-    unconverged after ``_INVERT_MAX_ITER`` steps or converged with a
-    residual far above rounding (a jump in F).
+    exists, if the table is not finite, its nodes do not increase or F is
+    not strictly monotone on it, if some y lies outside [F(lo), F(hi)] (the
+    residual is then its distance to that range), if F turns non-finite
+    during the search, or if some point is unconverged after
+    ``_INVERT_MAX_ITER`` steps or converged with a residual far above
+    rounding (a jump in F).
     """
     y = np.asarray(y, dtype=float)
     shape = y.shape
     y = y.ravel()
-    xs = np.linspace(lo, hi, 65)
-    Fs = np.asarray(F(xs)[0], dtype=float)
-    if not np.all(np.isfinite(Fs)):
+    if table is None:
+        xs = np.linspace(lo, hi, 65)
+        Fs = F(xs)[0]
+    else:
+        xs, Fs = table
+    xs, Fs = np.asarray(xs, dtype=float), np.asarray(Fs, dtype=float)
+    if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(Fs))):
         raise InversionError("inverted function is not finite on its table")
     sign = 1.0 if Fs[-1] > Fs[0] else -1.0
-    if not np.all(sign * np.diff(Fs) > 0):
+    if not (np.all(np.diff(xs) > 0) and np.all(sign * np.diff(Fs) > 0)):
         raise InversionError(
             f"inverted function is not strictly monotone on [{lo}, {hi}]")
     # orient so that G = sign * F increases
@@ -273,9 +281,10 @@ def _invert_monotone(F, y, lo, hi):
         hi_a = np.where(ga > 0, xa, x_hi[act])
         with np.errstate(divide="ignore", invalid="ignore"):
             xn = xa - ga / (sign * np.asarray(dFa, dtype=float))
-        bisect = ~((xn > lo_a) & (xn < hi_a)) \
-            | (np.abs(xn - xa) > 0.5 * np.abs(last[act]))
-        xn = np.where(bisect, 0.5 * (lo_a + hi_a), xn)
+        converged = np.abs(xn - xa) <= x_tol
+        bisect = ~converged & (~((xn > lo_a) & (xn < hi_a))
+                               | (np.abs(xn - xa) > 0.5 * np.abs(last[act])))
+        xn = np.where(bisect, 0.5 * (lo_a + hi_a), np.clip(xn, lo_a, hi_a))
         step = xn - xa
         x[act] = np.where(ga == 0, xa, xn)
         x_lo[act], x_hi[act], last[act] = lo_a, hi_a, step
@@ -455,7 +464,8 @@ class GraphSeg:
     per piece of ``prof`` (a profile is only C^2 at its breakpoints), off by
     at most h^4/384 max|S''''| on a cell of width h.  Since S' >= 1, S is
     strictly increasing, and t(s) is found for all s at once by
-    ``_invert_monotone`` (table seed, then safeguarded Newton).
+    ``_invert_monotone``, seeded and bracketed by the table's own nodes and
+    values, then safeguarded Newton.
     """
 
     kind = "graph"
@@ -479,7 +489,9 @@ class GraphSeg:
         out = np.where(s <= 0.0, a, bb)
         inner = (s > 0.0) & (s < self.length)
         if inner.any():
-            out[inner] = _invert_monotone(self._table, s[inner], a, bb)
+            out[inner] = _invert_monotone(
+                self._table, s[inner], a, bb,
+                table=(self._table.x, self._table.F))
         return out[()]
 
     def eval(self, s):
@@ -1051,13 +1063,17 @@ def final_bending_tilt(transition, t_inf_pp):
 
 
 def _shift_poly(coeffs, origin_old, origin_new):
-    """Re-express a polynomial in powers of (t - origin_new)."""
-    # p(t) = sum c_k (t - o_old)^k = sum c_k ((t - o_new) + (o_new - o_old))^k
-    shift = npoly.Polynomial([origin_new - origin_old, 1.0])
-    out = npoly.Polynomial([0.0])
-    for k, ck in enumerate(np.atleast_1d(coeffs)):
-        out = out + ck * shift ** k
-    return out.coef
+    """Re-express a polynomial in powers of (t - origin_new).
+
+    A Taylor shift by d = origin_new - origin_old: n - 1 passes of
+    synthetic division by (t - d), each leaving the next coefficient.
+    """
+    c = [float(ck) for ck in np.atleast_1d(coeffs)]
+    d = origin_new - origin_old
+    for i in range(len(c) - 1):
+        for j in range(len(c) - 2, i - 1, -1):
+            c[j] += d * c[j + 1]
+    return np.array(c)
 
 
 class InverseBlend:
@@ -1071,7 +1087,10 @@ class InverseBlend:
         T'(tau) = (1-s) + s f'(tau)/m0 > 0,
 
     so h_s(t) = f(tau) where T(tau) = t: one monotone solve for all t at
-    once (``_invert_monotone``).  The derivatives follow from the tau-jet:
+    once (``_invert_monotone``).  The 4097-point scan of f that checks f is
+    decreasing also gives T on its nodes up to t_end_f, the table that
+    seeds and brackets that solve.  The derivatives follow from the
+    tau-jet:
 
         h'(t)   = 1 / hinv'(r)
         h''(t)  = -hinv''(r) / hinv'(r)^3
@@ -1085,14 +1104,23 @@ class InverseBlend:
         self.f = f
         self.m0 = float(m0)
         self.s = float(s)
-        F, d1 = f.jet(np.linspace(0.0, f.b, 4097), 1)
+        tau = np.linspace(0.0, f.b, 4097)
+        F, d1 = f.jet(tau, 1)
         if d1.max() >= 0:
             raise InversionError("profile must be strictly decreasing")
         self.r0, f_end = float(F[0]), float(F[-1])
         # a profile that reaches r = 0 is cut at a thousandth of r0
         self.r_end = f_end if f_end > 0 else self.r0 * 1e-3
-        self.t_end_f = brentq(lambda x: f.jet(x, 1), self.r_end, 0.0, f.b) \
-            if self.r_end > f_end else f.b
+        if self.r_end > f_end:
+            self.t_end_f = brentq(lambda x: f.jet(x, 1), self.r_end, 0.0, f.b)
+            # the scan up to t_end_f, clear of it by half a node spacing
+            keep = tau < self.t_end_f - 0.5 * (tau[1] - tau[0])
+            tau = np.r_[tau[keep], self.t_end_f]
+            F = np.r_[F[keep], f.jet(self.t_end_f, 0)[0]]
+        else:
+            self.t_end_f = f.b
+        # T on the scan's nodes seeds and brackets every solve for tau
+        self._T_table = (tau, self._T(tau, F))
         # blended domain length, T(t_end_f)
         self.b = self._T(self.t_end_f, self.r_end)
 
@@ -1108,13 +1136,8 @@ class InverseBlend:
             f0, f1 = self.f.jet(tau, 1)
             return self._T(tau, f0), (1.0 - s) + s * f1 / m0
 
-        return _invert_monotone(T, t, 0.0, self.t_end_f)
-
-    def _hinv(self, r):
-        """The defining blend (1-s) f^{-1}(r) + s (r - r0)/m0."""
-        tau = _invert_monotone(lambda x: self.f.jet(x, 1), r, 0.0,
-                               self.t_end_f)
-        return self._T(tau, r)
+        return _invert_monotone(T, t, 0.0, self.t_end_f,
+                                table=self._T_table)
 
     def jet(self, t, k=2):
         """(h, h', ..., h^(k))(t) for k <= 3, from one solve for tau."""

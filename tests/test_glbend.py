@@ -483,7 +483,10 @@ class TestIsotopies:
             t = np.linspace(0.0, h.b, 33)[1:-1]
             for tv in t:
                 r = float(h.jet(tv, 0)[0])
-                t_back = h._hinv(r)
+                # the defining blend (1-s) f^{-1}(r) + s (r - r0)/m0
+                tau = _invert_monotone(lambda x: g.jet(x, 1), r, 0.0,
+                                       h.t_end_f)
+                t_back = (1.0 - h.s) * tau + h.s * (r - h.r0) / h.m0
                 assert abs(float(h.jet(t_back, 0)[0]) - r) < 1e-8
 
     def test_final_isotopy_guards(self, transition):
@@ -655,6 +658,136 @@ class TestInvertMonotone:
             _invert_monotone(lambda x: (x ** 3 + x, 3 * x ** 2 + 1),
                              np.linspace(0.1, 1.9, 7), 0.0, 1.0)
         assert 0 < err.value.residual < 1e-2
+
+
+    @pytest.mark.parametrize("y", [1e-5, 0.017, 0.1])
+    def test_newton_step_onto_bracket_end_converges(self, y):
+        # F is near 0 at the root, so F is exact to far below an ulp of x
+        # there: the last Newton step rounds onto x itself, the end of its
+        # bracket, and must count as converged (bisection took 33-45 rounds)
+        calls = []
+
+        def F(x):
+            calls.append(np.size(x))
+            u = x - 0.5
+            return u + u ** 3, 1.0 + 3.0 * u ** 2
+
+        x = _invert_monotone(F, [y], 0.0, 1.0)
+        assert len(calls) - 1 <= 6
+        u = x - 0.5
+        np.testing.assert_allclose(u + u ** 3, [y], rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("table", [
+        ([0.0, 0.5, 1.0], [0.0, np.nan, 1.0]),
+        ([0.0, 0.5, 1.0], [0.0, np.inf, 1.0]),
+        ([0.0, np.nan, 1.0], [0.0, 0.5, 1.0]),
+        ([0.0, 0.5, 1.0], [0.0, 0.6, 0.6]),
+        ([0.0, 0.5, 1.0], [0.0, 0.7, 0.6]),
+        ([0.0, 0.6, 0.5, 1.0], [0.0, 0.6, 0.5, 1.0])])
+    def test_bad_caller_table_raises(self, table):
+        with pytest.raises(InversionError, match="table|monotone"):
+            _invert_monotone(lambda x: (x, np.ones_like(x)), [0.3], 0.0, 1.0,
+                             table=table)
+
+    def test_caller_table_seeds_and_brackets(self):
+        xs = np.linspace(0.0, 1.0, 9)
+        calls = []
+
+        def F(x):
+            calls.append(np.size(x))
+            return x ** 3 + x, 3 * x ** 2 + 1
+
+        y = np.linspace(0.0, 2.0, 101)
+        x = _invert_monotone(F, y, 0.0, 1.0, table=(xs, F(xs)[0]))
+        np.testing.assert_allclose(x ** 3 + x, y, rtol=0, atol=1e-14)
+        # after the test's own table, the first evaluation is at the seeds
+        assert calls[0] == xs.size and calls[1] == y.size
+
+
+def _shift_poly_reference(coeffs, origin_old, origin_new):
+    """The expansion sum c_k ((t - o_new) + (o_new - o_old))^k by
+    ``np.polynomial.Polynomial`` arithmetic."""
+    shift = np.polynomial.Polynomial([origin_new - origin_old, 1.0])
+    out = np.polynomial.Polynomial([0.0])
+    for k, ck in enumerate(np.atleast_1d(coeffs)):
+        out = out + ck * shift ** k
+    return out.coef
+
+
+def test_shift_poly_matches_polynomial_expansion():
+    rng = np.random.default_rng(25)
+    for _ in range(300):
+        coeffs = rng.standard_normal(rng.integers(1, 10)) \
+            * 10.0 ** rng.uniform(-3, 3)
+        origin_old, origin_new = rng.uniform(-1.0, 1.0, 2)
+        got = glbend._shift_poly(coeffs, origin_old, origin_new)
+        ref = _shift_poly_reference(coeffs, origin_old, origin_new)
+        assert got.shape == coeffs.shape
+        ref = np.pad(ref, (0, got.size - ref.size))
+        np.testing.assert_allclose(got, ref, rtol=0,
+                                   atol=1e-14 * np.abs(ref).max())
+
+
+@pytest.fixture
+def inversions(monkeypatch):
+    """Record, per ``_invert_monotone`` call, the targets' size and the
+    size of every array F is evaluated on."""
+    log = []
+    invert = glbend._invert_monotone
+
+    def recorded(F, y, lo, hi, **kw):
+        sizes = []
+
+        def counted_F(x):
+            sizes.append(np.size(x))
+            return F(x)
+
+        log.append((np.size(y), sizes))
+        return invert(counted_F, y, lo, hi, **kw)
+
+    monkeypatch.setattr(glbend, "_invert_monotone", recorded)
+    return log
+
+
+class TestInversionRounds:
+
+    def test_tilt_inversion_takes_newton_rounds(self, inversions):
+        # the straighten warm-up bend, where converged steps landing on a
+        # bracket end sent 30-55 of the 511 levels into 41-42 rounds
+        consts = BendConstants(R0=1.2, q=2)
+        prefix = initial_bend(consts, r1=0.55)
+        trans = synth_transition(consts, r0=0.18, theta0=prefix[1])
+        inversions.clear()
+        final_bending_tilt(trans, trans[0].C2)
+        (n, sizes), = inversions
+        # the first evaluation is the default 65-point table
+        assert n == 511 and sizes[0] == 65
+        assert len(sizes) - 1 <= 6
+
+    def test_graph_seg_seeds_from_its_table(self, inversions):
+        f = SmoothFn1D(1.0, [PolyPiece((0.0, 1.0), [1.0, -0.5, -0.5])])
+        seg = GraphSeg(f)
+        s = np.linspace(0.0, seg.length, 102)[1:-1]
+        t = seg._t_of_s(s)
+        (n, sizes), = inversions
+        assert n == 100 and sizes[0] == 100 and 65 not in sizes
+        np.testing.assert_allclose(seg._table(t)[0], s, rtol=1e-15)
+
+    @pytest.mark.parametrize("f", [
+        SmoothFn1D(1.0, [PolyPiece((0.0, 1.0), [1.0, -0.5, -0.2])]),
+        # reaches r = 0, so the blend is cut at t_end_f < b
+        SmoothFn1D(1.0, [PolyPiece((0.0, 1.0), [1.0, -0.5, -0.5])])])
+    def test_inverse_blend_seeds_from_its_scan(self, inversions, f):
+        h = InverseBlend(f, -0.5, 0.5)
+        inversions.clear()
+        t = np.linspace(0.0, h.b, 100)
+        r = h.jet(t, 0)[0]
+        (n, sizes), = inversions
+        assert n == 100 and sizes[0] == 100 and 65 not in sizes
+        # h_s^{-1}(r) = (1-s) f^{-1}(r) + s (r - r0)/m0 gives back t
+        tau = _invert_monotone(lambda x: f.jet(x, 1), r, 0.0, h.t_end_f)
+        np.testing.assert_allclose(0.5 * tau + 0.5 * (r - 1.0) / -0.5, t,
+                                   rtol=0, atol=1e-13)
 
 
 def test_curve_jet_orders_agree_bitwise():
