@@ -10,10 +10,13 @@ synthesis, schedule compilation) and serialize to JSON.
 leaves or homotopy parameters goes through.  It runs serially: the scans are
 GIL-bound Python, and a thread pool measured slower than one thread.
 ``write_csv`` is the one CSV writer behind every table the toolkit emits.
+``_Memo`` is the LRU memo of every geometry built once per shape (all
+listed in ``_MEMOS``); ``_frozen`` marks memoized arrays read-only.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 
@@ -25,6 +28,44 @@ def thread_count():
 def pmap(fn, items):
     """Order-preserving map of ``fn`` over ``items``."""
     return [fn(x) for x in items]
+
+
+# entries kept by each memo (least recently used dropped first), and every
+# memo, for a caller that must start from empty ones
+_MEMO_SIZE = 2
+_MEMOS = []
+
+
+class _Memo:
+    """``build`` memoized on its arguments, types included, keeping at most
+    ``_MEMO_SIZE`` results.  Arguments without a value equality (curves,
+    profiles) are keys by identity, held by the memo while it keeps them.
+    A miss drops the least recently used results before it builds, so no
+    build runs beside a full memo; a build that raises stores nothing."""
+
+    def __init__(self, build):
+        self.build = build
+        self.entries = OrderedDict()
+        _MEMOS.append(self)
+
+    def __call__(self, *args):
+        # a 0-d array (unhashable) enters as its numpy scalar
+        args = [a[()] if getattr(a, "shape", 0) == () else a for a in args]
+        key = (*args, *map(type, args))
+        if key in self.entries:
+            self.entries.move_to_end(key)
+            return self.entries[key]
+        while len(self.entries) >= _MEMO_SIZE:
+            self.entries.popitem(last=False)
+        self.entries[key] = value = self.build(*args)
+        return value
+
+
+def _frozen(*arrays):
+    """Mark memoized arrays read-only, so no caller can change a memo."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
 
 
 def write_csv(path_or_buf, header, rows):

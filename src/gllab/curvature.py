@@ -15,10 +15,10 @@ one l'Hospital rule replaces the 0/0 quotients, whichever factor closes at
 whichever end: A_c = f_c'''/f_c', B_c = -A_c and C_cj = f_j''/f_j.  A cone
 point (|f_c'| != 1), a factor left open there with f_j' != 0, and interior
 zeros raise ``SingularProfileError``.  The evaluator is one point set
-(``_closed_form_points``) and one reading of the jets there
-(``_closed_form_from_jets``), so a caller that already holds the jets, a
-foliation leaf or a homotopy family (``_family_scalar``), gets the same
-bits without evaluating a profile again.
+(``_closed_form_points``), one reading of the jets there as quotients
+(``_quotients_from_jets``) and the formula over them, so a caller that
+already holds the jets, a foliation leaf or a homotopy family
+(``_family_scalar``), gets the same bits without evaluating a profile.
 
 ``slowdown_concordance`` certifies that a path of psc warped metrics can be
 run as a psc metric on a cylinder after slowing the parameter down enough
@@ -190,7 +190,7 @@ def _closed_form_points(t, b):
 
     Returns (points, inner, ends): the interior samples in order followed
     by each end present (0 before b), the mask of interior samples, and
-    one (mask, end) pair per end present, for ``_closed_form_from_jets``.
+    one (mask, end) pair per end present, for ``_quotients_from_jets``.
     """
     tv = np.atleast_1d(t)
     snap = _END_SNAP * max(1.0, b)
@@ -201,8 +201,8 @@ def _closed_form_points(t, b):
     return np.concatenate([tv[inner], [tend for _, tend in ends]]), inner, ends
 
 
-def _closed_form_from_jets(dims, inner, ends_at, all_jets, formula):
-    """``formula(dims, A, B, C)`` at the samples of ``_closed_form_points``.
+def _quotients_from_jets(inner, ends_at, all_jets):
+    """The quotients (A, B, C) at the samples of ``_closed_form_points``.
 
     ``all_jets`` holds each profile's jet at those points, to order 3 when
     an end is present, else to order 2.  A curvature formula sees profile
@@ -217,7 +217,7 @@ def _closed_form_from_jets(dims, inner, ends_at, all_jets, formula):
     The rule needs |f_c'| = 1 there (any other slope is a cone point) and
     f_j' = 0 for every factor j that stays open; either failing raises
     ``SingularProfileError``, as do two factors closing at one end and an
-    interior zero.  Returns ``formula``'s value, one entry per sample.
+    interior zero.  A and B are (profile, sample) arrays, C a dict of them.
     """
     # D_i = f_i'/f_i, left 0 where f_i closes; ``ends`` holds (mask, c)
     A, B, D = (np.zeros((len(all_jets),) + inner.shape) for _ in range(3))
@@ -256,7 +256,7 @@ def _closed_form_from_jets(dims, inner, ends_at, all_jets, formula):
         for (i, j), Cij in C.items():
             if c in (i, j):
                 Cij[mask] = A[j if i == c else i][mask]
-    return formula(dims, A, B, C)
+    return A, B, C
 
 
 def _closed_form(dims, profiles, t, formula):
@@ -265,14 +265,14 @@ def _closed_form(dims, profiles, t, formula):
     The profiles share one domain (0, b); profile i warps a round sphere of
     dimension ``dims[i]``.  Each profile is evaluated once, at
     ``_closed_form_points``: to order 3 when an end is present, else to
-    order 2.  ``_closed_form_from_jets`` reads the jets.  Returns
+    order 2.  ``_quotients_from_jets`` reads the jets.  Returns
     ``formula``'s value, floats for scalar t.
     """
     t = np.asarray(t, dtype=float)
     pts, inner, ends = _closed_form_points(t, profiles[0].b)
     k = 3 if ends else 2
-    out = _closed_form_from_jets(dims, inner, ends,
-                                 [f.jet(pts, k) for f in profiles], formula)
+    out = formula(dims, *_quotients_from_jets(
+        inner, ends, [f.jet(pts, k) for f in profiles]))
     if t.ndim:
         return out
     out = np.asarray(out)[..., 0]
@@ -380,8 +380,8 @@ def _family_scalar(t, b):
             dims, profiles = [m.n - 1], [m.f]
         else:
             dims, profiles = [m.p, m.q], [m.u, m.v]
-        return _closed_form_from_jets(dims, inner, ends,
-                                      [jet(f) for f in profiles], _scalar)
+        return _scalar(dims, *_quotients_from_jets(
+            inner, ends, [jet(f) for f in profiles]))
     return scalar
 
 

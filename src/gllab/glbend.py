@@ -15,10 +15,9 @@ The geometry of a bend depends only on its scales and its bend angle, not
 on the constants of the inequality.  So the prefix with its bump samples
 for each (r1, theta0), the transition shape for each (r0, theta0) and the
 curve glued from each prefix and transition are kept in small LRU memos
-(``_MEMO_SIZE`` entries each), a curve keeps its own arc-length samples,
-and all of them are shared by every call with the same key; the margin,
-and every check of a build, is taken again on each call against its own
-constants.
+(``certify._Memo``), a curve keeps its own arc-length samples, and all
+of them are shared by every call with the same key; the margin, and every
+check of a build, is taken again on each call against its own constants.
 
 The inequality ledger is, from strongest to weakest assumption:
 
@@ -37,13 +36,12 @@ sin(theta) = 1/sqrt(1 + f'^2).
 from __future__ import annotations
 
 import numbers
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .certify import IsotopyCertificate, write_csv
+from .certify import IsotopyCertificate, _frozen, _Memo, write_csv
 from .curvature import _check_dims
 from .errors import (AssemblyError, ConstructionFailedError, InvalidBendError,
                      InvalidSpecError, InversionError, NoFeasibleBendError,
@@ -141,39 +139,6 @@ def check_cureqn(consts, k, r, theta):
 def _normal_angle(tan):
     """theta = atan2(T_t, -T_r): the normal angle of a unit tangent T."""
     return np.arctan2(tan[..., 0], -tan[..., 1])
-
-
-# entries kept by each geometry memo, least recently used dropped first
-_MEMO_SIZE = 2
-
-
-class _Memo:
-    """``build`` memoized on its arguments, types included, keeping at most
-    ``_MEMO_SIZE`` results.  Arguments without a value equality (curves,
-    profiles) are keys by identity, held by the memo while it keeps them.
-    A miss drops the least recently used results before it builds, so no
-    build runs beside a full memo."""
-
-    def __init__(self, build):
-        self.build = build
-        self.entries = OrderedDict()
-
-    def __call__(self, *args):
-        key = args + tuple(type(a) for a in args)
-        if key in self.entries:
-            self.entries.move_to_end(key)
-            return self.entries[key]
-        while len(self.entries) >= _MEMO_SIZE:
-            self.entries.popitem(last=False)
-        self.entries[key] = value = self.build(*args)
-        return value
-
-
-def _frozen(*arrays):
-    """Mark memoized arrays read-only, so no caller can change a memo."""
-    for a in arrays:
-        a.flags.writeable = False
-    return arrays
 
 
 def _graph_margin(jet):
@@ -914,7 +879,8 @@ def assemble_gamma(consts, prefix, transition):
     The curve is glued once per prefix curve and transition
     (``_glued_curve``) and is shared, with its arc-length samples, by every
     profile built from them; it must not be mutated.  The bump, junction,
-    landmark and certificate checks run on every call.
+    landmark and certificate checks run on every call.  A tail torpedo
+    that r_inf (derived data) cannot carry is a ConstructionFailedError.
     """
     curve_prefix, theta0, _k_max = prefix
     params, f = transition
@@ -955,7 +921,12 @@ def _glued_curve(curve_prefix, theta0, params, f):
     # transition graph shifted to start at t0_global
     trans_seg = GraphSeg(f, t_offset=t0_global)
     t_inf_global = t0_global + params.tinf
-    tail_prof = make_torpedo(default_tail_spec(params))
+    try:
+        tail_prof = make_torpedo(default_tail_spec(params))
+    except InvalidSpecError as err:
+        raise ConstructionFailedError(
+            f"tail torpedo of r_inf = {params.r_inf:.6g} cannot be built: "
+            f"{err}") from None
     tail_seg = GraphSeg(reflect(tail_prof), t_offset=t_inf_global)
     curve = Curve2D(list(curve_prefix.segments) + [line, trans_seg, tail_seg])
     landmarks = {"r_bar": float(curve_prefix.segments[0].p0[1]),
@@ -964,10 +935,6 @@ def _glued_curve(curve_prefix, theta0, params, f):
                  "t0": t0_global, "t_inf": t_inf_global,
                  "t_bar": t_inf_global + tail_prof.b}
     return curve, landmarks
-
-
-# every geometry memo, for a caller that must start from empty ones
-_MEMOS = (_bump_geometry, _transition_shape, _glued_curve)
 
 
 # ---------------------------------------------------------------------------

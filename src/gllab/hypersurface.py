@@ -19,8 +19,10 @@ a small geodesic sphere (the connected-sum isotopy).
 Curves exist only as ``Curve2D`` segments.  A coordinate of a curve, read
 through ``Curve2D.jet``, is the induced radius r(s) or, composed with a
 torpedo (``CompositeProfile``), a warping function of a leaf.  The
-foliation certifies each leaf from one curve jet and one jet per torpedo,
-taken on every point that the leaf's checks read.
+foliation reads each leaf from one curve jet and one jet per torpedo,
+taken on every point that the leaf's checks read.  (p, q) enter only the
+closed form, so the foliation's and the mixed torpedo's geometry is built
+once per shape, keyed on floats, not on the corner curve (``certify._Memo``).
 """
 
 from __future__ import annotations
@@ -30,9 +32,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .certify import IsotopyCertificate, pmap
-from .curvature import (DoublyWarpedMetric, _check_dims,
-                        _closed_form_from_jets, _closed_form_points, _scalar)
+from .certify import IsotopyCertificate, _frozen, _Memo, pmap
+from .curvature import (DoublyWarpedMetric, _check_dims, _closed_form_points,
+                        _quotients_from_jets, _scalar)
 from .errors import (CertificationFailedError, DomainMismatchError,
                      InvalidBendError, InvalidSpecError)
 from .fnspace import (ConstPiece, SmoothFn1D, TorpedoSpec, _membership_points,
@@ -168,18 +170,10 @@ def gauss_scalar_on_M(bend, amb, s):
 _J_SAMPLES = 2001
 
 
-def mixed_torpedo_via_J(eps, delta, c1, c2, bend_radius, p=2, q=2):
-    """Pull the product-of-torpedoes metric back along the corner embedding.
-
-    The embedding J sends (t, phi, theta) to ((x(t), phi), (y(t), theta))
-    where (x, y) is the unit-speed corner curve from (c1, 0) to (0, c2).
-    Because the curve is unit speed and both torpedo profiles are constant
-    wherever the curve is not running parallel to the respective axis, the
-    pullback equals dt^2 + f_eps(b-t)^2 ds_p^2 + f_delta(t)^2 ds_q^2 exactly.
-
-    Returns (mixed torpedo metric, identity report); the report's
-    max_deviation is the sampled defect of that equality.
-    """
+@_Memo
+def _mixed_torpedo_geometry(eps, delta, c1, c2, bend_radius):
+    """(reflect(f_eps), f_delta, identity report) of ``mixed_torpedo_via_J``,
+    after its checks on the corner curve."""
     curve = quarter_bend_curve(c1, c2, bend_radius, eps=eps, delta=delta)
     # the profiles must already be constant where the curve leaves the
     # respective straight piece, else the pointwise identity degrades; as
@@ -203,7 +197,6 @@ def mixed_torpedo_via_J(eps, delta, c1, c2, bend_radius, p=2, q=2):
     speed_res = float(np.abs(np.hypot(tan[:, 0], tan[:, 1]) - 1.0).max())
     dev_u = float(np.abs(f_eps(np.clip(x, 0.0, b)) - f_eps(b - s)).max())
     dev_v = float(np.abs(f_del(np.clip(y, 0.0, b)) - f_del(s)).max())
-    metric = DoublyWarpedMetric(p, q, reflect(f_eps), f_del)
     report = {
         "samples": _J_SAMPLES,
         "max_deviation": float(np.max([dev_u, dev_v, speed_res])),
@@ -211,7 +204,26 @@ def mixed_torpedo_via_J(eps, delta, c1, c2, bend_radius, p=2, q=2):
         "q_factor_deviation": dev_v,
         "unit_speed_residual": speed_res,
     }
-    return metric, report
+    return reflect(f_eps), f_del, report
+
+
+def mixed_torpedo_via_J(eps, delta, c1, c2, bend_radius, p=2, q=2):
+    """Pull the product-of-torpedoes metric back along the corner embedding.
+
+    The embedding J sends (t, phi, theta) to ((x(t), phi), (y(t), theta))
+    where (x, y) is the unit-speed corner curve from (c1, 0) to (0, c2).
+    Because the curve is unit speed and both torpedo profiles are constant
+    wherever the curve is not running parallel to the respective axis, the
+    pullback equals dt^2 + f_eps(b-t)^2 ds_p^2 + f_delta(t)^2 ds_q^2 exactly.
+
+    The curve, its checks, the profiles and the report are built once per
+    (eps, delta, c1, c2, bend_radius); a call makes its own (p, q) metric.
+
+    Returns (mixed torpedo metric, identity report); the report's
+    max_deviation is the sampled defect of that equality.
+    """
+    u, v, report = _mixed_torpedo_geometry(eps, delta, c1, c2, bend_radius)
+    return DoublyWarpedMetric(p, q, u, v), dict(report)
 
 
 # ---------------------------------------------------------------------------
@@ -328,6 +340,39 @@ def _leaf_jets(curve, f_eps, f_del, t):
             [tuple(d[m:] for d in jet) for jet in uv], inner, ends)
 
 
+@_Memo
+def _foliation_geometry(edge, radius, tau, nu_grid, eps, delta_p):
+    """(f_eps, f_delta, leaf curves, leaves) of ``connected_sum_foliation``;
+    a leaf is (samples t, its failed membership conditions, closed-form
+    quotients (A, B, C) or None if one failed), none depending on (p, q)."""
+    c = edge + radius
+    f_eps = make_torpedo(_torpedo_on(eps, c))
+    f_del = make_torpedo(_torpedo_on(delta_p, c))
+    curves = []
+    for nu in nu_grid:
+        if not 0.0 <= nu <= 1.0:
+            raise InvalidSpecError("nu must lie in [0, 1]")
+        if nu >= 0.5:
+            curves.append(_corner_curve(edge * (2.0 * nu - 1.0), radius))
+        else:
+            curves.append(_corner_curve(0.0, tau + 2.0 * nu * (radius - tau)))
+
+    def leaf(curve):
+        L = curve.length
+        t, = _frozen(np.linspace(0.0, L, _LEAF_SAMPLES))
+        (mu, mv), cf, inner, ends = _leaf_jets(curve, f_eps, f_del, t)
+        bad = [cnd.name for rep in (_membership_report(mu, "U", L),
+                                    _membership_report(mv, "V", L))
+               for cnd in rep.failures()]
+        if bad:
+            return t, bad, None
+        A, B, C = _quotients_from_jets(inner, ends, cf)
+        _frozen(A, B, *C.values())
+        return t, bad, (A, B, C)
+
+    return f_eps, f_del, tuple(curves), pmap(leaf, curves)
+
+
 def connected_sum_foliation(lambda_half_curve, tau, nu_grid, eps, delta_p,
                             p=2, q=2):
     """Leaf metrics interpolating the corner sphere down to a geodesic sphere.
@@ -341,13 +386,14 @@ def connected_sum_foliation(lambda_half_curve, tau, nu_grid, eps, delta_p,
     keep the default blend, so the corner's c = edge + radius must exceed
     each cap + blend (else ``_torpedo_on`` raises InvalidSpecError).
 
-    The leaves are certified one at a time, each from one curve jet and
-    one jet per torpedo (``_leaf_jets``); the membership reports and the
-    scalar curvature are those of ``check_U_membership``,
-    ``check_V_membership`` and ``scalar_doubly_warped`` on the leaf's
-    profiles, bit for bit.  ``p`` and ``q`` must be integers >= 0 and
-    ``nu_grid`` a one-dimensional sequence of numbers, else
-    ``InvalidSpecError``.
+    The torpedoes, the leaf curves and each leaf's membership reports and
+    closed-form quotients, from one curve jet and one jet per torpedo
+    (``_leaf_jets``), are built once per shape; each call takes its own
+    (p, q) scalar curvature from the quotients, leaf by leaf.  Reports and
+    curvature are those of ``check_U_membership``, ``check_V_membership``
+    and ``scalar_doubly_warped`` on the leaf's profiles, bit for bit.
+    ``p`` and ``q`` must be integers >= 0 and ``nu_grid`` a
+    one-dimensional sequence of numbers, else ``InvalidSpecError``.
 
     Returns (FoliationFamily, IsotopyCertificate).  The certificate's
     ``extra`` holds ``per_leaf_min`` and where the least sample sits: its
@@ -367,30 +413,15 @@ def connected_sum_foliation(lambda_half_curve, tau, nu_grid, eps, delta_p,
     nu_grid = grid.tolist()
     if not nu_grid:
         raise InvalidSpecError("nu_grid must hold at least one leaf")
-    c = edge + radius
-    f_eps = make_torpedo(_torpedo_on(eps, c))
-    f_del = make_torpedo(_torpedo_on(delta_p, c))
-    curves = []
-    for nu in nu_grid:
-        if not 0.0 <= nu <= 1.0:
-            raise InvalidSpecError("nu must lie in [0, 1]")
-        if nu >= 0.5:
-            curves.append(_corner_curve(edge * (2.0 * nu - 1.0), radius))
-        else:
-            curves.append(_corner_curve(0.0, tau + 2.0 * nu * (radius - tau)))
+    f_eps, f_del, curves, leaves = _foliation_geometry(
+        edge, radius, tau, tuple(nu_grid), eps, delta_p)
 
     def leaf(args):
-        nu, curve = args
-        L = curve.length
-        t = np.linspace(0.0, L, _LEAF_SAMPLES)
-        (mu, mv), cf, inner, ends = _leaf_jets(curve, f_eps, f_del, t)
-        ru = _membership_report(mu, "U", L)
-        rv = _membership_report(mv, "V", L)
-        if not (ru.passed and rv.passed):
-            bad = [cnd.name for cnd in ru.failures() + rv.failures()]
+        nu, (t, bad, quotients) = args
+        if bad:
             raise CertificationFailedError(
                 f"leaf nu = {nu} fails membership: {bad}")
-        R = _closed_form_from_jets([p, q], inner, ends, cf, _scalar)
+        R = _scalar([p, q], *quotients)
         i = int(np.argmin(R))
         if not R[i] > 0:
             raise CertificationFailedError(
@@ -398,11 +429,11 @@ def connected_sum_foliation(lambda_half_curve, tau, nu_grid, eps, delta_p,
                 best_margin=float(R[i]))
         return float(R[i]), float(t[i])
 
-    results = pmap(leaf, list(zip(nu_grid, curves)))
+    results = pmap(leaf, list(zip(nu_grid, leaves)))
     minima = [m for m, _ in results]
     j = int(np.argmin(minima))
     family = FoliationFamily(
-        nu_grid, curves, tau,
+        nu_grid, list(curves), tau,
         leaves=[(CompositeProfile(f_eps, _CurveCoordinate(curve, 0)),
                  CompositeProfile(f_del, _CurveCoordinate(curve, 1)))
                 for curve in curves])

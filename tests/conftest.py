@@ -1,17 +1,18 @@
 """Profile wrappers shared by the evaluation-contract tests, and a fresh
-set of bend geometry memos for every test."""
+set of geometry memos for every test."""
 
 import numpy as np
 import pytest
 
-from gllab import glbend
+from gllab import certify
 
 
 @pytest.fixture(autouse=True)
-def empty_bend_memos():
-    """Start each test with empty ``glbend`` memos, so that no test sees a
-    geometry an earlier one built (a memo hit skips the counted builds)."""
-    for memo in glbend._MEMOS:
+def empty_memos():
+    """Start each test with every memo empty (``certify._MEMOS``), so that
+    no test sees a geometry an earlier one built (a memo hit skips the
+    counted builds)."""
+    for memo in certify._MEMOS:
         memo.entries.clear()
 
 

@@ -85,6 +85,13 @@ class TestTorpedoCmd:
         res = runner.invoke(main, ["torpedo", "--delta", "0"])
         assert res.exit_code == 2
 
+    def test_delta_below_the_junction_check_exit_2(self, runner, tmp_path):
+        # a delta the user gives stays an input error
+        res = runner.invoke(main, ["--output-dir", str(tmp_path), "torpedo",
+                                   "--delta", "1e-8"])
+        assert res.exit_code == 2
+        assert "InvalidSpecError: junction at" in res.output
+
     def test_json_format(self, runner, tmp_path):
         res = runner.invoke(main, ["--output-dir", str(tmp_path),
                                    "--format", "json",
@@ -118,6 +125,18 @@ class TestBendCmd:
         assert res.exit_code == 2
         assert "InvalidSpecError: need r0 < r1/2" in res.output
         assert not list(tmp_path.iterdir())
+
+    def test_tail_below_the_junction_check_exit_3(self, runner, tmp_path):
+        # the transition leaves r_inf ~ 4.8e-7, too small for the tail
+        # torpedo's junction check: derived data, so a failed construction
+        res = runner.invoke(main, [
+            "--output-dir", str(tmp_path), "bend",
+            "--r0q", "0.6297655346812344", "--cbound", "0.44282608382734256",
+            "--cpbound", "1.8230196718354044", "--q", "3",
+            "--r1", "0.12948791028358547", "--r0", "0.007223900734181511"])
+        assert res.exit_code == 3
+        assert ("ConstructionFailedError: tail torpedo of r_inf = 4.83226e-07"
+                in res.output)
 
     def test_emit_isotopy(self, runner, tmp_path):
         res = runner.invoke(main, ["--output-dir", str(tmp_path), "bend",

@@ -10,7 +10,7 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from gllab import glbend, schedule
-from gllab.certify import IsotopyCertificate
+from gllab.certify import _MEMO_SIZE, _MEMOS, IsotopyCertificate
 from gllab.errors import (AssemblyError, ConstructionFailedError,
                           InvalidBendError, InvalidSpecError, InversionError,
                           NoFeasibleBendError)
@@ -278,29 +278,33 @@ HALVED = [BendConstants(R0=1.5, q=3), BendConstants(R0=1.0, q=2),
           BendConstants(R0=0.8, q=3, C=0.25)]
 
 
+BEND_MEMOS = (glbend._bump_geometry, glbend._transition_shape,
+              glbend._glued_curve)
+
+
 class TestGeometryMemo:
     """Each (r1, r0, theta0) is built once; the constants enter only the
     margins, taken again on every call."""
 
     def test_memos_stay_within_their_bound(self, monkeypatch):
         # a miss drops the least recently used entries before it builds
-        held = {memo: [] for memo in glbend._MEMOS}
-        for memo in glbend._MEMOS:
+        held = {memo: [] for memo in BEND_MEMOS}
+        for memo in BEND_MEMOS:
             def counted(*args, _memo=memo, _build=memo.build):
                 held[_memo].append(len(_memo.entries))
                 return _build(*args)
             monkeypatch.setattr(memo, "build", counted)
-        n = 2 * glbend._MEMO_SIZE + 1
+        n = 2 * _MEMO_SIZE + 1
         for r1 in np.linspace(0.4, 0.6, n):
             _bend(MODEL, r1=r1, r0=0.3 * r1)
-            for memo in glbend._MEMOS:
-                assert 0 < len(memo.entries) <= glbend._MEMO_SIZE
+            for memo in BEND_MEMOS:
+                assert 0 < len(memo.entries) <= _MEMO_SIZE
         # every geometry was new: one transition search and one glued
         # curve each, each built beside at most _MEMO_SIZE - 1 others
         assert held[glbend._transition_shape] == \
             held[glbend._glued_curve] == \
-            [min(i, glbend._MEMO_SIZE - 1) for i in range(n)]
-        assert max(held[glbend._bump_geometry]) == glbend._MEMO_SIZE - 1
+            [min(i, _MEMO_SIZE - 1) for i in range(n)]
+        assert max(held[glbend._bump_geometry]) == _MEMO_SIZE - 1
 
     def test_blocked_samples_match_one_evaluation(self):
         curve = _bend(MODEL).curve
@@ -347,7 +351,7 @@ class TestGeometryMemo:
         assert all(b.curve is shared[0].curve for b in shared[:3])
         assert all(b.curve is shared[3].curve for b in shared[3:])
         for consts, bend in zip(AT_CAP + HALVED, shared):
-            for memo in glbend._MEMOS:
+            for memo in _MEMOS:
                 memo.entries.clear()
             fresh = _bend(consts)
             assert fresh.curve is not bend.curve

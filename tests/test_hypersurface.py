@@ -7,6 +7,7 @@ import pytest
 
 import gllab.fnspace as fnspace
 import gllab.hypersurface as hyp
+from gllab.certify import _MEMOS
 from gllab.curvature import DoublyWarpedMetric, scalar_doubly_warped
 from gllab.errors import (CertificationFailedError, DomainMismatchError,
                           InvalidBendError, InvalidSpecError,
@@ -279,12 +280,12 @@ class TestFoliation:
         assert R.min() == cert.min_scalar
 
     def test_nan_sample_fails_the_leaf(self, monkeypatch):
-        # the leaf's scalar curvature is _closed_form_from_jets'
-        def spoiled(*args, _closed_form=hyp._closed_form_from_jets):
-            R = _closed_form(*args)
+        # the leaf's scalar curvature is _scalar's over its quotients
+        def spoiled(*args, _formula=hyp._scalar):
+            R = _formula(*args)
             R[len(R) // 2] = np.nan
             return R
-        monkeypatch.setattr(hyp, "_closed_form_from_jets", spoiled)
+        monkeypatch.setattr(hyp, "_scalar", spoiled)
         corner = quarter_bend_curve(1.0, 1.0, 0.4, eps=0.25, delta=0.25)
         with pytest.raises(CertificationFailedError, match="positivity"):
             connected_sum_foliation(corner, tau=0.05, nu_grid=[0.0, 1.0],
@@ -384,3 +385,94 @@ class TestLeafEvaluation:
                 want = (f[3] * x[1] ** 3 + 3.0 * f[2] * x[1] * x[2]
                         + f[1] * x[3])
                 assert np.array_equal(g.jet(ends, 3)[3], want)
+
+
+def _corner():
+    return quarter_bend_curve(1.0, 1.0, 0.4, eps=0.25, delta=0.25)
+
+
+def _foliation(corner, p, q, nu_grid=np.linspace(0.0, 1.0, 21)):
+    return connected_sum_foliation(corner, tau=0.05, nu_grid=nu_grid,
+                                   eps=0.25, delta_p=0.25, p=p, q=q)
+
+
+class TestGeometryMemo:
+    """The return chain's geometry is built once per shape; each call
+    certifies its own (p, q) from it."""
+
+    @pytest.mark.parametrize("p, q", [(2, 4), (1, 5), (3, 3)])
+    def test_repeated_shape_evaluates_no_profile(self, monkeypatch, p, q):
+        _foliation(_corner(), 2, 2)
+        corner = _corner()  # a new, equal corner curve
+        calls = {"curve": 0, "profile": 0, "membership": 0}
+        for owner, name, key in ((Curve2D, "jet", "curve"),
+                                 (SmoothFn1D, "jet", "profile"),
+                                 (hyp, "_membership_report", "membership")):
+            def counted(*args, _orig=getattr(owner, name), _key=key, **kw):
+                calls[_key] += 1
+                return _orig(*args, **kw)
+            monkeypatch.setattr(owner, name, counted)
+        _, warm = _foliation(corner, p, q)
+        assert calls == {"curve": 0, "profile": 0, "membership": 0}
+        monkeypatch.undo()
+        for memo in _MEMOS:
+            memo.entries.clear()
+        _, cold = _foliation(_corner(), p, q)
+        assert warm.min_scalar == cold.min_scalar
+        for key in ("per_leaf_min", "argmin_nu", "argmin_t"):
+            assert warm.extra[key] == cold.extra[key]
+
+    def test_first_failing_leaf_raises_cold_and_warm(self, monkeypatch):
+        # at (p, q) = (0, 1) leaf nu = 0.75 loses positivity (R = 0 on the
+        # tube); membership is spoiled for the later leaf nu = 1.0
+        nu_grid = [0.0, 0.25, 0.5, 0.75, 1.0]
+        reports = []
+
+        def spoiled(jet, space, b, _real=hyp._membership_report):
+            rep = _real(jet, space, b)
+            reports.append(rep)
+            if len(reports) == 2 * len(nu_grid):
+                rep.add("spoiled", False)
+            return rep
+        monkeypatch.setattr(hyp, "_membership_report", spoiled)
+        for _ in range(2):
+            with pytest.raises(CertificationFailedError,
+                               match=r"leaf nu = 0\.75 loses") as err:
+                _foliation(_corner(), 0, 1, nu_grid)
+            assert err.value.best_margin == 0.0
+        with pytest.raises(CertificationFailedError,
+                           match=r"leaf nu = 1\.0 fails membership: "
+                                 r"\['spoiled'\]"):
+            _foliation(_corner(), 2, 4, nu_grid)
+        assert len(reports) == 2 * len(nu_grid)
+
+    def test_failed_build_stores_nothing(self, monkeypatch):
+        def singular(*args):
+            raise SingularProfileError("spoiled")
+        monkeypatch.setattr(hyp, "_quotients_from_jets", singular)
+        with pytest.raises(SingularProfileError, match="spoiled"):
+            _foliation(_corner(), 2, 4)
+        assert not hyp._foliation_geometry.entries
+        monkeypatch.undo()
+        assert _foliation(_corner(), 2, 4)[1].passed
+
+    def test_zero_dim_array_arguments_are_accepted(self):
+        # an unhashable 0-d array enters the memo key as its numpy scalar
+        _, want = _foliation(_corner(), 2, 4)
+        _, got = connected_sum_foliation(
+            _corner(), tau=np.array(0.05), nu_grid=np.linspace(0.0, 1.0, 21),
+            eps=np.array(0.25), delta_p=np.array(0.25), p=2, q=4)
+        assert got.to_json() == want.to_json()
+        _, rep = mixed_torpedo_via_J(np.array(0.5), 0.5, np.array(2.0), 2.0,
+                                     0.5)
+        assert rep == mixed_torpedo_via_J(0.5, 0.5, 2.0, 2.0, 0.5)[1]
+
+    def test_mixed_torpedo_report_is_each_call_own(self):
+        m, rep = mixed_torpedo_via_J(0.5, 0.5, 2.0, 2.0, 0.5, p=2, q=4)
+        want = dict(rep)
+        rep["max_deviation"] = np.inf
+        rep.clear()
+        m2, rep2 = mixed_torpedo_via_J(0.5, 0.5, 2.0, 2.0, 0.5, p=1, q=5)
+        assert rep2 == want
+        assert (m2.p, m2.q) == (1, 5)
+        assert m2.u is m.u and m2.v is m.v
