@@ -12,10 +12,12 @@ GIL-bound Python, and a thread pool measured slower than one thread.
 ``write_csv`` is the one CSV writer behind every table the toolkit emits.
 ``_Memo`` is the LRU memo of every geometry built once per shape (all
 listed in ``_MEMOS``); ``_frozen`` marks memoized arrays read-only.
+``_halving_search`` is every search that halves a parameter to certify.
 """
 
 from __future__ import annotations
 
+import math
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
@@ -59,6 +61,25 @@ class _Memo:
             self.entries.popitem(last=False)
         self.entries[key] = value = self.build(*args)
         return value
+
+
+def _halving_search(x, attempt, budget):
+    """Try ``attempt`` at x, x/2, x/4, ..., at most ``budget`` times.
+
+    ``attempt(x)`` returns (margin, result), margin None when it reached
+    none.  Returns the first (margin, result) with margin > 0, or else
+    (best, None): the largest finite margin seen, or None if none was.
+    """
+    best = None
+    for _ in range(budget):
+        margin, result = attempt(x)
+        if margin is not None:
+            if margin > 0:
+                return margin, result
+            if math.isfinite(margin) and (best is None or margin > best):
+                best = margin
+        x *= 0.5
+    return best, None
 
 
 def _frozen(*arrays):

@@ -22,12 +22,9 @@ already holds the jets, a foliation leaf or a homotopy family
 
 ``slowdown_concordance`` certifies that a path of psc warped metrics can be
 run as a psc metric on a cylinder after slowing the parameter down enough
-(reparameterize by a smoothstep over a long enough interval).  It doubles
-the interval length L and evaluates the path once per distinct sigma over
-the whole search: the closed-form smoothstep has eta_L(L x) == eta_1(x) bit
-for bit for L = 2^k, so every L samples the same sigma and only the finite
-difference step h = 1e-4 L changes.  The terms of a linear path are
-evaluated once for the whole search, not once per sigma.
+(reparameterize by a smoothstep over a long enough interval), evaluating
+the path once per distinct sigma, and a linear path's terms once, over the
+whole search.
 """
 
 from __future__ import annotations
@@ -37,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certify import IsotopyCertificate, write_csv
+from .certify import IsotopyCertificate, _halving_search, write_csv
 from .errors import (CertificationFailedError, DomainMismatchError,
                      InvalidSpecError, SingularProfileError)
 from .fnspace import (_CSV_DENSITY, _END_TOL, ConstPiece, LinearCombination,
@@ -470,7 +467,8 @@ def slowdown_concordance(path, n, grid_shape=(200, 200)):
     eta over an interval of length L (constant near both ends, so the
     cylinder metric is a product there), and L is doubled (Lambda = 1/L
     halved from 1) until the full (s, t) grid certifies min scalar > 0, at
-    most ``_SLOWDOWN_BUDGET`` times.
+    most ``_SLOWDOWN_BUDGET`` times; an exhausted search raises
+    ``CertificationFailedError`` with its best margin.
 
     The path is evaluated once per distinct sigma over the whole search,
     not once per L.  This is exact: round L's s-grid and h = 1e-4 L are
@@ -513,11 +511,12 @@ def slowdown_concordance(path, n, grid_shape=(200, 200)):
             return known[sv]
         return _check_path_metric(path(sv), sv, n, b).f
 
-    best = -np.inf
-    L = 1.0
     tried = []
-    jets = None
-    for _ in range(_SLOWDOWN_BUDGET):
+    sig = jets = None
+
+    def attempt(lam):
+        nonlocal sig, jets
+        L = 1.0 / lam  # exact: lam is a power of two
         eta = make_smoothstep(L)
         h = L * 1e-4
         tried.append(L)
@@ -528,20 +527,20 @@ def slowdown_concordance(path, n, grid_shape=(200, 200)):
             jets = _path_jets(profile_at, sig, tgrid)
         R = _slowdown_grid(n, jets, sig, sgrid, tgrid, h)
         i, j = np.unravel_index(np.argmin(R), R.shape)
-        mn = float(R[i, j])
-        if mn > 0:
-            cert = IsotopyCertificate(
-                grid=f"{ns}x{nt} interior grid, L={L:.6g}",
-                min_scalar=mn, label="slowdown",
-                extra={"argmin_s": float(sgrid[i]),
-                       "argmin_t": float(tgrid[j]), "L_tried": tried,
-                       "profiles": len(jets.keys() | known.keys())})
-            return 1.0 / L, eta, cert
-        best = max(best, mn)
-        L *= 2.0
-    raise CertificationFailedError(
-        f"no slowdown factor certified within budget {_SLOWDOWN_BUDGET}",
-        best_margin=best)
+        cert = IsotopyCertificate(
+            grid=f"{ns}x{nt} interior grid, L={L:.6g}",
+            min_scalar=float(R[i, j]), label="slowdown",
+            extra={"argmin_s": float(sgrid[i]), "argmin_t": float(tgrid[j]),
+                   "L_tried": tried,
+                   "profiles": len(jets.keys() | known.keys())})
+        return cert.min_scalar, (lam, eta, cert)
+
+    best, found = _halving_search(1.0, attempt, _SLOWDOWN_BUDGET)
+    if found is None:
+        raise CertificationFailedError(
+            f"no slowdown factor certified within budget {_SLOWDOWN_BUDGET} "
+            f"(best margin {best})", best_margin=best)
+    return found
 
 
 # ---------------------------------------------------------------------------

@@ -40,8 +40,8 @@ class SingularProfileError(GLLabError):
 class ConstructionFailedError(GLLabError):
     """A numeric synthesis step (root find / parameter search) failed.
 
-    ``best_margin`` is the best margin the failed step reached, or None
-    when it reached none.
+    ``best_margin`` is the largest finite margin the failed step reached,
+    or None when it reached none (a NaN or infinite margin is none).
     """
 
     def __init__(self, msg, best_margin=None):
@@ -82,11 +82,7 @@ class DegenerateEmbeddingError(GLLabError):
 
 
 class CompilationFailedError(ConstructionFailedError):
-    """Schedule compilation exhausted its search budget.
-
-    ``best_margin`` is the best certificate minimum the search reached
-    (-inf when no candidate got as far as a certificate).
-    """
+    """Schedule compilation exhausted its search budget."""
 
 
 class DemoFailedError(ConstructionFailedError):

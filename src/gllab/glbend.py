@@ -41,7 +41,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .certify import IsotopyCertificate, _frozen, _Memo, write_csv
+from .certify import (IsotopyCertificate, _frozen, _halving_search, _Memo,
+                      write_csv)
 from .curvature import _check_dims
 from .errors import (AssemblyError, ConstructionFailedError, InvalidBendError,
                      InvalidSpecError, InversionError, NoFeasibleBendError,
@@ -150,11 +151,11 @@ def _graph_margin(jet):
 def check_diffkeqn(f):
     """Min of (1 + f'^2)/(2 f) - f'' on 10001 points of [0, b]; pass iff > 0.
 
-    ``f`` must be positive there, or ``InvalidSpecError`` is raised.
+    A profile that is not positive on the grid reads -inf.
     """
     jet = f.jet(np.linspace(0.0, f.b, 10001), 2)
     if np.min(jet[0]) <= 0:
-        raise InvalidSpecError("profile must be positive on the grid")
+        return -np.inf
     return float(np.min(_graph_margin(jet)))
 
 
@@ -678,10 +679,9 @@ def initial_bend(consts, r1):
     length r1/2 and integral k_max r1/4 = theta0.  theta0 starts at the
     largest value allowed by the arcsin(sqrt(R0/C)) bound and
     tan^2(theta0) < 1/4, and is halved until the curve inequality holds with
-    positive margin along the bump (2001 samples; a NaN fails).
-    Returns (prefix curve, theta0, k_max).  An exhausted search raises
-    NoFeasibleBendError whose ``best_margin`` is the largest finite sampled
-    minimum it reached (None if none was finite).
+    positive margin along the bump (2001 samples; a NaN fails).  Returns
+    (prefix curve, theta0, k_max); an exhausted search raises
+    NoFeasibleBendError with its best margin.
 
     The prefix curve and the bump samples of each (r1, theta0) are built
     once (``_bump_geometry``); only the margin under ``consts`` is taken on
@@ -697,19 +697,19 @@ def initial_bend(consts, r1):
     cap = np.arctan(0.5) * 0.99  # tan^2(theta0) < 1/4
     if consts.C > 0:
         cap = min(cap, 0.99 * np.arcsin(min(1.0, np.sqrt(consts.R0 / consts.C))))
-    theta0 = cap
-    best = None
-    for _ in range(_BEND_HALVINGS):
+
+    def bend(theta0):
+        # r >= r1/2 > 0: the bump starts at height r1, unit speed, length r1/2
         prefix, k_max, r, k, theta = _bump_geometry(float(r1), theta0)
-        least = float(np.min(check_cureqn(consts, k, r, theta)))
-        if r.min() > 0 and least > 0:
-            return prefix, theta0, k_max
-        if np.isfinite(least):
-            best = least if best is None else max(best, least)
-        theta0 *= 0.5
-    raise NoFeasibleBendError(
-        f"no feasible bend angle after {_BEND_HALVINGS} halvings "
-        f"(best margin {best})", best_margin=best)
+        margin = float(np.min(check_cureqn(consts, k, r, theta)))
+        return margin, (prefix, theta0, k_max)
+
+    best, found = _halving_search(cap, bend, _BEND_HALVINGS)
+    if found is None:
+        raise NoFeasibleBendError(
+            f"no feasible bend angle after {_BEND_HALVINGS} halvings "
+            f"(best margin {best})", best_margin=best)
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -781,14 +781,14 @@ def synth_transition(consts, r0, theta0):
 
         C1 (r0 - c) - m0^2 + (C1/2) delta0 m0 + C1^2 delta0^2 / 48 = 0
 
-    with c = 1/(2 C1).  delta0 and delta_inf are found by halving until the
-    strict graph inequality f'' < (1 + f'^2)/(2 f) holds with positive margin
-    and the profile stays positive on a 10001-point grid.  The graph is
+    with c = 1/(2 C1).  delta0 is halved from r0/2 and, for each, delta_inf
+    from delta0 until the landmarks are ordered and the strict graph
+    inequality f'' < (1 + f'^2)/(2 f) holds with positive margin on a
+    10001-point grid where the profile is positive.  The graph is
     parameterized from t0 = 0.
 
-    Returns (TransitionParams, SmoothFn1D on (0, t_inf)).  An exhausted
-    search raises ConstructionFailedError whose ``best_margin`` is the
-    largest finite graph-inequality margin it reached (None if none).
+    Returns (TransitionParams, SmoothFn1D on (0, t_inf)); an exhausted
+    search raises ConstructionFailedError with its best margin.
 
     ``consts`` enters only the regime check r0 < ``r0_bound()``, made on
     every call with the theta0 check.  The search itself runs once per
@@ -807,10 +807,8 @@ def synth_transition(consts, r0, theta0):
 def _transition_shape(r0, theta0):
     """The (delta0, delta_inf) search of ``synth_transition``."""
     m0 = -1.0 / np.tan(theta0)
-    delta0 = 0.5 * r0
-    last_err = None
-    best = None
-    for _ in range(_TRANSITION_HALVINGS):
+
+    def shape(delta0):
         # positive root of (delta0^2/48) C1^2 + (r0 + delta0 m0/2) C1
         #                  - (1/2 + m0^2) = 0; a2 > 0 > a0, so the
         # discriminant exceeds a1^2 and the root is real and positive
@@ -819,39 +817,26 @@ def _transition_shape(r0, theta0):
         a0 = -(0.5 + m0 ** 2)
         C1 = (-a1 + np.sqrt(a1 ** 2 - 4.0 * a2 * a0)) / (2.0 * a2)
         c = 1.0 / (2.0 * C1)
-        t0 = 0.0
-        t0p = t0 + delta0
+        t0p = delta0  # t0 = 0
         C2 = t0p - 2.0 * m0 / C1 - 0.5 * delta0
-        delta_inf = delta0
-        ok = False
-        for _ in range(_TRANSITION_HALVINGS):
+
+        def graph(delta_inf):
             params = TransitionParams(r0, m0, delta0, delta_inf, C1, C2, c,
-                                      t0, t0p, C2 - 0.5 * delta_inf,
+                                      0.0, t0p, C2 - 0.5 * delta_inf,
                                       C2 + 0.5 * delta_inf)
             if params.tinfp <= t0p or params.r_inf <= 0:
-                delta_inf *= 0.5
-                last_err = "landmark ordering or positivity failed"
-                continue
+                return None, None
             f = SmoothFn1D(params.tinf, _transition_pieces(params))
-            try:
-                margin = check_diffkeqn(f)
-            except InvalidSpecError:
-                delta_inf *= 0.5
-                last_err = "profile lost positivity"
-                continue
-            if margin > 0:
-                ok = True
-                break
-            if np.isfinite(margin):
-                best = margin if best is None else max(best, margin)
-            delta_inf *= 0.5
-            last_err = f"diffkeqn margin {margin:.3e}"
-        if ok:
-            return params, f
-        delta0 *= 0.5
-    raise ConstructionFailedError(
-        f"transition search exhausted: {last_err} (best margin {best})",
-        best_margin=best)
+            return check_diffkeqn(f), (params, f)
+
+        return _halving_search(delta0, graph, _TRANSITION_HALVINGS)
+
+    best, found = _halving_search(0.5 * r0, shape, _TRANSITION_HALVINGS)
+    if found is None:
+        raise ConstructionFailedError(
+            f"transition search exhausted (best margin {best})",
+            best_margin=best)
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -864,7 +849,7 @@ def default_tail_spec(params):
     return TorpedoSpec(params.r_inf, tube_length=_TAIL_FACTOR * params.r_inf)
 
 
-# largest position or tangent jump assemble_gamma accepts between segments
+# largest position or tangent jump _glued_curve accepts between segments
 _JUNCTION_TOL = 1e-8
 
 
@@ -876,10 +861,10 @@ def assemble_gamma(consts, prefix, transition):
     the same theta0; the tail is ``default_tail_spec(params)``.  Returns a
     BendProfile certified on 10000 arc-length samples.
 
-    The curve is glued once per prefix curve and transition
-    (``_glued_curve``) and is shared, with its arc-length samples, by every
-    profile built from them; it must not be mutated.  The bump, junction,
-    landmark and certificate checks run on every call.  A tail torpedo
+    The curve is glued, and its junctions checked, once per prefix curve
+    and transition (``_glued_curve``); it is shared, with its arc-length
+    samples, by every profile built from them and must not be mutated.  The
+    bump, landmark and certificate checks run on every call.  A tail torpedo
     that r_inf (derived data) cannot carry is a ConstructionFailedError.
     """
     curve_prefix, theta0, _k_max = prefix
@@ -894,11 +879,6 @@ def assemble_gamma(consts, prefix, transition):
     if abs(float(bump.theta(bump.length)) - theta0) > 1e-9:
         raise AssemblyError("bump exit angle does not match theta0")
     curve, landmarks = _glued_curve(curve_prefix, float(theta0), params, f)
-    residual = curve.junction_residual()
-    if not residual <= _JUNCTION_TOL:
-        raise AssemblyError(
-            f"segment junction residual {residual:.3e} exceeds "
-            f"{_JUNCTION_TOL}")
     profile = BendProfile(curve, consts, theta0, dict(landmarks))
     cert = profile.certify()
     if not cert.passed:
@@ -910,8 +890,8 @@ def assemble_gamma(consts, prefix, transition):
 
 @_Memo
 def _glued_curve(curve_prefix, theta0, params, f):
-    """(curve, landmarks) of ``assemble_gamma``: the prefix, the straight
-    stretch of angle theta0 down to r0, the transition graph and the tail."""
+    """Junction-checked (curve, landmarks) of ``assemble_gamma``: the prefix,
+    the line of angle theta0 down to r0, the transition graph and the tail."""
     bump = curve_prefix.segments[-1]
     p1 = bump.end
     t1p, r1p = float(p1[0]), float(p1[1])
@@ -929,6 +909,11 @@ def _glued_curve(curve_prefix, theta0, params, f):
             f"{err}") from None
     tail_seg = GraphSeg(reflect(tail_prof), t_offset=t_inf_global)
     curve = Curve2D(list(curve_prefix.segments) + [line, trans_seg, tail_seg])
+    residual = curve.junction_residual()
+    if not residual <= _JUNCTION_TOL:
+        raise AssemblyError(
+            f"segment junction residual {residual:.3e} exceeds "
+            f"{_JUNCTION_TOL}")
     landmarks = {"r_bar": float(curve_prefix.segments[0].p0[1]),
                  "r1": float(curve_prefix.segments[0].p1[1]), "r1p": r1p,
                  "r0": r0, "r_inf": params.r_inf, "t1p": t1p,

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .certify import IsotopyCertificate, pmap, write_csv
+from .certify import IsotopyCertificate, _halving_search, pmap, write_csv
 from .curvature import (DoublyWarpedMetric, WarpedSphereMetric,
                         _family_scalar, scalar_doubly_warped, scalar_warped)
 from .errors import (CertificationFailedError, CompilationFailedError,
@@ -215,33 +215,32 @@ _STANDARDIZE_BUDGET = 20
 
 
 def _standardize_search(p, q, radius):
-    """Halve delta until the round -> mixed-torpedo homotopy certifies.
+    """Halve delta from 0.5 until the round -> mixed-torpedo homotopy
+    certifies; a layout with no tube or a failed membership has no margin.
 
     Returns (delta, (u1, v1), certificate).  The eps cap is tied to delta
     (equal caps) and both torpedoes live on the round join domain.  An
-    exhausted search raises CompilationFailedError carrying the best
-    homotopy minimum seen as ``best_margin``.
+    exhausted search raises CompilationFailedError with its best margin.
     """
     g = round_doubly_warped(p, q, radius)
-    b = g.b
-    delta = 0.5
-    best = -np.inf
-    for _ in range(_STANDARDIZE_BUDGET):
+
+    def attempt(delta):
         try:
-            u1, v1 = _mixed_torpedo_profiles(delta, delta, b)
-            ru = check_U_membership(u1)
-            rv = check_V_membership(v1)
-            if ru.passed and rv.passed:
-                cert = _certify_homotopy(p, q, g.u, g.v, u1, v1)
-                if cert.passed:
-                    return delta, (u1, v1), cert
-                best = max(best, cert.min_scalar)
-        except InvalidSpecError:
-            pass
-        delta *= 0.5
-    raise CompilationFailedError(
-        f"standardization delta search exhausted (budget "
-        f"{_STANDARDIZE_BUDGET}, best margin {best:.6g})", best_margin=best)
+            u1, v1 = _mixed_torpedo_profiles(delta, delta, g.b)
+        except InvalidSpecError:  # no tube left on the round join domain
+            return None, None
+        ru, rv = check_U_membership(u1), check_V_membership(v1)
+        if not (ru.passed and rv.passed):
+            return None, None
+        cert = _certify_homotopy(p, q, g.u, g.v, u1, v1)
+        return cert.min_scalar, (delta, (u1, v1), cert)
+
+    best, found = _halving_search(0.5, attempt, _STANDARDIZE_BUDGET)
+    if found is None:
+        raise CompilationFailedError(
+            f"standardization delta search exhausted (budget "
+            f"{_STANDARDIZE_BUDGET}, best margin {best})", best_margin=best)
+    return found
 
 
 def _handle_attach(cert, q):

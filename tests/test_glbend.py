@@ -52,6 +52,11 @@ class TestInequalityLedger:
         assert check_cureqn(MODEL, -5.0, 0.3, 0.2) == np.inf
         assert check_cureqn(MODEL, 0.0, 0.3, 0.2) == np.inf
 
+    def test_profile_touching_zero_reads_minus_inf(self):
+        # 1 - t^2 on (0, 1) is 0 at its last grid point
+        f = SmoothFn1D(1.0, [PolyPiece((0.0, 1.0), [1.0, 0.0, -1.0])])
+        assert check_diffkeqn(f) == -np.inf
+
     @given(mu=st.floats(0.0, 1.0), b=st.floats(0.0, 0.2499))
     @settings(max_examples=200, deadline=None)
     def test_mu_inequality_nonnegative(self, mu, b):
@@ -305,6 +310,21 @@ class TestGeometryMemo:
             held[glbend._glued_curve] == \
             [min(i, _MEMO_SIZE - 1) for i in range(n)]
         assert max(held[glbend._bump_geometry]) == _MEMO_SIZE - 1
+
+    def test_junctions_checked_once_per_glued_curve(self, monkeypatch):
+        prefix = initial_bend(MODEL, r1=0.5)
+        trans = synth_transition(MODEL, r0=0.2, theta0=prefix[1])
+        calls = []
+        real = Curve2D.junction_residual
+
+        def counted(self):
+            calls.append(self)
+            return real(self)
+        monkeypatch.setattr(Curve2D, "junction_residual", counted)
+        first = assemble_gamma(MODEL, prefix, trans)
+        second = assemble_gamma(MODEL, prefix, trans)
+        assert first.curve is second.curve
+        assert calls == [first.curve]
 
     def test_blocked_samples_match_one_evaluation(self):
         curve = _bend(MODEL).curve

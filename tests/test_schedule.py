@@ -41,6 +41,15 @@ class TestCompile:
             schedule._standardize_search(2, 4, 1.0)
         assert err.value.best_margin == -0.5
 
+    def test_input_error_inside_an_attempt_propagates(self, monkeypatch):
+        # only the torpedo layout's InvalidSpecError means "no tube left";
+        # one from the homotopy certificate is not read as "halve delta"
+        def broken(*args):
+            raise InvalidSpecError("stub")
+        monkeypatch.setattr(schedule, "_certify_homotopy", broken)
+        with pytest.raises(InvalidSpecError, match="stub"):
+            schedule._standardize_search(2, 4, 1.0)
+
     def test_empty_desc_single_product(self, g0):
         s = compile_gl_cobordism(g0, MorseDescription(7, []))
         assert [seg.kind for seg in s.segments] == ["product-extension"]
