@@ -18,8 +18,10 @@ is what makes linear homotopies between members useful; see
 Every profile in the toolkit (``SmoothFn1D`` and ``LinearCombination`` here,
 and the composite and blended profiles of ``hypersurface`` and ``glbend``) has
 the same contract: a domain length ``b`` and ``jet(t, k)``, which returns
-(f, f', ..., f^(k)) for k <= 3 from one evaluation pass.  Only ``SmoothFn1D``
-serialises.
+(f, f', ..., f^(k)) for k <= 3 from one evaluation pass.  The analytic
+pieces of a ``SmoothFn1D`` have the same ``jet(t, k)`` on their interval, and
+``_piecewise`` gathers them, as it gathers the segments of a ``glbend.Curve2D``.
+Only ``SmoothFn1D`` serialises.
 """
 
 from __future__ import annotations
@@ -83,12 +85,10 @@ class PolyPiece:
         for _ in range(3):
             self._dcoeffs.append(np.polynomial.polynomial.polyder(self._dcoeffs[-1]))
 
-    def eval(self, t, order=0):
-        t = np.asarray(t, dtype=float)
-        c = self._dcoeffs[order]
-        if c.size == 0:
-            return np.zeros_like(t)
-        return np.polynomial.polynomial.polyval(t - self.origin, c)
+    def jet(self, t, k):
+        u = np.asarray(t, dtype=float) - self.origin
+        return tuple(np.polynomial.polynomial.polyval(u, c) if c.size
+                     else np.zeros_like(u) for c in self._dcoeffs[:k + 1])
 
     def to_json(self):
         return {"kind": self.kind, "interval": list(self.interval),
@@ -106,10 +106,10 @@ class SinePiece:
         self.frequency = float(frequency)
         self.phase = float(phase)
 
-    def eval(self, t, order=0):
-        t = np.asarray(t, dtype=float)
-        a = self.amplitude * self.frequency ** order
-        return a * np.sin(self.frequency * t + self.phase + order * np.pi / 2.0)
+    def jet(self, t, k):
+        arg = self.frequency * np.asarray(t, dtype=float) + self.phase
+        return tuple(self.amplitude * self.frequency ** j
+                     * np.sin(arg + j * np.pi / 2.0) for j in range(k + 1))
 
     def to_json(self):
         return {"kind": self.kind, "interval": list(self.interval),
@@ -123,9 +123,9 @@ class ConstPiece:
         self.interval = (float(interval[0]), float(interval[1]))
         self.value = float(value)
 
-    def eval(self, t, order=0):
+    def jet(self, t, k):
         t = np.asarray(t, dtype=float)
-        return np.full_like(t, self.value) if order == 0 else np.zeros_like(t)
+        return (np.full_like(t, self.value),) + (np.zeros_like(t),) * k
 
     def to_json(self):
         return {"kind": self.kind, "interval": list(self.interval),
@@ -142,10 +142,9 @@ class ReflectPiece:
         self.inner = inner
         self.b = float(b)
 
-    def eval(self, t, order=0):
-        t = np.asarray(t, dtype=float)
-        sign = -1.0 if order % 2 else 1.0
-        return sign * self.inner.eval(self.b - t, order)
+    def jet(self, t, k):
+        inner = self.inner.jet(self.b - np.asarray(t, dtype=float), k)
+        return tuple(-d if j % 2 else d for j, d in enumerate(inner))
 
     def to_json(self):
         return {"kind": self.kind, "interval": list(self.interval),
@@ -183,6 +182,22 @@ def _jet_points(t, k, b):
     return t
 
 
+def _piecewise(x, breaks, part, tails):
+    """Gather ``part(i, xi)``, the arrays of piece i at its share xi of the
+    points x, into one array of shape x.shape + tail per entry of ``tails``
+    (shape tail for scalar x).  Piece i owns [breaks[i-1], breaks[i]) of
+    the increasing interior ``breaks``."""
+    xv = np.atleast_1d(x)
+    idx = np.searchsorted(breaks, xv, side="right")
+    outs = tuple(np.empty(xv.shape + tail) for tail in tails)
+    for i in range(len(breaks) + 1):
+        mask = idx == i
+        if mask.any():
+            for out, val in zip(outs, part(i, xv[mask])):
+                out[mask] = val
+    return tuple(out[0] for out in outs) if np.ndim(x) == 0 else outs
+
+
 class SmoothFn1D:
     """Piecewise-analytic C^2 function on (0, b), derivatives up to order 3.
 
@@ -218,11 +233,12 @@ class SmoothFn1D:
                 raise InvalidSpecError("breakpoints must strictly increase")
 
     def _validate_junctions(self):
+        k = max(self.junction_orders, default=0)
         for left, right in zip(self.pieces, self.pieces[1:]):
             t = left.interval[1]
+            ljet, rjet = left.jet(t, k), right.jet(t, k)
             for order in self.junction_orders:
-                lv = float(left.eval(t, order))
-                rv = float(right.eval(t, order))
+                lv, rv = float(ljet[order]), float(rjet[order])
                 scale_ = max(1.0, abs(lv), abs(rv))
                 if abs(lv - rv) > DEFAULT_JUNCTION_TOL * scale_:
                     raise InvalidSpecError(
@@ -231,19 +247,9 @@ class SmoothFn1D:
 
     def jet(self, t, k=2):
         """(f, f', ..., f^(k))(t) for k <= 3; scalars for scalar t."""
-        t = _jet_points(t, k, self.b)
-        tv = np.atleast_1d(t)
-        idx = np.searchsorted(self._breaks, tv, side="right")
-        outs = [np.empty_like(tv) for _ in range(k + 1)]
-        for i, piece in enumerate(self.pieces):
-            mask = idx == i
-            if mask.any():
-                ti = tv[mask]
-                for order, out in enumerate(outs):
-                    out[mask] = piece.eval(ti, order)
-        if t.ndim == 0:
-            return tuple(out[0] for out in outs)
-        return tuple(outs)
+        return _piecewise(_jet_points(t, k, self.b), self._breaks,
+                          lambda i, ti: self.pieces[i].jet(ti, k),
+                          ((),) * (k + 1))
 
     def __call__(self, t):
         return self.jet(t, 0)[0]

@@ -19,6 +19,11 @@ curve glued from each prefix and transition are kept in small LRU memos
 of them are shared by every call with the same key; the margin, and every
 check of a build, is taken again on each call against its own constants.
 
+A curve (``Curve2D``) is a chain of unit-speed segments.  Each segment's
+``eval(s, k)`` gives position, tangent and curvature, and with k = 3 also
+the curvature's arc-length derivative, from one pass; the curve gathers
+them with ``fnspace._piecewise``.
+
 The inequality ledger is, from strongest to weakest assumption:
 
 * ``check_cureqn``   k (1 + C' r^2) < R0 r/sin(theta) + (q-1) sin(theta)/r
@@ -47,8 +52,8 @@ from .curvature import _check_dims
 from .errors import (AssemblyError, ConstructionFailedError, InvalidBendError,
                      InvalidSpecError, InversionError, NoFeasibleBendError,
                      OutOfRegimeError, TiltTooLargeError)
-from .fnspace import (PolyPiece, SmoothFn1D, TorpedoSpec, _quintic_match,
-                      make_torpedo, reflect)
+from .fnspace import (PolyPiece, SmoothFn1D, TorpedoSpec, _jet_points,
+                      _piecewise, _quintic_match, make_torpedo, reflect)
 
 __all__ = [
     "BendConstants",
@@ -333,14 +338,12 @@ class LineSeg:
             raise InvalidSpecError("degenerate line segment")
         self.dir = d / self.length
 
-    def eval(self, s):
-        return self.p0 + np.multiply.outer(np.asarray(s, dtype=float),
-                                           self.dir), \
-            np.broadcast_to(self.dir, np.shape(s) + (2,)), \
-            np.zeros(np.shape(s))
-
-    def dk(self, s):
-        return np.zeros(np.shape(s))
+    def eval(self, s, k=2):
+        shape = np.shape(s)
+        out = (self.p0 + np.multiply.outer(np.asarray(s, dtype=float),
+                                           self.dir),
+               np.broadcast_to(self.dir, shape + (2,)), np.zeros(shape))
+        return out + (np.zeros(shape),) if k == 3 else out
 
 
 class ArcSeg:
@@ -359,16 +362,13 @@ class ArcSeg:
         self.length = self.radius * abs(self.ang1 - self.ang0)
         self.orient = 1.0 if self.ang1 > self.ang0 else -1.0
 
-    def eval(self, s):
+    def eval(self, s, k=2):
         ang = self.ang0 + self.orient * np.asarray(s, dtype=float) / self.radius
         pt = self.center + self.radius * np.stack(
             [np.cos(ang), np.sin(ang)], axis=-1)
         tan = self.orient * np.stack([-np.sin(ang), np.cos(ang)], axis=-1)
-        k = np.full(np.shape(s), self.orient / self.radius)
-        return pt, tan, k
-
-    def dk(self, s):
-        return np.zeros(np.shape(s))
+        out = pt, tan, np.full(np.shape(s), self.orient / self.radius)
+        return out + (np.zeros(np.shape(s)),) if k == 3 else out
 
 
 class BumpSeg:
@@ -404,17 +404,16 @@ class BumpSeg:
     def theta(self, s):
         return self.theta_in + self._theta_local(np.asarray(s, dtype=float))
 
-    def eval(self, s):
+    def eval(self, s, k=2):
         s = np.asarray(s, dtype=float)
         th = self.theta(s)
         pt = np.stack([self._t(s)[0], self._r(s)[0]], axis=-1)
         tan = np.stack([np.sin(th), -np.cos(th)], axis=-1)
-        k = 0.5 * self.k_max * (1.0 - np.cos(2 * np.pi * s / self.length))
-        return pt, tan, k
-
-    def dk(self, s):
+        kap = 0.5 * self.k_max * (1.0 - np.cos(2 * np.pi * s / self.length))
+        if k < 3:
+            return pt, tan, kap
         w = 2 * np.pi / self.length
-        return 0.5 * self.k_max * w * np.sin(w * np.asarray(s, dtype=float))
+        return pt, tan, kap, 0.5 * self.k_max * w * np.sin(w * s)
 
     @property
     def end(self):
@@ -460,20 +459,19 @@ class GraphSeg:
                 table=(self._table.x, self._table.F))
         return out[()]
 
-    def eval(self, s):
+    def eval(self, s, k=2):
+        """(P, T, kappa) at t(s), from one solve for t(s); with k = 3 also
+        dkappa/ds = (f''' - 3 f' f''^2/(1 + f'^2))/(1 + f'^2)^2."""
         tl = self._t_of_s(s)
-        F, d1, d2 = self.prof.jet(tl, 2)
-        sp = np.sqrt(1.0 + d1 ** 2)
+        F, d1, d2, *d3 = self.prof.jet(tl, 3 if k == 3 else 2)
+        sp2 = 1.0 + d1 ** 2
+        sp = np.sqrt(sp2)
         pt = np.stack([tl + self.t_offset, F], axis=-1)
         tan = np.stack([1.0 / sp, d1 / sp], axis=-1)
-        k = d2 / sp ** 3
-        return pt, tan, k
-
-    def dk(self, s):
-        """dk/ds = (f''' - 3 f' f''^2/(1 + f'^2))/(1 + f'^2)^2 at t(s)."""
-        _, d1, d2, d3 = self.prof.jet(self._t_of_s(s), 3)
-        sp2 = 1.0 + d1 ** 2
-        return (d3 - 3.0 * d1 * d2 ** 2 / sp2) / sp2 ** 2
+        kap = d2 / sp ** 3
+        if k < 3:
+            return pt, tan, kap
+        return pt, tan, kap, (d3[0] - 3.0 * d1 * d2 ** 2 / sp2) / sp2 ** 2
 
 
 # points per Curve2D.eval call in Curve2D.arc_samples
@@ -492,33 +490,20 @@ class Curve2D:
         self.length = float(self.cum[-1])
         self._samples = None  # (n, the arrays of arc_samples(n))
 
-    def _gather(self, s, part, tails):
-        """``part(seg, local arc length)`` on each segment's share of s,
-        gathered into arrays of shape s.shape + tail, one per ``tails``."""
-        sv = np.atleast_1d(np.asarray(s, dtype=float))
-        idx = np.searchsorted(self.cum[1:-1], sv, side="right")
-        outs = tuple(np.empty(sv.shape + tail) for tail in tails)
-        for i, seg in enumerate(self.segments):
-            mask = idx == i
-            if mask.any():
-                for out, val in zip(outs, part(seg, sv[mask] - self.cum[i])):
-                    out[mask] = val
-        return tuple(out[0] for out in outs) if np.shape(s) == () else outs
-
-    def eval(self, s):
-        """(P, T, kappa)(s): position, unit tangent and signed curvature."""
-        return self._gather(s, lambda seg, sl: seg.eval(sl),
-                            ((2,), (2,), ()))
+    def eval(self, s, k=2):
+        """(P, T, kappa)(s): position, unit tangent and signed curvature,
+        and with k = 3 also kappa' = dkappa/ds.  s must lie in [0, length]
+        and k in 0..3 (``fnspace._jet_points``)."""
+        return _piecewise(
+            _jet_points(s, k, self.length), self.cum[1:-1],
+            lambda i, sl: self.segments[i].eval(sl - self.cum[i], k),
+            ((2,), (2,), ()) + (((),) if k == 3 else ()))
 
     def jet(self, s, k=2):
         """(P, P', ..., P^(k))(s) for k <= 3, each with a trailing (t, r)
         axis: P' = T, P'' = kappa N, P''' = kappa' N - kappa^2 T, with
-        N = (-T_r, T_t) the left normal and kappa' from the segments' dk."""
-        def part(seg, sl):
-            return (*seg.eval(sl), seg.dk(sl)) if k == 3 else seg.eval(sl)
-
-        pt, tan, kap, *dk = self._gather(s, part,
-                                         ((2,), (2,), (), ())[:3 + (k == 3)])
+        N = (-T_r, T_t) the left normal, all from one ``eval(s, k)``."""
+        pt, tan, kap, *dk = self.eval(s, k)
         nrm = np.stack([-tan[..., 1], tan[..., 0]], axis=-1)
         out = (pt, tan, kap[..., None] * nrm)[:k + 1]
         if k < 3:
@@ -539,13 +524,6 @@ class Curve2D:
             self._samples = (n, _frozen(pt, k, theta))
         return self._samples[1]
 
-    def point(self, s):
-        return self.eval(s)[0]
-
-    def theta(self, s):
-        """Normal angle against the horizontal (``_normal_angle``)."""
-        return _normal_angle(self.eval(s)[1])
-
     def unit_speed_residual(self, n_samples=1000):
         h = 1e-6
         s = np.linspace(2 * h, self.length - 2 * h, n_samples)
@@ -556,8 +534,8 @@ class Curve2D:
         s = s[keep]
         # fourth-order stencil: small-radius caps have position derivatives
         # growing like 1/r^3, so a second-order difference is too noisy
-        p2, p1, m1, m2 = np.split(self.point(np.concatenate(
-            [s + 2 * h, s + h, s - h, s - 2 * h])), 4)
+        p2, p1, m1, m2 = np.split(self.eval(np.concatenate(
+            [s + 2 * h, s + h, s - h, s - 2 * h]))[0], 4)
         d = (-p2 + 8 * p1 - 8 * m1 + m2) / (12.0 * h)
         return float(np.abs(np.linalg.norm(d, axis=-1) - 1.0).max())
 
@@ -607,12 +585,12 @@ class BendProfile:
             raise AssemblyError(
                 "tail too short: t_bar - t_inf must be >= "
                 f"{_TAIL_FACTOR:g} r_inf")
-        start = self.curve.point(0.0)
+        start, tan, _ = self.curve.eval(0.0)
         if abs(start[0]) > 1e-9 or abs(start[1] - lm["r_bar"]) > 1e-9:
             raise AssemblyError(f"curve must start at (0, r_bar), got {start}")
-        if abs(float(self.curve.theta(0.0))) > 1e-9:
+        if abs(float(_normal_angle(tan))) > 1e-9:
             raise AssemblyError("curve must start vertical (theta = 0)")
-        end = self.curve.point(self.curve.length)
+        end = self.curve.eval(self.curve.length)[0]
         if abs(end[0] - lm["t_bar"]) > 1e-8 or abs(end[1]) > 1e-8:
             raise AssemblyError(f"curve must end at (t_bar, 0), got {end}")
 
@@ -739,12 +717,6 @@ class TransitionParams:
             raise InvalidSpecError("C1 and C2 must be positive")
         if not 0 < self.c < 1.0 / self.C1:
             raise InvalidSpecError("need c in (0, 1/C1)")
-        resid = (self.C1 * (self.r0 - self.c) - self.m0 ** 2
-                 + 0.5 * self.C1 * self.delta0 * self.m0
-                 + self.C1 ** 2 * self.delta0 ** 2 / 48.0)
-        if abs(resid) > 1e-10:
-            raise InvalidSpecError(
-                f"parameter equation residual too large: {resid:.3e}")
 
     @property
     def r_inf(self):

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from gllab.errors import DomainMismatchError, InvalidSpecError
 from gllab.fnspace import (ConstPiece, LinearCombination, PolyPiece,
-                           SinePiece, SmoothFn1D, TorpedoSpec, _torpedo_on,
-                           check_F_membership, check_U_membership,
+                           ReflectPiece, SinePiece, SmoothFn1D, TorpedoSpec,
+                           _torpedo_on, check_F_membership, check_U_membership,
                            check_V_membership, linear_homotopy,
                            make_double_torpedo, make_torpedo, reflect,
                            sample_grid, write_profile_csv)
@@ -25,16 +25,18 @@ class TestPieces:
     def test_poly_derivatives(self):
         p = PolyPiece((0.0, 1.0), [1.0, 2.0, 3.0])  # 1 + 2t + 3t^2
         t = np.linspace(0.0, 1.0, 7)
-        assert np.allclose(p.eval(t), 1 + 2 * t + 3 * t ** 2)
-        assert np.allclose(p.eval(t, 1), 2 + 6 * t)
-        assert np.allclose(p.eval(t, 2), 6.0)
-        assert np.allclose(p.eval(t, 3), 0.0)
+        f, d1, d2, d3 = p.jet(t, 3)
+        assert np.allclose(f, 1 + 2 * t + 3 * t ** 2)
+        assert np.allclose(d1, 2 + 6 * t)
+        assert np.allclose(d2, 6.0)
+        assert np.allclose(d3, 0.0)
 
     def test_sine_derivatives(self):
         p = SinePiece((0.0, 1.0), 2.0, 3.0, phase=0.5)
         t = np.linspace(0.0, 1.0, 7)
-        assert np.allclose(p.eval(t, 1), 6.0 * np.cos(3 * t + 0.5))
-        assert np.allclose(p.eval(t, 2), -18.0 * np.sin(3 * t + 0.5))
+        _, d1, d2 = p.jet(t, 2)
+        assert np.allclose(d1, 6.0 * np.cos(3 * t + 0.5))
+        assert np.allclose(d2, -18.0 * np.sin(3 * t + 0.5))
 
     def test_junction_contract_enforced(self):
         good = SmoothFn1D(2.0, [ConstPiece((0, 1), 1.0),
@@ -54,11 +56,10 @@ class TestPieces:
         for k in range(4):
             jet = f.jet(t, k)
             assert len(jet) == k + 1
-            for order, values in enumerate(jet):
-                for i, piece in enumerate(f.pieces):
-                    mine = owner == i
-                    assert np.array_equal(values[mine],
-                                          piece.eval(t[mine], order))
+            for i, piece in enumerate(f.pieces):
+                mine = owner == i
+                for values, own in zip(jet, piece.jet(t[mine], k)):
+                    assert np.array_equal(values[mine], own)
         # one point at a time gives the same bits as the whole array
         for j in range(0, t.size, 7):
             assert f.jet(t[j], 3) == tuple(x[j] for x in f.jet(t, 3))
@@ -66,9 +67,20 @@ class TestPieces:
         scalar = f.jet(1.3, 3)
         assert all(np.ndim(x) == 0 for x in scalar)
         piece = f.pieces[int(np.searchsorted(f._breaks, 1.3, side="right"))]
-        assert scalar == tuple(piece.eval([1.3], order)[0]
-                               for order in range(4))
+        assert scalar == tuple(x[0] for x in piece.jet([1.3], 3))
         assert f(1.3) == scalar[0]
+
+    def test_jet_takes_one_call_per_piece(self, monkeypatch):
+        f = make_torpedo(TorpedoSpec(0.5))
+        assert [p.kind for p in f.pieces] == ["sine", "poly", "const"]
+        calls = []
+        for cls in (SinePiece, PolyPiece, ConstPiece):
+            def counted(self, t, k, _orig=cls.jet):
+                calls.append(self.kind)
+                return _orig(self, t, k)
+            monkeypatch.setattr(cls, "jet", counted)
+        f.jet(np.linspace(0.0, f.b, 101), 3)
+        assert calls == ["sine", "poly", "const"]
 
     @pytest.mark.parametrize("k", [-1, 4])
     def test_jet_order_outside_range_raises_typed(self, k):
@@ -287,6 +299,50 @@ class TestStructuralOps:
         assert len(lines) > 64
 
 
+def _per_order(piece, t, order):
+    """Reference: the one-order formulas that piece jets replaced."""
+    t = np.asarray(t, dtype=float)
+    if piece.kind == "poly":
+        c = piece.coeffs
+        for _ in range(order):
+            c = np.polynomial.polynomial.polyder(c)
+        return np.polynomial.polynomial.polyval(t - piece.origin, c)
+    if piece.kind == "sine":
+        a = piece.amplitude * piece.frequency ** order
+        return a * np.sin(piece.frequency * t + piece.phase
+                          + order * np.pi / 2.0)
+    if piece.kind == "const":
+        return np.full_like(t, piece.value) if order == 0 \
+            else np.zeros_like(t)
+    sign = -1.0 if order % 2 else 1.0
+    return sign * _per_order(piece.inner, piece.b - t, order)
+
+
+def _pieces_of_every_kind():
+    """A double torpedo's pieces (sine, poly, const, then the reflected
+    const, poly and sine), and a phased sine piece with its reflection."""
+    phased = SinePiece((0.0, 2.0), 1.3, 0.7, phase=np.pi / 2.0)
+    return make_double_torpedo(0.5, 4.0).pieces + [
+        phased, ReflectPiece((0.5, 2.5), phased, 2.5)]
+
+
+@pytest.mark.parametrize("i", range(8))
+def test_piece_jets_match_per_order_formulas_bitwise(i):
+    piece = _pieces_of_every_kind()[i]
+    inner = getattr(piece, "inner", piece)
+    assert (piece.kind, inner.kind) == (
+        ("sine", "sine"), ("poly", "poly"), ("const", "const"),
+        ("reflect", "const"), ("reflect", "poly"), ("reflect", "sine"),
+        ("sine", "sine"), ("reflect", "sine"))[i]
+    t = np.linspace(*piece.interval, 37)
+    for k in range(4):
+        jet = piece.jet(t, k)
+        assert len(jet) == k + 1
+        for j, d in enumerate(jet):
+            assert np.array_equal(d, _per_order(piece, t, j))
+            assert piece.jet(t[5], k)[j] == _per_order(piece, t[5], j)
+
+
 class _PiecewiseSum:
     """Reference: the weighted sum of pieces that homotopies and rescalings
     were once built from, one per interval of the union of breakpoints."""
@@ -295,13 +351,13 @@ class _PiecewiseSum:
         self.interval = interval
         self.terms = terms
 
-    def eval(self, t, order=0):
+    def jet(self, t, k):
         t = np.asarray(t, dtype=float)
-        out = np.zeros_like(t)
+        outs = [np.zeros_like(t)] * (k + 1)
         for w, p in self.terms:
             if w != 0.0:
-                out = out + w * p.eval(t, order)
-        return out
+                outs = [o + w * d for o, d in zip(outs, p.jet(t, k))]
+        return tuple(outs)
 
 
 def _piece_at(f, t):

@@ -14,7 +14,8 @@ from gllab.certify import _MEMO_SIZE, _MEMOS, IsotopyCertificate
 from gllab.errors import (AssemblyError, ConstructionFailedError,
                           InvalidBendError, InvalidSpecError, InversionError,
                           NoFeasibleBendError)
-from gllab.fnspace import PolyPiece, SmoothFn1D
+from gllab.fnspace import (PolyPiece, SmoothFn1D, TorpedoSpec, make_torpedo,
+                           reflect)
 from gllab.glbend import (ArcSeg, BendConstants, BumpSeg, Curve2D, GraphSeg,
                           InverseBlend, LineSeg, _invert_monotone,
                           assemble_gamma, check_cureqn, check_diffkeqn,
@@ -94,7 +95,7 @@ class TestSegments:
             assert s.size > 20
             h = 1e-5 * L
             fd = (seg.eval(s + h)[2] - seg.eval(s - h)[2]) / (2 * h)
-            np.testing.assert_allclose(seg.dk(s), fd, rtol=1e-6,
+            np.testing.assert_allclose(seg.eval(s, 3)[3], fd, rtol=1e-6,
                                        atol=1e-6 * np.abs(fd).max())
             # the curve's third derivative dk N - k^2 T against a
             # difference of its second, k N
@@ -105,9 +106,9 @@ class TestSegments:
 
     def test_nan_junction_gap_is_kept(self):
         class NanSeg(LineSeg):
-            def eval(self, s):
-                p, t, k = super().eval(s)
-                return np.full_like(p, np.nan), t, k
+            def eval(self, s, k=2):
+                p, *rest = super().eval(s, k)
+                return np.full_like(p, np.nan), *rest
 
         curve = Curve2D([LineSeg((0.0, 1.0), (0.0, 0.5)),
                          NanSeg((0.0, 0.5), (0.0, 0.0))])
@@ -181,9 +182,8 @@ class TestSynthesis:
         # C2 junction residuals: adjacent pieces evaluated at the breakpoint
         for left, right in zip(f.pieces, f.pieces[1:]):
             t = left.interval[1]
-            for order in (0, 1, 2):
-                lv = float(left.eval(t, order))
-                rv = float(right.eval(t, order))
+            for lv, rv in zip(left.jet(t, 2), right.jet(t, 2)):
+                lv, rv = float(lv), float(rv)
                 assert abs(lv - rv) < 1e-8 * max(1.0, abs(lv), abs(rv))
         assert check_diffkeqn(f) > 0
         # frozen identities of the three-piece construction
@@ -193,6 +193,13 @@ class TestSynthesis:
                           - params.delta0 / 2)
         assert np.isclose(float(f(params.tinf)),
                           params.c - params.C1 * params.delta_inf ** 2 / 48)
+
+    def test_tiny_bend_angle_transition_builds(self):
+        # the parameter equation's terms scale like cot^2(theta0), so at
+        # theta0 = 1e-3 its rounding residual is above 1e-10
+        params, f = synth_transition(MODEL, r0=0.2, theta0=1e-3)
+        assert params.delta0 == 1.953125e-4
+        assert check_diffkeqn(f) > 0
 
     def test_transition_evaluates_each_candidate_once(self, monkeypatch):
         prefix = initial_bend(MODEL, r1=0.5)
@@ -262,7 +269,7 @@ class TestSynthesis:
         profile = assemble_gamma(consts, prefix, synth_transition(
             consts, r0=0.2, theta0=prefix[1]))
         s, _t, r, _k, _theta, margin = profile.margins(2048)
-        assert r[-1] == profile.curve.point(s)[-1, 1]
+        assert r[-1] == profile.curve.eval(s)[0][-1, 1]
         assert abs(r[-1]) < 1e-9
         assert margin[-1] == np.inf
         assert profile.certificate.min_scalar == \
@@ -815,7 +822,8 @@ class TestInversionRounds:
 
 
 def test_curve_jet_orders_agree_bitwise():
-    # a bend curve holds line, bump and graph segments; only k = 3 calls dk
+    # a bend curve holds line, bump and graph segments; only k = 3 adds
+    # the segments' dk/ds
     prefix = initial_bend(MODEL, r1=0.5)
     curve = assemble_gamma(MODEL, prefix, synth_transition(
         MODEL, r0=0.2, theta0=prefix[1])).curve
@@ -827,6 +835,25 @@ def test_curve_jet_orders_agree_bitwise():
             assert len(got) == k + 1
             for lower, higher in zip(got, full):
                 assert np.array_equal(lower, higher)
+
+
+def test_curve_jet_solves_for_t_once(monkeypatch):
+    curve = Curve2D([GraphSeg(reflect(make_torpedo(TorpedoSpec(0.3))))])
+    calls = []
+    t_of_s = GraphSeg._t_of_s
+    monkeypatch.setattr(GraphSeg, "_t_of_s",
+                        lambda self, s: calls.append(1) or t_of_s(self, s))
+    curve.jet(np.linspace(0.0, curve.length, 101), 3)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("call", [
+    lambda c: c.jet(1.0, 4), lambda c: c.jet(1.0, -1),
+    lambda c: c.eval(-1.0), lambda c: c.eval(c.length + 1.0)],
+    ids=["order 4", "order -1", "before the start", "past the end"])
+def test_curve_jet_rejects_bad_order_or_arc_length(call):
+    with pytest.raises(InvalidSpecError):
+        call(quarter_bend_curve(2.0, 2.0, 0.5))
 
 
 class TestGraphSeg:
@@ -915,7 +942,8 @@ def test_unit_speed_residual_matches_four_call_stencil(which):
         for c in curve.cum[1:-1]:
             keep &= np.abs(s - c) > 3 * h
         s = s[keep]
-        d = (-curve.point(s + 2 * h) + 8 * curve.point(s + h)
-             - 8 * curve.point(s - h) + curve.point(s - 2 * h)) / (12.0 * h)
+        point = lambda x: curve.eval(x)[0]
+        d = (-point(s + 2 * h) + 8 * point(s + h)
+             - 8 * point(s - h) + point(s - 2 * h)) / (12.0 * h)
         want = float(np.abs(np.linalg.norm(d, axis=-1) - 1.0).max())
         assert curve.unit_speed_residual(n) == want

@@ -307,9 +307,9 @@ class TestLeafEvaluation:
         nu_grid = [0.0, 0.3, 0.5, 0.8, 1.0]
         connected_sum_foliation(corner, tau=0.05, nu_grid=nu_grid, eps=0.25,
                                 delta_p=0.25, p=2, q=4)
-        # one jet per leaf, and no evaluation anywhere
+        # one jet per leaf, which is one curve evaluation pass
         assert calls["jet"] == len(nu_grid)
-        assert calls["eval"] == 0
+        assert calls["eval"] == len(nu_grid)
 
     def test_family_takes_one_jet_per_leaf_curve_and_torpedo(
             self, monkeypatch):
