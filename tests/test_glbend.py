@@ -1,6 +1,7 @@
 """Bending curve synthesis: inequalities, segments, assembly, isotopies."""
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +14,8 @@ from gllab import glbend, schedule
 from gllab.certify import _MEMO_SIZE, _MEMOS, IsotopyCertificate
 from gllab.errors import (AssemblyError, ConstructionFailedError,
                           InvalidBendError, InvalidSpecError, InversionError,
-                          NoFeasibleBendError)
+                          NoFeasibleBendError, OutOfRegimeError,
+                          TiltTooLargeError)
 from gllab.fnspace import (PolyPiece, SmoothFn1D, TorpedoSpec, make_torpedo,
                            reflect)
 from gllab.glbend import (ArcSeg, BendConstants, BumpSeg, Curve2D, GraphSeg,
@@ -239,6 +241,25 @@ class TestSynthesis:
         with pytest.raises(AssemblyError, match="junction residual"):
             assemble_gamma(MODEL, prefix, trans)
 
+    @pytest.mark.parametrize("r0", [0.15, 0.2])
+    def test_r0_not_below_half_r1_raises_before_gluing(self, r0):
+        # r1/2 = 0.15 exactly; the input error comes before any glued curve
+        prefix = initial_bend(MODEL, r1=0.3)
+        trans = synth_transition(MODEL, r0=r0, theta0=prefix[1])
+        with pytest.raises(InvalidSpecError, match="need r0 < r1/2"):
+            assemble_gamma(MODEL, prefix, trans)
+        assert not glbend._glued_curve.entries
+
+    def test_failing_curve_reports_its_least_margin(self):
+        # a bend certified under R0 = 1.5 fails the weaker R0 = 0.01
+        weak = BendConstants(R0=0.01, q=3)
+        prefix = initial_bend(MODEL, r1=0.5)
+        trans = synth_transition(weak, r0=0.2, theta0=prefix[1])
+        with pytest.raises(AssemblyError, match="fails the inequality") \
+                as err:
+            assemble_gamma(weak, prefix, trans)
+        assert err.value.best_margin == pytest.approx(-1.279, abs=1e-3)
+
     @pytest.mark.parametrize("bad", [np.nan, -np.inf])
     def test_non_finite_margin_sample_fails(self, monkeypatch, bad):
         # one interior sample of the curve inequality turns NaN or -inf
@@ -356,15 +377,17 @@ class TestGeometryMemo:
             monkeypatch.setattr(cls, "__init__", counted)
         real_eval = Curve2D.eval
 
-        def counted_eval(self, s):
+        def counted_eval(self, s, k=2):
             evals.append(np.size(s))
-            return real_eval(self, s)
+            return real_eval(self, s, k)
 
         monkeypatch.setattr(Curve2D, "eval", counted_eval)
         second = schedule._handle_attach(IsotopyCertificate("", 9.0), 3)
         assert second.theta0 == first.theta0
         assert built == []
-        assert evals and max(evals) == 1
+        # the profile is plain data and the curve keeps its samples: a
+        # second attach evaluates no curve at all
+        assert evals == []
         assert second.curve is first.curve
         assert second.landmarks == first.landmarks
         assert second.landmarks is not first.landmarks
@@ -947,3 +970,72 @@ def test_unit_speed_residual_matches_four_call_stencil(which):
              - 8 * point(s - h) + point(s - 2 * h)) / (12.0 * h)
         want = float(np.abs(np.linalg.norm(d, axis=-1) - 1.0).max())
         assert curve.unit_speed_residual(n) == want
+
+
+def _model_prefix():
+    return initial_bend(MODEL, r1=0.5)
+
+
+def _model_transition():
+    return synth_transition(MODEL, r0=0.2, theta0=_model_prefix()[1])
+
+
+def _prefix_of(*segments):
+    """The model prefix's angle and k_max on a hand-built curve."""
+    return (Curve2D(segments), *_model_prefix()[1:])
+
+
+def _tilt_parabola(a2):
+    """Tilt, at C2, the parabola r0 + m0 t + a2 t^2 on the model
+    transition's domain in place of its graph."""
+    params, _ = _model_transition()
+    f = SmoothFn1D(params.tinf, [PolyPiece((0.0, params.tinf),
+                                           [params.r0, params.m0, a2])])
+    return final_bending_tilt((params, f), params.C2)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: LineSeg((0.0, 1.0), (0.0, 1.0)), InvalidSpecError,
+     "degenerate line segment"),
+    (lambda: BumpSeg((0.0, 1.0), 0.0, 1.0, 0.0), InvalidSpecError,
+     "bump needs positive length"),
+    (lambda: Curve2D([]), InvalidSpecError, "need at least one segment"),
+    (lambda: initial_bend(MODEL, r1=0.0), InvalidSpecError,
+     "r1 must be positive and finite"),
+    (lambda: replace(_model_transition()[0], C1=0.0), InvalidSpecError,
+     "C1 and C2 must be positive"),
+    (lambda: replace(_model_transition()[0], c=0.0), InvalidSpecError,
+     r"need c in \(0, 1/C1\)"),
+    (lambda: synth_transition(BendConstants(R0=1.0, C=1.0), r0=0.6,
+                              theta0=0.1), OutOfRegimeError,
+     r"need r0 in \(0, 0.5\)"),
+    (lambda: synth_transition(MODEL, r0=0.2, theta0=0.0), InvalidSpecError,
+     r"theta0 must lie in \(0, pi/2\)"),
+    (lambda: assemble_gamma(MODEL, _prefix_of(
+        LineSeg((0.0, 0.625), (0.0, 0.5))), _model_transition()),
+     AssemblyError, "prefix must end in a curvature bump"),
+    # a bump at r1 = 1 that runs down to r = 0.1, below r0 = 0.2 < r1/2
+    (lambda: assemble_gamma(MODEL, _prefix_of(
+        LineSeg((0.0, 1.25), (0.0, 1.0)),
+        BumpSeg((0.0, 1.0), 0.0, 1e-3, 0.9)), _model_transition()),
+     AssemblyError, "bump already below r0"),
+    (lambda: assemble_gamma(MODEL, (_model_prefix()[0], 0.1,
+                                    _model_prefix()[2]), _model_transition()),
+     AssemblyError, "bump exit angle does not match theta0"),
+    # a parabola bending up so hard that its slope is positive at C2
+    (lambda: _tilt_parabola(100.0), ConstructionFailedError,
+     "tilted tail slope must be negative"),
+    # the start line itself, which crosses r = 0 before t_inf
+    (lambda: _tilt_parabola(0.0), TiltTooLargeError, "loses positivity"),
+    (lambda: InverseBlend(SmoothFn1D(1.0, [PolyPiece((0.0, 1.0),
+                                                     [1.0, 0.5])]),
+                          -1.0, 0.5),
+     InversionError, "profile must be strictly decreasing"),
+    (lambda: quarter_bend_curve(1.0, 1.0, 0.0), InvalidBendError,
+     "bend radius must be positive"),
+    (lambda: quarter_bend_curve(3.0, 1.0, 0.4, delta=0.7), InvalidBendError,
+     r"need c2 > delta\*pi/2"),
+])
+def test_argument_checks_raise_typed(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

@@ -65,10 +65,19 @@ class TestGaussIdentity:
         assert len(notes) == 1
 
     def test_domain_guard(self, certified_bend):
+        # the curve's own arc-length rule (fnspace._jet_points)
         amb = ModelAmbient(p=2, q=3, epsilon=0.3)
-        with pytest.raises(DomainMismatchError):
-            gauss_scalar_on_M(certified_bend, amb,
-                              certified_bend.curve.length + 1.0)
+        for s in (certified_bend.curve.length + 1.0, -1.0):
+            with pytest.raises(InvalidSpecError, match="evaluation outside"):
+                gauss_scalar_on_M(certified_bend, amb, s)
+
+    def test_rounding_below_zero_is_inside(self, certified_bend):
+        # the curve accepts -1e-10 as 0, so the Gauss formula does too
+        amb = ModelAmbient(p=2, q=3, epsilon=0.3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", PairSumCoefficientNote)
+            R = gauss_scalar_on_M(certified_bend, amb, -1e-10)
+        assert np.isfinite(R)
 
     def test_bare_curve_rejected(self, certified_bend):
         amb = ModelAmbient(p=2, q=3, epsilon=0.3)

@@ -344,3 +344,31 @@ class TestPlans:
         plan = cancellation_plan(two_point())
         blob = json.dumps(plan.to_json())
         assert json.loads(blob)["steps"][0]["kind"] == "direct"
+
+
+def _points(*specs):
+    return [CriticalPoint(pid, index, 0.5) for pid, index in specs]
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: two_point(b=1.5), InvalidSpecError, "non-integer entry 1.5"),
+    (lambda: MorseDescription(0, []), InvalidSpecError,
+     "n must be a positive dimension"),
+    (lambda: MorseDescription(7, _points(("w", 3), ("w", 4))),
+     InvalidSpecError, "duplicate point ids"),
+    (lambda: MorseDescription(7, _points(("w", 9))), InvalidSpecError,
+     r"outside \[0, n\+1\]"),
+    (lambda: MorseDescription(7, _points(("w", 3), ("z", 4)),
+                              {(4, 2): [[1]]}),
+     InvalidSpecError, "indices must be adjacent"),
+    # a row with no nonzero entry cannot be paired; no exact description
+    # hands cancellation_plan one, so the helper is called directly
+    (lambda: morsealg._unit_pivot_pairing([[0]], ["w"], ["z"]),
+     NoIntegralBasisError, "rows remain with zero intersection"),
+    (lambda: cancellation_plan(MorseDescription(4, _points(("w", 2),
+                                                           ("z", 2)))),
+     HypothesisViolationError, r"requires declared dimension n >= 5"),
+])
+def test_argument_checks_raise_typed(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

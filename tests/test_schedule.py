@@ -283,6 +283,7 @@ class TestDemo:
         with pytest.raises(DemoFailedError) as err:
             two_surgery_demo(5, 1)
         assert err.value.stage == "surgery-2"
+        assert err.value.best_margin == -1.0
         assert fibers == [3, 2]
 
     @pytest.mark.parametrize("n, p", [(7, 2), (5, 1)])
