@@ -4,6 +4,8 @@ The CLI maps these onto its exit-code contract: invalid input (2),
 construction failure (3), algebraic rejection (4).
 """
 
+import math
+
 
 class GLLabError(Exception):
     """Base class for all toolkit errors."""
@@ -41,12 +43,14 @@ class ConstructionFailedError(GLLabError):
     """A numeric synthesis step (root find / parameter search) failed.
 
     ``best_margin`` is the largest finite margin the failed step reached,
-    or None when it reached none (a NaN or infinite margin is none).
+    or None when it reached none: the constructor stores a NaN or infinite
+    margin as None, so a raise may pass any minimum it read.
     """
 
     def __init__(self, msg, best_margin=None):
         super().__init__(msg)
-        self.best_margin = best_margin
+        finite = best_margin is not None and math.isfinite(best_margin)
+        self.best_margin = best_margin if finite else None
 
 
 class NoFeasibleBendError(ConstructionFailedError):

@@ -843,7 +843,7 @@ def assemble_gamma(consts, prefix, transition):
         least = cert.min_scalar
         raise AssemblyError(
             f"assembled curve fails the inequality: min margin {least:.3e}",
-            best_margin=least if np.isfinite(least) else None)
+            best_margin=least)
     return profile
 
 

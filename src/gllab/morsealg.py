@@ -359,7 +359,6 @@ def reverse(desc):
         boundary[(desc.n + 1 - lo, desc.n - lo)] = \
             [[mat[i][j] for i in range(rows)] for j in range(cols)]
     out = MorseDescription(desc.n, pts, boundary, dict(desc.flags))
-    out.flags = dict(out.flags)
     out.flags["admissible"] = check_admissible(out)
     return out
 
@@ -472,23 +471,26 @@ class CancellationPlan:
 def _unit_pivot_pairing(mat, row_ids, col_ids):
     """Pair every row with a column through +-1 pivots, sliding columns.
 
-    Integer column elimination: choose the smallest-magnitude nonzero
-    entry; if it is not a unit, Euclidean column steps shrink it (handle
-    slides).  A pivot p that divides its whole row is stuck: every maximal
-    minor of the remaining rows is then a multiple of p, slides of rows or
-    columns keep the gcd of those minors, and a unit pairing needs it to be
-    1, so no integral pairing exists.  Rows and columns keep their original
+    The rows must have full rational row rank, as exactness leaves the rows
+    ``cancellation_plan`` hands over: each unit pivot lowers that rank by
+    exactly one, so a nonzero entry always remains.  Integer column
+    elimination: choose the smallest-magnitude nonzero entry; if it is not
+    a unit, Euclidean column steps shrink it (handle slides).  A pivot p
+    that divides its whole row is stuck: every maximal minor of the
+    remaining rows is then a multiple of p, slides of rows or columns keep
+    the gcd of those minors, and a unit pairing needs it to be 1, so no
+    integral pairing exists.  Rows and columns keep their original
     identities throughout.
 
-    Returns (pairs, leftover_col_ids, col_ops) where pairs is a list of
-    (col_id, row_id, certificate) and col_ops the elementary column
-    operations performed (for propagation one degree up).
+    Returns (pairs, col_ops) where pairs is a list of (col_id, row_id,
+    certificate) and col_ops the elementary column operations performed
+    (for propagation one degree up).
     """
     mat = [list(r) for r in mat]
     rows = list(range(len(mat)))
     cols = list(range(len(mat[0]) if mat else 0))
     pairs = []
-    col_ops = []  # ("add", dst, src, c) with original column indices
+    col_ops = []  # (dst, src, c): column dst += c * column src
 
     def col_add(dst, src, c):
         for r in mat:
@@ -502,9 +504,6 @@ def _unit_pivot_pairing(mat, row_ids, col_ids):
                 v = abs(mat[i][j])
                 if v and (best is None or v < best[0]):
                     best = (v, i, j)
-        if best is None:
-            raise NoIntegralBasisError(
-                "rows remain with zero intersection against all columns")
         v, bi, bj = best
         while abs(mat[bi][bj]) != 1:
             # shrink with a euclidean step in the pivot row
@@ -524,20 +523,22 @@ def _unit_pivot_pairing(mat, row_ids, col_ids):
         pairs.append((col_ids[bj], row_ids[bi], cert))
         rows.remove(bi)
         cols.remove(bj)
-    return pairs, [col_ids[j] for j in cols], col_ops
+    return pairs, col_ops
 
 
 def cancellation_plan(desc):
     """Ordered cancellation of every critical point through unit pairings.
 
     Requires an admissible description whose chain complex is exact (the
-    cylinder condition).  Index-0 points pair with index-1 points; excess
+    cylinder condition).  Degree by degree, upward, the index-k points not
+    yet paired downward pair with the index-(k+1) points through +-1
+    pivots of d_{k+1}; each column slide of C_{k+1} is carried to the rows
+    of d_{k+2}.  Exactness leaves those rows full rational row rank, so
+    every point is paired.  Index-0 points pair with index-1 points; excess
     index-1 points are handled by inserting a symbolic auxiliary (2, 3)
     pair each: the auxiliary index-2 point cancels the excess index-1 point
     under a declared unit intersection, and the auxiliary index-3 point
     takes over the cancellation its index-2 partner would have performed.
-    All other degrees pair directly via +-1 pivots.  Every point is paired:
-    ``_unit_pivot_pairing`` pairs all the rows of a degree or raises.
     """
     if not check_admissible(desc):
         raise HypothesisViolationError(
@@ -559,46 +560,35 @@ def cancellation_plan(desc):
 
     steps = []
     aux_points = []
-    aux_counter = 0
     degrees = sorted(desc.counts())
-    # working matrices, updated as column operations propagate upward
-    mats = {k: desc.matrix(k, k - 1) for k in degrees}
-    unpaired = {k: [pt.id for pt in desc.points_of_index(k)] for k in degrees}
-    # ids of index-(k+1) points paired *downward*, to drop their rows above
+    ids = {k: [pt.id for pt in desc.points_of_index(k)] for k in degrees}
+    # d_{k+1} by its lower degree k, its rows slid as pairings propagate up
+    mats = {k: desc.matrix(k + 1, k) for k in degrees}
+    paired = set()          # ids already paired downward
     for k in degrees:
-        low = unpaired.get(k, [])
-        if not low:
-            continue
-        hi_ids = [pt.id for pt in desc.points_of_index(k + 1)]
-        mat = mats.get(k + 1, [[0] * len(hi_ids) for _ in low])
-        # restrict to still-unpaired rows
-        all_low = [pt.id for pt in desc.points_of_index(k)]
-        keep = [i for i, pid in enumerate(all_low) if pid in low]
-        sub = [mat[i] for i in keep]
-        pairs, leftover_hi, col_ops = _unit_pivot_pairing(sub, low, hi_ids)
-        # propagate column ops on C_{k+1} to row ops on d_{k+2}
-        if k + 2 in mats:
-            up = mats[k + 2]
+        rows = [i for i, pid in enumerate(ids[k]) if pid not in paired]
+        pairs, col_ops = _unit_pivot_pairing(
+            [mats[k][i] for i in rows], [ids[k][i] for i in rows],
+            ids.get(k + 1, []))
+        # carry column slides of C_{k+1} to row slides of d_{k+2}
+        if col_ops and k + 2 in mats:
+            up = mats[k + 1]
             for dst, src, c in col_ops:
                 up[src] = [x - c * y for x, y in zip(up[src], up[dst])]
-        if k == 1:
-            # excess index-1 points route through auxiliary (2, 3) pairs
-            for hi_id, lo_id, cert in pairs:
-                a2 = f"aux2_{aux_counter}"
-                a3 = f"aux3_{aux_counter}"
-                aux_counter += 1
-                aux_points.extend([
-                    {"id": a2, "index": 2},
-                    {"id": a3, "index": 3},
-                ])
+        for hi_id, lo_id, cert in pairs:
+            if k == 1:
+                # excess index-1 points route through auxiliary (2, 3) pairs
+                i = len(aux_points) // 2
+                a2 = f"aux2_{i}"
+                a3 = f"aux3_{i}"
+                aux_points.append({"id": a2, "index": 2})
+                aux_points.append({"id": a3, "index": 3})
                 steps.append({"pair": (a2, lo_id), "certificate": 1,
                               "kind": "auxiliary-inserted"})
                 steps.append({"pair": (a3, hi_id), "certificate": 1,
                               "kind": "auxiliary-inserted"})
-                unpaired[k + 1].remove(hi_id)
-        else:
-            for hi_id, lo_id, cert in pairs:
+            else:
                 steps.append({"pair": (hi_id, lo_id), "certificate": cert,
                               "kind": "direct"})
-                unpaired[k + 1].remove(hi_id)
+            paired.add(hi_id)
     return CancellationPlan(steps=steps, auxiliary_points=aux_points)

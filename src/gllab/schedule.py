@@ -302,7 +302,8 @@ def compile_gl_cobordism(g0, desc):
     surgery sphere (delta halved until certified), and the handle attachment
     with its curve-inequality certificate; consecutive critical levels are
     joined by a transition-smoothing segment, which computes no step and
-    carries the previous segment's certificate.
+    carries the previous segment's certificate.  g0 must have the
+    description's dimension n (``InvalidSpecError`` otherwise).
     """
     if not check_admissible(desc):
         raise HypothesisViolationError(
@@ -312,6 +313,9 @@ def compile_gl_cobordism(g0, desc):
             "description must be well-indexed (run well_index first)")
     n = desc.n
     g0_cert, state, radius = _read_g0(g0)
+    if g0.n != n:
+        raise InvalidSpecError(
+            f"g0 has dimension {g0.n} but the description has n = {n}")
     segments = []
     points = sorted(desc.points, key=lambda pt: (pt.level, pt.id))
     if not points:
@@ -470,7 +474,7 @@ def two_surgery_demo(n, p, radius=1.0):
             raise DemoFailedError(
                 f"stage {stage_id!r} failed: min scalar {least:.6g}",
                 stage=stage_id,
-                best_margin=least if np.isfinite(least) else None)
+                best_margin=least)
         return cert
 
     # stages 1-3: the compiled first handle (index p+1, fiber S^q) over the

@@ -5,7 +5,8 @@ import pytest
 
 from gllab import curvature, schedule
 from gllab.certify import IsotopyCertificate, _halving_search
-from gllab.errors import CertificationFailedError, CompilationFailedError
+from gllab.errors import (CertificationFailedError, CompilationFailedError,
+                          ConstructionFailedError)
 from gllab.schedule import round_metric
 
 
@@ -67,3 +68,13 @@ def test_exhausted_search_with_no_finite_margin_reports_none(
     err = exhaust(monkeypatch)
     assert err.best_margin is None
     assert "best margin None" in str(err)
+
+
+@pytest.mark.parametrize("margin", [np.inf, -np.inf, np.nan, None])
+def test_error_reads_a_non_finite_margin_as_none(margin):
+    assert ConstructionFailedError("stub", margin).best_margin is None
+
+
+def test_error_keeps_a_finite_numpy_margin():
+    margin = np.float64(-0.5)
+    assert ConstructionFailedError("stub", margin).best_margin is margin

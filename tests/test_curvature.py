@@ -436,7 +436,7 @@ class TestSlowdown:
         with pytest.raises(CertificationFailedError,
                            match="path start metric is not psc") as err:
             slowdown_concordance(path, 7, grid_shape=(20, 20))
-        assert np.isnan(err.value.best_margin)
+        assert err.value.best_margin is None
 
     def test_each_path_term_is_evaluated_once(self, monkeypatch):
         path = round_to_double_torpedo()

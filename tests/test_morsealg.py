@@ -35,6 +35,54 @@ def eye(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
+def unimod_pair(rng, n):
+    """A random unimodular matrix and its inverse (2n row operations)."""
+    u, v = eye(n), eye(n)
+    for _ in range(2 * n):
+        i, j = rng.randrange(n), rng.randrange(n)
+        if i != j:
+            c = rng.randint(-2, 2)
+            u[i] = [x + c * y for x, y in zip(u[i], u[j])]
+            for r in v:
+                r[j] -= c * r[i]
+    return u, v
+
+
+def multi_degree_complex(rng):
+    """An n = 7 description on degrees 0..5 with a scrambled boundary.
+
+    Built from 1-7 elementary (k+1 -> k) pairs with factor +-1 or 2, plus
+    a free generator with probability 0.3; each boundary is conjugated by
+    random unimodular matrices, so d o d = 0 still holds.  Returns the
+    description, whether it has a free generator, and whether a pair has
+    factor 2.
+    """
+    ranks = [0] * 6
+    pairs = []
+    for _ in range(rng.randint(1, 7)):
+        k = rng.randrange(5)
+        pairs.append((k, ranks[k], ranks[k + 1], rng.choice([1, 1, -1, 2])))
+        ranks[k] += 1
+        ranks[k + 1] += 1
+    free = rng.random() < 0.3
+    if free:
+        ranks[rng.randrange(6)] += 1
+    conj = [unimod_pair(rng, r) for r in ranks]
+    boundary = {}
+    for k in range(5):
+        if ranks[k] and ranks[k + 1]:
+            d = [[0] * ranks[k + 1] for _ in range(ranks[k])]
+            for kk, i, j, f in pairs:
+                if kk == k:
+                    d[i][j] = f
+            boundary[(k + 1, k)] = mat_mul(mat_mul(conj[k][0], d),
+                                           conj[k + 1][1])
+    pts = [CriticalPoint(f"p{k}_{i}", k, (k + 1) / 7)
+           for k in range(6) for i in range(ranks[k])]
+    desc = MorseDescription(7, pts, boundary, {"simply_connected": True})
+    return desc, free, any(f == 2 for *_, f in pairs)
+
+
 def rand_unimod(rng, n):
     """Identity scrambled by 3n random row operations with c in [-2, 2]."""
     m = eye(n)
@@ -340,6 +388,49 @@ class TestPlans:
         assert all(s["certificate"] in (1, -1) for s in plan.steps)
         assert len(plan.steps) == m_pairs
 
+    def test_scrambled_multi_degree_complexes(self, monkeypatch):
+        # the auxiliary path and the slides carried one degree up both run
+        carried = []
+        pairing = morsealg._unit_pivot_pairing
+
+        def recording(mat, row_ids, col_ids):
+            pairs, col_ops = pairing(mat, row_ids, col_ids)
+            # slides of the index-(k+1) columns, with index-(k+2) points
+            carried.append(bool(col_ops)
+                           and int(col_ids[0][1]) + 1 in desc.counts())
+            return pairs, col_ops
+
+        monkeypatch.setattr(morsealg, "_unit_pivot_pairing", recording)
+        rng = random.Random(7)
+        outcomes = {"plan": 0, "free": 0, "factor 2": 0, "auxiliary": 0}
+        for _ in range(300):
+            desc, free, factor2 = multi_degree_complex(rng)
+            if free:
+                outcomes["free"] += 1
+                with pytest.raises(NotACylinderError):
+                    cancellation_plan(desc)
+                continue
+            if factor2:
+                outcomes["factor 2"] += 1
+                with pytest.raises(NoIntegralBasisError):
+                    cancellation_plan(desc)
+                continue
+            outcomes["plan"] += 1
+            plan = cancellation_plan(desc)
+            covered = plan.covered_ids()
+            real = [pid for pid in covered if pid.startswith("p")]
+            assert sorted(real) == sorted(pt.id for pt in desc.points)
+            assert all(s["certificate"] in (1, -1) for s in plan.steps)
+            m = len(plan.auxiliary_points) // 2
+            outcomes["auxiliary"] += m > 0
+            assert plan.auxiliary_points == [
+                {"id": f"aux{j}_{i}", "index": j}
+                for i in range(m) for j in (2, 3)]
+            assert [pid for pid in covered if pid.startswith("aux")] == \
+                [p["id"] for p in plan.auxiliary_points]
+        assert min(outcomes.values()) >= 20, outcomes
+        assert sum(carried) >= 20
+
     def test_plan_serializes(self):
         plan = cancellation_plan(two_point())
         blob = json.dumps(plan.to_json())
@@ -361,10 +452,6 @@ def _points(*specs):
     (lambda: MorseDescription(7, _points(("w", 3), ("z", 4)),
                               {(4, 2): [[1]]}),
      InvalidSpecError, "indices must be adjacent"),
-    # a row with no nonzero entry cannot be paired; no exact description
-    # hands cancellation_plan one, so the helper is called directly
-    (lambda: morsealg._unit_pivot_pairing([[0]], ["w"], ["z"]),
-     NoIntegralBasisError, "rows remain with zero intersection"),
     (lambda: cancellation_plan(MorseDescription(4, _points(("w", 2),
                                                            ("z", 2)))),
      HypothesisViolationError, r"requires declared dimension n >= 5"),

@@ -13,7 +13,8 @@ from gllab.curvature import (DoublyWarpedMetric, WarpedSphereMetric,
 from gllab.errors import (CertificationFailedError, CompilationFailedError,
                           DemoFailedError, HypothesisViolationError,
                           InvalidSpecError)
-from gllab.fnspace import SinePiece, SmoothFn1D, linear_homotopy, sample_grid
+from gllab.fnspace import (LinearCombination, SinePiece, SmoothFn1D,
+                           linear_homotopy, sample_grid)
 from gllab.morsealg import CriticalPoint, MorseDescription
 from gllab.schedule import (DemoReport, compile_gl_cobordism,
                             compile_reverse, round_doubly_warped,
@@ -54,6 +55,24 @@ class TestCompile:
         s = compile_gl_cobordism(g0, MorseDescription(7, []))
         assert [seg.kind for seg in s.segments] == ["product-extension"]
         assert s.min_scalar > 0
+
+    @pytest.mark.parametrize("metric, n", [
+        (round_metric(7), 5), (round_doubly_warped(2, 4), 9)],
+        ids=["warped", "doubly-warped"])
+    def test_g0_of_another_dimension_rejected(self, metric, n):
+        desc = MorseDescription(n, [CriticalPoint("a", 2, 0.5)])
+        message = f"dimension 7 but the description has n = {n}"
+        with pytest.raises(InvalidSpecError, match=message):
+            compile_gl_cobordism(metric, desc)
+
+    def test_nan_g0_reports_no_margin(self):
+        f = round_metric(7).f
+        g0 = WarpedSphereMetric(7, LinearCombination([(np.nan, f)]),
+                                open_profile=True)
+        with pytest.raises(CertificationFailedError,
+                           match="g0 is not certified psc") as err:
+            compile_gl_cobordism(g0, one_point_desc())
+        assert err.value.best_margin is None
 
     def test_one_point_three_segments(self, g0):
         s = compile_gl_cobordism(g0, one_point_desc())
