@@ -3,8 +3,8 @@
 An :class:`IsotopyCertificate` is a sampled numeric record witnessing strict
 positivity of scalar curvature along a constructed metric or family: the grid
 it was sampled on and the minimum value found, which must exceed 0.
-Certificates are produced all over the toolkit (curvature scans, bend
-synthesis, schedule compilation) and serialize to JSON.
+Every certificate is the least sample of a family, read by
+``family_certificate`` with where it sits; certificates serialize to JSON.
 
 ``pmap`` is the order-preserving map that every scan over grid cells,
 leaves or homotopy parameters goes through.  It runs serially: the scans are
@@ -20,6 +20,8 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from dataclasses import dataclass, field
+
+import numpy as np
 
 
 def thread_count():
@@ -133,3 +135,19 @@ class IsotopyCertificate:
         lbl = f" {self.label!r}" if self.label else ""
         return (f"<IsotopyCertificate{lbl} {status}: min R = "
                 f"{self.min_scalar:.6g} on {self.grid}>")
+
+
+def family_certificate(values, axes, label, grid, **extra):
+    """Certificate of the least entry of ``values``, sampled on ``grid``.
+
+    The least entry is the first in C order attaining the minimum, a NaN
+    being least.  ``axes`` maps each name to coordinates that broadcast
+    against ``values``; the certificate's ``extra`` holds ``argmin_<name>``,
+    each axis's coordinate at the least entry, then the keywords ``extra``.
+    """
+    values = np.asarray(values, dtype=float)
+    i = np.unravel_index(np.argmin(values), values.shape)
+    where = {f"argmin_{k}": float(np.broadcast_to(v, values.shape)[i])
+             for k, v in axes.items()}
+    return IsotopyCertificate(grid=grid, min_scalar=float(values[i]),
+                              label=label, extra={**where, **extra})

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certify import IsotopyCertificate, _halving_search, write_csv
+from .certify import _halving_search, family_certificate, write_csv
 from .errors import (CertificationFailedError, DomainMismatchError,
                      InvalidSpecError, SingularProfileError)
 from .fnspace import (_CSV_DENSITY, _END_TOL, ConstPiece, LinearCombination,
@@ -480,7 +480,7 @@ def slowdown_concordance(path, n, grid_shape=(200, 200)):
     arithmetic, so the certificate is the same bit for bit.
 
     Returns (Lambda, eta profile on (0, L), certificate).  The certificate's
-    ``extra`` holds where the minimum sits (``argmin_s``, ``argmin_t``),
+    ``extra`` holds ``argmin_s``, ``argmin_t`` (``family_certificate``),
     every L tried (``L_tried``) and the number of distinct sigma at which
     the path was evaluated (``profiles``).  ``grid_shape`` entries below 1
     raise ``InvalidSpecError``, as does a path metric whose dimension is
@@ -525,14 +525,11 @@ def slowdown_concordance(path, n, grid_shape=(200, 200)):
             sig = np.clip(eta(np.clip(sgrid[:, None] + [-h, 0.0, h], 0.0, L)),
                           0.0, 1.0).tolist()
             jets = _path_jets(profile_at, sig, tgrid)
-        R = _slowdown_grid(n, jets, sig, sgrid, tgrid, h)
-        i, j = np.unravel_index(np.argmin(R), R.shape)
-        cert = IsotopyCertificate(
-            grid=f"{ns}x{nt} interior grid, L={L:.6g}",
-            min_scalar=float(R[i, j]), label="slowdown",
-            extra={"argmin_s": float(sgrid[i]), "argmin_t": float(tgrid[j]),
-                   "L_tried": tried,
-                   "profiles": len(jets.keys() | known.keys())})
+        cert = family_certificate(
+            _slowdown_grid(n, jets, sig, sgrid, tgrid, h),
+            {"s": sgrid[:, None], "t": tgrid}, "slowdown",
+            f"{ns}x{nt} interior grid, L={L:.6g}", L_tried=tried,
+            profiles=len(jets.keys() | known.keys()))
         return cert.min_scalar, (lam, eta, cert)
 
     best, found = _halving_search(1.0, attempt, _SLOWDOWN_BUDGET)

@@ -47,7 +47,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .certify import (IsotopyCertificate, _frozen, _halving_search, _Memo,
-                      write_csv)
+                      family_certificate, write_csv)
 from .curvature import _check_dims
 from .errors import (AssemblyError, ConstructionFailedError, InvalidBendError,
                      InvalidSpecError, InversionError, NoFeasibleBendError,
@@ -583,15 +583,12 @@ class BendProfile:
         return s, pt[:, 0], pt[:, 1], k, theta, margin
 
     def certify(self, n_samples=10000):
-        """Certificate of the curve inequality under ``consts``; its
-        ``extra`` says where the minimum sits: the first sample attaining it
-        (``argmin_s``, ``argmin_t``), a NaN sample being the minimum."""
+        """Certificate of the curve inequality under ``consts``, with
+        ``argmin_s`` and ``argmin_t`` (``family_certificate``)."""
         s, t, _r, _k, _theta, margin = self.margins(n_samples)
-        i = int(np.argmin(margin))
-        self.certificate = IsotopyCertificate(
-            grid=f"{n_samples} arc-length samples",
-            min_scalar=float(margin[i]), label="curve inequality",
-            extra={"argmin_s": float(s[i]), "argmin_t": float(t[i])})
+        self.certificate = family_certificate(
+            margin, {"s": s, "t": t}, "curve inequality",
+            f"{n_samples} arc-length samples")
         return self.certificate
 
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .certify import IsotopyCertificate, _frozen, _Memo, pmap
+from .certify import _frozen, _Memo, family_certificate, pmap
 from .curvature import (DoublyWarpedMetric, _check_dims, _closed_form_points,
                         _quotients_from_jets, _scalar)
 from .errors import (CertificationFailedError, InvalidBendError,
@@ -393,7 +393,7 @@ def connected_sum_foliation(lambda_half_curve, tau, nu_grid, eps, delta_p,
 
     Returns (FoliationFamily, IsotopyCertificate).  The certificate's
     ``extra`` holds ``per_leaf_min`` and where the least sample sits: its
-    leaf ``argmin_nu`` and arc length ``argmin_t``.
+    leaf ``argmin_nu`` and arc length ``argmin_t`` (``family_certificate``).
     """
     edge, radius = _corner_params(lambda_half_curve)
     if not 0 < tau <= radius:
@@ -413,30 +413,26 @@ def connected_sum_foliation(lambda_half_curve, tau, nu_grid, eps, delta_p,
         edge, radius, tau, tuple(nu_grid), eps, delta_p)
 
     def leaf(args):
-        nu, (t, bad, quotients) = args
+        nu, (_t, bad, quotients) = args
         if bad:
             raise CertificationFailedError(
                 f"leaf nu = {nu} fails membership: {bad}")
         R = _scalar([p, q], *quotients)
-        i = int(np.argmin(R))
-        if not R[i] > 0:
+        if not R.min() > 0:
             raise CertificationFailedError(
                 f"leaf nu = {nu} loses scalar positivity",
-                best_margin=float(R[i]))
-        return float(R[i]), float(t[i])
+                best_margin=float(R.min()))
+        return R
 
-    results = pmap(leaf, list(zip(nu_grid, leaves)))
-    minima = [m for m, _ in results]
-    j = int(np.argmin(minima))
+    R = np.stack(pmap(leaf, list(zip(nu_grid, leaves))))
     family = FoliationFamily(
         nu_grid, list(curves), tau,
         leaves=[(CompositeProfile(f_eps, _CurveCoordinate(curve, 0)),
                  CompositeProfile(f_del, _CurveCoordinate(curve, 1)))
                 for curve in curves])
-    cert = IsotopyCertificate(
-        grid=f"{len(nu_grid)} leaves x {_LEAF_SAMPLES} samples",
-        min_scalar=minima[j],
-        label="connected-sum foliation",
-        extra={"per_leaf_min": minima, "argmin_nu": nu_grid[j],
-               "argmin_t": results[j][1]})
+    cert = family_certificate(
+        R, {"nu": grid[:, None], "t": np.stack([t for t, _, _ in leaves])},
+        "connected-sum foliation",
+        f"{len(nu_grid)} leaves x {_LEAF_SAMPLES} samples",
+        per_leaf_min=R.min(axis=1).tolist())
     return family, cert

@@ -28,7 +28,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .certify import IsotopyCertificate, _halving_search, pmap, write_csv
+from .certify import (IsotopyCertificate, _halving_search, family_certificate,
+                      pmap, write_csv)
 from .curvature import (DoublyWarpedMetric, WarpedSphereMetric,
                         _family_scalar, scalar_doubly_warped, scalar_warped)
 from .errors import (CertificationFailedError, CompilationFailedError,
@@ -177,26 +178,13 @@ def _mixed_torpedo_profiles(eps, delta, b):
 
 
 def _homotopy_certificate(metric_at, scalar, t):
-    """Min of ``scalar(metric_at(lambda), t)`` over 11 lambdas in [0, 1].
-
-    The certificate's ``extra`` says where the minimum sits: the first
-    lambda and, at that lambda, the first t attaining it (``argmin_lambda``,
-    ``argmin_t``); a NaN sample is the minimum.
-    """
+    """Min of ``scalar(metric_at(lambda), t)`` over 11 lambdas in [0, 1],
+    with ``argmin_lambda`` and ``argmin_t`` (``family_certificate``)."""
     lams = np.linspace(0.0, 1.0, 11)
-
-    def least(lam):
-        R = scalar(metric_at(lam), t)
-        j = int(np.argmin(R))
-        return float(R[j]), j
-
-    mins = pmap(least, lams)
-    i = int(np.argmin([m for m, _ in mins]))
-    return IsotopyCertificate(
-        grid=f"11 x {t.size} (lambda, t) interior grid",
-        min_scalar=mins[i][0], label="profile homotopy",
-        extra={"argmin_lambda": float(lams[i]),
-               "argmin_t": float(t[mins[i][1]])})
+    R = pmap(lambda lam: scalar(metric_at(lam), t), lams)
+    return family_certificate(
+        R, {"lambda": lams[:, None], "t": t}, "profile homotopy",
+        f"11 x {t.size} (lambda, t) interior grid")
 
 
 def _certify_homotopy(p, q, u0, v0, u1, v1):
@@ -270,8 +258,8 @@ def _is_well_indexed(desc):
 def _read_g0(g0):
     """(certificate, descriptor, radius) of the incoming metric.
 
-    The certificate is g0's interior-grid positivity; the radius is exact
-    for a round g0 and a domain scale otherwise.
+    The certificate is g0's interior-grid positivity (``argmin_t``); the
+    radius is exact for a round g0 and a domain scale otherwise.
     """
     if isinstance(g0, WarpedSphereMetric):
         scalar, radius, kind = scalar_warped, g0.b / np.pi, "warped"
@@ -284,12 +272,12 @@ def _read_g0(g0):
         raise InvalidSpecError(
             "g0 must be a warped or doubly-warped metric")
     t = sample_grid(g0.b, 512, interior=True)
-    mn = float(np.min(scalar(g0, t)))
-    cert = IsotopyCertificate(grid=f"{t.size} interior samples",
-                              min_scalar=mn, label="incoming metric")
+    cert = family_certificate(scalar(g0, t), {"t": t}, "incoming metric",
+                              f"{t.size} interior samples")
     if not cert.passed:
         raise CertificationFailedError(
-            f"g0 is not certified psc (min R = {mn:.6g})", best_margin=mn)
+            f"g0 is not certified psc (min R = {cert.min_scalar:.6g})",
+            best_margin=cert.min_scalar)
     params = {**dims, **{k: f.to_json() for k, f in profiles.items()}}
     return cert, MetricDescriptor(kind, params), radius
 
@@ -419,6 +407,10 @@ def compile_reverse(schedule, desc):
 # the two-surgery demo pipeline
 # ---------------------------------------------------------------------------
 
+# the mixed torpedo's pullback deviation must be below this (a NaN fails)
+_PULLBACK_TOL = 1e-9
+
+
 @dataclass
 class DemoReport:
     """Chained per-stage certificates between two metric descriptors."""
@@ -456,8 +448,8 @@ def two_surgery_demo(n, p, radius=1.0):
     The demo then attaches the cancelling index-(p+2) handle and runs the
     adjustment chain back: a linear profile homotopy to a torpedo form, the
     connected-sum foliation isotopy, and the mixed-torpedo pullback-identity
-    check.  Every stage carries an IsotopyCertificate; a failing stage
-    raises with its stage id.
+    check, failing unless the deviation is below ``_PULLBACK_TOL``.  A
+    failing stage raises ``DemoFailedError`` with its stage id.
     """
     q = n - p - 1
     if p < 1:
@@ -473,9 +465,7 @@ def two_surgery_demo(n, p, radius=1.0):
             least = cert.min_scalar
             raise DemoFailedError(
                 f"stage {stage_id!r} failed: min scalar {least:.6g}",
-                stage=stage_id,
-                best_margin=least)
-        return cert
+                stage=stage_id, best_margin=least)
 
     # stages 1-3: the compiled first handle (index p+1, fiber S^q) over the
     # round metric; its product extension certifies the round metric itself
@@ -513,12 +503,14 @@ def two_surgery_demo(n, p, radius=1.0):
     # stage 7: mixed-torpedo pullback identity and positivity
     m_mtor, rep = mixed_torpedo_via_J(delta, delta, c1=2.0, c2=2.0,
                                       bend_radius=0.5, p=p, q=q)
+    dev = rep["max_deviation"]
+    if not dev < _PULLBACK_TOL:
+        raise DemoFailedError(f"stage 'mtor-endpoint' failed: pullback "
+                              f"deviation {dev:.6g}", stage="mtor-endpoint")
     tm = sample_grid(m_mtor.b, 256, interior=True)
-    push("mtor-endpoint", IsotopyCertificate(
-        grid=f"{tm.size} interior samples",
-        min_scalar=float(np.min(scalar_doubly_warped(m_mtor, tm))),
-        label="mixed torpedo",
-        extra={"max_pullback_deviation": rep["max_deviation"]}))
+    push("mtor-endpoint", family_certificate(
+        scalar_doubly_warped(m_mtor, tm), {"t": tm}, "mixed torpedo",
+        f"{tm.size} interior samples", max_pullback_deviation=dev))
 
     end = MetricDescriptor(
         "post-surgery",

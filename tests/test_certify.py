@@ -1,10 +1,12 @@
-"""The halving search shared by the certified searches."""
+"""The family certifier and the halving search shared by the certified
+searches."""
 
 import numpy as np
 import pytest
 
 from gllab import curvature, schedule
-from gllab.certify import IsotopyCertificate, _halving_search
+from gllab.certify import (IsotopyCertificate, _halving_search,
+                           family_certificate)
 from gllab.errors import (CertificationFailedError, CompilationFailedError,
                           ConstructionFailedError)
 from gllab.schedule import round_metric
@@ -78,3 +80,48 @@ def test_error_reads_a_non_finite_margin_as_none(margin):
 def test_error_keeps_a_finite_numpy_margin():
     margin = np.float64(-0.5)
     assert ConstructionFailedError("stub", margin).best_margin is margin
+
+
+class TestFamilyCertificate:
+    def test_a_nan_anywhere_is_the_minimum_and_its_position_is_recorded(self):
+        values = np.array([[1.0, -5.0, 2.0], [3.0, np.nan, -9.0]])
+        cert = family_certificate(
+            values, {"a": np.array([[10.0], [20.0]]), "b": [0.1, 0.2, 0.3]},
+            "nan", "2 x 3")
+        assert np.isnan(cert.min_scalar) and not cert.passed
+        assert cert.extra == {"argmin_a": 20.0, "argmin_b": 0.2}
+
+    def test_ties_go_to_the_first_entry_in_c_order(self):
+        values = [[3.0, 1.0, 1.0], [1.0, 2.0, 1.0]]
+        cert = family_certificate(
+            values, {"row": [[0.0], [1.0]], "col": [0.0, 0.5, 1.0]},
+            "ties", "2 x 3")
+        assert cert.min_scalar == 1.0
+        assert cert.extra == {"argmin_row": 0.0, "argmin_col": 0.5}
+
+    def test_per_row_coordinates_are_read_at_the_right_row(self):
+        # each row has its own t grid, as each foliation leaf does
+        t = np.array([[0.0, 1.0, 2.0], [0.0, 3.0, 6.0]])
+        values = [[5.0, 4.0, 6.0], [7.0, 8.0, 2.0]]
+        cert = family_certificate(values, {"nu": [[0.0], [1.0]], "t": t},
+                                  "rows", "2 leaves x 3 samples")
+        assert cert.extra == {"argmin_nu": 1.0, "argmin_t": 6.0}
+
+    def test_keyword_extras_sit_beside_the_argmin_keys(self):
+        cert = family_certificate([2.0, 1.0], {"t": [0.0, 0.5]}, "label",
+                                  "2 samples", L_tried=[1.0], profiles=3)
+        assert cert.extra == {"argmin_t": 0.5, "L_tried": [1.0],
+                              "profiles": 3}
+        assert (cert.grid, cert.label, cert.min_scalar) == (
+            "2 samples", "label", 1.0)
+        assert cert.passed
+
+    def test_every_argmin_is_a_python_float(self):
+        values = np.arange(6, dtype=np.float32).reshape(2, 3)[::-1]
+        cert = family_certificate(
+            values, {"i": np.arange(2)[:, None],
+                     "j": np.arange(3, dtype=np.float32)},
+            "types", "2 x 3")
+        assert cert.extra == {"argmin_i": 1.0, "argmin_j": 0.0}
+        assert all(type(v) is float for v in cert.extra.values())
+        assert type(cert.min_scalar) is float

@@ -13,7 +13,7 @@ from click.testing import CliRunner
 
 import gllab
 from gllab.certify import IsotopyCertificate
-from gllab import cli, glbend
+from gllab import cli, glbend, schedule
 from gllab.cli import main
 from gllab.curvature import WarpedSphereMetric, write_curvature_csv
 from gllab.fnspace import TorpedoSpec, make_torpedo, write_profile_csv
@@ -271,6 +271,21 @@ class TestDemoCmd:
         assert set(extra) == {"per_leaf_min", "argmin_nu", "argmin_t"}
         assert min(extra["per_leaf_min"]) == cert["min_scalar"]
         assert 0.0 <= extra["argmin_nu"] <= 1.0 and extra["argmin_t"] >= 0.0
+
+    def test_pullback_deviation_exit_3(self, runner, tmp_path, monkeypatch):
+        real = schedule.mixed_torpedo_via_J
+
+        def mixed_torpedo_via_J(*args, **kw):
+            metric, rep = real(*args, **kw)
+            return metric, {**rep, "max_deviation": 1.0}
+
+        monkeypatch.setattr(schedule, "mixed_torpedo_via_J",
+                            mixed_torpedo_via_J)
+        res = runner.invoke(main, ["--output-dir", str(tmp_path),
+                                   "demo", "--n", "7", "--p", "2"])
+        assert res.exit_code == 3
+        assert ("DemoFailedError: stage 'mtor-endpoint' failed: pullback "
+                "deviation 1" in res.output)
 
 
 class TestDeterminism:

@@ -6,15 +6,17 @@ import io
 import numpy as np
 import pytest
 
-from gllab import schedule
+from gllab import hypersurface, schedule
 from gllab.certify import IsotopyCertificate
 from gllab.curvature import (DoublyWarpedMetric, WarpedSphereMetric,
-                             scalar_doubly_warped)
+                             scalar_doubly_warped, scalar_warped)
 from gllab.errors import (CertificationFailedError, CompilationFailedError,
                           DemoFailedError, HypothesisViolationError,
                           InvalidSpecError)
 from gllab.fnspace import (LinearCombination, SinePiece, SmoothFn1D,
-                           linear_homotopy, sample_grid)
+                           linear_homotopy, make_double_torpedo, sample_grid)
+from gllab.glbend import quarter_bend_curve
+from gllab.hypersurface import connected_sum_foliation, mixed_torpedo_via_J
 from gllab.morsealg import CriticalPoint, MorseDescription
 from gllab.schedule import (DemoReport, compile_gl_cobordism,
                             compile_reverse, round_doubly_warped,
@@ -347,3 +349,69 @@ class TestDemo:
         assert end.kind == "post-surgery"
         blob = rep.to_json()
         assert blob["passed"] is True
+        # every stage's sample at its recorded argmin is its minimum: each
+        # stage's grid (a family's row at its argmin) is evaluated again
+        n, p, q = 7, 2, 4
+        certs = {st["id"]: st["certificate"] for st in rep.stages}
+        ex = {k: cert.extra for k, cert in certs.items()}
+        delta = end.params["delta"]
+        g, gd = round_metric(n, 1.0), round_doubly_warped(p, q)
+        rows = {}
+        t = sample_grid(g.b, 512, interior=True)
+        rows["round"] = ("t", t, scalar_warped(g, t))
+        lam = ex["standardize"]["argmin_lambda"]
+        u1, v1 = schedule._mixed_torpedo_profiles(delta, delta, gd.b)
+        t = sample_grid(gd.b, 256, interior=True)
+        rows["standardize"] = ("t", t, scalar_doubly_warped(
+            DoublyWarpedMetric(p, q, linear_homotopy(gd.u, u1, lam),
+                               linear_homotopy(gd.v, v1, lam),
+                               open_profile=True), t))
+        for stage, incoming, fiber in (("surgery-1", "standardize", q),
+                                       ("surgery-2", "surgery-1", q - 1)):
+            bend = schedule._handle_attach(certs[incoming], fiber)
+            s, bt, _r, _k, _theta, margin = bend.margins(
+                int(certs[stage].grid.split()[0]))
+            assert bt[s == ex[stage]["argmin_s"]][0] == ex[stage]["argmin_t"]
+            rows[stage] = ("s", s, margin)
+        lam = ex["f-to-torpedo"]["argmin_lambda"]
+        tor = make_double_torpedo(delta, g.b)
+        t = sample_grid(g.b, 256, interior=True)
+        rows["f-to-torpedo"] = ("t", t, scalar_warped(WarpedSphereMetric(
+            n, linear_homotopy(g.f, tor, lam), open_profile=True), t))
+        cap = min(delta, 0.25)
+        family, _cert = connected_sum_foliation(
+            quarter_bend_curve(1.0, 1.0, 0.4, eps=cap, delta=cap),
+            tau=0.05, nu_grid=np.linspace(0.0, 1.0, 21), eps=cap,
+            delta_p=cap, p=p, q=q)
+        j = family.nu_grid.index(ex["foliation"]["argmin_nu"])
+        assert ex["foliation"]["per_leaf_min"][j] == certs[
+            "foliation"].min_scalar
+        u, v = family.leaves[j]
+        t = np.linspace(0.0, family.curves[j].length,
+                        hypersurface._LEAF_SAMPLES)
+        rows["foliation"] = ("t", t, scalar_doubly_warped(
+            DoublyWarpedMetric(p, q, u, v, open_profile=True), t))
+        m, _rep = mixed_torpedo_via_J(delta, delta, c1=2.0, c2=2.0,
+                                      bend_radius=0.5, p=p, q=q)
+        t = sample_grid(m.b, 256, interior=True)
+        rows["mtor-endpoint"] = ("t", t, scalar_doubly_warped(m, t))
+        assert list(rows) == ids
+        for stage, (axis, x, R) in rows.items():
+            i = np.flatnonzero(x == ex[stage][f"argmin_{axis}"])[0]
+            assert R[i] == certs[stage].min_scalar, stage
+
+    @pytest.mark.parametrize("deviation", [1.0, 1e-9, np.nan])
+    def test_pullback_deviation_fails_the_mtor_endpoint(self, monkeypatch,
+                                                        deviation):
+        real = schedule.mixed_torpedo_via_J
+
+        def mixed_torpedo_via_J(*args, **kw):
+            metric, rep = real(*args, **kw)
+            return metric, {**rep, "max_deviation": deviation}
+
+        monkeypatch.setattr(schedule, "mixed_torpedo_via_J",
+                            mixed_torpedo_via_J)
+        with pytest.raises(DemoFailedError, match="pullback deviation") as err:
+            two_surgery_demo(7, 2)
+        assert err.value.stage == "mtor-endpoint"
+        assert err.value.best_margin is None
