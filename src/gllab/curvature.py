@@ -17,8 +17,9 @@ point (|f_c'| != 1), a factor left open there with f_j' != 0, and interior
 zeros raise ``SingularProfileError``.  The evaluator is one point set
 (``_closed_form_points``), one reading of the jets there as quotients
 (``_quotients_from_jets``) and the formula over them, so a caller that
-already holds the jets, a foliation leaf or a homotopy family
-(``_family_scalar``), gets the same bits without evaluating a profile.
+already holds the jets, a foliation leaf or a profile homotopy combined
+from its end jets (``schedule._certify_homotopy``), gets the same bits
+without evaluating a profile.
 
 ``slowdown_concordance`` certifies that a path of psc warped metrics can be
 run as a psc metric on a cylinder after slowing the parameter down enough
@@ -336,52 +337,6 @@ def scalar_cyl_family(m, s, t):
                    [(1.0 - (ps ** 2 + pt ** 2)) / P ** 2], {})
 
 
-def _profile_jets(pts, k):
-    """``jet(prof, j)``: the jet of profile ``prof`` on ``pts`` to order
-    j <= k, for the profiles of one family read at the same points.
-
-    The jet of a ``LinearCombination`` is ``_combine_jets`` over its terms'
-    jets, and each distinct term (by identity) is evaluated once, to order
-    k, however many combinations read it; the bits are those of the
-    combination's own ``jet``.  Any other profile is evaluated itself.
-    """
-    # id(f) -> (f, jet): holding f keeps its id from being reused
-    terms = {}
-
-    def term_jet(f):
-        if id(f) not in terms:
-            terms[id(f)] = f, f.jet(pts, k)
-        return terms[id(f)][1]
-
-    def jet(prof, j=k):
-        if isinstance(prof, LinearCombination):
-            return _combine_jets(prof.terms, term_jet, pts, j)
-        return prof.jet(pts, j)
-    return jet
-
-
-def _family_scalar(t, b):
-    """``scalar(m, t)`` of the warped and doubly warped metrics of one
-    family on (0, b), all read at these samples t.
-
-    It gives ``scalar_warped``'s or ``scalar_doubly_warped``'s values bit
-    for bit, with the warping profiles read through one ``_profile_jets``:
-    a family of linear homotopies evaluates each of its end profiles once,
-    not once per metric.  Its own t argument must be these samples.
-    """
-    pts, inner, ends = _closed_form_points(np.asarray(t, dtype=float), b)
-    jet = _profile_jets(pts, 3 if ends else 2)
-
-    def scalar(m, _t):
-        if isinstance(m, WarpedSphereMetric):
-            dims, profiles = [m.n - 1], [m.f]
-        else:
-            dims, profiles = [m.p, m.q], [m.u, m.v]
-        return _scalar(dims, *_quotients_from_jets(
-            inner, ends, [jet(f) for f in profiles]))
-    return scalar
-
-
 # ---------------------------------------------------------------------------
 # slowdown concordance
 # ---------------------------------------------------------------------------
@@ -427,15 +382,27 @@ def _path_jets(profile_at, sig, tgrid):
 
     Row i of ``sig`` holds sigma at s_i - h, s_i and s_i + h; the outer
     values need f only, the centre f, f' and f''.  A profile is dropped
-    once its jet is taken.  The jets come from one ``_profile_jets``: a
-    linear path reads each of its two end profiles once here, to order 2,
-    not once per sigma.
+    once its jet is taken.  A ``LinearCombination``'s jet is
+    ``_combine_jets`` over its terms' jets, each distinct term (by
+    identity) evaluated once, to order 2, for all sigma: the bits of its
+    own ``jet``.  Any other profile is evaluated itself.
     """
     order = {}
     for row in sig:
         for sv, k in zip(row, (0, 2, 0)):
             order[sv] = max(k, order.get(sv, 0))
-    jet = _profile_jets(tgrid, 2)
+    # id(f) -> (f, jet): holding f keeps its id from being reused
+    terms = {}
+
+    def term_jet(f):
+        if id(f) not in terms:
+            terms[id(f)] = f, f.jet(tgrid, 2)
+        return terms[id(f)][1]
+
+    def jet(prof, k):
+        if isinstance(prof, LinearCombination):
+            return _combine_jets(prof.terms, term_jet, tgrid, k)
+        return prof.jet(tgrid, k)
     return {sv: jet(profile_at(sv), k) for sv, k in order.items()}
 
 

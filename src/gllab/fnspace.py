@@ -211,8 +211,8 @@ class SmoothFn1D:
         self.b = float(b)
         self.pieces = list(pieces)
         self.junction_orders = tuple(junction_orders)
-        if self.b <= 0:
-            raise InvalidSpecError("domain length must be positive")
+        if not 0 < self.b < np.inf:
+            raise InvalidSpecError("domain length must be positive and finite")
         if not self.pieces:
             raise InvalidSpecError("need at least one piece")
         self._validate_partition()

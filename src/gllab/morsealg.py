@@ -303,6 +303,10 @@ class MorseDescription:
             raise InvalidSpecError(
                 "a description is an object holding a list of point objects "
                 "and optional boundary and flags objects")
+        for p in data["points"]:
+            if not isinstance(p["id"], str):
+                raise InvalidSpecError(
+                    f"a point id must be a string, got {p['id']!r}")
         points = [CriticalPoint(p["id"], _number(p["index"], "index", True),
                                 _number(p["level"], "level"))
                   for p in data["points"]]

@@ -31,14 +31,14 @@ import numpy as np
 from .certify import (IsotopyCertificate, _halving_search, family_certificate,
                       pmap, write_csv)
 from .curvature import (DoublyWarpedMetric, WarpedSphereMetric,
-                        _family_scalar, scalar_doubly_warped, scalar_warped)
+                        _closed_form_points, _quotients_from_jets, _scalar,
+                        scalar_doubly_warped, scalar_warped)
 from .errors import (CertificationFailedError, CompilationFailedError,
                      DemoFailedError, HypothesisViolationError,
                      InvalidSpecError)
-from .fnspace import (SinePiece, SmoothFn1D, _torpedo_on,
+from .fnspace import (SinePiece, SmoothFn1D, _combine_jets, _torpedo_on,
                       check_U_membership, check_V_membership,
-                      linear_homotopy, make_double_torpedo, make_torpedo,
-                      reflect, sample_grid)
+                      make_double_torpedo, make_torpedo, reflect, sample_grid)
 from .glbend import (BendConstants, assemble_gamma, initial_bend,
                      quarter_bend_curve, synth_transition)
 from .hypersurface import connected_sum_foliation, mixed_torpedo_via_J
@@ -177,25 +177,32 @@ def _mixed_torpedo_profiles(eps, delta, b):
             make_torpedo(_torpedo_on(delta, b)))
 
 
-def _homotopy_certificate(metric_at, scalar, t):
-    """Min of ``scalar(metric_at(lambda), t)`` over 11 lambdas in [0, 1],
-    with ``argmin_lambda`` and ``argmin_t`` (``family_certificate``)."""
+def _homotopy_certificate(row, t):
+    """Min of ``row(lambda)``, R at t, over 11 lambdas in [0, 1], with
+    ``argmin_lambda`` and ``argmin_t`` (``family_certificate``)."""
     lams = np.linspace(0.0, 1.0, 11)
-    R = pmap(lambda lam: scalar(metric_at(lam), t), lams)
     return family_certificate(
-        R, {"lambda": lams[:, None], "t": t}, "profile homotopy",
-        f"11 x {t.size} (lambda, t) interior grid")
+        pmap(row, lams), {"lambda": lams[:, None], "t": t},
+        "profile homotopy", f"11 x {t.size} (lambda, t) interior grid")
 
 
-def _certify_homotopy(p, q, u0, v0, u1, v1):
-    """The linear homotopy of doubly warped profiles (u0, v0) -> (u1, v1),
-    each end profile evaluated once for every lambda (``_family_scalar``)."""
-    t = sample_grid(u0.b, 256, interior=True)
-    return _homotopy_certificate(
-        lambda lam: DoublyWarpedMetric(p, q, linear_homotopy(u0, u1, lam),
-                                       linear_homotopy(v0, v1, lam),
-                                       open_profile=True),
-        _family_scalar(t, u0.b), t)
+def _certify_homotopy(dims, starts, ends):
+    """The linear homotopy of warping profiles ``starts`` -> ``ends`` (pair
+    i warps a round sphere of dimension ``dims[i]``), each end's jet taken
+    once: a lambda's jets take ``linear_homotopy``'s weights and arithmetic
+    (``_combine_jets``), so each row is its metric's scalar bit for bit."""
+    b = starts[0].b
+    t = sample_grid(b, 256, interior=True)
+    pts, inner, at_ends = _closed_form_points(t, b)
+    k = 3 if at_ends else 2
+    jets = [(f0.jet(pts, k), f1.jet(pts, k)) for f0, f1 in zip(starts, ends)]
+
+    def row(lam):
+        s = float(lam)
+        return _scalar(dims, *_quotients_from_jets(inner, at_ends, [
+            _combine_jets([(1.0 - s, j0), (s, j1)], lambda j: j, pts, k)
+            for j0, j1 in jets]))
+    return _homotopy_certificate(row, t)
 
 
 # values of delta, halved from 0.5, that _standardize_search tries
@@ -220,7 +227,7 @@ def _standardize_search(p, q, radius):
         ru, rv = check_U_membership(u1), check_V_membership(v1)
         if not (ru.passed and rv.passed):
             return None, None
-        cert = _certify_homotopy(p, q, g.u, g.v, u1, v1)
+        cert = _certify_homotopy([p, q], [g.u, g.v], [u1, v1])
         return cert.min_scalar, (delta, (u1, v1), cert)
 
     best, found = _halving_search(0.5, attempt, _STANDARDIZE_BUDGET)
@@ -291,11 +298,15 @@ def compile_gl_cobordism(g0, desc):
     with its curve-inequality certificate; consecutive critical levels are
     joined by a transition-smoothing segment, which computes no step and
     carries the previous segment's certificate.  g0 must have the
-    description's dimension n (``InvalidSpecError`` otherwise).
+    description's dimension n (``InvalidSpecError`` otherwise); an index-0
+    point, which has no surgery sphere, raises ``HypothesisViolationError``.
     """
     if not check_admissible(desc):
         raise HypothesisViolationError(
             "description is not admissible (some index exceeds n - 2)")
+    if any(pt.index == 0 for pt in desc.points):
+        raise HypothesisViolationError(
+            "an index-0 point has no surgery sphere (it adds a component)")
     if not _is_well_indexed(desc):
         raise InvalidSpecError(
             "description must be well-indexed (run well_index first)")
@@ -313,7 +324,7 @@ def compile_gl_cobordism(g0, desc):
     prev_level = 0.0
     for i, pt in enumerate(points):
         k = pt.index          # surgery on S^{k-1} x D^{n-k+1}, handle index k
-        p_dim = max(k - 1, 0)
+        p_dim = k - 1
         q_dim = n - p_dim - 1
         if q_dim < 2:
             raise HypothesisViolationError(
@@ -482,14 +493,9 @@ def two_surgery_demo(n, p, radius=1.0):
     bend2 = _handle_attach(attach.certificate, q - 1)
     push("surgery-2", bend2.certificate)
 
-    # stage 5: linear homotopy of the profile to a torpedo form, each end
-    # profile evaluated once for every lambda
-    tor = make_double_torpedo(delta, g_round.b)
-    t5 = sample_grid(g_round.b, 256, interior=True)
-    push("f-to-torpedo", _homotopy_certificate(
-        lambda lam: WarpedSphereMetric(
-            n, linear_homotopy(g_round.f, tor, lam), open_profile=True),
-        _family_scalar(t5, g_round.b), t5))
+    # stage 5: linear homotopy of the profile to a torpedo form
+    push("f-to-torpedo", _certify_homotopy(
+        [n - 1], [g_round.f], [make_double_torpedo(delta, g_round.b)]))
 
     # stage 6: connected-sum foliation isotopy (caps small enough that the
     # corner bend clears the delta*pi/2 lines)

@@ -233,9 +233,13 @@ class TestMorseCmd:
         json.dumps(dict(TWO_POINT, n=7.5)),
         json.dumps(TWO_POINT).replace('"index": 3', '"index": 3.7'),
         json.dumps(TWO_POINT).replace('"level": 0.25', '"level": null'),
+        json.dumps(TWO_POINT).replace('"id": "w"', '"id": ["w"]'),
+        json.dumps(TWO_POINT).replace('"id": "w"', '"id": {"w": 1}'),
+        json.dumps(TWO_POINT).replace('"id": "w"', '"id": 3'),
     ], ids=["array", "number", "point-not-object", "boundary-list",
             "flags-number", "null-entry", "overflow-entry", "fractional-n",
-            "fractional-index", "null-level"])
+            "fractional-index", "null-level", "list-id", "object-id",
+            "number-id"])
     def test_malformed_description_exit_2(self, runner, tmp_path, text):
         src = tmp_path / "desc.json"
         src.write_text(text)

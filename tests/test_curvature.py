@@ -18,8 +18,7 @@ from gllab.fnspace import (_CSV_DENSITY, ConstPiece, LinearCombination,
                            _quintic_match, linear_homotopy,
                            make_double_torpedo, make_torpedo, reflect,
                            sample_grid, write_profile_csv)
-from gllab.schedule import (_mixed_torpedo_profiles, round_doubly_warped,
-                            round_metric)
+from gllab.schedule import round_doubly_warped, round_metric
 
 
 def round_profile(n=7, radius=1.0):
@@ -195,47 +194,6 @@ class TestDoublyWarped:
                                      scalar_doubly_warped(m, t[1:-1]),
                                      [scalar_doubly_warped(m, g.b)]])
             assert np.array_equal(scalar_doubly_warped(m, t), joined)
-
-
-class TestFamilyScalar:
-    """One term memo for a family of metrics read at the same samples."""
-
-    @pytest.mark.parametrize("ends", [False, True])
-    def test_matches_each_metric_bitwise(self, counted, ends):
-        g = round_doubly_warped(2, 4)
-        u1, v1 = _mixed_torpedo_profiles(0.25, 0.25, g.b)
-        w0 = round_metric(7)
-        f1 = make_double_torpedo(0.5, w0.b)
-        ends_dw = [counted(f) for f in (g.u, g.v, u1, v1)]
-        t = np.linspace(0.0, g.b, 65)
-        tw = np.linspace(0.0, w0.b, 65)
-        if not ends:
-            t, tw = t[1:-1], tw[1:-1]
-        dw = curvature._family_scalar(t, g.b)
-        ws = curvature._family_scalar(tw, w0.b)
-        for lam in np.linspace(0.0, 1.0, 5):
-            m = DoublyWarpedMetric(
-                2, 4, linear_homotopy(ends_dw[0], ends_dw[2], lam),
-                linear_homotopy(ends_dw[1], ends_dw[3], lam),
-                open_profile=True)
-            assert np.array_equal(dw(m, t), scalar_doubly_warped(m, t))
-            mw = WarpedSphereMetric(7, linear_homotopy(w0.f, f1, lam),
-                                    open_profile=True)
-            assert np.array_equal(ws(mw, tw), scalar_warped(mw, tw))
-        # the family read each end once; each scalar_doubly_warped call
-        # read those with a nonzero weight once more
-        k = 3 if ends else 2
-        assert [f.orders.count(k) for f in ends_dw] == [5, 5, 5, 5]
-
-    def test_other_profiles_are_evaluated_themselves(self, counted):
-        g = round_doubly_warped(2, 4)
-        u, v = counted(g.u), counted(g.v)
-        t = sample_grid(g.b, 64, interior=True)
-        scalar = curvature._family_scalar(t, g.b)
-        m = DoublyWarpedMetric(2, 4, u, v, open_profile=True)
-        for _ in range(3):
-            assert np.array_equal(scalar(m, t), scalar_doubly_warped(g, t))
-        assert u.orders == v.orders == [2, 2, 2]
 
 
 class TestCylFamily:

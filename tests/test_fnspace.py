@@ -99,6 +99,16 @@ class TestPieces:
             for a, b in zip(f.jet(t, 3), g.jet(t, 3)):
                 assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("b", [np.nan, np.inf, -np.inf])
+    def test_non_finite_domain_raises_typed(self, b):
+        # a NaN length passes b <= 0 and every partition check
+        piece = PolyPiece((0.0, 1.0), [1.0])
+        with pytest.raises(InvalidSpecError, match="positive and finite"):
+            SmoothFn1D(b, [piece])
+        with pytest.raises(InvalidSpecError, match="positive and finite"):
+            SmoothFn1D.from_json(json.loads(json.dumps(
+                {"b": b, "pieces": [piece.to_json()]})))
+
 
 class TestTorpedo:
     @pytest.mark.parametrize("delta", [0.25, 0.5, 1.0])

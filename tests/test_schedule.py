@@ -44,6 +44,16 @@ class TestCompile:
             schedule._standardize_search(2, 4, 1.0)
         assert err.value.best_margin == -0.5
 
+    def test_index_zero_point_is_not_a_surgery(self, g0, monkeypatch):
+        # an index-0 point adds a component and has no surgery sphere; it
+        # must not be built as the index-1 surgery on S^0
+        def built(*args):
+            raise AssertionError("a step was built for an index-0 point")
+        monkeypatch.setattr(schedule, "_read_g0", built)
+        monkeypatch.setattr(schedule, "_standardize_search", built)
+        with pytest.raises(HypothesisViolationError, match="index-0"):
+            compile_gl_cobordism(g0, one_point_desc(index=0))
+
     def test_input_error_inside_an_attempt_propagates(self, monkeypatch):
         # only the torpedo layout's InvalidSpecError means "no tube left";
         # one from the homotopy certificate is not read as "halve delta"
@@ -174,10 +184,9 @@ class TestCompile:
 
     def test_nan_sample_fails_the_homotopy(self):
         # a NaN after the first lambda must not be dropped by the minimum
+        t = np.linspace(0.0, 1.0, 5)
         cert = schedule._homotopy_certificate(
-            lambda lam: lam,
-            lambda lam, t: np.full(t.shape, np.nan if lam == 0.5 else 42.0),
-            np.linspace(0.0, 1.0, 5))
+            lambda lam: np.full(t.shape, np.nan if lam == 0.5 else 42.0), t)
         assert np.isnan(cert.min_scalar)
         assert not cert.passed
 
@@ -185,8 +194,7 @@ class TestCompile:
         # ties go to the first lambda, then to the first t
         R = {0.3: [5.0, 1.0, 1.0], 0.7: [1.0, 2.0, 3.0]}
         cert = schedule._homotopy_certificate(
-            lambda lam: round(float(lam), 12),
-            lambda lam, t: np.array(R.get(lam, [9.0, 9.0, 9.0])),
+            lambda lam: np.array(R.get(round(float(lam), 12), [9.0] * 3)),
             np.array([0.1, 0.2, 0.3]))
         assert cert.min_scalar == 1.0
         assert cert.extra == {"argmin_lambda": np.linspace(0, 1, 11)[3],
@@ -196,26 +204,55 @@ class TestCompile:
         g = round_doubly_warped(2, 4)
         ends = [counted(f) for f in
                 (g.u, g.v, *schedule._mixed_torpedo_profiles(0.25, 0.25, g.b))]
-        cert = schedule._certify_homotopy(2, 4, *ends)
+        cert = schedule._certify_homotopy([2, 4], ends[:2], ends[2:])
         assert cert.passed
         assert [f.orders for f in ends] == [[2]] * 4
 
-    @pytest.mark.parametrize("p, q, delta", [(2, 4, 0.25), (1, 5, 0.125),
-                                             (3, 3, 0.5)])
-    def test_homotopy_matches_the_per_lambda_path(self, p, q, delta):
+    @pytest.mark.parametrize("dims, delta", [
+        ([2, 4], 0.25), ([1, 5], 0.125), ([3, 3], 0.5), ([6], 0.5),
+        ([4], 0.25)], ids=["2-4-0.25", "1-5-0.125", "3-3-0.5", "6-0.5",
+                           "4-0.25"])
+    def test_homotopy_matches_the_per_lambda_path(self, counted, monkeypatch,
+                                                  dims, delta):
         # the certificate of the shared end jets is, bit for bit, the one
-        # of evaluating each lambda's LinearCombination profiles
-        g = round_doubly_warped(p, q)
-        u1, v1 = schedule._mixed_torpedo_profiles(delta, delta, g.b)
+        # of evaluating each lambda's LinearCombination profiles, for the
+        # standardization (doubly warped, round -> mixed torpedo) and the
+        # demo's f-to-torpedo family (warped, round f -> double torpedo);
+        # each end profile is read once, to order 2
+        if len(dims) == 2:
+            g = round_doubly_warped(*dims)
+            starts = [g.u, g.v]
+            ends = schedule._mixed_torpedo_profiles(delta, delta, g.b)
+            scalar = scalar_doubly_warped
+
+            def metric(fs):
+                return DoublyWarpedMetric(*dims, *fs, open_profile=True)
+        else:
+            g = round_metric(dims[0] + 1)
+            starts, ends = [g.f], [make_double_torpedo(delta, g.b)]
+            scalar = scalar_warped
+
+            def metric(fs):
+                return WarpedSphereMetric(dims[0] + 1, *fs, open_profile=True)
         t = sample_grid(g.b, 256, interior=True)
         lams = np.linspace(0.0, 1.0, 11)
-        R = np.array([scalar_doubly_warped(DoublyWarpedMetric(
-            p, q, linear_homotopy(g.u, u1, lam), linear_homotopy(g.v, v1, lam),
-            open_profile=True), t) for lam in lams])
+        R = np.array([scalar(metric([linear_homotopy(f0, f1, lam)
+                                     for f0, f1 in zip(starts, ends)]), t)
+                      for lam in lams])
         i, j = np.unravel_index(np.argmin(R), R.shape)
-        cert = schedule._certify_homotopy(p, q, g.u, g.v, u1, v1)
+        rows = []
+
+        def pmap(fn, items):
+            rows.extend(map(fn, items))
+            return rows
+        monkeypatch.setattr(schedule, "pmap", pmap)
+        read = [counted(f) for f in (*starts, *ends)]
+        cert = schedule._certify_homotopy(dims, read[:len(dims)],
+                                          read[len(dims):])
+        assert np.array_equal(np.array(rows), R)
         assert cert.min_scalar == R.min()
         assert cert.extra == {"argmin_lambda": lams[i], "argmin_t": t[j]}
+        assert [f.orders for f in read] == [[2]] * (2 * len(dims))
 
     def test_schedule_json(self, g0):
         s = compile_gl_cobordism(g0, one_point_desc())
