@@ -81,10 +81,6 @@ class CertificationFailedError(ConstructionFailedError):
     """A positivity certificate could not be produced within budget."""
 
 
-class DegenerateEmbeddingError(GLLabError):
-    """Embedding Jacobian is rank-deficient at a sample point."""
-
-
 class CompilationFailedError(ConstructionFailedError):
     """Schedule compilation exhausted its search budget."""
 

@@ -26,6 +26,7 @@ Only ``SmoothFn1D`` serialises.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,15 +72,24 @@ def sample_grid(b, density=DEFAULT_GRID_DENSITY, interior=False):
 # analytic pieces
 # ---------------------------------------------------------------------------
 
+def _finite_interval(kind, interval, *params):
+    """The piece's (lo, hi) as floats; non-finite data is InvalidSpecError."""
+    interval = (float(interval[0]), float(interval[1]))
+    if not all(map(math.isfinite, interval + params)):
+        raise InvalidSpecError(f"{kind} piece data must be finite")
+    return interval
+
+
 class PolyPiece:
     """Polynomial sum c_k (t - origin)^k on an interval."""
 
     kind = "poly"
 
     def __init__(self, interval, coeffs, origin=0.0):
-        self.interval = (float(interval[0]), float(interval[1]))
         self.coeffs = np.asarray(coeffs, dtype=float)
         self.origin = float(origin)
+        self.interval = _finite_interval(self.kind, interval, self.origin,
+                                         *self.coeffs.ravel().tolist())
         # precompute derivative coefficient stacks up to order 3
         self._dcoeffs = [self.coeffs]
         for _ in range(3):
@@ -101,10 +111,11 @@ class SinePiece:
     kind = "sine"
 
     def __init__(self, interval, amplitude, frequency, phase=0.0):
-        self.interval = (float(interval[0]), float(interval[1]))
         self.amplitude = float(amplitude)
         self.frequency = float(frequency)
         self.phase = float(phase)
+        self.interval = _finite_interval(self.kind, interval, self.amplitude,
+                                         self.frequency, self.phase)
 
     def jet(self, t, k):
         arg = self.frequency * np.asarray(t, dtype=float) + self.phase
@@ -120,8 +131,8 @@ class ConstPiece:
     kind = "const"
 
     def __init__(self, interval, value):
-        self.interval = (float(interval[0]), float(interval[1]))
         self.value = float(value)
+        self.interval = _finite_interval(self.kind, interval, self.value)
 
     def jet(self, t, k):
         t = np.asarray(t, dtype=float)
@@ -138,9 +149,9 @@ class ReflectPiece:
     kind = "reflect"
 
     def __init__(self, interval, inner, b):
-        self.interval = (float(interval[0]), float(interval[1]))
         self.inner = inner
         self.b = float(b)
+        self.interval = _finite_interval(self.kind, interval, self.b)
 
     def jet(self, t, k):
         inner = self.inner.jet(self.b - np.asarray(t, dtype=float), k)
@@ -222,14 +233,14 @@ class SmoothFn1D:
 
     def _validate_partition(self):
         tol = DEFAULT_JUNCTION_TOL * max(1.0, self.b)
-        if abs(self.pieces[0].interval[0]) > tol:
+        if not abs(self.pieces[0].interval[0]) <= tol:
             raise InvalidSpecError("first piece must start at 0")
-        if abs(self.pieces[-1].interval[1] - self.b) > tol:
+        if not abs(self.pieces[-1].interval[1] - self.b) <= tol:
             raise InvalidSpecError("last piece must end at b")
         for left, right in zip(self.pieces, self.pieces[1:]):
-            if abs(left.interval[1] - right.interval[0]) > tol:
+            if not abs(left.interval[1] - right.interval[0]) <= tol:
                 raise InvalidSpecError("pieces must tile (0, b) contiguously")
-            if right.interval[1] <= left.interval[1]:
+            if not right.interval[1] > left.interval[1]:
                 raise InvalidSpecError("breakpoints must strictly increase")
 
     def _validate_junctions(self):
@@ -240,7 +251,7 @@ class SmoothFn1D:
             for order in self.junction_orders:
                 lv, rv = float(ljet[order]), float(rjet[order])
                 scale_ = max(1.0, abs(lv), abs(rv))
-                if abs(lv - rv) > DEFAULT_JUNCTION_TOL * scale_:
+                if not abs(lv - rv) <= DEFAULT_JUNCTION_TOL * scale_:
                     raise InvalidSpecError(
                         f"junction at t={t:.6g} fails C{order} contract: "
                         f"{lv!r} vs {rv!r}")

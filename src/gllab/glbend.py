@@ -71,7 +71,6 @@ __all__ = [
     "initial_bend",
     "synth_transition",
     "assemble_gamma",
-    "default_tail_spec",
     "final_bending_tilt",
     "final_isotopy",
     "InverseBlend",
@@ -795,12 +794,6 @@ def _check_transition_level(r0, r1):
             f"need r0 < r1/2, got r0 = {r0:.6g}, r1 = {r1:.6g}")
 
 
-def default_tail_spec(params):
-    """Torpedo spec for the tail: cap radius r_inf = f(t_inf), tube
-    _TAIL_FACTOR * r_inf."""
-    return TorpedoSpec(params.r_inf, tube_length=_TAIL_FACTOR * params.r_inf)
-
-
 # largest position or tangent jump _glued_curve accepts between segments
 _JUNCTION_TOL = 1e-8
 
@@ -810,8 +803,9 @@ def assemble_gamma(consts, prefix, transition):
 
     ``prefix`` is the (curve, theta0, k_max) output of initial_bend under
     ``consts``; ``transition`` the (params, f) output of synth_transition for
-    the same theta0; the tail is ``default_tail_spec(params)``.  Returns a
-    BendProfile certified on 10000 arc-length samples.
+    the same theta0; the tail is the torpedo of cap radius r_inf = f(t_inf)
+    and tube _TAIL_FACTOR * r_inf.  Returns a BendProfile certified on 10000
+    arc-length samples.
 
     The curve is glued, and its junctions checked, once per prefix curve
     and transition (``_glued_curve``); it is shared, with its arc-length
@@ -858,7 +852,8 @@ def _glued_curve(curve_prefix, theta0, params, f):
     trans_seg = GraphSeg(f, t_offset=t0_global)
     t_inf_global = t0_global + params.tinf
     try:
-        tail_prof = make_torpedo(default_tail_spec(params))
+        tail_prof = make_torpedo(
+            TorpedoSpec(params.r_inf, tube_length=_TAIL_FACTOR * params.r_inf))
     except InvalidSpecError as err:
         raise ConstructionFailedError(
             f"tail torpedo of r_inf = {params.r_inf:.6g} cannot be built: "

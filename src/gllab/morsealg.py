@@ -304,6 +304,9 @@ class MorseDescription:
                 "a description is an object holding a list of point objects "
                 "and optional boundary and flags objects")
         for p in data["points"]:
+            for key in ("id", "index", "level"):
+                if key not in p:
+                    raise InvalidSpecError(f"a point has no {key!r} field")
             if not isinstance(p["id"], str):
                 raise InvalidSpecError(
                     f"a point id must be a string, got {p['id']!r}")
@@ -312,8 +315,14 @@ class MorseDescription:
                   for p in data["points"]]
         boundary = {}
         for key, mat in data.get("boundary", {}).items():
-            hi, lo = (int(x) for x in key.split("->"))
+            try:
+                hi, lo = (int(x) for x in key.split("->"))
+            except ValueError:
+                raise InvalidSpecError(
+                    f"malformed boundary key {key!r}") from None
             boundary[(hi, lo)] = mat
+        if "n" not in data:
+            raise InvalidSpecError("a description has no 'n' field")
         return cls(_number(data["n"], "n", True), points, boundary,
                    dict(data.get("flags", {})))
 

@@ -5,9 +5,9 @@ curvature formula in the toolkit.  A :class:`MetricChart` is nothing but a
 callable returning the metric components g_ij at a batch of points on a
 coordinate rectangle; Christoffel symbols, the Riemann tensor, and scalar
 curvature are then assembled from central differences, each from one
-batched call on its whole stencil, and extrinsic data (second
-fundamental form, principal curvatures) from finite differences of an
-embedding map.
+batched call on its whole stencil.  The one extrinsic check,
+:func:`geodesic_sphere_fit`, takes the principal curvatures of small
+coordinate spheres from finite differences of their embeddings.
 
 Everything here is second-order accurate in the step and deliberately free of
 any symmetry assumptions, so agreement with the closed-form evaluators is a
@@ -20,15 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateEmbeddingError, InvalidSpecError
+from .errors import InvalidSpecError
 
 __all__ = [
     "MetricChart",
-    "HypersurfaceParam",
     "scalar_from_chart",
-    "principal_curvatures",
     "geodesic_sphere_fit",
-    "sphere_patch",
     "euclidean_chart",
     "perturbed_quadratic_chart",
     "round_sphere_normal_chart",
@@ -72,19 +69,6 @@ class MetricChart:
         x = np.asarray(x, dtype=float)
         G = np.asarray(self.g(np.atleast_2d(x)), dtype=float)
         return G[0] if x.ndim == 1 else G
-
-
-@dataclass
-class HypersurfaceParam:
-    """Embedded hypersurface: (dim-1) parameters -> chart point."""
-
-    chart: MetricChart
-    embedding: object
-    outward_from: np.ndarray
-
-    def point(self, u):
-        return np.asarray(self.embedding(np.asarray(u, dtype=float)),
-                          dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -144,54 +128,41 @@ def scalar_from_chart(chart, x):
 # extrinsic curvature
 # ---------------------------------------------------------------------------
 
-def _embedding_jet(hs, u):
-    """Embedding value, Jacobian, and Hessian by central differences."""
-    h = hs.chart.step
-    u = np.asarray(u, dtype=float)
-    m = u.size
-    x0 = hs.point(u)
-    d = x0.size
-    J = np.empty((d, m))
-    H = np.empty((d, m, m))
+def _embedding_jet(embed, m, h):
+    """Embedding value, Jacobian, and Hessian at u = 0 by central
+    differences, one ``embed`` call per stencil point."""
+    e = h * np.eye(m)
+    x0 = embed(np.zeros(m))
+    J = np.empty((x0.size, m))
+    H = np.empty((x0.size, m, m))
     for a in range(m):
-        ea = np.zeros(m)
-        ea[a] = h
-        xp, xm = hs.point(u + ea), hs.point(u - ea)
+        xp, xm = embed(e[a]), embed(-e[a])
         J[:, a] = (xp - xm) / (2.0 * h)
         H[:, a, a] = (xp - 2.0 * x0 + xm) / h ** 2
     for a in range(m):
         for bb in range(a + 1, m):
-            ea = np.zeros(m)
-            eb = np.zeros(m)
-            ea[a] = h
-            eb[bb] = h
-            mixed = (hs.point(u + ea + eb) - hs.point(u + ea - eb)
-                     - hs.point(u - ea + eb) + hs.point(u - ea - eb)) \
-                / (4.0 * h ** 2)
-            H[:, a, bb] = mixed
-            H[:, bb, a] = mixed
+            H[:, a, bb] = H[:, bb, a] = (
+                embed(e[a] + e[bb]) - embed(e[a] - e[bb])
+                - embed(e[bb] - e[a]) + embed(-e[a] - e[bb])) / (4.0 * h ** 2)
     return x0, J, H
 
 
-def principal_curvatures(hs, u):
-    """Eigenvalues (ascending) of the shape operator at parameter value u.
+def _principal_curvatures(chart, embed, center):
+    """Eigenvalues (ascending) of the shape operator of the hypersurface
+    ``embed`` at u = 0.
 
     The second fundamental form is taken with respect to the unit normal
-    pointing away from ``hs.outward_from``, so a round sphere of radius eps
-    about that point in a Euclidean chart yields -1/eps in every direction.
+    pointing away from ``center``, so a round sphere of radius eps about
+    that point in a Euclidean chart yields -1/eps in every direction.
     """
-    chart = hs.chart
-    x0, J, H = _embedding_jet(hs, u)
+    x0, J, H = _embedding_jet(embed, chart.dim - 1, chart.step)
     gamma, G = _christoffel(chart, x0)
     induced = J.T @ G @ J
-    if np.linalg.matrix_rank(J, tol=1e-8) < J.shape[1]:
-        raise DegenerateEmbeddingError(
-            "embedding Jacobian is rank-deficient at the sample point")
     # unit normal: g-orthogonal complement of the tangent columns
     _, _, vt = np.linalg.svd((G @ J).T)
     eta = vt[-1]
     eta = eta / np.sqrt(eta @ G @ eta)
-    if eta @ (x0 - hs.outward_from) < 0:
+    if eta @ (x0 - center) < 0:
         eta = -eta
     # second fundamental form in the parameter basis, w.r.t. outward eta:
     # A_ab = g(-grad_a eta, t_b) = +g(eta, D_a t_b),
@@ -206,26 +177,26 @@ def principal_curvatures(hs, u):
     return np.sort(np.linalg.eigvalsh(Asym))
 
 
-def sphere_patch(chart, center, eps, direction):
-    """Local parameterization of the coordinate eps-sphere near a direction.
+def _sphere_patch(center, eps, direction):
+    """Embedding of the coordinate eps-sphere near a direction.
 
     phi(u) = center + eps * unit(w + sum_a u_a E_a), with (E_a) a Euclidean
-    orthonormal complement of the unit vector w.  Immersive near u = 0.
+    orthonormal complement of the unit vector w, so at u = 0 the Jacobian
+    is eps * E, of full rank.
     """
-    d = chart.dim
     w = np.asarray(direction, dtype=float)
+    d = w.size
     w = w / np.linalg.norm(w)
     # complete w to an orthonormal basis
     basis = np.linalg.qr(np.column_stack(
         [w] + [np.eye(d)[:, i] for i in range(d)]))[0]
     E = basis[:, 1:d]
-    center = np.asarray(center, dtype=float)
 
     def embed(u):
-        vec = w + E @ np.asarray(u, dtype=float)
+        vec = w + E @ u
         return center + eps * vec / np.linalg.norm(vec)
 
-    return HypersurfaceParam(chart, embed, outward_from=center)
+    return embed
 
 
 _FIT_DIRECTIONS = [(1.0, 0.3, -0.2), (-0.4, 1.0, 0.5), (0.2, -0.6, 1.0)]
@@ -249,18 +220,16 @@ def geodesic_sphere_fit(chart, center, radii):
     model predicts c_{-1} = -1 with vanishing residual as the radii shrink.
     """
     center = np.asarray(center, dtype=float)
-    rows = []
-    rhs = []
+    rows, rhs = [], []
     for eps in radii:
         for w in _fit_directions(chart.dim):
-            hs = sphere_patch(chart, center, eps, w)
-            lams = principal_curvatures(hs, np.zeros(chart.dim - 1))
+            lams = _principal_curvatures(
+                chart, _sphere_patch(center, eps, w), center)
             for lam in lams:
                 rows.append([1.0 / eps, eps])
                 rhs.append(lam)
-    rows = np.asarray(rows)
-    rhs = np.asarray(rhs)
-    coef, res, _, _ = np.linalg.lstsq(rows, rhs, rcond=None)
+    rows, rhs = np.asarray(rows), np.asarray(rhs)
+    coef = np.linalg.lstsq(rows, rhs, rcond=None)[0]
     resid = float(np.sqrt(np.mean((rows @ coef - rhs) ** 2)))
     return {"c_m1": float(coef[0]), "c_1": float(coef[1]), "residual": resid}
 

@@ -325,10 +325,7 @@ def compile_gl_cobordism(g0, desc):
     for i, pt in enumerate(points):
         k = pt.index          # surgery on S^{k-1} x D^{n-k+1}, handle index k
         p_dim = k - 1
-        q_dim = n - p_dim - 1
-        if q_dim < 2:
-            raise HypothesisViolationError(
-                f"point {pt.id!r}: codimension too small (q = {q_dim} < 2)")
+        q_dim = n - p_dim - 1  # >= 2, as check_admissible gave k <= n - 2
         if i > 0:
             end = MetricDescriptor(state.kind, dict(state.params),
                                    region="original")

@@ -236,10 +236,16 @@ class TestMorseCmd:
         json.dumps(TWO_POINT).replace('"id": "w"', '"id": ["w"]'),
         json.dumps(TWO_POINT).replace('"id": "w"', '"id": {"w": 1}'),
         json.dumps(TWO_POINT).replace('"id": "w"', '"id": 3'),
+        json.dumps(TWO_POINT).replace('"id": "w", ', ''),
+        json.dumps(TWO_POINT).replace('"index": 3, ', ''),
+        json.dumps(TWO_POINT).replace(', "level": 0.25', ''),
+        json.dumps({k: v for k, v in TWO_POINT.items() if k != "n"}),
+        json.dumps(TWO_POINT).replace('"4->3"', '"4to3"'),
     ], ids=["array", "number", "point-not-object", "boundary-list",
             "flags-number", "null-entry", "overflow-entry", "fractional-n",
             "fractional-index", "null-level", "list-id", "object-id",
-            "number-id"])
+            "number-id", "missing-id", "missing-index", "missing-level",
+            "missing-n", "malformed-key"])
     def test_malformed_description_exit_2(self, runner, tmp_path, text):
         src = tmp_path / "desc.json"
         src.write_text(text)

@@ -109,6 +109,25 @@ class TestPieces:
             SmoothFn1D.from_json(json.loads(json.dumps(
                 {"b": b, "pieces": [piece.to_json()]})))
 
+    @pytest.mark.parametrize("build", [
+        lambda: SmoothFn1D(1.0, [PolyPiece((0.0, np.nan), [1.0])]),
+        lambda: SmoothFn1D(2.0, [PolyPiece((0.0, np.nan), [1.0]),
+                                 PolyPiece((np.nan, 2.0), [1.0])]),
+        lambda: SmoothFn1D(2.0, [PolyPiece((0.0, 1.0), [np.nan]),
+                                 PolyPiece((1.0, 2.0), [1.0])]),
+        lambda: SmoothFn1D(1.0, [PolyPiece((0.0, 1.0), [1.0],
+                                           origin=np.nan)]),
+        lambda: SmoothFn1D.from_json(json.loads(
+            '{"b": 1.0, "pieces": [{"kind": "poly", "interval": [0.0, NaN],'
+            ' "coeffs": [1.0]}]}')),
+    ], ids=["nan-end", "nan-break", "nan-junction-coeff", "nan-origin",
+            "json-nan-interval"])
+    def test_non_finite_piece_data_raises_typed(self, build):
+        # every comparison against NaN is false, so a NaN breakpoint would
+        # pass a partition check written with ">"
+        with pytest.raises(InvalidSpecError):
+            build()
+
 
 class TestTorpedo:
     @pytest.mark.parametrize("delta", [0.25, 0.5, 1.0])
