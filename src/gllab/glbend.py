@@ -395,13 +395,10 @@ class BumpSeg:
         self._r = _HermiteTable(lambda s: -np.cos(self.theta(s)), edges,
                                 self.start[1])
 
-    def _theta_local(self, s):
-        L = self.length
-        return 0.5 * self.k_max * (s - (L / (2 * np.pi))
-                                   * np.sin(2 * np.pi * s / L))
-
     def theta(self, s):
-        return self.theta_in + self._theta_local(np.asarray(s, dtype=float))
+        s, L = np.asarray(s, dtype=float), self.length
+        return self.theta_in + 0.5 * self.k_max * (
+            s - (L / (2 * np.pi)) * np.sin(2 * np.pi * s / L))
 
     def eval(self, s, k=2):
         s = np.asarray(s, dtype=float)
@@ -911,8 +908,6 @@ def final_bending_tilt(transition, t_inf_pp):
     new_d2 = []  # (a, b, coeffs-about-a) for the new f''
     for piece in f.pieces:
         a, bb = piece.interval
-        if a >= t_inf_pp:
-            continue
         d2c = npoly.polyder(piece.coeffs, 2)
         for lo, hi in ((a, min(bb, cut0)), (max(a, cut0), min(bb, t_inf_pp))):
             if hi - lo <= 1e-15:

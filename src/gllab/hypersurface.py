@@ -113,10 +113,6 @@ class _CurveCoordinate:
         return tuple(d[..., self.axis] for d in self.curve.jet(s, k))
 
 
-def _const_profile(value, b):
-    return SmoothFn1D(b, [ConstPiece((0.0, b), value)])
-
-
 def _curve_of(bend):
     """The curve of a BendProfile whose certificate passed."""
     if not isinstance(bend, BendProfile):
@@ -133,7 +129,8 @@ def induced_metric_on_M(bend, amb):
     the S^p factor never closes, so the metric is flagged open-profile.
     """
     curve = _curve_of(bend)
-    u = _const_profile(amb.epsilon, curve.length)
+    u = SmoothFn1D(curve.length,
+                   [ConstPiece((0.0, curve.length), amb.epsilon)])
     v = _CurveCoordinate(curve, 1)
     return DoublyWarpedMetric(amb.p, amb.q, u, v, open_profile=True)
 
@@ -234,8 +231,6 @@ def _corner_curve(edge, radius):
     with c1 = c2 = e + R.  With e = 0 it is the circular arc of radius R
     about the origin.
     """
-    if edge < 0:
-        raise InvalidSpecError("edge length must be nonnegative")
     if edge == 0:
         return Curve2D([ArcSeg((0.0, 0.0), radius, 0.0, np.pi / 2.0)])
     c = float(edge) + float(radius)
@@ -293,8 +288,16 @@ class FoliationFamily:
     leaves: list = field(default_factory=list)  # (u, v) profile pairs
 
 
+def _corner_data(line0, arc, line1):
+    """A line-arc-line curve's segment ends, arc center, radius and angles."""
+    return np.concatenate([line0.p0, line0.p1, arc.center, line1.p0, line1.p1,
+                           [arc.radius, arc.ang0, arc.ang1]])
+
+
 def _corner_params(lambda_half_curve):
-    """Extract (edge, radius) from a line-arc-line corner curve."""
+    """(edge, radius) = (c - R, R) of ``quarter_bend_curve(c, c, R)``, which
+    the curve must equal to 1e-12 max(1, c) in every segment; c <= R raises
+    InvalidBendError, any other curve InvalidSpecError."""
     if not isinstance(lambda_half_curve, Curve2D):
         raise InvalidSpecError(
             "expected a corner Curve2D, got "
@@ -304,13 +307,14 @@ def _corner_params(lambda_half_curve):
     if kinds != ["line", "arc", "line"]:
         raise InvalidSpecError(
             "expected a line-arc-line corner curve, got " + repr(kinds))
-    c1 = float(segs[0].p0[0])
-    c2 = float(segs[2].p1[1])
-    if abs(c1 - c2) > 1e-12 * max(1.0, abs(c1)):
+    c, radius = float(segs[0].p0[0]), segs[1].radius
+    quarter = quarter_bend_curve(c, c, radius).segments
+    dev = float(np.abs(_corner_data(*segs) - _corner_data(*quarter)).max())
+    if not dev <= 1e-12 * max(1.0, c):
         raise InvalidSpecError(
-            "foliation needs a symmetric corner curve (c1 = c2), got "
-            f"c1 = {c1:.6g}, c2 = {c2:.6g}")
-    return c1 - segs[1].radius, float(segs[1].radius)
+            f"foliation needs the symmetric quarter corner of c = {c:.6g}, "
+            f"R = {radius:.6g}; the curve deviates by {dev:.3g}")
+    return c - radius, radius
 
 
 # samples per leaf on which connected_sum_foliation checks positivity
@@ -373,14 +377,14 @@ def connected_sum_foliation(lambda_half_curve, tau, nu_grid, eps, delta_p,
                             p=2, q=2):
     """Leaf metrics interpolating the corner sphere down to a geodesic sphere.
 
+    The corner must be ``quarter_bend_curve(c, c, R)`` (``_corner_params``).
     Each leaf nu carries h_nu = dt^2 + f_eps(x(t))^2 ds_p^2
-    + f_{delta'}(y(t))^2 ds_q^2.  For nu in [1/2, 1] the straight edges of
-    the corner curve shrink linearly to zero; for nu in [0, 1/2] the bend
-    radius shrinks linearly down to tau.  Every leaf is checked for
-    smooth-closing membership of both profiles and for positive scalar
-    curvature; the first failing leaf aborts with its nu.  Both torpedoes
-    keep the default blend, so the corner's c = edge + radius must exceed
-    each cap + blend (else ``_torpedo_on`` raises InvalidSpecError).
+    + f_{delta'}(y(t))^2 ds_q^2.  For nu in [1/2, 1] the straight edges
+    shrink linearly to zero; for nu in [0, 1/2] the bend radius shrinks
+    linearly down to tau.  Every leaf is checked for smooth-closing
+    membership of both profiles and for positive scalar curvature; the
+    first failing leaf aborts with its nu.  Both torpedoes keep the default
+    blend, so c must exceed each cap + blend (else InvalidSpecError).
 
     The torpedoes, the leaf curves and each leaf's membership reports and
     closed-form quotients, from one curve jet and one jet per torpedo

@@ -10,7 +10,7 @@ and carrying a numeric positivity certificate:
   symmetric form to a mixed-torpedo form near the surgery sphere, with the
   cap radius delta found by geometric halving.
 * ``handle-attach`` — the bent-curve construction through the handle, with
-  the curve-inequality certificate and the smoothing windows recorded.
+  the curve-inequality certificate and the curve's landmarks recorded.
 * ``transition-smoothing`` — the joint between consecutive critical
   levels.  It computes no step: its end is the incoming metric retagged
   "original", and it carries the previous segment's certificate.
@@ -122,9 +122,8 @@ class Schedule:
 
     @property
     def min_scalar(self):
-        if not self.segments:
-            return np.inf
-        return min(s.certificate.min_scalar for s in self.segments)
+        return min((s.certificate.min_scalar for s in self.segments),
+                   default=np.inf)
 
     def to_json(self):
         return {"segments": [s.to_json() for s in self.segments],
@@ -360,13 +359,7 @@ def compile_gl_cobordism(g0, desc):
             region="transition")
         segments.append(Segment(
             "handle-attach",
-            {"index": k, "delta": delta,
-             "tube_lengths": [state.params["tube_u"],
-                              state.params["tube_v"]],
-             "curve_landmarks": bend.landmarks,
-             "smoothing_windows": {"eps1": bend.landmarks["r1"],
-                                   "eps2": bend.landmarks["r0"],
-                                   "eps3": bend.landmarks["r0"] / 2.0}},
+            {"index": k, "delta": delta, "curve_landmarks": bend.landmarks},
             std, post, bend.certificate))
         state = post
         prev_level = pt.level

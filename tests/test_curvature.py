@@ -497,6 +497,16 @@ class TestSmoothstep:
         assert np.max(np.abs(coeffs - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: WarpedSphereMetric(5, make_torpedo(TorpedoSpec(0.5))),
+     r"closed-sphere membership: \['f\(b\)=0'"),
+    (lambda: make_smoothstep(0.0), "need L > 0"),
+], ids=["torpedo-open-at-b", "zero-length-smoothstep"])
+def test_argument_checks_raise_typed(build, message):
+    with pytest.raises(InvalidSpecError, match=message):
+        build()
+
+
 def test_curvature_csv():
     m = WarpedSphereMetric(7, round_profile())
     buf = io.StringIO()

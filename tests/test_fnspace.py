@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gllab.errors import DomainMismatchError, InvalidSpecError
+import gllab.fnspace as fnspace
+from gllab.errors import (ConstructionFailedError, DomainMismatchError,
+                          InvalidSpecError)
 from gllab.fnspace import (ConstPiece, LinearCombination, PolyPiece,
                            ReflectPiece, SinePiece, SmoothFn1D, TorpedoSpec,
                            _torpedo_on, check_F_membership, check_U_membership,
@@ -128,6 +130,29 @@ class TestPieces:
         with pytest.raises(InvalidSpecError):
             build()
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda: SmoothFn1D(1.0, []), "at least one piece"),
+        (lambda: SmoothFn1D(1.0, [PolyPiece((0.5, 1.0), [1.0])]),
+         "first piece must start at 0"),
+        (lambda: SmoothFn1D(2.0, [PolyPiece((0.0, 1.0), [1.0])]),
+         "last piece must end at b"),
+        (lambda: SmoothFn1D(2.0, [PolyPiece((0.0, 1.0), [1.0]),
+                                  PolyPiece((1.5, 2.0), [1.0])]),
+         "contiguously"),
+        (lambda: SmoothFn1D(2.0, [PolyPiece((0.0, 1.0), [1.0]),
+                                  PolyPiece((1.0, 1.0), [1.0]),
+                                  PolyPiece((1.0, 2.0), [1.0])]),
+         "strictly increase"),
+        (lambda: SmoothFn1D.from_json({"b": 1.0, "pieces": [
+            {"kind": "spline", "interval": [0.0, 1.0], "coeffs": [1.0]}]}),
+         "unknown piece kind 'spline'"),
+        (lambda: make_torpedo(0.5), "expects a TorpedoSpec"),
+    ], ids=["no-pieces", "late-start", "early-end", "gap",
+            "repeated-break", "unknown-kind", "not-a-spec"])
+    def test_malformed_profile_raises_typed(self, build, message):
+        with pytest.raises(InvalidSpecError, match=message):
+            build()
+
 
 class TestTorpedo:
     @pytest.mark.parametrize("delta", [0.25, 0.5, 1.0])
@@ -145,11 +170,29 @@ class TestTorpedo:
         t = sample_grid(f.b, 4096)
         assert float(np.max(f.jet(t, 2)[2])) <= 1e-10
 
+    # the tampered blend is concave but decreasing, or increasing but convex
+    @pytest.mark.parametrize("coeffs, message", [
+        ([0.0, -1.0, 0.0, 0.0, 0.0, 0.0], "nondecreasing"),
+        ([0.0, 0.0, 1.0, 0.0, 0.0, 0.0], "lost concavity")],
+        ids=["decreasing", "convex"])
+    @pytest.mark.parametrize("ratio", [0.25, 1e-5])
+    def test_failing_blend_raises(self, monkeypatch, coeffs, message, ratio):
+        # at ratio 1e-5 the blend is narrower than a 1024-per-unit grid step
+        monkeypatch.setattr(fnspace, "_quintic_match",
+                            lambda *args: np.array(coeffs))
+        with pytest.raises(ConstructionFailedError, match=message):
+            make_torpedo(TorpedoSpec(1.0, blend_width=ratio * np.pi / 2))
+
     def test_zero_blend_is_c1(self):
-        f = make_torpedo(TorpedoSpec(0.5, blend_width=0.0))
-        assert f.junction_orders == (0, 1)
-        t = sample_grid(f.b, 512)
-        assert np.min(f(t)) >= 0.0
+        # below 1e-6 of the cap the quintic solve is not concave, so a blend
+        # of 3e-9 is the C1 cap/tube junction, as a zero one is
+        for delta, width in ((0.5, 0.0), (1.0, 3e-9)):
+            spec = TorpedoSpec(delta, blend_width=width)
+            f = make_torpedo(spec)
+            assert f.junction_orders == (0, 1)
+            assert [p.kind for p in f.pieces] == ["sine", "const"]
+            assert f.pieces[0].interval == (0.0, spec.cap)
+            assert np.min(f(sample_grid(f.b, 512))) >= 0.0
 
     def test_invalid_specs(self):
         with pytest.raises(InvalidSpecError):

@@ -1,5 +1,6 @@
 """Hypersurface geometry: Gauss identity, pullback identity, foliation."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -15,8 +16,9 @@ from gllab.errors import (CertificationFailedError, DomainMismatchError,
 from gllab.fnspace import (LinearCombination, PolyPiece, SinePiece,
                            SmoothFn1D, check_U_membership,
                            check_V_membership, linear_homotopy)
-from gllab.glbend import (ArcSeg, BendConstants, Curve2D, assemble_gamma,
-                          initial_bend, quarter_bend_curve, synth_transition)
+from gllab.glbend import (ArcSeg, BendConstants, Curve2D, LineSeg,
+                          assemble_gamma, initial_bend, quarter_bend_curve,
+                          synth_transition)
 from gllab.hypersurface import (FoliationFamily, ModelAmbient,
                                 PairSumCoefficientNote,
                                 connected_sum_foliation, gauss_scalar_on_M,
@@ -299,6 +301,49 @@ class TestFoliation:
         with pytest.raises(CertificationFailedError, match="positivity"):
             connected_sum_foliation(corner, tau=0.05, nu_grid=[0.0, 1.0],
                                     eps=0.25, delta_p=0.25)
+
+
+def _foliate(corner, nu_grid=(0.0, 1.0)):
+    return connected_sum_foliation(corner, tau=0.05, nu_grid=nu_grid,
+                                   eps=0.05, delta_p=0.05)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda bend: induced_metric_on_M(
+        dataclasses.replace(bend, certificate=None), ModelAmbient(2, 3, 0.3)),
+     InvalidSpecError, "no passing certificate"),
+    (lambda bend: mixed_torpedo_via_J(0.25, 0.5, 2.0, 1.4, 0.5),
+     InvalidBendError, "c2 - bend_radius"),
+    (lambda bend: _foliate(quarter_bend_curve(1.0, 1.0, 0.4), [1.5]),
+     InvalidSpecError, r"nu must lie in \[0, 1\]"),
+    # a 45-degree corner: it certified the quarter corner of c = 1, R = 0.4
+    (lambda bend: _foliate(Curve2D([
+        LineSeg((1.0, 0.0), (1.0, 0.3)),
+        ArcSeg((0.6, 0.6), 0.4, 0.0, np.pi / 4),
+        LineSeg((0.5, 1.0), (0.0, 1.0))])),
+     InvalidSpecError, "symmetric quarter corner"),
+    # c = 0.3 <= R = 0.5: its edge c - R would be negative
+    (lambda bend: _foliate(Curve2D([
+        LineSeg((0.3, 0.0), (0.3, -0.2)),
+        ArcSeg((-0.2, -0.2), 0.5, 0.0, np.pi / 2),
+        LineSeg((-0.2, 0.3), (0.0, 0.3))])),
+     InvalidBendError, "fit inside the corner"),
+    (lambda bend: _foliate(Curve2D(quarter_bend_curve(1.0, 1.0, 0.4)
+                                   .segments[:2])),
+     InvalidSpecError, "line-arc-line"),
+], ids=["uncertified-bend", "c2-inside-cap", "nu-above-1",
+        "45-degree-corner", "corner-c-below-R", "no-closing-line"])
+def test_argument_checks_raise_typed(certified_bend, call, error, message):
+    with pytest.raises(error, match=message):
+        call(certified_bend)
+
+
+def test_corner_read_to_rounding():
+    # segments within 1e-12 max(1, c) of the quarter corner are accepted
+    segs = quarter_bend_curve(1.0, 1.0, 0.4).segments
+    near = Curve2D([segs[0], ArcSeg((0.6 + 5e-13, 0.6), 0.4, 0.0, np.pi / 2),
+                    segs[2]])
+    assert hyp._corner_params(near) == (1.0 - 0.4, 0.4)
 
 
 class TestLeafEvaluation:

@@ -278,6 +278,17 @@ class TestNormalForm:
         for mat in (s_inv, t):
             assert all(-2 ** 63 <= x < 2 ** 63 for row in mat for x in row)
 
+    def test_snf_stops_at_an_all_zero_block(self):
+        # rank 1: after the first pivot the remaining block is zero
+        m = [[1, 2], [2, 4]]
+        d, s_inv, t = smith_normal_form(m)
+        assert d == [[1, 0], [0, 0]]
+        assert mat_mul(m, t) == mat_mul(s_inv, d)
+        assert abs(_bareiss(s_inv)[1]) == 1 and abs(_bareiss(t)[1]) == 1
+
+    def test_bases_skip_an_empty_boundary(self):
+        assert choose_cancelling_bases(ChainComplex({4: 2}, {4: []})) == {}
+
     def test_bases_identity(self):
         bases = choose_cancelling_bases(build_chain_complex(two_point()))
         assert bases[4]["b"] == [[1]]

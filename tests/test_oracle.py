@@ -8,6 +8,7 @@ import pytest
 from gllab.curvature import (CylFamilyMetric, DoublyWarpedMetric, Phi2D,
                              WarpedSphereMetric, scalar_cyl_family,
                              scalar_doubly_warped, scalar_warped)
+from gllab.errors import InvalidSpecError
 from gllab.fnspace import (SinePiece, SmoothFn1D, TorpedoSpec, make_torpedo,
                            reflect)
 from gllab.oracle import (MetricChart, _christoffel, _riemann,
@@ -105,6 +106,23 @@ class TestGeodesicFit:
         for eps in (0.05, 0.15, 0.3):
             model = fit["c_m1"] / eps + fit["c_1"] * eps
             assert abs(model - (-1.0 / np.tan(eps))) < 1e-3
+
+
+def _flat(X):
+    return np.broadcast_to(np.eye(2), (len(X), 2, 2))
+
+
+@pytest.mark.parametrize("args, message", [
+    ((1, [(0.0, 1.0)], _flat), "dimension must be >= 2"),
+    ((2, [(0.0, 1.0)], _flat), "bounds per axis"),
+    ((2, [(0.0, 1.0), (0.5, 0.5)], _flat), "extents must be positive"),
+    ((2, [(0.0, 1.0), (0.0, 1.0)], _flat, 0.0), r"step must lie in \(0,"),
+    ((2, [(0.0, 1.0), (0.0, 1.0)], _flat, 0.02), r"step must lie in \(0,"),
+], ids=["dim-1", "rectangle-length", "zero-extent", "zero-step",
+        "step-above-1e-2-extent"])
+def test_chart_checks_raise_typed(args, message):
+    with pytest.raises(InvalidSpecError, match=message):
+        MetricChart(*args)
 
 
 def test_cyl_family_agreement():

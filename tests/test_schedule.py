@@ -44,6 +44,30 @@ class TestCompile:
             schedule._standardize_search(2, 4, 1.0)
         assert err.value.best_margin == -0.5
 
+    def test_search_without_a_member_has_no_best_margin(self):
+        # on the radius-15 join every torpedo pair fails U/V membership, so
+        # no attempt is certified and none leaves a margin
+        with pytest.raises(CompilationFailedError, match="best margin None") \
+                as err:
+            schedule._standardize_search(2, 4, 15.0)
+        assert err.value.best_margin is None
+
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda g0: schedule.Segment(
+            "surgery", {}, schedule.MetricDescriptor("x"),
+            schedule.MetricDescriptor("x"),
+            IsotopyCertificate(grid="stub", min_scalar=1.0)),
+         InvalidSpecError, "unknown segment kind 'surgery'"),
+        (lambda g0: compile_gl_cobordism(g0.f, one_point_desc()),
+         InvalidSpecError, "warped or doubly-warped"),
+        (lambda g0: compile_gl_cobordism(g0, MorseDescription(7, [
+            CriticalPoint("a", 4, 0.25), CriticalPoint("b", 3, 0.75)])),
+         InvalidSpecError, "well-indexed"),
+    ], ids=["segment-kind", "g0-not-a-metric", "not-well-indexed"])
+    def test_argument_checks_raise_typed(self, g0, call, error, message):
+        with pytest.raises(error, match=message):
+            call(g0)
+
     def test_index_zero_point_is_not_a_surgery(self, g0, monkeypatch):
         # an index-0 point adds a component and has no surgery sphere; it
         # must not be built as the index-1 surgery on S^0
@@ -151,8 +175,7 @@ class TestCompile:
         assert pr["eps"] == pr["delta"]
         assert pr["tube_u"] == pr["tube_v"] > 0
         attach = next(seg for seg in s.segments if seg.kind == "handle-attach")
-        tube_u, tube_v = attach.parameters["tube_lengths"]
-        assert tube_u == tube_v
+        assert attach.start.params["tube_u"] == attach.start.params["tube_v"]
         _, rep = compile_reverse(s, desc)
         assert rep["tube_rescale"][0] == rep["tube_rescale"][1]
 
