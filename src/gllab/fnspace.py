@@ -18,16 +18,18 @@ is what makes linear homotopies between members useful; see
 Every profile in the toolkit (``SmoothFn1D`` and ``LinearCombination`` here,
 and the composite and blended profiles of ``hypersurface`` and ``glbend``) has
 the same contract: a domain length ``b`` and ``jet(t, k)``, which returns
-(f, f', ..., f^(k)) for k <= 3 from one evaluation pass.  The analytic
-pieces of a ``SmoothFn1D`` have the same ``jet(t, k)`` on their interval, and
-``_piecewise`` gathers them, as it gathers the segments of a ``glbend.Curve2D``.
-Only ``SmoothFn1D`` serialises.
+(f, f', ..., f^(k)) for k <= 3 from one evaluation pass.  Each analytic
+piece is compiled to plain data when it is built; ``_run_jet`` reads it, to
+the bit as numpy's polynomial evaluation would, and ``_piecewise`` gathers
+each piece's run of the sorted points, found by one ``searchsorted``, as it
+gathers the segments of a ``glbend.Curve2D``.  Only ``SmoothFn1D`` serialises.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -72,6 +74,27 @@ def sample_grid(b, density=DEFAULT_GRID_DENSITY, interior=False):
 # analytic pieces
 # ---------------------------------------------------------------------------
 
+def _run_jet(compiled, u, k):
+    """Orders 0..k at points u of a piece compiled as (the b of each t -> b - t
+    around it, outermost first; origin; each order's coefficients or None;
+    None or a sine's (A w^j, w, phase))."""
+    bs, origin, cols, sine = compiled
+    for b in bs:
+        u = b - u
+    if sine:
+        amps, w, phase = sine
+        arg = w * u + phase
+        vals = [a * np.sin(arg + j * np.pi / 2.0)
+                for j, a in enumerate(amps[:k + 1])]
+    else:
+        # numpy's Horner recurrence (c[-1] + u*0, then c + out*u): its bits
+        u = u - origin if origin else u
+        zero = u * 0.0
+        vals = [reduce(lambda out, ci: ci + out * u, c[-2::-1], c[-1] + zero)
+                for c in cols[:k + 1]]
+    return [-v if j % 2 and len(bs) % 2 else v for j, v in enumerate(vals)]
+
+
 def _finite_interval(kind, interval, *params):
     """The piece's (lo, hi) as floats; non-finite data is InvalidSpecError."""
     interval = (float(interval[0]), float(interval[1]))
@@ -80,7 +103,14 @@ def _finite_interval(kind, interval, *params):
     return interval
 
 
-class PolyPiece:
+class _Piece:
+    """An analytic piece: ``_compiled`` is what ``_run_jet`` reads."""
+
+    def jet(self, t, k):
+        return tuple(_run_jet(self._compiled, np.asarray(t, dtype=float), k))
+
+
+class PolyPiece(_Piece):
     """Polynomial sum c_k (t - origin)^k on an interval."""
 
     kind = "poly"
@@ -90,22 +120,19 @@ class PolyPiece:
         self.origin = float(origin)
         self.interval = _finite_interval(self.kind, interval, self.origin,
                                          *self.coeffs.ravel().tolist())
-        # precompute derivative coefficient stacks up to order 3
-        self._dcoeffs = [self.coeffs]
+        # orders 0..3 as repeated numpy polyder gives them; [] is 0
+        cols = [self.coeffs.tolist() or [0.0]]
         for _ in range(3):
-            self._dcoeffs.append(np.polynomial.polynomial.polyder(self._dcoeffs[-1]))
-
-    def jet(self, t, k):
-        u = np.asarray(t, dtype=float) - self.origin
-        return tuple(np.polynomial.polynomial.polyval(u, c) if c.size
-                     else np.zeros_like(u) for c in self._dcoeffs[:k + 1])
+            c = cols[-1]
+            cols.append([j * c[j] for j in range(1, len(c))] or [c[0] * 0])
+        self._compiled = ((), self.origin, cols, None)
 
     def to_json(self):
         return {"kind": self.kind, "interval": list(self.interval),
                 "coeffs": self.coeffs.tolist(), "origin": self.origin}
 
 
-class SinePiece:
+class SinePiece(_Piece):
     """A * sin(w*t + phase)."""
 
     kind = "sine"
@@ -116,34 +143,29 @@ class SinePiece:
         self.phase = float(phase)
         self.interval = _finite_interval(self.kind, interval, self.amplitude,
                                          self.frequency, self.phase)
-
-    def jet(self, t, k):
-        arg = self.frequency * np.asarray(t, dtype=float) + self.phase
-        return tuple(self.amplitude * self.frequency ** j
-                     * np.sin(arg + j * np.pi / 2.0) for j in range(k + 1))
+        self._compiled = ((), 0.0, None, (
+            [self.amplitude * self.frequency ** j for j in range(4)],
+            self.frequency, self.phase))
 
     def to_json(self):
         return {"kind": self.kind, "interval": list(self.interval),
                 "coeffs": [self.amplitude, self.frequency, self.phase]}
 
 
-class ConstPiece:
+class ConstPiece(_Piece):
     kind = "const"
 
     def __init__(self, interval, value):
         self.value = float(value)
         self.interval = _finite_interval(self.kind, interval, self.value)
-
-    def jet(self, t, k):
-        t = np.asarray(t, dtype=float)
-        return (np.full_like(t, self.value),) + (np.zeros_like(t),) * k
+        self._compiled = ((), 0.0, [[self.value], [0.0], [0.0], [0.0]], None)
 
     def to_json(self):
         return {"kind": self.kind, "interval": list(self.interval),
                 "coeffs": [self.value]}
 
 
-class ReflectPiece:
+class ReflectPiece(_Piece):
     """Evaluates inner(b - t); reflection about the domain midpoint."""
 
     kind = "reflect"
@@ -152,10 +174,8 @@ class ReflectPiece:
         self.inner = inner
         self.b = float(b)
         self.interval = _finite_interval(self.kind, interval, self.b)
-
-    def jet(self, t, k):
-        inner = self.inner.jet(self.b - np.asarray(t, dtype=float), k)
-        return tuple(-d if j % 2 else d for j, d in enumerate(inner))
+        bs, *leaf = inner._compiled
+        self._compiled = ((self.b, *bs), *leaf)
 
     def to_json(self):
         return {"kind": self.kind, "interval": list(self.interval),
@@ -197,16 +217,24 @@ def _piecewise(x, breaks, part, tails):
     """Gather ``part(i, xi)``, the arrays of piece i at its share xi of the
     points x, into one array of shape x.shape + tail per entry of ``tails``
     (shape tail for scalar x).  Piece i owns [breaks[i-1], breaks[i]) of
-    the increasing interior ``breaks``."""
-    xv = np.atleast_1d(x)
-    idx = np.searchsorted(breaks, xv, side="right")
-    outs = tuple(np.empty(xv.shape + tail) for tail in tails)
-    for i in range(len(breaks) + 1):
-        mask = idx == i
-        if mask.any():
-            for out, val in zip(outs, part(i, xv[mask])):
-                out[mask] = val
-    return tuple(out[0] for out in outs) if np.ndim(x) == 0 else outs
+    the increasing interior ``breaks``; with the points in increasing order
+    (argsorted if not), one searchsorted finds each piece's run."""
+    xv = np.ravel(x)
+    order = None
+    if len(breaks) and xv.size > 1 and not (xv[1:] >= xv[:-1]).all():
+        order = np.argsort(xv, kind="stable")
+        xv = xv[order]
+    ends = [0, *np.searchsorted(xv, breaks).tolist(), xv.size]
+    outs = [np.empty(xv.shape + tail) for tail in tails]
+    for i, (lo, hi) in enumerate(zip(ends, ends[1:])):
+        if lo < hi:
+            for out, val in zip(outs, part(i, xv[lo:hi])):
+                out[lo:hi] = val
+    if order is not None:
+        for out in outs:
+            out[order] = out.copy()
+    return tuple(out.reshape(np.shape(x) + out.shape[1:]) if np.ndim(x)
+                 else out[0] for out in outs)
 
 
 class SmoothFn1D:
@@ -215,7 +243,8 @@ class SmoothFn1D:
     ``pieces`` must tile [0, b] with strictly increasing breakpoints.  At every
     interior breakpoint the adjacent pieces must agree in value and in the
     derivative orders listed in ``junction_orders`` (default: 0, 1, 2 -- the
-    C^2 contract) to within ``DEFAULT_JUNCTION_TOL``.
+    C^2 contract) to within ``DEFAULT_JUNCTION_TOL``.  ``jet`` reads the
+    pieces' compiled data: they are the four piece classes here.
     """
 
     def __init__(self, b, pieces, junction_orders=(0, 1, 2)):
@@ -258,9 +287,10 @@ class SmoothFn1D:
 
     def jet(self, t, k=2):
         """(f, f', ..., f^(k))(t) for k <= 3; scalars for scalar t."""
-        return _piecewise(_jet_points(t, k, self.b), self._breaks,
-                          lambda i, ti: self.pieces[i].jet(ti, k),
-                          ((),) * (k + 1))
+        return _piecewise(
+            _jet_points(t, k, self.b), self._breaks,
+            lambda i, u: _run_jet(self.pieces[i]._compiled, u, k),
+            ((),) * (k + 1))
 
     def __call__(self, t):
         return self.jet(t, 0)[0]

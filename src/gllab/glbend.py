@@ -22,7 +22,7 @@ check of a build, is taken again on each call against its own constants.
 A curve (``Curve2D``) is a chain of unit-speed segments.  Each segment's
 ``eval(s, k)`` gives position, tangent and curvature, and with k = 3 also
 the curvature's arc-length derivative, from one pass; the curve gathers
-them with ``fnspace._piecewise``.
+them with ``fnspace._piecewise``, one run of sorted arc lengths each.
 
 The inequality ledger is, from strongest to weakest assumption:
 
@@ -178,13 +178,26 @@ def mu_inequality(mu, b):
 _INVERT_MAX_ITER = 100
 
 
+def _monotone_table(xs, Fs):
+    """The checked table ``_invert_monotone`` reads: (nodes, sign * F, sign,
+    1e-12 max |F|); InversionError unless finite, increasing and monotone."""
+    xs, Fs = np.asarray(xs, dtype=float), np.asarray(Fs, dtype=float)
+    if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(Fs))):
+        raise InversionError("inverted function is not finite on its table")
+    sign = 1.0 if Fs[-1] > Fs[0] else -1.0
+    if not (np.all(np.diff(xs) > 0) and np.all(sign * np.diff(Fs) > 0)):
+        raise InversionError("inverted function is not strictly monotone "
+                             f"on [{xs[0]}, {xs[-1]}]")
+    return xs, sign * Fs, sign, 1e-12 * float(np.abs(Fs).max())
+
+
 def _invert_monotone(F, y, lo, hi, table=None):
     """Solve F(x) = y on [lo, hi] for every entry of y at once.
 
     ``F`` maps an array x to the pair (F(x), F'(x)) from one evaluation; F
-    must be strictly monotone on [lo, hi].  ``table`` is the pair (nodes,
-    F at the nodes) with nodes increasing from lo to hi, and must be F
-    itself at its nodes; by default it is F on 65 equally spaced nodes.
+    must be strictly monotone on [lo, hi].  ``table`` is a
+    ``_monotone_table`` of F with nodes from lo to hi, by default on 65
+    equally spaced nodes.
     Each x is seeded by linear interpolation in the table and bracketed by
     its table cell.  Safeguarded Newton steps follow; a step that would
     leave the bracket, or that fails to halve the one before, is replaced
@@ -194,11 +207,10 @@ def _invert_monotone(F, y, lo, hi, table=None):
     converged, even one that rounds onto the end of its bracket.
 
     Raises InversionError, carrying the worst residual |F(x) - y| where one
-    exists, if the table is not finite, its nodes do not increase or F is
-    not strictly monotone on it, if some y lies outside [F(lo), F(hi)] (the
-    residual is then its distance to that range), if F turns non-finite
-    during the search, or if some point is unconverged after
-    ``_INVERT_MAX_ITER`` steps or converged with a residual far above
+    exists, if the default table fails its check, if some y lies outside
+    [F(lo), F(hi)] (the residual is then its distance to that range), if F
+    turns non-finite during the search, or if some point is unconverged
+    after ``_INVERT_MAX_ITER`` steps or converged with a residual far above
     rounding (a jump in F).
     """
     y = np.asarray(y, dtype=float)
@@ -206,29 +218,17 @@ def _invert_monotone(F, y, lo, hi, table=None):
     y = y.ravel()
     if table is None:
         xs = np.linspace(lo, hi, 65)
-        Fs = F(xs)[0]
-    else:
-        xs, Fs = table
-    xs, Fs = np.asarray(xs, dtype=float), np.asarray(Fs, dtype=float)
-    if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(Fs))):
-        raise InversionError("inverted function is not finite on its table")
-    sign = 1.0 if Fs[-1] > Fs[0] else -1.0
-    if not (np.all(np.diff(xs) > 0) and np.all(sign * np.diff(Fs) > 0)):
-        raise InversionError(
-            f"inverted function is not strictly monotone on [{lo}, {hi}]")
-    # orient so that G = sign * F increases
-    Gs = sign * Fs
+        table = _monotone_table(xs, F(xs)[0])
     # residuals up to y_tol count as rounding: a y that far outside the
     # range is clamped to its end, and a converged x may leave that much
-    y_tol = 1e-12 * float(np.abs(Fs).max())
+    xs, Gs, sign, y_tol = table
     yy = sign * y
     outside = ~((yy >= Gs[0] - y_tol) & (yy <= Gs[-1] + y_tol))
     if outside.any():
         miss = float(np.max(np.maximum(Gs[0] - yy, yy - Gs[-1])))
         raise InversionError(
             f"target {y[outside][0]!r} outside the range "
-            f"[{min(Fs[0], Fs[-1])!r}, {max(Fs[0], Fs[-1])!r}]",
-            residual=miss)
+            f"{sorted(sign * Gs[[0, -1]])}", residual=miss)
     yy = np.clip(yy, Gs[0], Gs[-1])
     cell = np.clip(np.searchsorted(Gs, yy), 1, xs.size - 1)
     x_lo, x_hi = xs[cell - 1], xs[cell]
@@ -426,7 +426,7 @@ class GraphSeg:
     at most h^4/384 max|S''''| on a cell of width h.  Since S' >= 1, S is
     strictly increasing, and t(s) is found for all s at once by
     ``_invert_monotone``, seeded and bracketed by the table's own nodes and
-    values, then safeguarded Newton.
+    values, checked once here, then safeguarded Newton.
     """
 
     kind = "graph"
@@ -442,6 +442,7 @@ class GraphSeg:
             np.interp(cells, np.arange(len(knots)), knots))
         self.length = float(self._table.F[-1])
         self._S = lambda t: self._table(t)[0]
+        self._inverse_table = _monotone_table(self._table.x, self._table.F)
 
     def _t_of_s(self, s):
         """Graph parameter t at arc length s; exact at both ends."""
@@ -450,9 +451,8 @@ class GraphSeg:
         out = np.where(s <= 0.0, a, bb)
         inner = (s > 0.0) & (s < self.length)
         if inner.any():
-            out[inner] = _invert_monotone(
-                self._table, s[inner], a, bb,
-                table=(self._table.x, self._table.F))
+            out[inner] = _invert_monotone(self._table, s[inner], a, bb,
+                                          table=self._inverse_table)
         return out[()]
 
     def eval(self, s, k=2):
@@ -986,9 +986,9 @@ class InverseBlend:
 
     so h_s(t) = f(tau) where T(tau) = t: one monotone solve for all t at
     once (``_invert_monotone``).  The 4097-point scan of f that checks f is
-    decreasing also gives T on its nodes up to t_end_f, the table that
-    seeds and brackets that solve.  The derivatives follow from the
-    tau-jet:
+    decreasing also gives T on its nodes up to t_end_f, the table, checked
+    once here, that seeds and brackets that solve.  The derivatives follow
+    from the tau-jet:
 
         h'(t)   = 1 / hinv'(r)
         h''(t)  = -hinv''(r) / hinv'(r)^3
@@ -1018,7 +1018,7 @@ class InverseBlend:
         else:
             self.t_end_f = f.b
         # T on the scan's nodes seeds and brackets every solve for tau
-        self._T_table = (tau, self._T(tau, F))
+        self._T_table = _monotone_table(tau, self._T(tau, F))
         # blended domain length, T(t_end_f)
         self.b = self._T(self.t_end_f, self.r_end)
 

@@ -72,17 +72,20 @@ class TestPieces:
         assert scalar == tuple(x[0] for x in piece.jet([1.3], 3))
         assert f(1.3) == scalar[0]
 
-    def test_jet_takes_one_call_per_piece(self, monkeypatch):
-        f = make_torpedo(TorpedoSpec(0.5))
-        assert [p.kind for p in f.pieces] == ["sine", "poly", "const"]
-        calls = []
-        for cls in (SinePiece, PolyPiece, ConstPiece):
-            def counted(self, t, k, _orig=cls.jet):
-                calls.append(self.kind)
-                return _orig(self, t, k)
-            monkeypatch.setattr(cls, "jet", counted)
-        f.jet(np.linspace(0.0, f.b, 101), 3)
-        assert calls == ["sine", "poly", "const"]
+    def test_jet_calls_no_polyval_and_no_piece_jet(self, monkeypatch):
+        # the profile evaluates its compiled tables, not its pieces' jets
+        f = reflect(make_double_torpedo(0.5, 4.0))
+        t = np.linspace(0.0, f.b, 101)
+        want = f.jet(t, 3)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("called inside SmoothFn1D.jet")
+
+        monkeypatch.setattr(np.polynomial.polynomial, "polyval", forbidden)
+        for cls in (SinePiece, PolyPiece, ConstPiece, ReflectPiece):
+            monkeypatch.setattr(cls, "jet", forbidden)
+        for got, ref in zip(f.jet(t, 3), want):
+            assert np.array_equal(got, ref)
 
     @pytest.mark.parametrize("k", [-1, 4])
     def test_jet_order_outside_range_raises_typed(self, k):
@@ -415,6 +418,66 @@ def test_piece_jets_match_per_order_formulas_bitwise(i):
             assert piece.jet(t[5], k)[j] == _per_order(piece, t[5], j)
 
 
+def _owned(pieces, t, k, jet):
+    """Orders 0..k at t, each point from ``jet(piece, points, k)`` of the
+    piece whose interval holds it, a breakpoint from the piece on its
+    right; scalars for scalar t."""
+    t = np.asarray(t, dtype=float)
+    tv = np.atleast_1d(t)
+    owner = np.searchsorted([p.interval[1] for p in pieces[:-1]], tv,
+                            side="right")
+    outs = [np.empty(tv.shape) for _ in range(k + 1)]
+    for i, piece in enumerate(pieces):
+        mine = owner == i
+        for out, d in zip(outs, jet(piece, tv[mine], k)):
+            out[mine] = d
+    return tuple(out.reshape(t.shape)[()] for out in outs)
+
+
+def _reference_jet(f, t, k):
+    """f's orders 0..k at t by ``_per_order``."""
+    return _owned(f.pieces, t, k, lambda piece, x, k: [
+        _per_order(piece, x, j) for j in range(k + 1)])
+
+
+def _gauss_nodes(b, cells):
+    """8 Gauss-Legendre nodes in each of ``cells`` equal cells of [0, b],
+    shaped (cells, 8) as ``glbend._HermiteTable`` evaluates them."""
+    x = np.linspace(0.0, b, cells + 1)
+    half = 0.5 * np.diff(x)
+    gl_x = np.polynomial.legendre.leggauss(8)[0]
+    return x[:-1, None] + half[:, None] * (1 + gl_x)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: make_torpedo(TorpedoSpec(0.5)),
+    lambda: make_double_torpedo(0.5, 4.0),
+    # reflected pieces around reflected pieces
+    lambda: reflect(make_double_torpedo(0.5, 4.0)),
+    lambda: reflect(SmoothFn1D(2.5, [SinePiece((0.0, 2.5), 1.3, 0.7,
+                                               phase=np.pi / 2.0)]))])
+def test_profile_jet_matches_per_order_formulas_bitwise(make):
+    f = make()
+    breaks = [p.interval[1] for p in f.pieces[:-1]]
+    grid = np.concatenate([np.linspace(0.0, f.b, 10001), breaks])
+    shapes = {"sorted": np.sort(grid),
+              "unsorted": np.random.default_rng(36).permutation(grid),
+              "gauss": _gauss_nodes(f.b, 64)}
+    for k in range(4):
+        for name, t in shapes.items():
+            for got, want in zip(f.jet(t, k), _reference_jet(f, t, k)):
+                assert got.shape == t.shape, name
+                assert np.array_equal(got, want), name
+        for x in breaks + [0.0, 0.3 * f.b, f.b]:
+            got = f.jet(x, k)
+            assert all(np.ndim(v) == 0 for v in got)
+            assert got == _reference_jet(f, x, k)
+    # some breakpoint tells the left piece's jet from the right one's, so
+    # the ownership of breakpoints is tested
+    assert not breaks or any(f.pieces[i].jet(x, 3) != f.jet(x, 3)
+                             for i, x in enumerate(breaks))
+
+
 class _PiecewiseSum:
     """Reference: the weighted sum of pieces that homotopies and rescalings
     were once built from, one per interval of the union of breakpoints."""
@@ -436,6 +499,17 @@ def _piece_at(f, t):
     return f.pieces[int(np.searchsorted(f._breaks, t, side="right"))]
 
 
+class _PiecewiseProfile:
+    """Reference: a profile read piece by piece, by the pieces' jets."""
+
+    def __init__(self, b, pieces):
+        self.b = b
+        self.pieces = pieces
+
+    def jet(self, t, k):
+        return _owned(self.pieces, t, k, lambda p, x, k: p.jet(x, k))
+
+
 def _piecewise_combination(terms):
     """sum w_i f_i of SmoothFn1D terms rebuilt piece by piece."""
     b = terms[0][1].b
@@ -445,8 +519,7 @@ def _piecewise_combination(terms):
                                      for w, f in terms])
               for a, c in zip(breaks, breaks[1:])
               if c - a > 1e-14 * max(1.0, b)]
-    orders = set.intersection(*[set(f.junction_orders) for _, f in terms])
-    return SmoothFn1D(b, pieces, junction_orders=tuple(sorted(orders)))
+    return _PiecewiseProfile(b, pieces)
 
 
 def _c1_and_c2_torpedo():
