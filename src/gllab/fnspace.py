@@ -202,12 +202,13 @@ def _piece_from_json(d):
 
 def _jet_points(t, k, b):
     """t as a float array after checking the jet order k and that t lies
-    in [0, b] (up to rounding)."""
+    in [0, b] (up to rounding); a NaN point lies nowhere."""
     if k not in (0, 1, 2, 3):
         raise InvalidSpecError(f"jet order must be 0..3, got {k!r}")
     t = np.asarray(t, dtype=float)
-    if t.size and (t.min() < -1e-9 * max(1.0, b)
-                   or t.max() > b * (1 + 1e-9) + 1e-9):
+    # asks that both bounds hold: NaN compares false with either
+    if t.size and not (t.min() >= -1e-9 * max(1.0, b)
+                       and t.max() <= b * (1 + 1e-9) + 1e-9):
         raise InvalidSpecError(
             f"evaluation outside [0, {b}]: range [{t.min()}, {t.max()}]")
     return t

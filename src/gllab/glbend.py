@@ -1002,6 +1002,8 @@ class InverseBlend:
         self.f = f
         self.m0 = float(m0)
         self.s = float(s)
+        if not 0.0 <= self.s <= 1.0:
+            raise InvalidSpecError(f"s must lie in [0, 1], got {self.s}")
         tau = np.linspace(0.0, f.b, 4097)
         F, d1 = f.jet(tau, 1)
         if d1.max() >= 0:
@@ -1059,7 +1061,8 @@ def final_isotopy(f, l_line, s_grid=None, n_t=201):
 
     ``l_line`` is the pair (r0, m0) of the line r0 + m0*t through the start
     of f.  Returns (list of h_s profiles, list of graph-inequality margins);
-    h_0 reproduces f and h_1 is the line exactly.  Each margin is the least
+    h_0 reproduces f and h_1 is the line exactly; an s outside [0, 1]
+    raises InvalidSpecError (``InverseBlend``).  Each margin is the least
     over the interior n_t - 2 of n_t points: n_t must be an integer >= 3.
     """
     if isinstance(n_t, bool) or not isinstance(n_t, numbers.Integral) \
@@ -1086,26 +1089,17 @@ def final_isotopy(f, l_line, s_grid=None, n_t=201):
 # quarter bend (used by the embedding identities)
 # ---------------------------------------------------------------------------
 
-def quarter_bend_curve(c1, c2, bend_radius, eps=0.0, delta=0.0):
+def quarter_bend_curve(c1, c2, bend_radius):
     """Unit-speed curve from (c1, 0) to (0, c2) in the first quadrant.
 
     Vertical line up to (c1, c2 - R), a quarter circular arc, then a
-    horizontal line to the a2-axis.  With cap radii (eps, delta) declared,
-    the straight pieces must clear the cap regions: c1 > eps pi/2,
-    c2 > delta pi/2, and the bend must stay above the line a2 = delta pi/2.
+    horizontal line to the a2-axis.
     """
     R = float(bend_radius)
     if R <= 0:
         raise InvalidBendError("bend radius must be positive")
     if not (c1 > R and c2 > R):
         raise InvalidBendError("bend radius must fit inside the corner")
-    if not c1 > eps * np.pi / 2.0:
-        raise InvalidBendError("need c1 > eps*pi/2 (strict)")
-    if not c2 > delta * np.pi / 2.0:
-        raise InvalidBendError("need c2 > delta*pi/2 (strict)")
-    if not c2 - R > delta * np.pi / 2.0:
-        raise InvalidBendError(
-            "bend must stay above the horizontal line a2 = delta*pi/2")
     segs = [
         LineSeg((c1, 0.0), (c1, c2 - R)),
         ArcSeg((c1 - R, c2 - R), R, 0.0, np.pi / 2.0),

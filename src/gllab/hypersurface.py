@@ -22,7 +22,7 @@ torpedo (``CompositeProfile``), a warping function of a leaf.  The
 foliation reads each leaf from one curve jet and one jet per torpedo,
 taken on every point that the leaf's checks read.  (p, q) enter only the
 closed form, so the foliation's and the mixed torpedo's geometry is built
-once per shape, keyed on floats, not on the corner curve (``certify._Memo``).
+once per shape, keyed on the floats that fix it (``certify._Memo``).
 """
 
 from __future__ import annotations
@@ -167,7 +167,7 @@ _J_SAMPLES = 2001
 def _mixed_torpedo_geometry(eps, delta, c1, c2, bend_radius):
     """(reflect(f_eps), f_delta, identity report) of ``mixed_torpedo_via_J``,
     after its checks on the corner curve."""
-    curve = quarter_bend_curve(c1, c2, bend_radius, eps=eps, delta=delta)
+    curve = quarter_bend_curve(c1, c2, bend_radius)
     # the profiles must already be constant where the curve leaves the
     # respective straight piece, else the pointwise identity degrades; as
     # b > c - bend_radius for c = c1, c2, each torpedo then keeps a tube
@@ -288,35 +288,6 @@ class FoliationFamily:
     leaves: list = field(default_factory=list)  # (u, v) profile pairs
 
 
-def _corner_data(line0, arc, line1):
-    """A line-arc-line curve's segment ends, arc center, radius and angles."""
-    return np.concatenate([line0.p0, line0.p1, arc.center, line1.p0, line1.p1,
-                           [arc.radius, arc.ang0, arc.ang1]])
-
-
-def _corner_params(lambda_half_curve):
-    """(edge, radius) = (c - R, R) of ``quarter_bend_curve(c, c, R)``, which
-    the curve must equal to 1e-12 max(1, c) in every segment; c <= R raises
-    InvalidBendError, any other curve InvalidSpecError."""
-    if not isinstance(lambda_half_curve, Curve2D):
-        raise InvalidSpecError(
-            "expected a corner Curve2D, got "
-            f"{type(lambda_half_curve).__name__}")
-    segs = lambda_half_curve.segments
-    kinds = [s.kind for s in segs]
-    if kinds != ["line", "arc", "line"]:
-        raise InvalidSpecError(
-            "expected a line-arc-line corner curve, got " + repr(kinds))
-    c, radius = float(segs[0].p0[0]), segs[1].radius
-    quarter = quarter_bend_curve(c, c, radius).segments
-    dev = float(np.abs(_corner_data(*segs) - _corner_data(*quarter)).max())
-    if not dev <= 1e-12 * max(1.0, c):
-        raise InvalidSpecError(
-            f"foliation needs the symmetric quarter corner of c = {c:.6g}, "
-            f"R = {radius:.6g}; the curve deviates by {dev:.3g}")
-    return c - radius, radius
-
-
 # samples per leaf on which connected_sum_foliation checks positivity
 _LEAF_SAMPLES = 401
 
@@ -373,18 +344,18 @@ def _foliation_geometry(edge, radius, tau, nu_grid, eps, delta_p):
     return f_eps, f_del, tuple(curves), pmap(leaf, curves)
 
 
-def connected_sum_foliation(lambda_half_curve, tau, nu_grid, eps, delta_p,
-                            p=2, q=2):
+def connected_sum_foliation(c, radius, tau, nu_grid, eps, delta_p, p=2, q=2):
     """Leaf metrics interpolating the corner sphere down to a geodesic sphere.
 
-    The corner must be ``quarter_bend_curve(c, c, R)`` (``_corner_params``).
-    Each leaf nu carries h_nu = dt^2 + f_eps(x(t))^2 ds_p^2
-    + f_{delta'}(y(t))^2 ds_q^2.  For nu in [1/2, 1] the straight edges
-    shrink linearly to zero; for nu in [0, 1/2] the bend radius shrinks
-    linearly down to tau.  Every leaf is checked for smooth-closing
-    membership of both profiles and for positive scalar curvature; the
-    first failing leaf aborts with its nu.  Both torpedoes keep the default
-    blend, so c must exceed each cap + blend (else InvalidSpecError).
+    The corner is ``quarter_bend_curve(c, c, radius)``: c and radius must be
+    finite with 0 < radius < c, else InvalidBendError.  Each leaf nu carries
+    h_nu = dt^2 + f_eps(x(t))^2 ds_p^2 + f_{delta'}(y(t))^2 ds_q^2.  For nu
+    in [1/2, 1] the straight edges shrink linearly to zero; for nu in
+    [0, 1/2] the bend radius shrinks linearly down to tau.  Every leaf is
+    checked for smooth-closing membership of both profiles and for positive
+    scalar curvature; the first failing leaf aborts with its nu.  Both
+    torpedoes keep the default blend, so c must exceed each cap + blend
+    (else InvalidSpecError).
 
     The torpedoes, the leaf curves and each leaf's membership reports and
     closed-form quotients, from one curve jet and one jet per torpedo
@@ -399,7 +370,9 @@ def connected_sum_foliation(lambda_half_curve, tau, nu_grid, eps, delta_p,
     ``extra`` holds ``per_leaf_min`` and where the least sample sits: its
     leaf ``argmin_nu`` and arc length ``argmin_t`` (``family_certificate``).
     """
-    edge, radius = _corner_params(lambda_half_curve)
+    if not 0 < radius < c < np.inf:
+        raise InvalidBendError(
+            "need a finite corner c above a positive bend radius")
     if not 0 < tau <= radius:
         raise InvalidSpecError("need 0 < tau <= bend radius")
     _check_dims(0, "fiber dimensions must be nonnegative", p=p, q=q)
@@ -414,7 +387,8 @@ def connected_sum_foliation(lambda_half_curve, tau, nu_grid, eps, delta_p,
     if not nu_grid:
         raise InvalidSpecError("nu_grid must hold at least one leaf")
     f_eps, f_del, curves, leaves = _foliation_geometry(
-        edge, radius, tau, tuple(nu_grid), eps, delta_p)
+        float(c) - float(radius), float(radius), tau, tuple(nu_grid), eps,
+        delta_p)
 
     def leaf(args):
         nu, (_t, bad, quotients) = args

@@ -40,7 +40,7 @@ from .fnspace import (SinePiece, SmoothFn1D, _combine_jets, _torpedo_on,
                       check_U_membership, check_V_membership,
                       make_double_torpedo, make_torpedo, reflect, sample_grid)
 from .glbend import (BendConstants, assemble_gamma, initial_bend,
-                     quarter_bend_curve, synth_transition)
+                     synth_transition)
 from .hypersurface import connected_sum_foliation, mixed_torpedo_via_J
 from .morsealg import (CriticalPoint, MorseDescription, check_admissible,
                        reverse)
@@ -487,12 +487,12 @@ def two_surgery_demo(n, p, radius=1.0):
     push("f-to-torpedo", _certify_homotopy(
         [n - 1], [g_round.f], [make_double_torpedo(delta, g_round.b)]))
 
-    # stage 6: connected-sum foliation isotopy (caps small enough that the
-    # corner bend clears the delta*pi/2 lines)
+    # stage 6: connected-sum foliation isotopy from the symmetric corner of
+    # edge c = 1 and bend radius R = 0.4; the torpedoes' radii are at most
+    # 0.25, so each cap and blend (1.25 * 0.25 pi/2 < 0.5) fits inside c
     cap = min(delta, 0.25)
-    corner = quarter_bend_curve(1.0, 1.0, 0.4, eps=cap, delta=cap)
     _family, fol_cert = connected_sum_foliation(
-        corner, tau=0.05, nu_grid=np.linspace(0.0, 1.0, 21),
+        1.0, 0.4, tau=0.05, nu_grid=np.linspace(0.0, 1.0, 21),
         eps=cap, delta_p=cap, p=p, q=q)
     push("foliation", fol_cert)
 

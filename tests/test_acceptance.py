@@ -37,7 +37,6 @@ from gllab.oracle import (cyl_family_chart, doubly_warped_chart,
                           perturbed_quadratic_chart,
                           round_sphere_normal_chart, scalar_from_chart,
                           warped_chart)
-from gllab.glbend import quarter_bend_curve
 
 
 def round_profile(radius=1.0, b=None):
@@ -255,11 +254,23 @@ def test_criterion_10_mixed_torpedo_embedding_identity():
 
 def test_criterion_11_connected_sum_foliation():
     """21-leaf (2,4) family: every leaf a member, min R > 0 throughout."""
-    corner = quarter_bend_curve(1.0, 1.0, 0.4, eps=0.25, delta=0.25)
     family, cert = connected_sum_foliation(
-        corner, tau=0.05, nu_grid=np.linspace(0.0, 1.0, 21),
+        1.0, 0.4, tau=0.05, nu_grid=np.linspace(0.0, 1.0, 21),
         eps=0.25, delta_p=0.25, p=2, q=4)
     assert cert.passed
+    # the certificate as recorded when the corner entered as a curve
+    assert cert.to_json() == {
+        "grid": "21 leaves x 401 samples", "min_scalar": 224.0,
+        "tolerance": 0.0, "label": "connected-sum foliation", "passed": True,
+        "extra": {"argmin_nu": 0.7000000000000001,
+                  "argmin_t": 0.512597320457056,
+                  "per_leaf_min": [
+                      16832.17263021997, 5845.658625240447, 2949.716987194416,
+                      1782.011418119267, 1198.3486391195863,
+                      862.2846115558535, 651.0675599279656, 515.6536102215638,
+                      428.7241247699059, 374.1309134407287,
+                      341.60709947764815, 288.058649601344,
+                      262.13109169358574, 230.210817238842, *[224.0] * 7]}}
     assert len(family.leaves) == 21
     assert all(mn > 0 for mn in cert.extra["per_leaf_min"])
     for u, v in family.leaves:

@@ -92,6 +92,13 @@ class TestPieces:
         with pytest.raises(InvalidSpecError):
             make_torpedo(TorpedoSpec(0.5)).jet(0.3, k)
 
+    @pytest.mark.parametrize("t", [np.nan, [0.1, np.nan, 0.3]],
+                             ids=["scalar", "array"])
+    def test_nan_point_raises_typed(self, t):
+        # NaN lies in no domain: it is not passed through as a value
+        with pytest.raises(InvalidSpecError, match="evaluation outside"):
+            make_torpedo(TorpedoSpec(0.5)).jet(t, 1)
+
     def test_json_round_trip(self):
         # a C^1 profile and its mirror keep their junction orders; a C^2
         # profile's JSON names none

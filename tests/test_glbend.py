@@ -116,17 +116,22 @@ class TestSegments:
                          NanSeg((0.0, 0.5), (0.0, 0.0))])
         assert np.isnan(curve.junction_residual())
 
+    def test_nan_arc_length_raises_typed(self):
+        with pytest.raises(InvalidSpecError, match="evaluation outside"):
+            quarter_bend_curve(2.0, 2.0, 0.5).eval(np.nan)
+
     def test_quarter_bend_length_pin(self):
         c = quarter_bend_curve(2.0, 2.0, 0.5)
         assert np.isclose(c.length, 1.5 + 1.5 + np.pi / 4, rtol=1e-12)
 
     def test_quarter_bend_guards(self):
-        with pytest.raises(InvalidBendError):
-            quarter_bend_curve(1.0, 1.0, 1.5)
-        with pytest.raises(InvalidBendError):
-            quarter_bend_curve(1.0, 1.0, 0.4, eps=0.7)
-        with pytest.raises(InvalidBendError):
-            quarter_bend_curve(1.0, 1.0, 0.4, delta=0.5)
+        # the bend radius must be positive and below both edges
+        for c1, c2, radius in [(1.0, 1.0, 1.5), (1.0, 0.4, 0.4),
+                               (0.4, 1.0, 0.4), (1.0, 1.0, 0.0),
+                               (1.0, 1.0, -0.4), (np.nan, 1.0, 0.4),
+                               (1.0, 1.0, np.nan)]:
+            with pytest.raises(InvalidBendError, match="bend radius must"):
+                quarter_bend_curve(c1, c2, radius)
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_non_finite_segments_rejected(self, bad):
@@ -563,6 +568,19 @@ class TestIsotopies:
         g = final_bending_tilt(transition, params.C2)
         _, margins = final_isotopy(g, (params.r0, params.m0), [0.5], n_t=3)
         assert len(margins) == 1 and np.isfinite(margins[0])
+
+    @pytest.mark.parametrize("s", [-0.5, 1.5, np.nan])
+    @pytest.mark.parametrize("entry", ["InverseBlend", "final_isotopy"])
+    def test_s_outside_the_homotopy_raises_typed(self, transition, entry, s):
+        # s = -0.5 would blend to a curve outside the family, and 1.5 and
+        # NaN are input errors, not failed inversions
+        params, _ = transition
+        g = final_bending_tilt(transition, params.C2)
+        with pytest.raises(InvalidSpecError, match=r"s must lie in \[0, 1\]"):
+            if entry == "InverseBlend":
+                InverseBlend(g, params.m0, s)
+            else:
+                final_isotopy(g, (params.r0, params.m0), [0.0, s])
 
 
 @pytest.fixture(scope="module")
@@ -1034,8 +1052,6 @@ def _tilt_parabola(a2):
      InversionError, "profile must be strictly decreasing"),
     (lambda: quarter_bend_curve(1.0, 1.0, 0.0), InvalidBendError,
      "bend radius must be positive"),
-    (lambda: quarter_bend_curve(3.0, 1.0, 0.4, delta=0.7), InvalidBendError,
-     r"need c2 > delta\*pi/2"),
 ])
 def test_argument_checks_raise_typed(call, error, message):
     with pytest.raises(error, match=message):

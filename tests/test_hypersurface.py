@@ -16,9 +16,8 @@ from gllab.errors import (CertificationFailedError, DomainMismatchError,
 from gllab.fnspace import (LinearCombination, PolyPiece, SinePiece,
                            SmoothFn1D, check_U_membership,
                            check_V_membership, linear_homotopy)
-from gllab.glbend import (ArcSeg, BendConstants, Curve2D, LineSeg,
-                          assemble_gamma, initial_bend, quarter_bend_curve,
-                          synth_transition)
+from gllab.glbend import (ArcSeg, BendConstants, Curve2D, assemble_gamma,
+                          initial_bend, synth_transition)
 from gllab.hypersurface import (FoliationFamily, ModelAmbient,
                                 PairSumCoefficientNote,
                                 connected_sum_foliation, gauss_scalar_on_M,
@@ -177,9 +176,8 @@ class TestProfileJets:
 
 @pytest.fixture(scope="module")
 def family_cert():
-    corner = quarter_bend_curve(1.0, 1.0, 0.4, eps=0.25, delta=0.25)
     return connected_sum_foliation(
-        corner, tau=0.05, nu_grid=np.linspace(0.0, 1.0, 21),
+        1.0, 0.4, tau=0.05, nu_grid=np.linspace(0.0, 1.0, 21),
         eps=0.25, delta_p=0.25, p=2, q=4)
 
 
@@ -221,24 +219,21 @@ class TestFoliation:
                 calls.append(space)
                 return _report(jet, space, b)
             monkeypatch.setattr(mod, "_membership_report", counted)
-        corner = quarter_bend_curve(1.0, 1.0, 0.4, eps=0.25, delta=0.25)
         family, _ = connected_sum_foliation(
-            corner, tau=0.05, nu_grid=[0.0, 0.5, 1.0], eps=0.25,
+            1.0, 0.4, tau=0.05, nu_grid=[0.0, 0.5, 1.0], eps=0.25,
             delta_p=0.25, p=2, q=4)
         assert len(family.leaves) == 3
         assert sorted(calls) == ["U"] * 3 + ["V"] * 3
 
     def test_negative_tau_rejected(self):
-        corner = quarter_bend_curve(1.0, 1.0, 0.4, eps=0.25, delta=0.25)
         with pytest.raises(InvalidSpecError, match="tau"):
-            connected_sum_foliation(corner, tau=-0.1,
+            connected_sum_foliation(1.0, 0.4, tau=-0.1,
                                     nu_grid=np.linspace(0, 1, 3),
                                     eps=0.25, delta_p=0.25)
 
     def test_empty_nu_grid_raises_typed(self):
-        corner = quarter_bend_curve(1.0, 1.0, 0.4, eps=0.25, delta=0.25)
         with pytest.raises(InvalidSpecError, match="nu_grid"):
-            connected_sum_foliation(corner, tau=0.05, nu_grid=[],
+            connected_sum_foliation(1.0, 0.4, tau=0.05, nu_grid=[],
                                     eps=0.25, delta_p=0.25)
 
     @pytest.mark.parametrize("nu_grid, match", [
@@ -247,9 +242,8 @@ class TestFoliation:
         ([0.0, [0.5, 1.0]], "numbers"),
         (["a"], "numbers")], ids=["2-D", "scalar", "ragged", "string"])
     def test_malformed_nu_grid_raises_typed(self, nu_grid, match):
-        corner = quarter_bend_curve(1.0, 1.0, 0.4, eps=0.25, delta=0.25)
         with pytest.raises(InvalidSpecError, match=match):
-            connected_sum_foliation(corner, tau=0.05, nu_grid=nu_grid,
+            connected_sum_foliation(1.0, 0.4, tau=0.05, nu_grid=nu_grid,
                                     eps=0.25, delta_p=0.25)
 
     @pytest.mark.parametrize("p, q", [(2.5, 3.5), (np.nan, 4), (2, 4.0),
@@ -257,22 +251,15 @@ class TestFoliation:
     def test_non_integer_fiber_dimension_raises_typed(self, p, q):
         # no S^2.5 fiber: a non-integer dimension is an input error, not a
         # passing (or failing) certificate
-        corner = quarter_bend_curve(1.0, 1.0, 0.4, eps=0.25, delta=0.25)
         with pytest.raises(InvalidSpecError, match="must be an integer"):
-            connected_sum_foliation(corner, tau=0.05, nu_grid=[0.0, 1.0],
+            connected_sum_foliation(1.0, 0.4, tau=0.05, nu_grid=[0.0, 1.0],
                                     eps=0.25, delta_p=0.25, p=p, q=q)
-
-    def test_corner_must_be_a_curve(self):
-        with pytest.raises(InvalidSpecError, match="Curve2D"):
-            connected_sum_foliation((1.0, 0.4), tau=0.05, nu_grid=[0.0],
-                                    eps=0.25, delta_p=0.25)
 
     @pytest.mark.parametrize("eps, delta_p", [(0.7, 0.25), (0.25, 0.7)])
     def test_cap_too_long_raises_typed(self, eps, delta_p):
         # the corner's domain is 1.0 and 0.7 pi/2 > 1: no cap fits
-        corner = quarter_bend_curve(1.0, 1.0, 0.4, eps=0.25, delta=0.25)
         with pytest.raises(InvalidSpecError, match="domain too short"):
-            connected_sum_foliation(corner, tau=0.05, nu_grid=[0.0],
+            connected_sum_foliation(1.0, 0.4, tau=0.05, nu_grid=[0.0],
                                     eps=eps, delta_p=delta_p)
 
     def test_certificate_says_where_its_minimum_is(self, family_cert):
@@ -297,14 +284,13 @@ class TestFoliation:
             R[len(R) // 2] = np.nan
             return R
         monkeypatch.setattr(hyp, "_scalar", spoiled)
-        corner = quarter_bend_curve(1.0, 1.0, 0.4, eps=0.25, delta=0.25)
         with pytest.raises(CertificationFailedError, match="positivity"):
-            connected_sum_foliation(corner, tau=0.05, nu_grid=[0.0, 1.0],
+            connected_sum_foliation(1.0, 0.4, tau=0.05, nu_grid=[0.0, 1.0],
                                     eps=0.25, delta_p=0.25)
 
 
-def _foliate(corner, nu_grid=(0.0, 1.0)):
-    return connected_sum_foliation(corner, tau=0.05, nu_grid=nu_grid,
+def _foliate(c, radius, nu_grid=(0.0, 1.0)):
+    return connected_sum_foliation(c, radius, tau=0.05, nu_grid=nu_grid,
                                    eps=0.05, delta_p=0.05)
 
 
@@ -314,43 +300,28 @@ def _foliate(corner, nu_grid=(0.0, 1.0)):
      InvalidSpecError, "no passing certificate"),
     (lambda bend: mixed_torpedo_via_J(0.25, 0.5, 2.0, 1.4, 0.5),
      InvalidBendError, "c2 - bend_radius"),
-    (lambda bend: _foliate(quarter_bend_curve(1.0, 1.0, 0.4), [1.5]),
+    (lambda bend: _foliate(1.0, 0.4, [1.5]),
      InvalidSpecError, r"nu must lie in \[0, 1\]"),
-    # a 45-degree corner: it certified the quarter corner of c = 1, R = 0.4
-    (lambda bend: _foliate(Curve2D([
-        LineSeg((1.0, 0.0), (1.0, 0.3)),
-        ArcSeg((0.6, 0.6), 0.4, 0.0, np.pi / 4),
-        LineSeg((0.5, 1.0), (0.0, 1.0))])),
-     InvalidSpecError, "symmetric quarter corner"),
     # c = 0.3 <= R = 0.5: its edge c - R would be negative
-    (lambda bend: _foliate(Curve2D([
-        LineSeg((0.3, 0.0), (0.3, -0.2)),
-        ArcSeg((-0.2, -0.2), 0.5, 0.0, np.pi / 2),
-        LineSeg((-0.2, 0.3), (0.0, 0.3))])),
-     InvalidBendError, "fit inside the corner"),
-    (lambda bend: _foliate(Curve2D(quarter_bend_curve(1.0, 1.0, 0.4)
-                                   .segments[:2])),
-     InvalidSpecError, "line-arc-line"),
-], ids=["uncertified-bend", "c2-inside-cap", "nu-above-1",
-        "45-degree-corner", "corner-c-below-R", "no-closing-line"])
+    (lambda bend: _foliate(0.3, 0.5),
+     InvalidBendError, "corner c above a positive bend radius"),
+    (lambda bend: _foliate(1.0, 0.0),
+     InvalidBendError, "corner c above a positive bend radius"),
+    (lambda bend: _foliate(np.inf, 0.4),
+     InvalidBendError, "finite corner c"),
+    (lambda bend: _foliate(np.nan, 0.4),
+     InvalidBendError, "finite corner c"),
+], ids=["uncertified-bend", "c2-inside-cap", "nu-above-1", "corner-c-below-R",
+        "corner-R-zero", "corner-c-infinite", "corner-c-nan"])
 def test_argument_checks_raise_typed(certified_bend, call, error, message):
     with pytest.raises(error, match=message):
         call(certified_bend)
-
-
-def test_corner_read_to_rounding():
-    # segments within 1e-12 max(1, c) of the quarter corner are accepted
-    segs = quarter_bend_curve(1.0, 1.0, 0.4).segments
-    near = Curve2D([segs[0], ArcSeg((0.6 + 5e-13, 0.6), 0.4, 0.0, np.pi / 2),
-                    segs[2]])
-    assert hyp._corner_params(near) == (1.0 - 0.4, 0.4)
 
 
 class TestLeafEvaluation:
     """Each leaf is certified from one curve jet and one jet per torpedo."""
 
     def test_leaf_reads_its_curve_once(self, monkeypatch):
-        corner = quarter_bend_curve(1.0, 1.0, 0.4, eps=0.25, delta=0.25)
         calls = {"jet": 0, "eval": 0}
         for name in calls:
             def counted(self, *args, _orig=getattr(Curve2D, name),
@@ -359,7 +330,7 @@ class TestLeafEvaluation:
                 return _orig(self, *args, **kw)
             monkeypatch.setattr(Curve2D, name, counted)
         nu_grid = [0.0, 0.3, 0.5, 0.8, 1.0]
-        connected_sum_foliation(corner, tau=0.05, nu_grid=nu_grid, eps=0.25,
+        connected_sum_foliation(1.0, 0.4, tau=0.05, nu_grid=nu_grid, eps=0.25,
                                 delta_p=0.25, p=2, q=4)
         # one jet per leaf, which is one curve evaluation pass
         assert calls["jet"] == len(nu_grid)
@@ -367,14 +338,13 @@ class TestLeafEvaluation:
 
     def test_family_takes_one_jet_per_leaf_curve_and_torpedo(
             self, monkeypatch):
-        corner = quarter_bend_curve(1.0, 1.0, 0.4, eps=0.25, delta=0.25)
         calls = {Curve2D: 0, SmoothFn1D: 0}
         for cls in calls:
             def counted(self, *args, _orig=cls.jet, _cls=cls, **kw):
                 calls[_cls] += 1
                 return _orig(self, *args, **kw)
             monkeypatch.setattr(cls, "jet", counted)
-        connected_sum_foliation(corner, tau=0.05,
+        connected_sum_foliation(1.0, 0.4, tau=0.05,
                                 nu_grid=np.linspace(0.0, 1.0, 21), eps=0.25,
                                 delta_p=0.25, p=2, q=4)
         # per leaf: one curve jet, one jet per torpedo; make_torpedo's own
@@ -401,9 +371,8 @@ class TestLeafEvaluation:
             reports.append(_report(jet, space, b))
             return reports[-1]
         monkeypatch.setattr(hyp, "_membership_report", kept)
-        corner = quarter_bend_curve(1.0, 1.0, 0.4, eps=0.25, delta=0.25)
         family, _ = connected_sum_foliation(
-            corner, tau=0.05, nu_grid=[0.0, 0.3, 0.5, 0.8, 1.0], eps=0.25,
+            1.0, 0.4, tau=0.05, nu_grid=[0.0, 0.3, 0.5, 0.8, 1.0], eps=0.25,
             delta_p=0.25, p=2, q=4)
         want = [check(f) for u, v in family.leaves
                 for check, f in ((check_U_membership, u),
@@ -441,12 +410,8 @@ class TestLeafEvaluation:
                 assert np.array_equal(g.jet(ends, 3)[3], want)
 
 
-def _corner():
-    return quarter_bend_curve(1.0, 1.0, 0.4, eps=0.25, delta=0.25)
-
-
-def _foliation(corner, p, q, nu_grid=np.linspace(0.0, 1.0, 21)):
-    return connected_sum_foliation(corner, tau=0.05, nu_grid=nu_grid,
+def _foliation(p, q, nu_grid=np.linspace(0.0, 1.0, 21)):
+    return connected_sum_foliation(1.0, 0.4, tau=0.05, nu_grid=nu_grid,
                                    eps=0.25, delta_p=0.25, p=p, q=q)
 
 
@@ -456,8 +421,7 @@ class TestGeometryMemo:
 
     @pytest.mark.parametrize("p, q", [(2, 4), (1, 5), (3, 3)])
     def test_repeated_shape_evaluates_no_profile(self, monkeypatch, p, q):
-        _foliation(_corner(), 2, 2)
-        corner = _corner()  # a new, equal corner curve
+        _foliation(2, 2)
         calls = {"curve": 0, "profile": 0, "membership": 0}
         for owner, name, key in ((Curve2D, "jet", "curve"),
                                  (SmoothFn1D, "jet", "profile"),
@@ -466,12 +430,12 @@ class TestGeometryMemo:
                 calls[_key] += 1
                 return _orig(*args, **kw)
             monkeypatch.setattr(owner, name, counted)
-        _, warm = _foliation(corner, p, q)
+        _, warm = _foliation(p, q)
         assert calls == {"curve": 0, "profile": 0, "membership": 0}
         monkeypatch.undo()
         for memo in _MEMOS:
             memo.entries.clear()
-        _, cold = _foliation(_corner(), p, q)
+        _, cold = _foliation(p, q)
         assert warm.min_scalar == cold.min_scalar
         for key in ("per_leaf_min", "argmin_nu", "argmin_t"):
             assert warm.extra[key] == cold.extra[key]
@@ -492,12 +456,12 @@ class TestGeometryMemo:
         for _ in range(2):
             with pytest.raises(CertificationFailedError,
                                match=r"leaf nu = 0\.75 loses") as err:
-                _foliation(_corner(), 0, 1, nu_grid)
+                _foliation(0, 1, nu_grid)
             assert err.value.best_margin == 0.0
         with pytest.raises(CertificationFailedError,
                            match=r"leaf nu = 1\.0 fails membership: "
                                  r"\['spoiled'\]"):
-            _foliation(_corner(), 2, 4, nu_grid)
+            _foliation(2, 4, nu_grid)
         assert len(reports) == 2 * len(nu_grid)
 
     def test_failed_build_stores_nothing(self, monkeypatch):
@@ -505,17 +469,18 @@ class TestGeometryMemo:
             raise SingularProfileError("spoiled")
         monkeypatch.setattr(hyp, "_quotients_from_jets", singular)
         with pytest.raises(SingularProfileError, match="spoiled"):
-            _foliation(_corner(), 2, 4)
+            _foliation(2, 4)
         assert not hyp._foliation_geometry.entries
         monkeypatch.undo()
-        assert _foliation(_corner(), 2, 4)[1].passed
+        assert _foliation(2, 4)[1].passed
 
     def test_zero_dim_array_arguments_are_accepted(self):
         # an unhashable 0-d array enters the memo key as its numpy scalar
-        _, want = _foliation(_corner(), 2, 4)
+        _, want = _foliation(2, 4)
         _, got = connected_sum_foliation(
-            _corner(), tau=np.array(0.05), nu_grid=np.linspace(0.0, 1.0, 21),
-            eps=np.array(0.25), delta_p=np.array(0.25), p=2, q=4)
+            np.array(1.0), np.array(0.4), tau=np.array(0.05),
+            nu_grid=np.linspace(0.0, 1.0, 21), eps=np.array(0.25),
+            delta_p=np.array(0.25), p=2, q=4)
         assert got.to_json() == want.to_json()
         _, rep = mixed_torpedo_via_J(np.array(0.5), 0.5, np.array(2.0), 2.0,
                                      0.5)

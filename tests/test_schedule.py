@@ -15,7 +15,6 @@ from gllab.errors import (CertificationFailedError, CompilationFailedError,
                           InvalidSpecError)
 from gllab.fnspace import (LinearCombination, SinePiece, SmoothFn1D,
                            linear_homotopy, make_double_torpedo, sample_grid)
-from gllab.glbend import quarter_bend_curve
 from gllab.hypersurface import connected_sum_foliation, mixed_torpedo_via_J
 from gllab.morsealg import CriticalPoint, MorseDescription
 from gllab.schedule import (DemoReport, compile_gl_cobordism,
@@ -336,6 +335,21 @@ class TestReverse:
             compile_reverse(s, desc)
 
 
+# per-leaf minima of the demo's stage-6 foliation (p, q) = (2, 4), (1, 3)
+_FOLIATION_MIN = {
+    (7, 2): [16832.17263021997, 5845.658625240447, 2949.716987194416,
+             1782.011418119267, 1198.3486391195863, 862.2846115558535,
+             651.0675599279656, 515.6536102215638, 428.7241247699059,
+             374.1309134407287, 341.60709947764815, 288.058649601344,
+             262.13109169358574, 230.210817238842, *[224.0] * 7],
+    (5, 1): [8000.086315109985, 2768.4210081219535, 1389.4140491527637,
+             833.3824000065638, 555.4734885348623, 395.3892193581737,
+             294.7408805556988, 230.33585423459687, 189.17932592948924,
+             163.55935801516637, 148.55354973882405, 128.0293248006822,
+             117.44449607557895, 99.52875564062877, *[96.0] * 7],
+}
+
+
 class TestDemo:
     def test_smallest_admissible(self):
         rep = two_surgery_demo(5, 1)
@@ -390,6 +404,21 @@ class TestDemo:
         assert r0s[-1] == rep.stages[2]["certificate"].min_scalar / (
             2.0 * (q - 1))
 
+    @pytest.mark.parametrize("n, p", [(7, 2), (5, 1)])
+    def test_foliation_stage_is_pinned(self, n, p):
+        # recorded when the corner still entered as a curve: passing its
+        # (c, R) as numbers moves no bit of the stage-6 certificate
+        cert = two_surgery_demo(n, p).stages[5]["certificate"]
+        assert cert.to_json() == {
+            "grid": "21 leaves x 401 samples",
+            "min_scalar": min(_FOLIATION_MIN[n, p]),
+            "tolerance": 0.0,
+            "label": "connected-sum foliation",
+            "passed": True,
+            "extra": {"argmin_nu": 0.7000000000000001,
+                      "argmin_t": 0.512597320457056,
+                      "per_leaf_min": _FOLIATION_MIN[n, p]}}
+
     def test_stage_ids_and_endpoints(self):
         rep = two_surgery_demo(7, 2)
         ids = [s["id"] for s in rep.stages]
@@ -440,8 +469,7 @@ class TestDemo:
             n, linear_homotopy(g.f, tor, lam), open_profile=True), t))
         cap = min(delta, 0.25)
         family, _cert = connected_sum_foliation(
-            quarter_bend_curve(1.0, 1.0, 0.4, eps=cap, delta=cap),
-            tau=0.05, nu_grid=np.linspace(0.0, 1.0, 21), eps=cap,
+            1.0, 0.4, tau=0.05, nu_grid=np.linspace(0.0, 1.0, 21), eps=cap,
             delta_p=cap, p=p, q=q)
         j = family.nu_grid.index(ex["foliation"]["argmin_nu"])
         assert ex["foliation"]["per_leaf_min"][j] == certs[
