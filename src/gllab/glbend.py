@@ -73,7 +73,6 @@ __all__ = [
     "assemble_gamma",
     "final_bending_tilt",
     "final_isotopy",
-    "InverseBlend",
     "quarter_bend_curve",
     "write_bend_csv",
 ]
@@ -974,114 +973,88 @@ def _shift_poly(coeffs, origin_old, origin_new):
     return np.array(c)
 
 
-class InverseBlend:
-    """h_s with h_s^{-1} = (1-s) f^{-1} + s l^{-1} for strictly decreasing f.
-
-    ``f`` decreases from r0 at t = 0; ``l`` is the line r0 + m0 t.  Rather
-    than invert the blend of inverses in r (a root find wrapped around the
-    root find for f^{-1}), substitute tau = f^{-1}(r):
-
-        hinv(f(tau)) = T(tau) = (1-s) tau + s (f(tau) - r0)/m0,
-        T'(tau) = (1-s) + s f'(tau)/m0 > 0,
-
-    so h_s(t) = f(tau) where T(tau) = t: one monotone solve for all t at
-    once (``_invert_monotone``).  The 4097-point scan of f that checks f is
-    decreasing also gives T on its nodes up to t_end_f, the table, checked
-    once here, that seeds and brackets that solve.  The derivatives follow
-    from the tau-jet:
-
-        h'(t)   = 1 / hinv'(r)
-        h''(t)  = -hinv''(r) / hinv'(r)^3
-        h'''(t) = -(hinv'''(r) hinv'(r) - 3 hinv''(r)^2) / hinv'(r)^5
-        hinv'(r)   = (1-s)/f'(tau) + s/m0
-        hinv''(r)  = -(1-s) f''(tau)/f'(tau)^3
-        hinv'''(r) = -(1-s) (f'''(tau) f'(tau) - 3 f''(tau)^2)/f'(tau)^5.
-    """
-
-    def __init__(self, f, m0, s):
-        self.f = f
-        self.m0 = float(m0)
-        self.s = float(s)
-        if not 0.0 <= self.s <= 1.0:
-            raise InvalidSpecError(f"s must lie in [0, 1], got {self.s}")
-        tau = np.linspace(0.0, f.b, 4097)
-        F, d1 = f.jet(tau, 1)
-        if d1.max() >= 0:
-            raise InversionError("profile must be strictly decreasing")
-        self.r0, f_end = float(F[0]), float(F[-1])
-        # a profile that reaches r = 0 is cut at a thousandth of r0
-        self.r_end = f_end if f_end > 0 else self.r0 * 1e-3
-        if self.r_end > f_end:
-            self.t_end_f = brentq(lambda x: f.jet(x, 1), self.r_end, 0.0, f.b)
-            # the scan up to t_end_f, clear of it by half a node spacing
-            keep = tau < self.t_end_f - 0.5 * (tau[1] - tau[0])
-            tau = np.r_[tau[keep], self.t_end_f]
-            F = np.r_[F[keep], f.jet(self.t_end_f, 0)[0]]
-        else:
-            self.t_end_f = f.b
-        # T on the scan's nodes seeds and brackets every solve for tau
-        self._T_table = _monotone_table(tau, self._T(tau, F))
-        # blended domain length, T(t_end_f)
-        self.b = self._T(self.t_end_f, self.r_end)
-
-    def _T(self, tau, r):
-        return (1.0 - self.s) * tau + self.s * (r - self.r0) / self.m0
-
-    def _tau(self, t):
-        """tau = f^{-1}(h_s(t)) for t clamped to [0, b]."""
-        t = np.clip(np.asarray(t, dtype=float), 0.0, self.b)
-        s, m0 = self.s, self.m0
-
-        def T(tau):
-            f0, f1 = self.f.jet(tau, 1)
-            return self._T(tau, f0), (1.0 - s) + s * f1 / m0
-
-        return _invert_monotone(T, t, 0.0, self.t_end_f,
-                                table=self._T_table)
-
-    def jet(self, t, k=2):
-        """(h, h', ..., h^(k))(t) for k <= 3, from one solve for tau."""
-        f = self.f.jet(self._tau(t), k)
-        s = self.s
-        out = [f[0]]
-        if k >= 1:
-            hinv1 = (1.0 - s) / f[1] + s / self.m0
-            out.append(1.0 / hinv1)
-        if k >= 2:
-            hinv2 = -(1.0 - s) * f[2] / f[1] ** 3
-            out.append(-hinv2 / hinv1 ** 3)
-        if k >= 3:
-            hinv3 = -(1.0 - s) * (f[3] * f[1] - 3.0 * f[2] ** 2) / f[1] ** 5
-            out.append(-(hinv3 * hinv1 - 3.0 * hinv2 ** 2) / hinv1 ** 5)
-        return tuple(out)
-
-
 def final_isotopy(f, l_line, s_grid=None, n_t=201):
     """Linear homotopy of inverses from the graph of f to its start line.
 
-    ``l_line`` is the pair (r0, m0) of the line r0 + m0*t through the start
-    of f.  Returns (list of h_s profiles, list of graph-inequality margins);
-    h_0 reproduces f and h_1 is the line exactly; an s outside [0, 1]
-    raises InvalidSpecError (``InverseBlend``).  Each margin is the least
-    over the interior n_t - 2 of n_t points: n_t must be an integer >= 3.
+    ``f`` decreases strictly from r0 at t = 0 and ``l_line`` is the pair
+    (r0, m0) of the line l through its start.  For each s in ``s_grid``
+    (default 21 values from 0 to 1), h_s^{-1} = (1-s) f^{-1} + s l^{-1}, so
+    h_s(t) = f(tau) where T(tau) = (1-s) tau + s (f(tau) - r0)/m0 = t, one
+    monotone solve for all t.  One 4097-point scan of f serves the family:
+    it checks that f decreases, cuts an f that reaches r = 0 at r_end =
+    r0/1000 (t = t_end_f), and its nodes carry each s's table of T, which
+    seeds and brackets that s's solve.
+
+    Returns (family, margins): ``family[i]`` is (t, (h, h', h'')) of the
+    i-th s on n_t equally spaced t in [0, T(t_end_f)], and ``margins[i]``
+    the least graph-inequality margin over the interior n_t - 2 of them;
+    h_0 is f and h_1 the line.  n_t must be an integer >= 3, ``l_line`` a
+    pair of numbers through f(0) with m0 finite, and ``s_grid`` a nonempty
+    one-dimensional sequence of numbers in [0, 1], else InvalidSpecError;
+    a slope m0 >= 0 or an f that does not decrease raises InversionError.
     """
     if isinstance(n_t, bool) or not isinstance(n_t, numbers.Integral) \
             or n_t < 3:
         raise InvalidSpecError(f"n_t must be an integer >= 3, got {n_t!r}")
-    r0_line, m0 = (float(x) for x in l_line)
-    if abs(r0_line - float(f(0.0))) > 1e-9:
+    try:
+        r0_line, m0 = (float(x) for x in l_line)
+    except (TypeError, ValueError) as err:
+        raise InvalidSpecError(f"l_line must be two numbers: {err}") from None
+    if not abs(r0_line - float(f(0.0))) <= 1e-9:
         raise InvalidSpecError("line must pass through the start of f")
+    if not np.isfinite(m0):
+        raise InvalidSpecError(f"line slope must be finite, got {m0}")
     if m0 >= 0:
         raise InversionError("line slope must be negative")
     if s_grid is None:
         s_grid = np.linspace(0.0, 1.0, 21)
+    try:
+        grid = np.asarray(s_grid, dtype=float)
+    except (TypeError, ValueError) as err:
+        raise InvalidSpecError(f"s_grid must hold numbers: {err}") from None
+    if grid.ndim != 1 or not grid.size:
+        raise InvalidSpecError("s_grid must be nonempty and one-dimensional,"
+                               f" got shape {grid.shape}")
+    for s in grid.tolist():
+        if not 0.0 <= s <= 1.0:
+            raise InvalidSpecError(f"s must lie in [0, 1], got {s}")
+
+    tau = np.linspace(0.0, f.b, 4097)
+    F, d1 = f.jet(tau, 1)
+    if d1.max() >= 0:
+        raise InversionError("profile must be strictly decreasing")
+    r0, f_end = float(F[0]), float(F[-1])
+    # a profile that reaches r = 0 is cut at a thousandth of r0
+    r_end = f_end if f_end > 0 else r0 * 1e-3
+    if r_end > f_end:
+        t_end_f = brentq(lambda x: f.jet(x, 1), r_end, 0.0, f.b)
+        # the scan up to t_end_f, clear of it by half a node spacing
+        keep = tau < t_end_f - 0.5 * (tau[1] - tau[0])
+        tau = np.r_[tau[keep], t_end_f]
+        F = np.r_[F[keep], f.jet(t_end_f, 0)[0]]
+    else:
+        t_end_f = f.b
+
+    def T(s, x, r):
+        return (1.0 - s) * x + s * (r - r0) / m0
+
     family = []
     margins = []
-    for s in s_grid:
-        h = InverseBlend(f, m0, float(s))
-        t = np.linspace(0.0, h.b, n_t)[1:-1]
-        family.append(h)
-        margins.append(float(np.min(_graph_margin(h.jet(t)))))
+    for s in grid.tolist():
+        def T_jet(x):
+            f0, f1 = f.jet(x, 1)
+            return T(s, x, f0), (1.0 - s) + s * f1 / m0
+
+        table = _monotone_table(tau, T(s, tau, F))
+        t = np.linspace(0.0, T(s, t_end_f, r_end), n_t)
+        r, f1, f2 = f.jet(_invert_monotone(T_jet, t, 0.0, t_end_f,
+                                           table=table), 2)
+        # h' = 1/hinv'(r) and h'' = -hinv''(r)/hinv'(r)^3
+        hinv1 = (1.0 - s) / f1 + s / m0
+        hinv2 = -(1.0 - s) * f2 / f1 ** 3
+        jet = (r, 1.0 / hinv1, -hinv2 / hinv1 ** 3)
+        family.append((t, jet))
+        margins.append(float(np.min(_graph_margin(jet)[1:-1])))
     return family, margins
 
 

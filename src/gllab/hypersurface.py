@@ -344,18 +344,24 @@ def _foliation_geometry(edge, radius, tau, nu_grid, eps, delta_p):
     return f_eps, f_del, tuple(curves), pmap(leaf, curves)
 
 
+def _numbers(*xs):
+    """True if each x is a real number or a 0-d array of one."""
+    return all(np.ndim(x) == 0 and np.asarray(x).dtype.kind in "biuf"
+               for x in xs)
+
+
 def connected_sum_foliation(c, radius, tau, nu_grid, eps, delta_p, p=2, q=2):
     """Leaf metrics interpolating the corner sphere down to a geodesic sphere.
 
     The corner is ``quarter_bend_curve(c, c, radius)``: c and radius must be
-    finite with 0 < radius < c, else InvalidBendError.  Each leaf nu carries
-    h_nu = dt^2 + f_eps(x(t))^2 ds_p^2 + f_{delta'}(y(t))^2 ds_q^2.  For nu
-    in [1/2, 1] the straight edges shrink linearly to zero; for nu in
-    [0, 1/2] the bend radius shrinks linearly down to tau.  Every leaf is
-    checked for smooth-closing membership of both profiles and for positive
-    scalar curvature; the first failing leaf aborts with its nu.  Both
-    torpedoes keep the default blend, so c must exceed each cap + blend
-    (else InvalidSpecError).
+    finite numbers with 0 < radius < c, else InvalidBendError.  Each leaf
+    nu carries h_nu = dt^2 + f_eps(x(t))^2 ds_p^2 + f_{delta'}(y(t))^2
+    ds_q^2.  For nu in [1/2, 1] the straight edges shrink linearly to zero;
+    for nu in [0, 1/2] the bend radius shrinks linearly down to tau.  Every
+    leaf is checked for smooth-closing membership of both profiles and for
+    positive scalar curvature; the first failing leaf aborts with its nu.
+    Both torpedoes keep the default blend, so c must exceed each cap +
+    blend (else InvalidSpecError).
 
     The torpedoes, the leaf curves and each leaf's membership reports and
     closed-form quotients, from one curve jet and one jet per torpedo
@@ -363,18 +369,19 @@ def connected_sum_foliation(c, radius, tau, nu_grid, eps, delta_p, p=2, q=2):
     (p, q) scalar curvature from the quotients, leaf by leaf.  Reports and
     curvature are those of ``check_U_membership``, ``check_V_membership``
     and ``scalar_doubly_warped`` on the leaf's profiles, bit for bit.
-    ``p`` and ``q`` must be integers >= 0 and ``nu_grid`` a
-    one-dimensional sequence of numbers, else ``InvalidSpecError``.
+    ``p`` and ``q`` must be integers >= 0, tau, eps and delta_p numbers,
+    ``nu_grid`` a one-dimensional sequence of numbers, else InvalidSpecError.
 
     Returns (FoliationFamily, IsotopyCertificate).  The certificate's
     ``extra`` holds ``per_leaf_min`` and where the least sample sits: its
     leaf ``argmin_nu`` and arc length ``argmin_t`` (``family_certificate``).
     """
-    if not 0 < radius < c < np.inf:
+    if not (_numbers(c, radius) and 0 < radius < c < np.inf):
         raise InvalidBendError(
             "need a finite corner c above a positive bend radius")
-    if not 0 < tau <= radius:
-        raise InvalidSpecError("need 0 < tau <= bend radius")
+    if not (_numbers(tau, eps, delta_p) and 0 < tau <= radius):
+        raise InvalidSpecError(
+            "need numbers tau, eps and delta_p with 0 < tau <= bend radius")
     _check_dims(0, "fiber dimensions must be nonnegative", p=p, q=q)
     try:
         grid = np.asarray(nu_grid, dtype=float)

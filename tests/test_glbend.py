@@ -19,7 +19,7 @@ from gllab.errors import (AssemblyError, ConstructionFailedError,
 from gllab.fnspace import (PolyPiece, SmoothFn1D, TorpedoSpec, make_torpedo,
                            reflect)
 from gllab.glbend import (ArcSeg, BendConstants, BumpSeg, Curve2D, GraphSeg,
-                          InverseBlend, LineSeg, _invert_monotone,
+                          LineSeg, _invert_monotone,
                           assemble_gamma, check_cureqn, check_diffkeqn,
                           final_bending_tilt, final_isotopy, initial_bend,
                           mu_inequality, quarter_bend_curve, rhs_cureqn,
@@ -523,30 +523,27 @@ class TestIsotopies:
         params, _ = transition
         g = final_bending_tilt(transition, params.C2)
         family, margins = final_isotopy(g, (params.r0, params.m0))
-        assert len(margins) == 21
+        assert len(family) == len(margins) == 21
         assert min(margins) > 0
-        # endpoints: h_0 = f, h_1 = line
-        t = np.linspace(0.0, g.b, 50)[1:-1]
-        assert np.allclose(family[0].jet(t, 0)[0], g(t), atol=1e-8)
-        h1 = family[-1]
-        tl = np.linspace(0.0, h1.b, 50)[1:-1]
-        assert np.allclose(h1.jet(tl, 0)[0], params.r0 + params.m0 * tl,
-                           atol=1e-8)
+        # endpoints: h_0 = f on [0, b], h_1 = line
+        t, (r, _d1, _d2) = family[0]
+        assert t.size == 201 and t[-1] == g.b
+        assert np.allclose(r, g(t), atol=1e-8)
+        t, (r, d1, d2) = family[-1]
+        assert np.allclose(r, params.r0 + params.m0 * t, atol=1e-8)
+        assert np.allclose(d1, params.m0) and np.allclose(d2, 0.0)
 
     def test_final_isotopy_inversion_invariant(self, transition):
         params, _ = transition
         g = final_bending_tilt(transition, params.C2)
-        family, _ = final_isotopy(g, (params.r0, params.m0),
-                                  s_grid=[0.0, 0.5, 1.0])
-        for h in family:
-            t = np.linspace(0.0, h.b, 33)[1:-1]
-            for tv in t:
-                r = float(h.jet(tv, 0)[0])
-                # the defining blend (1-s) f^{-1}(r) + s (r - r0)/m0
-                tau = _invert_monotone(lambda x: g.jet(x, 1), r, 0.0,
-                                       h.t_end_f)
-                t_back = (1.0 - h.s) * tau + h.s * (r - h.r0) / h.m0
-                assert abs(float(h.jet(t_back, 0)[0]) - r) < 1e-8
+        s_grid = [0.0, 0.5, 1.0]
+        family, _ = final_isotopy(g, (params.r0, params.m0), s_grid,
+                                  n_t=33)
+        for s, (t, (r, _d1, _d2)) in zip(s_grid, family):
+            # the defining blend (1-s) f^{-1}(r) + s (r - r0)/m0 gives t
+            tau = _invert_monotone(lambda x: g.jet(x, 1), r, 0.0, g.b)
+            t_back = (1.0 - s) * tau + s * (r - params.r0) / params.m0
+            np.testing.assert_allclose(t_back, t, rtol=0, atol=1e-12)
 
     def test_final_isotopy_guards(self, transition):
         params, _ = transition
@@ -555,6 +552,21 @@ class TestIsotopies:
             final_isotopy(g, (params.r0 + 1.0, params.m0))
         with pytest.raises(InversionError):
             final_isotopy(g, (params.r0, 0.5))
+
+    @pytest.mark.parametrize("r0, m0, s_grid", [
+        (np.nan, None, [0.5]), (None, np.nan, [0.5]),
+        (None, -np.inf, [0.5]), ("x", None, [0.5]), (None, None, []),
+        (None, None, [[0.5]]), (None, None, ["x"])],
+        ids=["r0-nan", "m0-nan", "m0-minus-inf", "r0-not-a-number",
+             "s-grid-empty", "s-grid-nested", "s-grid-not-numbers"])
+    def test_final_isotopy_rejects_bad_line_and_grid(self, transition, r0,
+                                                      m0, s_grid):
+        params, _ = transition
+        g = final_bending_tilt(transition, params.C2)
+        line = (params.r0 if r0 is None else r0,
+                params.m0 if m0 is None else m0)
+        with pytest.raises(InvalidSpecError):
+            final_isotopy(g, line, s_grid)
 
     @pytest.mark.parametrize("n_t", [2, 0, -5, 11.0, 2.5, True, "11"])
     def test_final_isotopy_rejects_bad_n_t(self, transition, n_t):
@@ -569,18 +581,15 @@ class TestIsotopies:
         _, margins = final_isotopy(g, (params.r0, params.m0), [0.5], n_t=3)
         assert len(margins) == 1 and np.isfinite(margins[0])
 
-    @pytest.mark.parametrize("s", [-0.5, 1.5, np.nan])
-    @pytest.mark.parametrize("entry", ["InverseBlend", "final_isotopy"])
-    def test_s_outside_the_homotopy_raises_typed(self, transition, entry, s):
+    @pytest.mark.parametrize("s", [-0.5, 1.5, np.nan],
+                             ids=lambda s: f"final_isotopy-{s}")
+    def test_s_outside_the_homotopy_raises_typed(self, transition, s):
         # s = -0.5 would blend to a curve outside the family, and 1.5 and
         # NaN are input errors, not failed inversions
         params, _ = transition
         g = final_bending_tilt(transition, params.C2)
         with pytest.raises(InvalidSpecError, match=r"s must lie in \[0, 1\]"):
-            if entry == "InverseBlend":
-                InverseBlend(g, params.m0, s)
-            else:
-                final_isotopy(g, (params.r0, params.m0), [0.0, s])
+            final_isotopy(g, (params.r0, params.m0), [0.0, s])
 
 
 @pytest.fixture(scope="module")
@@ -589,13 +598,14 @@ def tilted(transition):
     return final_bending_tilt(transition, params.C2)
 
 
-def _blend_jet_reference(h, t):
-    """(h, h', h'') at scalar t by the nested scalar root finds of the
-    definition: r solves hinv(r) = t, where hinv calls f^{-1} by brentq."""
-    f, s, m0, r0 = h.f, h.s, h.m0, h.r0
+def _blend_jet_reference(f, m0, s, t):
+    """(h_s, h_s', h_s'') at scalar t by the nested scalar root finds of the
+    definition: r solves hinv(r) = t, where hinv calls f^{-1} by brentq;
+    f must stay positive, so that h_s ends at r = f(b)."""
+    r0, r_end = float(f(0.0)), float(f(f.b))
 
     def finv(r):
-        return brentq(lambda tt: float(f(tt)) - r, 0.0, h.t_end_f,
+        return brentq(lambda tt: float(f(tt)) - r, 0.0, f.b,
                       xtol=1e-15, rtol=1e-15)
 
     def hinv(r):
@@ -603,10 +613,10 @@ def _blend_jet_reference(h, t):
 
     if t <= 0.0:
         r = r0
-    elif t >= h.b:
-        r = h.r_end
+    elif t >= hinv(r_end):
+        r = r_end
     else:
-        r = brentq(lambda rr: hinv(rr) - t, h.r_end, r0,
+        r = brentq(lambda rr: hinv(rr) - t, r_end, r0,
                    xtol=1e-15, rtol=1e-15)
     tau = finv(r)
     _, fp, fpp = (float(x) for x in f.jet(tau, 2))
@@ -616,69 +626,76 @@ def _blend_jet_reference(h, t):
 
 
 class TestInverseBlend:
+    """The straightening family's h_s, with h_s^{-1} = (1-s) f^{-1} +
+    s l^{-1}, against its definition."""
 
     @pytest.mark.parametrize("s", [0.0, 0.35, 0.7, 1.0])
     def test_jet_matches_nested_scalar_reference(self, tilted, transition, s):
         params, _ = transition
-        h = InverseBlend(tilted, params.m0, s)
-        t = np.linspace(0.0, h.b, 9)
-        got = np.array(h.jet(t))
-        ref = np.array([_blend_jet_reference(h, float(tv)) for tv in t]).T
+        (t, got), = final_isotopy(tilted, (params.r0, params.m0), [s],
+                                  n_t=9)[0]
+        ref = np.array([_blend_jet_reference(tilted, params.m0, s,
+                                             float(tv)) for tv in t]).T
         for order in range(3):
             scale_ = np.abs(ref[order]).max()
             np.testing.assert_allclose(got[order], ref[order], rtol=1e-10,
                                        atol=1e-10 * scale_)
-        # a lower-order jet is a prefix of a higher one, and scalar input
-        # gives scalars
-        for k in range(4):
-            for lower, higher in zip(h.jet(t, k), h.jet(t, 3)):
-                assert np.array_equal(lower, higher)
-        assert all(np.ndim(x) == 0 for x in h.jet(0.5 * h.b, 3))
-        assert h.jet(0.0, 0)[0] == params.r0
-
-    @pytest.mark.parametrize("s", [0.0, 0.5, 1.0])
-    def test_d3_closed_form_matches_difference_of_d2(self, tilted,
-                                                      transition, s):
-        params, _ = transition
-        h = InverseBlend(tilted, params.m0, s)
-        t = np.linspace(0.0, h.b, 41)[1:-1]
-        # stay clear of the profile's piece junctions, where the third derivative jumps
-        breaks = np.array([p.interval[1] for p in tilted.pieces[:-1]])
-        tau = h._tau(t)
-        t = t[np.abs(tau[:, None] - breaks[None, :]).min(axis=1) > 1e-3]
-        assert t.size > 20
-        step = 1e-5
-        fd = (h.jet(t + step)[2] - h.jet(t - step)[2]) / (2.0 * step)
-        d3 = h.jet(t, 3)[3]
-        scale_ = max(np.abs(fd).max(), 1.0)
-        np.testing.assert_allclose(d3, fd, rtol=1e-5, atol=1e-6 * scale_)
+        assert got[0][0] == params.r0
 
     def test_profile_reaching_zero_is_cut_at_floor(self):
-        # f = 1 - t/2 - t^2/2 reaches 0 at t = 1; the blend stops at r_end
+        # f = 1 - t/2 - t^2/2 reaches 0 at t = 1; the family stops at
+        # r_end = r0/1000, which h_0 = f reaches at t_end_f < 1
         f = SmoothFn1D(1.0, [PolyPiece((0.0, 1.0), [1.0, -0.5, -0.5])])
-        h = InverseBlend(f, -0.5, 0.5)
-        assert h.r_end == pytest.approx(1e-3) and h.t_end_f < 1.0
-        r, d1, d2 = h.jet(np.array([0.0, h.b]))
-        np.testing.assert_allclose(r, [1.0, h.r_end], rtol=0, atol=1e-13)
-        assert np.all(d1 < 0)
+        family, _ = final_isotopy(f, (1.0, -0.5), [0.0, 0.5])
+        assert family[0][0][-1] < 1.0
+        for _t, (r, d1, _d2) in family:
+            np.testing.assert_allclose(r[[0, -1]], [1.0, 1e-3], rtol=0,
+                                       atol=1e-13)
+            assert np.all(d1 < 0)
 
     def test_profile_without_level_raises_typed(self):
         # decreasing but negative from the start: no level r_end exists
         f = SmoothFn1D(1.0, [PolyPiece((0.0, 1.0), [-0.1, -1.0])])
         with pytest.raises(InversionError) as err:
-            InverseBlend(f, -1.0, 0.5)
+            final_isotopy(f, (-0.1, -1.0), [0.5])
         # the floor r_end = r0/1000 lies 0.0999 above the range [-1.1, -0.1]
         assert err.value.residual == pytest.approx(0.1 - 1e-4, rel=1e-12)
 
     @pytest.mark.parametrize("coeffs", [[1.0, -0.5, -0.5],
                                         [0.4, -1.0, 0.3, -0.1]])
     def test_blend_end_matches_scipy_brentq(self, coeffs):
+        # at s = 0 the grid ends at b_0 = t_end_f, where f = r0/1000
         f = SmoothFn1D(1.0, [PolyPiece((0.0, 1.0), coeffs)])
-        h = InverseBlend(f, -0.5, 0.5)
-        ref = brentq(lambda t: float(f(t)) - h.r_end, 0.0, 1.0,
+        (t, _jet), = final_isotopy(f, (coeffs[0], -0.5), [0.0])[0]
+        ref = brentq(lambda x: float(f(x)) - 1e-3 * coeffs[0], 0.0, 1.0,
                      xtol=1e-15, rtol=1e-15)
-        assert 0.0 < h.t_end_f < 1.0
-        assert abs(h.t_end_f - ref) <= 1e-13
+        assert 0.0 < t[-1] < 1.0
+        assert abs(t[-1] - ref) <= 1e-13
+
+    @pytest.mark.parametrize("coeffs", [[1.0, -0.5, -0.2],
+                                        [1.0, -0.5, -0.5]])
+    def test_one_scan_and_at_most_one_end_solve_per_family(
+            self, monkeypatch, coeffs):
+        # [1, -0.5, -0.5] reaches r = 0, so its end t_end_f is solved for
+        f = SmoothFn1D(1.0, [PolyPiece((0.0, 1.0), coeffs)])
+        scans, ends = [], []
+        jet, solve = SmoothFn1D.jet, glbend.brentq
+
+        def counted_jet(self, t, k=2):
+            if np.size(t) == 4097:
+                scans.append(k)
+            return jet(self, t, k)
+
+        def counted_solve(*args):
+            ends.append(args[1])
+            return solve(*args)
+
+        monkeypatch.setattr(SmoothFn1D, "jet", counted_jet)
+        monkeypatch.setattr(glbend, "brentq", counted_solve)
+        family, margins = final_isotopy(f, (1.0, -0.5))
+        assert len(family) == len(margins) == 21
+        assert len(scans) == 1
+        assert len(ends) == (1 if coeffs[2] == -0.5 else 0)
 
 
 class TestInvertMonotone:
@@ -851,14 +868,16 @@ class TestInversionRounds:
         # reaches r = 0, so the blend is cut at t_end_f < b
         SmoothFn1D(1.0, [PolyPiece((0.0, 1.0), [1.0, -0.5, -0.5])])])
     def test_inverse_blend_seeds_from_its_scan(self, inversions, f):
-        h = InverseBlend(f, -0.5, 0.5)
-        inversions.clear()
-        t = np.linspace(0.0, h.b, 100)
-        r = h.jet(t, 0)[0]
-        (n, sizes), = inversions
-        assert n == 100 and sizes[0] == 100 and 65 not in sizes
-        # h_s^{-1}(r) = (1-s) f^{-1}(r) + s (r - r0)/m0 gives back t
-        tau = _invert_monotone(lambda x: f.jet(x, 1), r, 0.0, h.t_end_f)
+        family, _ = final_isotopy(f, (1.0, -0.5), [0.0, 0.5], n_t=100)
+        # a cut profile first solves for its end t_end_f, one target
+        assert [n for n, _sizes in inversions[:-2]] in ([], [1])
+        for n, sizes in inversions[-2:]:
+            assert n == 100 and sizes[0] == 100 and 65 not in sizes
+        # h_s^{-1}(r) = (1-s) f^{-1}(r) + s (r - r0)/m0 gives back t, with
+        # t_end_f the end of h_0 = f
+        t_end_f = family[0][0][-1]
+        t, (r, _d1, _d2) = family[1]
+        tau = _invert_monotone(lambda x: f.jet(x, 1), r, 0.0, t_end_f)
         np.testing.assert_allclose(0.5 * tau + 0.5 * (r - 1.0) / -0.5, t,
                                    rtol=0, atol=1e-13)
 
@@ -1046,9 +1065,9 @@ def _tilt_parabola(a2):
      "tilted tail slope must be negative"),
     # the start line itself, which crosses r = 0 before t_inf
     (lambda: _tilt_parabola(0.0), TiltTooLargeError, "loses positivity"),
-    (lambda: InverseBlend(SmoothFn1D(1.0, [PolyPiece((0.0, 1.0),
-                                                     [1.0, 0.5])]),
-                          -1.0, 0.5),
+    (lambda: final_isotopy(SmoothFn1D(1.0, [PolyPiece((0.0, 1.0),
+                                                      [1.0, 0.5])]),
+                           (1.0, -1.0), [0.5]),
      InversionError, "profile must be strictly decreasing"),
     (lambda: quarter_bend_curve(1.0, 1.0, 0.0), InvalidBendError,
      "bend radius must be positive"),

@@ -311,8 +311,23 @@ def _foliate(c, radius, nu_grid=(0.0, 1.0)):
      InvalidBendError, "finite corner c"),
     (lambda bend: _foliate(np.nan, 0.4),
      InvalidBendError, "finite corner c"),
+    (lambda bend: _foliate("1", 0.4),
+     InvalidBendError, "finite corner c"),
+    (lambda bend: _foliate(1.0, "0.4"),
+     InvalidBendError, "positive bend radius"),
+    (lambda bend: connected_sum_foliation(1.0, 0.4, "0.05", [0.0], 0.25,
+                                          0.25),
+     InvalidSpecError, "need numbers tau, eps and delta_p"),
+    (lambda bend: connected_sum_foliation(1.0, 0.4, 0.05, [0.0], "0.25",
+                                          0.25),
+     InvalidSpecError, "need numbers tau, eps and delta_p"),
+    (lambda bend: connected_sum_foliation(1.0, 0.4, 0.05, [0.0], 0.25,
+                                          "0.25"),
+     InvalidSpecError, "need numbers tau, eps and delta_p"),
 ], ids=["uncertified-bend", "c2-inside-cap", "nu-above-1", "corner-c-below-R",
-        "corner-R-zero", "corner-c-infinite", "corner-c-nan"])
+        "corner-R-zero", "corner-c-infinite", "corner-c-nan",
+        "corner-c-a-string", "corner-R-a-string", "tau-a-string",
+        "eps-a-string", "delta-p-a-string"])
 def test_argument_checks_raise_typed(certified_bend, call, error, message):
     with pytest.raises(error, match=message):
         call(certified_bend)
