@@ -109,6 +109,10 @@ class _Piece:
     def jet(self, t, k):
         return tuple(_run_jet(self._compiled, np.asarray(t, dtype=float), k))
 
+    def end_jet(self, side, k):
+        """The jet at the piece's own start (side 0) or end (side 1)."""
+        return self.jet(self.interval[side], k)
+
 
 class PolyPiece(_Piece):
     """Polynomial sum c_k (t - origin)^k on an interval."""
@@ -177,6 +181,12 @@ class ReflectPiece(_Piece):
         bs, *leaf = inner._compiled
         self._compiled = ((self.b, *bs), *leaf)
 
+    def end_jet(self, side, k):
+        """The inner piece's jet at its mirrored end, odd orders negated:
+        exact, where evaluating at b - t would round."""
+        return tuple(-v if j % 2 else v
+                     for j, v in enumerate(self.inner.end_jet(1 - side, k)))
+
     def to_json(self):
         return {"kind": self.kind, "interval": list(self.interval),
                 "b": self.b, "of": self.inner.to_json()}
@@ -244,8 +254,9 @@ class SmoothFn1D:
     ``pieces`` must tile [0, b] with strictly increasing breakpoints.  At every
     interior breakpoint the adjacent pieces must agree in value and in the
     derivative orders listed in ``junction_orders`` (default: 0, 1, 2 -- the
-    C^2 contract) to within ``DEFAULT_JUNCTION_TOL``.  ``jet`` reads the
-    pieces' compiled data: they are the four piece classes here.
+    C^2 contract) to within ``DEFAULT_JUNCTION_TOL``, each piece read at its
+    own end (``end_jet``), so a mirror passes when its source does.  ``jet``
+    reads the pieces' compiled data: they are the four piece classes here.
     """
 
     def __init__(self, b, pieces, junction_orders=(0, 1, 2)):
@@ -277,7 +288,7 @@ class SmoothFn1D:
         k = max(self.junction_orders, default=0)
         for left, right in zip(self.pieces, self.pieces[1:]):
             t = left.interval[1]
-            ljet, rjet = left.jet(t, k), right.jet(t, k)
+            ljet, rjet = left.end_jet(1, k), right.end_jet(0, k)
             for order in self.junction_orders:
                 lv, rv = float(ljet[order]), float(rjet[order])
                 scale_ = max(1.0, abs(lv), abs(rv))

@@ -190,34 +190,29 @@ def _monotone_table(xs, Fs):
     return xs, sign * Fs, sign, 1e-12 * float(np.abs(Fs).max())
 
 
-def _invert_monotone(F, y, lo, hi, table=None):
-    """Solve F(x) = y on [lo, hi] for every entry of y at once.
+def _invert_monotone(F, y, table):
+    """Solve F(x) = y for every entry of y at once.
 
-    ``F`` maps an array x to the pair (F(x), F'(x)) from one evaluation; F
-    must be strictly monotone on [lo, hi].  ``table`` is a
-    ``_monotone_table`` of F with nodes from lo to hi, by default on 65
-    equally spaced nodes.
-    Each x is seeded by linear interpolation in the table and bracketed by
-    its table cell.  Safeguarded Newton steps follow; a step that would
-    leave the bracket, or that fails to halve the one before, is replaced
-    by bisection, and every evaluation shrinks the bracket.  A point stops
-    when its step or bracket is within a few ulps of the interval scale
-    (x_tol, about 1e-15 relative); a Newton step within x_tol has
-    converged, even one that rounds onto the end of its bracket.
+    ``F`` maps an array x to the pair (F(x), F'(x)) from one evaluation;
+    ``table`` is a ``_monotone_table`` of F, whose first and last nodes are
+    the interval searched.  Each x is seeded by linear interpolation in the
+    table and bracketed by its table cell.  Safeguarded Newton steps follow;
+    a step that would leave the bracket, or that fails to halve the one
+    before, is replaced by bisection, and every evaluation shrinks the
+    bracket.  A point stops when its step or bracket is within a few ulps
+    of the interval scale (x_tol, about 1e-15 relative); a Newton step
+    within x_tol has converged, even one that rounds onto the end of its
+    bracket.
 
     Raises InversionError, carrying the worst residual |F(x) - y| where one
-    exists, if the default table fails its check, if some y lies outside
-    [F(lo), F(hi)] (the residual is then its distance to that range), if F
-    turns non-finite during the search, or if some point is unconverged
-    after ``_INVERT_MAX_ITER`` steps or converged with a residual far above
-    rounding (a jump in F).
+    exists, if some y lies outside the table's range of F (the residual is
+    then its distance to that range), if F turns non-finite during the
+    search, or if some point is unconverged after ``_INVERT_MAX_ITER`` steps
+    or converged with a residual far above rounding (a jump in F).
     """
     y = np.asarray(y, dtype=float)
     shape = y.shape
     y = y.ravel()
-    if table is None:
-        xs = np.linspace(lo, hi, 65)
-        table = _monotone_table(xs, F(xs)[0])
     # residuals up to y_tol count as rounding: a y that far outside the
     # range is clamped to its end, and a converged x may leave that much
     xs, Gs, sign, y_tol = table
@@ -233,7 +228,7 @@ def _invert_monotone(F, y, lo, hi, table=None):
     x_lo, x_hi = xs[cell - 1], xs[cell]
     x = np.interp(yy, Gs, xs)
     last = x_hi - x_lo
-    x_tol = 4.0 * np.finfo(float).eps * max(abs(lo), abs(hi))
+    x_tol = 4.0 * np.finfo(float).eps * max(abs(xs[0]), abs(xs[-1]))
     g = np.zeros_like(x)
     act = np.arange(x.size)
     for _ in range(_INVERT_MAX_ITER):
@@ -273,10 +268,12 @@ def _invert_monotone(F, y, lo, hi, table=None):
 
 
 def brentq(F, y, lo, hi):
-    """The x in [lo, hi] with F(x) = y, by ``_invert_monotone``.  The name
-    is that of scipy's root finder, which this replaced, because perfbench's
-    tracer and self-check look up ``glbend.brentq``."""
-    return float(_invert_monotone(F, y, lo, hi))
+    """The x in [lo, hi] with F(x) = y, by ``_invert_monotone`` on 65 nodes.
+    Nothing in the package calls it; it keeps the name of scipy's root
+    finder, which it replaced, because perfbench's tracer and self-check
+    look up ``glbend.brentq``."""
+    xs = np.linspace(lo, hi, 65)
+    return float(_invert_monotone(F, y, _monotone_table(xs, F(xs)[0])))
 
 
 class _HermiteTable:
@@ -424,8 +421,8 @@ class GraphSeg:
     per piece of ``prof`` (a profile is only C^2 at its breakpoints), off by
     at most h^4/384 max|S''''| on a cell of width h.  Since S' >= 1, S is
     strictly increasing, and t(s) is found for all s at once by
-    ``_invert_monotone``, seeded and bracketed by the table's own nodes and
-    values, checked once here, then safeguarded Newton.
+    ``_invert_monotone`` on the table's own nodes and values, checked once
+    here.
     """
 
     kind = "graph"
@@ -433,25 +430,23 @@ class GraphSeg:
     def __init__(self, prof, t_offset=0.0):
         self.prof = prof
         self.t_offset = float(t_offset)
-        self.t_range = (0.0, float(prof.b))
         knots = [p.interval[0] for p in prof.pieces] + [prof.b]
         cells = np.arange((len(knots) - 1) * _GRAPH_CELLS + 1) / _GRAPH_CELLS
         self._table = _HermiteTable(
             lambda t: np.sqrt(1.0 + prof.jet(t, 1)[1] ** 2),
             np.interp(cells, np.arange(len(knots)), knots))
         self.length = float(self._table.F[-1])
-        self._S = lambda t: self._table(t)[0]
         self._inverse_table = _monotone_table(self._table.x, self._table.F)
 
     def _t_of_s(self, s):
         """Graph parameter t at arc length s; exact at both ends."""
         s = np.clip(np.asarray(s, dtype=float), 0.0, self.length)
-        a, bb = self.t_range
-        out = np.where(s <= 0.0, a, bb)
+        xs = self._inverse_table[0]
+        out = np.where(s <= 0.0, xs[0], xs[-1])
         inner = (s > 0.0) & (s < self.length)
         if inner.any():
-            out[inner] = _invert_monotone(self._table, s[inner], a, bb,
-                                          table=self._inverse_table)
+            out[inner] = _invert_monotone(self._table, s[inner],
+                                          self._inverse_table)
         return out[()]
 
     def eval(self, s, k=2):
@@ -467,10 +462,6 @@ class GraphSeg:
         if k < 3:
             return pt, tan, kap
         return pt, tan, kap, (d3[0] - 3.0 * d1 * d2 ** 2 / sp2) / sp2 ** 2
-
-
-# points per Curve2D.eval call in Curve2D.arc_samples
-_SAMPLE_BLOCK = 2000
 
 
 class Curve2D:
@@ -506,17 +497,11 @@ class Curve2D:
         return out + (dk[0][..., None] * nrm - (kap ** 2)[..., None] * tan,)
 
     def arc_samples(self, n):
-        """(P, k, theta) at n equal arc-length steps, read-only, kept with
-        the curve for the last n asked.  The points are evaluated
-        ``_SAMPLE_BLOCK`` at a time, which bounds the temporaries."""
+        """(P, k, theta) at n equal arc-length steps from one evaluation,
+        read-only, kept with the curve for the last n asked."""
         if self._samples is None or self._samples[0] != n:
-            s = np.linspace(0.0, self.length, n)
-            pt, k, theta = np.empty((n, 2)), np.empty(n), np.empty(n)
-            for i in range(0, n, _SAMPLE_BLOCK):
-                pt[i:i + _SAMPLE_BLOCK], tan, k[i:i + _SAMPLE_BLOCK] = \
-                    self.eval(s[i:i + _SAMPLE_BLOCK])
-                theta[i:i + _SAMPLE_BLOCK] = _normal_angle(tan)
-            self._samples = (n, _frozen(pt, k, theta))
+            pt, tan, k = self.eval(np.linspace(0.0, self.length, n))
+            self._samples = (n, _frozen(pt, k, _normal_angle(tan)))
         return self._samples[1]
 
     def unit_speed_residual(self, n_samples=1000):
@@ -949,7 +934,9 @@ def final_bending_tilt(transition, t_inf_pp):
     lo_r, hi_r = float(f(params.tinf)), params.r0
     inside = (r_new > lo_r) & (r_new < hi_r)
     r_in, m_in = r_new[inside], m_new[inside]
-    t_old = _invert_monotone(lambda t: f.jet(t, 1), r_in, 0.0, params.tinf)
+    xs = np.linspace(0.0, params.tinf, 65)
+    t_old = _invert_monotone(lambda t: f.jet(t, 1), r_in,
+                             _monotone_table(xs, f(xs)))
     m_old = _graph_margin(f.jet(t_old, 2))
     worse = m_in < m_old - _TILT_SLACK * np.maximum(1.0, np.abs(m_old))
     if worse.any():
@@ -981,17 +968,17 @@ def final_isotopy(f, l_line, s_grid=None, n_t=201):
     (default 21 values from 0 to 1), h_s^{-1} = (1-s) f^{-1} + s l^{-1}, so
     h_s(t) = f(tau) where T(tau) = (1-s) tau + s (f(tau) - r0)/m0 = t, one
     monotone solve for all t.  One 4097-point scan of f serves the family:
-    it checks that f decreases, cuts an f that reaches r = 0 at r_end =
-    r0/1000 (t = t_end_f), and its nodes carry each s's table of T, which
-    seeds and brackets that s's solve.
+    it checks that f decreases to an end value f(b) > 0, and its nodes are
+    each s's table of T, the interval, seeds and brackets of that s's solve.
 
     Returns (family, margins): ``family[i]`` is (t, (h, h', h'')) of the
-    i-th s on n_t equally spaced t in [0, T(t_end_f)], and ``margins[i]``
-    the least graph-inequality margin over the interior n_t - 2 of them;
-    h_0 is f and h_1 the line.  n_t must be an integer >= 3, ``l_line`` a
-    pair of numbers through f(0) with m0 finite, and ``s_grid`` a nonempty
-    one-dimensional sequence of numbers in [0, 1], else InvalidSpecError;
-    a slope m0 >= 0 or an f that does not decrease raises InversionError.
+    i-th s on n_t equally spaced t in [0, T(b)], and ``margins[i]`` the
+    least graph-inequality margin over the interior n_t - 2 of them; h_0 is
+    f and h_1 the line.  n_t must be an integer >= 3, ``l_line`` a pair of
+    numbers through f(0) with m0 finite, ``s_grid`` a nonempty
+    one-dimensional sequence of numbers in [0, 1] and f(b) > 0, else
+    InvalidSpecError; a slope m0 >= 0 or an f that does not decrease raises
+    InversionError.
     """
     if isinstance(n_t, bool) or not isinstance(n_t, numbers.Integral) \
             or n_t < 3:
@@ -1023,17 +1010,9 @@ def final_isotopy(f, l_line, s_grid=None, n_t=201):
     F, d1 = f.jet(tau, 1)
     if d1.max() >= 0:
         raise InversionError("profile must be strictly decreasing")
-    r0, f_end = float(F[0]), float(F[-1])
-    # a profile that reaches r = 0 is cut at a thousandth of r0
-    r_end = f_end if f_end > 0 else r0 * 1e-3
-    if r_end > f_end:
-        t_end_f = brentq(lambda x: f.jet(x, 1), r_end, 0.0, f.b)
-        # the scan up to t_end_f, clear of it by half a node spacing
-        keep = tau < t_end_f - 0.5 * (tau[1] - tau[0])
-        tau = np.r_[tau[keep], t_end_f]
-        F = np.r_[F[keep], f.jet(t_end_f, 0)[0]]
-    else:
-        t_end_f = f.b
+    r0, r_end = float(F[0]), float(F[-1])
+    if not r_end > 0:
+        raise InvalidSpecError(f"profile must end above r = 0, got {r_end}")
 
     def T(s, x, r):
         return (1.0 - s) * x + s * (r - r0) / m0
@@ -1045,10 +1024,9 @@ def final_isotopy(f, l_line, s_grid=None, n_t=201):
             f0, f1 = f.jet(x, 1)
             return T(s, x, f0), (1.0 - s) + s * f1 / m0
 
-        table = _monotone_table(tau, T(s, tau, F))
-        t = np.linspace(0.0, T(s, t_end_f, r_end), n_t)
-        r, f1, f2 = f.jet(_invert_monotone(T_jet, t, 0.0, t_end_f,
-                                           table=table), 2)
+        t = np.linspace(0.0, T(s, f.b, r_end), n_t)
+        r, f1, f2 = f.jet(_invert_monotone(
+            T_jet, t, _monotone_table(tau, T(s, tau, F))), 2)
         # h' = 1/hinv'(r) and h'' = -hinv''(r)/hinv'(r)^3
         hinv1 = (1.0 - s) / f1 + s / m0
         hinv2 = -(1.0 - s) * f2 / f1 ** 3

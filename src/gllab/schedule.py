@@ -166,14 +166,12 @@ def round_doubly_warped(p, q, radius=1.0):
                               _sine_profile(radius, b))
 
 
-def _mixed_torpedo_profiles(eps, delta, b):
-    """(u, v) mixed-torpedo profiles on a common domain (0, b).
-
-    u is a reflected eps-torpedo (closes at b), v a delta-torpedo (closes
-    at 0), each laid out on (0, b) by ``_torpedo_on``.
-    """
-    return (reflect(make_torpedo(_torpedo_on(eps, b))),
-            make_torpedo(_torpedo_on(delta, b)))
+def _mixed_torpedo_profiles(delta, b):
+    """(u, v) mixed-torpedo profiles on a common domain (0, b): v is the
+    delta-torpedo laid out on (0, b) by ``_torpedo_on`` (closes at 0), u
+    its reflection (closes at b)."""
+    v = make_torpedo(_torpedo_on(delta, b))
+    return reflect(v), v
 
 
 def _homotopy_certificate(row, t):
@@ -212,15 +210,15 @@ def _standardize_search(p, q, radius):
     """Halve delta from 0.5 until the round -> mixed-torpedo homotopy
     certifies; a layout with no tube or a failed membership has no margin.
 
-    Returns (delta, (u1, v1), certificate).  The eps cap is tied to delta
-    (equal caps) and both torpedoes live on the round join domain.  An
-    exhausted search raises CompilationFailedError with its best margin.
+    Returns (delta, (u1, v1), certificate).  u1 is v1 reflected (equal
+    caps), and both live on the round join domain.  An exhausted search
+    raises CompilationFailedError with its best margin.
     """
     g = round_doubly_warped(p, q, radius)
 
     def attempt(delta):
         try:
-            u1, v1 = _mixed_torpedo_profiles(delta, delta, g.b)
+            u1, v1 = _mixed_torpedo_profiles(delta, g.b)
         except InvalidSpecError:  # no tube left on the round join domain
             return None, None
         ru, rv = check_U_membership(u1), check_V_membership(v1)

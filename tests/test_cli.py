@@ -346,10 +346,6 @@ class TestPinnedOutputs:
             pytest.approx(PINNED_TORPEDO_MIN, rel=1e-12, abs=0)
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "known defect: the tail torpedo's reflection fails its C2 junction "
-    "check (0.0 vs -1.16e-09 at t = 6.1e-06), an input error (exit 2) "
-    "on derived data"))
 def test_sweep_draw_122_is_not_an_input_error(runner, tmp_path):
     # draw 122 of the seeded straightening sweep: a failed construction
     # (exit 3) or a certified bend (exit 0), never exit 2

@@ -269,6 +269,23 @@ class TestTorpedo:
         with pytest.raises(InvalidSpecError, match="domain too short"):
             make_double_torpedo(0.5, 1.9)
 
+    def test_mirrors_build_whenever_the_torpedo_does(self):
+        # a mirrored junction is read at its source's ends, not at b - t:
+        # re-checked after rounding, a blend's zero d2 at tiny delta came
+        # back as ~1e-9 and failed the C2 contract
+        built = 0
+        for e in np.linspace(-30.0, 2.0, 321):
+            delta = 2.0 ** e
+            spec = TorpedoSpec(delta, tube_length=10.0 * delta)
+            try:
+                f = make_torpedo(spec)
+            except InvalidSpecError:  # the torpedo's own junction check
+                continue
+            built += 1
+            assert reflect(f).junction_orders == f.junction_orders
+            make_double_torpedo(delta, 2.0 * spec.b)
+        assert built >= 233
+
 
 class TestMembership:
     def test_sin_is_closed_sphere_profile(self):

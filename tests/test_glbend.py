@@ -28,6 +28,13 @@ from gllab.glbend import (ArcSeg, BendConstants, BumpSeg, Curve2D, GraphSeg,
 MODEL = BendConstants(R0=1.5, q=3)
 
 
+def _checked_table(F, lo, hi):
+    """The ``_monotone_table`` of F on 65 equally spaced nodes of [lo, hi],
+    the interval ``_invert_monotone`` then searches."""
+    xs = np.linspace(lo, hi, 65)
+    return glbend._monotone_table(xs, F(xs)[0])
+
+
 class TestInequalityLedger:
     @pytest.mark.parametrize("kw", [
         {"R0": np.nan}, {"R0": np.inf}, {"R0": 1.5, "C": np.nan},
@@ -87,7 +94,7 @@ class TestSegments:
         tail = bend.curve.segments[-1]
         assert isinstance(tail, GraphSeg)
         # the tail's profile is only C^2 at its breakpoints: stay clear
-        knots = tail._S([p.interval[1] for p in tail.prof.pieces[:-1]])
+        knots = tail._table([p.interval[1] for p in tail.prof.pieces[:-1]])[0]
         for seg, skip in ((BumpSeg((0.0, 0.5), 0.0, 1.2, 0.25), []),
                           (tail, knots)):
             L = seg.length
@@ -359,15 +366,6 @@ class TestGeometryMemo:
         assert first.curve is second.curve
         assert calls == [first.curve]
 
-    def test_blocked_samples_match_one_evaluation(self):
-        curve = _bend(MODEL).curve
-        for n in (10000, 2048, 2 * glbend._SAMPLE_BLOCK + 1):
-            pt, tan, k = curve.eval(np.linspace(0.0, curve.length, n))
-            got = curve.arc_samples(n)
-            for a, b in zip(got, (pt, k, glbend._normal_angle(tan))):
-                assert np.array_equal(a, b)
-            assert curve.arc_samples(n) is got
-
     def test_second_attach_with_the_same_angle_builds_nothing(
             self, monkeypatch):
         # R0 = 1.0 and 1.5 at q = 3 both settle on theta0 = CAP/2 after
@@ -541,7 +539,8 @@ class TestIsotopies:
                                   n_t=33)
         for s, (t, (r, _d1, _d2)) in zip(s_grid, family):
             # the defining blend (1-s) f^{-1}(r) + s (r - r0)/m0 gives t
-            tau = _invert_monotone(lambda x: g.jet(x, 1), r, 0.0, g.b)
+            F = lambda x: g.jet(x, 1)
+            tau = _invert_monotone(F, r, _checked_table(F, 0.0, g.b))
             t_back = (1.0 - s) * tau + s * (r - params.r0) / params.m0
             np.testing.assert_allclose(t_back, t, rtol=0, atol=1e-12)
 
@@ -642,85 +641,54 @@ class TestInverseBlend:
                                        atol=1e-10 * scale_)
         assert got[0][0] == params.r0
 
-    def test_profile_reaching_zero_is_cut_at_floor(self):
-        # f = 1 - t/2 - t^2/2 reaches 0 at t = 1; the family stops at
-        # r_end = r0/1000, which h_0 = f reaches at t_end_f < 1
-        f = SmoothFn1D(1.0, [PolyPiece((0.0, 1.0), [1.0, -0.5, -0.5])])
-        family, _ = final_isotopy(f, (1.0, -0.5), [0.0, 0.5])
-        assert family[0][0][-1] < 1.0
-        for _t, (r, d1, _d2) in family:
-            np.testing.assert_allclose(r[[0, -1]], [1.0, 1e-3], rtol=0,
-                                       atol=1e-13)
-            assert np.all(d1 < 0)
-
-    def test_profile_without_level_raises_typed(self):
-        # decreasing but negative from the start: no level r_end exists
-        f = SmoothFn1D(1.0, [PolyPiece((0.0, 1.0), [-0.1, -1.0])])
-        with pytest.raises(InversionError) as err:
-            final_isotopy(f, (-0.1, -1.0), [0.5])
-        # the floor r_end = r0/1000 lies 0.0999 above the range [-1.1, -0.1]
-        assert err.value.residual == pytest.approx(0.1 - 1e-4, rel=1e-12)
-
-    @pytest.mark.parametrize("coeffs", [[1.0, -0.5, -0.5],
-                                        [0.4, -1.0, 0.3, -0.1]])
-    def test_blend_end_matches_scipy_brentq(self, coeffs):
-        # at s = 0 the grid ends at b_0 = t_end_f, where f = r0/1000
+    @pytest.mark.parametrize("coeffs", [[1.0, -0.5, -0.5], [1.0, -2.0],
+                                        [-0.1, -1.0]],
+                             ids=["ends-at-zero", "crosses-zero", "negative"])
+    def test_profile_not_ending_above_zero_raises_typed(self, coeffs):
+        # the tilt hands over profiles that end at r_inf > 0; no other is
+        # straightened
         f = SmoothFn1D(1.0, [PolyPiece((0.0, 1.0), coeffs)])
-        (t, _jet), = final_isotopy(f, (coeffs[0], -0.5), [0.0])[0]
-        ref = brentq(lambda x: float(f(x)) - 1e-3 * coeffs[0], 0.0, 1.0,
-                     xtol=1e-15, rtol=1e-15)
-        assert 0.0 < t[-1] < 1.0
-        assert abs(t[-1] - ref) <= 1e-13
+        with pytest.raises(InvalidSpecError, match="end above r = 0"):
+            final_isotopy(f, (coeffs[0], -0.5), [0.0, 0.5])
 
-    @pytest.mark.parametrize("coeffs", [[1.0, -0.5, -0.2],
-                                        [1.0, -0.5, -0.5]])
-    def test_one_scan_and_at_most_one_end_solve_per_family(
-            self, monkeypatch, coeffs):
-        # [1, -0.5, -0.5] reaches r = 0, so its end t_end_f is solved for
-        f = SmoothFn1D(1.0, [PolyPiece((0.0, 1.0), coeffs)])
-        scans, ends = [], []
-        jet, solve = SmoothFn1D.jet, glbend.brentq
+    def test_one_scan_per_family(self, monkeypatch):
+        f = SmoothFn1D(1.0, [PolyPiece((0.0, 1.0), [1.0, -0.5, -0.2])])
+        scans = []
+        jet = SmoothFn1D.jet
 
         def counted_jet(self, t, k=2):
             if np.size(t) == 4097:
                 scans.append(k)
             return jet(self, t, k)
 
-        def counted_solve(*args):
-            ends.append(args[1])
-            return solve(*args)
-
         monkeypatch.setattr(SmoothFn1D, "jet", counted_jet)
-        monkeypatch.setattr(glbend, "brentq", counted_solve)
         family, margins = final_isotopy(f, (1.0, -0.5))
         assert len(family) == len(margins) == 21
-        assert len(scans) == 1
-        assert len(ends) == (1 if coeffs[2] == -0.5 else 0)
+        assert scans == [1]
 
 
 class TestInvertMonotone:
 
     def test_inverts_increasing_and_decreasing(self):
         y = np.linspace(0.0, 2.0, 101)
-        x = _invert_monotone(lambda x: (x ** 3 + x, 3 * x ** 2 + 1),
-                             y, 0.0, 1.0)
+        F = lambda x: (x ** 3 + x, 3 * x ** 2 + 1)
+        x = _invert_monotone(F, y, _checked_table(F, 0.0, 1.0))
         np.testing.assert_allclose(x ** 3 + x, y, rtol=0, atol=1e-14)
-        x = _invert_monotone(lambda x: (np.cos(x), -np.sin(x)), [1.0, 0.5],
-                             0.0, 2.0)
+        F = lambda x: (np.cos(x), -np.sin(x))
+        x = _invert_monotone(F, [1.0, 0.5], _checked_table(F, 0.0, 2.0))
         np.testing.assert_allclose(x, [0.0, np.pi / 3], rtol=1e-15)
 
     def test_non_monotone_raises(self):
-        with pytest.raises(InversionError):
-            _invert_monotone(lambda x: ((x - 0.5) ** 2, 2 * (x - 0.5)),
-                             [0.1], 0.0, 1.0)
+        # the table's own check
+        with pytest.raises(InversionError, match="monotone"):
+            _checked_table(lambda x: ((x - 0.5) ** 2, 2 * (x - 0.5)),
+                           0.0, 1.0)
 
     def test_target_outside_range_raises(self):
-        with pytest.raises(InversionError):
-            _invert_monotone(lambda x: (x, np.ones_like(x)), [0.5, 2.0],
-                             0.0, 1.0)
-        with pytest.raises(InversionError):
-            _invert_monotone(lambda x: (x, np.ones_like(x)), [np.nan],
-                             0.0, 1.0)
+        F = lambda x: (x, np.ones_like(x))
+        for y in ([0.5, 2.0], [np.nan]):
+            with pytest.raises(InversionError, match="outside the range"):
+                _invert_monotone(F, y, _checked_table(F, 0.0, 1.0))
 
     def test_nan_producing_function_raises(self):
         def on_table(x):
@@ -730,22 +698,23 @@ class TestInvertMonotone:
             return np.where(np.abs(x - 0.503) < 1e-3, np.nan, x)
 
         for F in (on_table, between_table_points):
-            with pytest.raises(InversionError):
-                _invert_monotone(lambda x: (F(x), np.ones_like(x)), [0.503],
-                                 0.0, 1.0)
+            G = lambda x: (F(x), np.ones_like(x))
+            with pytest.raises(InversionError, match="finite"):
+                _invert_monotone(G, [0.503], _checked_table(G, 0.0, 1.0))
 
     def test_jump_reports_residual(self):
         # monotone on the table, but y = 1 falls inside the jump at 1/2
+        F = lambda x: (x + (x > 0.5), np.ones_like(x))
         with pytest.raises(InversionError) as err:
-            _invert_monotone(lambda x: (x + (x > 0.5), np.ones_like(x)),
-                             [1.0], 0.0, 1.0)
+            _invert_monotone(F, [1.0], _checked_table(F, 0.0, 1.0))
         assert err.value.residual == pytest.approx(0.5, rel=1e-6)
 
     def test_step_budget_reports_residual(self, monkeypatch):
         monkeypatch.setattr(glbend, "_INVERT_MAX_ITER", 1)
+        F = lambda x: (x ** 3 + x, 3 * x ** 2 + 1)
         with pytest.raises(InversionError) as err:
-            _invert_monotone(lambda x: (x ** 3 + x, 3 * x ** 2 + 1),
-                             np.linspace(0.1, 1.9, 7), 0.0, 1.0)
+            _invert_monotone(F, np.linspace(0.1, 1.9, 7),
+                             _checked_table(F, 0.0, 1.0))
         assert 0 < err.value.residual < 1e-2
 
 
@@ -761,7 +730,8 @@ class TestInvertMonotone:
             u = x - 0.5
             return u + u ** 3, 1.0 + 3.0 * u ** 2
 
-        x = _invert_monotone(F, [y], 0.0, 1.0)
+        x = _invert_monotone(F, [y], _checked_table(F, 0.0, 1.0))
+        # the table's evaluation, then at most 6 rounds
         assert len(calls) - 1 <= 6
         u = x - 0.5
         np.testing.assert_allclose(u + u ** 3, [y], rtol=0, atol=1e-15)
@@ -787,11 +757,22 @@ class TestInvertMonotone:
             return x ** 3 + x, 3 * x ** 2 + 1
 
         y = np.linspace(0.0, 2.0, 101)
-        x = _invert_monotone(F, y, 0.0, 1.0,
-                             table=glbend._monotone_table(xs, F(xs)[0]))
+        x = _invert_monotone(F, y, glbend._monotone_table(xs, F(xs)[0]))
         np.testing.assert_allclose(x ** 3 + x, y, rtol=0, atol=1e-14)
         # after the test's own table, the first evaluation is at the seeds
         assert calls[0] == xs.size and calls[1] == y.size
+
+    @pytest.mark.parametrize("coeffs", [[1.0, -0.5, -0.5],
+                                        [0.4, -1.0, 0.3, -0.1]])
+    def test_brentq_matches_scipy_brentq(self, coeffs):
+        # the level r0/1000 of a decreasing profile, on 65 nodes of [0, 1]
+        f = SmoothFn1D(1.0, [PolyPiece((0.0, 1.0), coeffs)])
+        y = 1e-3 * coeffs[0]
+        got = glbend.brentq(lambda x: f.jet(x, 1), y, 0.0, 1.0)
+        ref = brentq(lambda x: float(f(x)) - y, 0.0, 1.0,
+                     xtol=1e-15, rtol=1e-15)
+        assert 0.0 < got < 1.0
+        assert abs(got - ref) <= 1e-13
 
 
 def _shift_poly_reference(coeffs, origin_old, origin_new):
@@ -820,20 +801,20 @@ def test_shift_poly_matches_polynomial_expansion():
 
 @pytest.fixture
 def inversions(monkeypatch):
-    """Record, per ``_invert_monotone`` call, the targets' size and the
-    size of every array F is evaluated on."""
+    """Record, per ``_invert_monotone`` call, the targets' size, the
+    table's node count and the size of every array F is evaluated on."""
     log = []
     invert = glbend._invert_monotone
 
-    def recorded(F, y, lo, hi, **kw):
+    def recorded(F, y, table):
         sizes = []
 
         def counted_F(x):
             sizes.append(np.size(x))
             return F(x)
 
-        log.append((np.size(y), sizes))
-        return invert(counted_F, y, lo, hi, **kw)
+        log.append((np.size(y), table[0].size, sizes))
+        return invert(counted_F, y, table)
 
     monkeypatch.setattr(glbend, "_invert_monotone", recorded)
     return log
@@ -849,35 +830,35 @@ class TestInversionRounds:
         trans = synth_transition(consts, r0=0.18, theta0=prefix[1])
         inversions.clear()
         final_bending_tilt(trans, trans[0].C2)
-        (n, sizes), = inversions
-        # the first evaluation is the default 65-point table
-        assert n == 511 and sizes[0] == 65
-        assert len(sizes) - 1 <= 6
+        (n, nodes, sizes), = inversions
+        # on the tilt's own 65-node table, the first evaluation is at the
+        # seeds
+        assert n == 511 and nodes == 65 and sizes[0] == 511
+        assert len(sizes) <= 6
 
     def test_graph_seg_seeds_from_its_table(self, inversions):
         f = SmoothFn1D(1.0, [PolyPiece((0.0, 1.0), [1.0, -0.5, -0.5])])
         seg = GraphSeg(f)
         s = np.linspace(0.0, seg.length, 102)[1:-1]
         t = seg._t_of_s(s)
-        (n, sizes), = inversions
-        assert n == 100 and sizes[0] == 100 and 65 not in sizes
+        (n, nodes, sizes), = inversions
+        assert n == 100 and nodes == seg._table.x.size and sizes[0] == 100
         np.testing.assert_allclose(seg._table(t)[0], s, rtol=1e-15)
 
     @pytest.mark.parametrize("f", [
         SmoothFn1D(1.0, [PolyPiece((0.0, 1.0), [1.0, -0.5, -0.2])]),
-        # reaches r = 0, so the blend is cut at t_end_f < b
-        SmoothFn1D(1.0, [PolyPiece((0.0, 1.0), [1.0, -0.5, -0.5])])])
+        SmoothFn1D(1.0, [PolyPiece((0.0, 1.0), [1.0, -0.8, 0.1])])])
     def test_inverse_blend_seeds_from_its_scan(self, inversions, f):
         family, _ = final_isotopy(f, (1.0, -0.5), [0.0, 0.5], n_t=100)
-        # a cut profile first solves for its end t_end_f, one target
-        assert [n for n, _sizes in inversions[:-2]] in ([], [1])
-        for n, sizes in inversions[-2:]:
-            assert n == 100 and sizes[0] == 100 and 65 not in sizes
-        # h_s^{-1}(r) = (1-s) f^{-1}(r) + s (r - r0)/m0 gives back t, with
-        # t_end_f the end of h_0 = f
-        t_end_f = family[0][0][-1]
+        # one solve per s, on the family's 4097-node scan of f
+        assert len(inversions) == 2
+        for n, nodes, sizes in inversions:
+            assert n == 100 and nodes == 4097 and sizes[0] == 100
+        # h_s^{-1}(r) = (1-s) f^{-1}(r) + s (r - r0)/m0 gives back t
+        assert family[0][0][-1] == f.b
         t, (r, _d1, _d2) = family[1]
-        tau = _invert_monotone(lambda x: f.jet(x, 1), r, 0.0, t_end_f)
+        F = lambda x: f.jet(x, 1)
+        tau = _invert_monotone(F, r, _checked_table(F, 0.0, f.b))
         np.testing.assert_allclose(0.5 * tau + 0.5 * (r - 1.0) / -0.5, t,
                                    rtol=0, atol=1e-13)
 
@@ -924,13 +905,13 @@ class TestGraphSeg:
         seg = GraphSeg(f, t_offset=0.3)
         s = np.linspace(0.0, seg.length, 257)
         t = seg._t_of_s(s)
-        assert t[0] == seg.t_range[0] and t[-1] == seg.t_range[1]
+        assert t[0] == 0.0 and t[-1] == f.b
         assert np.all(np.diff(t) > 0)
-        np.testing.assert_allclose(seg._S(t), s, rtol=0,
+        np.testing.assert_allclose(seg._table(t)[0], s, rtol=0,
                                    atol=1e-13 * seg.length)
         # out-of-range arc lengths clamp to the exact ends
-        assert seg._t_of_s(-1.0) == seg.t_range[0]
-        assert seg._t_of_s(2 * seg.length) == seg.t_range[1]
+        assert seg._t_of_s(-1.0) == 0.0
+        assert seg._t_of_s(2 * seg.length) == f.b
         # scalar in, scalar out, also through eval
         assert np.ndim(seg._t_of_s(0.4 * seg.length)) == 0
         pt, tan, k = seg.eval(0.4 * seg.length)
@@ -969,7 +950,8 @@ class TestArcLengthTables:
             ref = _quad_cumulative(
                 lambda x: np.sqrt(1.0 + float(prof.jet(x, 1)[1]) ** 2), t,
                 [p.interval[1] for p in prof.pieces[:-1]])
-            np.testing.assert_allclose(seg._S(t), ref, rtol=0, atol=1e-13)
+            np.testing.assert_allclose(seg._table(t)[0], ref, rtol=0,
+                                       atol=1e-13)
         s = np.linspace(0.0, bump.length, 401)
         pt = bump.eval(s)[0]
         for col, dF in ((0, lambda x: np.sin(bump.theta(x))),

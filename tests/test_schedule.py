@@ -225,7 +225,7 @@ class TestCompile:
     def test_homotopy_evaluates_each_end_profile_once(self, counted):
         g = round_doubly_warped(2, 4)
         ends = [counted(f) for f in
-                (g.u, g.v, *schedule._mixed_torpedo_profiles(0.25, 0.25, g.b))]
+                (g.u, g.v, *schedule._mixed_torpedo_profiles(0.25, g.b))]
         cert = schedule._certify_homotopy([2, 4], ends[:2], ends[2:])
         assert cert.passed
         assert [f.orders for f in ends] == [[2]] * 4
@@ -244,7 +244,7 @@ class TestCompile:
         if len(dims) == 2:
             g = round_doubly_warped(*dims)
             starts = [g.u, g.v]
-            ends = schedule._mixed_torpedo_profiles(delta, delta, g.b)
+            ends = schedule._mixed_torpedo_profiles(delta, g.b)
             scalar = scalar_doubly_warped
 
             def metric(fs):
@@ -449,7 +449,7 @@ class TestDemo:
         t = sample_grid(g.b, 512, interior=True)
         rows["round"] = ("t", t, scalar_warped(g, t))
         lam = ex["standardize"]["argmin_lambda"]
-        u1, v1 = schedule._mixed_torpedo_profiles(delta, delta, gd.b)
+        u1, v1 = schedule._mixed_torpedo_profiles(delta, gd.b)
         t = sample_grid(gd.b, 256, interior=True)
         rows["standardize"] = ("t", t, scalar_doubly_warped(
             DoublyWarpedMetric(p, q, linear_homotopy(gd.u, u1, lam),
