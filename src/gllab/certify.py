@@ -13,6 +13,7 @@ GIL-bound Python, and a thread pool measured slower than one thread.
 ``_Memo`` is the LRU memo of every geometry built once per shape (all
 listed in ``_MEMOS``); ``_frozen`` marks memoized arrays read-only.
 ``_halving_search`` is every search that halves a parameter to certify.
+``_family_grid`` is the rule for a family parameter's grid in [0, 1].
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .errors import InvalidSpecError
 
 
 def thread_count():
@@ -82,6 +85,20 @@ def _halving_search(x, attempt, budget):
                 best = margin
         x *= 0.5
     return best, None
+
+
+def _family_grid(values, name):
+    """``values`` as a float array, if a nonempty one-dimensional sequence of
+    numbers in [0, 1] (no NaN), else ``InvalidSpecError``."""
+    try:
+        grid = np.asarray(values, dtype=float)
+    except (TypeError, ValueError) as err:
+        raise InvalidSpecError(f"{name} must hold numbers: {err}") from None
+    if not (grid.ndim == 1 and grid.size
+            and np.all((0 <= grid) & (grid <= 1))):
+        raise InvalidSpecError(f"{name} must be a nonempty one-dimensional "
+                               f"sequence in [0, 1], got {grid}")
+    return grid
 
 
 def _frozen(*arrays):

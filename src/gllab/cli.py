@@ -8,10 +8,10 @@ and how a run writes: ``--output-dir`` (default ".") and ``--format``
 ``morse`` JSON and ``demo`` both).  Exit codes form a stable contract:
 
     0  success (all certificates pass)
-    2  invalid input
-    3  construction / certification failure
-    4  algebraic rejection (boundary inconsistency, inexactness, no
-       integral basis)
+    2  invalid input (any ``InvalidInputError``)
+    3  construction / certification failure (any other error, a bug included)
+    4  algebraic rejection (any ``AlgebraicRejection``: boundary
+       inconsistency, inexactness, no integral basis)
 
 CSV column orders:
     torpedo profile:    t,f,d1,d2
@@ -47,15 +47,11 @@ EXIT_INVALID = 2
 EXIT_CONSTRUCTION = 3
 EXIT_ALGEBRAIC = 4
 
-# a JSONDecodeError is a ValueError; anything unlisted (a bug) exits 3
-_INVALID = (E.InvalidSpecError, E.DomainMismatchError, E.OutOfRegimeError,
-            E.InvalidBendError, E.HypothesisViolationError, ValueError)
-
 
 def _exit_code_for(exc):
     if isinstance(exc, E.AlgebraicRejection):
         return EXIT_ALGEBRAIC
-    if isinstance(exc, _INVALID):
+    if isinstance(exc, E.InvalidInputError):
         return EXIT_INVALID
     return EXIT_CONSTRUCTION
 
@@ -182,8 +178,8 @@ def morse(ctx, file):
     non-unit invariant factors).
     """
     def go():
-        with open(file) as fh:
-            desc = MorseDescription.from_json(json.load(fh))
+        with open(file, "rb") as fh:
+            desc = MorseDescription.from_json(fh.read())
         plan = cancellation_plan(desc)
         _write_json(_outpath(ctx, "plan.json"), {"plan": plan.to_json()})
         n_aux = len(plan.auxiliary_points) // 2

@@ -30,14 +30,13 @@ whole search.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .certify import _halving_search, family_certificate, write_csv
 from .errors import (CertificationFailedError, DomainMismatchError,
-                     InvalidSpecError, SingularProfileError)
+                     InvalidSpecError, SingularProfileError, _check_ints)
 from .fnspace import (_CSV_DENSITY, _END_TOL, ConstPiece, LinearCombination,
                       PolyPiece, SmoothFn1D, _combine_jets, _same_domain,
                       check_F_membership, check_U_membership,
@@ -69,18 +68,6 @@ _INTERIOR_ZERO = 1e-13
 _END_ZERO = 1e-9
 
 
-def _check_dims(least, message, **dims):
-    """Raise ``InvalidSpecError`` unless every sphere dimension in ``dims``
-    is an integer (``numbers.Integral``, not a bool) of at least ``least``;
-    ``message`` says what a too small one breaks."""
-    for name, d in dims.items():
-        if isinstance(d, bool) or not isinstance(d, numbers.Integral):
-            raise InvalidSpecError(
-                f"sphere dimension {name} must be an integer, got {d!r}")
-        if d < least:
-            raise InvalidSpecError(message)
-
-
 @dataclass
 class WarpedSphereMetric:
     """dt^2 + f(t)^2 ds_{n-1}^2 on (0, b).
@@ -95,7 +82,7 @@ class WarpedSphereMetric:
     open_profile: bool = False
 
     def __post_init__(self):
-        _check_dims(3, "sphere dimension n must be >= 3", n=self.n)
+        _check_ints(3, "sphere dimension n must be >= 3", n=self.n)
         if not self.open_profile:
             rep = check_F_membership(self.f)
             if not rep.passed:
@@ -119,7 +106,7 @@ class DoublyWarpedMetric:
     open_profile: bool = False
 
     def __post_init__(self):
-        _check_dims(0, "fiber dimensions must be nonnegative",
+        _check_ints(0, "fiber dimensions must be nonnegative",
                     p=self.p, q=self.q)
         if not _same_domain(self.u.b, self.v.b):
             raise DomainMismatchError(
@@ -170,7 +157,7 @@ class CylFamilyMetric:
     phi: Phi2D
 
     def __post_init__(self):
-        _check_dims(1, "fiber sphere dimension must be >= 1",
+        _check_ints(1, "fiber sphere dimension must be >= 1",
                     qtilde=self.qtilde)
 
 
@@ -449,16 +436,14 @@ def slowdown_concordance(path, n, grid_shape=(200, 200)):
     Returns (Lambda, eta profile on (0, L), certificate).  The certificate's
     ``extra`` holds ``argmin_s``, ``argmin_t`` (``family_certificate``),
     every L tried (``L_tried``) and the number of distinct sigma at which
-    the path was evaluated (``profiles``).  ``grid_shape`` entries below 1
-    raise ``InvalidSpecError``, as does a path metric whose dimension is
-    not ``n``; a sigma-profile whose domain length is not g0's raises
-    ``DomainMismatchError``.
+    the path was evaluated (``profiles``).  ``grid_shape`` entries that are
+    not integers >= 1 raise ``InvalidSpecError``, as does a path metric
+    whose dimension is not ``n``; a sigma-profile whose domain length is
+    not g0's raises ``DomainMismatchError``.
     """
     ns, nt = grid_shape
-    if min(ns, nt) < 1:
-        raise InvalidSpecError(
-            f"slowdown needs a grid of at least 1x1, got "
-            f"grid_shape={tuple(grid_shape)}")
+    _check_ints(1, f"slowdown needs a grid of at least 1x1, got "
+                f"grid_shape={tuple(grid_shape)}", ns=ns, nt=nt)
     g0, g1 = path(0.0), path(1.0)
     b = g0.f.b
     for sv, g in ((0.0, g0), (1.0, g1)):

@@ -1,10 +1,12 @@
-"""Exception types shared across the toolkit.
+"""Exception types shared across the toolkit, and the one integer rule.
 
-The CLI maps these onto its exit-code contract: invalid input (2),
-construction failure (3), algebraic rejection (4).
+The classes alone decide the CLI's exit code: an ``InvalidInputError`` is
+invalid input (2), an ``AlgebraicRejection`` an algebraic rejection (4) and
+any other error, a bug included, a construction failure (3).  No numpy.
 """
 
 import math
+import numbers
 
 
 class GLLabError(Exception):
@@ -13,24 +15,38 @@ class GLLabError(Exception):
 
 # --- invalid input -----------------------------------------------------------
 
-class InvalidSpecError(GLLabError):
+class InvalidInputError(GLLabError):
+    """Base for input outside a documented domain or a theorem's hypotheses."""
+
+
+class InvalidSpecError(InvalidInputError):
     """A constructor was given parameters outside its documented domain."""
 
 
-class DomainMismatchError(GLLabError):
+class DomainMismatchError(InvalidInputError):
     """Two profile functions that must share a domain do not."""
 
 
-class OutOfRegimeError(GLLabError):
+class OutOfRegimeError(InvalidInputError):
     """An inequality check was requested outside the regime where it is valid."""
 
 
-class InvalidBendError(GLLabError):
+class InvalidBendError(InvalidInputError):
     """Quarter-bend geometric constraints violated."""
 
 
-class HypothesisViolationError(GLLabError):
+class HypothesisViolationError(InvalidInputError):
     """A declared hypothesis flag required for a cancellation step is missing."""
+
+
+def _check_ints(least, message, **values):
+    """Raise ``InvalidSpecError`` unless each of ``values`` is an integer
+    (not a bool) of at least ``least``; ``message`` says what less breaks."""
+    for name, d in values.items():
+        if isinstance(d, bool) or not isinstance(d, numbers.Integral):
+            raise InvalidSpecError(f"{name} must be an integer, got {d!r}")
+        if d < least:
+            raise InvalidSpecError(message)
 
 
 # --- construction / certification failure ------------------------------------

@@ -40,18 +40,16 @@ sin(theta) = 1/sqrt(1 + f'^2).
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .certify import (IsotopyCertificate, _frozen, _halving_search, _Memo,
-                      family_certificate, write_csv)
-from .curvature import _check_dims
+from .certify import (IsotopyCertificate, _family_grid, _frozen,
+                      _halving_search, _Memo, family_certificate, write_csv)
 from .errors import (AssemblyError, ConstructionFailedError, InvalidBendError,
                      InvalidSpecError, InversionError, NoFeasibleBendError,
-                     OutOfRegimeError, TiltTooLargeError)
+                     OutOfRegimeError, TiltTooLargeError, _check_ints)
 from .fnspace import (PolyPiece, SmoothFn1D, TorpedoSpec, _jet_points,
                       _piecewise, _quintic_match, make_torpedo, reflect)
 
@@ -93,7 +91,7 @@ class BendConstants:
     q: int = 2
 
     def __post_init__(self):
-        _check_dims(2, "q must be >= 2 (codimension >= 3)", q=self.q)
+        _check_ints(2, "q must be >= 2 (codimension >= 3)", q=self.q)
         if not all(0 <= x < np.inf for x in (self.R0, self.C, self.Cp)):
             raise InvalidSpecError("R0, C, Cp must be nonnegative and finite")
 
@@ -644,9 +642,9 @@ def initial_bend(consts, r1):
 
 @dataclass(frozen=True)
 class TransitionParams:
-    """Parameters of the three-piece transition graph (``synth_transition``);
-    frozen, since one instance is shared by every call with its (r0,
-    theta0)."""
+    """The six numbers the search of ``synth_transition`` chooses, shared by
+    every call with its (r0, theta0), so frozen.  The landmarks t0 = 0, t0' =
+    delta0, c = 1/(2 C1) and tinf' = C2 - delta_inf/2 are read where used."""
 
     r0: float
     m0: float
@@ -654,36 +652,35 @@ class TransitionParams:
     delta_inf: float
     C1: float
     C2: float
-    c: float
-    t0: float
-    t0p: float
-    tinfp: float
-    tinf: float
 
     def __post_init__(self):
         if not (self.C1 > 0 and self.C2 > 0):
             raise InvalidSpecError("C1 and C2 must be positive")
-        if not 0 < self.c < 1.0 / self.C1:
-            raise InvalidSpecError("need c in (0, 1/C1)")
+
+    @property
+    def tinf(self):
+        """Where the graph ends, turning horizontal."""
+        return self.C2 + 0.5 * self.delta_inf
 
     @property
     def r_inf(self):
-        """The graph's value at t_inf, where it turns horizontal."""
-        return self.c - self.C1 * self.delta_inf ** 2 / 48.0
+        """The graph's value at t_inf."""
+        return 1.0 / (2.0 * self.C1) - self.C1 * self.delta_inf ** 2 / 48.0
 
 
 def _transition_pieces(p):
     """The three polynomial pieces on [t0, t0'], [t0', tinf'], [tinf', tinf]."""
-    c1 = p.C1
-    piece1 = PolyPiece((p.t0, p.t0p),
+    c1, t0p, tinfp = p.C1, p.delta0, p.C2 - 0.5 * p.delta_inf
+    piece1 = PolyPiece((0.0, t0p),
                        [p.r0, p.m0, 0.0, c1 / (12.0 * p.delta0)],
-                       origin=p.t0)
-    # parabola c + (C1/4)(t - C2)^2, re-centered at t0'
-    d = p.t0p - p.C2
-    piece2 = PolyPiece((p.t0p, p.tinfp),
-                       [p.c + 0.25 * c1 * d ** 2, 0.5 * c1 * d, 0.25 * c1],
-                       origin=p.t0p)
-    piece3 = PolyPiece((p.tinfp, p.tinf),
+                       origin=0.0)
+    # parabola c + (C1/4)(t - C2)^2 with c = 1/(2 C1), re-centered at t0'
+    d = t0p - p.C2
+    piece2 = PolyPiece((t0p, tinfp),
+                       [1.0 / (2.0 * c1) + 0.25 * c1 * d ** 2, 0.5 * c1 * d,
+                        0.25 * c1],
+                       origin=t0p)
+    piece3 = PolyPiece((tinfp, p.tinf),
                        [p.r_inf, 0.0, 0.0, -c1 / (12.0 * p.delta_inf)],
                        origin=p.tinf)
     return [piece1, piece2, piece3]
@@ -736,15 +733,12 @@ def _transition_shape(r0, theta0):
         a1 = r0 + 0.5 * delta0 * m0
         a0 = -(0.5 + m0 ** 2)
         C1 = (-a1 + np.sqrt(a1 ** 2 - 4.0 * a2 * a0)) / (2.0 * a2)
-        c = 1.0 / (2.0 * C1)
-        t0p = delta0  # t0 = 0
-        C2 = t0p - 2.0 * m0 / C1 - 0.5 * delta0
+        C2 = delta0 - 2.0 * m0 / C1 - 0.5 * delta0  # t0' - 2 m0/C1 - delta0/2
 
         def graph(delta_inf):
-            params = TransitionParams(r0, m0, delta0, delta_inf, C1, C2, c,
-                                      0.0, t0p, C2 - 0.5 * delta_inf,
-                                      C2 + 0.5 * delta_inf)
-            if params.tinfp <= t0p or params.r_inf <= 0:
+            params = TransitionParams(r0, m0, delta0, delta_inf, C1, C2)
+            # the landmarks must be ordered: t0' < tinf'
+            if C2 - 0.5 * delta_inf <= delta0 or params.r_inf <= 0:
                 return None, None
             f = SmoothFn1D(params.tinf, _transition_pieces(params))
             return check_diffkeqn(f), (params, f)
@@ -872,10 +866,10 @@ def final_bending_tilt(transition, t_inf_pp):
     margin by more than ``_TILT_SLACK`` (relative, floored at 1).
 
     With t_inf'' = t_inf the profile is returned unchanged.  Otherwise the
-    straight tail descends exactly to the original end value f(t_inf), so the
-    tilted profile covers the same r-range as the input; a profile that is
-    not positive on its whole domain is rejected, and so, as a
-    ConstructionFailedError, is a cut-off that already lies below f(t_inf).
+    straight tail descends exactly to the graph's end value r_inf = f(t_inf),
+    so the tilted profile covers the same r-range as the input; a profile
+    that is not positive on its whole domain is rejected, and so, as a
+    ConstructionFailedError, is a cut-off that already lies below r_inf.
     """
     params, f = transition
     if not params.C2 <= t_inf_pp <= params.tinf:
@@ -914,7 +908,7 @@ def final_bending_tilt(transition, t_inf_pp):
     if slope >= 0:
         raise ConstructionFailedError("tilted tail slope must be negative")
     # descend to the original end value so the r-range is preserved
-    end = t_inf_pp + (val - float(f(params.tinf))) / (-slope)
+    end = t_inf_pp + (val - params.r_inf) / (-slope)
     if end < t_inf_pp:
         raise ConstructionFailedError(
             f"cut-off profile already lies below f(t_inf) at t_inf'' = "
@@ -931,7 +925,7 @@ def final_bending_tilt(transition, t_inf_pp):
     tm = np.linspace(0.0, min(t_inf_pp, end), 513)[1:-1]
     jet_new = f_new.jet(tm, 2)
     r_new, m_new = jet_new[0], _graph_margin(jet_new)
-    lo_r, hi_r = float(f(params.tinf)), params.r0
+    lo_r, hi_r = params.r_inf, params.r0
     inside = (r_new > lo_r) & (r_new < hi_r)
     r_in, m_in = r_new[inside], m_new[inside]
     xs = np.linspace(0.0, params.tinf, 65)
@@ -975,14 +969,11 @@ def final_isotopy(f, l_line, s_grid=None, n_t=201):
     i-th s on n_t equally spaced t in [0, T(b)], and ``margins[i]`` the
     least graph-inequality margin over the interior n_t - 2 of them; h_0 is
     f and h_1 the line.  n_t must be an integer >= 3, ``l_line`` a pair of
-    numbers through f(0) with m0 finite, ``s_grid`` a nonempty
-    one-dimensional sequence of numbers in [0, 1] and f(b) > 0, else
-    InvalidSpecError; a slope m0 >= 0 or an f that does not decrease raises
-    InversionError.
+    numbers through f(0) with m0 finite, ``s_grid`` a family grid
+    (``certify._family_grid``) and f(b) > 0, else InvalidSpecError; a slope
+    m0 >= 0 or an f that does not decrease raises InversionError.
     """
-    if isinstance(n_t, bool) or not isinstance(n_t, numbers.Integral) \
-            or n_t < 3:
-        raise InvalidSpecError(f"n_t must be an integer >= 3, got {n_t!r}")
+    _check_ints(3, f"n_t must be >= 3, got {n_t!r}", n_t=n_t)
     try:
         r0_line, m0 = (float(x) for x in l_line)
     except (TypeError, ValueError) as err:
@@ -993,18 +984,8 @@ def final_isotopy(f, l_line, s_grid=None, n_t=201):
         raise InvalidSpecError(f"line slope must be finite, got {m0}")
     if m0 >= 0:
         raise InversionError("line slope must be negative")
-    if s_grid is None:
-        s_grid = np.linspace(0.0, 1.0, 21)
-    try:
-        grid = np.asarray(s_grid, dtype=float)
-    except (TypeError, ValueError) as err:
-        raise InvalidSpecError(f"s_grid must hold numbers: {err}") from None
-    if grid.ndim != 1 or not grid.size:
-        raise InvalidSpecError("s_grid must be nonempty and one-dimensional,"
-                               f" got shape {grid.shape}")
-    for s in grid.tolist():
-        if not 0.0 <= s <= 1.0:
-            raise InvalidSpecError(f"s must lie in [0, 1], got {s}")
+    grid = _family_grid(np.linspace(0.0, 1.0, 21) if s_grid is None
+                        else s_grid, "s_grid")
 
     tau = np.linspace(0.0, f.b, 4097)
     F, d1 = f.jet(tau, 1)

@@ -32,11 +32,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .certify import _frozen, _Memo, family_certificate, pmap
-from .curvature import (DoublyWarpedMetric, _check_dims, _closed_form_points,
+from .certify import _family_grid, _frozen, _Memo, family_certificate, pmap
+from .curvature import (DoublyWarpedMetric, _closed_form_points,
                         _quotients_from_jets, _scalar)
 from .errors import (CertificationFailedError, InvalidBendError,
-                     InvalidSpecError)
+                     InvalidSpecError, _check_ints)
 from .fnspace import (ConstPiece, SmoothFn1D, TorpedoSpec, _membership_points,
                       _membership_report, _torpedo_on, make_torpedo, reflect)
 from .glbend import ArcSeg, BendProfile, Curve2D, quarter_bend_curve
@@ -86,8 +86,8 @@ class ModelAmbient:
     epsilon: float
 
     def __post_init__(self):
-        _check_dims(2, "q must be >= 2 (codimension >= 3)", q=self.q)
-        _check_dims(0, "p must be nonnegative", p=self.p)
+        _check_ints(2, "q must be >= 2 (codimension >= 3)", q=self.q)
+        _check_ints(0, "p must be nonnegative", p=self.p)
         if not 0 < self.epsilon < np.inf:
             raise InvalidSpecError("epsilon must be positive and finite")
 
@@ -321,8 +321,6 @@ def _foliation_geometry(edge, radius, tau, nu_grid, eps, delta_p):
     f_del = make_torpedo(_torpedo_on(delta_p, c))
     curves = []
     for nu in nu_grid:
-        if not 0.0 <= nu <= 1.0:
-            raise InvalidSpecError("nu must lie in [0, 1]")
         if nu >= 0.5:
             curves.append(_corner_curve(edge * (2.0 * nu - 1.0), radius))
         else:
@@ -345,8 +343,8 @@ def _foliation_geometry(edge, radius, tau, nu_grid, eps, delta_p):
 
 
 def _numbers(*xs):
-    """True if each x is a real number or a 0-d array of one."""
-    return all(np.ndim(x) == 0 and np.asarray(x).dtype.kind in "biuf"
+    """True if each x is a real number or a 0-d array of one (not a bool)."""
+    return all(np.ndim(x) == 0 and np.asarray(x).dtype.kind in "iuf"
                for x in xs)
 
 
@@ -369,8 +367,9 @@ def connected_sum_foliation(c, radius, tau, nu_grid, eps, delta_p, p=2, q=2):
     (p, q) scalar curvature from the quotients, leaf by leaf.  Reports and
     curvature are those of ``check_U_membership``, ``check_V_membership``
     and ``scalar_doubly_warped`` on the leaf's profiles, bit for bit.
-    ``p`` and ``q`` must be integers >= 0, tau, eps and delta_p numbers,
-    ``nu_grid`` a one-dimensional sequence of numbers, else InvalidSpecError.
+    ``p`` and ``q`` must be integers >= 0, tau, eps and delta_p numbers (a
+    bool is none) and ``nu_grid`` a family grid (``certify._family_grid``),
+    else InvalidSpecError, raised before anything is built.
 
     Returns (FoliationFamily, IsotopyCertificate).  The certificate's
     ``extra`` holds ``per_leaf_min`` and where the least sample sits: its
@@ -382,17 +381,9 @@ def connected_sum_foliation(c, radius, tau, nu_grid, eps, delta_p, p=2, q=2):
     if not (_numbers(tau, eps, delta_p) and 0 < tau <= radius):
         raise InvalidSpecError(
             "need numbers tau, eps and delta_p with 0 < tau <= bend radius")
-    _check_dims(0, "fiber dimensions must be nonnegative", p=p, q=q)
-    try:
-        grid = np.asarray(nu_grid, dtype=float)
-    except (TypeError, ValueError) as err:
-        raise InvalidSpecError(f"nu_grid must hold numbers: {err}") from None
-    if grid.ndim != 1:
-        raise InvalidSpecError(
-            f"nu_grid must be one-dimensional, got shape {grid.shape}")
+    _check_ints(0, "fiber dimensions must be nonnegative", p=p, q=q)
+    grid = _family_grid(nu_grid, "nu_grid")
     nu_grid = grid.tolist()
-    if not nu_grid:
-        raise InvalidSpecError("nu_grid must hold at least one leaf")
     f_eps, f_del, curves, leaves = _foliation_geometry(
         float(c) - float(radius), float(radius), tau, tuple(nu_grid), eps,
         delta_p)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 from .errors import (HypothesisViolationError, InconsistentBoundaryError,
                      InvalidSpecError, NoIntegralBasisError,
-                     NotACylinderError)
+                     NotACylinderError, _check_ints)
 
 __all__ = [
     "CriticalPoint",
@@ -244,8 +244,7 @@ class MorseDescription:
     flags: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.n < 1:
-            raise InvalidSpecError("n must be a positive dimension")
+        _check_ints(1, "n must be a positive dimension", n=self.n)
         ids = [pt.id for pt in self.points]
         if len(set(ids)) != len(ids):
             raise InvalidSpecError("duplicate point ids")
@@ -293,9 +292,13 @@ class MorseDescription:
 
     @classmethod
     def from_json(cls, data):
-        """Read the JSON form; a malformed one raises ``InvalidSpecError``."""
-        if isinstance(data, str):
-            data = json.loads(data)
+        """Read the JSON form, parsed or as text or bytes; a malformed one,
+        or text that is not JSON, raises ``InvalidSpecError``."""
+        if isinstance(data, (str, bytes)):
+            try:
+                data = json.loads(data)
+            except (json.JSONDecodeError, UnicodeDecodeError) as err:
+                raise InvalidSpecError(f"not a JSON document: {err}") from None
         if not (isinstance(data, dict) and isinstance(data.get("points"), list)
                 and all(isinstance(x, dict) for x in [
                     data.get("boundary", {}), data.get("flags", {}),

@@ -13,7 +13,7 @@ from click.testing import CliRunner
 
 import gllab
 from gllab.certify import IsotopyCertificate
-from gllab import cli, glbend, schedule
+from gllab import cli, errors, glbend, schedule
 from gllab.cli import main
 from gllab.curvature import WarpedSphereMetric, write_curvature_csv
 from gllab.fnspace import TorpedoSpec, make_torpedo, write_profile_csv
@@ -183,6 +183,16 @@ def test_non_finite_size_exit_2(runner, tmp_path, args):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("cls", [
+    errors.InvalidSpecError, errors.DomainMismatchError,
+    errors.OutOfRegimeError, errors.InvalidBendError,
+    errors.HypothesisViolationError], ids=lambda cls: cls.__name__)
+def test_input_error_classes_exit_2(cls):
+    # the class alone decides the exit code
+    assert issubclass(cls, errors.InvalidInputError)
+    assert cli._exit_code_for(cls("bad input")) == cli.EXIT_INVALID
+
+
 class TestMorseCmd:
     def test_two_point_plan(self, runner, tmp_path):
         src = tmp_path / "desc.json"
@@ -241,19 +251,35 @@ class TestMorseCmd:
         json.dumps(TWO_POINT).replace(', "level": 0.25', ''),
         json.dumps({k: v for k, v in TWO_POINT.items() if k != "n"}),
         json.dumps(TWO_POINT).replace('"4->3"', '"4to3"'),
+        json.dumps(TWO_POINT)[:-1],
+        json.dumps(TWO_POINT).encode().replace(b'"w"', b'"\xff"'),
     ], ids=["array", "number", "point-not-object", "boundary-list",
             "flags-number", "null-entry", "overflow-entry", "fractional-n",
             "fractional-index", "null-level", "list-id", "object-id",
             "number-id", "missing-id", "missing-index", "missing-level",
-            "missing-n", "malformed-key"])
+            "missing-n", "malformed-key", "json-syntax", "not-utf-8"])
     def test_malformed_description_exit_2(self, runner, tmp_path, text):
         src = tmp_path / "desc.json"
-        src.write_text(text)
+        src.write_bytes(text if isinstance(text, bytes) else text.encode())
         res = runner.invoke(main, ["--output-dir", str(tmp_path / "out"),
                                    "morse", str(src)])
         assert res.exit_code == 2
         assert "InvalidSpecError" in res.output
         assert not (tmp_path / "out").exists()
+
+    def test_library_value_error_exit_3(self, runner, tmp_path, monkeypatch):
+        # a ValueError is a bug, not invalid input: only the error classes
+        # decide what exits 2
+        def cancellation_plan(desc):
+            raise ValueError("a bug")
+
+        monkeypatch.setattr(cli, "cancellation_plan", cancellation_plan)
+        src = tmp_path / "desc.json"
+        src.write_text(json.dumps(TWO_POINT))
+        res = runner.invoke(main, ["--output-dir", str(tmp_path / "out"),
+                                   "morse", str(src)])
+        assert res.exit_code == 3
+        assert "ValueError: a bug" in res.output
 
 
 class TestDemoCmd:

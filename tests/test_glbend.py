@@ -200,13 +200,22 @@ class TestSynthesis:
                 lv, rv = float(lv), float(rv)
                 assert abs(lv - rv) < 1e-8 * max(1.0, abs(lv), abs(rv))
         assert check_diffkeqn(f) > 0
-        # frozen identities of the three-piece construction
-        assert np.isclose(params.t0p, params.t0 + params.delta0)
+        # the landmarks of the three-piece construction, from its six numbers:
+        # t0 = 0, t0' = delta0 and tinf' = C2 - delta_inf/2 are its breaks
+        assert [pc.interval for pc in f.pieces] == [
+            (0.0, params.delta0),
+            (params.delta0, params.C2 - 0.5 * params.delta_inf),
+            (params.C2 - 0.5 * params.delta_inf, params.tinf)]
+        assert params.tinf == params.C2 + 0.5 * params.delta_inf == f.b
         assert np.isclose(params.C2,
-                          params.t0p - 2 * params.m0 / params.C1
+                          params.delta0 - 2 * params.m0 / params.C1
                           - params.delta0 / 2)
-        assert np.isclose(float(f(params.tinf)),
-                          params.c - params.C1 * params.delta_inf ** 2 / 48)
+        # the parabola's vertex c = 1/(2 C1) at C2, and the graph's end value
+        assert np.isclose(float(f.pieces[1].jet(params.C2, 0)[0]),
+                          1.0 / (2.0 * params.C1))
+        assert float(f(params.tinf)) == params.r_inf
+        assert np.isclose(params.r_inf, 1.0 / (2.0 * params.C1)
+                          - params.C1 * params.delta_inf ** 2 / 48)
 
     def test_tiny_bend_angle_transition_builds(self):
         # the parameter equation's terms scale like cot^2(theta0), so at
@@ -587,7 +596,7 @@ class TestIsotopies:
         # NaN are input errors, not failed inversions
         params, _ = transition
         g = final_bending_tilt(transition, params.C2)
-        with pytest.raises(InvalidSpecError, match=r"s must lie in \[0, 1\]"):
+        with pytest.raises(InvalidSpecError, match=r"s_grid must .* in \[0, 1\]"):
             final_isotopy(g, (params.r0, params.m0), [0.0, s])
 
 
@@ -1024,8 +1033,6 @@ def _tilt_parabola(a2):
      "r1 must be positive and finite"),
     (lambda: replace(_model_transition()[0], C1=0.0), InvalidSpecError,
      "C1 and C2 must be positive"),
-    (lambda: replace(_model_transition()[0], c=0.0), InvalidSpecError,
-     r"need c in \(0, 1/C1\)"),
     (lambda: synth_transition(BendConstants(R0=1.0, C=1.0), r0=0.6,
                               theta0=0.1), OutOfRegimeError,
      r"need r0 in \(0, 0.5\)"),
@@ -1045,8 +1052,16 @@ def _tilt_parabola(a2):
     # a parabola bending up so hard that its slope is positive at C2
     (lambda: _tilt_parabola(100.0), ConstructionFailedError,
      "tilted tail slope must be negative"),
-    # the start line itself, which crosses r = 0 before t_inf
-    (lambda: _tilt_parabola(0.0), TiltTooLargeError, "loses positivity"),
+    # the start line itself, which crosses r = 0 before C2: its cut-off
+    # value lies below the end value r_inf the tilted tail descends to
+    (lambda: _tilt_parabola(0.0), ConstructionFailedError,
+     r"already lies below f\(t_inf\)"),
+    # the graph under parameters whose r_inf = 1/(2 C1) - C1 delta_inf^2/48
+    # is negative: the tilted tail descends through r = 0
+    (lambda: final_bending_tilt((replace(_model_transition()[0], C1=1e3),
+                                 _model_transition()[1]),
+                                _model_transition()[0].C2),
+     TiltTooLargeError, "loses positivity"),
     (lambda: final_isotopy(SmoothFn1D(1.0, [PolyPiece((0.0, 1.0),
                                                       [1.0, 0.5])]),
                            (1.0, -1.0), [0.5]),

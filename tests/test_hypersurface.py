@@ -301,7 +301,7 @@ def _foliate(c, radius, nu_grid=(0.0, 1.0)):
     (lambda bend: mixed_torpedo_via_J(0.25, 0.5, 2.0, 1.4, 0.5),
      InvalidBendError, "c2 - bend_radius"),
     (lambda bend: _foliate(1.0, 0.4, [1.5]),
-     InvalidSpecError, r"nu must lie in \[0, 1\]"),
+     InvalidSpecError, r"nu_grid must be .* in \[0, 1\], got \[1.5\]"),
     # c = 0.3 <= R = 0.5: its edge c - R would be negative
     (lambda bend: _foliate(0.3, 0.5),
      InvalidBendError, "corner c above a positive bend radius"),
@@ -315,6 +315,12 @@ def _foliate(c, radius, nu_grid=(0.0, 1.0)):
      InvalidBendError, "finite corner c"),
     (lambda bend: _foliate(1.0, "0.4"),
      InvalidBendError, "positive bend radius"),
+    # a bool is no number: c = True would run as the corner c = 1
+    (lambda bend: _foliate(True, 0.4),
+     InvalidBendError, "finite corner c"),
+    (lambda bend: connected_sum_foliation(1.0, 0.4, 0.05, [0.0], np.True_,
+                                          0.25),
+     InvalidSpecError, "need numbers tau, eps and delta_p"),
     (lambda bend: connected_sum_foliation(1.0, 0.4, "0.05", [0.0], 0.25,
                                           0.25),
      InvalidSpecError, "need numbers tau, eps and delta_p"),
@@ -326,8 +332,8 @@ def _foliate(c, radius, nu_grid=(0.0, 1.0)):
      InvalidSpecError, "need numbers tau, eps and delta_p"),
 ], ids=["uncertified-bend", "c2-inside-cap", "nu-above-1", "corner-c-below-R",
         "corner-R-zero", "corner-c-infinite", "corner-c-nan",
-        "corner-c-a-string", "corner-R-a-string", "tau-a-string",
-        "eps-a-string", "delta-p-a-string"])
+        "corner-c-a-string", "corner-R-a-string", "corner-c-a-bool",
+        "eps-a-bool", "tau-a-string", "eps-a-string", "delta-p-a-string"])
 def test_argument_checks_raise_typed(certified_bend, call, error, message):
     with pytest.raises(error, match=message):
         call(certified_bend)

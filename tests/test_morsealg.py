@@ -454,8 +454,13 @@ def _points(*specs):
 
 @pytest.mark.parametrize("call, error, message", [
     (lambda: two_point(b=1.5), InvalidSpecError, "non-integer entry 1.5"),
+    (lambda: MorseDescription.from_json("not json"), InvalidSpecError,
+     "not a JSON document"),
     (lambda: MorseDescription(0, []), InvalidSpecError,
      "n must be a positive dimension"),
+    # the integer rule of every dimension: no S^7.5
+    (lambda: MorseDescription(7.5, []), InvalidSpecError,
+     "n must be an integer, got 7.5"),
     (lambda: MorseDescription(7, _points(("w", 3), ("w", 4))),
      InvalidSpecError, "duplicate point ids"),
     (lambda: MorseDescription(7, _points(("w", 9))), InvalidSpecError,
