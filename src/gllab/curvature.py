@@ -36,7 +36,8 @@ import numpy as np
 
 from .certify import _halving_search, family_certificate, write_csv
 from .errors import (CertificationFailedError, DomainMismatchError,
-                     InvalidSpecError, SingularProfileError, _check_ints)
+                     InvalidSpecError, SingularProfileError, _check_ints,
+                     _finite_reals)
 from .fnspace import (_CSV_DENSITY, _END_TOL, ConstPiece, LinearCombination,
                       PolyPiece, SmoothFn1D, _combine_jets, _same_domain,
                       check_F_membership, check_U_membership,
@@ -335,8 +336,7 @@ def make_smoothstep(L):
     t - L/4.  For L = 2^k every breakpoint, coefficient and Horner step is
     the L = 1 one times a power of two, so eta_L(L x) == eta_1(x) exactly.
     """
-    L = float(L)
-    if not L > 0.0:
+    if not (_finite_reals(L) and L > 0.0):
         raise InvalidSpecError("need L > 0")
     k1, k2, w = 0.25 * L, 0.75 * L, 0.5 * L
     coeffs = [0.0, 0.0, 0.0, 10.0 / w ** 3, -15.0 / w ** 4, 6.0 / w ** 5]
@@ -441,7 +441,11 @@ def slowdown_concordance(path, n, grid_shape=(200, 200)):
     whose dimension is not ``n``; a sigma-profile whose domain length is
     not g0's raises ``DomainMismatchError``.
     """
-    ns, nt = grid_shape
+    try:
+        ns, nt = grid_shape
+    except (TypeError, ValueError):
+        raise InvalidSpecError(
+            f"grid_shape must be two integers, got {grid_shape!r}") from None
     _check_ints(1, f"slowdown needs a grid of at least 1x1, got "
                 f"grid_shape={tuple(grid_shape)}", ns=ns, nt=nt)
     g0, g1 = path(0.0), path(1.0)

@@ -1,4 +1,4 @@
-"""Exception types shared across the toolkit, and the one integer rule.
+"""Exception types shared across the toolkit, and its integer and real rules.
 
 The classes alone decide the CLI's exit code: an ``InvalidInputError`` is
 invalid input (2), an ``AlgebraicRejection`` an algebraic rejection (4) and
@@ -43,10 +43,23 @@ def _check_ints(least, message, **values):
     """Raise ``InvalidSpecError`` unless each of ``values`` is an integer
     (not a bool) of at least ``least``; ``message`` says what less breaks."""
     for name, d in values.items():
-        if isinstance(d, bool) or not isinstance(d, numbers.Integral):
+        if type(d) is not int and (isinstance(d, bool)
+                                   or not isinstance(d, numbers.Integral)):
             raise InvalidSpecError(f"{name} must be an integer, got {d!r}")
         if d < least:
             raise InvalidSpecError(message)
+
+
+def _finite_reals(*xs):
+    """True if each x is a finite real or a 0-d array of one, not a bool."""
+    for x in xs:
+        if type(x) is not float:
+            x = x.item() if getattr(x, "shape", None) == () else x
+            if isinstance(x, bool) or not isinstance(x, numbers.Real):
+                return False
+        if not -math.inf < x < math.inf:
+            return False
+    return True
 
 
 # --- construction / certification failure ------------------------------------

@@ -27,14 +27,14 @@ gathers the segments of a ``glbend.Curve2D``.  Only ``SmoothFn1D`` serialises.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import reduce
 
 import numpy as np
 
 from .certify import write_csv
-from .errors import ConstructionFailedError, DomainMismatchError, InvalidSpecError
+from .errors import (ConstructionFailedError, DomainMismatchError,
+                     InvalidSpecError, _finite_reals)
 
 __all__ = [
     "SmoothFn1D",
@@ -97,10 +97,9 @@ def _run_jet(compiled, u, k):
 
 def _finite_interval(kind, interval, *params):
     """The piece's (lo, hi) as floats; non-finite data is InvalidSpecError."""
-    interval = (float(interval[0]), float(interval[1]))
-    if not all(map(math.isfinite, interval + params)):
+    if not _finite_reals(interval[0], interval[1], *params):
         raise InvalidSpecError(f"{kind} piece data must be finite")
-    return interval
+    return float(interval[0]), float(interval[1])
 
 
 class _Piece:
@@ -121,9 +120,9 @@ class PolyPiece(_Piece):
 
     def __init__(self, interval, coeffs, origin=0.0):
         self.coeffs = np.asarray(coeffs, dtype=float)
-        self.origin = float(origin)
-        self.interval = _finite_interval(self.kind, interval, self.origin,
+        self.interval = _finite_interval(self.kind, interval, origin,
                                          *self.coeffs.ravel().tolist())
+        self.origin = float(origin)
         # orders 0..3 as repeated numpy polyder gives them; [] is 0
         cols = [self.coeffs.tolist() or [0.0]]
         for _ in range(3):
@@ -142,11 +141,11 @@ class SinePiece(_Piece):
     kind = "sine"
 
     def __init__(self, interval, amplitude, frequency, phase=0.0):
+        self.interval = _finite_interval(self.kind, interval, amplitude,
+                                         frequency, phase)
         self.amplitude = float(amplitude)
         self.frequency = float(frequency)
         self.phase = float(phase)
-        self.interval = _finite_interval(self.kind, interval, self.amplitude,
-                                         self.frequency, self.phase)
         self._compiled = ((), 0.0, None, (
             [self.amplitude * self.frequency ** j for j in range(4)],
             self.frequency, self.phase))
@@ -160,8 +159,8 @@ class ConstPiece(_Piece):
     kind = "const"
 
     def __init__(self, interval, value):
+        self.interval = _finite_interval(self.kind, interval, value)
         self.value = float(value)
-        self.interval = _finite_interval(self.kind, interval, self.value)
         self._compiled = ((), 0.0, [[self.value], [0.0], [0.0], [0.0]], None)
 
     def to_json(self):
@@ -176,8 +175,8 @@ class ReflectPiece(_Piece):
 
     def __init__(self, interval, inner, b):
         self.inner = inner
+        self.interval = _finite_interval(self.kind, interval, b)
         self.b = float(b)
-        self.interval = _finite_interval(self.kind, interval, self.b)
         bs, *leaf = inner._compiled
         self._compiled = ((self.b, *bs), *leaf)
 
@@ -260,11 +259,11 @@ class SmoothFn1D:
     """
 
     def __init__(self, b, pieces, junction_orders=(0, 1, 2)):
+        if not (_finite_reals(b) and b > 0):
+            raise InvalidSpecError("domain length must be positive and finite")
         self.b = float(b)
         self.pieces = list(pieces)
         self.junction_orders = tuple(junction_orders)
-        if not 0 < self.b < np.inf:
-            raise InvalidSpecError("domain length must be positive and finite")
         if not self.pieces:
             raise InvalidSpecError("need at least one piece")
         self._validate_partition()
@@ -394,10 +393,11 @@ def linear_homotopy(f0, f1, s):
     """(1-s) * f0 + s * f1 on the shared domain.
 
     Membership in any of the convex families is preserved for every s in
-    [0, 1] whenever both endpoints are members.
-    Endpoints whose domain lengths differ raise ``DomainMismatchError``.
+    [0, 1] whenever both endpoints are members.  A non-finite s raises
+    ``InvalidSpecError``, unequal domain lengths ``DomainMismatchError``.
     """
-    s = float(s)
+    if not _finite_reals(s):
+        raise InvalidSpecError(f"s must be a finite number, got {s!r}")
     return LinearCombination([(1.0 - s, f0), (s, f1)])
 
 
@@ -425,13 +425,13 @@ class TorpedoSpec:
     blend_width: float | None = None
 
     def __post_init__(self):
-        if not 0 < self.delta < np.inf:
+        if not (_finite_reals(self.delta) and self.delta > 0):
             raise InvalidSpecError("delta must be positive and finite")
-        if not 0 <= self.tube_length < np.inf:
+        if not (_finite_reals(self.tube_length) and self.tube_length >= 0):
             raise InvalidSpecError("tube_length must be finite and >= 0")
         if self.blend_width is None:
             self.blend_width = 0.25 * self.delta * np.pi / 2.0
-        if not 0 <= self.blend_width < np.inf:
+        if not (_finite_reals(self.blend_width) and self.blend_width >= 0):
             raise InvalidSpecError("blend_width must be finite and >= 0")
         if self.blend_width >= 0.499 * self.delta * np.pi / 2.0:
             raise InvalidSpecError("blend_width must be below delta*pi/4")

@@ -49,7 +49,8 @@ from .certify import (IsotopyCertificate, _family_grid, _frozen,
                       _halving_search, _Memo, family_certificate, write_csv)
 from .errors import (AssemblyError, ConstructionFailedError, InvalidBendError,
                      InvalidSpecError, InversionError, NoFeasibleBendError,
-                     OutOfRegimeError, TiltTooLargeError, _check_ints)
+                     OutOfRegimeError, TiltTooLargeError, _check_ints,
+                     _finite_reals)
 from .fnspace import (PolyPiece, SmoothFn1D, TorpedoSpec, _jet_points,
                       _piecewise, _quintic_match, make_torpedo, reflect)
 
@@ -92,7 +93,8 @@ class BendConstants:
 
     def __post_init__(self):
         _check_ints(2, "q must be >= 2 (codimension >= 3)", q=self.q)
-        if not all(0 <= x < np.inf for x in (self.R0, self.C, self.Cp)):
+        if not (_finite_reals(self.R0, self.C, self.Cp)
+                and min(self.R0, self.C, self.Cp) >= 0):
             raise InvalidSpecError("R0, C, Cp must be nonnegative and finite")
 
     def r0_bound(self):
@@ -346,12 +348,10 @@ class ArcSeg:
 
     def __init__(self, center, radius, ang0, ang1):
         self.center = np.asarray(center, dtype=float)
-        self.radius = float(radius)
-        self.ang0 = float(ang0)
-        self.ang1 = float(ang1)
-        if not (0 < self.radius < np.inf and self.ang0 != self.ang1
-                and np.isfinite([*self.center, self.ang0, self.ang1]).all()):
+        if not (_finite_reals(radius, ang0, ang1) and radius > 0
+                and ang0 != ang1 and np.isfinite(self.center).all()):
             raise InvalidSpecError("degenerate or non-finite arc")
+        self.radius, self.ang0, self.ang1 = map(float, (radius, ang0, ang1))
         self.length = self.radius * abs(self.ang1 - self.ang0)
         self.orient = 1.0 if self.ang1 > self.ang0 else -1.0
 
@@ -378,11 +378,11 @@ class BumpSeg:
 
     def __init__(self, start, theta_in, k_max, length):
         self.start = np.asarray(start, dtype=float)
-        self.theta_in = float(theta_in)
-        self.k_max = float(k_max)
-        self.length = float(length)
-        if self.length <= 0 or self.k_max < 0:
+        if not (_finite_reals(theta_in, k_max, length) and length > 0
+                and k_max >= 0):
             raise InvalidSpecError("bump needs positive length, k_max >= 0")
+        self.theta_in, self.k_max, self.length = (float(theta_in),
+                                                  float(k_max), float(length))
         edges = np.linspace(0.0, self.length, _BUMP_CELLS + 1)
         self._t = _HermiteTable(lambda s: np.sin(self.theta(s)), edges,
                                 self.start[0])
@@ -616,7 +616,7 @@ def initial_bend(consts, r1):
         raise NoFeasibleBendError(
             "R0 must be strictly positive: with R0 = 0 no bend angle "
             "can satisfy the curve inequality near theta = 0")
-    if not 0 < r1 < np.inf:
+    if not (_finite_reals(r1) and r1 > 0):
         raise InvalidSpecError("r1 must be positive and finite")
     cap = np.arctan(0.5) * 0.99  # tan^2(theta0) < 1/4
     if consts.C > 0:
@@ -713,9 +713,9 @@ def synth_transition(consts, r0, theta0):
     every call with the same key and must not be mutated.
     """
     bound = consts.r0_bound()
-    if not 0 < r0 < bound:
+    if not (_finite_reals(r0) and 0 < r0 < bound):
         raise OutOfRegimeError(f"need r0 in (0, {bound:.6g}), got {r0}")
-    if not 0 < theta0 < np.pi / 2:
+    if not (_finite_reals(theta0) and 0 < theta0 < np.pi / 2):
         raise InvalidSpecError("theta0 must lie in (0, pi/2)")
     return _transition_shape(float(r0), float(theta0))
 
@@ -872,7 +872,7 @@ def final_bending_tilt(transition, t_inf_pp):
     ConstructionFailedError, is a cut-off that already lies below r_inf.
     """
     params, f = transition
-    if not params.C2 <= t_inf_pp <= params.tinf:
+    if not (_finite_reals(t_inf_pp) and params.C2 <= t_inf_pp <= params.tinf):
         raise InvalidSpecError(
             f"t_inf'' must lie in [C2, t_inf] = "
             f"[{params.C2:.6g}, {params.tinf:.6g}]")
@@ -969,19 +969,19 @@ def final_isotopy(f, l_line, s_grid=None, n_t=201):
     i-th s on n_t equally spaced t in [0, T(b)], and ``margins[i]`` the
     least graph-inequality margin over the interior n_t - 2 of them; h_0 is
     f and h_1 the line.  n_t must be an integer >= 3, ``l_line`` a pair of
-    numbers through f(0) with m0 finite, ``s_grid`` a family grid
+    finite numbers (``_finite_reals``) through f(0), ``s_grid`` a family grid
     (``certify._family_grid``) and f(b) > 0, else InvalidSpecError; a slope
     m0 >= 0 or an f that does not decrease raises InversionError.
     """
     _check_ints(3, f"n_t must be >= 3, got {n_t!r}", n_t=n_t)
     try:
-        r0_line, m0 = (float(x) for x in l_line)
+        r0_line, m0 = l_line
     except (TypeError, ValueError) as err:
         raise InvalidSpecError(f"l_line must be two numbers: {err}") from None
+    if not _finite_reals(r0_line, m0):
+        raise InvalidSpecError(f"l_line must be two finite numbers: {l_line}")
     if not abs(r0_line - float(f(0.0))) <= 1e-9:
         raise InvalidSpecError("line must pass through the start of f")
-    if not np.isfinite(m0):
-        raise InvalidSpecError(f"line slope must be finite, got {m0}")
     if m0 >= 0:
         raise InversionError("line slope must be negative")
     grid = _family_grid(np.linspace(0.0, 1.0, 21) if s_grid is None
@@ -1025,12 +1025,13 @@ def quarter_bend_curve(c1, c2, bend_radius):
     """Unit-speed curve from (c1, 0) to (0, c2) in the first quadrant.
 
     Vertical line up to (c1, c2 - R), a quarter circular arc, then a
-    horizontal line to the a2-axis.
+    horizontal line to the a2-axis.  Finite c1, c2 > R > 0
+    (``_finite_reals``), else InvalidBendError.
     """
-    R = float(bend_radius)
-    if R <= 0:
+    if not (_finite_reals(bend_radius) and bend_radius > 0):
         raise InvalidBendError("bend radius must be positive")
-    if not (c1 > R and c2 > R):
+    R = float(bend_radius)
+    if not (_finite_reals(c1, c2) and c1 > R and c2 > R):
         raise InvalidBendError("bend radius must fit inside the corner")
     segs = [
         LineSeg((c1, 0.0), (c1, c2 - R)),

@@ -36,7 +36,7 @@ from .certify import _family_grid, _frozen, _Memo, family_certificate, pmap
 from .curvature import (DoublyWarpedMetric, _closed_form_points,
                         _quotients_from_jets, _scalar)
 from .errors import (CertificationFailedError, InvalidBendError,
-                     InvalidSpecError, _check_ints)
+                     InvalidSpecError, _check_ints, _finite_reals)
 from .fnspace import (ConstPiece, SmoothFn1D, TorpedoSpec, _membership_points,
                       _membership_report, _torpedo_on, make_torpedo, reflect)
 from .glbend import ArcSeg, BendProfile, Curve2D, quarter_bend_curve
@@ -78,7 +78,7 @@ class ModelAmbient:
 
     The correction terms that are merely O(1)/O(r) in a general ambient are
     identically zero here, so asymptotic curvature statements become exact
-    identities.
+    identities.  epsilon must be a finite real number > 0.
     """
 
     p: int
@@ -88,7 +88,7 @@ class ModelAmbient:
     def __post_init__(self):
         _check_ints(2, "q must be >= 2 (codimension >= 3)", q=self.q)
         _check_ints(0, "p must be nonnegative", p=self.p)
-        if not 0 < self.epsilon < np.inf:
+        if not (_finite_reals(self.epsilon) and self.epsilon > 0):
             raise InvalidSpecError("epsilon must be positive and finite")
 
     @property
@@ -211,6 +211,7 @@ def mixed_torpedo_via_J(eps, delta, c1, c2, bend_radius, p=2, q=2):
 
     The curve, its checks, the profiles and the report are built once per
     (eps, delta, c1, c2, bend_radius); a call makes its own (p, q) metric.
+    ``quarter_bend_curve`` checks the corner and ``TorpedoSpec`` eps, delta.
 
     Returns (mixed torpedo metric, identity report); the report's
     max_deviation is the sampled defect of that equality.
@@ -233,8 +234,7 @@ def _corner_curve(edge, radius):
     """
     if edge == 0:
         return Curve2D([ArcSeg((0.0, 0.0), radius, 0.0, np.pi / 2.0)])
-    c = float(edge) + float(radius)
-    return quarter_bend_curve(c, c, radius)
+    return quarter_bend_curve(edge + radius, edge + radius, radius)
 
 
 def _compose(prof, x, k):
@@ -342,12 +342,6 @@ def _foliation_geometry(edge, radius, tau, nu_grid, eps, delta_p):
     return f_eps, f_del, tuple(curves), pmap(leaf, curves)
 
 
-def _numbers(*xs):
-    """True if each x is a real number or a 0-d array of one (not a bool)."""
-    return all(np.ndim(x) == 0 and np.asarray(x).dtype.kind in "iuf"
-               for x in xs)
-
-
 def connected_sum_foliation(c, radius, tau, nu_grid, eps, delta_p, p=2, q=2):
     """Leaf metrics interpolating the corner sphere down to a geodesic sphere.
 
@@ -367,18 +361,18 @@ def connected_sum_foliation(c, radius, tau, nu_grid, eps, delta_p, p=2, q=2):
     (p, q) scalar curvature from the quotients, leaf by leaf.  Reports and
     curvature are those of ``check_U_membership``, ``check_V_membership``
     and ``scalar_doubly_warped`` on the leaf's profiles, bit for bit.
-    ``p`` and ``q`` must be integers >= 0, tau, eps and delta_p numbers (a
-    bool is none) and ``nu_grid`` a family grid (``certify._family_grid``),
-    else InvalidSpecError, raised before anything is built.
+    ``p`` and ``q`` must be integers >= 0, tau, eps and delta_p finite
+    numbers (``_finite_reals``) and ``nu_grid`` a family grid
+    (``certify._family_grid``), else InvalidSpecError, raised first.
 
     Returns (FoliationFamily, IsotopyCertificate).  The certificate's
     ``extra`` holds ``per_leaf_min`` and where the least sample sits: its
     leaf ``argmin_nu`` and arc length ``argmin_t`` (``family_certificate``).
     """
-    if not (_numbers(c, radius) and 0 < radius < c < np.inf):
+    if not (_finite_reals(c, radius) and 0 < radius < c):
         raise InvalidBendError(
             "need a finite corner c above a positive bend radius")
-    if not (_numbers(tau, eps, delta_p) and 0 < tau <= radius):
+    if not (_finite_reals(tau, eps, delta_p) and 0 < tau <= radius):
         raise InvalidSpecError(
             "need numbers tau, eps and delta_p with 0 < tau <= bend radius")
     _check_ints(0, "fiber dimensions must be nonnegative", p=p, q=q)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 from .errors import (HypothesisViolationError, InconsistentBoundaryError,
                      InvalidSpecError, NoIntegralBasisError,
-                     NotACylinderError, _check_ints)
+                     NotACylinderError, _check_ints, _finite_reals)
 
 __all__ = [
     "CriticalPoint",
@@ -213,14 +213,18 @@ def smith_normal_form(m):
 
 @dataclass(frozen=True)
 class CriticalPoint:
-    """Combinatorial critical point: identity token, index, interior level."""
+    """Critical point: string id, integer index >= 0, real level in (0, 1)."""
 
     id: str
     index: int
     level: float
 
     def __post_init__(self):
-        if not 0.0 < self.level < 1.0:
+        if not isinstance(self.id, str):
+            raise InvalidSpecError(
+                f"a point id must be a string, got {self.id!r}")
+        _check_ints(0, "a point index must be >= 0", index=self.index)
+        if not (_finite_reals(self.level) and 0.0 < self.level < 1.0):
             raise InvalidSpecError(
                 f"point {self.id!r}: level must lie strictly in (0, 1)")
 
@@ -254,10 +258,13 @@ class MorseDescription:
                     f"point {pt.id!r}: index {pt.index} outside [0, n+1]")
         norm = {}
         for key, mat in self.boundary.items():
-            hi, lo = key
-            if hi != lo + 1:
-                raise InvalidSpecError(
-                    f"boundary key {key}: indices must be adjacent")
+            try:
+                hi, lo = key
+                if hi != lo + 1:
+                    raise InvalidSpecError(
+                        f"boundary key {key}: indices must be adjacent")
+            except (TypeError, ValueError):
+                raise InvalidSpecError(f"malformed boundary key {key}") from None
             rows = len(self.points_of_index(lo))
             cols = len(self.points_of_index(hi))
             norm[(hi, lo)] = _as_int_matrix(mat, rows, cols,
@@ -310,11 +317,7 @@ class MorseDescription:
             for key in ("id", "index", "level"):
                 if key not in p:
                     raise InvalidSpecError(f"a point has no {key!r} field")
-            if not isinstance(p["id"], str):
-                raise InvalidSpecError(
-                    f"a point id must be a string, got {p['id']!r}")
-        points = [CriticalPoint(p["id"], _number(p["index"], "index", True),
-                                _number(p["level"], "level"))
+        points = [CriticalPoint(p["id"], _integral(p["index"]), p["level"])
                   for p in data["points"]]
         boundary = {}
         for key, mat in data.get("boundary", {}).items():
@@ -326,18 +329,13 @@ class MorseDescription:
             boundary[(hi, lo)] = mat
         if "n" not in data:
             raise InvalidSpecError("a description has no 'n' field")
-        return cls(_number(data["n"], "n", True), points, boundary,
+        return cls(_integral(data["n"]), points, boundary,
                    dict(data.get("flags", {})))
 
 
-def _number(val, what, integral=False):
-    """A JSON number, as an int if ``integral``; anything else, or a
-    fraction where an integer is due, raises ``InvalidSpecError``."""
-    if isinstance(val, bool) or not isinstance(val, (int, float)) or (
-            integral and isinstance(val, float) and not val.is_integer()):
-        noun = "an integer" if integral else "a number"
-        raise InvalidSpecError(f"{what} must be {noun}, got {val!r}")
-    return int(val) if integral else val
+def _integral(val):
+    """JSON's integer: a float such as 3.0 as the int 3, else ``val``."""
+    return int(val) if isinstance(val, float) and val.is_integer() else val
 
 
 def check_admissible(desc):

@@ -35,7 +35,7 @@ from .curvature import (DoublyWarpedMetric, WarpedSphereMetric,
                         scalar_doubly_warped, scalar_warped)
 from .errors import (CertificationFailedError, CompilationFailedError,
                      DemoFailedError, HypothesisViolationError,
-                     InvalidSpecError)
+                     InvalidSpecError, _finite_reals)
 from .fnspace import (SinePiece, SmoothFn1D, _combine_jets, _torpedo_on,
                       check_U_membership, check_V_membership,
                       make_double_torpedo, make_torpedo, reflect, sample_grid)
@@ -144,16 +144,17 @@ def write_schedule_csv(schedule, path_or_buf):
 # round building blocks
 # ---------------------------------------------------------------------------
 
-def _sine_profile(radius, b, phase=0.0):
-    """radius*sin(t/radius + phase) on (0, b), for a finite radius > 0."""
-    if not 0 < radius < np.inf:
+def _sine_profile(radius, angle, phase=0.0):
+    """radius*sin(t/radius + phase) on (0, radius*angle), radius > 0."""
+    if not (_finite_reals(radius) and radius > 0):
         raise InvalidSpecError("radius must be positive and finite")
+    b = radius * angle
     return SmoothFn1D(b, [SinePiece((0.0, b), radius, 1.0 / radius, phase)])
 
 
 def round_metric(n, radius=1.0):
     """The round n-sphere of the given radius as a warped metric."""
-    return WarpedSphereMetric(n, _sine_profile(radius, radius * np.pi))
+    return WarpedSphereMetric(n, _sine_profile(radius, np.pi))
 
 
 def round_doubly_warped(p, q, radius=1.0):
@@ -161,9 +162,8 @@ def round_doubly_warped(p, q, radius=1.0):
 
     u = radius*cos(t/radius), v = radius*sin(t/radius) on (0, radius*pi/2).
     """
-    b = radius * np.pi / 2.0
-    return DoublyWarpedMetric(p, q, _sine_profile(radius, b, np.pi / 2.0),
-                              _sine_profile(radius, b))
+    u, v = (_sine_profile(radius, np.pi / 2.0, ph) for ph in (np.pi / 2, 0.0))
+    return DoublyWarpedMetric(p, q, u, v)
 
 
 def _mixed_torpedo_profiles(delta, b):

@@ -464,7 +464,8 @@ class TestSlowdown:
 
     @pytest.mark.parametrize("grid_shape, budget", [
         ((0, 10), 20), ((10, 0), 20), ((-3, 10), 20), ((20.0, 20), 20),
-        ((20, 2.5), 20), ((True, 5), 20)])
+        ((20, 2.5), 20), ((True, 5), 20), ((3,), 20), (5, 20),
+        ((3, 3, 3), 20)])
     def test_bad_grid_or_budget_raises_typed(self, grid_shape, budget,
                                              monkeypatch):
         # the grid is checked before the path is read, whatever the budget

@@ -468,6 +468,25 @@ def _points(*specs):
     (lambda: MorseDescription(7, _points(("w", 3), ("z", 4)),
                               {(4, 2): [[1]]}),
      InvalidSpecError, "indices must be adjacent"),
+    # a key that is not a pair of indices, as from_json types "4to3"
+    (lambda: MorseDescription(7, [], {(3,): []}), InvalidSpecError,
+     r"malformed boundary key \(3,\)"),
+    (lambda: MorseDescription(7, [], {3: []}), InvalidSpecError,
+     "malformed boundary key 3"),
+    (lambda: MorseDescription(7, [], {("4", "3"): []}), InvalidSpecError,
+     "malformed boundary key"),
+    # a point states its whole contract: the chain complex would drop an
+    # index that is not an integer, and a level must be a finite number
+    (lambda: CriticalPoint("w", 2.5, 0.5), InvalidSpecError,
+     "index must be an integer, got 2.5"),
+    (lambda: CriticalPoint("w", True, 0.5), InvalidSpecError,
+     "index must be an integer, got True"),
+    (lambda: CriticalPoint("w", -1, 0.5), InvalidSpecError,
+     "index must be >= 0"),
+    (lambda: CriticalPoint(3, 3, 0.5), InvalidSpecError,
+     "id must be a string, got 3"),
+    (lambda: CriticalPoint("w", 3, "0.5"), InvalidSpecError,
+     r"level must lie strictly in \(0, 1\)"),
     (lambda: cancellation_plan(MorseDescription(4, _points(("w", 2),
                                                            ("z", 2)))),
      HypothesisViolationError, r"requires declared dimension n >= 5"),
