@@ -426,6 +426,8 @@ class GraphSeg:
     kind = "graph"
 
     def __init__(self, prof, t_offset=0.0):
+        if not _finite_reals(t_offset):
+            raise InvalidSpecError("graph offset must be a finite number")
         self.prof = prof
         self.t_offset = float(t_offset)
         knots = [p.interval[0] for p in prof.pieces] + [prof.b]
@@ -791,6 +793,8 @@ def assemble_gamma(consts, prefix, transition):
     failing curve's AssemblyError carries its least margin if finite.
     """
     curve_prefix, theta0, _k_max = prefix
+    if not (_finite_reals(theta0) and 0 < theta0 < np.pi / 2):
+        raise InvalidSpecError("theta0 must lie in (0, pi/2)")
     params, f = transition
     bump = curve_prefix.segments[-1]
     if not isinstance(bump, BumpSeg):

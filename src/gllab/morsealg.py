@@ -11,8 +11,9 @@ cylinder condition), unimodular cancelling bases, and finally an ordered
 cancellation plan with a unit intersection certificate per pair.
 
 All matrix arithmetic is exact and in Python integers: fraction-free
-(Bareiss) elimination for ranks and determinants, growth-controlled
-unimodular row/column operations for normal forms.
+(Bareiss) elimination for ranks, growth-controlled unimodular row/column
+operations for normal forms (whose determinants are the signs of their
+swaps and negations); a pairing that covers every point proves exactness.
 """
 
 from __future__ import annotations
@@ -112,99 +113,110 @@ def rational_rank(m):
     return _bareiss(m)[0]
 
 
+def _least(values):
+    """Position of the first value of least nonzero magnitude, or None if
+    every value is 0; the scan stops at a unit, the least there is."""
+    best, at = 0, None
+    for n, v in enumerate(values):
+        if v and (not best or abs(v) < best):
+            best, at = abs(v), n
+            if best == 1:
+                break
+    return at
+
+
 def smith_normal_form(m):
     """Diagonalize an integer matrix by unimodular row/column operations.
 
-    Returns (d, s_inv, t) with  m @ t = s_inv @ d,  d diagonal (invariant
-    factors along the diagonal, each non-negative and dividing the next) and
-    s_inv, t unimodular; s_inv inverts the row transform s of s @ m @ t = d,
-    which is never formed.  Step k starts from the smallest nonzero entry of
-    the remaining block; each pass then re-picks the pivot as the smallest
-    nonzero entry of column k (then of row k) and reduces the others by
-    nearest-integer quotients, so every remainder is at most half the pivot.
-    Ties go to the lowest index.
+    Returns (d, s_inv, t, det_s, det_t) with  m @ t = s_inv @ d,  d diagonal
+    (invariant factors along the diagonal, each non-negative and dividing
+    the next) and s_inv, t unimodular; s_inv inverts the row transform s of
+    s @ m @ t = d, which is never formed.  det_s = det s_inv = det s and
+    det_t = det t multiply the signs of the swaps and negations (adds keep
+    them).  Step k starts from the smallest nonzero entry of the remaining
+    block; each pass then re-picks the pivot as the smallest nonzero entry
+    of column k (then of row k) and reduces the others by nearest-integer
+    quotients, so every remainder is at most half the pivot.  Ties go to
+    the lowest index.
     """
     rows = len(m)
     cols = len(m[0]) if rows else 0
     d = [list(r) for r in m]
-    s_inv = _identity(rows)
-    t = _identity(cols)
+    # s_inv and t take only column operations: keep their transposes
+    s_inv, t = _identity(rows), _identity(cols)
+    det_s = det_t = 1
 
     def row_swap(i, j):
+        nonlocal det_s
         d[i], d[j] = d[j], d[i]
-        for r in s_inv:
-            r[i], r[j] = r[j], r[i]
+        s_inv[i], s_inv[j] = s_inv[j], s_inv[i]
+        det_s = -det_s
 
     def col_swap(i, j):
+        nonlocal det_t
         for r in d:
             r[i], r[j] = r[j], r[i]
-        for r in t:
-            r[i], r[j] = r[j], r[i]
-
-    def row_add(dst, src, c):
-        # row dst += c * row src; inverse tracked as a column op on s_inv
-        d[dst] = [x + c * y for x, y in zip(d[dst], d[src])]
-        for r in s_inv:
-            r[src] -= c * r[dst]
-
-    def col_add(dst, src, c):
-        for r in d:
-            r[dst] += c * r[src]
-        for r in t:
-            r[dst] += c * r[src]
-
-    def row_neg(i):
-        d[i] = [-x for x in d[i]]
-        for r in s_inv:
-            r[i] = -r[i]
+        t[i], t[j] = t[j], t[i]
+        det_t = -det_t
 
     k = 0
     while k < min(rows, cols):
-        # locate the smallest nonzero entry in the remaining block
-        best = None
-        for i in range(k, rows):
-            for j in range(k, cols):
-                v = abs(d[i][j])
-                if v and (best is None or v < best[0]):
-                    best = (v, i, j)
-        if best is None:
+        at = _least(v for r in d[k:] for v in r[k:])
+        if at is None:
             break
-        _, bi, bj = best
-        if bi != k:
-            row_swap(k, bi)
-        if bj != k:
-            col_swap(k, bj)
+        bi, bj = divmod(at, cols - k)
+        if bi:
+            row_swap(k, k + bi)
+        if bj:
+            col_swap(k, k + bj)
         # clear column k, then row k, until both are clear; the pivot
-        # shrinks on every pass that leaves a remainder
+        # shrinks on every pass that leaves a remainder (a unit pivot is
+        # already the least entry of its column and of its row)
         while True:
-            bi = min((i for i in range(k, rows) if d[i][k]),
-                     key=lambda i: abs(d[i][k]))
-            if bi != k:
-                row_swap(k, bi)
+            if abs(d[k][k]) != 1:
+                bi = k + _least([r[k] for r in d[k:]])
+                if bi != k:
+                    row_swap(k, bi)
+            # row i -= q * row k (s_inv: column k += q * column i)
+            top = d[k]
             for i in range(k + 1, rows):
                 if d[i][k]:
-                    row_add(i, k, -_nearest(d[i][k], d[k][k]))
-            bj = min((j for j in range(k, cols) if d[k][j]),
-                     key=lambda j: abs(d[k][j]))
-            if bj != k:
-                col_swap(k, bj)
-            for j in range(k + 1, cols):
-                if d[k][j]:
-                    col_add(j, k, -_nearest(d[k][j], d[k][k]))
+                    q = _nearest(d[i][k], top[k])
+                    d[i] = [x - q * y for x, y in zip(d[i], top)]
+                    s_inv[k] = [x + q * y for x, y in zip(s_inv[k], s_inv[i])]
+            if abs(d[k][k]) != 1:
+                bj = k + _least(d[k][k:])
+                if bj != k:
+                    col_swap(k, bj)
+            # column j -= q_j * column k for every j at once, a row at a time
+            qs = [(j, _nearest(top[j], top[k])) for j in range(k + 1, cols)
+                  if top[j]]
+            for r in d[k:]:
+                if r[k]:
+                    for j, q in qs:
+                        r[j] -= q * r[k]
+            for j, q in qs:
+                t[j] = [x - q * y for x, y in zip(t[j], t[k])]
             if not any(d[i][k] for i in range(k + 1, rows)) and \
                     not any(d[k][j] for j in range(k + 1, cols)):
                 break
         if d[k][k] < 0:
-            row_neg(k)
+            d[k] = [-x for x in d[k]]
+            s_inv[k] = [-x for x in s_inv[k]]
+            det_s = -det_s
         # divisibility: fold in any remaining entry the pivot does not divide
-        bad = next(((i, j) for i in range(k + 1, rows)
-                    for j in range(k + 1, cols)
-                    if d[i][j] % d[k][k]), None)
-        if bad is not None:
-            row_add(k, bad[0], 1)
-            continue  # re-run elimination at the same k
+        if d[k][k] != 1:
+            bad = next((i for i in range(k + 1, rows)
+                        for j in range(k + 1, cols)
+                        if d[i][j] % d[k][k]), None)
+            if bad is not None:
+                # row k += row bad (s_inv: column bad -= column k)
+                d[k] = [x + y for x, y in zip(d[k], d[bad])]
+                s_inv[bad] = [x - y for x, y in zip(s_inv[bad], s_inv[k])]
+                continue  # re-run elimination at the same k
         k += 1
-    return d, s_inv, t
+    return (d, [list(r) for r in zip(*s_inv)], [list(r) for r in zip(*t)],
+            det_s, det_t)
 
 
 # ---------------------------------------------------------------------------
@@ -439,14 +451,14 @@ def choose_cancelling_bases(cc):
     must have all invariant factors equal to 1; then b_i is the i-th column
     of t and z_i the i-th column of s^{-1}, and d(b_i) = z_i holds exactly.
     Returns {k+1: {"b", "z", "t", "s_inv", "det_s", "det_t"}}, where det s =
-    det s^{-1} = +-1 and det t = +-1, as both are unimodular products.
+    det s^{-1} = +-1 and det t = +-1 are the normal form's own signs.
     """
     out = {}
     for k in sorted(cc.boundary):
         mat = cc.d(k)
         if not mat or not mat[0]:
             continue
-        d, s_inv, t = smith_normal_form(mat)
+        d, s_inv, t, det_s, det_t = smith_normal_form(mat)
         r = sum(1 for i in range(min(len(d), len(d[0]))) if d[i][i])
         factors = [d[i][i] for i in range(r)]
         if any(abs(f) != 1 for f in factors):
@@ -456,13 +468,15 @@ def choose_cancelling_bases(cc):
         b = [[t[i][j] for i in range(len(t))] for j in range(r)]
         z = [[s_inv[i][j] for i in range(len(s_inv))] for j in range(r)]
         out[k] = {"b": b, "z": z, "t": t, "s_inv": s_inv,
-                  "det_s": _bareiss(s_inv)[1], "det_t": _bareiss(t)[1]}
+                  "det_s": det_s, "det_t": det_t}
     return out
 
 
 # ---------------------------------------------------------------------------
 # cancellation planning
 # ---------------------------------------------------------------------------
+
+_NOT_EXACT = "chain complex is not exact: description is not a cylinder"
 
 @dataclass
 class CancellationPlan:
@@ -485,16 +499,16 @@ class CancellationPlan:
 def _unit_pivot_pairing(mat, row_ids, col_ids):
     """Pair every row with a column through +-1 pivots, sliding columns.
 
-    The rows must have full rational row rank, as exactness leaves the rows
-    ``cancellation_plan`` hands over: each unit pivot lowers that rank by
-    exactly one, so a nonzero entry always remains.  Integer column
-    elimination: choose the smallest-magnitude nonzero entry; if it is not
-    a unit, Euclidean column steps shrink it (handle slides).  A pivot p
-    that divides its whole row is stuck: every maximal minor of the
-    remaining rows is then a multiple of p, slides of rows or columns keep
-    the gcd of those minors, and a unit pairing needs it to be 1, so no
-    integral pairing exists.  Rows and columns keep their original
-    identities throughout.
+    Integer column elimination: choose the smallest-magnitude nonzero entry;
+    if it is not a unit, Euclidean column steps shrink it (handle slides).
+    A pivot p that divides its whole row is stuck: every maximal minor of
+    the remaining rows is then a multiple of p, slides of rows or columns
+    keep the gcd of those minors, and a unit pairing needs it to be 1, so
+    no integral pairing exists.  Each unit pivot lowers the rational row
+    rank of the remaining rows by exactly one, so rows of full row rank, as
+    exactness leaves the rows ``cancellation_plan`` hands over, always keep
+    a nonzero entry; rows left with none show the complex is not exact.
+    Rows and columns keep their original identities throughout.
 
     Returns (pairs, col_ops) where pairs is a list of (col_id, row_id,
     certificate) and col_ops the elementary column operations performed
@@ -506,19 +520,19 @@ def _unit_pivot_pairing(mat, row_ids, col_ids):
     pairs = []
     col_ops = []  # (dst, src, c): column dst += c * column src
 
-    def col_add(dst, src, c):
-        for r in mat:
-            r[dst] += c * r[src]
-        col_ops.append((dst, src, c))
+    def col_adds(ops):
+        # column operations act on each row alone: one pass over the rows
+        for i in rows:
+            r = mat[i]
+            for dst, src, c in ops:
+                r[dst] += c * r[src]
+        col_ops.extend(ops)
 
     while rows:
-        best = None
-        for i in rows:
-            for j in cols:
-                v = abs(mat[i][j])
-                if v and (best is None or v < best[0]):
-                    best = (v, i, j)
-        v, bi, bj = best
+        at = _least(mat[i][j] for i in rows for j in cols)
+        if at is None:
+            raise NotACylinderError(_NOT_EXACT)
+        bi, bj = rows[at // len(cols)], cols[at % len(cols)]
         while abs(mat[bi][bj]) != 1:
             # shrink with a euclidean step in the pivot row
             j = next((j for j in cols
@@ -527,13 +541,14 @@ def _unit_pivot_pairing(mat, row_ids, col_ids):
                 raise NoIntegralBasisError(
                     f"intersection number {mat[bi][bj]} is not a unit and "
                     "cannot be reduced by slides")
-            col_add(j, bj, -(mat[bi][j] // mat[bi][bj]))
+            col_adds([(j, bj, -(mat[bi][j] // mat[bi][bj]))])
             bj = j          # the nonzero remainder is smaller than the pivot
         cert = mat[bi][bj]
         # clear the pivot row so later pairings are independent
-        for j in cols:
-            if j != bj and mat[bi][j]:
-                col_add(j, bj, -mat[bi][j] * cert)
+        ops = [(j, bj, -mat[bi][j] * cert) for j in cols
+               if j != bj and mat[bi][j]]
+        if ops:
+            col_adds(ops)
         pairs.append((col_ids[bj], row_ids[bi], cert))
         rows.remove(bi)
         cols.remove(bj)
@@ -548,11 +563,17 @@ def cancellation_plan(desc):
     yet paired downward pair with the index-(k+1) points through +-1
     pivots of d_{k+1}; each column slide of C_{k+1} is carried to the rows
     of d_{k+2}.  Exactness leaves those rows full rational row rank, so
-    every point is paired.  Index-0 points pair with index-1 points; excess
-    index-1 points are handled by inserting a symbolic auxiliary (2, 3)
-    pair each: the auxiliary index-2 point cancels the excess index-1 point
-    under a declared unit intersection, and the auxiliary index-3 point
-    takes over the cancellation its index-2 partner would have performed.
+    every point is paired.  Conversely, pairing every point proves exactness
+    over Q: with p_k pairs between degrees k and k+1, the unit pivots give
+    rank d_{k+1} >= p_k and d o d = 0 gives rank d_k + rank d_{k+1} <= n_k
+    = p_{k-1} + p_k, so equality holds at every degree.  Ranks are taken
+    only for a stuck non-unit pivot, which is a ``NotACylinderError`` in a
+    complex that is not exact.  Index-0 points pair with index-1 points;
+    excess index-1 points are handled by inserting a symbolic auxiliary
+    (2, 3) pair each: the auxiliary index-2 point cancels the excess
+    index-1 point under a declared unit intersection, and the auxiliary
+    index-3 point takes over the cancellation its index-2 partner would
+    have performed.
     """
     if not check_admissible(desc):
         raise HypothesisViolationError(
@@ -568,22 +589,24 @@ def cancellation_plan(desc):
             "index <= 1 points present: the simply_connected flag must be "
             "declared for repositioning arguments to apply")
     cc = build_chain_complex(desc)
-    if not check_cylinder_exactness(cc):
-        raise NotACylinderError(
-            "chain complex is not exact: description is not a cylinder")
-
     steps = []
     aux_points = []
-    degrees = sorted(desc.counts())
+    degrees = cc.degrees()
     ids = {k: [pt.id for pt in desc.points_of_index(k)] for k in degrees}
     # d_{k+1} by its lower degree k, its rows slid as pairings propagate up
-    mats = {k: desc.matrix(k + 1, k) for k in degrees}
+    mats = {k: cc.d(k + 1) for k in degrees}
     paired = set()          # ids already paired downward
     for k in degrees:
         rows = [i for i, pid in enumerate(ids[k]) if pid not in paired]
-        pairs, col_ops = _unit_pivot_pairing(
-            [mats[k][i] for i in rows], [ids[k][i] for i in rows],
-            ids.get(k + 1, []))
+        try:
+            pairs, col_ops = _unit_pivot_pairing(
+                [mats[k][i] for i in rows], [ids[k][i] for i in rows],
+                ids.get(k + 1, []))
+        except NoIntegralBasisError:
+            # a stuck pivot in a complex that is not exact: report that
+            if check_cylinder_exactness(cc):
+                raise
+            raise NotACylinderError(_NOT_EXACT) from None
         # carry column slides of C_{k+1} to row slides of d_{k+2}
         if col_ops and k + 2 in mats:
             up = mats[k + 1]

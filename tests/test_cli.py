@@ -218,6 +218,21 @@ class TestMorseCmd:
         assert res.exit_code == 4
         assert "NoIntegralBasisError" in res.output
 
+    def test_inexact_and_stuck_exit_4(self, runner, tmp_path):
+        # a stuck non-unit pivot in a complex that is not exact reports
+        # the inexactness
+        src = tmp_path / "desc.json"
+        src.write_text(json.dumps({
+            "n": 7,
+            "points": [{"id": i, "index": k, "level": c} for i, k, c in [
+                ("a", 3, 0.25), ("b", 3, 0.25), ("c", 4, 0.75),
+                ("d", 4, 0.75)]],
+            "boundary": {"4->3": [[2, 0], [0, 0]]}}))
+        res = runner.invoke(main, ["--output-dir", str(tmp_path / "out"),
+                                   "morse", str(src)])
+        assert res.exit_code == 4
+        assert "NotACylinderError" in res.output
+
     def test_excess_index1_auxiliary(self, runner, tmp_path):
         desc = {"n": 6,
                 "points": [{"id": "x", "index": 1, "level": 0.3},

@@ -17,9 +17,9 @@ from gllab.errors import (InvalidBendError, InvalidSpecError, OutOfRegimeError,
 from gllab.fnspace import (ConstPiece, PolyPiece, ReflectPiece, SinePiece,
                            SmoothFn1D, TorpedoSpec, linear_homotopy,
                            make_torpedo)
-from gllab.glbend import (ArcSeg, BendConstants, BumpSeg, final_bending_tilt,
-                          final_isotopy, initial_bend, quarter_bend_curve,
-                          synth_transition)
+from gllab.glbend import (ArcSeg, BendConstants, BumpSeg, GraphSeg,
+                          assemble_gamma, final_bending_tilt, final_isotopy,
+                          initial_bend, quarter_bend_curve, synth_transition)
 from gllab.hypersurface import (ModelAmbient, connected_sum_foliation,
                                 mixed_torpedo_via_J)
 from gllab.morsealg import CriticalPoint
@@ -62,6 +62,16 @@ def _path(seg):
 
 def _transition():
     return synth_transition(MODEL, 0.2, initial_bend(MODEL, 0.5)[1])
+
+
+def _assembled(theta0):
+    curve, _theta0, k_max = initial_bend(MODEL, 0.5)
+    return assemble_gamma(MODEL, (curve, theta0, k_max), _transition())
+
+
+def _bend(profile):
+    return (float(profile.theta0), profile.landmarks,
+            profile.certificate.min_scalar)
 
 
 def _tilt_start():
@@ -113,6 +123,8 @@ SITES = [
     ("final_isotopy.m0",
      lambda x: final_isotopy(_start_line(), (1.0, x), [0.0, 0.5]), -1.0,
      InvalidSpecError, _isotopy),
+    ("assemble_gamma.theta0", _assembled, lambda: initial_bend(MODEL, 0.5)[1],
+     InvalidSpecError, _bend),
     ("ArcSeg.radius", lambda x: ArcSeg((0.0, 0.0), x, 0.0, np.pi / 2), 1.0,
      InvalidSpecError, _path),
     ("ArcSeg.ang0", lambda x: ArcSeg((0.0, 0.0), 1.0, x, np.pi / 2), 0.0,
@@ -120,6 +132,8 @@ SITES = [
     ("ArcSeg.ang1", lambda x: ArcSeg((0.0, 0.0), 1.0, 0.0, x), 1.0,
      InvalidSpecError, _path),
     ("BumpSeg.length", lambda x: BumpSeg((0.0, 1.0), 0.0, 1.0, x), 1.0,
+     InvalidSpecError, _path),
+    ("GraphSeg.t_offset", lambda x: GraphSeg(_start_line(), x), 0.5,
      InvalidSpecError, _path),
     ("quarter_bend_curve.c1", lambda x: quarter_bend_curve(x, 2.0, 0.5), 2.0,
      InvalidBendError, _path),

@@ -1,5 +1,6 @@
 """Combinatorial handle algebra: normal forms, exactness, plans."""
 
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -83,6 +84,24 @@ def multi_degree_complex(rng):
     return desc, free, any(f == 2 for *_, f in pairs)
 
 
+def small_complex(rng):
+    """An n = 7 description on two or three adjacent degrees from 2 with
+    0-3 points each and entries in [-lim, lim], lim in 1..3; each boundary
+    is declared with probability 0.9 (else it reads as zero)."""
+    k0, degrees = rng.randint(2, 3), rng.choice([2, 3])
+    counts = [rng.randint(0, 3) for _ in range(degrees)]
+    lim = rng.choice([1, 1, 2, 3])
+    pts = [CriticalPoint(f"p{k0 + i}_{j}", k0 + i, 0.5)
+           for i in range(degrees) for j in range(counts[i])]
+    boundary = {}
+    for i in range(degrees - 1):
+        if counts[i] and counts[i + 1] and rng.random() < 0.9:
+            boundary[(k0 + i + 1, k0 + i)] = [
+                [rng.randint(-lim, lim) for _ in range(counts[i + 1])]
+                for _ in range(counts[i])]
+    return MorseDescription(7, pts, boundary)
+
+
 def rand_unimod(rng, n):
     """Identity scrambled by 3n random row operations with c in [-2, 2]."""
     m = eye(n)
@@ -93,6 +112,37 @@ def rand_unimod(rng, n):
             for k in range(n):
                 m[i][k] += c * m[j][k]
     return m
+
+
+# scrambled unimodular cylinders whose transforms swell to thousands of
+# bits (and take minutes) unless each pass re-picks the smallest pivot
+SCRAMBLED = [(8, 8044), (12, 12009), (13, 13006), (14, 14001)]
+
+
+def scrambled(rank, gen_seed):
+    rng = random.Random(gen_seed)
+    return mat_mul(rand_unimod(rng, rank), rand_unimod(rng, rank))
+
+
+def snf_digest(snf):
+    """sha256 of (d, s_inv, t) over SCRAMBLED and 200 seeded random
+    matrices up to 8 x 8, so that any change of pivot rule shows."""
+    rng = random.Random(4520)
+    mats = [scrambled(*case) for case in SCRAMBLED]
+    for _ in range(200):
+        r, c, lim = rng.randint(1, 8), rng.randint(1, 8), rng.choice([1, 3, 50])
+        mats.append([[rng.randint(-lim, lim) for _ in range(c)]
+                     for _ in range(r)])
+    h = hashlib.sha256()
+    for m in mats:
+        h.update(repr(snf(m)[:3]).encode())
+    return h.hexdigest()
+
+
+NOT_EXACT = "^chain complex is not exact: description is not a cylinder$"
+
+SNF_DIGEST = \
+    "c9001bdd02ffded2cfd2b73569dc6e82b806f20c6078ccf93c9a40d1e979ba3c"
 
 
 def fraction_rank_det(m):
@@ -252,9 +302,10 @@ class TestNormalForm:
     def test_snf_random(self, r, c, seed):
         rng = random.Random(seed)
         m = [[rng.randint(-50, 50) for _ in range(c)] for _ in range(r)]
-        d, s_inv, t = smith_normal_form(m)
+        d, s_inv, t, det_s, det_t = smith_normal_form(m)
         assert mat_mul(m, t) == mat_mul(s_inv, d)
-        assert abs(_bareiss(s_inv)[1]) == 1 and abs(_bareiss(t)[1]) == 1
+        assert (det_s, det_t) == (_bareiss(s_inv)[1], _bareiss(t)[1])
+        assert abs(det_s) == abs(det_t) == 1
         diag = [d[i][i] for i in range(min(r, c))]
         assert all(a >= 0 for a in diag)
         for a, b in zip(diag, diag[1:]):
@@ -264,16 +315,13 @@ class TestNormalForm:
                 if i != j:
                     assert d[i][j] == 0
 
-    # scrambled unimodular cylinders whose transforms swell to thousands of
-    # bits (and take minutes) unless each pass re-picks the smallest pivot
-    @pytest.mark.parametrize("rank, gen_seed", [
-        (8, 8044), (12, 12009), (13, 13006), (14, 14001)])
+    @pytest.mark.parametrize("rank, gen_seed", SCRAMBLED)
     def test_snf_scrambled_unimodular_stays_small(self, rank, gen_seed):
-        rng = random.Random(gen_seed)
-        m = mat_mul(rand_unimod(rng, rank), rand_unimod(rng, rank))
-        d, s_inv, t = smith_normal_form(m)
+        m = scrambled(rank, gen_seed)
+        d, s_inv, t, det_s, det_t = smith_normal_form(m)
         assert mat_mul(m, t) == mat_mul(s_inv, d)
-        assert abs(_bareiss(s_inv)[1]) == 1 and abs(_bareiss(t)[1]) == 1
+        assert (det_s, det_t) == (_bareiss(s_inv)[1], _bareiss(t)[1])
+        assert abs(det_s) == abs(det_t) == 1
         assert d == eye(rank)
         for mat in (s_inv, t):
             assert all(-2 ** 63 <= x < 2 ** 63 for row in mat for x in row)
@@ -281,10 +329,16 @@ class TestNormalForm:
     def test_snf_stops_at_an_all_zero_block(self):
         # rank 1: after the first pivot the remaining block is zero
         m = [[1, 2], [2, 4]]
-        d, s_inv, t = smith_normal_form(m)
+        d, s_inv, t, det_s, det_t = smith_normal_form(m)
         assert d == [[1, 0], [0, 0]]
         assert mat_mul(m, t) == mat_mul(s_inv, d)
-        assert abs(_bareiss(s_inv)[1]) == 1 and abs(_bareiss(t)[1]) == 1
+        assert (det_s, det_t) == (_bareiss(s_inv)[1], _bareiss(t)[1])
+        assert abs(det_s) == abs(det_t) == 1
+
+    def test_snf_pivots_pinned(self):
+        # (d, s_inv, t) of the pivot rule that re-picks the least entry on
+        # every pass, ties to the lowest index; another rule changes them
+        assert snf_digest(smith_normal_form) == SNF_DIGEST
 
     def test_bases_skip_an_empty_boundary(self):
         assert choose_cancelling_bases(ChainComplex({4: 2}, {4: []})) == {}
@@ -385,6 +439,68 @@ class TestPlans:
         with pytest.raises(NoIntegralBasisError,
                            match="intersection number 2 is not a unit"):
             cancellation_plan(desc)
+
+    def test_inexact_and_stuck_reports_inexact(self):
+        # the pivot 2 divides its row [2, 0], and rank d_4 = 1 < 2 leaves
+        # the complex inexact: inexactness decides the error
+        desc = MorseDescription(
+            7, _points(("l0", 3), ("l1", 3), ("h0", 4), ("h1", 4)),
+            {(4, 3): [[2, 0], [0, 0]]})
+        with pytest.raises(NotACylinderError, match=NOT_EXACT):
+            cancellation_plan(desc)
+
+    def test_plan_ranks_only_for_a_stuck_pivot(self, monkeypatch):
+        # a pairing of every point, or rows left with no nonzero entry,
+        # decides exactness without a rank
+        ranked = []
+
+        def counting_rank(m):
+            ranked.append(m)
+            return rational_rank(m)
+
+        monkeypatch.setattr(morsealg, "rational_rank", counting_rank)
+        cancellation_plan(two_point())
+        with pytest.raises(NotACylinderError, match=NOT_EXACT):
+            cancellation_plan(two_point(b=0))
+        assert ranked == []
+        with pytest.raises(NoIntegralBasisError):
+            cancellation_plan(two_point(b=2))
+        assert ranked
+
+    def test_errors_follow_the_rank_first_rule(self):
+        # the rule of ranking every boundary before pairing: d o d != 0 is
+        # inconsistent, an inexact complex is not a cylinder, and an exact
+        # one plans exactly when every boundary has unit invariant factors
+        rng = random.Random(45)
+        seen = dict.fromkeys(["inconsistent", "inexact", "non-unit", "plan"],
+                             0)
+        for _ in range(2000):
+            desc = small_complex(rng)
+            try:
+                cc = build_chain_complex(desc)
+            except InconsistentBoundaryError:
+                with pytest.raises(InconsistentBoundaryError):
+                    cancellation_plan(desc)
+                seen["inconsistent"] += 1
+                continue
+            if not check_cylinder_exactness(cc):
+                with pytest.raises(NotACylinderError, match=NOT_EXACT):
+                    cancellation_plan(desc)
+                seen["inexact"] += 1
+                continue
+            try:
+                choose_cancelling_bases(cc)
+            except NoIntegralBasisError:
+                with pytest.raises(NoIntegralBasisError,
+                                   match="is not a unit"):
+                    cancellation_plan(desc)
+                seen["non-unit"] += 1
+                continue
+            plan = cancellation_plan(desc)
+            assert sorted(plan.covered_ids()) == \
+                sorted(pt.id for pt in desc.points)
+            seen["plan"] += 1
+        assert min(seen.values()) >= 50, seen
 
     @given(st.integers(1, 4), st.integers(0, 10 ** 6))
     @settings(max_examples=40, deadline=None)
