@@ -31,7 +31,7 @@ import numpy as np
 
 from . import errors as E
 from .certify import write_csv
-from .curvature import WarpedSphereMetric, scalar_warped, write_curvature_csv
+from .curvature import WarpedSphereMetric, write_curvature_csv
 from .fnspace import (_CSV_DENSITY, TorpedoSpec, make_torpedo, sample_grid,
                       write_profile_csv)
 from .glbend import (BendConstants, _check_transition_level, assemble_gamma,
@@ -106,7 +106,7 @@ def torpedo(ctx, delta, tube, blend, n):
         f = make_torpedo(spec)
         m = WarpedSphereMetric(n, f, open_profile=True)
         t = sample_grid(f.b, _CSV_DENSITY, interior=True)
-        min_r = float(np.min(scalar_warped(m, t)))
+        min_r = float(np.min(m.scalar(t)))
         if ctx.obj["format"] == "json":
             _write_json(_outpath(ctx, "torpedo.json"), {
                 "spec": {"delta": spec.delta, "tube_length": spec.tube_length,

@@ -1,10 +1,10 @@
 """Closed-form curvature evaluators for rotationally symmetric metrics.
 
-Three metric shapes are covered:
+Two metric types are covered:
 
-* ``WarpedSphereMetric``   dt^2 + f(t)^2 ds_{n-1}^2
-* ``DoublyWarpedMetric``   dt^2 + u(t)^2 ds_p^2 + v(t)^2 ds_q^2
-* ``CylFamilyMetric``      ds^2 + dt^2 + phi(s,t)^2 ds_q^2  (2-D base)
+* ``WarpedProduct``    dt^2 + sum_i f_i(t)^2 ds_{d_i}^2 (``WarpedSphereMetric``
+  and ``DoublyWarpedMetric`` build its one- and two-factor forms)
+* ``CylFamilyMetric``  ds^2 + dt^2 + phi(s,t)^2 ds_q^2  (2-D base)
 
 Scalar and Ricci curvature come from the standard warped-product formulas,
 read off one jet per warping function (``Phi2D.jet`` for the cylinder
@@ -38,12 +38,13 @@ from .certify import _halving_search, family_certificate, write_csv
 from .errors import (CertificationFailedError, DomainMismatchError,
                      InvalidSpecError, SingularProfileError, _check_ints,
                      _finite_reals)
-from .fnspace import (_CSV_DENSITY, _END_TOL, ConstPiece, LinearCombination,
-                      PolyPiece, SmoothFn1D, _combine_jets, _same_domain,
-                      check_F_membership, check_U_membership,
-                      check_V_membership, sample_grid)
+from .fnspace import (_CSV_DENSITY, _END_TOL, _SPACES, ConstPiece,
+                      LinearCombination, PolyPiece, SmoothFn1D,
+                      _check_membership, _combine_jets, _same_domain,
+                      sample_grid)
 
 __all__ = [
+    "WarpedProduct",
     "WarpedSphereMetric",
     "DoublyWarpedMetric",
     "CylFamilyMetric",
@@ -70,63 +71,65 @@ _END_ZERO = 1e-9
 
 
 @dataclass
-class WarpedSphereMetric:
-    """dt^2 + f(t)^2 ds_{n-1}^2 on (0, b).
+class WarpedProduct:
+    """dt^2 + sum_i f_i(t)^2 ds_{d_i}^2 on a shared (0, b).
 
-    With ``open_profile=False`` the profile is required to close a round
-    sphere smoothly at both ends; disk/cylinder profiles (tubes, caps, bend
-    data) set ``open_profile=True`` and skip the membership gate.
+    ``profiles[i]`` warps a round sphere of dimension ``dims[i]`` and must
+    pass membership in the ``fnspace._SPACES`` space ``spaces[i]`` (F, U or
+    V); ``spaces=None`` skips the gate (tubes, caps, bend data).  No factor,
+    unequal lengths or a dimension that is not an integer >= 0 raise
+    ``InvalidSpecError``, profiles on unequal domains ``DomainMismatchError``.
     """
 
-    n: int
-    f: SmoothFn1D
-    open_profile: bool = False
+    dims: tuple
+    profiles: tuple
+    spaces: tuple = None
 
     def __post_init__(self):
-        _check_ints(3, "sphere dimension n must be >= 3", n=self.n)
-        if not self.open_profile:
-            rep = check_F_membership(self.f)
-            if not rep.passed:
-                raise InvalidSpecError(
-                    "profile fails closed-sphere membership: "
-                    f"{[c.name for c in rep.failures()]}")
-
-    @property
-    def b(self):
-        return self.f.b
-
-
-@dataclass
-class DoublyWarpedMetric:
-    """dt^2 + u^2 ds_p^2 + v^2 ds_q^2 on a shared (0, b), p + q + 1 = n."""
-
-    p: int
-    q: int
-    u: SmoothFn1D
-    v: SmoothFn1D
-    open_profile: bool = False
-
-    def __post_init__(self):
+        self.dims, self.profiles = tuple(self.dims), tuple(self.profiles)
+        k = len(self.dims)
+        if not k or len(self.profiles) != k or self.spaces is not None and (
+                len(self.spaces) != k or not set(self.spaces) <= set(_SPACES)):
+            raise InvalidSpecError(
+                f"need one profile (and one space of {sorted(_SPACES)}, if "
+                f"any) per dimension, at least one: dims {self.dims}, "
+                f"{len(self.profiles)} profiles, spaces {self.spaces}")
         _check_ints(0, "fiber dimensions must be nonnegative",
-                    p=self.p, q=self.q)
-        if not _same_domain(self.u.b, self.v.b):
-            raise DomainMismatchError(
-                f"u and v domain lengths differ: {self.u.b} vs {self.v.b}")
-        if not self.open_profile:
-            ru = check_U_membership(self.u)
-            rv = check_V_membership(self.v)
-            if not (ru.passed and rv.passed):
-                bad = [c.name for c in ru.failures() + rv.failures()]
+                    **{f"dims[{i}]": d for i, d in enumerate(self.dims)})
+        for f in self.profiles[1:]:
+            if not _same_domain(self.b, f.b):
+                raise DomainMismatchError(
+                    f"profile domain lengths differ: {self.b} vs {f.b}")
+        for i, (f, space) in enumerate(zip(self.profiles, self.spaces or ())):
+            bad = [c.name for c in _check_membership(f, space).failures()]
+            if bad:
                 raise InvalidSpecError(
-                    f"(u, v) fail smooth-sphere membership: {bad}")
+                    f"profile {i} fails {space} membership: {bad}")
 
     @property
     def n(self):
-        return self.p + self.q + 1
+        return sum(self.dims) + 1
 
     @property
     def b(self):
-        return self.u.b
+        return self.profiles[0].b
+
+    def scalar(self, t):
+        """Scalar curvature at t (scalar or array), ``_scalar`` over the
+        jets ``_closed_form`` reads, with its limits at a closing end."""
+        return _closed_form(self.dims, self.profiles, t, _scalar)
+
+
+def WarpedSphereMetric(n, f, open_profile=False):
+    """dt^2 + f(t)^2 ds_{n-1}^2, n >= 3, f in F unless ``open_profile``."""
+    _check_ints(3, "sphere dimension n must be >= 3", n=n)
+    return WarpedProduct((n - 1,), (f,), None if open_profile else ("F",))
+
+
+def DoublyWarpedMetric(p, q, u, v, open_profile=False):
+    """dt^2 + u^2 ds_p^2 + v^2 ds_q^2, (u, v) in U x V unless
+    ``open_profile``."""
+    return WarpedProduct((p, q), (u, v), None if open_profile else ("U", "V"))
 
 
 class Phi2D:
@@ -281,34 +284,26 @@ def _ricci(dims, A, B, C):
 
 
 def scalar_warped(m, t):
-    """Scalar curvature of dt^2 + f^2 ds_{n-1}^2 at t (scalar or array).
-
-    R = -2(n-1) f''/f + (n-1)(n-2)(1 - f'^2)/f^2; at an end where f closes
-    this tends to -n(n-1) f'''/f' there.
-    """
-    return _closed_form([m.n - 1], [m.f], t, _scalar)
+    """Scalar curvature of dt^2 + f^2 ds_{n-1}^2 at t: ``m.scalar(t)``."""
+    return m.scalar(t)
 
 
 def ricci_warped(m, t):
-    """(Ric(d/dt), Ric(sphere direction)) for the warped metric.
+    """(Ric(d/dt), Ric(sphere direction)) for a one-factor warped product.
 
     Interior values are -(n-1) f''/f and (n-2)(1-f'^2)/f^2 - f''/f; at an
-    end where f closes both tend to -(n-1) f'''/f' there.
+    end where f closes both tend to -(n-1) f'''/f' there.  A product of
+    another number of factors raises ``InvalidSpecError``.
     """
-    return _closed_form([m.n - 1], [m.f], t, _ricci)
+    if len(m.dims) != 1:
+        raise InvalidSpecError(
+            f"ricci_warped needs one factor, got dims {m.dims}")
+    return _closed_form(m.dims, m.profiles, t, _ricci)
 
 
 def scalar_doubly_warped(m, t):
-    """Scalar curvature of dt^2 + u^2 ds_p^2 + v^2 ds_q^2 at t.
-
-        R = -2p u''/u - 2q v''/v + p(p-1)(1-u'^2)/u^2
-            + q(q-1)(1-v'^2)/v^2 - 2pq u'v'/(uv),
-
-    with ``_closed_form``'s limits at an end where either factor closes,
-    whichever end that is.  Both factors vanishing at one end raises
-    ``SingularProfileError``.
-    """
-    return _closed_form([m.p, m.q], [m.u, m.v], t, _scalar)
+    """Scalar curvature of dt^2 + u^2 ds_p^2 + v^2 ds_q^2: ``m.scalar(t)``."""
+    return m.scalar(t)
 
 
 def scalar_cyl_family(m, s, t):
@@ -352,14 +347,14 @@ _SLOWDOWN_BUDGET = 20  # lengths L = 1, 2, 4, ... tried before giving up
 
 
 def _check_path_metric(m, sig, n, b):
-    """m = path(sig) after checking it has dimension n and domain (0, b)."""
-    if m.n != n:
+    """m = path(sig) after checking it has dims (n - 1,) and domain (0, b)."""
+    if m.dims != (n - 1,):
         raise InvalidSpecError(
-            f"path metric at sigma = {sig:.6g} has dimension {m.n}, not "
-            f"n = {n}")
-    if not _same_domain(b, m.f.b):
+            f"path metric at sigma = {sig:.6g} has dimensions {m.dims}, not "
+            f"the ({n - 1},) of a warped n = {n} sphere")
+    if not _same_domain(b, m.b):
         raise DomainMismatchError(
-            f"path profile at sigma = {sig:.6g} lives on (0, {m.f.b:.6g}), "
+            f"path profile at sigma = {sig:.6g} lives on (0, {m.b:.6g}), "
             f"not on the start metric's (0, {b:.6g})")
     return m
 
@@ -394,7 +389,7 @@ def _path_jets(profile_at, sig, tgrid):
 
 
 def _slowdown_grid(n, jets, sig, sgrid, tgrid, h):
-    """R of ds^2 + dt^2 + phi^2 ds_{n-2}^2, phi(s, t) = path(sigma(s)).f(t).
+    """R of ds^2 + dt^2 + phi^2 ds_{n-1}^2, phi = path(sigma(s)).profiles[0].
 
     The s-partials are central differences of row i's outer jets, the
     t-partials the centre's jet; R is evaluated ``_ROW_BLOCK`` rows a call.
@@ -416,13 +411,13 @@ def _slowdown_grid(n, jets, sig, sgrid, tgrid, h):
 def slowdown_concordance(path, n, grid_shape=(200, 200)):
     """Find a slowdown factor making a psc path run as a psc cylinder metric.
 
-    ``path`` maps sigma in [0, 1] to a WarpedSphereMetric of dimension ``n``
-    on a fixed (0, b).  The path is reparameterized by a quintic smoothstep
-    eta over an interval of length L (constant near both ends, so the
-    cylinder metric is a product there), and L is doubled (Lambda = 1/L
-    halved from 1) until the full (s, t) grid certifies min scalar > 0, at
-    most ``_SLOWDOWN_BUDGET`` times; an exhausted search raises
-    ``CertificationFailedError`` with its best margin.
+    ``path`` maps sigma in [0, 1] to a one-factor ``WarpedProduct`` with
+    dims (n - 1,) on a fixed (0, b).  The path is reparameterized by a
+    quintic smoothstep eta over an interval of length L (constant near both
+    ends, so the cylinder metric is a product there), and L is doubled
+    (Lambda = 1/L halved from 1) until the full (s, t) grid certifies min
+    scalar > 0, at most ``_SLOWDOWN_BUDGET`` times; an exhausted search
+    raises ``CertificationFailedError`` with its best margin.
 
     The path is evaluated once per distinct sigma over the whole search,
     not once per L.  This is exact: round L's s-grid and h = 1e-4 L are
@@ -438,7 +433,7 @@ def slowdown_concordance(path, n, grid_shape=(200, 200)):
     every L tried (``L_tried``) and the number of distinct sigma at which
     the path was evaluated (``profiles``).  ``grid_shape`` entries that are
     not integers >= 1 raise ``InvalidSpecError``, as does a path metric
-    whose dimension is not ``n``; a sigma-profile whose domain length is
+    whose dims are not (n - 1,); a sigma-profile whose domain length is
     not g0's raises ``DomainMismatchError``.
     """
     try:
@@ -449,23 +444,23 @@ def slowdown_concordance(path, n, grid_shape=(200, 200)):
     _check_ints(1, f"slowdown needs a grid of at least 1x1, got "
                 f"grid_shape={tuple(grid_shape)}", ns=ns, nt=nt)
     g0, g1 = path(0.0), path(1.0)
-    b = g0.f.b
+    b = g0.b
     for sv, g in ((0.0, g0), (1.0, g1)):
         _check_path_metric(g, sv, n, b)
     tgrid = np.linspace(0.0, b, nt + 2)[1:-1]
     for g, tag in ((g0, "start"), (g1, "end")):
-        mn = float(np.min(scalar_warped(g, tgrid)))
+        mn = float(np.min(g.scalar(tgrid)))
         if not mn > 0:
             raise CertificationFailedError(
                 f"path {tag} metric is not psc (min R = {mn:.6g})",
                 best_margin=mn)
 
-    known = {0.0: g0.f, 1.0: g1.f}
+    known = {0.0: g0.profiles[0], 1.0: g1.profiles[0]}
 
     def profile_at(sv):
         if sv in known:
             return known[sv]
-        return _check_path_metric(path(sv), sv, n, b).f
+        return _check_path_metric(path(sv), sv, n, b).profiles[0]
 
     tried = []
     sig = jets = None
@@ -502,6 +497,6 @@ def slowdown_concordance(path, n, grid_shape=(200, 200)):
 
 def write_curvature_csv(m, path_or_buf):
     """CSV curvature profile with columns t, R, Ric_t, Ric_sphere."""
-    t = sample_grid(m.f.b, _CSV_DENSITY)
+    t = sample_grid(m.b, _CSV_DENSITY)
     write_csv(path_or_buf, "t,R,Ric_t,Ric_sphere",
-              np.column_stack([t, scalar_warped(m, t), *ricci_warped(m, t)]))
+              np.column_stack([t, m.scalar(t), *ricci_warped(m, t)]))

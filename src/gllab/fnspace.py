@@ -345,11 +345,15 @@ class LinearCombination:
 
     Each term is any profile (``b`` and ``jet``); the combination reads
     nothing else of it.  ``jet`` is ``_combine_jets`` over the term jets.
-    No terms raise ``InvalidSpecError``, terms whose domain lengths differ
-    by more than 1e-9 relative ``DomainMismatchError``.
+    No terms, or a weight that is not a finite real number
+    (``_finite_reals``), raise ``InvalidSpecError``, terms whose domain
+    lengths differ by more than 1e-9 relative ``DomainMismatchError``.
     """
 
     def __init__(self, terms):
+        terms = list(terms)
+        if not _finite_reals(*(w for w, _ in terms)):
+            raise InvalidSpecError("a weight is not a finite real number")
         self.terms = [(float(w), f) for w, f in terms]
         if not self.terms:
             raise InvalidSpecError("a linear combination needs a term")

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .certify import _family_grid, _frozen, _Memo, family_certificate, pmap
-from .curvature import (DoublyWarpedMetric, _closed_form_points,
+from .curvature import (WarpedProduct, _closed_form_points,
                         _quotients_from_jets, _scalar)
 from .errors import (CertificationFailedError, InvalidBendError,
                      InvalidSpecError, _check_ints, _finite_reals)
@@ -126,13 +126,13 @@ def induced_metric_on_M(bend, amb):
     """Doubly warped metric induced on the rotation hypersurface of the bend.
 
     Returns ds^2 + eps^2 ds_p^2 + r(s)^2 ds_q^2 with s the curve arc length;
-    the S^p factor never closes, so the metric is flagged open-profile.
+    the S^p factor never closes, so the metric has no membership gate.
     """
     curve = _curve_of(bend)
     u = SmoothFn1D(curve.length,
                    [ConstPiece((0.0, curve.length), amb.epsilon)])
     v = _CurveCoordinate(curve, 1)
-    return DoublyWarpedMetric(amb.p, amb.q, u, v, open_profile=True)
+    return WarpedProduct((amb.p, amb.q), (u, v))
 
 
 def gauss_scalar_on_M(bend, amb, s):
@@ -217,7 +217,7 @@ def mixed_torpedo_via_J(eps, delta, c1, c2, bend_radius, p=2, q=2):
     max_deviation is the sampled defect of that equality.
     """
     u, v, report = _mixed_torpedo_geometry(eps, delta, c1, c2, bend_radius)
-    return DoublyWarpedMetric(p, q, u, v), dict(report)
+    return WarpedProduct((p, q), (u, v), ("U", "V")), dict(report)
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +360,7 @@ def connected_sum_foliation(c, radius, tau, nu_grid, eps, delta_p, p=2, q=2):
     (``_leaf_jets``), are built once per shape; each call takes its own
     (p, q) scalar curvature from the quotients, leaf by leaf.  Reports and
     curvature are those of ``check_U_membership``, ``check_V_membership``
-    and ``scalar_doubly_warped`` on the leaf's profiles, bit for bit.
+    and ``WarpedProduct.scalar`` on the leaf's profiles, bit for bit.
     ``p`` and ``q`` must be integers >= 0, tau, eps and delta_p finite
     numbers (``_finite_reals``) and ``nu_grid`` a family grid
     (``certify._family_grid``), else InvalidSpecError, raised first.

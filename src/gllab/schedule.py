@@ -30,14 +30,13 @@ import numpy as np
 
 from .certify import (IsotopyCertificate, _halving_search, family_certificate,
                       pmap, write_csv)
-from .curvature import (DoublyWarpedMetric, WarpedSphereMetric,
-                        _closed_form_points, _quotients_from_jets, _scalar,
-                        scalar_doubly_warped, scalar_warped)
+from .curvature import (DoublyWarpedMetric, WarpedProduct,
+                        WarpedSphereMetric, _closed_form_points,
+                        _quotients_from_jets, _scalar)
 from .errors import (CertificationFailedError, CompilationFailedError,
                      DemoFailedError, HypothesisViolationError,
                      InvalidSpecError, _finite_reals)
 from .fnspace import (SinePiece, SmoothFn1D, _combine_jets, _torpedo_on,
-                      check_U_membership, check_V_membership,
                       make_double_torpedo, make_torpedo, reflect, sample_grid)
 from .glbend import (BendConstants, assemble_gamma, initial_bend,
                      synth_transition)
@@ -217,15 +216,13 @@ def _standardize_search(p, q, radius):
     g = round_doubly_warped(p, q, radius)
 
     def attempt(delta):
-        try:
-            u1, v1 = _mixed_torpedo_profiles(delta, g.b)
-        except InvalidSpecError:  # no tube left on the round join domain
+        try:  # no tube left on the round join domain, or not in U x V
+            ends = WarpedProduct(g.dims, _mixed_torpedo_profiles(delta, g.b),
+                                 g.spaces).profiles
+        except InvalidSpecError:
             return None, None
-        ru, rv = check_U_membership(u1), check_V_membership(v1)
-        if not (ru.passed and rv.passed):
-            return None, None
-        cert = _certify_homotopy([p, q], [g.u, g.v], [u1, v1])
-        return cert.min_scalar, (delta, (u1, v1), cert)
+        cert = _certify_homotopy(g.dims, g.profiles, ends)
+        return cert.min_scalar, (delta, ends, cert)
 
     best, found = _halving_search(0.5, attempt, _STANDARDIZE_BUDGET)
     if found is None:
@@ -259,31 +256,33 @@ def _is_well_indexed(desc):
     return all(a < b for a, b in zip(levels, levels[1:]))
 
 
+# factors of g0 -> (kind, dimension params, profile keys, round radius of b)
+_G0_FORMS = {1: ("warped", lambda g: {"n": g.n}, "f", lambda b: b / np.pi),
+             2: ("doubly-warped", lambda g: dict(zip("pq", g.dims)), "uv",
+                 lambda b: b * 2.0 / np.pi)}
+
+
 def _read_g0(g0):
     """(certificate, descriptor, radius) of the incoming metric.
 
     The certificate is g0's interior-grid positivity (``argmin_t``); the
     radius is exact for a round g0 and a domain scale otherwise.
     """
-    if isinstance(g0, WarpedSphereMetric):
-        scalar, radius, kind = scalar_warped, g0.b / np.pi, "warped"
-        dims, profiles = {"n": g0.n}, {"f": g0.f}
-    elif isinstance(g0, DoublyWarpedMetric):
-        scalar, radius = scalar_doubly_warped, g0.b * 2.0 / np.pi
-        kind = "doubly-warped"
-        dims, profiles = {"p": g0.p, "q": g0.q}, {"u": g0.u, "v": g0.v}
-    else:
+    form = isinstance(g0, WarpedProduct) and _G0_FORMS.get(len(g0.dims))
+    if not form:
         raise InvalidSpecError(
-            "g0 must be a warped or doubly-warped metric")
+            "g0 must be a warped product of one or two round factors")
+    kind, dims, keys, radius = form
     t = sample_grid(g0.b, 512, interior=True)
-    cert = family_certificate(scalar(g0, t), {"t": t}, "incoming metric",
+    cert = family_certificate(g0.scalar(t), {"t": t}, "incoming metric",
                               f"{t.size} interior samples")
     if not cert.passed:
         raise CertificationFailedError(
             f"g0 is not certified psc (min R = {cert.min_scalar:.6g})",
             best_margin=cert.min_scalar)
-    params = {**dims, **{k: f.to_json() for k, f in profiles.items()}}
-    return cert, MetricDescriptor(kind, params), radius
+    params = {**dims(g0),
+              **{k: f.to_json() for k, f in zip(keys, g0.profiles)}}
+    return cert, MetricDescriptor(kind, params), radius(g0.b)
 
 
 def compile_gl_cobordism(g0, desc):
@@ -483,7 +482,7 @@ def two_surgery_demo(n, p, radius=1.0):
 
     # stage 5: linear homotopy of the profile to a torpedo form
     push("f-to-torpedo", _certify_homotopy(
-        [n - 1], [g_round.f], [make_double_torpedo(delta, g_round.b)]))
+        [n - 1], g_round.profiles, [make_double_torpedo(delta, g_round.b)]))
 
     # stage 6: connected-sum foliation isotopy from the symmetric corner of
     # edge c = 1 and bend radius R = 0.4; the torpedoes' radii are at most
@@ -503,7 +502,7 @@ def two_surgery_demo(n, p, radius=1.0):
                               f"deviation {dev:.6g}", stage="mtor-endpoint")
     tm = sample_grid(m_mtor.b, 256, interior=True)
     push("mtor-endpoint", family_certificate(
-        scalar_doubly_warped(m_mtor, tm), {"t": tm}, "mixed torpedo",
+        m_mtor.scalar(tm), {"t": tm}, "mixed torpedo",
         f"{tm.size} interior samples", max_pullback_deviation=dev))
 
     end = MetricDescriptor(

@@ -1,5 +1,5 @@
-"""Profile wrappers shared by the evaluation-contract tests, and a fresh
-set of geometry memos for every test."""
+"""Profile wrappers shared by the evaluation-contract and NaN-margin tests,
+and a fresh set of geometry memos for every test."""
 
 import numpy as np
 import pytest
@@ -43,6 +43,21 @@ class OnePointEnds:
             for d, end in zip(out, self.f.jet(float(t[i]), k)):
                 d[i] = end
         return tuple(out)
+
+
+class NaNProfile:
+    """A profile on f's domain whose jet reads NaN at every point."""
+
+    def __init__(self, f):
+        self.b = f.b
+
+    def jet(self, t, k=2):
+        return tuple(np.full(np.shape(t), np.nan) for _ in range(k + 1))
+
+
+@pytest.fixture
+def nan_profile():
+    return NaNProfile
 
 
 @pytest.fixture

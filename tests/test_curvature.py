@@ -7,10 +7,10 @@ import pytest
 
 import gllab.curvature as curvature
 from gllab.curvature import (CylFamilyMetric, DoublyWarpedMetric, Phi2D,
-                             WarpedSphereMetric, make_smoothstep, ricci_warped,
-                             scalar_cyl_family, scalar_doubly_warped,
-                             scalar_warped, slowdown_concordance,
-                             write_curvature_csv)
+                             WarpedProduct, WarpedSphereMetric,
+                             make_smoothstep, ricci_warped, scalar_cyl_family,
+                             scalar_doubly_warped, scalar_warped,
+                             slowdown_concordance, write_curvature_csv)
 from gllab.errors import (CertificationFailedError, DomainMismatchError,
                           InvalidSpecError, SingularProfileError)
 from gllab.fnspace import (_CSV_DENSITY, ConstPiece, LinearCombination,
@@ -18,7 +18,8 @@ from gllab.fnspace import (_CSV_DENSITY, ConstPiece, LinearCombination,
                            _quintic_match, linear_homotopy,
                            make_double_torpedo, make_torpedo, reflect,
                            sample_grid, write_profile_csv)
-from gllab.schedule import round_doubly_warped, round_metric
+from gllab.schedule import (_mixed_torpedo_profiles, round_doubly_warped,
+                            round_metric)
 
 
 def round_profile(n=7, radius=1.0):
@@ -104,7 +105,7 @@ class TestDoublyWarped:
     def test_round_join_pin(self, p, q):
         g = round_doubly_warped(p, q)
         # the reversed join swaps the roles: u closes at t = 0, v at t = b
-        rev = DoublyWarpedMetric(q, p, g.v, g.u, open_profile=True)
+        rev = DoublyWarpedMetric(q, p, *g.profiles[::-1], open_profile=True)
         n = p + q + 1
         t = np.linspace(0.0, np.pi / 2, 501)
         for m in (g, rev):
@@ -119,7 +120,7 @@ class TestDoublyWarped:
         # p = 0: dt^2 + v^2 ds_{n-1}^2, with v closing at both ends
         g = round_metric(n, 1.2)
         one = SmoothFn1D(g.b, [ConstPiece((0.0, g.b), 1.0)])
-        m = DoublyWarpedMetric(0, n - 1, one, g.f, open_profile=True)
+        m = DoublyWarpedMetric(0, n - 1, one, *g.profiles, open_profile=True)
         t = np.array([0.0, g.b / 2, g.b])
         assert np.allclose(scalar_doubly_warped(m, t), scalar_warped(g, t),
                            rtol=1e-12)
@@ -129,7 +130,7 @@ class TestDoublyWarped:
     def test_non_integer_fiber_dimension_raises_typed(self, p, q):
         g = round_doubly_warped(2, 4)
         with pytest.raises(InvalidSpecError, match="must be an integer"):
-            DoublyWarpedMetric(p, q, g.u, g.v, open_profile=True)
+            DoublyWarpedMetric(p, q, *g.profiles, open_profile=True)
 
     def test_mixed_torpedo_positive(self):
         b = np.pi / 2
@@ -177,7 +178,7 @@ class TestDoublyWarped:
     def test_one_jet_call_per_profile(self, counted):
         # order 3 only when an end is among the points
         g = round_doubly_warped(2, 4)
-        u, v = counted(g.u), counted(g.v)
+        u, v = map(counted, g.profiles)
         m = DoublyWarpedMetric(2, 4, u, v, open_profile=True)
         t = np.linspace(0.0, g.b, 33)
         for pts in (t, t[1:-1], t[:-1], t[1:], g.b):
@@ -187,13 +188,47 @@ class TestDoublyWarped:
     @pytest.mark.parametrize("p,q", [(2, 4), (3, 3), (1, 5)])
     def test_ends_match_one_point_calls_bitwise(self, p, q):
         g = round_doubly_warped(p, q)
-        rev = DoublyWarpedMetric(q, p, g.v, g.u, open_profile=True)
+        rev = DoublyWarpedMetric(q, p, *g.profiles[::-1], open_profile=True)
         t = np.linspace(0.0, g.b, 257)
         for m in (g, rev):
             joined = np.concatenate([[scalar_doubly_warped(m, 0.0)],
                                      scalar_doubly_warped(m, t[1:-1]),
                                      [scalar_doubly_warped(m, g.b)]])
             assert np.array_equal(scalar_doubly_warped(m, t), joined)
+
+
+class TestWarpedProduct:
+    @pytest.mark.parametrize("dims, radii", [
+        ((4,), (0.7,)), ((2, 3), (1.5, 0.4)), ((2, 3, 4), (0.5, 1.25, 2.0)),
+        ((1, 2, 5), (3.0, 0.2, 1.1))])
+    def test_constant_radii_read_the_sphere_sum(self, dims, radii):
+        # a product of round spheres over dt^2: R = sum_i d_i(d_i - 1)/r_i^2
+        b = 2.0
+        m = WarpedProduct(
+            dims, [SmoothFn1D(b, [ConstPiece((0.0, b), r)]) for r in radii])
+        want = sum(d * (d - 1) / r ** 2 for d, r in zip(dims, radii))
+        assert m.n == sum(dims) + 1 and m.b == b
+        R = m.scalar(np.linspace(0.0, b, 33))
+        assert np.max(np.abs(R - want)) <= 1e-12 * want
+
+    @pytest.mark.parametrize("p,q", [(2, 4), (3, 3), (1, 5)])
+    def test_doubly_warped_is_the_two_factor_product(self, p, q):
+        g = round_doubly_warped(p, q)
+        u, v = _mixed_torpedo_profiles(0.25, g.b)
+        t = np.linspace(0.0, g.b, 129)
+        for pair in (g.profiles, (u, v)):
+            m = WarpedProduct((p, q), pair, ("U", "V"))
+            assert np.array_equal(
+                scalar_doubly_warped(DoublyWarpedMetric(p, q, *pair), t),
+                m.scalar(t))
+
+    def test_each_profile_meets_its_space(self):
+        g = round_doubly_warped(2, 4)
+        with pytest.raises(InvalidSpecError,
+                           match=r"profile 1 fails U membership"):
+            WarpedProduct((2, 4), g.profiles, ("U", "U"))
+        m = WarpedProduct((2, 4), g.profiles)
+        assert m.spaces is None and m.n == 7
 
 
 class TestCylFamily:
@@ -240,7 +275,7 @@ def per_row_slowdown(path, n, grid_shape, budget):
     (Lambda, L, min R) on success or the best minimum when the budget runs
     out.
     """
-    b = path(0.0).f.b
+    b = path(0.0).b
     ns, nt = grid_shape
     tgrid = np.linspace(0.0, b, nt + 2)[1:-1]
     grids = []
@@ -251,7 +286,8 @@ def per_row_slowdown(path, n, grid_shape, budget):
         h = L * 1e-4
 
         def profile_at(s):
-            return path(float(np.clip(eta(np.clip(s, 0.0, L)), 0.0, 1.0))).f
+            return path(float(np.clip(eta(np.clip(s, 0.0, L)),
+                                     0.0, 1.0))).profiles[0]
 
         def val(s, t):
             return profile_at(float(s))(t)
@@ -358,7 +394,7 @@ class TestSlowdown:
         assert {0.0, 1.0} <= set(calls)
 
     def test_non_positive_middle_profile_raises(self):
-        f = round_to_double_torpedo()(0.0).f
+        (f,) = round_to_double_torpedo()(0.0).profiles
 
         def path(sig):
             # positive at both ends, negative around sigma = 1/2
@@ -380,15 +416,14 @@ class TestSlowdown:
         with pytest.raises(CertificationFailedError):
             slowdown_concordance(path, 7, grid_shape=(10, 10))
 
-    def test_nan_start_metric_rejected(self):
+    def test_nan_start_metric_rejected(self, nan_profile):
         # a NaN minimum must not pass the end metrics' psc check
         inner = round_to_double_torpedo()
-        f = inner(0.0).f
 
         def path(sig):
             if sig == 0.0:
                 return WarpedSphereMetric(
-                    7, LinearCombination([(np.nan, f)]), open_profile=True)
+                    7, nan_profile(*inner(0.0).profiles), open_profile=True)
             return inner(sig)
 
         with pytest.raises(CertificationFailedError,
@@ -398,7 +433,7 @@ class TestSlowdown:
 
     def test_each_path_term_is_evaluated_once(self, monkeypatch):
         path = round_to_double_torpedo()
-        f0, f1 = (t for _, t in path(0.5).f.terms)
+        f0, f1 = (t for _, t in path(0.5).profiles[0].terms)
         calls = []
         jet = SmoothFn1D.jet
 
@@ -424,7 +459,8 @@ class TestSlowdown:
 
         def opaque(sig):
             m = path(sig)
-            return WarpedSphereMetric(m.n, Opaque(m.f), open_profile=True)
+            return WarpedSphereMetric(m.n, Opaque(*m.profiles),
+                                      open_profile=True)
 
         got = slowdown_concordance(opaque, 7, grid_shape=(60, 60))
         want = slowdown_concordance(path, 7, grid_shape=(60, 60))
@@ -441,7 +477,7 @@ class TestSlowdown:
         def path(sig):
             m = inner(sig)
             if sig_bad is None or sig == sig_bad:
-                m = WarpedSphereMetric(n_path, m.f, open_profile=True)
+                m = WarpedSphereMetric(n_path, *m.profiles, open_profile=True)
             return m
 
         with pytest.raises(InvalidSpecError, match="has dimension"):
@@ -501,7 +537,7 @@ class TestSmoothstep:
 
 @pytest.mark.parametrize("build, message", [
     (lambda: WarpedSphereMetric(5, make_torpedo(TorpedoSpec(0.5))),
-     r"closed-sphere membership: \['f\(b\)=0'"),
+     r"profile 0 fails F membership: \['f\(b\)=0'"),
     (lambda: make_smoothstep(0.0), "need L > 0"),
 ], ids=["torpedo-open-at-b", "zero-length-smoothstep"])
 def test_argument_checks_raise_typed(build, message):

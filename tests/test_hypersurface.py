@@ -49,7 +49,8 @@ class TestGaussIdentity:
         # the tail graph meets r = 0 at 45 degrees: r'(L) = -1/sqrt(2)
         m = induced_metric_on_M(certified_bend, ModelAmbient(2, 3, 0.3))
         L = certified_bend.curve.length
-        assert m.v.jet(L, 1)[1] == pytest.approx(-np.sqrt(0.5), abs=1e-9)
+        assert m.profiles[1].jet(L, 1)[1] == pytest.approx(-np.sqrt(0.5),
+                                                       abs=1e-9)
         assert np.isfinite(scalar_doubly_warped(m, L - 1e-3))
         with pytest.raises(SingularProfileError, match="cone point"):
             scalar_doubly_warped(m, L)
@@ -120,8 +121,9 @@ class TestPullbackIdentity:
         m, rep = mixed_torpedo_via_J(eps, delta, c1, c2, R)
         assert rep["max_deviation"] < 1e-9
         assert rep["unit_speed_residual"] < 1e-8
-        assert check_U_membership(m.u).passed
-        assert check_V_membership(m.v).passed
+        u, v = m.profiles
+        assert check_U_membership(u).passed
+        assert check_V_membership(v).passed
 
     def test_bend_inside_cap_rejected(self):
         with pytest.raises(InvalidBendError):
@@ -514,5 +516,5 @@ class TestGeometryMemo:
         rep.clear()
         m2, rep2 = mixed_torpedo_via_J(0.5, 0.5, 2.0, 2.0, 0.5, p=1, q=5)
         assert rep2 == want
-        assert (m2.p, m2.q) == (1, 5)
-        assert m2.u is m.u and m2.v is m.v
+        assert m2.dims == (1, 5)
+        assert all(a is b for a, b in zip(m2.profiles, m.profiles))

@@ -2,7 +2,8 @@
 
 Each site keeps its own bound, error class and message.  A bool, a string,
 NaN and infinity are refused there with that site's class, and a numpy
-scalar or a 0-d array gives the result the Python float gives.
+scalar or a 0-d array gives the result the Python float gives.  Inputs at
+the edges of ``WarpedProduct`` raise ``InvalidSpecError`` too.
 """
 
 import dataclasses
@@ -11,19 +12,21 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gllab.curvature import make_smoothstep
+from gllab.curvature import (WarpedProduct, make_smoothstep, ricci_warped,
+                             slowdown_concordance)
 from gllab.errors import (InvalidBendError, InvalidSpecError, OutOfRegimeError,
                           _finite_reals)
-from gllab.fnspace import (ConstPiece, PolyPiece, ReflectPiece, SinePiece,
-                           SmoothFn1D, TorpedoSpec, linear_homotopy,
-                           make_torpedo)
+from gllab.fnspace import (ConstPiece, LinearCombination, PolyPiece,
+                           ReflectPiece, SinePiece, SmoothFn1D, TorpedoSpec,
+                           linear_homotopy, make_torpedo)
 from gllab.glbend import (ArcSeg, BendConstants, BumpSeg, GraphSeg,
                           assemble_gamma, final_bending_tilt, final_isotopy,
                           initial_bend, quarter_bend_curve, synth_transition)
 from gllab.hypersurface import (ModelAmbient, connected_sum_foliation,
                                 mixed_torpedo_via_J)
-from gllab.morsealg import CriticalPoint
-from gllab.schedule import round_doubly_warped, round_metric
+from gllab.morsealg import CriticalPoint, MorseDescription
+from gllab.schedule import (compile_gl_cobordism, round_doubly_warped,
+                            round_metric)
 
 MODEL = BendConstants(R0=1.5, q=3)
 
@@ -180,25 +183,28 @@ SITES = [
      0.25, InvalidSpecError, lambda out: out[1].to_json()),
     ("mixed_torpedo_via_J.eps",
      lambda x: mixed_torpedo_via_J(x, 0.5, 2.0, 2.0, 0.5), 0.5,
-     InvalidSpecError, lambda out: (_jets(out[0].u), out[1])),
+     InvalidSpecError, lambda out: (_jets(out[0].profiles[0]), out[1])),
     ("mixed_torpedo_via_J.delta",
      lambda x: mixed_torpedo_via_J(0.5, x, 2.0, 2.0, 0.5), 0.5,
-     InvalidSpecError, lambda out: (_jets(out[0].v), out[1])),
+     InvalidSpecError, lambda out: (_jets(out[0].profiles[1]), out[1])),
     ("mixed_torpedo_via_J.c1",
      lambda x: mixed_torpedo_via_J(0.5, 0.5, x, 2.0, 0.5), 2.0,
-     InvalidBendError, lambda out: (_jets(out[0].u), out[1])),
+     InvalidBendError, lambda out: (_jets(out[0].profiles[0]), out[1])),
     ("mixed_torpedo_via_J.c2",
      lambda x: mixed_torpedo_via_J(0.5, 0.5, 2.0, x, 0.5), 2.0,
-     InvalidBendError, lambda out: (_jets(out[0].v), out[1])),
+     InvalidBendError, lambda out: (_jets(out[0].profiles[1]), out[1])),
     ("mixed_torpedo_via_J.bend_radius",
      lambda x: mixed_torpedo_via_J(0.5, 0.5, 2.0, 2.0, x), 0.5,
-     InvalidBendError, lambda out: (_jets(out[0].u), out[1])),
+     InvalidBendError, lambda out: (_jets(out[0].profiles[0]), out[1])),
     ("round_metric.radius", lambda x: round_metric(7, x), 1.0,
-     InvalidSpecError, lambda m: _jets(m.f)),
+     InvalidSpecError, lambda m: _jets(*m.profiles)),
     ("round_doubly_warped.radius", lambda x: round_doubly_warped(2, 3, x),
-     1.0, InvalidSpecError, lambda m: (_jets(m.u), _jets(m.v))),
+     1.0, InvalidSpecError, lambda m: tuple(map(_jets, m.profiles))),
     ("CriticalPoint.level", lambda x: CriticalPoint("w", 3, x), 0.5,
      InvalidSpecError, lambda pt: (pt.id, pt.index, float(pt.level))),
+    ("LinearCombination.weight",
+     lambda x: LinearCombination([(1.0, _pair()[0]), (x, _pair()[1])]), 0.5,
+     InvalidSpecError, _jets),
 ]
 IDS = [site[0] for site in SITES]
 
@@ -225,3 +231,36 @@ def test_numpy_forms_give_the_python_floats_result(build, value, readout):
     want = readout(build(value))
     for x in _numpy_forms(value):
         assert readout(build(x)) == want, type(x)
+
+
+# (id, call, message) of inputs at the edges of the one warped-product
+# type: each raises InvalidSpecError, not an AttributeError or KeyError
+EDGES = [
+    ("ricci-of-two-factors",
+     lambda: ricci_warped(round_doubly_warped(2, 3), 0.5), "one factor"),
+    ("slowdown-path-of-two-factors",
+     lambda: slowdown_concordance(lambda sig: round_doubly_warped(2, 3), 6),
+     r"dimensions \(2, 3\), not the \(5,\)"),
+    ("product-of-no-factor", lambda: WarpedProduct((), ()), "at least one"),
+    ("product-of-unequal-lengths",
+     lambda: WarpedProduct((2, 3), _pair()[:1]), "one profile"),
+    ("product-of-unknown-space",
+     lambda: WarpedProduct((2,), _pair()[:1], ("W",)), "one space"),
+    ("g0-of-three-factors",
+     lambda: compile_gl_cobordism(WarpedProduct((1, 1, 2), [_pair()[0]] * 3),
+                                  _one_handle(5)), "one or two round factors"),
+    ("g0-not-a-metric",
+     lambda: compile_gl_cobordism(round_metric(5).profiles[0],
+                                  _one_handle(5)), "one or two round factors"),
+]
+
+
+def _one_handle(n):
+    return MorseDescription(n, [CriticalPoint("h", 2, 0.25)])
+
+
+@pytest.mark.parametrize("call, message", [e[1:] for e in EDGES],
+                         ids=[e[0] for e in EDGES])
+def test_warped_product_edges_raise_typed(call, message):
+    with pytest.raises(InvalidSpecError, match=message):
+        call()

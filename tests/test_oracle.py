@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 
 from gllab.curvature import (CylFamilyMetric, DoublyWarpedMetric, Phi2D,
-                             WarpedSphereMetric, scalar_cyl_family,
-                             scalar_doubly_warped, scalar_warped)
+                             WarpedProduct, WarpedSphereMetric,
+                             scalar_cyl_family, scalar_doubly_warped,
+                             scalar_warped)
 from gllab.errors import InvalidSpecError
-from gllab.fnspace import (SinePiece, SmoothFn1D, TorpedoSpec, make_torpedo,
-                           reflect)
-from gllab.oracle import (MetricChart, _christoffel, _riemann,
+from gllab.fnspace import (PolyPiece, SinePiece, SmoothFn1D, TorpedoSpec,
+                           make_torpedo, reflect)
+from gllab.oracle import (MetricChart, _christoffel, _riemann, _warped_chart,
                           cyl_family_chart, doubly_warped_chart,
                           euclidean_chart, geodesic_sphere_fit,
                           perturbed_quadratic_chart, round_sphere_normal_chart,
@@ -73,6 +74,25 @@ class TestAgreement:
                           for lo, hi in ch.rectangle])
             R_fd = scalar_from_chart(ch, x)
             R_cf = float(scalar_doubly_warped(m, x[0]))
+            assert abs(R_fd - R_cf) < 1e-5 * max(1.0, abs(R_cf))
+
+    def test_three_factor_product(self):
+        # open, non-constant profiles on (0, 1): dt^2 + (1 + 0.3t)^2 ds_1^2
+        # + cos(t)^2 ds_2^2 + (0.5 + 0.2t^2)^2 ds_1^2, at criterion 05's
+        # tolerance
+        b = 1.0
+        profiles = [SmoothFn1D(b, [piece]) for piece in (
+            PolyPiece((0.0, b), [1.0, 0.3]),
+            SinePiece((0.0, b), 1.0, 1.0, phase=np.pi / 2),
+            PolyPiece((0.0, b), [0.5, 0.0, 0.2]))]
+        ch = _warped_chart((1, 2, 1), profiles, 1e-4)
+        m = WarpedProduct((1, 2, 1), profiles)
+        rng = np.random.default_rng(3)
+        for _ in range(5):
+            x = np.array([rng.uniform(lo, hi)
+                          for lo, hi in ch.rectangle])
+            R_fd = scalar_from_chart(ch, x)
+            R_cf = float(m.scalar(x[0]))
             assert abs(R_fd - R_cf) < 1e-5 * max(1.0, abs(R_cf))
 
     def test_step_halving_second_order(self):

@@ -13,8 +13,8 @@ from gllab.curvature import (DoublyWarpedMetric, WarpedSphereMetric,
 from gllab.errors import (CertificationFailedError, CompilationFailedError,
                           DemoFailedError, HypothesisViolationError,
                           InvalidSpecError)
-from gllab.fnspace import (LinearCombination, SinePiece, SmoothFn1D,
-                           linear_homotopy, make_double_torpedo, sample_grid)
+from gllab.fnspace import (SinePiece, SmoothFn1D, linear_homotopy,
+                           make_double_torpedo, sample_grid)
 from gllab.hypersurface import connected_sum_foliation, mixed_torpedo_via_J
 from gllab.morsealg import CriticalPoint, MorseDescription
 from gllab.schedule import (DemoReport, compile_gl_cobordism,
@@ -57,8 +57,8 @@ class TestCompile:
             schedule.MetricDescriptor("x"),
             IsotopyCertificate(grid="stub", min_scalar=1.0)),
          InvalidSpecError, "unknown segment kind 'surgery'"),
-        (lambda g0: compile_gl_cobordism(g0.f, one_point_desc()),
-         InvalidSpecError, "warped or doubly-warped"),
+        (lambda g0: compile_gl_cobordism(g0.profiles[0], one_point_desc()),
+         InvalidSpecError, "warped product of one or two round factors"),
         (lambda g0: compile_gl_cobordism(g0, MorseDescription(7, [
             CriticalPoint("a", 4, 0.25), CriticalPoint("b", 3, 0.75)])),
          InvalidSpecError, "well-indexed"),
@@ -100,9 +100,8 @@ class TestCompile:
         with pytest.raises(InvalidSpecError, match=message):
             compile_gl_cobordism(metric, desc)
 
-    def test_nan_g0_reports_no_margin(self):
-        f = round_metric(7).f
-        g0 = WarpedSphereMetric(7, LinearCombination([(np.nan, f)]),
+    def test_nan_g0_reports_no_margin(self, nan_profile):
+        g0 = WarpedSphereMetric(7, nan_profile(*round_metric(7).profiles),
                                 open_profile=True)
         with pytest.raises(CertificationFailedError,
                            match="g0 is not certified psc") as err:
@@ -225,7 +224,7 @@ class TestCompile:
     def test_homotopy_evaluates_each_end_profile_once(self, counted):
         g = round_doubly_warped(2, 4)
         ends = [counted(f) for f in
-                (g.u, g.v, *schedule._mixed_torpedo_profiles(0.25, g.b))]
+                (*g.profiles, *schedule._mixed_torpedo_profiles(0.25, g.b))]
         cert = schedule._certify_homotopy([2, 4], ends[:2], ends[2:])
         assert cert.passed
         assert [f.orders for f in ends] == [[2]] * 4
@@ -243,7 +242,7 @@ class TestCompile:
         # each end profile is read once, to order 2
         if len(dims) == 2:
             g = round_doubly_warped(*dims)
-            starts = [g.u, g.v]
+            starts = g.profiles
             ends = schedule._mixed_torpedo_profiles(delta, g.b)
             scalar = scalar_doubly_warped
 
@@ -251,7 +250,7 @@ class TestCompile:
                 return DoublyWarpedMetric(*dims, *fs, open_profile=True)
         else:
             g = round_metric(dims[0] + 1)
-            starts, ends = [g.f], [make_double_torpedo(delta, g.b)]
+            starts, ends = g.profiles, [make_double_torpedo(delta, g.b)]
             scalar = scalar_warped
 
             def metric(fs):
@@ -452,8 +451,8 @@ class TestDemo:
         u1, v1 = schedule._mixed_torpedo_profiles(delta, gd.b)
         t = sample_grid(gd.b, 256, interior=True)
         rows["standardize"] = ("t", t, scalar_doubly_warped(
-            DoublyWarpedMetric(p, q, linear_homotopy(gd.u, u1, lam),
-                               linear_homotopy(gd.v, v1, lam),
+            DoublyWarpedMetric(p, q, *map(linear_homotopy, gd.profiles,
+                                          (u1, v1), (lam, lam)),
                                open_profile=True), t))
         for stage, incoming, fiber in (("surgery-1", "standardize", q),
                                        ("surgery-2", "surgery-1", q - 1)):
@@ -466,7 +465,7 @@ class TestDemo:
         tor = make_double_torpedo(delta, g.b)
         t = sample_grid(g.b, 256, interior=True)
         rows["f-to-torpedo"] = ("t", t, scalar_warped(WarpedSphereMetric(
-            n, linear_homotopy(g.f, tor, lam), open_profile=True), t))
+            n, linear_homotopy(*g.profiles, tor, lam), open_profile=True), t))
         cap = min(delta, 0.25)
         family, _cert = connected_sum_foliation(
             1.0, 0.4, tau=0.05, nu_grid=np.linspace(0.0, 1.0, 21), eps=cap,
