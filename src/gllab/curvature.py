@@ -21,20 +21,19 @@ already holds the jets, a foliation leaf or a profile homotopy combined
 from its end jets (``schedule._certify_homotopy``), gets the same bits
 without evaluating a profile.
 
-``slowdown_concordance`` certifies that a path of psc warped metrics can be
-run as a psc metric on a cylinder after slowing the parameter down enough
-(reparameterize by a smoothstep over a long enough interval), evaluating
-the path once per distinct sigma, and a linear path's terms once, over the
-whole search.
+``slowdown_concordance`` runs a psc path of warped metrics as a psc
+cylinder metric, slowed down over a smoothstep whose length L is taken in
+closed form: the cylinder's R at length L is R_sigma - Q/L^2.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .certify import _halving_search, family_certificate, write_csv
+from .certify import family_certificate, write_csv
 from .errors import (CertificationFailedError, DomainMismatchError,
                      InvalidSpecError, SingularProfileError, _check_ints,
                      _finite_reals)
@@ -86,7 +85,10 @@ class WarpedProduct:
     spaces: tuple = None
 
     def __post_init__(self):
-        self.dims, self.profiles = tuple(self.dims), tuple(self.profiles)
+        try:
+            self.dims, self.profiles = tuple(self.dims), tuple(self.profiles)
+        except TypeError:
+            raise InvalidSpecError("dims/profiles must be sequences") from None
         k = len(self.dims)
         if not k or len(self.profiles) != k or self.spaces is not None and (
                 len(self.spaces) != k or not set(self.spaces) <= set(_SPACES)):
@@ -341,9 +343,9 @@ def make_smoothstep(L):
     return SmoothFn1D(L, pieces)
 
 
-# rows of the (s, t) grid per vectorised scalar_cyl_family call
+# rows of the (x, t) grid per block, and the finite-difference step in x = s/L
 _ROW_BLOCK = 32
-_SLOWDOWN_BUDGET = 20  # lengths L = 1, 2, 4, ... tried before giving up
+_SLOWDOWN_STEP = 1e-4
 
 
 def _check_path_metric(m, sig, n, b):
@@ -388,53 +390,57 @@ def _path_jets(profile_at, sig, tgrid):
     return {sv: jet(profile_at(sv), k) for sv, k in order.items()}
 
 
-def _slowdown_grid(n, jets, sig, sgrid, tgrid, h):
-    """R of ds^2 + dt^2 + phi^2 ds_{n-1}^2, phi = path(sigma(s)).profiles[0].
+def _slowdown_grid(n, jets, sig, nt):
+    """(R_sigma, Q) on the (x, t) grid, x = s/L, ``_ROW_BLOCK`` rows a time.
 
-    The s-partials are central differences of row i's outer jets, the
-    t-partials the centre's jet; R is evaluated ``_ROW_BLOCK`` rows a call.
+    Row i reads path(sigma)'s centre jet (P, d1, d2) and the central
+    differences D1, D2 in x of its outer values.  For L = 2^k the s-grid,
+    h = 1e-4 L and eta_L(L x) == eta_1(x) scale with L, so the s-partials
+    are D1/L and D2/L^2; ``_scalar`` being linear in A and B, R at length
+    L is R_sigma - Q/L^2, R_sigma at A = d2/P, B = (1 - d1^2)/P^2 (the
+    row's own R) and Q at A = -D2/P, B = D1^2/P^2.  P must stay positive.
     """
-    R = np.empty((len(sgrid), len(tgrid)))
-    for lo in range(0, len(sgrid), _ROW_BLOCK):
+    h = _SLOWDOWN_STEP
+    R_sigma, Q = np.empty((2, len(sig), nt))
+    for lo in range(0, len(sig), _ROW_BLOCK):
         rows = sig[lo:lo + _ROW_BLOCK]
-        Pm, P, Pp = (np.array([jets[row[c]][0] for row in rows])
-                     for c in range(3))
-        d1, d2 = (np.array([jets[row[1]][k] for row in rows]) for k in (1, 2))
-        jet = (P, ((Pp - Pm) / (2.0 * h), d1),
-               ((Pp - 2.0 * P + Pm) / h ** 2, d2))
-        phi = Phi2D(lambda s, t, k=2, jet=jet: jet[:k + 1])
-        R[lo:lo + len(rows)] = scalar_cyl_family(
-            CylFamilyMetric(n - 1, phi), sgrid[lo:lo + len(rows), None], tgrid)
-    return R
+        P, d1, d2 = np.array([jets[row[1]] for row in rows]).transpose(1, 0, 2)
+        Pm, Pp = (np.array([jets[row[c]][0] for row in rows]) for c in (0, 2))
+        if np.min(np.abs(P)) < _INTERIOR_ZERO or np.min(P) <= 0:
+            raise SingularProfileError("phi must stay positive on the grid")
+        D1, D2 = (Pp - Pm) / (2.0 * h), (Pp - 2.0 * P + Pm) / h ** 2
+        block = slice(lo, lo + _ROW_BLOCK)
+        R_sigma[block] = _scalar([n - 1], [d2 / P],
+                                 [(1.0 - d1 ** 2) / P ** 2], {})
+        Q[block] = _scalar([n - 1], [-D2 / P], [D1 ** 2 / P ** 2], {})
+    return R_sigma, Q
+
+
+def _slowdown_length(R_sigma, Q):
+    """(L, L_star): L_star = sqrt(max(Q+/R_sigma)) where R_sigma > 0, and L
+    the least power of two >= 1 above it, so R_sigma - Q/L^2 > 0 there.  A
+    non-finite L_star raises ``CertificationFailedError``."""
+    ratio = float(np.max(np.divide(Q, R_sigma, out=np.zeros_like(Q),
+                                   where=R_sigma > 0)))
+    if not math.isfinite(ratio):
+        raise CertificationFailedError(f"no finite slowdown length: {ratio}")
+    # 2^(e - 1) <= ratio < 2^e, so 4^k > ratio exactly when 2k >= e
+    return 2.0 ** max(0, (math.frexp(ratio)[1] + 1) // 2), math.sqrt(ratio)
 
 
 def slowdown_concordance(path, n, grid_shape=(200, 200)):
     """Find a slowdown factor making a psc path run as a psc cylinder metric.
 
     ``path`` maps sigma in [0, 1] to a one-factor ``WarpedProduct`` with
-    dims (n - 1,) on a fixed (0, b).  The path is reparameterized by a
-    quintic smoothstep eta over an interval of length L (constant near both
-    ends, so the cylinder metric is a product there), and L is doubled
-    (Lambda = 1/L halved from 1) until the full (s, t) grid certifies min
-    scalar > 0, at most ``_SLOWDOWN_BUDGET`` times; an exhausted search
-    raises ``CertificationFailedError`` with its best margin.
-
-    The path is evaluated once per distinct sigma over the whole search,
-    not once per L.  This is exact: round L's s-grid and h = 1e-4 L are
-    L times those of L = 1 and eta_L(L x) == eta_1(x) bit for bit, so every
-    round samples the same sigma at s_i - h, s_i, s_i + h; only h changes.
-    A sigma-profile that is a ``LinearCombination`` (``linear_homotopy``)
-    is combined from its terms' jets, each term evaluated once on the
-    t-grid for the whole search, with ``LinearCombination.jet``'s
-    arithmetic, so the certificate is the same bit for bit.
-
-    Returns (Lambda, eta profile on (0, L), certificate).  The certificate's
-    ``extra`` holds ``argmin_s``, ``argmin_t`` (``family_certificate``),
-    every L tried (``L_tried``) and the number of distinct sigma at which
-    the path was evaluated (``profiles``).  ``grid_shape`` entries that are
-    not integers >= 1 raise ``InvalidSpecError``, as does a path metric
-    whose dims are not (n - 1,); a sigma-profile whose domain length is
-    not g0's raises ``DomainMismatchError``.
+    dims (n - 1,) on a fixed (0, b), read once per distinct sigma.  The
+    smoothstep's length L is the ``_slowdown_length`` of the path's
+    ``_slowdown_grid``; min(R_sigma - Q/L^2) is certified once, a failure
+    raising ``CertificationFailedError``.  Returns (1/L, eta on (0, L),
+    certificate), whose ``extra`` holds ``argmin_s``, ``argmin_t``,
+    ``L_star``, ``floor`` (a lower bound of the grid minimum at any L' >= L)
+    and ``profiles`` (distinct sigma read).  Bad input raises
+    ``InvalidSpecError`` (``grid_shape`` and n before the path is read), a
+    path on another domain ``DomainMismatchError``.
     """
     try:
         ns, nt = grid_shape
@@ -443,6 +449,7 @@ def slowdown_concordance(path, n, grid_shape=(200, 200)):
             f"grid_shape must be two integers, got {grid_shape!r}") from None
     _check_ints(1, f"slowdown needs a grid of at least 1x1, got "
                 f"grid_shape={tuple(grid_shape)}", ns=ns, nt=nt)
+    _check_ints(2, "slowdown needs n >= 2 (fiber dimension >= 1)", n=n)
     g0, g1 = path(0.0), path(1.0)
     b = g0.b
     for sv, g in ((0.0, g0), (1.0, g1)):
@@ -462,33 +469,25 @@ def slowdown_concordance(path, n, grid_shape=(200, 200)):
             return known[sv]
         return _check_path_metric(path(sv), sv, n, b).profiles[0]
 
-    tried = []
-    sig = jets = None
-
-    def attempt(lam):
-        nonlocal sig, jets
-        L = 1.0 / lam  # exact: lam is a power of two
-        eta = make_smoothstep(L)
-        h = L * 1e-4
-        tried.append(L)
-        sgrid = np.linspace(0.0, L, ns + 2)[1:-1]
-        if jets is None:
-            sig = np.clip(eta(np.clip(sgrid[:, None] + [-h, 0.0, h], 0.0, L)),
-                          0.0, 1.0).tolist()
-            jets = _path_jets(profile_at, sig, tgrid)
-        cert = family_certificate(
-            _slowdown_grid(n, jets, sig, sgrid, tgrid, h),
-            {"s": sgrid[:, None], "t": tgrid}, "slowdown",
-            f"{ns}x{nt} interior grid, L={L:.6g}", L_tried=tried,
-            profiles=len(jets.keys() | known.keys()))
-        return cert.min_scalar, (lam, eta, cert)
-
-    best, found = _halving_search(1.0, attempt, _SLOWDOWN_BUDGET)
-    if found is None:
-        raise CertificationFailedError(
-            f"no slowdown factor certified within budget {_SLOWDOWN_BUDGET} "
-            f"(best margin {best})", best_margin=best)
-    return found
+    xgrid = np.linspace(0.0, 1.0, ns + 2)[1:-1]
+    sig = np.clip(make_smoothstep(1.0)(np.clip(
+        xgrid[:, None] + [-_SLOWDOWN_STEP, 0.0, _SLOWDOWN_STEP], 0.0, 1.0)),
+        0.0, 1.0).tolist()
+    R_sigma, Q = _slowdown_grid(n, _path_jets(profile_at, sig, tgrid), sig, nt)
+    L, L_star = _slowdown_length(R_sigma, Q)
+    # floor: where Q > 0, R_sigma - Q/L'^2 grows with L', else it is >= R_sigma
+    floor = R_sigma.min()
+    # R takes Q's buffer: one more ns x nt array would raise the peak RSS
+    R = np.subtract(R_sigma, np.divide(Q, L ** 2, out=Q), out=Q)
+    cert = family_certificate(
+        R, {"s": L * xgrid[:, None], "t": tgrid}, "slowdown",
+        f"{ns}x{nt} interior grid, L={L:.6g}", L_star=L_star,
+        floor=float(np.minimum(R.min(), floor)),
+        profiles=len({sv for row in sig for sv in row} | known.keys()))
+    if not cert.passed:
+        raise CertificationFailedError(f"slowdown not psc: {cert!r}",
+                                       best_margin=cert.min_scalar)
+    return 1.0 / L, make_smoothstep(L), cert
 
 
 # ---------------------------------------------------------------------------

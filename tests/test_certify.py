@@ -51,25 +51,25 @@ def exhaust_standardize(monkeypatch):
     return err.value
 
 
-def exhaust_slowdown(monkeypatch):
-    monkeypatch.setattr(curvature, "_SLOWDOWN_BUDGET", 2)
-    monkeypatch.setattr(
-        curvature, "_slowdown_grid",
-        lambda n, jets, sig, sgrid, tgrid, h:
-            np.full((sgrid.size, tgrid.size), np.nan))
-    with pytest.raises(CertificationFailedError) as err:
-        curvature.slowdown_concordance(lambda sig: round_metric(7, 1.0), 7,
-                                       grid_shape=(10, 10))
-    return err.value
-
-
-@pytest.mark.parametrize("exhaust", [exhaust_standardize, exhaust_slowdown])
+@pytest.mark.parametrize("exhaust", [exhaust_standardize])
 def test_exhausted_search_with_no_finite_margin_reports_none(
         exhaust, monkeypatch):
     # every attempt's minimum is -inf or NaN, so none is a best margin
     err = exhaust(monkeypatch)
     assert err.best_margin is None
     assert "best margin None" in str(err)
+
+
+def test_slowdown_with_a_nan_minimum_reports_none(monkeypatch):
+    # a NaN grid has no sample with R_sigma > 0 (L = 1) and a NaN minimum
+    monkeypatch.setattr(
+        curvature, "_slowdown_grid",
+        lambda n, jets, sig, nt: np.full((2, len(sig), nt), np.nan))
+    with pytest.raises(CertificationFailedError,
+                       match="min R = nan on 10x10 interior grid, L=1") as err:
+        curvature.slowdown_concordance(lambda sig: round_metric(7, 1.0), 7,
+                                       grid_shape=(10, 10))
+    assert err.value.best_margin is None
 
 
 @pytest.mark.parametrize("margin", [np.inf, -np.inf, np.nan, None])
@@ -109,8 +109,8 @@ class TestFamilyCertificate:
 
     def test_keyword_extras_sit_beside_the_argmin_keys(self):
         cert = family_certificate([2.0, 1.0], {"t": [0.0, 0.5]}, "label",
-                                  "2 samples", L_tried=[1.0], profiles=3)
-        assert cert.extra == {"argmin_t": 0.5, "L_tried": [1.0],
+                                  "2 samples", L_star=0.5, profiles=3)
+        assert cert.extra == {"argmin_t": 0.5, "L_star": 0.5,
                               "profiles": 3}
         assert (cert.grid, cert.label, cert.min_scalar) == (
             "2 samples", "label", 1.0)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import gllab.curvature as curvature
+from gllab.certify import family_certificate
 from gllab.curvature import (CylFamilyMetric, DoublyWarpedMetric, Phi2D,
                              WarpedProduct, WarpedSphereMetric,
                              make_smoothstep, ricci_warped, scalar_cyl_family,
@@ -266,47 +267,55 @@ def round_to_double_torpedo(b=6.0, delta=0.5, n=7):
     return path
 
 
-def per_row_slowdown(path, n, grid_shape, budget):
-    """Reference slowdown search that rebuilds phi's profiles per partial.
+def per_row_grid(path, n, grid_shape, L):
+    """Reference R grid at length L that rebuilds phi's profiles per partial.
 
     Every s-row looks up path(eta(s)) anew for the value, for each of the
-    central differences in s and for each t-partial (8 profiles a row), as
-    the search once did.  Returns the R grid of every L tried, then
-    (Lambda, L, min R) on success or the best minimum when the budget runs
-    out.
+    central differences in s at h = 1e-4 L and for each t-partial (8
+    profiles a row), and evaluates ``scalar_cyl_family`` row by row.
     """
     b = path(0.0).b
     ns, nt = grid_shape
     tgrid = np.linspace(0.0, b, nt + 2)[1:-1]
+    eta = make_smoothstep(L)
+    h = L * 1e-4
+
+    def profile_at(s):
+        return path(float(np.clip(eta(np.clip(s, 0.0, L)),
+                                 0.0, 1.0))).profiles[0]
+
+    def val(s, t):
+        return profile_at(float(s))(t)
+
+    def ds(s, t):
+        return (val(s + h, t) - val(s - h, t)) / (2.0 * h)
+
+    def dss(s, t):
+        return (val(s + h, t) - 2.0 * val(s, t) + val(s - h, t)) / h ** 2
+
+    def jet(s, t, k=2):
+        _, d1, d2 = profile_at(float(s)).jet(t, 2)
+        return (val(s, t), (ds(s, t), d1), (dss(s, t), d2))[:k + 1]
+
+    cyl = CylFamilyMetric(n - 1, Phi2D(jet))
+    sgrid = np.linspace(0.0, L, ns + 2)[1:-1]
+    R = np.empty((ns, nt))
+    for i, sv in enumerate(sgrid):
+        R[i] = scalar_cyl_family(cyl, sv, tgrid)
+    return R
+
+
+def per_row_slowdown(path, n, grid_shape, budget):
+    """Reference slowdown search: ``per_row_grid`` at L = 1, 2, 4, ... until
+    the grid's minimum is positive, at most ``budget`` times.  Returns the
+    R grid of every L tried, then (Lambda, L, min R) on success or the best
+    minimum when the budget runs out.
+    """
     grids = []
     best = -np.inf
     L = 1.0
     for _ in range(budget):
-        eta = make_smoothstep(L)
-        h = L * 1e-4
-
-        def profile_at(s):
-            return path(float(np.clip(eta(np.clip(s, 0.0, L)),
-                                     0.0, 1.0))).profiles[0]
-
-        def val(s, t):
-            return profile_at(float(s))(t)
-
-        def ds(s, t):
-            return (val(s + h, t) - val(s - h, t)) / (2.0 * h)
-
-        def dss(s, t):
-            return (val(s + h, t) - 2.0 * val(s, t) + val(s - h, t)) / h ** 2
-
-        def jet(s, t, k=2):
-            _, d1, d2 = profile_at(float(s)).jet(t, 2)
-            return (val(s, t), (ds(s, t), d1), (dss(s, t), d2))[:k + 1]
-
-        cyl = CylFamilyMetric(n - 1, Phi2D(jet))
-        sgrid = np.linspace(0.0, L, ns + 2)[1:-1]
-        R = np.empty((ns, nt))
-        for i, sv in enumerate(sgrid):
-            R[i] = scalar_cyl_family(cyl, sv, tgrid)
+        R = per_row_grid(path, n, grid_shape, L)
         grids.append(R)
         mn = float(R.min())
         if mn > 0.0:
@@ -316,17 +325,28 @@ def per_row_slowdown(path, n, grid_shape, budget):
     return grids, best
 
 
-def record_curvature(monkeypatch):
-    """Flattened values of every scalar_cyl_family call slowdown makes."""
+def record_grid(monkeypatch):
+    """Every grid slowdown hands to its certificate."""
     values = []
 
-    def recording(m, s, t):
-        R = scalar_cyl_family(m, s, t)
-        values.append(np.ravel(R))
-        return R
+    def recording(R, *args, **kwargs):
+        values.append(np.array(R))
+        return family_certificate(R, *args, **kwargs)
 
-    monkeypatch.setattr(curvature, "scalar_cyl_family", recording)
+    monkeypatch.setattr(curvature, "family_certificate", recording)
     return values
+
+
+def middle_bulge_path(b=6.0, n=7):
+    """Round at both ends, scaled by up to 2 in the middle: the cone-like
+    ends of 2 f0 have R < 0, so no length L can make it psc."""
+    f0 = SmoothFn1D(b, [SinePiece((0.0, b), b / np.pi, np.pi / b)])
+
+    def path(sig):
+        return WarpedSphereMetric(
+            n, LinearCombination([(1.0 + 4.0 * sig * (1.0 - sig), f0)]),
+            open_profile=True)
+    return path
 
 
 class TestSlowdown:
@@ -347,29 +367,58 @@ class TestSlowdown:
 
     def test_matches_per_row_reference(self, monkeypatch):
         path = round_to_double_torpedo()
-        values = record_curvature(monkeypatch)
+        values = record_grid(monkeypatch)
         lam, eta, cert = slowdown_concordance(path, 7, grid_shape=(60, 60))
         grids, (ref_lam, ref_L, ref_min) = per_row_slowdown(
             path, 7, (60, 60), 20)
-        assert (lam, eta.b, cert.min_scalar) == (ref_lam, ref_L, ref_min)
-        assert np.array_equal(np.concatenate(values),
-                              np.concatenate([R.ravel() for R in grids]))
+        assert (lam, eta.b) == (ref_lam, ref_L) and len(grids) > 1
+        (R,) = values
+        np.testing.assert_allclose(R, grids[-1], rtol=1e-12, atol=0.0)
+        assert cert.min_scalar == pytest.approx(ref_min, rel=1e-12)
         i, j = np.unravel_index(np.argmin(grids[-1]), (60, 60))
         assert cert.extra["argmin_s"] == np.linspace(0.0, ref_L, 62)[1 + i]
         assert cert.extra["argmin_t"] == np.linspace(0.0, 6.0, 62)[1 + j]
-        assert cert.extra["L_tried"] == [2.0 ** k for k in range(len(grids))]
+        assert ref_L / 2 <= cert.extra["L_star"] < ref_L
+        # the floor bounds the grid minimum at every slower length
+        floor = cert.extra["floor"]
+        assert floor <= cert.min_scalar
+        for slower in (2.0 * ref_L, 4.0 * ref_L):
+            assert per_row_grid(path, 7, (60, 60), slower).min() >= floor
         assert cert.to_json()["extra"] == cert.extra
 
-    def test_failure_matches_per_row_reference(self, monkeypatch):
-        path = round_to_double_torpedo()
-        values = record_curvature(monkeypatch)
-        monkeypatch.setattr(curvature, "_SLOWDOWN_BUDGET", 2)
-        with pytest.raises(CertificationFailedError) as err:
+    def test_failure_matches_per_row_reference(self):
+        # psc at both ends, not in the middle: no length helps
+        path = middle_bulge_path()
+        with pytest.raises(CertificationFailedError, match="L=64>") as err:
             slowdown_concordance(path, 7, grid_shape=(60, 60))
-        grids, best = per_row_slowdown(path, 7, (60, 60), 2)
-        assert err.value.best_margin == best < 0
-        assert np.array_equal(np.concatenate(values),
-                              np.concatenate([R.ravel() for R in grids]))
+        best = err.value.best_margin
+        assert np.isfinite(best) and best < 0
+        assert best == pytest.approx(
+            per_row_grid(path, 7, (60, 60), 64.0).min(), rel=1e-12)
+
+    @pytest.mark.parametrize("R_sigma, Q, L, L_star", [
+        ([1.0, 2.0, 4.0], [2.25, -5.0, 4.0], 2.0, 1.5),
+        ([1.0, 0.5], [16.0, 2.0], 8.0, 4.0),
+        ([0.5, 3.0], [0.5, 0.0], 2.0, 1.0),
+        ([1.0, 2.0], [-1.0, 0.0], 1.0, 0.0),
+        ([1.0, 4.0], [0.25, 3.0], 1.0, np.sqrt(0.75)),
+        ([-1.0, 0.0, 1.0], [100.0, 7.0, 0.5], 1.0, np.sqrt(0.5)),
+    ], ids=["L-star", "exact-4k", "exact-1", "no-positive-Q",
+            "below-one", "non-positive-R-ignored"])
+    def test_length_in_closed_form(self, R_sigma, Q, L, L_star):
+        R_sigma, Q = np.array(R_sigma), np.array(Q)
+        assert curvature._slowdown_length(R_sigma, Q) == (L, L_star)
+        # L passes wherever R_sigma > 0, and L/2 does not
+        pos = R_sigma > 0
+        assert np.all(R_sigma[pos] - Q[pos] / L ** 2 > 0)
+        if L > 1:
+            assert np.any(R_sigma[pos] - Q[pos] / (L / 2) ** 2 <= 0)
+
+    @pytest.mark.parametrize("Q", [[np.nan, 1.0], [np.inf, 1.0]])
+    def test_non_finite_length_raises(self, Q):
+        with pytest.raises(CertificationFailedError,
+                           match="no finite slowdown length"):
+            curvature._slowdown_length(np.array([1.0, 1.0]), np.array(Q))
 
     def test_one_profile_per_distinct_sigma(self, monkeypatch):
         ns = 40
@@ -385,10 +434,11 @@ class TestSlowdown:
             return make_smoothstep(L)
 
         monkeypatch.setattr(curvature, "make_smoothstep", smoothstep)
-        _lam, _eta, cert = slowdown_concordance(path, 7, grid_shape=(ns, 30))
-        assert cert.passed
-        # one smoothstep per L, one path call per distinct sigma overall
-        assert rounds == cert.extra["L_tried"] and len(rounds) >= 2
+        lam, eta, cert = slowdown_concordance(path, 7, grid_shape=(ns, 30))
+        assert cert.passed and eta.b > 1.0
+        # one smoothstep for the sigma rows, one of the returned length, and
+        # one path call per distinct sigma
+        assert rounds == [1.0, eta.b] == [1.0, 1.0 / lam]
         assert len(calls) <= 3 * ns + 2
         assert len(set(calls)) == len(calls) == cert.extra["profiles"]
         assert {0.0, 1.0} <= set(calls)
@@ -405,14 +455,13 @@ class TestSlowdown:
         with pytest.raises(SingularProfileError):
             slowdown_concordance(path, 7, grid_shape=(20, 20))
 
-    def test_non_psc_path_rejected(self, monkeypatch):
+    def test_non_psc_path_rejected(self):
         b = np.pi / 3
         f = SmoothFn1D(b, [SinePiece((0.0, b), 0.5, 3.0)])
 
         def path(sig):
             return WarpedSphereMetric(7, f, open_profile=True)
 
-        monkeypatch.setattr(curvature, "_SLOWDOWN_BUDGET", 2)
         with pytest.raises(CertificationFailedError):
             slowdown_concordance(path, 7, grid_shape=(10, 10))
 
@@ -498,22 +547,20 @@ class TestSlowdown:
         with pytest.raises(DomainMismatchError, match="start metric"):
             slowdown_concordance(path, 7, grid_shape=(20, 20))
 
-    @pytest.mark.parametrize("grid_shape, budget", [
+    @pytest.mark.parametrize("grid_shape, n", [
         ((0, 10), 20), ((10, 0), 20), ((-3, 10), 20), ((20.0, 20), 20),
         ((20, 2.5), 20), ((True, 5), 20), ((3,), 20), (5, 20),
         ((3, 3, 3), 20)])
-    def test_bad_grid_or_budget_raises_typed(self, grid_shape, budget,
-                                             monkeypatch):
-        # the grid is checked before the path is read, whatever the budget
-        monkeypatch.setattr(curvature, "_SLOWDOWN_BUDGET", budget)
+    def test_bad_grid_or_budget_raises_typed(self, grid_shape, n):
+        # the grid is checked before the path is read, the path's n valid
         calls = []
 
         def path(sig):
             calls.append(sig)
-            return round_to_double_torpedo()(sig)
+            return round_to_double_torpedo(n=n)(sig)
 
         with pytest.raises(InvalidSpecError):
-            slowdown_concordance(path, 7, grid_shape=grid_shape)
+            slowdown_concordance(path, n, grid_shape=grid_shape)
         assert calls == []
 
 

@@ -242,6 +242,10 @@ EDGES = [
      lambda: slowdown_concordance(lambda sig: round_doubly_warped(2, 3), 6),
      r"dimensions \(2, 3\), not the \(5,\)"),
     ("product-of-no-factor", lambda: WarpedProduct((), ()), "at least one"),
+    ("product-of-a-bare-dimension",
+     lambda: WarpedProduct(4, _pair()[:1]), "must be sequences"),
+    ("product-of-a-bare-profile",
+     lambda: WarpedProduct((4,), _pair()[0]), "must be sequences"),
     ("product-of-unequal-lengths",
      lambda: WarpedProduct((2, 3), _pair()[:1]), "one profile"),
     ("product-of-unknown-space",
@@ -252,7 +256,15 @@ EDGES = [
     ("g0-not-a-metric",
      lambda: compile_gl_cobordism(round_metric(5).profiles[0],
                                   _one_handle(5)), "one or two round factors"),
+    *((f"slowdown-n-{name}", lambda n=n: slowdown_concordance(_unread, n),
+       "n must be an integer")
+      for name, n in (("string", "7"), ("none", None), ("float", 7.0),
+                      ("bool", True), ("fraction", 7.5))),
 ]
+
+
+def _unread(sig):
+    pytest.fail("the slowdown read its path before checking n")
 
 
 def _one_handle(n):
