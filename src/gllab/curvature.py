@@ -179,20 +179,24 @@ def _open_quotients(f, d1, d2):
 def _closed_form_points(t, b):
     """Where ``_closed_form`` reads its profiles for samples t on (0, b).
 
-    Returns (points, inner, ends): the interior samples in order followed
-    by each end present (0 before b), the mask of interior samples, and
-    one (mask, end) pair per end present, for ``_quotients_from_jets``.
+    Returns (points, back, ends): t itself (at least 1-D) if no sample is
+    at an end, else the interior samples then each end present (0 before
+    b); each sample's index in the points; and the ends present.
     """
     tv = np.atleast_1d(t)
     snap = _END_SNAP * max(1.0, b)
+    # no t <= snap and no t >= b - snap: then neither mask below holds
+    if not np.abs(tv - 0.5 * b).max(initial=0.0) >= 0.5 * b - snap:
+        return tv, slice(None), []
     at0, atb = np.abs(tv) <= snap, np.abs(tv - b) <= snap
     inner = ~(at0 | atb)
-    ends = [(mask, tend) for mask, tend in ((at0, 0.0), (atb, b))
-            if mask.any()]
-    return np.concatenate([tv[inner], [tend for _, tend in ends]]), inner, ends
+    ends = [tend for mask, tend in ((at0, 0.0), (atb, b)) if mask.any()]
+    back = (np.cumsum(inner) - 1).reshape(tv.shape)
+    back[at0], back[atb] = inner.sum(), inner.sum() + at0.any()
+    return np.concatenate([tv[inner], ends]), back, ends
 
 
-def _quotients_from_jets(inner, ends_at, all_jets):
+def _quotients_from_jets(back, ends, all_jets):
     """The quotients (A, B, C) at the samples of ``_closed_form_points``.
 
     ``all_jets`` holds each profile's jet at those points, to order 3 when
@@ -210,18 +214,17 @@ def _quotients_from_jets(inner, ends_at, all_jets):
     ``SingularProfileError``, as do two factors closing at one end and an
     interior zero.  A and B are (profile, sample) arrays, C a dict of them.
     """
-    # D_i = f_i'/f_i, left 0 where f_i closes; ``ends`` holds (mask, c)
-    A, B, D = (np.zeros((len(all_jets),) + inner.shape) for _ in range(3))
-    ends = []
-    n_in = int(inner.sum())
-    if n_in:
-        jets = [[d[:n_in] for d in jet[:3]] for jet in all_jets]
-        if min(np.abs(jet[0]).min() for jet in jets) < _INTERIOR_ZERO:
-            raise SingularProfileError(
-                "a warping function vanishes at an interior point")
-        for i, jet in enumerate(jets):
-            A[i][inner], B[i][inner], D[i][inner] = _open_quotients(*jet)
-    for e, (mask, tend) in enumerate(ends_at, start=n_in):
+    # D_i = f_i'/f_i, 0 where f_i closes; ``closes`` holds (column, c)
+    n_in, closes = len(all_jets[0][0]) - len(ends), []
+    A, B, D = np.empty((3, len(all_jets)) + np.shape(all_jets[0][0]))
+    if n_in and min(np.abs(jet[0][:n_in]).min()
+                    for jet in all_jets) < _INTERIOR_ZERO:
+        raise SingularProfileError(
+            "a warping function vanishes at an interior point")
+    for i, jet in enumerate(all_jets):
+        A[i, :n_in], B[i, :n_in], D[i, :n_in] = _open_quotients(
+            *(d[:n_in] for d in jet[:3]))
+    for e, tend in enumerate(ends, start=n_in):
         jets = [tuple(float(x[e]) for x in jet) for jet in all_jets]
         closing = [i for i, jet in enumerate(jets) if abs(jet[0]) <= _END_ZERO]
         if len(closing) > 1:
@@ -233,21 +236,21 @@ def _quotients_from_jets(inner, ends_at, all_jets):
                     raise SingularProfileError(
                         f"a warping function closes at t = {tend:.6g} with "
                         f"slope {d1:.6g}: a cone point")
-                A[i][mask], B[i][mask] = d3 / d1, -d3 / d1
-                ends.append((mask, i))
+                A[i, e], B[i, e], D[i, e] = d3 / d1, -d3 / d1, 0.0
+                closes.append((e, i))
             elif closing and abs(d1) > _END_TOL:
                 raise SingularProfileError(
                     f"a warping function stays open at t = {tend:.6g} with "
                     f"slope {d1:.6g} where another closes")
             else:
-                A[i][mask], B[i][mask], D[i][mask] = _open_quotients(f, d1, d2)
+                A[i, e], B[i, e], D[i, e] = _open_quotients(f, d1, d2)
     C = {(i, j): D[i] * D[j]
          for i in range(len(all_jets)) for j in range(i + 1, len(all_jets))}
-    for mask, c in ends:
+    for e, c in closes:
         for (i, j), Cij in C.items():
             if c in (i, j):
-                Cij[mask] = A[j if i == c else i][mask]
-    return A, B, C
+                Cij[e] = A[j if i == c else i, e]
+    return A[:, back], B[:, back], {ij: Cij[back] for ij, Cij in C.items()}
 
 
 def _closed_form(dims, profiles, t, formula):
@@ -260,10 +263,10 @@ def _closed_form(dims, profiles, t, formula):
     ``formula``'s value, floats for scalar t.
     """
     t = np.asarray(t, dtype=float)
-    pts, inner, ends = _closed_form_points(t, profiles[0].b)
+    pts, back, ends = _closed_form_points(t, profiles[0].b)
     k = 3 if ends else 2
     out = formula(dims, *_quotients_from_jets(
-        inner, ends, [f.jet(pts, k) for f in profiles]))
+        back, ends, [f.jet(pts, k) for f in profiles]))
     if t.ndim:
         return out
     out = np.asarray(out)[..., 0]

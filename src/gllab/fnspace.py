@@ -19,16 +19,15 @@ Every profile in the toolkit (``SmoothFn1D`` and ``LinearCombination`` here,
 and the composite and blended profiles of ``hypersurface`` and ``glbend``) has
 the same contract: a domain length ``b`` and ``jet(t, k)``, which returns
 (f, f', ..., f^(k)) for k <= 3 from one evaluation pass.  Each analytic
-piece is compiled to plain data when it is built; ``_run_jet`` reads it, to
-the bit as numpy's polynomial evaluation would, and ``_piecewise`` gathers
-each piece's run of the sorted points, found by one ``searchsorted``, as it
-gathers the segments of a ``glbend.Curve2D``.  Only ``SmoothFn1D`` serialises.
+piece is compiled to plain data when it is built; ``_run_jet`` reads it in
+one array pass for all orders, to the bit as numpy evaluates each order,
+and ``_piecewise`` gathers each piece's run of sorted points, found by one
+``searchsorted``, as for a ``glbend.Curve2D``.  Only ``SmoothFn1D`` serialises.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
 
 import numpy as np
 
@@ -60,6 +59,7 @@ __all__ = [
 DEFAULT_JUNCTION_TOL = 1e-9
 DEFAULT_GRID_DENSITY = 1024  # points per unit length
 _CSV_DENSITY = 256  # points per unit length of the profile and curvature CSVs
+_SHIFTS = (np.arange(4) * np.pi / 2.0)[:, None]  # j pi/2 shifts order j's sine
 
 
 def sample_grid(b, density=DEFAULT_GRID_DENSITY, interior=False):
@@ -75,24 +75,27 @@ def sample_grid(b, density=DEFAULT_GRID_DENSITY, interior=False):
 # ---------------------------------------------------------------------------
 
 def _run_jet(compiled, u, k):
-    """Orders 0..k at points u of a piece compiled as (the b of each t -> b - t
-    around it, outermost first; origin; each order's coefficients or None;
-    None or a sine's (A w^j, w, phase))."""
-    bs, origin, cols, sine = compiled
+    """Orders 0..k as rows of one array pass at 1-D points u of a piece
+    compiled as (each reflection's b, outermost first; origin; (first, later
+    Horner columns) of orders 0..3, or None; None or (A w^j, w, phase))."""
+    bs, origin, poly, sine = compiled
     for b in bs:
         u = b - u
     if sine:
         amps, w, phase = sine
-        arg = w * u + phase
-        vals = [a * np.sin(arg + j * np.pi / 2.0)
-                for j, a in enumerate(amps[:k + 1])]
+        vals = amps[:k + 1] * np.sin((w * u + phase) + _SHIFTS[:k + 1])
     else:
-        # numpy's Horner recurrence (c[-1] + u*0, then c + out*u): its bits
+        # numpy's Horner recurrence, its bits: an order not entered is +0.0
         u = u - origin if origin else u
-        zero = u * 0.0
-        vals = [reduce(lambda out, ci: ci + out * u, c[-2::-1], c[-1] + zero)
-                for c in cols[:k + 1]]
-    return [-v if j % 2 and len(bs) % 2 else v for j, v in enumerate(vals)]
+        top, steps = poly
+        vals = top[:k + 1] + u * 0.0
+        for c in steps:
+            entered = vals[:len(c)]
+            entered *= u
+            entered += c[:k + 1]
+    if len(bs) % 2:
+        vals[1::2] *= -1.0
+    return vals
 
 
 def _finite_interval(kind, interval, *params):
@@ -106,11 +109,13 @@ class _Piece:
     """An analytic piece: ``_compiled`` is what ``_run_jet`` reads."""
 
     def jet(self, t, k):
-        return tuple(_run_jet(self._compiled, np.asarray(t, dtype=float), k))
+        t = np.asarray(t, dtype=float)
+        return tuple(_run_jet(self._compiled, t.reshape(-1), k).reshape(
+            (k + 1,) + t.shape))
 
-    def end_jet(self, side, k):
-        """The jet at the piece's own start (side 0) or end (side 1)."""
-        return self.jet(self.interval[side], k)
+    def end_jets(self, k):
+        """Orders 0..k at the piece's own start and end: the two columns."""
+        return _run_jet(self._compiled, np.array(self.interval), k)
 
 
 class PolyPiece(_Piece):
@@ -128,7 +133,11 @@ class PolyPiece(_Piece):
         for _ in range(3):
             c = cols[-1]
             cols.append([j * c[j] for j in range(1, len(c))] or [c[0] * 0])
-        self._compiled = ((), self.origin, cols, None)
+        m = len(cols[0])  # order j's top coefficient enters at min(j, m - 1)
+        pad = np.array([[0.0] * (m - len(c)) + c[::-1] for c in cols])
+        self._compiled = ((), self.origin, (pad[:, :1], [
+            pad[:4 if s == m - 1 else s + 1, s:s + 1] for s in range(1, m)]),
+            None)
 
     def to_json(self):
         return {"kind": self.kind, "interval": list(self.interval),
@@ -147,8 +156,8 @@ class SinePiece(_Piece):
         self.frequency = float(frequency)
         self.phase = float(phase)
         self._compiled = ((), 0.0, None, (
-            [self.amplitude * self.frequency ** j for j in range(4)],
-            self.frequency, self.phase))
+            np.array([[self.amplitude * self.frequency ** j]
+                      for j in range(4)]), self.frequency, self.phase))
 
     def to_json(self):
         return {"kind": self.kind, "interval": list(self.interval),
@@ -161,7 +170,8 @@ class ConstPiece(_Piece):
     def __init__(self, interval, value):
         self.interval = _finite_interval(self.kind, interval, value)
         self.value = float(value)
-        self._compiled = ((), 0.0, [[self.value], [0.0], [0.0], [0.0]], None)
+        self._compiled = ((), 0.0, (np.array([[self.value], [0.0], [0.0],
+                                              [0.0]]), ()), None)
 
     def to_json(self):
         return {"kind": self.kind, "interval": list(self.interval),
@@ -180,11 +190,12 @@ class ReflectPiece(_Piece):
         bs, *leaf = inner._compiled
         self._compiled = ((self.b, *bs), *leaf)
 
-    def end_jet(self, side, k):
-        """The inner piece's jet at its mirrored end, odd orders negated:
-        exact, where evaluating at b - t would round."""
-        return tuple(-v if j % 2 else v
-                     for j, v in enumerate(self.inner.end_jet(1 - side, k)))
+    def end_jets(self, k):
+        """The inner piece's end jets, mirrored, odd orders negated: exact,
+        where evaluating at b - t would round."""
+        jets = self.inner.end_jets(k)[:, ::-1]
+        jets[1::2] *= -1.0
+        return jets
 
     def to_json(self):
         return {"kind": self.kind, "interval": list(self.interval),
@@ -224,27 +235,30 @@ def _jet_points(t, k, b):
 
 
 def _piecewise(x, breaks, part, tails):
-    """Gather ``part(i, xi)``, the arrays of piece i at its share xi of the
-    points x, into one array of shape x.shape + tail per entry of ``tails``
-    (shape tail for scalar x).  Piece i owns [breaks[i-1], breaks[i]) of
-    the increasing interior ``breaks``; with the points in increasing order
-    (argsorted if not), one searchsorted finds each piece's run."""
-    xv = np.ravel(x)
+    """Gather ``part(i, xi)``: new arrays, of shape xi.shape + tail per
+    entry of ``tails``, of piece i at its share xi of the point array x, into
+    one array of shape x.shape + tail each (tail for scalar x).  Piece i
+    owns [breaks[i-1], breaks[i]) of the increasing interior ``breaks``;
+    with x sorted (argsorted if not), one searchsorted finds each run."""
+    xv, shape = x.ravel(), x.shape
     order = None
     if len(breaks) and xv.size > 1 and not (xv[1:] >= xv[:-1]).all():
         order = np.argsort(xv, kind="stable")
         xv = xv[order]
     ends = [0, *np.searchsorted(xv, breaks).tolist(), xv.size]
-    outs = [np.empty(xv.shape + tail) for tail in tails]
-    for i, (lo, hi) in enumerate(zip(ends, ends[1:])):
-        if lo < hi:
-            for out, val in zip(outs, part(i, xv[lo:hi])):
-                out[lo:hi] = val
+    runs = [(i, lo, hi) for i, (lo, hi) in enumerate(zip(ends, ends[1:]))
+            if lo < hi]
+    # one run holding every point gathers as its piece's own arrays
+    outs = (list(part(runs[0][0], xv)) if len(runs) == 1 else
+            [np.empty(xv.shape + tail) for tail in tails])
+    for i, lo, hi in runs if len(runs) > 1 else ():
+        for out, val in zip(outs, part(i, xv[lo:hi])):
+            out[lo:hi] = val
     if order is not None:
         for out in outs:
             out[order] = out.copy()
-    return tuple(out.reshape(np.shape(x) + out.shape[1:]) if np.ndim(x)
-                 else out[0] for out in outs)
+    return tuple(out.reshape(shape + out.shape[1:]) if shape else out[0]
+                 for out in outs)
 
 
 class SmoothFn1D:
@@ -254,7 +268,7 @@ class SmoothFn1D:
     interior breakpoint the adjacent pieces must agree in value and in the
     derivative orders listed in ``junction_orders`` (default: 0, 1, 2 -- the
     C^2 contract) to within ``DEFAULT_JUNCTION_TOL``, each piece read at its
-    own end (``end_jet``), so a mirror passes when its source does.  ``jet``
+    own end (``end_jets``), so a mirror passes when its source does.  ``jet``
     reads the pieces' compiled data: they are the four piece classes here.
     """
 
@@ -285,11 +299,11 @@ class SmoothFn1D:
 
     def _validate_junctions(self):
         k = max(self.junction_orders, default=0)
-        for left, right in zip(self.pieces, self.pieces[1:]):
+        ends = [p.end_jets(k) for p in self.pieces]
+        for left, ljet, rjet in zip(self.pieces, ends, ends[1:]):
             t = left.interval[1]
-            ljet, rjet = left.end_jet(1, k), right.end_jet(0, k)
             for order in self.junction_orders:
-                lv, rv = float(ljet[order]), float(rjet[order])
+                lv, rv = float(ljet[order, 1]), float(rjet[order, 0])
                 scale_ = max(1.0, abs(lv), abs(rv))
                 if not abs(lv - rv) <= DEFAULT_JUNCTION_TOL * scale_:
                     raise InvalidSpecError(

@@ -337,7 +337,7 @@ class LineSeg:
         shape = np.shape(s)
         out = (self.p0 + np.multiply.outer(np.asarray(s, dtype=float),
                                            self.dir),
-               np.broadcast_to(self.dir, shape + (2,)), np.zeros(shape))
+               np.tile(self.dir, shape + (1,)), np.zeros(shape))
         return out + (np.zeros(shape),) if k == 3 else out
 
 
@@ -722,19 +722,20 @@ def synth_transition(consts, r0, theta0):
     return _transition_shape(float(r0), float(theta0))
 
 
+def _transition_root(r0, m0, delta0):
+    """C1 > 0 with (delta0^2/48) C1^2 + (r0 + delta0 m0/2) C1 = 1/2 + m0^2,
+    in a form that does not cancel for delta0 << r0 (a0 < 0 < a2)."""
+    a2, a1, a0 = delta0 ** 2 / 48.0, r0 + 0.5 * delta0 * m0, -(0.5 + m0 ** 2)
+    return 2.0 * a0 / (-a1 - np.sqrt(a1 ** 2 - 4.0 * a2 * a0))
+
+
 @_Memo
 def _transition_shape(r0, theta0):
     """The (delta0, delta_inf) search of ``synth_transition``."""
     m0 = -1.0 / np.tan(theta0)
 
     def shape(delta0):
-        # positive root of (delta0^2/48) C1^2 + (r0 + delta0 m0/2) C1
-        #                  - (1/2 + m0^2) = 0; a2 > 0 > a0, so the
-        # discriminant exceeds a1^2 and the root is real and positive
-        a2 = delta0 ** 2 / 48.0
-        a1 = r0 + 0.5 * delta0 * m0
-        a0 = -(0.5 + m0 ** 2)
-        C1 = (-a1 + np.sqrt(a1 ** 2 - 4.0 * a2 * a0)) / (2.0 * a2)
+        C1 = _transition_root(r0, m0, delta0)
         C2 = delta0 - 2.0 * m0 / C1 - 0.5 * delta0  # t0' - 2 m0/C1 - delta0/2
 
         def graph(delta_inf):

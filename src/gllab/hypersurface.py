@@ -298,17 +298,17 @@ def _leaf_jets(curve, f_eps, f_del, t):
     membership points followed by the closed-form points of samples t.
 
     Returns (membership jets of u and v, closed-form jets of u and v,
-    the interior mask and ends of ``_closed_form_points``).
+    the sample index and ends of ``_closed_form_points``).
     """
     L = curve.length
     mem = _membership_points(L)
-    pts, inner, ends = _closed_form_points(t, L)
+    pts, back, ends = _closed_form_points(t, L)
     x = curve.jet(np.concatenate([mem, pts]), 3)
     uv = [_compose(f, tuple(d[..., axis] for d in x), 3)
           for f, axis in ((f_eps, 0), (f_del, 1))]
     m = mem.size
     return ([tuple(d[:m] for d in jet) for jet in uv],
-            [tuple(d[m:] for d in jet) for jet in uv], inner, ends)
+            [tuple(d[m:] for d in jet) for jet in uv], back, ends)
 
 
 @_Memo
@@ -329,13 +329,13 @@ def _foliation_geometry(edge, radius, tau, nu_grid, eps, delta_p):
     def leaf(curve):
         L = curve.length
         t, = _frozen(np.linspace(0.0, L, _LEAF_SAMPLES))
-        (mu, mv), cf, inner, ends = _leaf_jets(curve, f_eps, f_del, t)
+        (mu, mv), cf, back, ends = _leaf_jets(curve, f_eps, f_del, t)
         bad = [cnd.name for rep in (_membership_report(mu, "U", L),
                                     _membership_report(mv, "V", L))
                for cnd in rep.failures()]
         if bad:
             return t, bad, None
-        A, B, C = _quotients_from_jets(inner, ends, cf)
+        A, B, C = _quotients_from_jets(back, ends, cf)
         _frozen(A, B, *C.values())
         return t, bad, (A, B, C)
 

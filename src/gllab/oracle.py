@@ -3,9 +3,9 @@
 This module is the independent brute-force verifier for every closed-form
 curvature formula in the toolkit.  A :class:`MetricChart` is nothing but a
 callable returning the metric components g_ij at a batch of points on a
-coordinate rectangle; Christoffel symbols, the Riemann tensor, and scalar
-curvature are then assembled from central differences, each from one
-batched call on its whole stencil.  The one extrinsic check,
+coordinate rectangle; Christoffel symbols, the Ricci tensor (contracted
+from them, with no Riemann tensor) and scalar curvature are assembled from
+central differences, one batched call per stencil.  The one extrinsic check,
 :func:`geodesic_sphere_fit`, takes the principal curvatures of small
 coordinate spheres from finite differences of their embeddings.
 
@@ -82,46 +82,45 @@ def _offsets(d, h):
 
 
 def _gamma(G, h):
-    """(Gamma, g) at each centre; G[..., m, :, :] is g at centre + offset m."""
+    """(Gamma, g^-1) at each centre; G[..., m, :, :] is g at offset m."""
     d = G.shape[-1]
-    g = G[..., 0, :, :]
     # dg[..., l, i, j] = g_ij,l by central differences
     dg = (G[..., 1:1 + d, :, :] - G[..., 1 + d:, :, :]) / (2.0 * h)
     # lowered symbol: Gamma_{l,ij} = 1/2 (g_{il,j} + g_{jl,i} - g_{ij,l})
     low = 0.5 * (np.einsum("...jil->...lij", dg)
                  + np.einsum("...ijl->...lij", dg) - dg)
-    return np.einsum("...kl,...lij->...kij", np.linalg.inv(g), low), g
+    ginv = np.linalg.inv(G[..., 0, :, :])
+    return np.einsum("...kl,...lij->...kij", ginv, low), ginv
 
 
 def _christoffel(chart, x):
     """Gamma and g at x, from one metric call on the 2d + 1 points."""
-    return _gamma(chart.metric(x + _offsets(chart.dim, chart.step)),
-                  chart.step)
+    G = chart.metric(x + _offsets(chart.dim, chart.step))
+    return _gamma(G, chart.step)[0], G[0]
 
 
-def _riemann(chart, x):
-    """R^l_{ijk} and g at x, from one metric call on the nested stencil:
-    each centre c in {x, x + h e_i, x - h e_i} with its own c +- h e_l."""
+def _ricci(chart, x):
+    """Ric_jk = d_i G^i_jk - d_j G^i_ik + G^i_im G^m_jk - G^i_jm G^m_ik and
+    g^jk at x (G = Gamma), from one metric call on the nested stencil."""
     d, h = chart.dim, chart.step
     off = _offsets(d, h)
     points = (x + off)[:, None, :] + off[None, :, :]
     G = chart.metric(points.reshape(-1, d)).reshape(2 * d + 1, 2 * d + 1,
                                                     d, d)
-    gammas, g = _gamma(G, h)
+    gammas, ginv = _gamma(G, h)
     gamma = gammas[0]
     # dgamma[i, l, j, k] = d_i Gamma^l_jk
     dgamma = (gammas[1:1 + d] - gammas[1 + d:]) / (2.0 * h)
-    quad = np.einsum("lim,mjk->lijk", gamma, gamma)
-    R = (np.einsum("iljk->lijk", dgamma) - np.einsum("jlik->lijk", dgamma)
-         + quad - np.einsum("ljik->lijk", quad))
-    return R, g[0]
+    ric = (dgamma.trace() - dgamma.trace(axis1=1, axis2=2)
+           + np.einsum("iim,mjk->jk", gamma, gamma)
+           - np.einsum("ijm,mik->jk", gamma, gamma))
+    return ric, ginv[0]
 
 
 def scalar_from_chart(chart, x):
     """Scalar curvature g^{jk} Ric_jk, second-order accurate in the step."""
-    R, g = _riemann(chart, x)
-    ric = np.einsum("iijk->jk", R)
-    return float(np.einsum("jk,jk->", np.linalg.inv(g), ric))
+    ric, ginv = _ricci(chart, x)
+    return float(np.vdot(ginv, ric))
 
 
 # ---------------------------------------------------------------------------
@@ -283,23 +282,24 @@ def round_sphere_normal_chart():
 _ANGLES = (0.3, np.pi - 0.3)
 
 
-def _sphere_angle_metric(angles):
-    """Round S^m metrics in nested angles (N, m), as (N, m) diagonals."""
-    diag = np.ones(angles.shape)
-    diag[:, 1:] = np.cumprod(np.sin(angles[:, :-1]) ** 2, axis=1)
-    return diag
+def _sphere_angle_metric(D, angles, scale):
+    """Write scale^2 (N,) times the round S^m metrics in nested angles
+    (N, m) into their (N, m) diagonals D, which hold ones."""
+    np.cumprod(np.sin(angles[:, :-1]) ** 2, axis=1, out=D[:, 1:])
+    D *= scale[:, None] ** 2
 
 
 def _warped_chart(dims, profiles, step):
     """Chart for dt^2 + sum_i f_i(t)^2 ds_{dims[i]}^2: coordinates t, 5% of
     the shared domain clear of each end, then each fiber's nested angles."""
     cuts = np.cumsum([1, *dims])
+    eye = np.eye(cuts[-1])
 
     def g(X):
-        t = X[:, 0]
-        fibers = [f(t)[:, None] ** 2 * _sphere_angle_metric(X[:, lo:hi])
-                  for f, lo, hi in zip(profiles, cuts[:-1], cuts[1:])]
-        return _diag(np.column_stack([np.ones(len(X)), *fibers]))
+        D = np.ones(X.shape)
+        for f, lo, hi in zip(profiles, cuts[:-1], cuts[1:]):
+            _sphere_angle_metric(D[:, lo:hi], X[:, lo:hi], f(X[:, 0]))
+        return D[:, :, None] * eye
     pad = 0.05 * profiles[0].b
     rect = [(pad, profiles[0].b - pad)] + [_ANGLES] * sum(dims)
     return MetricChart(1 + sum(dims), rect, g, step)
@@ -317,9 +317,11 @@ def doubly_warped_chart(u, v, p, q):
 
 def cyl_family_chart(phi, qtilde, s_range, t_range, step=1e-4):
     """Chart for ds^2 + dt^2 + phi(s,t)^2 ds_qtilde^2 in nested angles."""
+    eye = np.eye(2 + qtilde)
+
     def g(X):
-        val = phi.jet(X[:, 0], X[:, 1], 0)[0][:, None]
-        fiber = val ** 2 * _sphere_angle_metric(X[:, 2:])
-        return _diag(np.column_stack([np.ones((len(X), 2)), fiber]))
+        D = np.ones(X.shape)
+        _sphere_angle_metric(D[:, 2:], X[:, 2:], phi.jet(*X[:, :2].T, 0)[0])
+        return D[:, :, None] * eye
     rect = [tuple(s_range), tuple(t_range)] + [_ANGLES] * qtilde
     return MetricChart(2 + qtilde, rect, g, step)

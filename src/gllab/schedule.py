@@ -189,13 +189,13 @@ def _certify_homotopy(dims, starts, ends):
     (``_combine_jets``), so each row is its metric's scalar bit for bit."""
     b = starts[0].b
     t = sample_grid(b, 256, interior=True)
-    pts, inner, at_ends = _closed_form_points(t, b)
+    pts, back, at_ends = _closed_form_points(t, b)
     k = 3 if at_ends else 2
     jets = [(f0.jet(pts, k), f1.jet(pts, k)) for f0, f1 in zip(starts, ends)]
 
     def row(lam):
         s = float(lam)
-        return _scalar(dims, *_quotients_from_jets(inner, at_ends, [
+        return _scalar(dims, *_quotients_from_jets(back, at_ends, [
             _combine_jets([(1.0 - s, j0), (s, j1)], lambda j: j, pts, k)
             for j0, j1 in jets]))
     return _homotopy_certificate(row, t)

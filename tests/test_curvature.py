@@ -232,6 +232,133 @@ class TestWarpedProduct:
         assert m.spaces is None and m.n == 7
 
 
+def _masked_points(t, b):
+    """Reference point set: the interior samples then each end present, the
+    interior mask and one (mask, end) pair per end present."""
+    tv = np.atleast_1d(t)
+    snap = curvature._END_SNAP * max(1.0, b)
+    at0, atb = np.abs(tv) <= snap, np.abs(tv - b) <= snap
+    inner = ~(at0 | atb)
+    ends = [(mask, tend) for mask, tend in ((at0, 0.0), (atb, b))
+            if mask.any()]
+    return np.concatenate([tv[inner], [tend for _, tend in ends]]), inner, ends
+
+
+def _masked_quotients(inner, ends_at, all_jets):
+    """Reference reader: (A, B, C) zero-filled, each profile written through
+    the interior mask and each end's limits through that end's mask."""
+    A, B, D = (np.zeros((len(all_jets),) + inner.shape) for _ in range(3))
+    ends = []
+    n_in = int(inner.sum())
+    if n_in:
+        jets = [[d[:n_in] for d in jet[:3]] for jet in all_jets]
+        if min(np.abs(jet[0]).min() for jet in jets) < 1e-13:
+            raise SingularProfileError(
+                "a warping function vanishes at an interior point")
+        for i, (f, d1, d2) in enumerate(jets):
+            A[i][inner], B[i][inner], D[i][inner] = (
+                d2 / f, (1.0 - d1 ** 2) / f ** 2, d1 / f)
+    for e, (mask, tend) in enumerate(ends_at, start=n_in):
+        jets = [tuple(float(x[e]) for x in jet) for jet in all_jets]
+        closing = [i for i, jet in enumerate(jets) if abs(jet[0]) <= 1e-9]
+        if len(closing) > 1:
+            raise SingularProfileError(
+                "both warping functions vanish at the same endpoint")
+        for i, (f, d1, d2, d3) in enumerate(jets):
+            if i in closing:
+                if abs(abs(d1) - 1.0) > 1e-8:
+                    raise SingularProfileError(
+                        f"a warping function closes at t = {tend:.6g} with "
+                        f"slope {d1:.6g}: a cone point")
+                A[i][mask], B[i][mask] = d3 / d1, -d3 / d1
+                ends.append((mask, i))
+            elif closing and abs(d1) > 1e-8:
+                raise SingularProfileError(
+                    f"a warping function stays open at t = {tend:.6g} with "
+                    f"slope {d1:.6g} where another closes")
+            else:
+                A[i][mask], B[i][mask], D[i][mask] = (
+                    d2 / f, (1.0 - d1 ** 2) / f ** 2, d1 / f)
+    C = {(i, j): D[i] * D[j]
+         for i in range(len(all_jets)) for j in range(i + 1, len(all_jets))}
+    for mask, c in ends:
+        for (i, j), Cij in C.items():
+            if c in (i, j):
+                Cij[mask] = A[j if i == c else i][mask]
+    return A, B, C
+
+
+def _masked_closed_form(m, t, formula):
+    """``formula`` of m at t through the masked reference reader."""
+    t = np.asarray(t, dtype=float)
+    pts, inner, ends = _masked_points(t, m.b)
+    out = formula(m.dims, *_masked_quotients(
+        inner, ends, [f.jet(pts, 3 if ends else 2) for f in m.profiles]))
+    if t.ndim:
+        return out
+    out = np.asarray(out)[..., 0]
+    return float(out) if out.ndim == 0 else tuple(map(float, out))
+
+
+def _bits(value):
+    return [(type(v), np.shape(v), np.asarray(v).tobytes())
+            for v in (value if isinstance(value, tuple) else (value,))]
+
+
+_CLOSED_FORM_METRICS = {
+    "round-join": lambda: round_doubly_warped(2, 4),
+    "mixed-torpedo": lambda: WarpedProduct(
+        (3, 2), _mixed_torpedo_profiles(0.3, 3.0)),
+    "double-torpedo": lambda: WarpedSphereMetric(
+        6, make_double_torpedo(0.4, 4.0)),
+    "round": lambda: WarpedSphereMetric(4, round_profile()),
+    "three-factor": lambda: WarpedProduct((1, 2, 1), (
+        SmoothFn1D(1.0, [PolyPiece((0.0, 1.0), [1.0, 0.3])]),
+        cos_profile(1.0), SmoothFn1D(1.0, [PolyPiece((0.0, 1.0),
+                                                      [0.5, 0.0, 0.2])]))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CLOSED_FORM_METRICS))
+def test_closed_form_matches_the_masked_reader_bitwise(name):
+    m = _CLOSED_FORM_METRICS[name]()
+    b = m.b
+    rng = np.random.default_rng(len(name))
+    interior = [0.4 * b, rng.uniform(0.01 * b, 0.99 * b, 1),
+                rng.uniform(0.01 * b, 0.99 * b, 81), sample_grid(b, 64, True),
+                rng.uniform(0.01 * b, 0.99 * b, (3, 5))]
+    ends = [0.0, b, np.linspace(0.0, b, 129), np.array([b, 0.3 * b, 0.0]),
+            np.array([0.0, 1e-14, 0.5 * b, b - 1e-14 * b, b]),
+            np.linspace(0.0, b, 12).reshape(3, 4), np.array([b, 0.0])]
+    closing = name != "three-factor"
+    for t in interior + (ends if closing else []):
+        assert _bits(m.scalar(t)) == _bits(
+            _masked_closed_form(m, t, curvature._scalar))
+        if len(m.dims) == 1:
+            assert _bits(ricci_warped(m, t)) == _bits(
+                _masked_closed_form(m, t, curvature._ricci))
+
+
+@pytest.mark.parametrize("dims, profiles, t", [
+    ((2, 4), lambda: (cos_profile(np.pi), sin_profile(np.pi)),
+     np.array([0.5, np.pi / 2])),
+    ((6,), lambda: (LinearCombination([(0.5, round_profile())]),),
+     np.array([0.5, np.pi])),
+    ((2, 4), lambda: (sin_profile(), sin_profile()), np.array([0.5, 0.0])),
+    ((2, 3), lambda: (SmoothFn1D(np.pi / 2, [PolyPiece(
+        (0.0, np.pi / 2), [1.0, 0.5])]), sin_profile()), np.array([0.0, 0.5])),
+], ids=["interior-zero", "cone-point", "two-close-at-one-end",
+        "open-slope-where-another-closes"])
+def test_closed_form_raises_as_the_masked_reader(dims, profiles, t):
+    m = WarpedProduct(dims, profiles())
+    with pytest.raises(SingularProfileError) as want:
+        _masked_closed_form(m, t, curvature._scalar)
+    with pytest.raises(SingularProfileError) as got:
+        m.scalar(t)
+    assert type(got.value) is type(want.value)
+    assert str(got.value) == str(want.value)
+
+
 class TestCylFamily:
     @pytest.mark.parametrize("qtilde", [1.5, 4.0, np.nan, True, "4"])
     def test_non_integer_fiber_dimension_raises_typed(self, qtilde):

@@ -1,5 +1,6 @@
 """Profile space: pieces, C^2 gluing, torpedoes, membership checkers."""
 
+import functools
 import io
 import json
 
@@ -17,6 +18,8 @@ from gllab.fnspace import (ConstPiece, LinearCombination, PolyPiece,
                            check_V_membership, linear_homotopy,
                            make_double_torpedo, make_torpedo, reflect,
                            sample_grid, write_profile_csv)
+from gllab.glbend import (BendConstants, final_bending_tilt, initial_bend,
+                          synth_transition)
 
 
 def _sin_profile(b=np.pi):
@@ -462,6 +465,103 @@ def _reference_jet(f, t, k):
     """f's orders 0..k at t by ``_per_order``."""
     return _owned(f.pieces, t, k, lambda piece, x, k: [
         _per_order(piece, x, j) for j in range(k + 1)])
+
+
+def _per_order_compiled(piece):
+    """A piece's data as the per-order kernel read it: (the b of each
+    reflection, outermost first; origin; each order's coefficients in
+    increasing powers, or None; None or a sine's (A w^j, w, phase))."""
+    bs = ()
+    while piece.kind == "reflect":
+        bs, piece = bs + (piece.b,), piece.inner
+    if piece.kind == "sine":
+        return bs, 0.0, None, (
+            [piece.amplitude * piece.frequency ** j for j in range(4)],
+            piece.frequency, piece.phase)
+    if piece.kind == "const":
+        return bs, 0.0, [[piece.value], [0.0], [0.0], [0.0]], None
+    cols = [piece.coeffs.tolist() or [0.0]]
+    for _ in range(3):
+        c = cols[-1]
+        cols.append([j * c[j] for j in range(1, len(c))] or [c[0] * 0])
+    return bs, piece.origin, cols, None
+
+
+def _per_order_run_jet(compiled, u, k):
+    """Reference: the kernel as it was, one sine, or one Horner recurrence,
+    per order, odd orders negated under an odd number of reflections."""
+    bs, origin, cols, sine = compiled
+    for b in bs:
+        u = b - u
+    if sine:
+        amps, w, phase = sine
+        arg = w * u + phase
+        vals = [a * np.sin(arg + j * np.pi / 2.0)
+                for j, a in enumerate(amps[:k + 1])]
+    else:
+        u = u - origin if origin else u
+        zero = u * 0.0
+        vals = [functools.reduce(lambda out, ci: ci + out * u, c[-2::-1],
+                                 c[-1] + zero) for c in cols[:k + 1]]
+    return [-v if j % 2 and len(bs) % 2 else v for j, v in enumerate(vals)]
+
+
+def _tilted_transition():
+    """The 5-piece tilted transition of a (1.5, 3) bend."""
+    consts = BendConstants(R0=1.5, q=3)
+    prefix = initial_bend(consts, r1=1.0)
+    trans = synth_transition(consts, r0=0.3, theta0=prefix[1])
+    return final_bending_tilt(trans, trans[0].C2)
+
+
+def _round(radius, phase=0.0):
+    b = radius * np.pi
+    return SmoothFn1D(b, [SinePiece((0.0, b), radius, 1.0 / radius, phase)])
+
+
+_KERNEL_PROFILES = {
+    "round": lambda: _round(1.0),
+    "round-phased": lambda: SmoothFn1D(2.0, [
+        SinePiece((0.0, 2.0), 0.7, 1.7, phase=0.3)]),
+    "round-join": lambda: SmoothFn1D(np.pi / 2, [
+        SinePiece((0.0, np.pi / 2), 1.3, 1.0, phase=np.pi / 2)]),
+    "torpedo": lambda: make_torpedo(TorpedoSpec(0.5, tube_length=1.0)),
+    "torpedo-reflected": lambda: reflect(
+        make_torpedo(TorpedoSpec(0.3, tube_length=0.2))),
+    "torpedo-reflected-twice": lambda: reflect(reflect(
+        make_torpedo(TorpedoSpec(0.3, tube_length=0.2)))),
+    "double-torpedo": lambda: make_double_torpedo(0.4, 4.0),
+    "double-torpedo-reflected": lambda: reflect(make_double_torpedo(0.4, 4.0)),
+    "tilted-transition": _tilted_transition,
+}
+
+
+def _same_bits(got, want):
+    return all(np.shape(g) == np.shape(w) and type(g) is type(w)
+               and np.asarray(g).tobytes() == np.asarray(w).tobytes()
+               for g, w in zip(got, want, strict=True))
+
+
+@pytest.mark.parametrize("name", sorted(_KERNEL_PROFILES))
+def test_kernel_matches_the_per_order_kernel_bitwise(name):
+    f = _KERNEL_PROFILES[name]()
+    rng = np.random.default_rng(len(name))
+    points = [0.37 * f.b, 0.0, f.b, rng.uniform(0.0, f.b, 1),
+              rng.uniform(0.0, f.b, 7), rng.uniform(0.0, f.b, 81),
+              np.sort(rng.uniform(0.0, f.b, 81)),
+              np.linspace(0.0, f.b, 4097)]
+    for k in range(4):
+        for t in points:
+            assert _same_bits(f.jet(t, k), _owned(
+                f.pieces, t, k, lambda p, x, k: _per_order_run_jet(
+                    _per_order_compiled(p), x, k)))
+        for piece in f.pieces:
+            lo, hi = piece.interval
+            for t in (lo, 0.5 * (lo + hi), hi, np.linspace(lo, hi, 9),
+                      rng.permutation(np.linspace(lo, hi, 81))):
+                assert _same_bits(piece.jet(t, k), _per_order_run_jet(
+                    _per_order_compiled(piece), np.asarray(t, dtype=float),
+                    k))
 
 
 def _gauss_nodes(b, cells):

@@ -2,6 +2,7 @@
 
 import warnings
 from dataclasses import replace
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -313,6 +314,21 @@ class TestSynthesis:
         assert margin[-1] == np.inf
         assert profile.certificate.min_scalar == \
             profile.margins()[5][:-1].min()
+
+    @pytest.mark.parametrize("e", [1, 13, 26, 30])
+    def test_transition_root_is_stable_for_small_delta0(self, e):
+        # at theta0 = pi/2 and delta0 = r0 2^-26, a1^2 - 4 a2 a0 rounds to
+        # a1^2, so -a1 + sqrt(...) is 0; the root is evaluated exactly here
+        r0, m0 = 0.2, -1.0 / np.tan(np.pi / 2)
+        delta0 = r0 * 2.0 ** -e  # the search tries e = 1..30
+        C1 = glbend._transition_root(r0, m0, delta0)
+        with localcontext() as ctx:
+            ctx.prec = 80
+            r, m, d = (Decimal(x) for x in (r0, m0, delta0))
+            a2, a1, a0 = d * d / 48, r + d * m / 2, -(Decimal("0.5") + m * m)
+            exact = (-a1 + (a1 * a1 - 4 * a2 * a0).sqrt()) / (2 * a2)
+        assert np.isfinite(C1) and C1 > 0
+        assert abs(Decimal(float(C1)) - exact) <= Decimal("1e-14") * exact
 
 
 def _bend(consts, r1=0.5, r0=0.2):

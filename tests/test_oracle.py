@@ -12,7 +12,7 @@ from gllab.curvature import (CylFamilyMetric, DoublyWarpedMetric, Phi2D,
 from gllab.errors import InvalidSpecError
 from gllab.fnspace import (PolyPiece, SinePiece, SmoothFn1D, TorpedoSpec,
                            make_torpedo, reflect)
-from gllab.oracle import (MetricChart, _christoffel, _riemann, _warped_chart,
+from gllab.oracle import (MetricChart, _christoffel, _ricci, _warped_chart,
                           cyl_family_chart, doubly_warped_chart,
                           euclidean_chart, geodesic_sphere_fit,
                           perturbed_quadratic_chart, round_sphere_normal_chart,
@@ -20,8 +20,8 @@ from gllab.oracle import (MetricChart, _christoffel, _riemann, _warped_chart,
 
 
 def ricci(chart, x):
-    """Ric_jk = R^i_{ijk} from the oracle's batched Riemann stencil."""
-    return np.einsum("iijk->jk", _riemann(chart, x)[0])
+    """Ric_jk from the oracle's batched Ricci stencil."""
+    return _ricci(chart, x)[0]
 
 
 def polar_chart():
@@ -262,6 +262,19 @@ def test_batched_stencil_matches_per_point_reference(name):
         assert _close(_christoffel(chart, x)[0], ref_christoffel(chart, x))
         assert _close(ricci(chart, x), ref_ricci(chart, x))
         assert _close(scalar_from_chart(chart, x), ref_scalar(chart, x))
+
+
+@pytest.mark.parametrize("name", sorted(CHARTS))
+def test_one_metric_call_per_scalar(name, monkeypatch):
+    # the whole nested stencil, (2d + 1)^2 points, in one batch
+    chart = CHARTS[name]()
+    calls, metric = [], MetricChart.metric
+    monkeypatch.setattr(MetricChart, "metric", lambda self, x: (
+        calls.append(len(np.atleast_2d(x))), metric(self, x))[1])
+    for x in _random_points(chart, 2, seed=3):
+        calls.clear()
+        scalar_from_chart(chart, x)
+        assert calls == [(2 * chart.dim + 1) ** 2]
 
 
 @pytest.mark.parametrize("name", sorted(CHARTS))
