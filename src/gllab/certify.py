@@ -6,9 +6,10 @@ it was sampled on and the minimum value found, which must exceed 0.
 Every certificate is the least sample of a family, read by
 ``family_certificate`` with where it sits; certificates serialize to JSON.
 
-``pmap`` is the order-preserving map that every scan over grid cells,
-leaves or homotopy parameters goes through.  It runs serially: the scans are
-GIL-bound Python, and a thread pool measured slower than one thread.
+``pmap`` is the order-preserving map that the foliation's scans over its
+leaves go through; a homotopy's parameters take one array pass instead.
+It runs serially: the scans are GIL-bound Python, and a thread pool
+measured slower than one thread.
 ``write_csv`` is the one CSV writer behind every table the toolkit emits.
 ``_Memo`` is the LRU memo of every geometry built once per shape (all
 listed in ``_MEMOS``); ``_frozen`` marks memoized arrays read-only.

@@ -102,11 +102,7 @@ class WarpedProduct:
             if not _same_domain(self.b, f.b):
                 raise DomainMismatchError(
                     f"profile domain lengths differ: {self.b} vs {f.b}")
-        for i, (f, space) in enumerate(zip(self.profiles, self.spaces or ())):
-            bad = [c.name for c in _check_membership(f, space).failures()]
-            if bad:
-                raise InvalidSpecError(
-                    f"profile {i} fails {space} membership: {bad}")
+        _check_spaces(self.profiles, self.spaces or ())
 
     @property
     def n(self):
@@ -120,6 +116,16 @@ class WarpedProduct:
         """Scalar curvature at t (scalar or array), ``_scalar`` over the
         jets ``_closed_form`` reads, with its limits at a closing end."""
         return _closed_form(self.dims, self.profiles, t, _scalar)
+
+
+def _check_spaces(profiles, spaces):
+    """The membership gate: profile i must pass membership in the
+    ``fnspace._SPACES`` space ``spaces[i]``, else ``InvalidSpecError``."""
+    for i, (f, space) in enumerate(zip(profiles, spaces)):
+        bad = [c.name for c in _check_membership(f, space).failures()]
+        if bad:
+            raise InvalidSpecError(
+                f"profile {i} fails {space} membership: {bad}")
 
 
 def WarpedSphereMetric(n, f, open_profile=False):

@@ -21,8 +21,9 @@ through ``Curve2D.jet``, is the induced radius r(s) or, composed with a
 torpedo (``CompositeProfile``), a warping function of a leaf.  The
 foliation reads each leaf from one curve jet and one jet per torpedo,
 taken on every point that the leaf's checks read.  (p, q) enter only the
-closed form, so the foliation's and the mixed torpedo's geometry is built
-once per shape, keyed on the floats that fix it (``certify._Memo``).
+closed form, so the foliation's and the mixed torpedo's geometry, with
+their membership verdicts, is built once per shape, keyed on the floats
+that fix it (``certify._Memo``).
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .certify import _family_grid, _frozen, _Memo, family_certificate, pmap
-from .curvature import (WarpedProduct, _closed_form_points,
+from .curvature import (WarpedProduct, _check_spaces, _closed_form_points,
                         _quotients_from_jets, _scalar)
 from .errors import (CertificationFailedError, InvalidBendError,
                      InvalidSpecError, _check_ints, _finite_reals)
@@ -166,7 +167,7 @@ _J_SAMPLES = 2001
 @_Memo
 def _mixed_torpedo_geometry(eps, delta, c1, c2, bend_radius):
     """(reflect(f_eps), f_delta, identity report) of ``mixed_torpedo_via_J``,
-    after its checks on the corner curve."""
+    after its checks on the corner curve and the U/V membership gate."""
     curve = quarter_bend_curve(c1, c2, bend_radius)
     # the profiles must already be constant where the curve leaves the
     # respective straight piece, else the pointwise identity degrades; as
@@ -184,6 +185,8 @@ def _mixed_torpedo_geometry(eps, delta, c1, c2, bend_radius):
     b = curve.length
     f_eps = make_torpedo(_torpedo_on(eps, b))
     f_del = make_torpedo(_torpedo_on(delta, b))
+    u = reflect(f_eps)
+    _check_spaces((u, f_del), ("U", "V"))
     s = np.linspace(0.0, b, _J_SAMPLES)
     pt, tan, _ = curve.eval(s)
     x, y = pt[:, 0], pt[:, 1]
@@ -197,7 +200,7 @@ def _mixed_torpedo_geometry(eps, delta, c1, c2, bend_radius):
         "q_factor_deviation": dev_v,
         "unit_speed_residual": speed_res,
     }
-    return reflect(f_eps), f_del, report
+    return u, f_del, report
 
 
 def mixed_torpedo_via_J(eps, delta, c1, c2, bend_radius, p=2, q=2):
@@ -209,15 +212,17 @@ def mixed_torpedo_via_J(eps, delta, c1, c2, bend_radius, p=2, q=2):
     wherever the curve is not running parallel to the respective axis, the
     pullback equals dt^2 + f_eps(b-t)^2 ds_p^2 + f_delta(t)^2 ds_q^2 exactly.
 
-    The curve, its checks, the profiles and the report are built once per
-    (eps, delta, c1, c2, bend_radius); a call makes its own (p, q) metric.
+    The curve, its checks, the profiles with their U/V membership verdict
+    and the report are built once per (eps, delta, c1, c2, bend_radius); a
+    call makes its own (p, q) metric, with no second membership check.  A
+    shape that fails membership raises ``InvalidSpecError`` on every call.
     ``quarter_bend_curve`` checks the corner and ``TorpedoSpec`` eps, delta.
 
     Returns (mixed torpedo metric, identity report); the report's
     max_deviation is the sampled defect of that equality.
     """
     u, v, report = _mixed_torpedo_geometry(eps, delta, c1, c2, bend_radius)
-    return WarpedProduct((p, q), (u, v), ("U", "V")), dict(report)
+    return WarpedProduct((p, q), (u, v)), dict(report)
 
 
 # ---------------------------------------------------------------------------

@@ -28,16 +28,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+# pmap stays bound here for the benchmark self-check, which reads schedule.pmap
 from .certify import (IsotopyCertificate, _halving_search, family_certificate,
                       pmap, write_csv)
 from .curvature import (DoublyWarpedMetric, WarpedProduct,
-                        WarpedSphereMetric, _closed_form_points,
-                        _quotients_from_jets, _scalar)
+                        WarpedSphereMetric, _quotients_from_jets, _scalar)
 from .errors import (CertificationFailedError, CompilationFailedError,
                      DemoFailedError, HypothesisViolationError,
-                     InvalidSpecError, _finite_reals)
-from .fnspace import (SinePiece, SmoothFn1D, _combine_jets, _torpedo_on,
-                      make_double_torpedo, make_torpedo, reflect, sample_grid)
+                     InvalidSpecError, _check_ints, _finite_reals)
+from .fnspace import (SinePiece, SmoothFn1D, _torpedo_on, make_double_torpedo,
+                      make_torpedo, reflect, sample_grid)
 from .glbend import (BendConstants, assemble_gamma, initial_bend,
                      synth_transition)
 from .hypersurface import connected_sum_foliation, mixed_torpedo_via_J
@@ -173,32 +173,30 @@ def _mixed_torpedo_profiles(delta, b):
     return reflect(v), v
 
 
-def _homotopy_certificate(row, t):
-    """Min of ``row(lambda)``, R at t, over 11 lambdas in [0, 1], with
-    ``argmin_lambda`` and ``argmin_t`` (``family_certificate``)."""
-    lams = np.linspace(0.0, 1.0, 11)
-    return family_certificate(
-        pmap(row, lams), {"lambda": lams[:, None], "t": t},
-        "profile homotopy", f"11 x {t.size} (lambda, t) interior grid")
-
-
 def _certify_homotopy(dims, starts, ends):
     """The linear homotopy of warping profiles ``starts`` -> ``ends`` (pair
-    i warps a round sphere of dimension ``dims[i]``), each end's jet taken
-    once: a lambda's jets take ``linear_homotopy``'s weights and arithmetic
-    (``_combine_jets``), so each row is its metric's scalar bit for bit."""
-    b = starts[0].b
-    t = sample_grid(b, 256, interior=True)
-    pts, back, at_ends = _closed_form_points(t, b)
-    k = 3 if at_ends else 2
-    jets = [(f0.jet(pts, k), f1.jet(pts, k)) for f0, f1 in zip(starts, ends)]
-
-    def row(lam):
-        s = float(lam)
-        return _scalar(dims, *_quotients_from_jets(back, at_ends, [
-            _combine_jets([(1.0 - s, j0), (s, j1)], lambda j: j, pts, k)
-            for j0, j1 in jets]))
-    return _homotopy_certificate(row, t)
+    i warps a round sphere of dimension ``dims[i]``) on the 11 x N
+    (lambda, t) interior grid, each end's jet taken once, to order 2 (no
+    sample is at an end).  All lambdas' jets are combined in one array pass
+    with ``_combine_jets``'s arithmetic, a zero weight skipped entry by
+    entry, then read by one ``_quotients_from_jets`` and one ``_scalar``:
+    each row is its metric's scalar bit for bit, at lambda = 0 and 1 even
+    where the other end reads NaN (``argmin_lambda``, ``argmin_t``)."""
+    t = sample_grid(starts[0].b, 256, interior=True)
+    lams = np.linspace(0.0, 1.0, 11)
+    weights = [w[:, None] for w in (1.0 - lams, lams)]
+    shape = (lams.size, t.size)
+    combined = []
+    for f0, f1 in zip(starts, ends):
+        outs = [np.zeros(shape) for _ in range(3)]
+        for w, f in zip(weights, (f0, f1)):
+            for o, d in zip(outs, f.jet(t, 2)):
+                np.add(o, w * d, out=o, where=w != 0.0)
+        combined.append([o.ravel() for o in outs])
+    R = _scalar(dims, *_quotients_from_jets(slice(None), [], combined))
+    return family_certificate(
+        R.reshape(shape), {"lambda": lams[:, None], "t": t},
+        "profile homotopy", f"11 x {t.size} (lambda, t) interior grid")
 
 
 # values of delta, halved from 0.5, that _standardize_search tries
@@ -447,8 +445,11 @@ def two_surgery_demo(n, p, radius=1.0):
     adjustment chain back: a linear profile homotopy to a torpedo form, the
     connected-sum foliation isotopy, and the mixed-torpedo pullback-identity
     check, failing unless the deviation is below ``_PULLBACK_TOL``.  A
-    failing stage raises ``DemoFailedError`` with its stage id.
+    failing stage raises ``DemoFailedError`` with its stage id.  n and p
+    must be integers (``errors._check_ints``), else ``InvalidSpecError``.
     """
+    # the integer rule alone; each bound below keeps its own error class
+    _check_ints(-np.inf, None, n=n, p=p)
     q = n - p - 1
     if p < 1:
         raise InvalidSpecError("need p >= 1")

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+import gllab.curvature as curvature
 import gllab.fnspace as fnspace
 import gllab.hypersurface as hyp
 from gllab.certify import _MEMOS
@@ -518,3 +519,27 @@ class TestGeometryMemo:
         assert rep2 == want
         assert m2.dims == (1, 5)
         assert all(a is b for a, b in zip(m2.profiles, m.profiles))
+
+    def test_mixed_torpedo_membership_is_checked_once_per_shape(
+            self, monkeypatch):
+        calls = []
+
+        def counted(f, space, _real=curvature._check_membership):
+            calls.append(space)
+            return _real(f, space)
+        monkeypatch.setattr(curvature, "_check_membership", counted)
+        for p, q in ((2, 4), (1, 5)):
+            m, _ = mixed_torpedo_via_J(0.5, 0.5, 2.0, 2.0, 0.5, p=p, q=q)
+            assert m.dims == (p, q)
+        assert calls == ["U", "V"]
+
+    @pytest.mark.parametrize("eps, delta, message", [
+        (0.02, 0.02, r"profile 0 fails U membership: \['d2 < 0 near b'\]"),
+        (0.5, 0.02, r"profile 1 fails V membership")],
+        ids=["U", "V"])
+    def test_failing_membership_raises_on_every_call(self, eps, delta,
+                                                     message):
+        for _ in range(2):
+            with pytest.raises(InvalidSpecError, match=message):
+                mixed_torpedo_via_J(eps, delta, 2.0, 2.0, 0.5)
+        assert not hyp._mixed_torpedo_geometry.entries

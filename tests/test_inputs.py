@@ -26,7 +26,7 @@ from gllab.hypersurface import (ModelAmbient, connected_sum_foliation,
                                 mixed_torpedo_via_J)
 from gllab.morsealg import CriticalPoint, MorseDescription
 from gllab.schedule import (compile_gl_cobordism, round_doubly_warped,
-                            round_metric)
+                            round_metric, two_surgery_demo)
 
 MODEL = BendConstants(R0=1.5, q=3)
 
@@ -260,6 +260,12 @@ EDGES = [
        "n must be an integer")
       for name, n in (("string", "7"), ("none", None), ("float", 7.0),
                       ("bool", True), ("fraction", 7.5))),
+    *((f"two_surgery_demo.{arg}-{name}",
+       lambda arg=arg, x=x: two_surgery_demo(**{"n": 7, "p": 2, arg: x}),
+       f"{arg} must be an integer")
+      for arg in ("n", "p")
+      for name, x in (("string", "7"), ("none", None), ("float", 2.0),
+                      ("bool", True))),
 ]
 
 

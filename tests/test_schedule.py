@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from gllab import hypersurface, schedule
-from gllab.certify import IsotopyCertificate
+from gllab.certify import IsotopyCertificate, family_certificate
 from gllab.curvature import (DoublyWarpedMetric, WarpedSphereMetric,
                              scalar_doubly_warped, scalar_warped)
 from gllab.errors import (CertificationFailedError, CompilationFailedError,
@@ -203,23 +203,57 @@ class TestCompile:
                            match="failing certificates"):
             schedule.Schedule([segs[0], segs[1], failed])
 
-    def test_nan_sample_fails_the_homotopy(self):
+    @staticmethod
+    def grid_certificate(monkeypatch, fill, rows):
+        """The homotopy certificate of a (lambda, t) grid of R that reads
+        ``fill`` but for ``rows`` (lambda index -> leading entries), and the
+        grid's t-samples."""
+        g = round_metric(7)
+        t = sample_grid(g.b, 256, interior=True)
+        values = np.full((11, t.size), fill)
+        for i, row in rows.items():
+            values[i, :len(row)] = row
+        monkeypatch.setattr(schedule, "_scalar",
+                            lambda dims, A, B, C: values.ravel())
+        return schedule._certify_homotopy([6], g.profiles, g.profiles), t
+
+    def test_nan_sample_fails_the_homotopy(self, monkeypatch):
         # a NaN after the first lambda must not be dropped by the minimum
-        t = np.linspace(0.0, 1.0, 5)
-        cert = schedule._homotopy_certificate(
-            lambda lam: np.full(t.shape, np.nan if lam == 0.5 else 42.0), t)
+        cert, t = self.grid_certificate(
+            monkeypatch, 42.0, {5: [42.0, 42.0, 42.0, np.nan]})
         assert np.isnan(cert.min_scalar)
         assert not cert.passed
+        assert cert.extra == {"argmin_lambda": 0.5, "argmin_t": t[3]}
 
-    def test_homotopy_certificate_says_where_its_minimum_is(self):
+    def test_homotopy_certificate_says_where_its_minimum_is(
+            self, monkeypatch):
         # ties go to the first lambda, then to the first t
-        R = {0.3: [5.0, 1.0, 1.0], 0.7: [1.0, 2.0, 3.0]}
-        cert = schedule._homotopy_certificate(
-            lambda lam: np.array(R.get(round(float(lam), 12), [9.0] * 3)),
-            np.array([0.1, 0.2, 0.3]))
+        cert, t = self.grid_certificate(
+            monkeypatch, 9.0, {3: [5.0, 1.0, 1.0], 7: [1.0, 2.0, 3.0]})
         assert cert.min_scalar == 1.0
         assert cert.extra == {"argmin_lambda": np.linspace(0, 1, 11)[3],
-                              "argmin_t": 0.2}
+                              "argmin_t": t[1]}
+
+    def test_nan_end_is_skipped_where_its_weight_is_zero(self, nan_profile):
+        # lambda = 0 gives the end no weight, so its NaN jet does not enter
+        # that row (a LinearCombination skips it too): the least sample is
+        # the first NaN, at lambda = 0.1, as on the per-lambda path
+        g = round_metric(7)
+        end = nan_profile(g.profiles[0])
+        t = sample_grid(g.b, 256, interior=True)
+        lams = np.linspace(0.0, 1.0, 11)
+        R = np.array([scalar_warped(WarpedSphereMetric(
+            7, linear_homotopy(g.profiles[0], end, lam), open_profile=True),
+            t) for lam in lams])
+        want = family_certificate(
+            R, {"lambda": lams[:, None], "t": t}, "profile homotopy",
+            f"11 x {t.size} (lambda, t) interior grid")
+        cert = schedule._certify_homotopy([6], g.profiles, [end])
+        assert np.isfinite(R[0]).all() and np.isnan(R[1:]).all()
+        assert np.isnan(cert.min_scalar)
+        assert cert.extra == want.extra == {"argmin_lambda": 0.1,
+                                            "argmin_t": t[0]}
+        assert (cert.grid, cert.label) == (want.grid, want.label)
 
     def test_homotopy_evaluates_each_end_profile_once(self, counted):
         g = round_doubly_warped(2, 4)
@@ -261,16 +295,16 @@ class TestCompile:
                                      for f0, f1 in zip(starts, ends)]), t)
                       for lam in lams])
         i, j = np.unravel_index(np.argmin(R), R.shape)
-        rows = []
+        grids = []
 
-        def pmap(fn, items):
-            rows.extend(map(fn, items))
-            return rows
-        monkeypatch.setattr(schedule, "pmap", pmap)
+        def recorded(values, *args, **kwargs):
+            grids.append(values)
+            return family_certificate(values, *args, **kwargs)
+        monkeypatch.setattr(schedule, "family_certificate", recorded)
         read = [counted(f) for f in (*starts, *ends)]
         cert = schedule._certify_homotopy(dims, read[:len(dims)],
                                           read[len(dims):])
-        assert np.array_equal(np.array(rows), R)
+        assert len(grids) == 1 and np.array_equal(grids[0], R)
         assert cert.min_scalar == R.min()
         assert cert.extra == {"argmin_lambda": lams[i], "argmin_t": t[j]}
         assert [f.orders for f in read] == [[2]] * (2 * len(dims))
@@ -357,9 +391,10 @@ class TestDemo:
         assert all(st["certificate"].min_scalar > 0 for st in rep.stages)
 
     def test_q_precondition(self):
-        with pytest.raises(HypothesisViolationError):
+        with pytest.raises(HypothesisViolationError,
+                           match="q = n - p - 1 >= 3, got 2"):
             two_surgery_demo(7, 4)
-        with pytest.raises(InvalidSpecError):
+        with pytest.raises(InvalidSpecError, match="need p >= 1"):
             two_surgery_demo(7, 0)
 
     def test_failing_stage_is_named(self, monkeypatch):
