@@ -3,7 +3,8 @@
 Two metric types are covered:
 
 * ``WarpedProduct``    dt^2 + sum_i f_i(t)^2 ds_{d_i}^2 (``WarpedSphereMetric``
-  and ``DoublyWarpedMetric`` build its one- and two-factor forms)
+  and ``DoublyWarpedMetric`` build its one- and two-factor forms and alone
+  sample membership, on profiles from outside the program)
 * ``CylFamilyMetric``  ds^2 + dt^2 + phi(s,t)^2 ds_q^2  (2-D base)
 
 Scalar and Ricci curvature come from the standard warped-product formulas,
@@ -37,10 +38,9 @@ from .certify import family_certificate, write_csv
 from .errors import (CertificationFailedError, DomainMismatchError,
                      InvalidSpecError, SingularProfileError, _check_ints,
                      _finite_reals)
-from .fnspace import (_CSV_DENSITY, _END_TOL, _SPACES, ConstPiece,
-                      LinearCombination, PolyPiece, SmoothFn1D,
-                      _check_membership, _combine_jets, _same_domain,
-                      sample_grid)
+from .fnspace import (_CSV_DENSITY, _END_TOL, ConstPiece, LinearCombination,
+                      PolyPiece, SmoothFn1D, _check_membership, _combine_jets,
+                      _same_domain, sample_grid)
 
 __all__ = [
     "WarpedProduct",
@@ -73,36 +73,30 @@ _END_ZERO = 1e-9
 class WarpedProduct:
     """dt^2 + sum_i f_i(t)^2 ds_{d_i}^2 on a shared (0, b).
 
-    ``profiles[i]`` warps a round sphere of dimension ``dims[i]`` and must
-    pass membership in the ``fnspace._SPACES`` space ``spaces[i]`` (F, U or
-    V); ``spaces=None`` skips the gate (tubes, caps, bend data).  No factor,
-    unequal lengths or a dimension that is not an integer >= 0 raise
+    ``profiles[i]`` warps a round sphere of dimension ``dims[i]``; no
+    membership is sampled (see ``WarpedSphereMetric``).  No factor, unequal
+    lengths or a dimension that is not an integer >= 0 raise
     ``InvalidSpecError``, profiles on unequal domains ``DomainMismatchError``.
     """
 
     dims: tuple
     profiles: tuple
-    spaces: tuple = None
 
     def __post_init__(self):
         try:
             self.dims, self.profiles = tuple(self.dims), tuple(self.profiles)
         except TypeError:
             raise InvalidSpecError("dims/profiles must be sequences") from None
-        k = len(self.dims)
-        if not k or len(self.profiles) != k or self.spaces is not None and (
-                len(self.spaces) != k or not set(self.spaces) <= set(_SPACES)):
+        if not self.dims or len(self.profiles) != len(self.dims):
             raise InvalidSpecError(
-                f"need one profile (and one space of {sorted(_SPACES)}, if "
-                f"any) per dimension, at least one: dims {self.dims}, "
-                f"{len(self.profiles)} profiles, spaces {self.spaces}")
+                f"need one profile per dimension, at least one: dims "
+                f"{self.dims}, {len(self.profiles)} profiles")
         _check_ints(0, "fiber dimensions must be nonnegative",
                     **{f"dims[{i}]": d for i, d in enumerate(self.dims)})
         for f in self.profiles[1:]:
             if not _same_domain(self.b, f.b):
                 raise DomainMismatchError(
                     f"profile domain lengths differ: {self.b} vs {f.b}")
-        _check_spaces(self.profiles, self.spaces or ())
 
     @property
     def n(self):
@@ -118,26 +112,29 @@ class WarpedProduct:
         return _closed_form(self.dims, self.profiles, t, _scalar)
 
 
-def _check_spaces(profiles, spaces):
-    """The membership gate: profile i must pass membership in the
-    ``fnspace._SPACES`` space ``spaces[i]``, else ``InvalidSpecError``."""
-    for i, (f, space) in enumerate(zip(profiles, spaces)):
+def _check_spaces(m, spaces):
+    """``m`` after the membership gate: profile i must pass membership in
+    the ``fnspace._SPACES`` space ``spaces[i]``, else ``InvalidSpecError``."""
+    for i, (f, space) in enumerate(zip(m.profiles, spaces)):
         bad = [c.name for c in _check_membership(f, space).failures()]
         if bad:
             raise InvalidSpecError(
                 f"profile {i} fails {space} membership: {bad}")
+    return m
 
 
 def WarpedSphereMetric(n, f, open_profile=False):
     """dt^2 + f(t)^2 ds_{n-1}^2, n >= 3, f in F unless ``open_profile``."""
     _check_ints(3, "sphere dimension n must be >= 3", n=n)
-    return WarpedProduct((n - 1,), (f,), None if open_profile else ("F",))
+    return _check_spaces(WarpedProduct((n - 1,), (f,)),
+                         () if open_profile else ("F",))
 
 
 def DoublyWarpedMetric(p, q, u, v, open_profile=False):
     """dt^2 + u^2 ds_p^2 + v^2 ds_q^2, (u, v) in U x V unless
     ``open_profile``."""
-    return WarpedProduct((p, q), (u, v), None if open_profile else ("U", "V"))
+    return _check_spaces(WarpedProduct((p, q), (u, v)),
+                         () if open_profile else ("U", "V"))
 
 
 class Phi2D:

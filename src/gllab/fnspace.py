@@ -11,8 +11,10 @@ Three families of membership predicates are provided:
 * ``check_U_membership``  -- profiles positive at 0 and closing at b,
 * ``check_V_membership``  -- profiles closing at 0 and positive at b.
 
-All three run one table of end conditions.  The families are convex, which
-is what makes linear homotopies between members useful; see
+All three run one table of end conditions, on profiles from outside the
+program (``curvature.WarpedSphereMetric`` and ``DoublyWarpedMetric``): the
+program builds members by construction.  The families are convex, which is
+what makes linear homotopies between members useful; see
 ``linear_homotopy``.
 
 Every profile in the toolkit (``SmoothFn1D`` and ``LinearCombination`` here,
@@ -504,6 +506,10 @@ def make_torpedo(spec):
     -sin(t/delta)/delta <= 0, f' = cos(t/delta) >= 0) and the tube are
     concave and nondecreasing as written; ConstructionFailedError unless
     f'' <= 1e-10/delta and f' >= -1e-10 on 257 points of the blend.
+
+    So it is in V by construction (at 0 f = f'' = 0, f' = 1, f''' < 0; at
+    b f = delta, all derivatives 0; f'' <= 0, and < 0 on the cap), and its
+    ``reflect`` is in U.
     """
     if not isinstance(spec, TorpedoSpec):
         raise InvalidSpecError("make_torpedo expects a TorpedoSpec")
@@ -593,19 +599,10 @@ _END_WINDOW = 0.05
 _WINDOW_SAMPLES = 32
 
 
-def _membership_points(b):
-    """The points at which a membership check reads a profile on (0, b):
-    the uniform grid, the near-end windows, then the ends 0 and b."""
-    t = sample_grid(b)
-    w = _END_WINDOW * b
-    lo = np.linspace(0.0, w, _WINDOW_SAMPLES + 1)[1:]   # not the ends
-    hi = np.linspace(b - w, b, _WINDOW_SAMPLES + 1)[:-1]
-    return np.concatenate([t, lo, hi, [0.0, b]])
-
-
-def _membership_report(jet, space, b):
-    """Membership in one of the ``_SPACES`` of a profile on (0, b), read
-    from its jet to order 3 at ``_membership_points(b)``.
+def _check_membership(f, space):
+    """Membership of a profile ``f`` on (0, b) in one of the ``_SPACES``,
+    read from one ``f.jet(., 3)`` call on the uniform grid, the near-end
+    windows, then the ends 0 and b.
 
     A closing end needs f = 0, f' = +-1, f'' = 0, the sign of f''' that
     rounds off the closing fiber, and f'' < 0 nearby; an open end needs
@@ -614,11 +611,16 @@ def _membership_report(jet, space, b):
     above order 3 are not representable, so none is recorded.
     """
     letter, kind0, kindb = _SPACES[space]
+    b = f.b
+    t = sample_grid(b)
+    w = _END_WINDOW * b
+    lo = np.linspace(0.0, w, _WINDOW_SAMPLES + 1)[1:]   # not the ends
+    hi = np.linspace(b - w, b, _WINDOW_SAMPLES + 1)[:-1]
+    jet = f.jet(np.concatenate([t, lo, hi, [0.0, b]]), 3)
     rep = MembershipReport(f"{space}(0,{b:g})")
     d2 = jet[2][:-2]
-    n_grid = d2.size - 2 * _WINDOW_SAMPLES
-    near = {"0": d2[n_grid:n_grid + _WINDOW_SAMPLES],
-            "b": d2[n_grid + _WINDOW_SAMPLES:]}
+    near = {"0": d2[t.size:t.size + _WINDOW_SAMPLES],
+            "b": d2[t.size + _WINDOW_SAMPLES:]}
     for e, kind, end in (("0", kind0, -2), ("b", kindb, -1)):
         v0, v1, v2, v3 = (float(x[end]) for x in jet)
         if kind:
@@ -633,15 +635,9 @@ def _membership_report(jet, space, b):
             rep.add(f"{letter}({e}) > 0", v0 > 0.0, f"value {v0:.6g}")
             rep.add(f"d1({e})=0", abs(v1) <= _END_TOL)
             rep.add(f"d3({e})=0", abs(v3) <= _END_TOL)
-    m = float(d2[:n_grid].max())
+    m = float(d2[:t.size].max())
     rep.add("d2 <= 0 on grid", m <= _CONCAVITY_SLACK, f"max d2 = {m:.3e}")
     return rep
-
-
-def _check_membership(f, space):
-    """Membership of ``f`` in one of the ``_SPACES``: one ``f.jet(., 3)``
-    call at ``_membership_points``, read by ``_membership_report``."""
-    return _membership_report(f.jet(_membership_points(f.b), 3), space, f.b)
 
 
 def check_F_membership(f):

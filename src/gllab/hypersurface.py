@@ -20,10 +20,11 @@ Curves exist only as ``Curve2D`` segments.  A coordinate of a curve, read
 through ``Curve2D.jet``, is the induced radius r(s) or, composed with a
 torpedo (``CompositeProfile``), a warping function of a leaf.  The
 foliation reads each leaf from one curve jet and one jet per torpedo,
-taken on every point that the leaf's checks read.  (p, q) enter only the
-closed form, so the foliation's and the mixed torpedo's geometry, with
-their membership verdicts, is built once per shape, keyed on the floats
-that fix it (``certify._Memo``).
+taken on the leaf's closed-form samples.  The torpedoes and the leaves are
+members of U and V by construction, so no membership is sampled here.
+(p, q) enter only the closed form, so the foliation's and the mixed
+torpedo's geometry is built once per shape, keyed on the floats that fix
+it (``certify._Memo``).
 """
 
 from __future__ import annotations
@@ -34,12 +35,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .certify import _family_grid, _frozen, _Memo, family_certificate, pmap
-from .curvature import (WarpedProduct, _check_spaces, _closed_form_points,
+from .curvature import (WarpedProduct, _closed_form_points,
                         _quotients_from_jets, _scalar)
 from .errors import (CertificationFailedError, InvalidBendError,
                      InvalidSpecError, _check_ints, _finite_reals)
-from .fnspace import (ConstPiece, SmoothFn1D, TorpedoSpec, _membership_points,
-                      _membership_report, _torpedo_on, make_torpedo, reflect)
+from .fnspace import (ConstPiece, SmoothFn1D, TorpedoSpec, _torpedo_on,
+                      make_torpedo, reflect)
 from .glbend import ArcSeg, BendProfile, Curve2D, quarter_bend_curve
 
 __all__ = [
@@ -127,7 +128,7 @@ def induced_metric_on_M(bend, amb):
     """Doubly warped metric induced on the rotation hypersurface of the bend.
 
     Returns ds^2 + eps^2 ds_p^2 + r(s)^2 ds_q^2 with s the curve arc length;
-    the S^p factor never closes, so the metric has no membership gate.
+    the S^p factor never closes.
     """
     curve = _curve_of(bend)
     u = SmoothFn1D(curve.length,
@@ -167,7 +168,8 @@ _J_SAMPLES = 2001
 @_Memo
 def _mixed_torpedo_geometry(eps, delta, c1, c2, bend_radius):
     """(reflect(f_eps), f_delta, identity report) of ``mixed_torpedo_via_J``,
-    after its checks on the corner curve and the U/V membership gate."""
+    after its checks on the corner curve.  The pair is in U x V by
+    construction (``fnspace.make_torpedo``)."""
     curve = quarter_bend_curve(c1, c2, bend_radius)
     # the profiles must already be constant where the curve leaves the
     # respective straight piece, else the pointwise identity degrades; as
@@ -185,8 +187,6 @@ def _mixed_torpedo_geometry(eps, delta, c1, c2, bend_radius):
     b = curve.length
     f_eps = make_torpedo(_torpedo_on(eps, b))
     f_del = make_torpedo(_torpedo_on(delta, b))
-    u = reflect(f_eps)
-    _check_spaces((u, f_del), ("U", "V"))
     s = np.linspace(0.0, b, _J_SAMPLES)
     pt, tan, _ = curve.eval(s)
     x, y = pt[:, 0], pt[:, 1]
@@ -200,7 +200,7 @@ def _mixed_torpedo_geometry(eps, delta, c1, c2, bend_radius):
         "q_factor_deviation": dev_v,
         "unit_speed_residual": speed_res,
     }
-    return u, f_del, report
+    return reflect(f_eps), f_del, report
 
 
 def mixed_torpedo_via_J(eps, delta, c1, c2, bend_radius, p=2, q=2):
@@ -212,11 +212,10 @@ def mixed_torpedo_via_J(eps, delta, c1, c2, bend_radius, p=2, q=2):
     wherever the curve is not running parallel to the respective axis, the
     pullback equals dt^2 + f_eps(b-t)^2 ds_p^2 + f_delta(t)^2 ds_q^2 exactly.
 
-    The curve, its checks, the profiles with their U/V membership verdict
-    and the report are built once per (eps, delta, c1, c2, bend_radius); a
-    call makes its own (p, q) metric, with no second membership check.  A
-    shape that fails membership raises ``InvalidSpecError`` on every call.
-    ``quarter_bend_curve`` checks the corner and ``TorpedoSpec`` eps, delta.
+    The curve, its checks, the profiles (in U x V by construction) and the
+    report are built once per (eps, delta, c1, c2, bend_radius); a call
+    makes its own (p, q) metric.  ``quarter_bend_curve`` checks the corner
+    and ``TorpedoSpec`` eps, delta.
 
     Returns (mixed torpedo metric, identity report); the report's
     max_deviation is the sampled defect of that equality.
@@ -297,30 +296,18 @@ class FoliationFamily:
 _LEAF_SAMPLES = 401
 
 
-def _leaf_jets(curve, f_eps, f_del, t):
-    """The jets of a leaf's u = f_eps(x) and v = f_del(y) that its checks
-    read: one ``Curve2D.jet`` and one jet per torpedo, to order 3, on the
-    membership points followed by the closed-form points of samples t.
-
-    Returns (membership jets of u and v, closed-form jets of u and v,
-    the sample index and ends of ``_closed_form_points``).
-    """
-    L = curve.length
-    mem = _membership_points(L)
-    pts, back, ends = _closed_form_points(t, L)
-    x = curve.jet(np.concatenate([mem, pts]), 3)
-    uv = [_compose(f, tuple(d[..., axis] for d in x), 3)
-          for f, axis in ((f_eps, 0), (f_del, 1))]
-    m = mem.size
-    return ([tuple(d[:m] for d in jet) for jet in uv],
-            [tuple(d[m:] for d in jet) for jet in uv], back, ends)
-
-
 @_Memo
 def _foliation_geometry(edge, radius, tau, nu_grid, eps, delta_p):
     """(f_eps, f_delta, leaf curves, leaves) of ``connected_sum_foliation``;
-    a leaf is (samples t, its failed membership conditions, closed-form
-    quotients (A, B, C) or None if one failed), none depending on (p, q)."""
+    a leaf is (samples t, closed-form quotients (A, B, C)), neither
+    depending on (p, q), from one curve jet and one jet per torpedo.
+
+    Each leaf (u, v) = (f_eps(x), f_delta(y)) is in U x V by construction:
+    its unit-speed curve meets each axis at a right angle with constant
+    curvature k >= 0 there, so the chain rule keeps the torpedoes' end
+    values (f''' gains k^2 of the sign it needs), and the quarter turn's
+    x'', y'' <= 0 with f'' <= 0 <= f' give u'' = f''x'^2 + f'x'' <= 0.
+    """
     c = edge + radius
     f_eps = make_torpedo(_torpedo_on(eps, c))
     f_del = make_torpedo(_torpedo_on(delta_p, c))
@@ -332,17 +319,14 @@ def _foliation_geometry(edge, radius, tau, nu_grid, eps, delta_p):
             curves.append(_corner_curve(0.0, tau + 2.0 * nu * (radius - tau)))
 
     def leaf(curve):
-        L = curve.length
-        t, = _frozen(np.linspace(0.0, L, _LEAF_SAMPLES))
-        (mu, mv), cf, back, ends = _leaf_jets(curve, f_eps, f_del, t)
-        bad = [cnd.name for rep in (_membership_report(mu, "U", L),
-                                    _membership_report(mv, "V", L))
-               for cnd in rep.failures()]
-        if bad:
-            return t, bad, None
-        A, B, C = _quotients_from_jets(back, ends, cf)
+        t, = _frozen(np.linspace(0.0, curve.length, _LEAF_SAMPLES))
+        pts, back, ends = _closed_form_points(t, curve.length)
+        x = curve.jet(pts, 3)
+        A, B, C = _quotients_from_jets(back, ends, [
+            _compose(f, tuple(d[..., axis] for d in x), 3)
+            for f, axis in ((f_eps, 0), (f_del, 1))])
         _frozen(A, B, *C.values())
-        return t, bad, (A, B, C)
+        return t, (A, B, C)
 
     return f_eps, f_del, tuple(curves), pmap(leaf, curves)
 
@@ -355,17 +339,15 @@ def connected_sum_foliation(c, radius, tau, nu_grid, eps, delta_p, p=2, q=2):
     nu carries h_nu = dt^2 + f_eps(x(t))^2 ds_p^2 + f_{delta'}(y(t))^2
     ds_q^2.  For nu in [1/2, 1] the straight edges shrink linearly to zero;
     for nu in [0, 1/2] the bend radius shrinks linearly down to tau.  Every
-    leaf is checked for smooth-closing membership of both profiles and for
-    positive scalar curvature; the first failing leaf aborts with its nu.
-    Both torpedoes keep the default blend, so c must exceed each cap +
-    blend (else InvalidSpecError).
+    leaf is in U x V by construction and is checked for positive scalar
+    curvature; the first failing leaf aborts with its nu.  Both torpedoes
+    keep the default blend, so c must exceed each cap + blend (else
+    InvalidSpecError).
 
-    The torpedoes, the leaf curves and each leaf's membership reports and
-    closed-form quotients, from one curve jet and one jet per torpedo
-    (``_leaf_jets``), are built once per shape; each call takes its own
-    (p, q) scalar curvature from the quotients, leaf by leaf.  Reports and
-    curvature are those of ``check_U_membership``, ``check_V_membership``
-    and ``WarpedProduct.scalar`` on the leaf's profiles, bit for bit.
+    The torpedoes, the leaf curves and each leaf's closed-form quotients
+    are built once per shape (``_foliation_geometry``); each call takes its
+    own (p, q) scalar curvature from the quotients, leaf by leaf: that of
+    ``WarpedProduct.scalar`` on the leaf's profiles, bit for bit.
     ``p`` and ``q`` must be integers >= 0, tau, eps and delta_p finite
     numbers (``_finite_reals``) and ``nu_grid`` a family grid
     (``certify._family_grid``), else InvalidSpecError, raised first.
@@ -388,10 +370,7 @@ def connected_sum_foliation(c, radius, tau, nu_grid, eps, delta_p, p=2, q=2):
         delta_p)
 
     def leaf(args):
-        nu, (_t, bad, quotients) = args
-        if bad:
-            raise CertificationFailedError(
-                f"leaf nu = {nu} fails membership: {bad}")
+        nu, (_t, quotients) = args
         R = _scalar([p, q], *quotients)
         if not R.min() > 0:
             raise CertificationFailedError(
@@ -406,7 +385,7 @@ def connected_sum_foliation(c, radius, tau, nu_grid, eps, delta_p, p=2, q=2):
                  CompositeProfile(f_del, _CurveCoordinate(curve, 1)))
                 for curve in curves])
     cert = family_certificate(
-        R, {"nu": grid[:, None], "t": np.stack([t for t, _, _ in leaves])},
+        R, {"nu": grid[:, None], "t": np.stack([t for t, _ in leaves])},
         "connected-sum foliation",
         f"{len(nu_grid)} leaves x {_LEAF_SAMPLES} samples",
         per_leaf_min=R.min(axis=1).tolist())

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidSpecError
+from .errors import InvalidSpecError, _check_ints
 
 __all__ = [
     "MetricChart",
@@ -51,8 +51,7 @@ class MetricChart:
     step: float = 1e-4
 
     def __post_init__(self):
-        if self.dim < 2:
-            raise InvalidSpecError("chart dimension must be >= 2")
+        _check_ints(2, "chart dimension must be >= 2", dim=self.dim)
         if len(self.rectangle) != self.dim:
             raise InvalidSpecError("rectangle must give bounds per axis")
         ext = min(hi - lo for lo, hi in self.rectangle)

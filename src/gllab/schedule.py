@@ -31,8 +31,8 @@ import numpy as np
 # pmap stays bound here for the benchmark self-check, which reads schedule.pmap
 from .certify import (IsotopyCertificate, _halving_search, family_certificate,
                       pmap, write_csv)
-from .curvature import (DoublyWarpedMetric, WarpedProduct,
-                        WarpedSphereMetric, _quotients_from_jets, _scalar)
+from .curvature import (WarpedProduct, WarpedSphereMetric,
+                        _quotients_from_jets, _scalar)
 from .errors import (CertificationFailedError, CompilationFailedError,
                      DemoFailedError, HypothesisViolationError,
                      InvalidSpecError, _check_ints, _finite_reals)
@@ -144,7 +144,10 @@ def write_schedule_csv(schedule, path_or_buf):
 # ---------------------------------------------------------------------------
 
 def _sine_profile(radius, angle, phase=0.0):
-    """radius*sin(t/radius + phase) on (0, radius*angle), radius > 0."""
+    """radius*sin(t/radius + phase) on (0, radius*angle), radius > 0.  For
+    phase 0 or pi/2 and angle pi or pi/2 it is in F, U or V by construction:
+    each end closes (f = 0, f' = +-1, f''' = -+1/radius^2) or is open
+    (f' = f''' = 0), and f'' = -f/radius^2 <= 0."""
     if not (_finite_reals(radius) and radius > 0):
         raise InvalidSpecError("radius must be positive and finite")
     b = radius * angle
@@ -152,23 +155,27 @@ def _sine_profile(radius, angle, phase=0.0):
 
 
 def round_metric(n, radius=1.0):
-    """The round n-sphere of the given radius as a warped metric."""
-    return WarpedSphereMetric(n, _sine_profile(radius, np.pi))
+    """The round n-sphere (n >= 3) of the given radius as a warped metric,
+    its profile in F by construction (``_sine_profile``)."""
+    return WarpedSphereMetric(n, _sine_profile(radius, np.pi),
+                              open_profile=True)
 
 
 def round_doubly_warped(p, q, radius=1.0):
     """The round (p+q+1)-sphere split over the S^p x S^q join.
 
-    u = radius*cos(t/radius), v = radius*sin(t/radius) on (0, radius*pi/2).
+    u = radius*cos(t/radius), v = radius*sin(t/radius) on (0, radius*pi/2),
+    in U x V by construction (``_sine_profile``).
     """
     u, v = (_sine_profile(radius, np.pi / 2.0, ph) for ph in (np.pi / 2, 0.0))
-    return DoublyWarpedMetric(p, q, u, v)
+    return WarpedProduct((p, q), (u, v))
 
 
 def _mixed_torpedo_profiles(delta, b):
     """(u, v) mixed-torpedo profiles on a common domain (0, b): v is the
     delta-torpedo laid out on (0, b) by ``_torpedo_on`` (closes at 0), u
-    its reflection (closes at b)."""
+    its reflection (closes at b), in U x V by construction
+    (``make_torpedo``).  No tube left raises ``InvalidSpecError``."""
     v = make_torpedo(_torpedo_on(delta, b))
     return reflect(v), v
 
@@ -205,7 +212,7 @@ _STANDARDIZE_BUDGET = 20
 
 def _standardize_search(p, q, radius):
     """Halve delta from 0.5 until the round -> mixed-torpedo homotopy
-    certifies; a layout with no tube or a failed membership has no margin.
+    certifies; a layout that leaves no tube has no margin.
 
     Returns (delta, (u1, v1), certificate).  u1 is v1 reflected (equal
     caps), and both live on the round join domain.  An exhausted search
@@ -214,9 +221,8 @@ def _standardize_search(p, q, radius):
     g = round_doubly_warped(p, q, radius)
 
     def attempt(delta):
-        try:  # no tube left on the round join domain, or not in U x V
-            ends = WarpedProduct(g.dims, _mixed_torpedo_profiles(delta, g.b),
-                                 g.spaces).profiles
+        try:  # no tube left on the round join domain
+            ends = _mixed_torpedo_profiles(delta, g.b)
         except InvalidSpecError:
             return None, None
         cert = _certify_homotopy(g.dims, g.profiles, ends)
@@ -260,16 +266,21 @@ _G0_FORMS = {1: ("warped", lambda g: {"n": g.n}, "f", lambda b: b / np.pi),
                  lambda b: b * 2.0 / np.pi)}
 
 
-def _read_g0(g0):
+def _read_g0(g0, n):
     """(certificate, descriptor, radius) of the incoming metric.
 
-    The certificate is g0's interior-grid positivity (``argmin_t``); the
-    radius is exact for a round g0 and a domain scale otherwise.
+    g0 must be a warped product of one or two round factors of dimension n
+    (``InvalidSpecError``, before any sampling).  The certificate is g0's
+    interior-grid positivity (``argmin_t``); the radius is exact for a
+    round g0 and a domain scale otherwise.
     """
     form = isinstance(g0, WarpedProduct) and _G0_FORMS.get(len(g0.dims))
     if not form:
         raise InvalidSpecError(
             "g0 must be a warped product of one or two round factors")
+    if g0.n != n:
+        raise InvalidSpecError(
+            f"g0 has dimension {g0.n} but the description has n = {n}")
     kind, dims, keys, radius = form
     t = sample_grid(g0.b, 512, interior=True)
     cert = family_certificate(g0.scalar(t), {"t": t}, "incoming metric",
@@ -305,10 +316,7 @@ def compile_gl_cobordism(g0, desc):
         raise InvalidSpecError(
             "description must be well-indexed (run well_index first)")
     n = desc.n
-    g0_cert, state, radius = _read_g0(g0)
-    if g0.n != n:
-        raise InvalidSpecError(
-            f"g0 has dimension {g0.n} but the description has n = {n}")
+    g0_cert, state, radius = _read_g0(g0, n)
     segments = []
     points = sorted(desc.points, key=lambda pt: (pt.level, pt.id))
     if not points:

@@ -218,18 +218,23 @@ class TestWarpedProduct:
         u, v = _mixed_torpedo_profiles(0.25, g.b)
         t = np.linspace(0.0, g.b, 129)
         for pair in (g.profiles, (u, v)):
-            m = WarpedProduct((p, q), pair, ("U", "V"))
+            m = WarpedProduct((p, q), pair)
             assert np.array_equal(
                 scalar_doubly_warped(DoublyWarpedMetric(p, q, *pair), t),
                 m.scalar(t))
 
     def test_each_profile_meets_its_space(self):
+        # the public constructors gate profile i on its own space; the
+        # product itself samples none
         g = round_doubly_warped(2, 4)
         with pytest.raises(InvalidSpecError,
-                           match=r"profile 1 fails U membership"):
-            WarpedProduct((2, 4), g.profiles, ("U", "U"))
-        m = WarpedProduct((2, 4), g.profiles)
-        assert m.spaces is None and m.n == 7
+                           match=r"profile 0 fails U membership"):
+            DoublyWarpedMetric(4, 2, *g.profiles[::-1])
+        with pytest.raises(InvalidSpecError,
+                           match=r"profile 0 fails F membership"):
+            WarpedSphereMetric(7, g.profiles[0])
+        m = WarpedProduct((4, 2), g.profiles[::-1])
+        assert not hasattr(m, "spaces") and m.n == 7
 
 
 def _masked_points(t, b):

@@ -213,20 +213,20 @@ class TestFoliation:
             assert check_U_membership(u).passed
             assert check_V_membership(v).passed
 
-    def test_membership_checked_once_per_leaf(self, monkeypatch):
-        # every membership report, the leaf's own or a check_*'s, is one
-        # _membership_report call
+    def test_leaves_are_not_sampled_for_membership(self, monkeypatch):
+        # a leaf is in U x V by construction: no membership report is made
         calls = []
-        for mod in (hyp, fnspace):
-            def counted(jet, space, b, _report=mod._membership_report):
+
+        class Counted(fnspace.MembershipReport):
+            def __init__(self, space):
                 calls.append(space)
-                return _report(jet, space, b)
-            monkeypatch.setattr(mod, "_membership_report", counted)
+                super().__init__(space)
+        monkeypatch.setattr(fnspace, "MembershipReport", Counted)
         family, _ = connected_sum_foliation(
             1.0, 0.4, tau=0.05, nu_grid=[0.0, 0.5, 1.0], eps=0.25,
             delta_p=0.25, p=2, q=4)
         assert len(family.leaves) == 3
-        assert sorted(calls) == ["U"] * 3 + ["V"] * 3
+        assert calls == []
 
     def test_negative_tau_rejected(self):
         with pytest.raises(InvalidSpecError, match="tau"):
@@ -388,22 +388,30 @@ class TestLeafEvaluation:
             t = np.linspace(0.0, curve.length, hyp._LEAF_SAMPLES)
             assert float(np.min(scalar_doubly_warped(m, t))) == mn
 
-    def test_leaf_reports_match_the_profile_checks(self, monkeypatch):
-        reports = []
-
-        def kept(jet, space, b, _report=hyp._membership_report):
-            reports.append(_report(jet, space, b))
-            return reports[-1]
-        monkeypatch.setattr(hyp, "_membership_report", kept)
-        family, _ = connected_sum_foliation(
-            1.0, 0.4, tau=0.05, nu_grid=[0.0, 0.3, 0.5, 0.8, 1.0], eps=0.25,
-            delta_p=0.25, p=2, q=4)
-        want = [check(f) for u, v in family.leaves
-                for check, f in ((check_U_membership, u),
-                                 (check_V_membership, v))]
-        assert [r.space for r in reports] == [r.space for r in want]
-        assert [r.conditions for r in reports] == \
-            [r.conditions for r in want]
+    def test_leaves_are_members_by_construction(self):
+        # the sampled reader passes every leaf of the demo's foliation and
+        # of seeded corners whose torpedo caps outlast its 5% end window
+        rng = np.random.default_rng(52)
+        shapes = [(1.0, 0.4, 0.05, 0.25, 0.25)]
+        while len(shapes) < 8:
+            c = rng.uniform(0.5, 3.0)
+            radius = rng.uniform(0.1, 0.9) * c
+            longest = 2.0 * (c - radius) + radius * np.pi / 2.0
+            # cap + blend = 1.25 delta pi/2, between the window and c
+            eps, delta_p = rng.uniform(0.06 * longest, 0.9 * c, 2) / (
+                1.25 * np.pi / 2.0)
+            shapes.append((c, radius, rng.uniform(0.1, 1.0) * radius, eps,
+                           delta_p))
+        nu_grid = tuple(np.linspace(0.0, 1.0, 21).tolist())
+        for c, radius, tau, eps, delta_p in shapes:
+            f_eps, f_del, curves, _ = hyp._foliation_geometry(
+                c - radius, radius, tau, nu_grid, eps, delta_p)
+            for curve in curves:
+                x, y = (hyp._CurveCoordinate(curve, i) for i in (0, 1))
+                u, v = (hyp.CompositeProfile(f_eps, x),
+                        hyp.CompositeProfile(f_del, y))
+                assert check_U_membership(u).passed, (c, radius, eps)
+                assert check_V_membership(v).passed, (c, radius, delta_p)
 
     @pytest.mark.parametrize("leaf", [0, 5, 12, 20])
     def test_leaf_checks_match_one_point_end_jets(self, family_cert, leaf,
@@ -446,16 +454,15 @@ class TestGeometryMemo:
     @pytest.mark.parametrize("p, q", [(2, 4), (1, 5), (3, 3)])
     def test_repeated_shape_evaluates_no_profile(self, monkeypatch, p, q):
         _foliation(2, 2)
-        calls = {"curve": 0, "profile": 0, "membership": 0}
+        calls = {"curve": 0, "profile": 0}
         for owner, name, key in ((Curve2D, "jet", "curve"),
-                                 (SmoothFn1D, "jet", "profile"),
-                                 (hyp, "_membership_report", "membership")):
+                                 (SmoothFn1D, "jet", "profile")):
             def counted(*args, _orig=getattr(owner, name), _key=key, **kw):
                 calls[_key] += 1
                 return _orig(*args, **kw)
             monkeypatch.setattr(owner, name, counted)
         _, warm = _foliation(p, q)
-        assert calls == {"curve": 0, "profile": 0, "membership": 0}
+        assert calls == {"curve": 0, "profile": 0}
         monkeypatch.undo()
         for memo in _MEMOS:
             memo.entries.clear()
@@ -464,29 +471,16 @@ class TestGeometryMemo:
         for key in ("per_leaf_min", "argmin_nu", "argmin_t"):
             assert warm.extra[key] == cold.extra[key]
 
-    def test_first_failing_leaf_raises_cold_and_warm(self, monkeypatch):
-        # at (p, q) = (0, 1) leaf nu = 0.75 loses positivity (R = 0 on the
-        # tube); membership is spoiled for the later leaf nu = 1.0
+    def test_first_failing_leaf_raises_cold_and_warm(self):
+        # at (p, q) = (0, 1) leaf nu = 0.75 is the first to lose positivity
+        # (R = 0 on the tube); the second call reads the memo
         nu_grid = [0.0, 0.25, 0.5, 0.75, 1.0]
-        reports = []
-
-        def spoiled(jet, space, b, _real=hyp._membership_report):
-            rep = _real(jet, space, b)
-            reports.append(rep)
-            if len(reports) == 2 * len(nu_grid):
-                rep.add("spoiled", False)
-            return rep
-        monkeypatch.setattr(hyp, "_membership_report", spoiled)
         for _ in range(2):
             with pytest.raises(CertificationFailedError,
                                match=r"leaf nu = 0\.75 loses") as err:
                 _foliation(0, 1, nu_grid)
             assert err.value.best_margin == 0.0
-        with pytest.raises(CertificationFailedError,
-                           match=r"leaf nu = 1\.0 fails membership: "
-                                 r"\['spoiled'\]"):
-            _foliation(2, 4, nu_grid)
-        assert len(reports) == 2 * len(nu_grid)
+            assert len(hyp._foliation_geometry.entries) == 1
 
     def test_failed_build_stores_nothing(self, monkeypatch):
         def singular(*args):
@@ -520,26 +514,31 @@ class TestGeometryMemo:
         assert m2.dims == (1, 5)
         assert all(a is b for a, b in zip(m2.profiles, m.profiles))
 
-    def test_mixed_torpedo_membership_is_checked_once_per_shape(
-            self, monkeypatch):
+    def test_mixed_torpedo_samples_no_membership(self, monkeypatch):
         calls = []
-
-        def counted(f, space, _real=curvature._check_membership):
-            calls.append(space)
-            return _real(f, space)
-        monkeypatch.setattr(curvature, "_check_membership", counted)
+        for mod in (curvature, fnspace):
+            def counted(f, space, _real=mod._check_membership):
+                calls.append(space)
+                return _real(f, space)
+            monkeypatch.setattr(mod, "_check_membership", counted)
         for p, q in ((2, 4), (1, 5)):
             m, _ = mixed_torpedo_via_J(0.5, 0.5, 2.0, 2.0, 0.5, p=p, q=q)
             assert m.dims == (p, q)
-        assert calls == ["U", "V"]
+        assert calls == []
 
-    @pytest.mark.parametrize("eps, delta, message", [
-        (0.02, 0.02, r"profile 0 fails U membership: \['d2 < 0 near b'\]"),
-        (0.5, 0.02, r"profile 1 fails V membership")],
-        ids=["U", "V"])
-    def test_failing_membership_raises_on_every_call(self, eps, delta,
-                                                     message):
+    @pytest.mark.parametrize("eps, delta, small", [
+        (0.02, 0.02, 0), (0.5, 0.02, 1)], ids=["U", "V"])
+    def test_small_caps_build_members(self, eps, delta, small):
+        # a cap + blend shorter than the sampled reader's 5% end window:
+        # its one failure there is false, as f'' < 0 on the whole cap
         for _ in range(2):
-            with pytest.raises(InvalidSpecError, match=message):
-                mixed_torpedo_via_J(eps, delta, 2.0, 2.0, 0.5)
-        assert not hyp._mixed_torpedo_geometry.entries
+            m, rep = mixed_torpedo_via_J(eps, delta, 2.0, 2.0, 0.5)
+            assert rep["max_deviation"] < 1e-9
+        assert len(hyp._mixed_torpedo_geometry.entries) == 1
+        f, check, cap = (m.profiles[small], (check_U_membership,
+                                             check_V_membership)[small],
+                         0.02 * np.pi / 2.0)
+        end = "b" if small == 0 else "0"
+        assert [c.name for c in check(f).failures()] == [f"d2 < 0 near {end}"]
+        t = np.linspace(0.0, cap, 65)[1:]
+        assert f.jet(m.b - t if small == 0 else t, 2)[2].max() < 0

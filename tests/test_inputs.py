@@ -25,6 +25,8 @@ from gllab.glbend import (ArcSeg, BendConstants, BumpSeg, GraphSeg,
 from gllab.hypersurface import (ModelAmbient, connected_sum_foliation,
                                 mixed_torpedo_via_J)
 from gllab.morsealg import CriticalPoint, MorseDescription
+from gllab.oracle import (MetricChart, euclidean_chart,
+                          round_sphere_normal_chart, scalar_from_chart)
 from gllab.schedule import (compile_gl_cobordism, round_doubly_warped,
                             round_metric, two_surgery_demo)
 
@@ -248,8 +250,6 @@ EDGES = [
      lambda: WarpedProduct((4,), _pair()[0]), "must be sequences"),
     ("product-of-unequal-lengths",
      lambda: WarpedProduct((2, 3), _pair()[:1]), "one profile"),
-    ("product-of-unknown-space",
-     lambda: WarpedProduct((2,), _pair()[:1], ("W",)), "one space"),
     ("g0-of-three-factors",
      lambda: compile_gl_cobordism(WarpedProduct((1, 1, 2), [_pair()[0]] * 3),
                                   _one_handle(5)), "one or two round factors"),
@@ -266,6 +266,11 @@ EDGES = [
       for arg in ("n", "p")
       for name, x in (("string", "7"), ("none", None), ("float", 2.0),
                       ("bool", True))),
+    *((f"MetricChart.dim-{name}",
+       lambda d=d: MetricChart(d, [(-1.0, 1.0)] * 2, euclidean_chart(2).g),
+       "dim must be an integer")
+      for name, d in (("float", 2.0), ("string", "3"), ("bool", True),
+                      ("none", None))),
 ]
 
 
@@ -282,3 +287,10 @@ def _one_handle(n):
 def test_warped_product_edges_raise_typed(call, message):
     with pytest.raises(InvalidSpecError, match=message):
         call()
+
+
+def test_chart_dimension_takes_numpy_integers():
+    chart, x = round_sphere_normal_chart(), np.array([0.1, -0.2, 0.3])
+    want = scalar_from_chart(chart, x)
+    for d in (np.int64(3), np.int32(3)):
+        assert scalar_from_chart(dataclasses.replace(chart, dim=d), x) == want

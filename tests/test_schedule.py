@@ -2,18 +2,22 @@
 
 import dataclasses
 import io
+import warnings
 
 import numpy as np
 import pytest
 
-from gllab import hypersurface, schedule
+from gllab import curvature, fnspace, hypersurface, schedule
 from gllab.certify import IsotopyCertificate, family_certificate
-from gllab.curvature import (DoublyWarpedMetric, WarpedSphereMetric,
-                             scalar_doubly_warped, scalar_warped)
+from gllab.curvature import (DoublyWarpedMetric, WarpedProduct,
+                             WarpedSphereMetric, scalar_doubly_warped,
+                             scalar_warped)
 from gllab.errors import (CertificationFailedError, CompilationFailedError,
                           DemoFailedError, HypothesisViolationError,
                           InvalidSpecError)
-from gllab.fnspace import (SinePiece, SmoothFn1D, linear_homotopy,
+from gllab.fnspace import (ConstPiece, SinePiece, SmoothFn1D, TorpedoSpec,
+                           check_F_membership, check_U_membership,
+                           check_V_membership, linear_homotopy,
                            make_double_torpedo, sample_grid)
 from gllab.hypersurface import connected_sum_foliation, mixed_torpedo_via_J
 from gllab.morsealg import CriticalPoint, MorseDescription
@@ -43,13 +47,20 @@ class TestCompile:
             schedule._standardize_search(2, 4, 1.0)
         assert err.value.best_margin == -0.5
 
-    def test_search_without_a_member_has_no_best_margin(self):
-        # on the radius-15 join every torpedo pair fails U/V membership, so
-        # no attempt is certified and none leaves a margin
+    def test_search_without_a_tube_has_no_best_margin(self):
+        # the radius-1e-6 join (b = 1.6e-6) is shorter than the cap and
+        # blend of every delta the search tries (the last, 9.5e-7, needs
+        # 1.9e-6), so no attempt is certified and none leaves a margin
         with pytest.raises(CompilationFailedError, match="best margin None") \
                 as err:
-            schedule._standardize_search(2, 4, 15.0)
+            schedule._standardize_search(2, 4, 1e-6)
         assert err.value.best_margin is None
+
+    def test_large_join_certifies_at_the_first_delta(self):
+        # the radius-15 join: its torpedo caps are members by construction,
+        # though shorter than the sampled reader's 5% end window
+        delta, ends, cert = schedule._standardize_search(2, 4, 15.0)
+        assert delta == 0.5 and cert.passed
 
     @pytest.mark.parametrize("call, error, message", [
         (lambda g0: schedule.Segment(
@@ -91,12 +102,15 @@ class TestCompile:
         assert [seg.kind for seg in s.segments] == ["product-extension"]
         assert s.min_scalar > 0
 
-    @pytest.mark.parametrize("metric, n", [
-        (round_metric(7), 5), (round_doubly_warped(2, 4), 9)],
-        ids=["warped", "doubly-warped"])
-    def test_g0_of_another_dimension_rejected(self, metric, n):
+    @pytest.mark.parametrize("metric, n, dim", [
+        (round_metric(7), 5, 7), (round_doubly_warped(2, 4), 9, 7),
+        # a flat cylinder, not psc: its dimension is read before its R
+        (WarpedProduct(
+            (1,), [SmoothFn1D(2.0, [ConstPiece((0.0, 2.0), 1.0)])]), 7, 2)],
+        ids=["warped", "doubly-warped", "non-psc"])
+    def test_g0_of_another_dimension_rejected(self, metric, n, dim):
         desc = MorseDescription(n, [CriticalPoint("a", 2, 0.5)])
-        message = f"dimension 7 but the description has n = {n}"
+        message = f"dimension {dim} but the description has n = {n}"
         with pytest.raises(InvalidSpecError, match=message):
             compile_gl_cobordism(metric, desc)
 
@@ -315,6 +329,58 @@ class TestCompile:
         assert '"handle-attach"' in blob
 
 
+class TestMembersByConstruction:
+    """The round, torpedo and leaf profiles the program builds are members
+    of F, U and V as made; only profiles from outside are sampled."""
+
+    def test_round_profiles_pass_the_sampled_reader(self):
+        rng = np.random.default_rng(52)
+        for radius in 10.0 ** rng.uniform(-1.0, 1.0, 12):
+            n, p = int(rng.integers(3, 10)), int(rng.integers(1, 4))
+            assert check_F_membership(
+                round_metric(n, radius).profiles[0]).passed, radius
+            u, v = round_doubly_warped(p, 3, radius).profiles
+            assert check_U_membership(u).passed, radius
+            assert check_V_membership(v).passed, radius
+
+    def test_mixed_torpedoes_pass_the_sampled_reader(self):
+        # every delta the standardization tries on seeded round joins,
+        # where the reader's 5% end window lies inside cap + blend
+        rng = np.random.default_rng(52)
+        tried = 0
+        for b in 10.0 ** rng.uniform(-1.0, 1.0, 8) * np.pi / 2.0:
+            for delta in 0.5 * 0.5 ** np.arange(20):
+                if not 0.05 * b < TorpedoSpec(delta).flat_from < b:
+                    continue
+                u, v = schedule._mixed_torpedo_profiles(delta, b)
+                assert check_U_membership(u).passed, (b, delta)
+                assert check_V_membership(v).passed, (b, delta)
+                tried += 1
+        assert tried >= 8
+
+    def test_only_the_public_constructors_sample_membership(
+            self, monkeypatch):
+        calls = []
+        for mod in (curvature, fnspace):
+            def counted(f, space, _real=mod._check_membership):
+                calls.append(space)
+                return _real(f, space)
+            monkeypatch.setattr(mod, "_check_membership", counted)
+        # every memo is empty (conftest), so the demo builds its geometry
+        two_surgery_demo(7, 2)
+        compile_gl_cobordism(round_metric(7), one_point_desc())
+        assert calls == []
+        (f,), (u, v) = (round_metric(7).profiles,
+                        round_doubly_warped(2, 4).profiles)
+        WarpedSphereMetric(7, f)
+        assert calls == ["F"]
+        DoublyWarpedMetric(2, 4, u, v)
+        assert calls == ["F", "U", "V"]
+        WarpedSphereMetric(7, f, open_profile=True)
+        DoublyWarpedMetric(2, 4, u, v, open_profile=True)
+        assert calls == ["F", "U", "V"]
+
+
 class TestReverse:
     def test_round_trip_identity_report(self, g0):
         desc = one_point_desc()
@@ -384,6 +450,15 @@ _FOLIATION_MIN = {
 
 
 class TestDemo:
+    @pytest.mark.parametrize("n, p, radius", [
+        (6, 1, 0.15), (7, 2, 0.15), (6, 1, 15.0), (6, 1, 0.05)])
+    def test_small_and_large_radii_pass(self, n, p, radius):
+        # caps shorter than the sampled reader's 5% end window, which the
+        # removed gates refused (exit 2, or an exhausted search at 15)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert two_surgery_demo(n, p, radius).passed
+
     def test_smallest_admissible(self):
         rep = two_surgery_demo(5, 1)
         assert isinstance(rep, DemoReport)
