@@ -6,13 +6,12 @@ it was sampled on and the minimum value found, which must exceed 0.
 Every certificate is the least sample of a family, read by
 ``family_certificate`` with where it sits; certificates serialize to JSON.
 
-``pmap`` is the order-preserving map that the foliation's scans over its
-leaves go through; a homotopy's parameters take one array pass instead.
-It runs serially: the scans are GIL-bound Python, and a thread pool
-measured slower than one thread.
+``pmap`` is the order-preserving map of the foliation geometry's cold scan
+over its leaves; a homotopy or a scanned foliation takes one array pass.
+It runs serially: the scan is GIL-bound Python, and threads measured slower.
 ``write_csv`` is the one CSV writer behind every table the toolkit emits.
-``_Memo`` is the LRU memo of every geometry built once per shape (all
-listed in ``_MEMOS``); ``_frozen`` marks memoized arrays read-only.
+``_Memo`` is the LRU memo of every geometry built once per shape (torpedo
+caps too; all in ``_MEMOS``); ``_frozen`` marks memoized arrays read-only.
 ``_halving_search`` is every search that halves a parameter to certify.
 ``_family_grid`` is the rule for a family parameter's grid in [0, 1].
 """
@@ -103,9 +102,12 @@ def _family_grid(values, name):
 
 
 def _frozen(*arrays):
-    """Mark memoized arrays read-only, so no caller can change a memo."""
+    """Mark memoized arrays, also in nested lists and tuples, read-only."""
     for a in arrays:
-        a.flags.writeable = False
+        if isinstance(a, (list, tuple)):
+            _frozen(*a)
+        elif isinstance(a, np.ndarray):
+            a.flags.writeable = False
     return arrays
 
 

@@ -29,11 +29,12 @@ and ``_piecewise`` gathers each piece's run of sorted points, found by one
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .certify import write_csv
+from .certify import _frozen, _Memo, write_csv
 from .errors import (ConstructionFailedError, DomainMismatchError,
                      InvalidSpecError, _finite_reals)
 
@@ -277,15 +278,30 @@ class SmoothFn1D:
     def __init__(self, b, pieces, junction_orders=(0, 1, 2)):
         if not (_finite_reals(b) and b > 0):
             raise InvalidSpecError("domain length must be positive and finite")
-        self.b = float(b)
-        self.pieces = list(pieces)
-        self.junction_orders = tuple(junction_orders)
+        self._lay(b, pieces, junction_orders)
         if not self.pieces:
             raise InvalidSpecError("need at least one piece")
         self._validate_partition()
         self._validate_junctions()
+
+    def _lay(self, b, pieces, junction_orders):
+        self.b = float(b)
+        self.pieces = list(pieces)
+        self.junction_orders = tuple(junction_orders)
         # interior breakpoints for piece lookup
         self._breaks = np.array([p.interval[1] for p in self.pieces[:-1]])
+
+    @classmethod
+    def _assembled(cls, b, pieces, junction_orders):
+        """The profile of ``pieces`` without ``__init__``'s checks, which
+        its callers' pieces pass by how they were made: ``make_torpedo``
+        adds a tube to a ``_torpedo_head`` checked with one (a tube's jet is
+        (delta, 0, 0) at any length); a mirror's end jets are its source's,
+        mirrored exactly (``ReflectPiece.end_jets``), so ``reflect`` keeps
+        f's junctions and a double torpedo's tube meets its own mirror."""
+        f = cls.__new__(cls)
+        f._lay(b, pieces, junction_orders)
+        return f
 
     def _validate_partition(self):
         tol = DEFAULT_JUNCTION_TOL * max(1.0, self.b)
@@ -405,8 +421,10 @@ def _mirrored(pieces, b):
 
 
 def reflect(f):
-    """The profile t -> f(b - t) on the same domain."""
-    return SmoothFn1D(f.b, _mirrored(f.pieces, f.b), f.junction_orders)
+    """The profile t -> f(b - t) of a ``SmoothFn1D``: f's pieces mirrored,
+    whose junctions are f's, so not checked again (``_assembled``)."""
+    return SmoothFn1D._assembled(f.b, _mirrored(f.pieces, f.b),
+                                 f.junction_orders)
 
 
 def linear_homotopy(f0, f1, s):
@@ -476,26 +494,34 @@ def _quintic_match(t0, y0, t1, y1):
 
     Coefficients are returned in powers of (t - t0).
     """
-    h = t1 - t0
-    fact = [1.0, 1.0, 2.0]
-    rows = []
-    rhs = []
-    for k in range(3):
-        row = np.zeros(6)
-        row[k] = fact[k]
-        rows.append(row)
-        rhs.append(y0[k])
-    for k in range(3):
-        row = np.zeros(6)
-        for j in range(k, 6):
-            c = 1.0
-            for m in range(k):
-                c *= (j - m)
-            row[j] = c * h ** (j - k)
-        rows.append(row)
-        rhs.append(y1[k])
-    coeffs = np.linalg.solve(np.array(rows), np.array(rhs))
-    return coeffs
+    # row (x, k): the k-th derivative of each (t - t0)^j at t = t0 + x
+    rows = [[math.perm(j, k) * x ** (j - k) if j >= k else 0.0
+             for j in range(6)] for x in (0.0, t1 - t0) for k in range(3)]
+    return np.linalg.solve(np.array(rows, dtype=float), np.array([*y0, *y1]))
+
+
+@_Memo
+def _torpedo_head(d, w, cap, te, tube):
+    """(read-only cap and blend pieces up to te, junction orders) of a
+    delta-torpedo of blend half-width w (0: none), checked (make_torpedo)."""
+    ts = cap - 2.0 * w
+    pieces = [SinePiece((0.0, ts), d, 1.0 / d)]
+    if w:
+        y0 = (d * np.sin(ts / d), np.cos(ts / d), -np.sin(ts / d) / d)
+        coeffs = _quintic_match(ts, y0, te, (d, 0.0, 0.0))
+        pieces.append(PolyPiece((ts, te), coeffs, origin=ts))
+        _, d1, d2 = pieces[1].jet(np.linspace(ts, te, 257), 2)
+        if d2.max() > 1e-10 / d:
+            raise ConstructionFailedError(
+                f"blend lost concavity: max d2 = {d2.max():.3e}")
+        if d1.min() < -1e-10:
+            raise ConstructionFailedError("blend must be nondecreasing")
+    orders = (0, 1, 2) if w else (0, 1)
+    # checks every junction, with a tube's if one follows (any length)
+    tail = [ConstPiece((te, te + d), d)] if tube else []
+    SmoothFn1D(te + d if tube else te, pieces + tail, orders)
+    _frozen([[*vars(p).values()] for p in pieces])
+    return pieces, orders
 
 
 def make_torpedo(spec):
@@ -509,28 +535,18 @@ def make_torpedo(spec):
 
     So it is in V by construction (at 0 f = f'' = 0, f' = 1, f''' < 0; at
     b f = delta, all derivatives 0; f'' <= 0, and < 0 on the cap), and its
-    ``reflect`` is in U.
+    ``reflect`` is in U.  Per call it appends a tube to the cap and blend,
+    built and checked, junctions too, once per shape (``_torpedo_head``).
     """
     if not isinstance(spec, TorpedoSpec):
         raise InvalidSpecError("make_torpedo expects a TorpedoSpec")
     d, cap, b = spec.delta, spec.cap, spec.b
     # below 1e-6 of the cap the quintic solve loses the blend's concavity
     w = spec.blend_width if spec.blend_width >= 1e-6 * cap else 0.0
-    ts, te = cap - 2.0 * w, (spec.flat_from if w else cap)
-    pieces = [SinePiece((0.0, ts), d, 1.0 / d)]
-    if w:
-        y0 = (d * np.sin(ts / d), np.cos(ts / d), -np.sin(ts / d) / d)
-        coeffs = _quintic_match(ts, y0, te, (d, 0.0, 0.0))
-        pieces.append(PolyPiece((ts, te), coeffs, origin=ts))
-        _, d1, d2 = pieces[1].jet(np.linspace(ts, te, 257), 2)
-        if d2.max() > 1e-10 / d:
-            raise ConstructionFailedError(
-                f"blend lost concavity: max d2 = {d2.max():.3e}")
-        if d1.min() < -1e-10:
-            raise ConstructionFailedError("blend must be nondecreasing")
-    if b > te:
-        pieces.append(ConstPiece((te, b), d))
-    return SmoothFn1D(b, pieces, (0, 1, 2) if w else (0, 1))
+    te = spec.flat_from if w else cap
+    head, orders = _torpedo_head(d, w, cap, te, bool(b > te))
+    tube = [ConstPiece((te, b), d)] if b > te else []
+    return SmoothFn1D._assembled(b, head + tube, orders)
 
 
 def _torpedo_on(delta, total):
@@ -546,11 +562,14 @@ def _torpedo_on(delta, total):
 def make_double_torpedo(delta, b):
     """Mirror-symmetric profile: cap/tube on [0, b/2] reflected onto [b/2, b].
 
-    Requires b/2 > cap + blend (``flat_from``) so each half keeps a tube.
+    Requires a finite real b with b/2 > cap + blend (``flat_from``) so each
+    half keeps a tube; the mirror joins as the half does (``_assembled``).
     """
+    if not _finite_reals(b):
+        raise InvalidSpecError(f"b must be a finite real number, got {b!r}")
     half = make_torpedo(_torpedo_on(delta, b / 2.0))
-    return SmoothFn1D(b, half.pieces + _mirrored(half.pieces, b),
-                      half.junction_orders)
+    return SmoothFn1D._assembled(b, half.pieces + _mirrored(half.pieces, b),
+                                 half.junction_orders)
 
 
 # ---------------------------------------------------------------------------

@@ -12,12 +12,13 @@ sample is the least and fails, and a concave-down sample (+inf) is the
 least only if every sample is.
 
 The geometry of a bend depends only on its scales and its bend angle, not
-on the constants of the inequality.  So the prefix with its bump samples
+on the constants of the inequality.  So the prefix with its bump's terms
 for each (r1, theta0), the transition shape for each (r0, theta0) and the
 curve glued from each prefix and transition are kept in small LRU memos
-(``certify._Memo``), a curve keeps its own arc-length samples, and all
-of them are shared by every call with the same key; the margin, and every
-check of a build, is taken again on each call against its own constants.
+(``certify._Memo``), a curve keeps its own arc-length samples and their
+terms, and all of them are shared by every call with the same key; the
+margin (``_cureqn_margin``), and every check of a build, is taken again on
+each call against its own constants.
 
 A curve (``Curve2D``) is a chain of unit-speed segments.  Each segment's
 ``eval(s, k)`` gives position, tangent and curvature, and with k = 3 also
@@ -111,33 +112,47 @@ class BendConstants:
 # the inequality ledger
 # ---------------------------------------------------------------------------
 
+def _rhs(consts, r, s):
+    """R0 r/s + (q-1) s/r - C r s at heights r and sines s."""
+    return consts.R0 * r / s + (consts.q - 1) * s / r - consts.C * r * s
+
+
 def rhs_cureqn(consts, r, theta):
     """R0 r/sin(theta) + (q-1) sin(theta)/r - C r sin(theta); +inf at theta=0."""
-    r = np.asarray(r, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    s = np.sin(theta)
+    s = np.sin(np.asarray(theta, dtype=float))
     with np.errstate(divide="ignore"):
-        out = np.where(
-            s == 0.0, np.inf,
-            consts.R0 * r / np.where(s == 0.0, 1.0, s)
-            + (consts.q - 1) * s / r - consts.C * r * s)
-    if out.ndim == 0:
-        return float(out)
-    return out
+        out = np.where(s == 0.0, np.inf, _rhs(
+            consts, np.asarray(r, dtype=float), np.where(s == 0.0, 1.0, s)))
+    return float(out) if out.ndim == 0 else out
+
+
+def _cureqn_terms(k, r, theta):
+    """The margin's inputs at samples (k, r, theta): k and r, then, new and
+    read-only, sin(theta) with 1 for 0, where it was 0 (rhs +inf) and
+    where k <= 0 (margin +inf)."""
+    k, r, s = np.broadcast_arrays(
+        np.asarray(k, dtype=float), np.asarray(r, dtype=float),
+        np.sin(np.asarray(theta, dtype=float)))
+    return (k, r, *_frozen(np.where(s == 0.0, 1.0, s), s == 0.0, k <= 0.0))
+
+
+def _cureqn_margin(consts, terms):
+    """The margin on ``terms`` (``_cureqn_terms``) under ``consts``."""
+    k, r, s, zero, concave = terms
+    with np.errstate(divide="ignore"):
+        rhs = np.where(zero, np.inf, _rhs(consts, r, s))
+    return np.where(concave, np.inf, rhs - k * (1.0 + consts.Cp * r ** 2))
 
 
 def check_cureqn(consts, k, r, theta):
     """Margin of the curve inequality; pass iff > 0.
 
-    Concave-down data (k <= 0) always passes and reports +inf.
+    Concave-down data (k <= 0) always passes and reports +inf.  It is
+    ``_cureqn_margin`` on terms built on each call; a curve keeps its own
+    (``Curve2D.arc_samples``), a bend's bump its own (``_bump_geometry``).
     """
-    k = np.asarray(k, dtype=float)
-    lhs = k * (1.0 + consts.Cp * np.asarray(r, dtype=float) ** 2)
-    margin = rhs_cureqn(consts, r, theta) - lhs
-    margin = np.where(k <= 0.0, np.inf, margin)
-    if margin.ndim == 0:
-        return float(margin)
-    return margin
+    margin = _cureqn_margin(consts, _cureqn_terms(k, r, theta))
+    return float(margin) if margin.ndim == 0 else margin
 
 
 def _normal_angle(tan):
@@ -497,11 +512,14 @@ class Curve2D:
         return out + (dk[0][..., None] * nrm - (kap ** 2)[..., None] * tan,)
 
     def arc_samples(self, n):
-        """(P, k, theta) at n equal arc-length steps from one evaluation,
-        read-only, kept with the curve for the last n asked."""
+        """(P, k, theta, terms) at n equal arc-length steps from one
+        evaluation, read-only, kept with the curve for the last n asked;
+        ``terms`` (``_cureqn_terms``) skip the last, where a bend closes."""
         if self._samples is None or self._samples[0] != n:
             pt, tan, k = self.eval(np.linspace(0.0, self.length, n))
-            self._samples = (n, _frozen(pt, k, _normal_angle(tan)))
+            theta = _normal_angle(tan)
+            self._samples = (n, (*_frozen(pt, k, theta), _cureqn_terms(
+                k[:-1], pt[:-1, 1], theta[:-1])))
         return self._samples[1]
 
     def unit_speed_residual(self, n_samples=1000):
@@ -556,10 +574,9 @@ class BendProfile:
             raise InvalidSpecError(
                 f"need at least 2 arc-length samples, got {n_samples}")
         s = np.linspace(0.0, self.curve.length, n_samples)
-        pt, k, theta = self.curve.arc_samples(n_samples)
+        pt, k, theta, terms = self.curve.arc_samples(n_samples)
         margin = np.full(n_samples, np.inf)
-        margin[:-1] = check_cureqn(self.consts, k[:-1], pt[:-1, 1],
-                                   theta[:-1])
+        margin[:-1] = _cureqn_margin(self.consts, terms)
         return s, pt[:, 0], pt[:, 1], k, theta, margin
 
     def certify(self, n_samples=10000):
@@ -588,13 +605,13 @@ _BEND_HALVINGS = 40
 
 @_Memo
 def _bump_geometry(r1, theta0):
-    """(prefix curve, k_max, r, k, theta) of the bend to angle theta0 at
-    scale r1, with (r, k, theta) at 2001 arc-length samples of its bump."""
+    """(prefix curve, k_max, terms) of the bend to angle theta0 at scale r1,
+    with terms (``_cureqn_terms``) at 2001 arc-length samples of its bump."""
     k_max = 4.0 * theta0 / r1
     bump = BumpSeg((0.0, r1), 0.0, k_max, r1 / 2.0)
     pt, tan, k = bump.eval(np.linspace(0.0, bump.length, 2001))
     prefix = Curve2D([LineSeg((0.0, 1.25 * r1), (0.0, r1)), bump])
-    return (prefix, k_max, *_frozen(pt[:, 1], k, _normal_angle(tan)))
+    return prefix, k_max, _cureqn_terms(k, pt[:, 1], _normal_angle(tan))
 
 
 def initial_bend(consts, r1):
@@ -609,10 +626,10 @@ def initial_bend(consts, r1):
     (prefix curve, theta0, k_max); an exhausted search raises
     NoFeasibleBendError with its best margin.
 
-    The prefix curve and the bump samples of each (r1, theta0) are built
-    once (``_bump_geometry``); only the margin under ``consts`` is taken on
-    every call.  The returned curve is shared by every call with the same
-    (r1, theta0) and must not be mutated.
+    The prefix curve and the bump's inequality terms of each (r1, theta0)
+    are built once (``_bump_geometry``); only the margin under ``consts``
+    is taken on every call.  The returned curve is shared by every call
+    with the same (r1, theta0) and must not be mutated.
     """
     if consts.R0 <= 0:
         raise NoFeasibleBendError(
@@ -626,8 +643,8 @@ def initial_bend(consts, r1):
 
     def bend(theta0):
         # r >= r1/2 > 0: the bump starts at height r1, unit speed, length r1/2
-        prefix, k_max, r, k, theta = _bump_geometry(float(r1), theta0)
-        margin = float(np.min(check_cureqn(consts, k, r, theta)))
+        prefix, k_max, terms = _bump_geometry(float(r1), theta0)
+        margin = float(np.min(_cureqn_margin(consts, terms)))
         return margin, (prefix, theta0, k_max)
 
     best, found = _halving_search(cap, bend, _BEND_HALVINGS)

@@ -24,7 +24,8 @@ taken on the leaf's closed-form samples.  The torpedoes and the leaves are
 members of U and V by construction, so no membership is sampled here.
 (p, q) enter only the closed form, so the foliation's and the mixed
 torpedo's geometry is built once per shape, keyed on the floats that fix
-it (``certify._Memo``).
+it (``certify._Memo``); a foliation call takes all its leaves' (p, q)
+scalar curvature in one (nu, t) pass.
 """
 
 from __future__ import annotations
@@ -298,9 +299,11 @@ _LEAF_SAMPLES = 401
 
 @_Memo
 def _foliation_geometry(edge, radius, tau, nu_grid, eps, delta_p):
-    """(f_eps, f_delta, leaf curves, leaves) of ``connected_sum_foliation``;
-    a leaf is (samples t, closed-form quotients (A, B, C)), neither
-    depending on (p, q), from one curve jet and one jet per torpedo.
+    """(f_eps, f_delta, leaf curves, (t, (A, B, C))) of
+    ``connected_sum_foliation``: every leaf's samples t and closed-form
+    quotients, stacked as (leaf, sample) arrays (A and B with a profile
+    axis first) and read-only, neither depending on (p, q).  The cold scan
+    takes each leaf from one curve jet and one jet per torpedo.
 
     Each leaf (u, v) = (f_eps(x), f_delta(y)) is in U x V by construction:
     its unit-speed curve meets each axis at a right angle with constant
@@ -319,16 +322,17 @@ def _foliation_geometry(edge, radius, tau, nu_grid, eps, delta_p):
             curves.append(_corner_curve(0.0, tau + 2.0 * nu * (radius - tau)))
 
     def leaf(curve):
-        t, = _frozen(np.linspace(0.0, curve.length, _LEAF_SAMPLES))
+        t = np.linspace(0.0, curve.length, _LEAF_SAMPLES)
         pts, back, ends = _closed_form_points(t, curve.length)
         x = curve.jet(pts, 3)
-        A, B, C = _quotients_from_jets(back, ends, [
+        return t, *_quotients_from_jets(back, ends, [
             _compose(f, tuple(d[..., axis] for d in x), 3)
             for f, axis in ((f_eps, 0), (f_del, 1))])
-        _frozen(A, B, *C.values())
-        return t, (A, B, C)
 
-    return f_eps, f_del, tuple(curves), pmap(leaf, curves)
+    t, A, B, C = zip(*pmap(leaf, curves))
+    t, A, B, C = _frozen(np.stack(t), np.stack(A, axis=1),
+                         np.stack(B, axis=1), np.stack([c[0, 1] for c in C]))
+    return f_eps, f_del, tuple(curves), (t, (A, B, {(0, 1): C}))
 
 
 def connected_sum_foliation(c, radius, tau, nu_grid, eps, delta_p, p=2, q=2):
@@ -344,10 +348,11 @@ def connected_sum_foliation(c, radius, tau, nu_grid, eps, delta_p, p=2, q=2):
     keep the default blend, so c must exceed each cap + blend (else
     InvalidSpecError).
 
-    The torpedoes, the leaf curves and each leaf's closed-form quotients
+    The torpedoes, the leaf curves and every leaf's closed-form quotients
     are built once per shape (``_foliation_geometry``); each call takes its
-    own (p, q) scalar curvature from the quotients, leaf by leaf: that of
-    ``WarpedProduct.scalar`` on the leaf's profiles, bit for bit.
+    own (p, q) scalar curvature from the stacked quotients in one (nu, t)
+    pass, and the first failing leaf from the row minima: each row is
+    ``WarpedProduct.scalar`` on that leaf's profiles, bit for bit.
     ``p`` and ``q`` must be integers >= 0, tau, eps and delta_p finite
     numbers (``_finite_reals``) and ``nu_grid`` a family grid
     (``certify._family_grid``), else InvalidSpecError, raised first.
@@ -365,28 +370,22 @@ def connected_sum_foliation(c, radius, tau, nu_grid, eps, delta_p, p=2, q=2):
     _check_ints(0, "fiber dimensions must be nonnegative", p=p, q=q)
     grid = _family_grid(nu_grid, "nu_grid")
     nu_grid = grid.tolist()
-    f_eps, f_del, curves, leaves = _foliation_geometry(
+    f_eps, f_del, curves, (t, quotients) = _foliation_geometry(
         float(c) - float(radius), float(radius), tau, tuple(nu_grid), eps,
         delta_p)
-
-    def leaf(args):
-        nu, (_t, quotients) = args
-        R = _scalar([p, q], *quotients)
-        if not R.min() > 0:
+    R = _scalar([p, q], *quotients)
+    least = R.min(axis=1).tolist()
+    for nu, m in zip(nu_grid, least):
+        if not m > 0:
             raise CertificationFailedError(
-                f"leaf nu = {nu} loses scalar positivity",
-                best_margin=float(R.min()))
-        return R
-
-    R = np.stack(pmap(leaf, list(zip(nu_grid, leaves))))
+                f"leaf nu = {nu} loses scalar positivity", best_margin=m)
     family = FoliationFamily(
         nu_grid, list(curves), tau,
         leaves=[(CompositeProfile(f_eps, _CurveCoordinate(curve, 0)),
                  CompositeProfile(f_del, _CurveCoordinate(curve, 1)))
                 for curve in curves])
     cert = family_certificate(
-        R, {"nu": grid[:, None], "t": np.stack([t for t, _ in leaves])},
-        "connected-sum foliation",
+        R, {"nu": grid[:, None], "t": t}, "connected-sum foliation",
         f"{len(nu_grid)} leaves x {_LEAF_SAMPLES} samples",
-        per_leaf_min=R.min(axis=1).tolist())
+        per_leaf_min=least)
     return family, cert

@@ -3,6 +3,7 @@
 import functools
 import io
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gllab.fnspace as fnspace
+from gllab import schedule
 from gllab.errors import (ConstructionFailedError, DomainMismatchError,
                           InvalidSpecError)
 from gllab.fnspace import (ConstPiece, LinearCombination, PolyPiece,
@@ -20,6 +22,7 @@ from gllab.fnspace import (ConstPiece, LinearCombination, PolyPiece,
                            sample_grid, write_profile_csv)
 from gllab.glbend import (BendConstants, final_bending_tilt, initial_bend,
                           synth_transition)
+from gllab.morsealg import CriticalPoint, MorseDescription
 
 
 def _sin_profile(b=np.pi):
@@ -195,6 +198,27 @@ class TestTorpedo:
                             lambda *args: np.array(coeffs))
         with pytest.raises(ConstructionFailedError, match=message):
             make_torpedo(TorpedoSpec(1.0, blend_width=ratio * np.pi / 2))
+
+    @pytest.mark.parametrize("delta", [1e-7, 0.25, 0.5, 3.0])
+    def test_quintic_solves_the_derivative_rows_bitwise(self, delta):
+        # the matching system built entry by entry, as it was written before
+        # the rows became one comprehension: the same solve, bit for bit
+        spec = TorpedoSpec(delta)
+        t0, t1 = spec.cap - 2.0 * spec.blend_width, spec.flat_from
+        y0 = (delta * np.sin(t0 / delta), np.cos(t0 / delta),
+              -np.sin(t0 / delta) / delta)
+        y1 = (delta, 0.0, 0.0)
+        rows = np.zeros((6, 6))
+        rows[[0, 1, 2], [0, 1, 2]] = [1.0, 1.0, 2.0]
+        for k in range(3):
+            for j in range(k, 6):
+                c = 1.0
+                for m in range(k):
+                    c *= (j - m)
+                rows[3 + k, j] = c * (t1 - t0) ** (j - k)
+        want = np.linalg.solve(rows, np.array([*y0, *y1]))
+        got = fnspace._quintic_match(t0, y0, t1, y1)
+        assert got.tobytes() == want.tobytes()
 
     def test_zero_blend_is_c1(self):
         # below 1e-6 of the cap the quintic solve is not concave, so a blend
@@ -718,3 +742,134 @@ class TestLinearCombination:
     def test_terms_within_the_domain_rule_combine(self):
         f0, f1 = _sin_profile(1.98), _sin_profile(1.98 * (1 + 5e-10))
         assert LinearCombination([(1.0, f0), (2.0, f1)]).b == 1.98
+
+
+# ---------------------------------------------------------------------------
+# torpedoes assembled from shared, checked pieces
+# ---------------------------------------------------------------------------
+
+_POOL = Path(__file__).resolve().parents[1] / "perfbench" / "pool.json"
+
+# the torpedoes the CLI builds (``torpedo --delta 0.5``, CI's narrow blend,
+# a tube of length 0) and the ROADMAP Baseline's TorpedoSpec list
+_SPECS = [TorpedoSpec(0.5), TorpedoSpec(1.0, blend_width=3e-9),
+          TorpedoSpec(0.5, tube_length=0.0), TorpedoSpec(0.02),
+          TorpedoSpec(0.1, tube_length=5.0), TorpedoSpec(0.05),
+          TorpedoSpec(0.2, tube_length=3.0)]
+
+
+def _every_torpedo_build():
+    """The torpedo builds of the CLI, the Baseline list and the benchmark
+    pool: chart torpedoes and their mirrors, the slowdowns' double
+    torpedoes, and the surgery demos and compiles, which build theirs (the
+    bends' tails, the mixed torpedoes, the f-to-torpedo stage's double
+    torpedo and the foliation's) inside the schedule."""
+    for spec in _SPECS:
+        reflect(make_torpedo(spec))
+        make_double_torpedo(spec.delta, 2.0 * spec.b + 0.5)
+    for n, p in ((5, 1), (7, 2)):  # gllab demo --n 5 --p 1, --n 7 --p 2
+        schedule.two_surgery_demo(n, p)
+    pool = json.loads(_POOL.read_text())
+    for spec in pool["charts"].values():
+        if spec.get("profile") == "torpedo":
+            reflect(make_torpedo(TorpedoSpec(spec["delta"],
+                                             tube_length=spec["tube"])))
+    for task in pool["crosscheck"]["slowdown"]:
+        make_double_torpedo(task["delta"], task["b"])
+    for task in pool["surgery"]["demo"]:
+        schedule.two_surgery_demo(task["n"], task["p"], task["radius"])
+    for task in pool["surgery"]["compile"]:
+        k = task["k"]
+        schedule.compile_gl_cobordism(
+            schedule.round_metric(task["n"], task["radius"]),
+            MorseDescription(task["n"], [CriticalPoint("a", k, 0.3),
+                                         CriticalPoint("b", k + 1, 0.7)],
+                             {(k + 1, k): [[task["sign"]]]}))
+
+
+def _arrays(x):
+    """Every array held by a piece, or in nested lists and tuples."""
+    if isinstance(x, np.ndarray):
+        return [x]
+    if isinstance(x, (list, tuple)):
+        return [a for y in x for a in _arrays(y)]
+    return _arrays(list(vars(x).values())) if hasattr(x, "kind") else []
+
+
+class TestSharedPieces:
+    """A torpedo's cap and blend are built and checked once per shape; its
+    mirror and its double are assembled from checked pieces unchecked."""
+
+    def test_every_build_passes_the_full_checks(self, monkeypatch):
+        made = []
+        real = SmoothFn1D._assembled.__func__
+
+        def recorded(cls, *args):
+            made.append(real(cls, *args))
+            return made[-1]
+        monkeypatch.setattr(SmoothFn1D, "_assembled", classmethod(recorded))
+        _every_torpedo_build()
+        kinds = {tuple(p.kind for p in f.pieces) for f in made}
+        assert ("sine", "poly", "const") in kinds
+        assert ("reflect",) * 3 in kinds
+        assert ("sine", "poly", "const", "reflect", "reflect",
+                "reflect") in kinds
+        assert ("sine", "poly") in kinds and ("sine", "const") in kinds
+        assert len(made) > 300
+        for f in made:
+            full = SmoothFn1D(f.b, f.pieces, f.junction_orders)
+            t = np.linspace(0.0, f.b, 1001)
+            for got, want in zip(full.jet(t, 3), f.jet(t, 3)):
+                assert got.tobytes() == want.tobytes()
+
+    def test_memoized_pieces_are_read_only_and_shared(self):
+        f = make_torpedo(TorpedoSpec(0.25, tube_length=1.0))
+        g = make_torpedo(TorpedoSpec(0.25, tube_length=2.0))
+        c1 = make_torpedo(TorpedoSpec(0.5, blend_width=0.0))
+        assert f.pieces[:2] == g.pieces[:2] and f.pieces[2] is not g.pieces[2]
+        assert reflect(f).pieces[-1].inner is f.pieces[0]
+        heads = [p for pieces, _ in fnspace._torpedo_head.entries.values()
+                 for p in pieces]
+        assert [p.kind for p in heads] == ["sine", "poly", "sine"]
+        assert heads[-1] is c1.pieces[0]
+        arrays = _arrays(heads)
+        assert len(arrays) >= 5
+        assert not any(a.flags.writeable for a in arrays)
+        with pytest.raises(ValueError, match="read-only"):
+            f.pieces[1].coeffs[0] = 0.0
+        # the tube a call appends is its own
+        assert f.pieces[2]._compiled[2][0].flags.writeable
+
+    def test_warm_build_is_the_cold_build(self):
+        spec = TorpedoSpec(0.3, tube_length=0.7)
+        warm = [make_torpedo(spec) for _ in range(2)][1]
+        fnspace._torpedo_head.entries.clear()
+        cold = make_torpedo(spec)
+        assert warm.to_json() == cold.to_json()
+        t = np.linspace(0.0, cold.b, 1001)
+        for got, want in zip(warm.jet(t, 3), cold.jet(t, 3)):
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("coeffs, message", [
+        ([0.0, -1.0, 0.0, 0.0, 0.0, 0.0], "nondecreasing"),
+        ([0.0, 0.0, 1.0, 0.0, 0.0, 0.0], "lost concavity")],
+        ids=["decreasing", "convex"])
+    def test_failing_blend_raises_on_every_call(self, monkeypatch, coeffs,
+                                                message):
+        monkeypatch.setattr(fnspace, "_quintic_match",
+                            lambda *args: np.array(coeffs))
+        for _ in range(2):
+            with pytest.raises(ConstructionFailedError, match=message):
+                make_torpedo(TorpedoSpec(1.0))
+            assert not fnspace._torpedo_head.entries
+
+    def test_failing_tube_junction_raises_on_every_call(self):
+        # at delta = 1e-7 the blend's rounded f'' at the tube misses 0 by
+        # more than the absolute 1e-9 of the C2 contract; without a tube
+        # there is no such junction
+        for _ in range(2):
+            with pytest.raises(InvalidSpecError, match="fails C2 contract"):
+                make_torpedo(TorpedoSpec(1e-7))
+            assert not fnspace._torpedo_head.entries
+        f = make_torpedo(TorpedoSpec(1e-7, tube_length=0.0))
+        assert [p.kind for p in f.pieces] == ["sine", "poly"]

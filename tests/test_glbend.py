@@ -63,6 +63,35 @@ class TestInequalityLedger:
         assert check_cureqn(MODEL, -5.0, 0.3, 0.2) == np.inf
         assert check_cureqn(MODEL, 0.0, 0.3, 0.2) == np.inf
 
+    @pytest.mark.parametrize("consts", [
+        MODEL, BendConstants(R0=1.0, C=0.5, Cp=0.5, q=5),
+        BendConstants(R0=0.2, C=4.0, Cp=2.0, q=2)])
+    def test_margin_is_the_whole_array_formula_bitwise(self, consts):
+        # check_cureqn's old whole-array expression, the +inf rows included,
+        # on a bend's samples (its closing cap tip left out) and on data
+        # with zero sines, k <= 0, r = 0 and NaN
+        def whole(k, r, theta):
+            s = np.sin(theta)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                rhs = np.where(s == 0.0, np.inf,
+                               consts.R0 * r / np.where(s == 0.0, 1.0, s)
+                               + (consts.q - 1) * s / r - consts.C * r * s)
+                return np.where(k <= 0.0, np.inf,
+                                rhs - k * (1.0 + consts.Cp * r ** 2))
+        pt, k, theta, terms = _bend(MODEL).curve.arc_samples(10000)
+        r = pt[:, 1]
+        want = whole(k[:-1], r[:-1], theta[:-1])
+        assert glbend._cureqn_margin(consts, terms).tobytes() == \
+            want.tobytes()
+        assert check_cureqn(consts, k[:-1], r[:-1], theta[:-1]).tobytes() \
+            == want.tobytes()
+        rng = np.random.default_rng(53)
+        k, r, theta = rng.normal(size=(3, 4000))
+        k[::7], theta[::5], r[::11], k[::13] = 0.0, 0.0, 0.0, np.nan
+        with np.errstate(divide="ignore", invalid="ignore"):
+            got = check_cureqn(consts, k, r, theta)
+        np.testing.assert_array_equal(got, whole(k, r, theta))
+
     def test_profile_touching_zero_reads_minus_inf(self):
         # 1 - t^2 on (0, 1) is 0 at its last grid point
         f = SmoothFn1D(1.0, [PolyPiece((0.0, 1.0), [1.0, 0.0, -1.0])])
@@ -285,13 +314,13 @@ class TestSynthesis:
         prefix = initial_bend(MODEL, r1=0.5)
         profile = assemble_gamma(MODEL, prefix, synth_transition(
             MODEL, r0=0.2, theta0=prefix[1]))
-        real = glbend.check_cureqn
+        real = glbend._cureqn_margin
 
         def spoiled(*args):
             margin = np.array(real(*args), dtype=float)
             margin[margin.size // 2] = bad
             return margin
-        monkeypatch.setattr(glbend, "check_cureqn", spoiled)
+        monkeypatch.setattr(glbend, "_cureqn_margin", spoiled)
         cert = profile.certify()
         assert not cert.passed
         np.testing.assert_equal(cert.min_scalar, bad)
@@ -372,6 +401,30 @@ class TestGeometryMemo:
             held[glbend._glued_curve] == \
             [min(i, _MEMO_SIZE - 1) for i in range(n)]
         assert max(held[glbend._bump_geometry]) == _MEMO_SIZE - 1
+
+    def test_warm_assembly_builds_no_inequality_terms(self, monkeypatch):
+        # the bump's terms are kept per (r1, theta0) and the curve's with
+        # its samples: a second bend under new constants only takes margins
+        weak = BendConstants(R0=1.0, q=3)
+        prefix = initial_bend(MODEL, r1=0.5)
+        trans = synth_transition(MODEL, r0=0.2, theta0=prefix[1])
+        first = assemble_gamma(MODEL, prefix, trans)
+        built = []
+        real = glbend._cureqn_terms
+
+        def counted(*args):
+            built.append(len(args[0]))
+            return real(*args)
+        monkeypatch.setattr(glbend, "_cureqn_terms", counted)
+        assert initial_bend(weak, r1=0.5)[1] == prefix[1]
+        second = assemble_gamma(weak, prefix, trans)
+        assert built == []
+        assert second.curve is first.curve
+        assert second.certificate.min_scalar < first.certificate.min_scalar
+        # a new sample count is a new set of terms, kept for the next call
+        second.certify(2048)
+        second.certify(2048)
+        assert built == [2047]
 
     def test_junctions_checked_once_per_glued_curve(self, monkeypatch):
         prefix = initial_bend(MODEL, r1=0.5)
@@ -479,14 +532,14 @@ class TestBendCertificate:
         lo = int(np.argmin(margin))
         # two samples tie with the minimum before it, or two turn NaN after
         spoilt = [lo - 5, lo - 2] if tie else [lo + 7, lo + 3]
-        real = glbend.check_cureqn
+        real = glbend._cureqn_margin
 
         def spoiled(*args):
             out = np.array(real(*args), dtype=float)
             out[spoilt] = margin[lo] if tie else np.nan
             return out
 
-        monkeypatch.setattr(glbend, "check_cureqn", spoiled)
+        monkeypatch.setattr(glbend, "_cureqn_margin", spoiled)
         cert = bend.certify()
         first = min(spoilt)
         assert cert.extra == {"argmin_s": float(s[first]),

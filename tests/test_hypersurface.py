@@ -482,6 +482,47 @@ class TestGeometryMemo:
             assert err.value.best_margin == 0.0
             assert len(hyp._foliation_geometry.entries) == 1
 
+    @pytest.mark.parametrize("k", [0, 7, 20])
+    def test_spoiled_leaf_is_the_first_to_fail(self, monkeypatch, k):
+        # the cold scan's quotients of leaf k, and of the leaf after it,
+        # turn R negative at a few samples: the error names leaf k with its
+        # own least R, which is that of its own quotients
+        nu_grid = np.linspace(0.0, 1.0, 21)
+        real, leaves = hyp._quotients_from_jets, []
+
+        def spoiled(*args):
+            A, B, C = real(*args)
+            if len(leaves) in (k, k + 1):
+                B[1, [3, 200]] = [-1e6, -1e6 * (3 + 2 * (len(leaves) - k))]
+            leaves.append((A, B, C))
+            return A, B, C
+        monkeypatch.setattr(hyp, "_quotients_from_jets", spoiled)
+        with pytest.raises(CertificationFailedError,
+                           match=f"leaf nu = {nu_grid[k]} loses") as err:
+            _foliation(2, 4, nu_grid)
+        want = curvature._scalar([2, 4], *leaves[k]).min()
+        assert want < 0 and err.value.best_margin == want
+
+    def test_warm_call_takes_one_scalar_pass(self, monkeypatch):
+        _foliation(2, 2)
+        calls = []
+        real = hyp._scalar
+
+        def counted(dims, A, B, C):
+            calls.append((A.shape, B.shape, {ij: c.shape
+                                             for ij, c in C.items()}))
+            return real(dims, A, B, C)
+        monkeypatch.setattr(hyp, "_scalar", counted)
+        _foliation(2, 4)
+        shape = (21, hyp._LEAF_SAMPLES)
+        assert calls == [((2, *shape), (2, *shape), {(0, 1): shape})]
+
+    def test_stacked_quotients_are_read_only(self):
+        _foliation(2, 4)
+        (_, _, _, (t, (A, B, C))), = hyp._foliation_geometry.entries.values()
+        for a in (t, A, B, *C.values()):
+            assert not a.flags.writeable
+
     def test_failed_build_stores_nothing(self, monkeypatch):
         def singular(*args):
             raise SingularProfileError("spoiled")

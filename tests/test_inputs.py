@@ -18,7 +18,8 @@ from gllab.errors import (InvalidBendError, InvalidSpecError, OutOfRegimeError,
                           _finite_reals)
 from gllab.fnspace import (ConstPiece, LinearCombination, PolyPiece,
                            ReflectPiece, SinePiece, SmoothFn1D, TorpedoSpec,
-                           linear_homotopy, make_torpedo)
+                           linear_homotopy, make_double_torpedo,
+                           make_torpedo)
 from gllab.glbend import (ArcSeg, BendConstants, BumpSeg, GraphSeg,
                           assemble_gamma, final_bending_tilt, final_isotopy,
                           initial_bend, quarter_bend_curve, synth_transition)
@@ -154,6 +155,8 @@ SITES = [
     ("TorpedoSpec.blend_width",
      lambda x: make_torpedo(TorpedoSpec(0.5, blend_width=x)), 0.1,
      InvalidSpecError, _jets),
+    ("make_double_torpedo.b", lambda x: make_double_torpedo(0.1, x), 3.0,
+     InvalidSpecError, _jets),
     ("SmoothFn1D.b", lambda x: SmoothFn1D(x, [ConstPiece((0.0, 1.0), 1.0)]),
      1.0, InvalidSpecError, _jets),
     ("PolyPiece.origin", lambda x: SmoothFn1D(1.0, [
@@ -218,6 +221,16 @@ IDS = [site[0] for site in SITES]
 def test_non_real_or_non_finite_raises_the_sites_class(build, error, bad):
     with pytest.raises(error):
         build(bad)
+
+
+@pytest.mark.parametrize("b", ["3.0", True, np.nan, np.inf, -np.inf, 0.0,
+                               -3.0],
+                         ids=["string", "bool", "nan", "inf", "-inf", "zero",
+                              "negative"])
+def test_double_torpedo_length_is_checked_before_any_arithmetic(b):
+    # a string was a bare TypeError from b / 2, and True reached the mirror
+    with pytest.raises(InvalidSpecError):
+        make_double_torpedo(0.1, b)
 
 
 def _numpy_forms(value):

@@ -13,8 +13,8 @@ from gllab.curvature import (DoublyWarpedMetric, WarpedProduct,
                              WarpedSphereMetric, scalar_doubly_warped,
                              scalar_warped)
 from gllab.errors import (CertificationFailedError, CompilationFailedError,
-                          DemoFailedError, HypothesisViolationError,
-                          InvalidSpecError)
+                          ConstructionFailedError, DemoFailedError,
+                          HypothesisViolationError, InvalidSpecError)
 from gllab.fnspace import (ConstPiece, SinePiece, SmoothFn1D, TorpedoSpec,
                            check_F_membership, check_U_membership,
                            check_V_membership, linear_homotopy,
@@ -458,6 +458,21 @@ class TestDemo:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             assert two_surgery_demo(n, p, radius).passed
+
+    def test_tail_torpedo_failure_raises_cold_and_warm(self):
+        # at radius 30 the bend's tail torpedo fails its blend/tube C2
+        # junction inside the torpedo's memo; nothing is stored, so the
+        # second, warm call raises the same error
+        message = ("tail torpedo of r_inf = 8.06617e-07 cannot be built: "
+                   "junction at t=1.58379e-06 fails C2 contract: "
+                   "1.280568540096283e-09 vs 0.0")
+        for _ in range(2):
+            with pytest.raises(ConstructionFailedError) as err:
+                two_surgery_demo(6, 1, 30.0)
+            assert str(err.value) == message
+            # the memo holds the demo's other torpedoes, not the tail's
+            heads = fnspace._torpedo_head.entries
+            assert heads and all(key[0] > 1e-5 for key in heads)
 
     def test_smallest_admissible(self):
         rep = two_surgery_demo(5, 1)
