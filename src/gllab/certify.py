@@ -6,9 +6,9 @@ it was sampled on and the minimum value found, which must exceed 0.
 Every certificate is the least sample of a family, read by
 ``family_certificate`` with where it sits; certificates serialize to JSON.
 
-``pmap`` is the order-preserving map of the foliation geometry's cold scan
-over its leaves; a homotopy or a scanned foliation takes one array pass.
-It runs serially: the scan is GIL-bound Python, and threads measured slower.
+``pmap`` (an order-preserving serial map) and ``thread_count`` have no
+caller in the package: a homotopy and a foliation each take one array pass.
+They stay because the benchmark's runner, self-check and tracer read them.
 ``write_csv`` is the one CSV writer behind every table the toolkit emits.
 ``_Memo`` is the LRU memo of every geometry built once per shape (torpedo
 caps too; all in ``_MEMOS``); ``_frozen`` marks memoized arrays read-only.

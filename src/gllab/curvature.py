@@ -15,12 +15,13 @@ over A and B.  At an end where a factor f_c closes (f_c = 0, |f_c'| = 1)
 one l'Hospital rule replaces the 0/0 quotients, whichever factor closes at
 whichever end: A_c = f_c'''/f_c', B_c = -A_c and C_cj = f_j''/f_j.  A cone
 point (|f_c'| != 1), a factor left open there with f_j' != 0, and interior
-zeros raise ``SingularProfileError``.  The evaluator is one point set
-(``_closed_form_points``), one reading of the jets there as quotients
-(``_quotients_from_jets``) and the formula over them, so a caller that
-already holds the jets, a foliation leaf or a profile homotopy combined
-from its end jets (``schedule._certify_homotopy``), gets the same bits
-without evaluating a profile.
+zeros raise ``SingularProfileError``.  The evaluator is one reading of
+the jets at the caller's own samples as quotients (``_quotients_from_jets``:
+open quotients over the whole array, the limits written wherever a mask of
+end samples finds a closing factor) and the formula over them, so a caller
+that already holds the jets, the foliation's stacked leaves or a profile
+homotopy combined from its end jets (``schedule._certify_homotopy``), gets
+the same bits without evaluating a profile.
 
 ``slowdown_concordance`` runs a psc path of warped metrics as a psc
 cylinder metric, slowed down over a smoothstep whose length L is taken in
@@ -179,97 +180,95 @@ def _open_quotients(f, d1, d2):
     return d2 / f, (1.0 - d1 ** 2) / f ** 2, d1 / f
 
 
-def _closed_form_points(t, b):
-    """Where ``_closed_form`` reads its profiles for samples t on (0, b).
+def _quotients_from_jets(t, ends, all_jets):
+    """The quotients (A, B, C) at samples t, in t's shape.
 
-    Returns (points, back, ends): t itself (at least 1-D) if no sample is
-    at an end, else the interior samples then each end present (0 before
-    b); each sample's index in the points; and the ends present.
-    """
-    tv = np.atleast_1d(t)
-    snap = _END_SNAP * max(1.0, b)
-    # no t <= snap and no t >= b - snap: then neither mask below holds
-    if not np.abs(tv - 0.5 * b).max(initial=0.0) >= 0.5 * b - snap:
-        return tv, slice(None), []
-    at0, atb = np.abs(tv) <= snap, np.abs(tv - b) <= snap
-    inner = ~(at0 | atb)
-    ends = [tend for mask, tend in ((at0, 0.0), (atb, b)) if mask.any()]
-    back = (np.cumsum(inner) - 1).reshape(tv.shape)
-    back[at0], back[atb] = inner.sum(), inner.sum() + at0.any()
-    return np.concatenate([tv[inner], ends]), back, ends
-
-
-def _quotients_from_jets(back, ends, all_jets):
-    """The quotients (A, B, C) at the samples of ``_closed_form_points``.
-
-    ``all_jets`` holds each profile's jet at those points, to order 3 when
-    an end is present, else to order 2.  A curvature formula sees profile
-    i (warping a round sphere of dimension ``dims[i]``) only through
-    A_i = f_i''/f_i and B_i = (1 - f_i'^2)/f_i^2, and each pair i < j
-    through C[i, j] = f_i' f_j'/(f_i f_j).  At an end where profile c
-    closes (f_c = 0) these are 0/0, and their l'Hospital limits take their
-    place:
+    ``ends`` masks the samples of t at an end of the domain, exactly 0 or
+    b (None: no sample is), and ``all_jets`` holds each profile's jet at
+    t, to order 3 when an end is present, else to order 2.  A curvature
+    formula sees profile i (warping a round sphere of dimension
+    ``dims[i]``) only through A_i = f_i''/f_i and B_i = (1 - f_i'^2)/f_i^2,
+    and each pair i < j through C[i, j] = f_i' f_j'/(f_i f_j).  At an end
+    where profile c closes (f_c = 0) these are 0/0, and their l'Hospital
+    limits take their place:
 
         A_c = f_c'''/f_c',   B_c = -f_c'''/f_c',   C_cj = f_j''/f_j = A_j.
 
     The rule needs |f_c'| = 1 there (any other slope is a cone point) and
     f_j' = 0 for every factor j that stays open; either failing raises
     ``SingularProfileError``, as do two factors closing at one end and an
-    interior zero.  A and B are (profile, sample) arrays, C a dict of them.
+    interior zero.  An interior zero is reported first, then the ends at
+    t = 0 before those at t = b, each in C order (leaf by leaf for a
+    stacked family).  A and B are (profile, *t.shape) arrays, C a dict of
+    t-shaped ones.
     """
-    # D_i = f_i'/f_i, 0 where f_i closes; ``closes`` holds (column, c)
-    n_in, closes = len(all_jets[0][0]) - len(ends), []
-    A, B, D = np.empty((3, len(all_jets)) + np.shape(all_jets[0][0]))
-    if n_in and min(np.abs(jet[0][:n_in]).min()
-                    for jet in all_jets) < _INTERIOR_ZERO:
+    A, B, D = (np.empty((len(all_jets),) + np.shape(all_jets[0][0]))
+               for _ in range(3))
+    pairs = [(i, j) for i in range(len(A)) for j in range(i + 1, len(A))]
+    if min(np.abs(jet[0] if ends is None else np.where(ends, 1.0, jet[0]))
+           .min(initial=1.0) for jet in all_jets) < _INTERIOR_ZERO:
         raise SingularProfileError(
             "a warping function vanishes at an interior point")
-    for i, jet in enumerate(all_jets):
-        A[i, :n_in], B[i, :n_in], D[i, :n_in] = _open_quotients(
-            *(d[:n_in] for d in jet[:3]))
-    for e, tend in enumerate(ends, start=n_in):
-        jets = [tuple(float(x[e]) for x in jet) for jet in all_jets]
-        closing = [i for i, jet in enumerate(jets) if abs(jet[0]) <= _END_ZERO]
-        if len(closing) > 1:
-            raise SingularProfileError(
-                "both warping functions vanish at the same endpoint")
-        for i, (f, d1, d2, d3) in enumerate(jets):
-            if i in closing:
-                if abs(abs(d1) - 1.0) > _END_TOL:
-                    raise SingularProfileError(
-                        f"a warping function closes at t = {tend:.6g} with "
-                        f"slope {d1:.6g}: a cone point")
-                A[i, e], B[i, e], D[i, e] = d3 / d1, -d3 / d1, 0.0
-                closes.append((e, i))
-            elif closing and abs(d1) > _END_TOL:
-                raise SingularProfileError(
-                    f"a warping function stays open at t = {tend:.6g} with "
-                    f"slope {d1:.6g} where another closes")
-            else:
-                A[i, e], B[i, e], D[i, e] = _open_quotients(f, d1, d2)
-    C = {(i, j): D[i] * D[j]
-         for i in range(len(all_jets)) for j in range(i + 1, len(all_jets))}
-    for e, c in closes:
-        for (i, j), Cij in C.items():
-            if c in (i, j):
-                Cij[e] = A[j if i == c else i, e]
-    return A[:, back], B[:, back], {ij: Cij[back] for ij, Cij in C.items()}
+    if ends is None:
+        for i, jet in enumerate(all_jets):
+            A[i], B[i], D[i] = _open_quotients(*jet[:3])
+        return A, B, {(i, j): D[i] * D[j] for i, j in pairs}
+    closes = [ends & (np.abs(jet[0]) <= _END_ZERO) for jet in all_jets]
+    _check_ends(t, closes, [jet[1] for jet in all_jets])
+    for i, ((f, d1, d2, d3), c) in enumerate(zip(all_jets, closes)):
+        A[i], B[i], D[i] = _open_quotients(np.where(c, 1.0, f), d1, d2)
+        np.divide(d3, d1, out=A[i], where=c)
+        np.negative(A[i], out=B[i], where=c)
+    return A, B, {(i, j): np.where(closes[i], A[j], np.where(
+        closes[j], A[i], D[i] * D[j])) for i, j in pairs}
+
+
+def _check_ends(t, closes, slopes):
+    """Raise ``SingularProfileError`` at the first end sample of t where
+    two factors close (``closes[i]`` masks where factor i does), or factor
+    i, closing or not, has the wrong slope ``slopes[i]`` (f_i'): t = 0
+    before t = b, then in C order, the two-closing check first."""
+    two = np.add.reduce(closes, dtype=int) > 1
+    closing = np.logical_or.reduce(closes)
+    bad = [np.where(c, np.abs(np.abs(d1) - 1.0) > _END_TOL,
+                    closing & (np.abs(d1) > _END_TOL))
+           for c, d1 in zip(closes, slopes)]
+    fail = two | np.logical_or.reduce(bad)
+    if not fail.any():
+        return
+    at0 = fail & (t == 0.0)
+    s = np.flatnonzero(at0 if at0.any() else fail)[0]
+    if two.flat[s]:
+        raise SingularProfileError(
+            "both warping functions vanish at the same endpoint")
+    i = next(i for i, wrong in enumerate(bad) if wrong.flat[s])
+    at = (f"at t = {float(t.flat[s]):.6g} with slope "
+          f"{float(slopes[i].flat[s]):.6g}")
+    raise SingularProfileError(
+        f"a warping function closes {at}: a cone point" if closes[i].flat[s]
+        else f"a warping function stays open {at} where another closes")
 
 
 def _closed_form(dims, profiles, t, formula):
     """Evaluate ``formula(dims, A, B, C)`` for warping ``profiles`` at t.
 
     The profiles share one domain (0, b); profile i warps a round sphere of
-    dimension ``dims[i]``.  Each profile is evaluated once, at
-    ``_closed_form_points``: to order 3 when an end is present, else to
-    order 2.  ``_quotients_from_jets`` reads the jets.  Returns
+    dimension ``dims[i]``.  A sample within ``_END_SNAP`` of an end reads
+    as exactly 0 or b and is marked in the mask ``_quotients_from_jets``
+    takes; each profile is evaluated once, at the samples in t's shape, to
+    order 3 when an end is present, else to order 2.  Returns
     ``formula``'s value, floats for scalar t.
     """
     t = np.asarray(t, dtype=float)
-    pts, back, ends = _closed_form_points(t, profiles[0].b)
-    k = 3 if ends else 2
+    tv, b, ends = np.atleast_1d(t), profiles[0].b, None
+    snap = _END_SNAP * max(1.0, b)
+    # no t <= snap and no t >= b - snap: then neither mask below holds
+    if np.abs(tv - 0.5 * b).max(initial=0.0) >= 0.5 * b - snap:
+        at0, atb = np.abs(tv) <= snap, np.abs(tv - b) <= snap
+        if (at0 | atb).any():
+            tv, ends = np.where(atb, b, np.where(at0, 0.0, tv)), at0 | atb
     out = formula(dims, *_quotients_from_jets(
-        back, ends, [f.jet(pts, k) for f in profiles]))
+        tv, ends, [f.jet(tv, 2 if ends is None else 3) for f in profiles]))
     if t.ndim:
         return out
     out = np.asarray(out)[..., 0]

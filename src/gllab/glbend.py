@@ -64,7 +64,6 @@ __all__ = [
     "BumpSeg",
     "GraphSeg",
     "BendProfile",
-    "rhs_cureqn",
     "check_cureqn",
     "check_diffkeqn",
     "mu_inequality",
@@ -112,20 +111,6 @@ class BendConstants:
 # the inequality ledger
 # ---------------------------------------------------------------------------
 
-def _rhs(consts, r, s):
-    """R0 r/s + (q-1) s/r - C r s at heights r and sines s."""
-    return consts.R0 * r / s + (consts.q - 1) * s / r - consts.C * r * s
-
-
-def rhs_cureqn(consts, r, theta):
-    """R0 r/sin(theta) + (q-1) sin(theta)/r - C r sin(theta); +inf at theta=0."""
-    s = np.sin(np.asarray(theta, dtype=float))
-    with np.errstate(divide="ignore"):
-        out = np.where(s == 0.0, np.inf, _rhs(
-            consts, np.asarray(r, dtype=float), np.where(s == 0.0, 1.0, s)))
-    return float(out) if out.ndim == 0 else out
-
-
 def _cureqn_terms(k, r, theta):
     """The margin's inputs at samples (k, r, theta): k and r, then, new and
     read-only, sin(theta) with 1 for 0, where it was 0 (rhs +inf) and
@@ -137,10 +122,13 @@ def _cureqn_terms(k, r, theta):
 
 
 def _cureqn_margin(consts, terms):
-    """The margin on ``terms`` (``_cureqn_terms``) under ``consts``."""
+    """The margin on ``terms`` (``_cureqn_terms``) under ``consts``: the
+    right-hand side R0 r/s + (q-1) s/r - C r s at heights r and sines s
+    (+inf where sin(theta) = 0), less k (1 + C' r^2)."""
     k, r, s, zero, concave = terms
     with np.errstate(divide="ignore"):
-        rhs = np.where(zero, np.inf, _rhs(consts, r, s))
+        rhs = np.where(zero, np.inf, consts.R0 * r / s
+                       + (consts.q - 1) * s / r - consts.C * r * s)
     return np.where(concave, np.inf, rhs - k * (1.0 + consts.Cp * r ** 2))
 
 

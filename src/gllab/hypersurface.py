@@ -19,8 +19,9 @@ a small geodesic sphere (the connected-sum isotopy).
 Curves exist only as ``Curve2D`` segments.  A coordinate of a curve, read
 through ``Curve2D.jet``, is the induced radius r(s) or, composed with a
 torpedo (``CompositeProfile``), a warping function of a leaf.  The
-foliation reads each leaf from one curve jet and one jet per torpedo,
-taken on the leaf's closed-form samples.  The torpedoes and the leaves are
+foliation reads all its leaves in one (nu, t) pass: their curve jets
+stacked, one jet per torpedo over every leaf's samples and one read of
+the closed form's quotients.  The torpedoes and the leaves are
 members of U and V by construction, so no membership is sampled here.
 (p, q) enter only the closed form, so the foliation's and the mixed
 torpedo's geometry is built once per shape, keyed on the floats that fix
@@ -35,9 +36,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .certify import _family_grid, _frozen, _Memo, family_certificate, pmap
-from .curvature import (WarpedProduct, _closed_form_points,
-                        _quotients_from_jets, _scalar)
+from .certify import _family_grid, _frozen, _Memo, family_certificate
+from .curvature import WarpedProduct, _quotients_from_jets, _scalar
 from .errors import (CertificationFailedError, InvalidBendError,
                      InvalidSpecError, _check_ints, _finite_reals)
 from .fnspace import (ConstPiece, SmoothFn1D, TorpedoSpec, _torpedo_on,
@@ -303,7 +303,9 @@ def _foliation_geometry(edge, radius, tau, nu_grid, eps, delta_p):
     ``connected_sum_foliation``: every leaf's samples t and closed-form
     quotients, stacked as (leaf, sample) arrays (A and B with a profile
     axis first) and read-only, neither depending on (p, q).  The cold scan
-    takes each leaf from one curve jet and one jet per torpedo.
+    is one (nu, t) pass: the leaves' curve jets stacked, one jet per
+    torpedo over all leaves (``_compose``) and one ``_quotients_from_jets``
+    read, so a singular leaf reports as that reader orders its ends.
 
     Each leaf (u, v) = (f_eps(x), f_delta(y)) is in U x V by construction:
     its unit-speed curve meets each axis at a right angle with constant
@@ -320,18 +322,17 @@ def _foliation_geometry(edge, radius, tau, nu_grid, eps, delta_p):
             curves.append(_corner_curve(edge * (2.0 * nu - 1.0), radius))
         else:
             curves.append(_corner_curve(0.0, tau + 2.0 * nu * (radius - tau)))
-
-    def leaf(curve):
-        t = np.linspace(0.0, curve.length, _LEAF_SAMPLES)
-        pts, back, ends = _closed_form_points(t, curve.length)
-        x = curve.jet(pts, 3)
-        return t, *_quotients_from_jets(back, ends, [
-            _compose(f, tuple(d[..., axis] for d in x), 3)
-            for f, axis in ((f_eps, 0), (f_del, 1))])
-
-    t, A, B, C = zip(*pmap(leaf, curves))
-    t, A, B, C = _frozen(np.stack(t), np.stack(A, axis=1),
-                         np.stack(B, axis=1), np.stack([c[0, 1] for c in C]))
+    # one (nu, t) pass: each leaf's own samples, its ends in columns 0 and -1
+    t = np.stack([np.linspace(0.0, curve.length, _LEAF_SAMPLES)
+                  for curve in curves])
+    ends = (t == 0.0) | (t == t[:, -1:])
+    x = np.empty((4, *t.shape, 2))
+    for k, (curve, row) in enumerate(zip(curves, t)):
+        x[:, k] = curve.jet(row, 3)
+    A, B, C = _quotients_from_jets(t, ends, [
+        _compose(f, tuple(d[..., axis] for d in x), 3)
+        for f, axis in ((f_eps, 0), (f_del, 1))])
+    t, A, B, C = _frozen(t, A, B, C[0, 1])
     return f_eps, f_del, tuple(curves), (t, (A, B, {(0, 1): C}))
 
 

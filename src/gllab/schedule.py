@@ -186,9 +186,10 @@ def _certify_homotopy(dims, starts, ends):
     (lambda, t) interior grid, each end's jet taken once, to order 2 (no
     sample is at an end).  All lambdas' jets are combined in one array pass
     with ``_combine_jets``'s arithmetic, a zero weight skipped entry by
-    entry, then read by one ``_quotients_from_jets`` and one ``_scalar``:
-    each row is its metric's scalar bit for bit, at lambda = 0 and 1 even
-    where the other end reads NaN (``argmin_lambda``, ``argmin_t``)."""
+    entry, then read, with no end mask, by one ``_quotients_from_jets``
+    and one ``_scalar``: each row is its metric's scalar bit for bit, at
+    lambda = 0 and 1 even where the other end reads NaN (``argmin_lambda``,
+    ``argmin_t``)."""
     t = sample_grid(starts[0].b, 256, interior=True)
     lams = np.linspace(0.0, 1.0, 11)
     weights = [w[:, None] for w in (1.0 - lams, lams)]
@@ -200,7 +201,7 @@ def _certify_homotopy(dims, starts, ends):
             for o, d in zip(outs, f.jet(t, 2)):
                 np.add(o, w * d, out=o, where=w != 0.0)
         combined.append([o.ravel() for o in outs])
-    R = _scalar(dims, *_quotients_from_jets(slice(None), [], combined))
+    R = _scalar(dims, *_quotients_from_jets(None, None, combined))
     return family_certificate(
         R.reshape(shape), {"lambda": lams[:, None], "t": t},
         "profile homotopy", f"11 x {t.size} (lambda, t) interior grid")

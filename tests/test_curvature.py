@@ -344,6 +344,18 @@ def test_closed_form_matches_the_masked_reader_bitwise(name):
                 _masked_closed_form(m, t, curvature._ricci))
 
 
+def test_open_factor_reads_the_interior_formula_at_an_end():
+    # where no factor closes, an end sample takes the open quotients as an
+    # interior one does: a constant profile's R is one value at every t,
+    # ends included, also for a radius whose C pow(f, 2) and f * f round
+    # apart (the masked reader squares Python floats at an end)
+    f = 0.04721255574537214
+    assert f ** 2 != f * f
+    m = WarpedProduct((3,), (SmoothFn1D(1.0, [ConstPiece((0.0, 1.0), f)]),))
+    R = m.scalar(np.array([0.0, 0.5, 1.0]))
+    assert R.tolist() == [m.scalar(0.5)] * 3 == [6 * (1.0 / (f * f))] * 3
+
+
 @pytest.mark.parametrize("dims, profiles, t", [
     ((2, 4), lambda: (cos_profile(np.pi), sin_profile(np.pi)),
      np.array([0.5, np.pi / 2])),
@@ -352,8 +364,16 @@ def test_closed_form_matches_the_masked_reader_bitwise(name):
     ((2, 4), lambda: (sin_profile(), sin_profile()), np.array([0.5, 0.0])),
     ((2, 3), lambda: (SmoothFn1D(np.pi / 2, [PolyPiece(
         (0.0, np.pi / 2), [1.0, 0.5])]), sin_profile()), np.array([0.0, 0.5])),
+    # a cone point at t = 0, two factors closing at t = b: t = 0 is
+    # reported first wherever it sits among the samples
+    *[((2, 3), lambda: (SmoothFn1D(1.0, [PolyPiece(
+        (0.0, 1.0), [0.0, 0.5, 1.0, -1.5])]), SmoothFn1D(1.0, [PolyPiece(
+            (0.0, 1.0), [1.0, -1.0])])), t) for t in (
+        np.array([1.0, 0.0]), np.array([0.0, 1.0]),
+        np.array([[0.5, 1.0], [0.25, 0.0]]))],
 ], ids=["interior-zero", "cone-point", "two-close-at-one-end",
-        "open-slope-where-another-closes"])
+        "open-slope-where-another-closes", "fails-at-both-ends-b-then-0",
+        "fails-at-both-ends-0-then-b", "fails-at-both-ends-2d"])
 def test_closed_form_raises_as_the_masked_reader(dims, profiles, t):
     m = WarpedProduct(dims, profiles())
     with pytest.raises(SingularProfileError) as want:

@@ -23,7 +23,7 @@ from gllab.glbend import (ArcSeg, BendConstants, BumpSeg, Curve2D, GraphSeg,
                           LineSeg, _invert_monotone,
                           assemble_gamma, check_cureqn, check_diffkeqn,
                           final_bending_tilt, final_isotopy, initial_bend,
-                          mu_inequality, quarter_bend_curve, rhs_cureqn,
+                          mu_inequality, quarter_bend_curve,
                           synth_transition)
 
 MODEL = BendConstants(R0=1.5, q=3)
@@ -51,13 +51,15 @@ class TestInequalityLedger:
             BendConstants(R0=1.0, q=q)
 
     def test_rhs_pin(self):
-        # frozen regression value, computed independently
+        # frozen regression value of the right-hand side, computed
+        # independently: with k = 1 and C' = 0 the margin is rhs - 1
         consts = BendConstants(R0=1.0, C=4.0, Cp=0.0, q=3)
-        assert np.isclose(rhs_cureqn(consts, 0.3, 0.2),
-                          2.596105872648038, rtol=1e-12)
+        assert np.isclose(check_cureqn(consts, 1.0, 0.3, 0.2),
+                          2.596105872648038 - 1.0, rtol=1e-12)
 
     def test_theta_zero_is_infinite(self):
-        assert rhs_cureqn(MODEL, 0.3, 0.0) == np.inf
+        # the right-hand side is +inf at theta = 0, so the margin is too
+        assert check_cureqn(MODEL, 1.0, 0.3, 0.0) == np.inf
 
     def test_concave_passes_unconditionally(self):
         assert check_cureqn(MODEL, -5.0, 0.3, 0.2) == np.inf

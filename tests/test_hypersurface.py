@@ -484,24 +484,76 @@ class TestGeometryMemo:
 
     @pytest.mark.parametrize("k", [0, 7, 20])
     def test_spoiled_leaf_is_the_first_to_fail(self, monkeypatch, k):
-        # the cold scan's quotients of leaf k, and of the leaf after it,
-        # turn R negative at a few samples: the error names leaf k with its
-        # own least R, which is that of its own quotients
+        # the cold scan's one stacked read, with rows k and k + 1 (when
+        # there is one) spoiled to turn R negative at a few samples: the
+        # error names leaf k with its own least R, that of its own row
         nu_grid = np.linspace(0.0, 1.0, 21)
-        real, leaves = hyp._quotients_from_jets, []
+        real, reads = hyp._quotients_from_jets, []
 
         def spoiled(*args):
             A, B, C = real(*args)
-            if len(leaves) in (k, k + 1):
-                B[1, [3, 200]] = [-1e6, -1e6 * (3 + 2 * (len(leaves) - k))]
-            leaves.append((A, B, C))
+            for row in (k, k + 1)[:len(nu_grid) - k]:
+                B[1, row, [3, 200]] = [-1e6, -1e6 * (3 + 2 * (row - k))]
+            reads.append((A, B, C))
             return A, B, C
         monkeypatch.setattr(hyp, "_quotients_from_jets", spoiled)
         with pytest.raises(CertificationFailedError,
                            match=f"leaf nu = {nu_grid[k]} loses") as err:
             _foliation(2, 4, nu_grid)
-        want = curvature._scalar([2, 4], *leaves[k]).min()
+        (A, B, C), = reads
+        want = curvature._scalar(
+            [2, 4], A[:, k], B[:, k], {ij: c[k] for ij, c in C.items()}).min()
         assert want < 0 and err.value.best_margin == want
+
+    @pytest.mark.parametrize("seed", [None, 3, 11])
+    def test_stacked_read_is_the_masked_reader_per_leaf(self, seed):
+        # the demo's corner, then two seeded ones: a memo-empty foliation's
+        # one stacked read equals, bit for bit, the masked reference reader
+        # on each leaf's own jets at that leaf's own samples
+        from test_curvature import _masked_points, _masked_quotients
+        if seed is None:
+            c, radius, tau, eps, delta_p = 1.0, 0.4, 0.05, 0.25, 0.25
+        else:
+            rng = np.random.default_rng(seed)
+            radius = rng.uniform(0.2, 1.0)
+            c = radius + rng.uniform(0.7, 1.5)
+            tau = radius * rng.uniform(0.05, 0.9)
+            eps, delta_p = rng.uniform(0.05, 0.3, 2)
+        connected_sum_foliation(c, radius, tau, np.linspace(0.0, 1.0, 21),
+                                eps, delta_p, p=2, q=4)
+        (f_eps, f_del, curves, (t, (A, B, C))), = (
+            hyp._foliation_geometry.entries.values())
+        assert t.shape == (21, hyp._LEAF_SAMPLES)
+        for k, curve in enumerate(curves):
+            row = np.linspace(0.0, curve.length, hyp._LEAF_SAMPLES)
+            pts, inner, ends = _masked_points(row, curve.length)
+            x = curve.jet(pts, 3)
+            want_A, want_B, want_C = _masked_quotients(inner, ends, [
+                hyp._compose(f, tuple(d[..., axis] for d in x), 3)
+                for f, axis in ((f_eps, 0), (f_del, 1))])
+            assert t[k].tobytes() == row.tobytes()
+            assert A[:, k].tobytes() == want_A.tobytes()
+            assert B[:, k].tobytes() == want_B.tobytes()
+            assert C.keys() == want_C.keys()
+            assert C[0, 1][k].tobytes() == want_C[0, 1].tobytes()
+
+    def test_cold_scan_reads_once(self, monkeypatch):
+        # a memo-empty foliation reads its quotients once and each torpedo
+        # once, over all 21 leaves (one leaf at a time took 21 and 42)
+        calls = {"read": 0, "jet": 0}
+        real = hyp._quotients_from_jets
+
+        def read(*args):
+            calls["read"] += 1
+            return real(*args)
+
+        def jet(*args, _orig=SmoothFn1D.jet, **kw):
+            calls["jet"] += 1
+            return _orig(*args, **kw)
+        monkeypatch.setattr(hyp, "_quotients_from_jets", read)
+        monkeypatch.setattr(SmoothFn1D, "jet", jet)
+        _, cert = _foliation(2, 4)
+        assert cert.passed and calls == {"read": 1, "jet": 2}
 
     def test_warm_call_takes_one_scalar_pass(self, monkeypatch):
         _foliation(2, 2)
