@@ -25,7 +25,8 @@ the same bits without evaluating a profile.
 
 ``slowdown_concordance`` runs a psc path of warped metrics as a psc
 cylinder metric, slowed down over a smoothstep whose length L is taken in
-closed form: the cylinder's R at length L is R_sigma - Q/L^2.
+closed form: the cylinder's R at length L is R_sigma - Q/L^2; a
+``linear_homotopy`` path is one ``fnspace._family_jets`` family.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .errors import (CertificationFailedError, DomainMismatchError,
                      InvalidSpecError, SingularProfileError, _check_ints,
                      _finite_reals)
 from .fnspace import (_CSV_DENSITY, _END_TOL, ConstPiece, LinearCombination,
-                      PolyPiece, SmoothFn1D, _check_membership, _combine_jets,
+                      PolyPiece, SmoothFn1D, _check_membership, _family_jets,
                       _same_domain, sample_grid)
 
 __all__ = [
@@ -366,55 +367,45 @@ def _check_path_metric(m, sig, n, b):
     return m
 
 
-def _path_jets(profile_at, sig, tgrid):
-    """t-jet on ``tgrid`` of ``profile_at(sigma)`` at each distinct sigma.
+def _path_jets(profiles, orders, tgrid):
+    """(3, len(profiles), nt) t-jets on ``tgrid`` of the sigma-profiles,
+    profile m's to order ``orders[m]`` (rows above it are not read).
 
-    Row i of ``sig`` holds sigma at s_i - h, s_i and s_i + h; the outer
-    values need f only, the centre f, f' and f''.  A profile is dropped
-    once its jet is taken.  A ``LinearCombination``'s jet is
-    ``_combine_jets`` over its terms' jets, each distinct term (by
-    identity) evaluated once, to order 2, for all sigma: the bits of its
-    own ``jet``.  Any other profile is evaluated itself.
+    When every profile is a ``LinearCombination`` over one term list (the
+    same objects in order, as on a ``linear_homotopy`` path), they are one
+    ``_family_jets`` family, each term evaluated once, to order 2, for all
+    sigma, each profile with its own bits; any other is evaluated itself.
     """
-    order = {}
-    for row in sig:
-        for sv, k in zip(row, (0, 2, 0)):
-            order[sv] = max(k, order.get(sv, 0))
-    # id(f) -> (f, jet): holding f keeps its id from being reused
-    terms = {}
-
-    def term_jet(f):
-        if id(f) not in terms:
-            terms[id(f)] = f, f.jet(tgrid, 2)
-        return terms[id(f)][1]
-
-    def jet(prof, k):
-        if isinstance(prof, LinearCombination):
-            return _combine_jets(prof.terms, term_jet, tgrid, k)
-        return prof.jet(tgrid, k)
-    return {sv: jet(profile_at(sv), k) for sv, k in order.items()}
+    if all(isinstance(p, LinearCombination) for p in profiles) and len(
+            {tuple(id(f) for _, f in p.terms) for p in profiles}) == 1:
+        return _family_jets([[w for w, _ in p.terms] for p in profiles],
+                            [f for _, f in profiles[0].terms], tgrid, 2)
+    jets = np.zeros((3, len(profiles), tgrid.size))
+    for m, (p, k) in enumerate(zip(profiles, orders)):
+        jets[:k + 1, m] = p.jet(tgrid, k)
+    return jets
 
 
-def _slowdown_grid(n, jets, sig, nt):
+def _slowdown_grid(n, jets, rows):
     """(R_sigma, Q) on the (x, t) grid, x = s/L, ``_ROW_BLOCK`` rows a time.
 
-    Row i reads path(sigma)'s centre jet (P, d1, d2) and the central
-    differences D1, D2 in x of its outer values.  For L = 2^k the s-grid,
+    Row i of ``rows`` indexes sigma at s_i - h, s_i and s_i + h in the
+    stacked ``_path_jets``: the centre jet (P, d1, d2) and the central
+    differences D1, D2 in x of the outer values.  For L = 2^k the s-grid,
     h = 1e-4 L and eta_L(L x) == eta_1(x) scale with L, so the s-partials
     are D1/L and D2/L^2; ``_scalar`` being linear in A and B, R at length
     L is R_sigma - Q/L^2, R_sigma at A = d2/P, B = (1 - d1^2)/P^2 (the
     row's own R) and Q at A = -D2/P, B = D1^2/P^2.  P must stay positive.
     """
     h = _SLOWDOWN_STEP
-    R_sigma, Q = np.empty((2, len(sig), nt))
-    for lo in range(0, len(sig), _ROW_BLOCK):
-        rows = sig[lo:lo + _ROW_BLOCK]
-        P, d1, d2 = np.array([jets[row[1]] for row in rows]).transpose(1, 0, 2)
-        Pm, Pp = (np.array([jets[row[c]][0] for row in rows]) for c in (0, 2))
+    R_sigma, Q = np.empty((2, len(rows), jets.shape[-1]))
+    for lo in range(0, len(rows), _ROW_BLOCK):
+        block = slice(lo, lo + _ROW_BLOCK)
+        minus, centre, plus = rows[block].T
+        (P, d1, d2), Pm, Pp = jets[:, centre], jets[0, minus], jets[0, plus]
         if np.min(np.abs(P)) < _INTERIOR_ZERO or np.min(P) <= 0:
             raise SingularProfileError("phi must stay positive on the grid")
         D1, D2 = (Pp - Pm) / (2.0 * h), (Pp - 2.0 * P + Pm) / h ** 2
-        block = slice(lo, lo + _ROW_BLOCK)
         R_sigma[block] = _scalar([n - 1], [d2 / P],
                                  [(1.0 - d1 ** 2) / P ** 2], {})
         Q[block] = _scalar([n - 1], [-D2 / P], [D1 ** 2 / P ** 2], {})
@@ -437,9 +428,10 @@ def slowdown_concordance(path, n, grid_shape=(200, 200)):
     """Find a slowdown factor making a psc path run as a psc cylinder metric.
 
     ``path`` maps sigma in [0, 1] to a one-factor ``WarpedProduct`` with
-    dims (n - 1,) on a fixed (0, b), read once per distinct sigma.  The
-    smoothstep's length L is the ``_slowdown_length`` of the path's
-    ``_slowdown_grid``; min(R_sigma - Q/L^2) is certified once, a failure
+    dims (n - 1,) on a fixed (0, b), read once per distinct sigma (its
+    profiles' jets: ``_path_jets``).  The smoothstep's length L is the
+    ``_slowdown_length`` of the path's ``_slowdown_grid`` over the rows'
+    sigma indices; min(R_sigma - Q/L^2) is certified once, a failure
     raising ``CertificationFailedError``.  Returns (1/L, eta on (0, L),
     certificate), whose ``extra`` holds ``argmin_s``, ``argmin_t``,
     ``L_star``, ``floor`` (a lower bound of the grid minimum at any L' >= L)
@@ -468,17 +460,18 @@ def slowdown_concordance(path, n, grid_shape=(200, 200)):
                 best_margin=mn)
 
     known = {0.0: g0.profiles[0], 1.0: g1.profiles[0]}
-
-    def profile_at(sv):
-        if sv in known:
-            return known[sv]
-        return _check_path_metric(path(sv), sv, n, b).profiles[0]
-
     xgrid = np.linspace(0.0, 1.0, ns + 2)[1:-1]
     sig = np.clip(make_smoothstep(1.0)(np.clip(
         xgrid[:, None] + [-_SLOWDOWN_STEP, 0.0, _SLOWDOWN_STEP], 0.0, 1.0)),
-        0.0, 1.0).tolist()
-    R_sigma, Q = _slowdown_grid(n, _path_jets(profile_at, sig, tgrid), sig, nt)
+        0.0, 1.0)
+    sigmas, rows = np.unique(sig, return_inverse=True)
+    sigmas, rows = sigmas.tolist(), rows.reshape(sig.shape)
+    profiles = [known[sv] if sv in known else
+                _check_path_metric(path(sv), sv, n, b).profiles[0]
+                for sv in sigmas]
+    orders = np.zeros(len(sigmas), dtype=int)
+    orders[rows[:, 1]] = 2  # the outer sigma need f only
+    R_sigma, Q = _slowdown_grid(n, _path_jets(profiles, orders, tgrid), rows)
     L, L_star = _slowdown_length(R_sigma, Q)
     # floor: where Q > 0, R_sigma - Q/L'^2 grows with L', else it is >= R_sigma
     floor = R_sigma.min()
@@ -488,7 +481,7 @@ def slowdown_concordance(path, n, grid_shape=(200, 200)):
         R, {"s": L * xgrid[:, None], "t": tgrid}, "slowdown",
         f"{ns}x{nt} interior grid, L={L:.6g}", L_star=L_star,
         floor=float(np.minimum(R.min(), floor)),
-        profiles=len({sv for row in sig for sv in row} | known.keys()))
+        profiles=len(set(sigmas) | known.keys()))
     if not cert.passed:
         raise CertificationFailedError(f"slowdown not psc: {cert!r}",
                                        best_margin=cert.min_scalar)

@@ -15,7 +15,8 @@ All three run one table of end conditions, on profiles from outside the
 program (``curvature.WarpedSphereMetric`` and ``DoublyWarpedMetric``): the
 program builds members by construction.  The families are convex, which is
 what makes linear homotopies between members useful; see
-``linear_homotopy``.
+``linear_homotopy``.  Every linear family's jets (a ``LinearCombination``,
+a homotopy's lambdas, a slowdown path) come from one rule, ``_family_jets``.
 
 Every profile in the toolkit (``SmoothFn1D`` and ``LinearCombination`` here,
 and the composite and blended profiles of ``hypersurface`` and ``glbend``) has
@@ -66,7 +67,11 @@ _SHIFTS = (np.arange(4) * np.pi / 2.0)[:, None]  # j pi/2 shifts order j's sine
 
 
 def sample_grid(b, density=DEFAULT_GRID_DENSITY, interior=False):
-    """Uniform sample grid on [0, b] (or its open interior)."""
+    """Uniform grid on [0, b] (or its open interior), >= 16 intervals; b and
+    density must be finite reals > 0, else ``InvalidSpecError``."""
+    if not (_finite_reals(b, density) and b > 0 and density > 0):
+        raise InvalidSpecError(f"sample_grid needs a finite b > 0 and "
+                               f"density > 0, got {b!r} and {density!r}")
     n = max(int(np.ceil(b * density)), 16)
     if interior:
         return np.linspace(0.0, b, n + 2)[1:-1]
@@ -358,25 +363,29 @@ def _same_domain(b0, b1):
     return abs(b0 - b1) <= 1e-9 * max(1.0, b0)
 
 
-def _combine_jets(terms, term_jet, t, k):
-    """sum_i w_i f_i^(j)(t), j <= k, of ``terms`` (w_i, f_i).
+def _family_jets(weights, terms, t, k):
+    """(k + 1, members, *t.shape) jets, orders 0..k, at points t of the
+    family of profiles sum_i weights[m, i] f_i of ``terms`` f_i.
 
-    ``term_jet(f)`` gives f's jet at t to order k or more.  Zero weights
-    are skipped and the weighted jets added in term order onto 0.0, so any
-    caller that supplies the same term jets gets the same bits.
+    Each term with a nonzero weight in some member is evaluated once, for
+    every member; a zero weight is skipped entry by entry and the weighted
+    jets added in term order onto 0.0, so member m has the bits of its own
+    ``LinearCombination.jet``.
     """
-    outs = [np.zeros_like(t)] * (k + 1)
-    for w, f in terms:
-        if w != 0.0:
-            outs = [o + w * d for o, d in zip(outs, term_jet(f))]
-    return tuple(o[()] for o in outs)
+    w = np.reshape(weights, np.shape(weights) + (1,) * t.ndim)
+    out = np.zeros((k + 1, len(w)) + t.shape)
+    for wi, f in zip(w.swapaxes(0, 1), terms):
+        if wi.any():
+            for o, d in zip(out, f.jet(t, k)):
+                np.add(o, wi * d, out=o, where=wi != 0.0)
+    return out
 
 
 class LinearCombination:
     """The profile sum_i w_i f_i of ``terms`` (w_i, f_i) on one domain.
 
     Each term is any profile (``b`` and ``jet``); the combination reads
-    nothing else of it.  ``jet`` is ``_combine_jets`` over the term jets.
+    nothing else of it.  ``jet`` is the one-member ``_family_jets``.
     No terms, or a weight that is not a finite real number
     (``_finite_reals``), raise ``InvalidSpecError``, terms whose domain
     lengths differ by more than 1e-9 relative ``DomainMismatchError``.
@@ -397,8 +406,9 @@ class LinearCombination:
 
     def jet(self, t, k=2):
         """(f, f', ..., f^(k))(t) for k <= 3; scalars for scalar t."""
-        t = _jet_points(t, k, self.b)
-        return _combine_jets(self.terms, lambda f: f.jet(t, k), t, k)
+        weights, terms = zip(*self.terms)
+        return tuple(_family_jets([weights], terms, _jet_points(t, k, self.b),
+                                  k)[:, 0])
 
     def __call__(self, t):
         return self.jet(t, 0)[0]

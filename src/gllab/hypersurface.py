@@ -329,9 +329,10 @@ def _foliation_geometry(edge, radius, tau, nu_grid, eps, delta_p):
     x = np.empty((4, *t.shape, 2))
     for k, (curve, row) in enumerate(zip(curves, t)):
         x[:, k] = curve.jet(row, 3)
-    A, B, C = _quotients_from_jets(t, ends, [
-        _compose(f, tuple(d[..., axis] for d in x), 3)
-        for f, axis in ((f_eps, 0), (f_del, 1))])
+    jets = [_compose(f, tuple(d[..., axis] for d in x), 3)
+            for f, axis in ((f_eps, 0), (f_del, 1))]
+    del x  # the curve jets go before the read builds its masks and quotients
+    A, B, C = _quotients_from_jets(t, ends, jets)
     t, A, B, C = _frozen(t, A, B, C[0, 1])
     return f_eps, f_del, tuple(curves), (t, (A, B, {(0, 1): C}))
 

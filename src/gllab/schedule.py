@@ -36,8 +36,8 @@ from .curvature import (WarpedProduct, WarpedSphereMetric,
 from .errors import (CertificationFailedError, CompilationFailedError,
                      DemoFailedError, HypothesisViolationError,
                      InvalidSpecError, _check_ints, _finite_reals)
-from .fnspace import (SinePiece, SmoothFn1D, _torpedo_on, make_double_torpedo,
-                      make_torpedo, reflect, sample_grid)
+from .fnspace import (SinePiece, SmoothFn1D, _family_jets, _torpedo_on,
+                      make_double_torpedo, make_torpedo, reflect, sample_grid)
 from .glbend import (BendConstants, assemble_gamma, initial_bend,
                      synth_transition)
 from .hypersurface import connected_sum_foliation, mixed_torpedo_via_J
@@ -183,24 +183,19 @@ def _mixed_torpedo_profiles(delta, b):
 def _certify_homotopy(dims, starts, ends):
     """The linear homotopy of warping profiles ``starts`` -> ``ends`` (pair
     i warps a round sphere of dimension ``dims[i]``) on the 11 x N
-    (lambda, t) interior grid, each end's jet taken once, to order 2 (no
-    sample is at an end).  All lambdas' jets are combined in one array pass
-    with ``_combine_jets``'s arithmetic, a zero weight skipped entry by
-    entry, then read, with no end mask, by one ``_quotients_from_jets``
-    and one ``_scalar``: each row is its metric's scalar bit for bit, at
+    (lambda, t) interior grid.  Each pair is one ``_family_jets`` family
+    of weights (1 - lambda, lambda), each end's jet taken once, to order 2
+    (no sample is at an end), a zero weight skipped entry by entry; all
+    lambdas are read, with no end mask, by one ``_quotients_from_jets`` and
+    one ``_scalar``: each row is its metric's scalar bit for bit, at
     lambda = 0 and 1 even where the other end reads NaN (``argmin_lambda``,
     ``argmin_t``)."""
     t = sample_grid(starts[0].b, 256, interior=True)
     lams = np.linspace(0.0, 1.0, 11)
-    weights = [w[:, None] for w in (1.0 - lams, lams)]
+    weights = np.stack([1.0 - lams, lams], axis=1)
     shape = (lams.size, t.size)
-    combined = []
-    for f0, f1 in zip(starts, ends):
-        outs = [np.zeros(shape) for _ in range(3)]
-        for w, f in zip(weights, (f0, f1)):
-            for o, d in zip(outs, f.jet(t, 2)):
-                np.add(o, w * d, out=o, where=w != 0.0)
-        combined.append([o.ravel() for o in outs])
+    combined = [_family_jets(weights, pair, t, 2).reshape(3, -1)
+                for pair in zip(starts, ends)]
     R = _scalar(dims, *_quotients_from_jets(None, None, combined))
     return family_certificate(
         R.reshape(shape), {"lambda": lams[:, None], "t": t},

@@ -282,8 +282,9 @@ def _masked_quotients(inner, ends_at, all_jets):
                     f"a warping function stays open at t = {tend:.6g} with "
                     f"slope {d1:.6g} where another closes")
             else:
+                # x * x as the program squares its arrays, not C pow
                 A[i][mask], B[i][mask], D[i][mask] = (
-                    d2 / f, (1.0 - d1 ** 2) / f ** 2, d1 / f)
+                    d2 / f, (1.0 - d1 * d1) / (f * f), d1 / f)
     C = {(i, j): D[i] * D[j]
          for i in range(len(all_jets)) for j in range(i + 1, len(all_jets))}
     for mask, c in ends:
@@ -321,6 +322,9 @@ _CLOSED_FORM_METRICS = {
         SmoothFn1D(1.0, [PolyPiece((0.0, 1.0), [1.0, 0.3])]),
         cos_profile(1.0), SmoothFn1D(1.0, [PolyPiece((0.0, 1.0),
                                                       [0.5, 0.0, 0.2])]))),
+    # open at both ends, where pow(f, 2) and f * f round apart
+    "open-end": lambda: WarpedProduct((3,), (SmoothFn1D(1.0, [ConstPiece(
+        (0.0, 1.0), 0.04721255574537214)]),)),
 }
 
 
@@ -335,8 +339,7 @@ def test_closed_form_matches_the_masked_reader_bitwise(name):
     ends = [0.0, b, np.linspace(0.0, b, 129), np.array([b, 0.3 * b, 0.0]),
             np.array([0.0, 1e-14, 0.5 * b, b - 1e-14 * b, b]),
             np.linspace(0.0, b, 12).reshape(3, 4), np.array([b, 0.0])]
-    closing = name != "three-factor"
-    for t in interior + (ends if closing else []):
+    for t in interior + ends:
         assert _bits(m.scalar(t)) == _bits(
             _masked_closed_form(m, t, curvature._scalar))
         if len(m.dims) == 1:
@@ -650,6 +653,53 @@ class TestSlowdown:
             # once in its end metric's psc check, once for every sigma
             reads = [(size, k) for g, size, k in calls if g is f]
             assert reads == [(60, 2)] * 2
+
+    def test_sigma_rows_read_each_term_once(self, monkeypatch):
+        # a linear_homotopy path's sigma-profiles are one family: its rows
+        # make one jet call per term, and none per sigma-profile
+        path = round_to_double_torpedo()
+        terms = [f for _, f in path(0.5).profiles[0].terms]
+        calls, reads = [], []
+        path_jets = curvature._path_jets
+
+        def counting(jet):
+            def counted(f, t, k=2):
+                calls.append((f, np.shape(t), k))
+                return jet(f, t, k)
+            return counted
+
+        def recording(*args):
+            start = len(calls)
+            out = path_jets(*args)
+            reads.append(calls[start:])
+            return out
+
+        for cls in (SmoothFn1D, LinearCombination):
+            monkeypatch.setattr(cls, "jet", counting(cls.jet))
+        monkeypatch.setattr(curvature, "_path_jets", recording)
+        slowdown_concordance(path, 7, grid_shape=(60, 60))
+        assert reads == [[(f, (60,), 2) for f in terms]]
+
+    def test_profiles_over_other_terms_read_themselves(self, monkeypatch):
+        # sigma-profiles over two term lists (equal values, other objects)
+        # are not one family: each is evaluated itself, to the same bits
+        path, other = round_to_double_torpedo(), round_to_double_torpedo()
+        families = []
+        family_jets = curvature._family_jets
+
+        def recording(*args):
+            families.append(len(args[0]))
+            return family_jets(*args)
+
+        monkeypatch.setattr(curvature, "_family_jets", recording)
+        got = slowdown_concordance(
+            lambda sig: (other if sig > 0.5 else path)(sig), 7,
+            grid_shape=(60, 60))
+        assert families == []
+        want = slowdown_concordance(path, 7, grid_shape=(60, 60))
+        assert families == [want[2].extra["profiles"]]
+        assert (got[0], got[1].b) == (want[0], want[1].b)
+        assert got[2].to_json() == want[2].to_json()
 
     def test_opaque_profiles_give_the_same_certificate(self):
         path = round_to_double_torpedo()

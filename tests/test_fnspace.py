@@ -744,6 +744,48 @@ class TestLinearCombination:
         assert LinearCombination([(1.0, f0), (2.0, f1)]).b == 1.98
 
 
+def _two_and_three_term_families():
+    f0, f1 = _round_and_double_torpedo()
+    f2 = SmoothFn1D(f0.b, [PolyPiece((0.0, f0.b), [0.3, 0.1, -0.02])])
+    # zero weights in some members, and one member all zeros
+    return [([[1.0, 0.0], [0.0, 1.0], [0.75, 0.25], [0.0, 0.0]], (f0, f1)),
+            ([[0.25, 0.0, 0.75], [0.5, 0.3, 0.2], [-1.5, 2.0, 0.0],
+              [0.0, 0.0, 1.0]], (f0, f1, f2))]
+
+
+@pytest.mark.parametrize("t", [
+    0.7, 5.0, np.linspace(0.0, 5.0, 33),
+    np.linspace(0.0, 5.0, 12).reshape(3, 4)],
+    ids=["scalar", "scalar-end", "1-d", "2-d"])
+@pytest.mark.parametrize("k", range(4))
+def test_family_jets_are_each_members_own_jet(t, k):
+    for weights, terms in _two_and_three_term_families():
+        jets = fnspace._family_jets(weights, terms, np.asarray(t), k)
+        assert jets.shape == (k + 1, len(weights)) + np.shape(t)
+        for m, w in enumerate(weights):
+            assert _same_bits(tuple(jets[:, m]),
+                              LinearCombination(zip(w, terms)).jet(t, k))
+
+
+def test_family_jets_read_each_weighted_term_once():
+    weights, (f0, f1, f2) = _two_and_three_term_families()[1]
+    weights = [w[:2] + [0.0] for w in weights]
+    calls = []
+
+    class Counted:
+        def __init__(self, f):
+            self.b, self.f = f.b, f
+
+        def jet(self, t, k):
+            calls.append(self)
+            return self.f.jet(t, k)
+
+    terms = [Counted(f) for f in (f0, f1, f2)]
+    fnspace._family_jets(weights, terms, np.linspace(0.0, 5.0, 9), 2)
+    # the third term has no nonzero weight and is never read
+    assert calls == terms[:2]
+
+
 # ---------------------------------------------------------------------------
 # torpedoes assembled from shared, checked pieces
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from gllab.errors import (InvalidBendError, InvalidSpecError, OutOfRegimeError,
 from gllab.fnspace import (ConstPiece, LinearCombination, PolyPiece,
                            ReflectPiece, SinePiece, SmoothFn1D, TorpedoSpec,
                            linear_homotopy, make_double_torpedo,
-                           make_torpedo)
+                           make_torpedo, sample_grid)
 from gllab.glbend import (ArcSeg, BendConstants, BumpSeg, GraphSeg,
                           assemble_gamma, final_bending_tilt, final_isotopy,
                           initial_bend, quarter_bend_curve, synth_transition)
@@ -174,6 +174,9 @@ SITES = [
     ("linear_homotopy.s", lambda x: linear_homotopy(*_pair(), x), 1.0,
      InvalidSpecError, _jets),
     ("make_smoothstep.L", make_smoothstep, 2.0, InvalidSpecError, _jets),
+    ("sample_grid.b", sample_grid, 1.5, InvalidSpecError, np.ndarray.tolist),
+    ("sample_grid.density", lambda x: sample_grid(1.5, x), 64.0,
+     InvalidSpecError, np.ndarray.tolist),
     ("ModelAmbient.epsilon", lambda x: ModelAmbient(3, 3, x), 1.0,
      InvalidSpecError, lambda m: m.ambient_scalar()),
     ("connected_sum_foliation.c", lambda x: _foliation(c=x), 1.0,
@@ -231,6 +234,20 @@ def test_double_torpedo_length_is_checked_before_any_arithmetic(b):
     # a string was a bare TypeError from b / 2, and True reached the mirror
     with pytest.raises(InvalidSpecError):
         make_double_torpedo(0.1, b)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -1.0, True,
+                                 "1"],
+                         ids=["nan", "inf", "-inf", "zero", "negative", "bool",
+                              "string"])
+@pytest.mark.parametrize("grid", [
+    lambda x: sample_grid(x), lambda x: sample_grid(x, interior=True),
+    lambda x: sample_grid(1.5, x)], ids=["b", "interior-b", "density"])
+def test_sample_grid_takes_a_finite_positive_b_and_density(grid, bad):
+    # inf was a bare OverflowError and NaN a ValueError; b = -1 gave a
+    # descending grid and density 0 a grid of 16 intervals
+    with pytest.raises(InvalidSpecError, match="sample_grid needs"):
+        grid(bad)
 
 
 def _numpy_forms(value):
