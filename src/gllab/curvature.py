@@ -367,42 +367,50 @@ def _check_path_metric(m, sig, n, b):
     return m
 
 
-def _path_jets(profiles, orders, tgrid):
-    """(3, len(profiles), nt) t-jets on ``tgrid`` of the sigma-profiles,
-    profile m's to order ``orders[m]`` (rows above it are not read).
+def _path_jets(profiles, centres, tgrid):
+    """The (len(profiles), nt) values on ``tgrid`` of the sigma-profiles,
+    and the (2, len(centres), nt) t-derivatives of those ``centres`` lists.
 
     When every profile is a ``LinearCombination`` over one term list (the
     same objects in order, as on a ``linear_homotopy`` path), they are one
     ``_family_jets`` family, each term evaluated once, to order 2, for all
-    sigma, each profile with its own bits; any other is evaluated itself.
+    sigma, each profile with its own bits; any other is evaluated itself,
+    to order 2 if a centre, else to order 0.
     """
     if all(isinstance(p, LinearCombination) for p in profiles) and len(
             {tuple(id(f) for _, f in p.terms) for p in profiles}) == 1:
         return _family_jets([[w for w, _ in p.terms] for p in profiles],
-                            [f for _, f in profiles[0].terms], tgrid, 2)
-    jets = np.zeros((3, len(profiles), tgrid.size))
-    for m, (p, k) in enumerate(zip(profiles, orders)):
-        jets[:k + 1, m] = p.jet(tgrid, k)
-    return jets
+                            [f for _, f in profiles[0].terms], tgrid, 2,
+                            centres)
+    values = np.empty((len(profiles), tgrid.size))
+    derivs = np.empty((2, len(centres), tgrid.size))
+    row = {m: j for j, m in enumerate(centres.tolist())}
+    for m, p in enumerate(profiles):
+        values[m], *d = p.jet(tgrid, 2 if m in row else 0)
+        if d:
+            derivs[:, row[m]] = d
+    return values, derivs
 
 
-def _slowdown_grid(n, jets, rows):
+def _slowdown_grid(n, values, derivs, rows):
     """(R_sigma, Q) on the (x, t) grid, x = s/L, ``_ROW_BLOCK`` rows a time.
 
-    Row i of ``rows`` indexes sigma at s_i - h, s_i and s_i + h in the
-    stacked ``_path_jets``: the centre jet (P, d1, d2) and the central
-    differences D1, D2 in x of the outer values.  For L = 2^k the s-grid,
-    h = 1e-4 L and eta_L(L x) == eta_1(x) scale with L, so the s-partials
-    are D1/L and D2/L^2; ``_scalar`` being linear in A and B, R at length
-    L is R_sigma - Q/L^2, R_sigma at A = d2/P, B = (1 - d1^2)/P^2 (the
-    row's own R) and Q at A = -D2/P, B = D1^2/P^2.  P must stay positive.
+    Row i of ``rows`` indexes sigma at s_i - h, s_i, s_i + h in the values
+    of ``_path_jets``, then s_i in its derivatives: the centre jet (P, d1,
+    d2) and the central differences D1, D2 in x of the outer values.  For
+    L = 2^k the s-grid, h = 1e-4 L and eta_L(L x) == eta_1(x) scale with
+    L, so the s-partials are D1/L and D2/L^2; ``_scalar`` being linear in
+    A and B, R at length L is R_sigma - Q/L^2, R_sigma at A = d2/P, B =
+    (1 - d1^2)/P^2 (the row's own R) and Q at A = -D2/P, B = D1^2/P^2.
+    P must stay positive.
     """
     h = _SLOWDOWN_STEP
-    R_sigma, Q = np.empty((2, len(rows), jets.shape[-1]))
+    R_sigma, Q = np.empty((2, len(rows), values.shape[-1]))
     for lo in range(0, len(rows), _ROW_BLOCK):
         block = slice(lo, lo + _ROW_BLOCK)
-        minus, centre, plus = rows[block].T
-        (P, d1, d2), Pm, Pp = jets[:, centre], jets[0, minus], jets[0, plus]
+        minus, centre, plus, deriv = rows[block].T
+        P, Pm, Pp = values[centre], values[minus], values[plus]
+        d1, d2 = derivs[:, deriv]
         if np.min(np.abs(P)) < _INTERIOR_ZERO or np.min(P) <= 0:
             raise SingularProfileError("phi must stay positive on the grid")
         D1, D2 = (Pp - Pm) / (2.0 * h), (Pp - 2.0 * P + Pm) / h ** 2
@@ -469,9 +477,9 @@ def slowdown_concordance(path, n, grid_shape=(200, 200)):
     profiles = [known[sv] if sv in known else
                 _check_path_metric(path(sv), sv, n, b).profiles[0]
                 for sv in sigmas]
-    orders = np.zeros(len(sigmas), dtype=int)
-    orders[rows[:, 1]] = 2  # the outer sigma need f only
-    R_sigma, Q = _slowdown_grid(n, _path_jets(profiles, orders, tgrid), rows)
+    centres, deriv = np.unique(rows[:, 1], return_inverse=True)
+    R_sigma, Q = _slowdown_grid(n, *_path_jets(profiles, centres, tgrid),
+                                np.column_stack([rows, deriv]))
     L, L_star = _slowdown_length(R_sigma, Q)
     # floor: where Q > 0, R_sigma - Q/L'^2 grows with L', else it is >= R_sigma
     floor = R_sigma.min()

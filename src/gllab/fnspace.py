@@ -23,13 +23,15 @@ and the composite and blended profiles of ``hypersurface`` and ``glbend``) has
 the same contract: a domain length ``b`` and ``jet(t, k)``, which returns
 (f, f', ..., f^(k)) for k <= 3 from one evaluation pass.  Each analytic
 piece is compiled to plain data when it is built; ``_run_jet`` reads it in
-one array pass for all orders, to the bit as numpy evaluates each order,
-and ``_piecewise`` gathers each piece's run of sorted points, found by one
-``searchsorted``, as for a ``glbend.Curve2D``.  Only ``SmoothFn1D`` serialises.
+one array pass for all orders, to the bit as numpy evaluates each order;
+``_piecewise`` reads a batch inside one piece in place, else gathers each
+piece's run of sorted points, as for a ``glbend.Curve2D``.  Only
+``SmoothFn1D`` serialises.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 
@@ -229,42 +231,44 @@ def _piece_from_json(d):
 # ---------------------------------------------------------------------------
 
 def _jet_points(t, k, b):
-    """t as a float array after checking the jet order k and that t lies
-    in [0, b] (up to rounding); a NaN point lies nowhere."""
+    """(t as a float array, its least point, its largest) after checking k
+    and that t lies in [0, b] (up to rounding); NaN lies nowhere, empty t
+    at 0."""
     if k not in (0, 1, 2, 3):
         raise InvalidSpecError(f"jet order must be 0..3, got {k!r}")
     t = np.asarray(t, dtype=float)
+    lo, hi = (float(t.min()), float(t.max())) if t.size else (0.0, 0.0)
     # asks that both bounds hold: NaN compares false with either
-    if t.size and not (t.min() >= -1e-9 * max(1.0, b)
-                       and t.max() <= b * (1 + 1e-9) + 1e-9):
+    if not (lo >= -1e-9 * max(1.0, b) and hi <= b * (1 + 1e-9) + 1e-9):
         raise InvalidSpecError(
-            f"evaluation outside [0, {b}]: range [{t.min()}, {t.max()}]")
-    return t
+            f"evaluation outside [0, {b}]: range [{lo}, {hi}]")
+    return t, lo, hi
 
 
-def _piecewise(x, breaks, part, tails):
+def _piecewise(x, lo, hi, breaks, part, tails):
     """Gather ``part(i, xi)``: new arrays, of shape xi.shape + tail per
     entry of ``tails``, of piece i at its share xi of the point array x, into
     one array of shape x.shape + tail each (tail for scalar x).  Piece i
-    owns [breaks[i-1], breaks[i]) of the increasing interior ``breaks``;
-    with x sorted (argsorted if not), one searchsorted finds each run."""
+    owns [breaks[i-1], breaks[i]) of the increasing float tuple ``breaks``.
+    If x's least and largest points lo and hi bisect into one piece, it
+    reads x in place; else one searchsorted of sorted x finds each run."""
     xv, shape = x.ravel(), x.shape
-    order = None
-    if len(breaks) and xv.size > 1 and not (xv[1:] >= xv[:-1]).all():
-        order = np.argsort(xv, kind="stable")
-        xv = xv[order]
-    ends = [0, *np.searchsorted(xv, breaks).tolist(), xv.size]
-    runs = [(i, lo, hi) for i, (lo, hi) in enumerate(zip(ends, ends[1:]))
-            if lo < hi]
-    # one run holding every point gathers as its piece's own arrays
-    outs = (list(part(runs[0][0], xv)) if len(runs) == 1 else
-            [np.empty(xv.shape + tail) for tail in tails])
-    for i, lo, hi in runs if len(runs) > 1 else ():
-        for out, val in zip(outs, part(i, xv[lo:hi])):
-            out[lo:hi] = val
-    if order is not None:
-        for out in outs:
-            out[order] = out.copy()
+    i = bisect.bisect_right(breaks, lo)
+    if i == bisect.bisect_right(breaks, hi):
+        outs = part(i, xv)
+    else:
+        order = (None if (xv[1:] >= xv[:-1]).all() else
+                 np.argsort(xv, kind="stable"))
+        xv = xv if order is None else xv[order]
+        ends = [0, *np.searchsorted(xv, breaks).tolist(), xv.size]
+        outs = [np.empty(xv.shape + tail) for tail in tails]
+        for i, run in enumerate(map(slice, ends, ends[1:])):
+            if run.start < run.stop:
+                for out, val in zip(outs, part(i, xv[run])):
+                    out[run] = val
+        if order is not None:
+            for out in outs:
+                out[order] = out.copy()
     return tuple(out.reshape(shape + out.shape[1:]) if shape else out[0]
                  for out in outs)
 
@@ -294,7 +298,7 @@ class SmoothFn1D:
         self.pieces = list(pieces)
         self.junction_orders = tuple(junction_orders)
         # interior breakpoints for piece lookup
-        self._breaks = np.array([p.interval[1] for p in self.pieces[:-1]])
+        self._breaks = tuple(p.interval[1] for p in self.pieces[:-1])
 
     @classmethod
     def _assembled(cls, b, pieces, junction_orders):
@@ -336,7 +340,7 @@ class SmoothFn1D:
     def jet(self, t, k=2):
         """(f, f', ..., f^(k))(t) for k <= 3; scalars for scalar t."""
         return _piecewise(
-            _jet_points(t, k, self.b), self._breaks,
+            *_jet_points(t, k, self.b), self._breaks,
             lambda i, u: _run_jet(self.pieces[i]._compiled, u, k),
             ((),) * (k + 1))
 
@@ -363,22 +367,26 @@ def _same_domain(b0, b1):
     return abs(b0 - b1) <= 1e-9 * max(1.0, b0)
 
 
-def _family_jets(weights, terms, t, k):
-    """(k + 1, members, *t.shape) jets, orders 0..k, at points t of the
-    family of profiles sum_i weights[m, i] f_i of ``terms`` f_i.
+def _family_jets(weights, terms, t, k, high=slice(None)):
+    """The (members, *t.shape) values and the (k, high members, *t.shape)
+    orders 1..k of the members ``high`` selects, at points t, of the family
+    of profiles sum_i weights[m, i] f_i of ``terms`` f_i.
 
-    Each term with a nonzero weight in some member is evaluated once, for
-    every member; a zero weight is skipped entry by entry and the weighted
-    jets added in term order onto 0.0, so member m has the bits of its own
-    ``LinearCombination.jet``.
+    Each term with a nonzero weight in some member is evaluated once, to
+    order k, for every member; a zero weight is skipped entry by entry and
+    the weighted jets added in term order onto 0.0, so member m has the
+    bits of its own ``LinearCombination.jet``.
     """
     w = np.reshape(weights, np.shape(weights) + (1,) * t.ndim)
-    out = np.zeros((k + 1, len(w)) + t.shape)
+    values = np.zeros((len(w),) + t.shape)
+    derivs = np.zeros((k, len(w[high])) + t.shape)
     for wi, f in zip(w.swapaxes(0, 1), terms):
         if wi.any():
-            for o, d in zip(out, f.jet(t, k)):
-                np.add(o, wi * d, out=o, where=wi != 0.0)
-    return out
+            jet, wh = f.jet(t, k), wi[high]
+            np.add(values, wi * jet[0], out=values, where=wi != 0.0)
+            for o, d in zip(derivs, jet[1:]):
+                np.add(o, wh * d, out=o, where=wh != 0.0)
+    return values, derivs
 
 
 class LinearCombination:
@@ -407,8 +415,9 @@ class LinearCombination:
     def jet(self, t, k=2):
         """(f, f', ..., f^(k))(t) for k <= 3; scalars for scalar t."""
         weights, terms = zip(*self.terms)
-        return tuple(_family_jets([weights], terms, _jet_points(t, k, self.b),
-                                  k)[:, 0])
+        values, derivs = _family_jets([weights], terms,
+                                      _jet_points(t, k, self.b)[0], k)
+        return (values[0], *derivs[:, 0])
 
     def __call__(self, t):
         return self.jet(t, 0)[0]

@@ -477,6 +477,7 @@ class Curve2D:
         self.cum = np.concatenate(
             [[0.0], np.cumsum([seg.length for seg in self.segments])])
         self.length = float(self.cum[-1])
+        self._breaks = tuple(self.cum[1:-1].tolist())
         self._samples = None  # (n, the arrays of arc_samples(n))
 
     def eval(self, s, k=2):
@@ -484,7 +485,7 @@ class Curve2D:
         and with k = 3 also kappa' = dkappa/ds.  s must lie in [0, length]
         and k in 0..3 (``fnspace._jet_points``)."""
         return _piecewise(
-            _jet_points(s, k, self.length), self.cum[1:-1],
+            *_jet_points(s, k, self.length), self._breaks,
             lambda i, sl: self.segments[i].eval(sl - self.cum[i], k),
             ((2,), (2,), ()) + (((),) if k == 3 else ()))
 

@@ -405,6 +405,17 @@ class ChainComplex:
             rows = self.ranks.get(k - 1, 0)
             cols = self.ranks.get(k, 0)
             self.boundary[k] = _as_int_matrix(mat, rows, cols, f"d_{k}")
+        self._check_square()
+
+    @classmethod
+    def _described(cls, ranks, boundary):
+        """The complex of matrices a description normalised; checks d o d."""
+        cc = cls.__new__(cls)
+        cc.ranks, cc.boundary = ranks, boundary
+        cc._check_square()
+        return cc
+
+    def _check_square(self):
         for k in sorted(self.boundary):
             if k + 1 in self.boundary and self.ranks.get(k - 1, 0):
                 prod = _mat_mul(self.boundary[k], self.boundary[k + 1])
@@ -423,13 +434,14 @@ class ChainComplex:
 
 
 def build_chain_complex(desc):
-    """Ranks from point counts per index, boundaries from declared matrices."""
+    """Ranks from point counts per index, boundaries from declared matrices
+    (normalised by the description, so only d o d = 0 is checked)."""
     ranks = desc.counts()
     boundary = {}
     for k in list(ranks):
         if ranks.get(k, 0) and ranks.get(k - 1, 0):
             boundary[k] = desc.matrix(k, k - 1)
-    return ChainComplex(ranks, boundary)
+    return ChainComplex._described(ranks, boundary)
 
 
 def check_cylinder_exactness(cc):

@@ -193,12 +193,11 @@ def _certify_homotopy(dims, starts, ends):
     t = sample_grid(starts[0].b, 256, interior=True)
     lams = np.linspace(0.0, 1.0, 11)
     weights = np.stack([1.0 - lams, lams], axis=1)
-    shape = (lams.size, t.size)
-    combined = [_family_jets(weights, pair, t, 2).reshape(3, -1)
-                for pair in zip(starts, ends)]
+    combined = [(values, *derivs) for values, derivs in (
+        _family_jets(weights, pair, t, 2) for pair in zip(starts, ends))]
     R = _scalar(dims, *_quotients_from_jets(None, None, combined))
     return family_certificate(
-        R.reshape(shape), {"lambda": lams[:, None], "t": t},
+        R.reshape(lams.size, t.size), {"lambda": lams[:, None], "t": t},
         "profile homotopy", f"11 x {t.size} (lambda, t) interior grid")
 
 

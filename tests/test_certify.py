@@ -64,7 +64,8 @@ def test_slowdown_with_a_nan_minimum_reports_none(monkeypatch):
     # a NaN grid has no sample with R_sigma > 0 (L = 1) and a NaN minimum
     monkeypatch.setattr(
         curvature, "_slowdown_grid",
-        lambda n, jets, rows: np.full((2, len(rows), jets.shape[-1]), np.nan))
+        lambda n, values, derivs, rows: np.full(
+            (2, len(rows), values.shape[-1]), np.nan))
     with pytest.raises(CertificationFailedError,
                        match="min R = nan on 10x10 interior grid, L=1") as err:
         curvature.slowdown_concordance(lambda sig: round_metric(7, 1.0), 7,

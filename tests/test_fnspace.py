@@ -588,6 +588,48 @@ def test_kernel_matches_the_per_order_kernel_bitwise(name):
                     k))
 
 
+def _per_point_jets(f, t, k):
+    """f's jets at each point of t, one call per point, in t's shape."""
+    cols = zip(*(f.jet(x, k) for x in np.ravel(t)))
+    return tuple(np.reshape(col, np.shape(t)) for col in cols)
+
+
+@pytest.mark.parametrize("name", [
+    "torpedo", "torpedo-reflected", "tilted-transition"])
+def test_unsorted_batch_in_one_piece_is_read_in_place(name, monkeypatch):
+    # a batch inside one piece is that piece's own evaluation: no argsort
+    f = _KERNEL_PROFILES[name]()
+    rng = np.random.default_rng(len(name))
+    sorts, argsort = [], np.argsort
+    monkeypatch.setattr(np, "argsort", lambda *a, **kw: (
+        sorts.append(1), argsort(*a, **kw))[1])
+    for piece in f.pieces:
+        lo, hi = piece.interval
+        t = rng.permutation(np.linspace(lo, hi, 123)[1:-1])
+        for k in range(4):
+            for pts in (t, t.reshape(11, 11), t[:1]):
+                assert _same_bits(f.jet(pts, k), _per_point_jets(f, pts, k))
+    assert sorts == []
+
+
+@pytest.mark.parametrize("name", [
+    "torpedo", "torpedo-reflected", "tilted-transition"])
+def test_batch_across_a_breakpoint_matches_per_point_jets(name):
+    f = _KERNEL_PROFILES[name]()
+    rng = np.random.default_rng(len(name))
+    for c in f._breaks:
+        t = rng.permutation(c + np.linspace(-2e-4, 2e-4, 9))
+        for k in range(4):
+            for pts in (t, np.sort(t), t.reshape(3, 3)):
+                assert _same_bits(f.jet(pts, k), _per_point_jets(f, pts, k))
+    t = rng.uniform(0.0, f.b, 61)
+    assert _same_bits(f.jet(t, 3), _per_point_jets(f, t, 3))
+    for pts in ([0.5 * f._breaks[0], np.nan], [np.nan], [f._breaks[0], np.nan,
+                                                         f.b]):
+        with pytest.raises(InvalidSpecError, match="evaluation outside"):
+            f.jet(np.array(pts), 2)
+
+
 def _gauss_nodes(b, cells):
     """8 Gauss-Legendre nodes in each of ``cells`` equal cells of [0, b],
     shaped (cells, 8) as ``glbend._HermiteTable`` evaluates them."""
@@ -760,10 +802,12 @@ def _two_and_three_term_families():
 @pytest.mark.parametrize("k", range(4))
 def test_family_jets_are_each_members_own_jet(t, k):
     for weights, terms in _two_and_three_term_families():
-        jets = fnspace._family_jets(weights, terms, np.asarray(t), k)
-        assert jets.shape == (k + 1, len(weights)) + np.shape(t)
+        values, derivs = fnspace._family_jets(weights, terms, np.asarray(t),
+                                              k)
+        assert values.shape == (len(weights),) + np.shape(t)
+        assert derivs.shape == (k, len(weights)) + np.shape(t)
         for m, w in enumerate(weights):
-            assert _same_bits(tuple(jets[:, m]),
+            assert _same_bits((values[m], *derivs[:, m]),
                               LinearCombination(zip(w, terms)).jet(t, k))
 
 

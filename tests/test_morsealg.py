@@ -243,6 +243,18 @@ class TestChainComplex:
         with pytest.raises(InconsistentBoundaryError):
             build_chain_complex(bad)
 
+    def test_direct_complex_normalises_its_matrices(self):
+        cc = ChainComplex({3: 1, 4: 1}, {4: [(1.0,)]})
+        assert cc.boundary == {4: [[1]]} and type(cc.boundary[4][0][0]) is int
+        with pytest.raises(InvalidSpecError, match="non-integer entry 0.5"):
+            ChainComplex({3: 1, 4: 1}, {4: [[0.5]]})
+
+    def test_described_complex_is_not_normalised_again(self, monkeypatch):
+        # the description normalised its matrices; d o d is still checked
+        desc = two_point()
+        monkeypatch.setattr(morsealg, "_as_int_matrix", None)
+        assert build_chain_complex(desc).boundary == {4: [[1]]}
+
     def test_exact_over_Q_not_Z(self):
         cc = ChainComplex({3: 2, 4: 2}, {4: [[1, 0], [0, 2]]})
         assert check_cylinder_exactness(cc)

@@ -1,5 +1,6 @@
 """Finite-difference tensor engine vs closed forms and flat pins."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -12,8 +13,8 @@ from gllab.curvature import (CylFamilyMetric, DoublyWarpedMetric, Phi2D,
 from gllab.errors import InvalidSpecError
 from gllab.fnspace import (PolyPiece, SinePiece, SmoothFn1D, TorpedoSpec,
                            make_torpedo, reflect)
-from gllab.oracle import (MetricChart, _christoffel, _ricci, _warped_chart,
-                          cyl_family_chart, doubly_warped_chart,
+from gllab.oracle import (MetricChart, _christoffel, _gamma, _ricci,
+                          _warped_chart, cyl_family_chart, doubly_warped_chart,
                           euclidean_chart, geodesic_sphere_fit,
                           perturbed_quadratic_chart, round_sphere_normal_chart,
                           scalar_from_chart, warped_chart)
@@ -284,6 +285,73 @@ def test_metric_batch_equals_one_point_calls(name):
     G = chart.metric(X)
     assert G.shape == (50, chart.dim, chart.dim)
     np.testing.assert_array_equal(G, [chart.metric(x) for x in X])
+
+
+def _einsum_gamma(G, h):
+    """Gamma = g^-1 Gamma_low by the einsum contraction, the reference."""
+    d = G.shape[-1]
+    dg = (G[..., 1:1 + d, :, :] - G[..., 1 + d:, :, :]) / (2.0 * h)
+    low = 0.5 * (np.einsum("...jil->...lij", dg)
+                 + np.einsum("...ijl->...lij", dg) - dg)
+    return np.einsum("...kl,...lij->...kij",
+                     np.linalg.inv(G[..., 0, :, :]), low)
+
+
+@pytest.mark.parametrize("name", sorted(CHARTS))
+def test_gamma_matmul_equals_the_einsum_contraction(name):
+    chart = CHARTS[name]()
+    d, off = chart.dim, chart._offsets
+    for x in _random_points(chart, 2, seed=5):
+        points = (x + off)[:, None, :] + off[None, :, :]
+        G = chart.metric(points.reshape(-1, d)).reshape(
+            2 * d + 1, 2 * d + 1, d, d)
+        got, want = _gamma(G, chart.step)[0], _einsum_gamma(G, chart.step)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+# scalar_from_chart at each chart's _random_points(chart, 1, seed=2024),
+# as the einsum contraction and the per-call stencil computed it
+_PINNED_SCALARS = {
+    "cyl-round-q1": 2.000000019396304,
+    "cyl-round-q2": 6.000000043860251,
+    "cyl-round-q3": 12.00000029443456,
+    "cyl-torpedo-q1": 8.926856486500713,
+    "cyl-torpedo-q2": 26.1969361584584,
+    "cyl-torpedo-q3": 51.810239703727106,
+    "doubly-round-p1q1": 6.000000075498388,
+    "doubly-round-p1q2": 12.000000030307149,
+    "doubly-round-p2q1": 12.000000246876718,
+    "doubly-round-p2q2": 20.000000216820165,
+    "doubly-torpedo-p1q1": 6.2230600832128715,
+    "doubly-torpedo-p1q2": 14.223060024076647,
+    "doubly-torpedo-p2q1": 20.70877082841927,
+    "doubly-torpedo-p2q2": 28.708770885031203,
+    "euclidean": 0.0,
+    "perturbed": -0.19514359945800358,
+    "polar": 3.4221114179946603e-09,
+    "round-sphere-normal": 5.999999966222039,
+    "warped-round-n3": 5.999999978165187,
+    "warped-round-n4": 11.99999997166865,
+    "warped-round-n5": 20.000000062868356,
+    "warped-torpedo-n3": 8.00000000373428,
+    "warped-torpedo-n4": 23.999999962877013,
+    "warped-torpedo-n5": 48.00000019969885,
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHARTS))
+def test_scalar_matches_pinned_values(name):
+    chart = CHARTS[name]()
+    x = _random_points(chart, 1, seed=2024)[0]
+    assert scalar_from_chart(chart, x) == pytest.approx(
+        _PINNED_SCALARS[name], rel=1e-12, abs=0.0)
+
+
+def test_step_change_rebuilds_the_stencil():
+    chart = CHARTS["warped-torpedo-n3"]()
+    for other in (chart.with_step(2e-4),
+                  dataclasses.replace(chart, step=2e-4)):
+        np.testing.assert_array_equal(other._offsets, 2.0 * chart._offsets)
 
 
 class TestRoundSphereOrigin:
