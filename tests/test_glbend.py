@@ -1136,6 +1136,10 @@ def _tilt_parabola(a2):
      InversionError, "profile must be strictly decreasing"),
     (lambda: quarter_bend_curve(1.0, 1.0, 0.0), InvalidBendError,
      "bend radius must be positive"),
+    # a start line that is one number, not the pair (r0, m0)
+    (lambda: final_isotopy(SmoothFn1D(1.0, [PolyPiece((0.0, 1.0),
+                                                      [1.0, -0.5])]), 5.0),
+     InvalidSpecError, "l_line must be two numbers"),
 ])
 def test_argument_checks_raise_typed(call, error, message):
     with pytest.raises(error, match=message):

@@ -3,7 +3,8 @@
 Each site keeps its own bound, error class and message.  A bool, a string,
 NaN and infinity are refused there with that site's class, and a numpy
 scalar or a 0-d array gives the result the Python float gives.  Inputs at
-the edges of ``WarpedProduct`` raise ``InvalidSpecError`` too.
+the edges of ``WarpedProduct`` and of the oracle's charts raise
+``InvalidSpecError`` too.
 """
 
 import dataclasses
@@ -12,8 +13,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gllab.curvature import (WarpedProduct, make_smoothstep, ricci_warped,
-                             slowdown_concordance)
+from gllab.curvature import (Phi2D, WarpedProduct, make_smoothstep,
+                             ricci_warped, slowdown_concordance)
 from gllab.errors import (InvalidBendError, InvalidSpecError, OutOfRegimeError,
                           _finite_reals)
 from gllab.fnspace import (ConstPiece, LinearCombination, PolyPiece,
@@ -26,8 +27,8 @@ from gllab.glbend import (ArcSeg, BendConstants, BumpSeg, GraphSeg,
 from gllab.hypersurface import (ModelAmbient, connected_sum_foliation,
                                 mixed_torpedo_via_J)
 from gllab.morsealg import CriticalPoint, MorseDescription
-from gllab.oracle import (MetricChart, euclidean_chart,
-                          round_sphere_normal_chart, scalar_from_chart)
+from gllab.oracle import (MetricChart, cyl_family_chart, doubly_warped_chart,
+                          euclidean_chart, scalar_from_chart, warped_chart)
 from gllab.schedule import (compile_gl_cobordism, round_doubly_warped,
                             round_metric, two_surgery_demo)
 
@@ -296,12 +297,38 @@ EDGES = [
       for arg in ("n", "p")
       for name, x in (("string", "7"), ("none", None), ("float", 2.0),
                       ("bool", True))),
-    *((f"MetricChart.dim-{name}",
-       lambda d=d: MetricChart(d, [(-1.0, 1.0)] * 2, euclidean_chart(2).g),
-       "dim must be an integer")
-      for name, d in (("float", 2.0), ("string", "3"), ("bool", True),
-                      ("none", None))),
+    # a chart's dimension is the number of its ranges; its builders take
+    # the fiber dimensions, integers >= 0 (errors._check_ints)
+    ("MetricChart.dim-float", lambda: warped_chart(_pair()[1], 2.5),
+     r"dims\[0\] must be an integer, got 1.5"),
+    ("MetricChart.dim-string", lambda: doubly_warped_chart(*_pair(), "3", 2),
+     r"dims\[0\] must be an integer"),
+    ("MetricChart.dim-bool", lambda: _cyl_chart(True),
+     r"dims\[0\] must be an integer, got True"),
+    ("MetricChart.dim-none", lambda: doubly_warped_chart(*_pair(), 2, None),
+     r"dims\[1\] must be an integer, got None"),
+    ("doubly_warped_chart.p-fraction",
+     lambda: doubly_warped_chart(*_pair(), 1.5, 2), "must be an integer"),
+    ("doubly_warped_chart.p-negative",
+     lambda: doubly_warped_chart(*_pair(), -1, 3), "must be >= 0"),
+    *((f"MetricChart.range-{name}",
+       lambda r=r: MetricChart([r, (-1.0, 1.0)], euclidean_chart(2).g),
+       "must hold >= 2 finite ranges")
+      for name, r in (("of-three", (0, 1, 2)), ("of-one", (0,)),
+                      ("of-strings", ("a", "b")), ("to-infinity", (0, np.inf)),
+                      ("a-number", 1.0))),
+    ("MetricChart.rectangle-a-number",
+     lambda: MetricChart(2.0, euclidean_chart(2).g),
+     "must hold >= 2 finite ranges"),
+    ("scalar_from_chart.x-of-another-length",
+     lambda: scalar_from_chart(euclidean_chart(4), np.zeros(3)),
+     r"x needs shape \(4,\): \(3,\)"),
 ]
+
+
+def _cyl_chart(qtilde):
+    return cyl_family_chart(Phi2D.from_profile(_pair()[1]), qtilde,
+                            (0.0, 1.0), (0.1, 0.9))
 
 
 def _unread(sig):
@@ -320,7 +347,13 @@ def test_warped_product_edges_raise_typed(call, message):
 
 
 def test_chart_dimension_takes_numpy_integers():
-    chart, x = round_sphere_normal_chart(), np.array([0.1, -0.2, 0.3])
-    want = scalar_from_chart(chart, x)
-    for d in (np.int64(3), np.int32(3)):
-        assert scalar_from_chart(dataclasses.replace(chart, dim=d), x) == want
+    # the chart builders' fiber dimensions; the chart's dim is len(rectangle)
+    for build in (lambda d: warped_chart(_pair()[1], d + 1),
+                  lambda d: doubly_warped_chart(*_pair(), d, 2), _cyl_chart):
+        chart = build(3)
+        x = np.array([lo + 0.4 * (hi - lo) for lo, hi in chart.rectangle])
+        want = scalar_from_chart(chart, x)
+        for d in (np.int64(3), np.int32(3)):
+            other = build(d)
+            assert other.dim == chart.dim == len(chart.rectangle)
+            assert scalar_from_chart(other, x) == want

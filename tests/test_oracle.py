@@ -1,7 +1,9 @@
 """Finite-difference tensor engine vs closed forms and flat pins."""
 
 import dataclasses
+import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +15,8 @@ from gllab.curvature import (CylFamilyMetric, DoublyWarpedMetric, Phi2D,
 from gllab.errors import InvalidSpecError
 from gllab.fnspace import (PolyPiece, SinePiece, SmoothFn1D, TorpedoSpec,
                            make_torpedo, reflect)
-from gllab.oracle import (MetricChart, _christoffel, _gamma, _ricci,
+from gllab.oracle import (_ANGLES, MetricChart, _christoffel, _gamma,
+                          _identities, _ricci, _sphere_angle_metric,
                           _warped_chart, cyl_family_chart, doubly_warped_chart,
                           euclidean_chart, geodesic_sphere_fit,
                           perturbed_quadratic_chart, round_sphere_normal_chart,
@@ -30,7 +33,7 @@ def polar_chart():
     def g(X):
         D = np.column_stack([np.ones(len(X)), X[:, 0] ** 2])
         return D[:, :, None] * np.eye(2)
-    return MetricChart(2, [(0.1, 3.0), (-np.pi, np.pi)], g)
+    return MetricChart([(0.1, 3.0), (-np.pi, np.pi)], g)
 
 
 def round_profile(radius=1.0):
@@ -133,14 +136,13 @@ def _flat(X):
     return np.broadcast_to(np.eye(2), (len(X), 2, 2))
 
 
+# a chart's dimension is the number of its ranges
 @pytest.mark.parametrize("args, message", [
-    ((1, [(0.0, 1.0)], _flat), "dimension must be >= 2"),
-    ((2, [(0.0, 1.0)], _flat), "bounds per axis"),
-    ((2, [(0.0, 1.0), (0.5, 0.5)], _flat), "extents must be positive"),
-    ((2, [(0.0, 1.0), (0.0, 1.0)], _flat, 0.0), r"step must lie in \(0,"),
-    ((2, [(0.0, 1.0), (0.0, 1.0)], _flat, 0.02), r"step must lie in \(0,"),
-], ids=["dim-1", "rectangle-length", "zero-extent", "zero-step",
-        "step-above-1e-2-extent"])
+    (([(0.0, 1.0)], _flat), "must hold >= 2 finite ranges"),
+    (([(0.0, 1.0), (0.5, 0.5)], _flat), "lo < hi"),
+    (([(0.0, 1.0), (0.0, 1.0)], _flat, 0.0), r"step must lie in \(0,"),
+    (([(0.0, 1.0), (0.0, 1.0)], _flat, 0.02), r"step must lie in \(0,"),
+], ids=["dim-1", "zero-extent", "zero-step", "step-above-1e-2-extent"])
 def test_chart_checks_raise_typed(args, message):
     with pytest.raises(InvalidSpecError, match=message):
         MetricChart(*args)
@@ -345,6 +347,113 @@ def test_scalar_matches_pinned_values(name):
     x = _random_points(chart, 1, seed=2024)[0]
     assert scalar_from_chart(chart, x) == pytest.approx(
         _PINNED_SCALARS[name], rel=1e-12, abs=0.0)
+
+
+# ---------------------------------------------------------------------------
+# one chart builder: the former warped and cylinder chart bodies as references
+# ---------------------------------------------------------------------------
+
+def _former_warped(dims, profiles):
+    """(rectangle, g) of the warped chart body before the shared builder."""
+    cuts = np.cumsum([1, *dims])
+
+    def g(X):
+        G, D = _identities(X.shape)
+        for f, lo, hi in zip(profiles, cuts[:-1], cuts[1:]):
+            _sphere_angle_metric(D[:, lo:hi], X[:, lo:hi], f(X[:, 0]))
+        return G
+    pad = 0.05 * profiles[0].b
+    return [(pad, profiles[0].b - pad)] + [_ANGLES] * sum(dims), g
+
+
+def _former_cyl(phi, qtilde, s_range, t_range):
+    """(rectangle, g) of the cylinder chart body before the shared builder."""
+    def g(X):
+        G, D = _identities(X.shape)
+        _sphere_angle_metric(D[:, 2:], X[:, 2:], phi.jet(*X[:, :2].T, 0)[0])
+        return G
+    return [tuple(s_range), tuple(t_range)] + [_ANGLES] * qtilde, g
+
+
+def _former_cyl_chart(f, qtilde):
+    pad = 0.1 * f.b
+    return _former_cyl(Phi2D.from_profile(f), qtilde, (0.0, 1.0),
+                       (pad, f.b - pad))
+
+
+# the former body of each chart in CHARTS that the shared builder makes
+FORMER = {
+    **{f"warped-round-n{n}": (lambda n=n: _former_warped(
+        [n - 1], [round_profile()])) for n in (3, 4, 5)},
+    **{f"warped-torpedo-n{n}": (lambda n=n: _former_warped(
+        [n - 1], [_torpedo()])) for n in (3, 4, 5)},
+    **{f"doubly-round-p{p}q{q}": (lambda p=p, q=q: _former_warped(
+        [p, q], list(_round_join()))) for p in (1, 2) for q in (1, 2)},
+    **{f"doubly-torpedo-p{p}q{q}": (lambda p=p, q=q: _former_warped(
+        [p, q], [reflect(_torpedo()), _torpedo()]))
+       for p in (1, 2) for q in (1, 2)},
+    **{f"cyl-round-q{q}": (lambda q=q: _former_cyl_chart(round_profile(), q))
+       for q in (1, 2, 3)},
+    **{f"cyl-torpedo-q{q}": (lambda q=q: _former_cyl_chart(_torpedo(), q))
+       for q in (1, 2, 3)},
+}
+
+_POOL = Path(__file__).resolve().parents[1] / "perfbench" / "pool.json"
+POOL_CHARTS = json.loads(_POOL.read_text())["charts"]
+
+
+def _pool_profile(spec):
+    if spec["profile"] == "round":
+        return round_profile(spec["radius"])
+    return make_torpedo(TorpedoSpec(spec["delta"], tube_length=spec["tube"]))
+
+
+def _pool_pair(spec):
+    """(chart, former (rectangle, g)) of a benchmark pool chart spec, built
+    as the benchmark builds it."""
+    if spec["kind"] == "warped":
+        f = _pool_profile(spec)
+        return warped_chart(f, spec["n"]), _former_warped([spec["n"] - 1], [f])
+    if spec["kind"] == "doubly":
+        if spec["profile"] == "round":
+            rad = spec["radius"]
+            b = rad * np.pi / 2
+            u, v = (SmoothFn1D(b, [SinePiece((0.0, b), rad, 1.0 / rad, phase)])
+                    for phase in (np.pi / 2, 0.0))
+        else:
+            v = _pool_profile(spec)
+            u = reflect(_pool_profile(spec))
+        p, q = spec["p"], spec["q"]
+        return doubly_warped_chart(u, v, p, q), _former_warped([p, q], [u, v])
+    f = _pool_profile(spec)
+    phi, pad = Phi2D.from_profile(f), 0.1 * f.b
+    ranges = (0.0, 1.0), (pad, f.b - pad)
+    return (cyl_family_chart(phi, spec["qtilde"], *ranges, step=2e-4),
+            _former_cyl(phi, spec["qtilde"], *ranges))
+
+
+def _same_bits(chart, former, seed):
+    rect, g = former
+    assert [tuple(r) for r in chart.rectangle] == rect
+    X = _random_points(chart, 40, seed)
+    got, want = chart.metric(X), g(X)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def test_former_bodies_cover_every_builder_chart():
+    fixed = {"euclidean", "polar", "perturbed", "round-sphere-normal"}
+    assert set(FORMER) == set(CHARTS) - fixed
+
+
+@pytest.mark.parametrize("name", sorted(FORMER))
+def test_builder_matches_the_former_chart_bodies(name):
+    _same_bits(CHARTS[name](), FORMER[name](), seed=len(name))
+
+
+@pytest.mark.parametrize("cid", sorted(POOL_CHARTS))
+def test_pool_charts_match_the_former_chart_bodies(cid):
+    _same_bits(*_pool_pair(POOL_CHARTS[cid]), seed=int(cid[1:]))
 
 
 def test_step_change_rebuilds_the_stencil():

@@ -73,7 +73,12 @@ class TestCompile:
         (lambda g0: compile_gl_cobordism(g0, MorseDescription(7, [
             CriticalPoint("a", 4, 0.25), CriticalPoint("b", 3, 0.75)])),
          InvalidSpecError, "well-indexed"),
-    ], ids=["segment-kind", "g0-not-a-metric", "not-well-indexed"])
+        # one index at two levels
+        (lambda g0: compile_gl_cobordism(g0, MorseDescription(7, [
+            CriticalPoint("a", 3, 0.3), CriticalPoint("b", 3, 0.4)])),
+         InvalidSpecError, "well-indexed"),
+    ], ids=["segment-kind", "g0-not-a-metric", "not-well-indexed",
+            "one-index-at-two-levels"])
     def test_argument_checks_raise_typed(self, g0, call, error, message):
         with pytest.raises(error, match=message):
             call(g0)
