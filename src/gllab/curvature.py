@@ -186,8 +186,9 @@ def _open_quotients(f, lap, grad2):
 
 
 def _check_positive(P, where):
-    """Raise ``SingularProfileError`` if the least of P is below 1e-13."""
-    if np.min(P) < _INTERIOR_ZERO:
+    """Raise ``SingularProfileError`` unless every P is at least 1e-13 (a
+    NaN fails)."""
+    if not np.min(P) >= _INTERIOR_ZERO:
         raise SingularProfileError(f"phi must stay positive on the {where}")
 
 

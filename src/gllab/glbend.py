@@ -870,11 +870,15 @@ _TILT_SLACK = 1e-9
 def final_bending_tilt(transition, t_inf_pp):
     """Straighten the transition tail from t_inf'' on, tilting it downward.
 
-    The second derivative of f is cut off at t_inf'' (mollified over a window
-    of width delta_inf/8 so the result is exactly C^2) and the profile
-    continues as a straight line of small negative slope.  The graph
-    inequality margin at matched r-levels must not drop below the unmodified
-    margin by more than ``_TILT_SLACK`` (relative, floored at 1).
+    The profile is f, its own pieces truncated, up to cut0 = t_inf'' -
+    delta_inf/8.  On the window [cut0, t_inf''], where f is at most cubic
+    (inside a transition's cubic-out piece), f'' is the line through
+    f''(cut0) of slope f'''(cut0); the window piece is that line scaled to
+    zero by a quintic, so the result is exactly C^2, and integrated twice
+    from f's jet at cut0.  The profile then continues as a straight line
+    of small negative slope.  At matched r-levels in the window, the graph
+    inequality margin must not drop below the unmodified margin by more
+    than ``_TILT_SLACK`` (relative, floored at 1).
 
     With t_inf'' = t_inf the profile is returned unchanged.  Otherwise the
     straight tail descends exactly to the graph's end value r_inf = f(t_inf),
@@ -889,33 +893,19 @@ def final_bending_tilt(transition, t_inf_pp):
             f"[{params.C2:.6g}, {params.tinf:.6g}]")
     if t_inf_pp == params.tinf:
         return f
-    w = params.delta_inf / 8.0
-    cut0 = t_inf_pp - w
-    # rebuild the second derivative piecewise: untouched before cut0, scaled
-    # to zero by a quintic across [cut0, t_inf''], zero afterwards
+    cut0 = t_inf_pp - params.delta_inf / 8.0
+    pieces = [PolyPiece((p.interval[0], min(p.interval[1], cut0)), p.coeffs,
+                        origin=p.origin)
+              for p in f.pieces if p.interval[0] < cut0]
+    # on the window f'' = f2 + f3 (t - cut0), scaled to zero by a quintic
+    f0, f1, f2, f3 = f.jet(cut0, 3)
     sq = _quintic_match(cut0, (1.0, 0.0, 0.0), t_inf_pp, (0.0, 0.0, 0.0))
-    new_d2 = []  # (a, b, coeffs-about-a) for the new f''
-    for piece in f.pieces:
-        a, bb = piece.interval
-        d2c = npoly.polyder(piece.coeffs, 2)
-        for lo, hi in ((a, min(bb, cut0)), (max(a, cut0), min(bb, t_inf_pp))):
-            if hi - lo <= 1e-15:
-                continue
-            base = _shift_poly(d2c, piece.origin, lo)
-            if lo >= cut0 - 1e-15:
-                mol = _shift_poly(sq, cut0, lo)
-                base = npoly.polymul(base, mol)
-            new_d2.append((lo, hi, base))
-    # integrate twice, carrying continuity from (r0, m0) at t = 0
-    val, slope = params.r0, params.m0
-    pieces = []
-    for lo, hi, d2c in new_d2:
-        d1c = npoly.polyint(d2c, 1, k=[slope])
-        fc = npoly.polyint(d1c, 1, k=[val])
-        pieces.append(PolyPiece((lo, hi), fc, origin=lo))
-        h = hi - lo
-        val = float(npoly.polyval(h, fc))
-        slope = float(npoly.polyval(h, d1c))
+    d1c = npoly.polyint(npoly.polymul([f2, f3], sq), 1, k=[f1])
+    fc = npoly.polyint(d1c, 1, k=[f0])
+    pieces.append(PolyPiece((cut0, t_inf_pp), fc, origin=cut0))
+    h = t_inf_pp - cut0
+    val = float(npoly.polyval(h, fc))
+    slope = float(npoly.polyval(h, d1c))
     if slope >= 0:
         raise ConstructionFailedError("tilted tail slope must be negative")
     # descend to the original end value so the r-range is preserved
@@ -932,12 +922,12 @@ def final_bending_tilt(transition, t_inf_pp):
     if f_new(grid).min() <= 0:
         raise TiltTooLargeError(
             "tilted profile loses positivity before the end of its domain")
-    # margins compared at matched r-levels against the unmodified profile
-    tm = np.linspace(0.0, min(t_inf_pp, end), 513)[1:-1]
-    jet_new = f_new.jet(tm, 2)
+    # margins compared at matched r-levels against the unmodified profile;
+    # below cut0 the profile is f, so only the window's levels are read
+    tm = np.linspace(0.0, t_inf_pp, 513)[1:-1]
+    jet_new = f_new.jet(tm[tm > cut0], 2)
     r_new, m_new = jet_new[0], _graph_margin(jet_new)
-    lo_r, hi_r = params.r_inf, params.r0
-    inside = (r_new > lo_r) & (r_new < hi_r)
+    inside = (r_new > params.r_inf) & (r_new < params.r0)
     r_in, m_in = r_new[inside], m_new[inside]
     xs = np.linspace(0.0, params.tinf, 65)
     t_old = _invert_monotone(lambda t: f.jet(t, 1), r_in,
@@ -949,20 +939,6 @@ def final_bending_tilt(transition, t_inf_pp):
             f"tilt decreased the graph-inequality margin at "
             f"r = {r_in[np.argmax(worse)]:.6g}")
     return f_new
-
-
-def _shift_poly(coeffs, origin_old, origin_new):
-    """Re-express a polynomial in powers of (t - origin_new).
-
-    A Taylor shift by d = origin_new - origin_old: n - 1 passes of
-    synthetic division by (t - d), each leaving the next coefficient.
-    """
-    c = [float(ck) for ck in np.atleast_1d(coeffs)]
-    d = origin_new - origin_old
-    for i in range(len(c) - 1):
-        for j in range(len(c) - 2, i - 1, -1):
-            c[j] += d * c[j + 1]
-    return np.array(c)
 
 
 def final_isotopy(f, l_line, s_grid=None, n_t=201):

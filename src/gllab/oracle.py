@@ -324,7 +324,9 @@ def _warped_chart(dims, profiles, step):
 
 
 def warped_chart(f, n, step=1e-4):
-    """Full coordinate chart for dt^2 + f(t)^2 ds_{n-1}^2."""
+    """Full coordinate chart for dt^2 + f(t)^2 ds_{n-1}^2; n is an integer
+    >= 2."""
+    _check_ints(2, f"n must be >= 2, got {n!r}", n=n)
     return _warped_chart([n - 1], [f], step)
 
 

@@ -461,6 +461,22 @@ class TestPositivityRule:
             slowdown_concordance(path, 7, grid_shape=(20, 20))
         assert where[-1] == "grid"
 
+    def test_nan_fails_the_rule(self):
+        with pytest.raises(SingularProfileError,
+                           match="phi must stay positive on the grid"):
+            curvature._check_positive(np.array([1.0, np.nan]), "grid")
+
+    def test_cylinder_family_with_a_nan_phi_raises(self, where):
+        def jet(s, t, k=2):
+            zero = np.zeros(np.broadcast(s, t).shape)
+            return np.where(t < 1.0, np.nan, 1.0), (zero, zero), (zero, zero)
+
+        cyl = CylFamilyMetric(2, Phi2D(jet))
+        with pytest.raises(SingularProfileError,
+                           match="phi must stay positive on the rectangle"):
+            scalar_cyl_family(cyl, 0.0, np.array([0.5, 1.5]))
+        assert where == ["rectangle"]
+
 
 
 def round_to_double_torpedo(b=6.0, delta=0.5, n=7):

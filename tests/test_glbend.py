@@ -1,8 +1,10 @@
 """Bending curve synthesis: inequalities, segments, assembly, isotopies."""
 
+import json
 import warnings
 from dataclasses import replace
 from decimal import Decimal, localcontext
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,8 +19,8 @@ from gllab.errors import (AssemblyError, ConstructionFailedError,
                           InvalidBendError, InvalidSpecError, InversionError,
                           NoFeasibleBendError, OutOfRegimeError,
                           TiltTooLargeError)
-from gllab.fnspace import (PolyPiece, SmoothFn1D, TorpedoSpec, make_torpedo,
-                           reflect)
+from gllab.fnspace import (PolyPiece, SmoothFn1D, TorpedoSpec, _quintic_match,
+                           make_torpedo, reflect)
 from gllab.glbend import (ArcSeg, BendConstants, BumpSeg, Curve2D, GraphSeg,
                           LineSeg, _invert_monotone,
                           assemble_gamma, check_cureqn, check_diffkeqn,
@@ -27,6 +29,8 @@ from gllab.glbend import (ArcSeg, BendConstants, BumpSeg, Curve2D, GraphSeg,
                           synth_transition)
 
 MODEL = BendConstants(R0=1.5, q=3)
+
+_POOL = Path(__file__).resolve().parents[1] / "perfbench" / "pool.json"
 
 
 def _checked_table(F, lo, hi):
@@ -852,30 +856,6 @@ class TestInvertMonotone:
         assert abs(got - ref) <= 1e-13
 
 
-def _shift_poly_reference(coeffs, origin_old, origin_new):
-    """The expansion sum c_k ((t - o_new) + (o_new - o_old))^k by
-    ``np.polynomial.Polynomial`` arithmetic."""
-    shift = np.polynomial.Polynomial([origin_new - origin_old, 1.0])
-    out = np.polynomial.Polynomial([0.0])
-    for k, ck in enumerate(np.atleast_1d(coeffs)):
-        out = out + ck * shift ** k
-    return out.coef
-
-
-def test_shift_poly_matches_polynomial_expansion():
-    rng = np.random.default_rng(25)
-    for _ in range(300):
-        coeffs = rng.standard_normal(rng.integers(1, 10)) \
-            * 10.0 ** rng.uniform(-3, 3)
-        origin_old, origin_new = rng.uniform(-1.0, 1.0, 2)
-        got = glbend._shift_poly(coeffs, origin_old, origin_new)
-        ref = _shift_poly_reference(coeffs, origin_old, origin_new)
-        assert got.shape == coeffs.shape
-        ref = np.pad(ref, (0, got.size - ref.size))
-        np.testing.assert_allclose(got, ref, rtol=0,
-                                   atol=1e-14 * np.abs(ref).max())
-
-
 @pytest.fixture
 def inversions(monkeypatch):
     """Record, per ``_invert_monotone`` call, the targets' size, the
@@ -901,7 +881,8 @@ class TestInversionRounds:
 
     def test_tilt_inversion_takes_newton_rounds(self, inversions):
         # the straighten warm-up bend, where converged steps landing on a
-        # bracket end sent 30-55 of the 511 levels into 41-42 rounds
+        # bracket end sent 30-55 of the then 511 levels into 41-42 rounds;
+        # the check now reads the 22 of them in the window above cut0
         consts = BendConstants(R0=1.2, q=2)
         prefix = initial_bend(consts, r1=0.55)
         trans = synth_transition(consts, r0=0.18, theta0=prefix[1])
@@ -910,7 +891,7 @@ class TestInversionRounds:
         (n, nodes, sizes), = inversions
         # on the tilt's own 65-node table, the first evaluation is at the
         # seeds
-        assert n == 511 and nodes == 65 and sizes[0] == 511
+        assert n == 22 and nodes == 65 and sizes[0] == 22
         assert len(sizes) <= 6
 
     def test_graph_seg_seeds_from_its_table(self, inversions):
@@ -1082,13 +1063,102 @@ def _prefix_of(*segments):
     return (Curve2D(segments), *_model_prefix()[1:])
 
 
-def _tilt_parabola(a2):
-    """Tilt, at C2, the parabola r0 + m0 t + a2 t^2 on the model
-    transition's domain in place of its graph."""
+def _parabola_transition(a2):
+    """The parabola r0 + m0 t + a2 t^2 on the model transition's domain in
+    place of its graph."""
     params, _ = _model_transition()
-    f = SmoothFn1D(params.tinf, [PolyPiece((0.0, params.tinf),
-                                           [params.r0, params.m0, a2])])
-    return final_bending_tilt((params, f), params.C2)
+    return params, SmoothFn1D(params.tinf, [PolyPiece(
+        (0.0, params.tinf), [params.r0, params.m0, a2])])
+
+
+def _tilt_parabola(a2):
+    """Tilt, at C2, the parabola of ``_parabola_transition``."""
+    transition = _parabola_transition(a2)
+    return final_bending_tilt(transition, transition[0].C2)
+
+
+def _tilt_reference(transition, t_inf_pp):
+    """The tilted profile by re-integration: f'' piece by piece, times the
+    quintic across [cut0, t_inf''], integrated twice from (r0, m0), then
+    the straight tail down to r_inf."""
+    params, f = transition
+    cut0 = t_inf_pp - params.delta_inf / 8.0
+    P = np.polynomial.Polynomial
+    x = P([0.0, 1.0])
+    sq = P(_quintic_match(cut0, (1.0, 0.0, 0.0), t_inf_pp, (0.0, 0.0, 0.0)))
+    val, slope = params.r0, params.m0
+    pieces = []
+    for piece in f.pieces:
+        a, bb = piece.interval
+        d2 = P(piece.coeffs).deriv(2)
+        for lo, hi in ((a, min(bb, cut0)), (max(a, cut0), min(bb, t_inf_pp))):
+            if hi - lo <= 1e-15:
+                continue
+            # in powers of (t - lo)
+            base = d2(x + (lo - piece.origin))
+            if lo >= cut0 - 1e-15:
+                base = base * sq(x + (lo - cut0))
+            d1 = base.integ(k=slope)
+            fc = d1.integ(k=val)
+            pieces.append(PolyPiece((lo, hi), fc.coef, origin=lo))
+            val, slope = fc(hi - lo), d1(hi - lo)
+    end = t_inf_pp + (val - params.r_inf) / (-slope)
+    pieces.append(PolyPiece((t_inf_pp, end), [val, slope], origin=t_inf_pp))
+    return SmoothFn1D(end, pieces)
+
+
+def _straighten_transition(i):
+    """The transition of the benchmark pool's i-th straighten bend."""
+    bend = json.loads(_POOL.read_text())["straighten"]["bend"][i]
+    consts = BendConstants(R0=bend["R0"], q=bend["q"])
+    prefix = initial_bend(consts, r1=bend["r1"])
+    return synth_transition(consts, r0=bend["r0"], theta0=prefix[1])
+
+
+_TILT_CASES = {
+    **{f"straighten-{i}": (lambda i=i: _straighten_transition(i), 0.0)
+       for i in range(10)},
+    "parabola": (lambda: _parabola_transition(24.0), 0.0),
+    "model-0.7": (_model_transition, 0.7)}
+
+
+@pytest.fixture(params=list(_TILT_CASES))
+def tilt_case(request):
+    """(transition, t_inf'') at C2 + frac (t_inf - C2)."""
+    make, frac = _TILT_CASES[request.param]
+    transition = make()
+    params = transition[0]
+    return transition, params.C2 + frac * (params.tinf - params.C2)
+
+
+class TestTiltKeepsF:
+
+    def test_matches_the_reintegrated_profile(self, tilt_case):
+        transition, t_inf_pp = tilt_case
+        got = final_bending_tilt(transition, t_inf_pp)
+        ref = _tilt_reference(transition, t_inf_pp)
+        np.testing.assert_allclose(got.b, ref.b, rtol=1e-12)
+        t = np.linspace(0.0, min(got.b, ref.b), 4001)
+        for g, r in zip(got.jet(t, 2), ref.jet(t, 2)):
+            np.testing.assert_allclose(g, r, rtol=1e-12)
+
+    def test_keeps_f_up_to_the_cut(self, tilt_case):
+        # the re-integrating construction fails this on every case but the
+        # one-piece parabola: its pieces below cut0 have their own origins
+        # and differ from f's coefficients by rounding
+        transition, t_inf_pp = tilt_case
+        params, f = transition
+        g = final_bending_tilt(transition, t_inf_pp)
+        cut0 = t_inf_pp - params.delta_inf / 8.0
+        kept = [p for p in f.pieces if p.interval[0] < cut0]
+        assert len(g.pieces) == len(kept) + 2
+        for new, old in zip(g.pieces, kept):
+            assert new.interval == (old.interval[0],
+                                    min(old.interval[1], cut0))
+            assert new.origin == old.origin
+            np.testing.assert_array_equal(new.coeffs, old.coeffs)
+        t = np.linspace(0.0, cut0, 2001)[:-1]
+        np.testing.assert_array_equal(g.jet(t, 3), f.jet(t, 3))
 
 
 @pytest.mark.parametrize("call, error, message", [

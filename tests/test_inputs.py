@@ -298,8 +298,9 @@ EDGES = [
       for name, x in (("string", "7"), ("none", None), ("float", 2.0),
                       ("bool", True))),
     # a chart's dimension is the number of its ranges; its builders take
-    # the fiber dimensions, integers >= 0 (errors._check_ints)
-    ("MetricChart.dim-float", lambda: warped_chart(_pair()[1], 2.5),
+    # the fiber dimensions, integers >= 0, and warped_chart the integer
+    # n >= 2 of its sphere S^(n-1) (errors._check_ints)
+    ("MetricChart.dim-float", lambda: _cyl_chart(1.5),
      r"dims\[0\] must be an integer, got 1.5"),
     ("MetricChart.dim-string", lambda: doubly_warped_chart(*_pair(), "3", 2),
      r"dims\[0\] must be an integer"),
@@ -307,6 +308,14 @@ EDGES = [
      r"dims\[0\] must be an integer, got True"),
     ("MetricChart.dim-none", lambda: doubly_warped_chart(*_pair(), 2, None),
      r"dims\[1\] must be an integer, got None"),
+    *((f"warped_chart.n-{name}", lambda n=n: warped_chart(_pair()[1], n),
+       message)
+      for name, n, message in (
+          ("string", "3", "n must be an integer, got '3'"),
+          ("none", None, "n must be an integer, got None"),
+          ("float", 2.5, "n must be an integer, got 2.5"),
+          ("bool", True, "n must be an integer, got True"),
+          ("one", 1, "n must be >= 2, got 1"))),
     ("doubly_warped_chart.p-fraction",
      lambda: doubly_warped_chart(*_pair(), 1.5, 2), "must be an integer"),
     ("doubly_warped_chart.p-negative",
