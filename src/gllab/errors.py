@@ -39,12 +39,17 @@ class HypothesisViolationError(InvalidInputError):
     """A declared hypothesis flag required for a cancellation step is missing."""
 
 
+def _is_int(d):
+    """True if d is an integer (a Python or numpy one), not a bool."""
+    return type(d) is int or (not isinstance(d, bool)
+                              and isinstance(d, numbers.Integral))
+
+
 def _check_ints(least, message, **values):
     """Raise ``InvalidSpecError`` unless each of ``values`` is an integer
-    (not a bool) of at least ``least``; ``message`` says what less breaks."""
+    (``_is_int``) of at least ``least``; ``message`` says what less breaks."""
     for name, d in values.items():
-        if type(d) is not int and (isinstance(d, bool)
-                                   or not isinstance(d, numbers.Integral)):
+        if not _is_int(d):
             raise InvalidSpecError(f"{name} must be an integer, got {d!r}")
         if d < least:
             raise InvalidSpecError(message)

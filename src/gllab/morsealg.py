@@ -2,13 +2,14 @@
 
 A :class:`MorseDescription` is a purely combinatorial record of critical
 points (id, index, level) together with declared intersection matrices
-between adjacent indices.  No trajectory geometry is ever computed here:
-intersection numbers are inputs, and the module checks the algebra that
-makes a cancellation schedule possible — admissibility (all indices at most
-n-2, i.e. surgery codimension at least 3), well-indexing, index reversal,
-chain-complex consistency (integer boundary with d^2 = 0), exactness (the
-cylinder condition), unimodular cancelling bases, and finally an ordered
-cancellation plan with a unit intersection certificate per pair.
+between adjacent indices and declared bool flags.  No trajectory geometry
+is ever computed here: intersection numbers are inputs, and the module
+checks the algebra that makes a cancellation schedule possible —
+admissibility (all indices at most n-2, i.e. surgery codimension at least
+3), well-indexing, chain-complex consistency (integer boundary with
+d^2 = 0), exactness (the cylinder condition), unimodular cancelling bases,
+and finally an ordered cancellation plan with a unit intersection
+certificate per pair.
 
 All matrix arithmetic is exact and in Python integers: fraction-free
 (Bareiss) elimination for ranks, growth-controlled unimodular row/column
@@ -18,12 +19,13 @@ swaps and negations); a pairing that covers every point proves exactness.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 
 from .errors import (HypothesisViolationError, InconsistentBoundaryError,
                      InvalidSpecError, NoIntegralBasisError,
-                     NotACylinderError, _check_ints, _finite_reals)
+                     NotACylinderError, _check_ints, _finite_reals, _is_int)
 
 __all__ = [
     "CriticalPoint",
@@ -32,7 +34,6 @@ __all__ = [
     "CancellationPlan",
     "check_admissible",
     "well_index",
-    "reverse",
     "build_chain_complex",
     "check_cylinder_exactness",
     "choose_cancelling_bases",
@@ -47,21 +48,25 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 def _as_int_matrix(m, rows, cols, what):
-    """Validate and normalize a nested sequence to a rows x cols int matrix."""
+    """Validate and normalize a nested sequence to a rows x cols int matrix.
+
+    Each entry is read as n and an index are: an integer (``_is_int``) or
+    an integral float (JSON's 1.0, ``_integral``), never a bool.
+    """
     try:
-        m = [list(r) for r in m]
-        out = [[int(val) for val in r] for r in m]
-    except (TypeError, ValueError, OverflowError):
-        raise InvalidSpecError(f"{what}: not a matrix of finite numbers") \
-            from None
+        m = [[_integral(val) for val in r] for r in m]
+    except TypeError:
+        raise InvalidSpecError(f"{what}: not a matrix") from None
     if len(m) != rows or any(len(r) != cols for r in m):
         raise InvalidSpecError(
             f"{what}: expected shape {rows} x {cols}, got "
             f"{len(m)} x {[len(r) for r in m]}")
-    if out != m:
-        val = next(v for r, o in zip(m, out) for v, iv in zip(r, o) if iv != v)
-        raise InvalidSpecError(f"{what}: non-integer entry {val!r}")
-    return out
+    for i, r in enumerate(m):
+        for j, val in enumerate(r):
+            if not _is_int(val):
+                raise InvalidSpecError(
+                    f"{what}: non-integer entry {val!r} at [{i}][{j}]")
+    return [[int(val) for val in r] for r in m]
 
 
 def _mat_mul(a, b):
@@ -251,7 +256,8 @@ class MorseDescription:
     ``boundary`` maps an adjacent index pair (k+1, k) to an integer matrix of
     intersection numbers with one row per index-k point and one column per
     index-(k+1) point (both in point-list order).  ``flags`` carries declared
-    manifold-level hypotheses the algebra cannot see (e.g. simply_connected).
+    manifold-level hypotheses the algebra cannot see (e.g. simply_connected),
+    each a bool, else ``InvalidSpecError``.
     """
 
     n: int
@@ -264,6 +270,10 @@ class MorseDescription:
         ids = [pt.id for pt in self.points]
         if len(set(ids)) != len(ids):
             raise InvalidSpecError("duplicate point ids")
+        for name, val in self.flags.items():
+            if not isinstance(val, bool):
+                raise InvalidSpecError(
+                    f"flag {name!r} must be a bool, got {val!r}")
         for pt in self.points:
             if not 0 <= pt.index <= self.n + 1:
                 raise InvalidSpecError(
@@ -367,26 +377,6 @@ def well_index(desc):
            for pt in desc.points]
     return MorseDescription(desc.n, pts, dict(desc.boundary),
                             dict(desc.flags))
-
-
-def reverse(desc):
-    """Turn the description upside down: index k -> n+1-k, level c -> 1-c.
-
-    Boundary matrices transpose across the flip.  The result's flags record
-    whether it is still admissible (it need not be).
-    """
-    pts = [CriticalPoint(pt.id, desc.n + 1 - pt.index, 1.0 - pt.level)
-           for pt in desc.points]
-    boundary = {}
-    for (hi, lo) in desc.boundary:
-        # old d: C_hi -> C_lo becomes new d: C_{n+1-lo} -> C_{n-lo}
-        mat = desc.matrix(hi, lo)
-        rows, cols = len(mat), len(mat[0]) if mat else 0
-        boundary[(desc.n + 1 - lo, desc.n - lo)] = \
-            [[mat[i][j] for i in range(rows)] for j in range(cols)]
-    out = MorseDescription(desc.n, pts, boundary, dict(desc.flags))
-    out.flags["admissible"] = check_admissible(out)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -585,7 +575,8 @@ def cancellation_plan(desc):
     (2, 3) pair each: the auxiliary index-2 point cancels the excess
     index-1 point under a declared unit intersection, and the auxiliary
     index-3 point takes over the cancellation its index-2 partner would
-    have performed.
+    have performed.  Pair i is named aux2_i and aux3_i, its numbering
+    skipping every i whose aux2_i or aux3_i is a described id.
     """
     if not check_admissible(desc):
         raise HypothesisViolationError(
@@ -608,6 +599,9 @@ def cancellation_plan(desc):
     # d_{k+1} by its lower degree k, its rows slid as pairings propagate up
     mats = {k: cc.d(k + 1) for k in degrees}
     paired = set()          # ids already paired downward
+    described = {pt.id for pt in desc.points}
+    fresh = (i for i in itertools.count()
+             if not {f"aux2_{i}", f"aux3_{i}"} & described)
     for k in degrees:
         rows = [i for i, pid in enumerate(ids[k]) if pid not in paired]
         try:
@@ -627,9 +621,8 @@ def cancellation_plan(desc):
         for hi_id, lo_id, cert in pairs:
             if k == 1:
                 # excess index-1 points route through auxiliary (2, 3) pairs
-                i = len(aux_points) // 2
-                a2 = f"aux2_{i}"
-                a3 = f"aux3_{i}"
+                i = next(fresh)
+                a2, a3 = f"aux2_{i}", f"aux3_{i}"
                 aux_points.append({"id": a2, "index": 2})
                 aux_points.append({"id": a3, "index": 3})
                 steps.append({"pair": (a2, lo_id), "certificate": 1,

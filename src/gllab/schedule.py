@@ -1,8 +1,8 @@
 """Compilation of handle data into certified construction schedules.
 
 A schedule is an ordered list of segments, each transforming a symbolic
-metric descriptor (profiles plus region tags, never a full tensor field)
-and carrying a numeric positivity certificate:
+metric descriptor (a kind and its profiles' parameters, never a full
+tensor field) and carrying a numeric positivity certificate:
 
 * ``product-extension`` — carry the metric along the gradient flow between
   critical levels; certificate is the incoming metric's own positivity.
@@ -12,8 +12,8 @@ and carrying a numeric positivity certificate:
 * ``handle-attach`` — the bent-curve construction through the handle, with
   the curve-inequality certificate and the curve's landmarks recorded.
 * ``transition-smoothing`` — the joint between consecutive critical
-  levels.  It computes no step: its end is the incoming metric retagged
-  "original", and it carries the previous segment's certificate.
+  levels.  It computes no step: its end is its start, and it carries the
+  previous segment's certificate.
 
 Everything is deterministic.  ``compile_gl_cobordism`` and
 ``compile_reverse`` build a schedule from a Morse description;
@@ -41,8 +41,7 @@ from .fnspace import (SinePiece, SmoothFn1D, _family_jets, _torpedo_on,
 from .glbend import (BendConstants, assemble_gamma, initial_bend,
                      synth_transition)
 from .hypersurface import connected_sum_foliation, mixed_torpedo_via_J
-from .morsealg import (CriticalPoint, MorseDescription, check_admissible,
-                       reverse)
+from .morsealg import CriticalPoint, MorseDescription, check_admissible
 
 __all__ = [
     "MetricDescriptor",
@@ -64,19 +63,13 @@ __all__ = [
 
 @dataclass
 class MetricDescriptor:
-    """Symbolic metric state: a kind tag plus JSON-able parameters.
-
-    ``region`` tags which part of the manifold the descriptor's profiles
-    describe: "original" (untouched), "transition", or "standard".
-    """
+    """Symbolic metric state: a kind tag plus JSON-able parameters."""
 
     kind: str
     params: dict = field(default_factory=dict)
-    region: str = "original"
 
     def to_json(self):
-        return {"kind": self.kind, "region": self.region,
-                "params": self.params}
+        return {"kind": self.kind, "params": self.params}
 
 
 @dataclass
@@ -324,13 +317,10 @@ def compile_gl_cobordism(g0, desc):
         p_dim = k - 1
         q_dim = n - p_dim - 1  # >= 2, as check_admissible gave k <= n - 2
         if i > 0:
-            end = MetricDescriptor(state.kind, dict(state.params),
-                                   region="original")
             segments.append(Segment(
                 "transition-smoothing",
                 {"between_levels": [prev_level, pt.level]},
-                state, end, segments[-1].certificate))
-            state = end
+                state, state, segments[-1].certificate))
         # product extension up to the critical level
         segments.append(Segment(
             "product-extension", {"span": [prev_level, pt.level]},
@@ -342,8 +332,7 @@ def compile_gl_cobordism(g0, desc):
         std = MetricDescriptor(
             "mixed-torpedo",
             {"p": p_dim, "q": q_dim, "eps": delta, "delta": delta,
-             "tube_u": tube, "tube_v": tube, "b": u1.b},
-            region="standard")
+             "tube_u": tube, "tube_v": tube, "b": u1.b})
         segments.append(Segment(
             "standardize", {"delta": delta, "eps": delta}, state, std,
             std_cert))
@@ -353,8 +342,7 @@ def compile_gl_cobordism(g0, desc):
         post = MetricDescriptor(
             "post-surgery",
             {"index": k, "p": p_dim, "q": q_dim,
-             "base": std.to_json(), "r_inf": bend.landmarks["r_inf"]},
-            region="transition")
+             "base": std.to_json(), "r_inf": bend.landmarks["r_inf"]})
         segments.append(Segment(
             "handle-attach",
             {"index": k, "delta": delta, "curve_landmarks": bend.landmarks},
@@ -365,41 +353,34 @@ def compile_gl_cobordism(g0, desc):
 
 
 def compile_reverse(schedule, desc):
-    """Reverse the schedule's segment order and check its standard form.
+    """Reverse the schedule's segment order and check its standard forms.
 
-    The reversed description must be admissible.  The reversed schedule
-    runs the forward segments in reverse order, ends swapped, each keeping
-    its certificate; nothing is compiled.  Reversal swaps (eps, u) with
-    (delta, v) and t with b - t, so it keeps the recorded standard form
-    when its tubes are the one layout of its caps on b: the report gives
-    the larger deviation of tube_u and tube_v from ``_torpedo_on`` (which
-    raises ``InvalidSpecError`` when b leaves a cap no tube).
-
-    Returns (reversed schedule, report dict).
+    The dual of an index-k handle has index n + 1 - k, admissible (at most
+    n - 2) exactly when k >= 3: a point of lower index raises
+    ``HypothesisViolationError``.  The reversed schedule runs the forward
+    segments in reverse order, ends swapped, each keeping its certificate;
+    nothing is compiled.  Reversal swaps (eps, u) with (delta, v) and t
+    with b - t, so it keeps a standard form whose tubes are the one layout
+    of its caps on b (``_torpedo_on``, which raises ``InvalidSpecError``
+    when b leaves a cap no tube).  The report's ``max_profile_deviation``
+    is the largest deviation from that layout over every standardize
+    segment (0.0 with none; a NaN is kept), and ``identity`` says it is
+    below 1e-8.  Returns (reversed schedule, report).
     """
-    rdesc = reverse(desc)
-    if not rdesc.flags["admissible"]:
+    if any(pt.index < 3 for pt in desc.points):
         raise HypothesisViolationError(
             "reversed description is not admissible")
-    rsegs = []
-    for seg in reversed(schedule.segments):
-        rsegs.append(Segment(seg.kind, dict(seg.parameters),
-                             seg.end, seg.start, seg.certificate))
-    rschedule = Schedule(rsegs)
-    report = {"identity": True, "max_profile_deviation": 0.0,
-              "tube_rescale": None}
-    fwd_std = next((s.end for s in schedule.segments
-                    if s.kind == "standardize"), None)
-    if fwd_std is not None:
-        pr = fwd_std.params
-        b = pr["b"]
-        dev = float(np.max([
-            abs(pr["tube_u"] - _torpedo_on(pr["eps"], b).tube_length),
-            abs(pr["tube_v"] - _torpedo_on(pr["delta"], b).tube_length)]))
-        report = {"identity": dev < 1e-8,
-                  "max_profile_deviation": dev,
-                  "tube_rescale": [pr["tube_u"], pr["tube_v"]]}
-    return rschedule, report
+    rschedule = Schedule([Segment(seg.kind, dict(seg.parameters), seg.end,
+                                  seg.start, seg.certificate)
+                          for seg in reversed(schedule.segments)])
+    devs = [0.0]
+    for seg in schedule.segments:
+        if seg.kind == "standardize":
+            pr = seg.end.params
+            devs += [abs(pr[tube] - _torpedo_on(pr[cap], pr["b"]).tube_length)
+                     for tube, cap in (("tube_u", "eps"), ("tube_v", "delta"))]
+    dev = float(np.max(devs))
+    return rschedule, {"identity": dev < 1e-8, "max_profile_deviation": dev}
 
 
 # ---------------------------------------------------------------------------
@@ -513,7 +494,6 @@ def two_surgery_demo(n, p, radius=1.0):
         "post-surgery",
         {"index": p + 2, "p": p, "q": q, "delta": delta,
          "r_inf_1": attach.end.params["r_inf"],
-         "r_inf_2": bend2.landmarks["r_inf"]},
-        region="transition")
+         "r_inf_2": bend2.landmarks["r_inf"]})
     return DemoReport(n=n, p=p, q=q, stages=stages,
                       endpoints=(extend.start, end))

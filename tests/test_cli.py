@@ -268,11 +268,14 @@ class TestMorseCmd:
         json.dumps(TWO_POINT).replace('"4->3"', '"4to3"'),
         json.dumps(TWO_POINT)[:-1],
         json.dumps(TWO_POINT).encode().replace(b'"w"', b'"\xff"'),
+        json.dumps(TWO_POINT).replace("[[1]]", "[[true]]"),
+        json.dumps(dict(TWO_POINT, flags={"simply_connected": "false"})),
     ], ids=["array", "number", "point-not-object", "boundary-list",
             "flags-number", "null-entry", "overflow-entry", "fractional-n",
             "fractional-index", "null-level", "list-id", "object-id",
             "number-id", "missing-id", "missing-index", "missing-level",
-            "missing-n", "malformed-key", "json-syntax", "not-utf-8"])
+            "missing-n", "malformed-key", "json-syntax", "not-utf-8",
+            "bool-entry", "flag-string"])
     def test_malformed_description_exit_2(self, runner, tmp_path, text):
         src = tmp_path / "desc.json"
         src.write_bytes(text if isinstance(text, bytes) else text.encode())

@@ -17,7 +17,7 @@ from gllab.morsealg import (CancellationPlan, ChainComplex, CriticalPoint,
                             MorseDescription, _bareiss, build_chain_complex,
                             cancellation_plan, check_admissible,
                             check_cylinder_exactness,
-                            choose_cancelling_bases, rational_rank, reverse,
+                            choose_cancelling_bases, rational_rank,
                             smith_normal_form, well_index)
 
 
@@ -197,20 +197,12 @@ class TestDescriptions:
         w3 = well_index(d3)
         assert w3.points[0].level == w3.points[1].level
 
-    def test_reverse(self):
-        d = two_point()
-        r = reverse(d)
-        assert [p.index for p in r.points] == [5, 4]
-        assert r.matrix(5, 4) == [[1]]
-        rr = reverse(r)
-        assert [(p.id, p.index) for p in rr.points] == \
-            [(p.id, p.index) for p in d.points]
-        assert rr.matrix(4, 3) == d.matrix(4, 3)
-
-    def test_reverse_inadmissible_flagged(self):
-        r = reverse(MorseDescription(7, [CriticalPoint("a", 2, 0.5)]))
-        assert r.points[0].index == 6
-        assert r.flags["admissible"] is False
+    def test_flag_must_be_a_bool(self):
+        # a truthy string must not declare simply_connected
+        with pytest.raises(InvalidSpecError,
+                           match="flag 'simply_connected' must be a bool"):
+            MorseDescription(7, [], flags={"simply_connected": "false"})
+        assert MorseDescription(7, [], flags={"simply_connected": False})
 
     def test_json_round_trip(self):
         d = two_point()
@@ -248,6 +240,22 @@ class TestChainComplex:
         assert cc.boundary == {4: [[1]]} and type(cc.boundary[4][0][0]) is int
         with pytest.raises(InvalidSpecError, match="non-integer entry 0.5"):
             ChainComplex({3: 1, 4: 1}, {4: [[0.5]]})
+
+    @pytest.mark.parametrize("build", [
+        lambda entry: two_point(b=entry).boundary[(4, 3)],
+        lambda entry: ChainComplex({3: 1, 4: 1}, {4: [[entry]]}).boundary[4],
+        lambda entry: MorseDescription.from_json(json.dumps(
+            two_point().to_json()).replace("[[1]]", json.dumps([[entry]])))
+        .boundary[(4, 3)]], ids=["description", "complex", "json"])
+    def test_boundary_entry_is_an_integer_not_a_bool(self, build):
+        # the integer rule of n and an index: a bool is no entry, JSON's
+        # integral 1.0 is
+        with pytest.raises(InvalidSpecError,
+                           match=r"non-integer entry True at \[0\]\[0\]"):
+            build(True)
+        for entry in (1.0, 1):
+            out = build(entry)
+            assert out == [[1]] and type(out[0][0]) is int
 
     def test_described_complex_is_not_normalised_again(self, monkeypatch):
         # the description normalised its matrices; d o d is still checked
@@ -410,6 +418,19 @@ class TestPlans:
         assert covered.count("x") == 1 and covered.count("y") == 1
         # plan length = (total points + 2 * insertions) / 2
         assert len(plan.steps) == (2 + 2) // 2
+
+    def test_auxiliary_ids_never_repeat_a_described_id(self):
+        desc = MorseDescription(
+            6, [CriticalPoint("aux2_0", 1, 0.3), CriticalPoint("x", 2, 0.7)],
+            {(2, 1): [[1]]}, {"simply_connected": True})
+        plan = cancellation_plan(desc)
+        assert all(a != b for a, b in (s["pair"] for s in plan.steps))
+        # every described id is covered exactly once
+        ids = [pt.id for pt in desc.points]
+        assert sorted(c for c in plan.covered_ids() if c in ids) == \
+            sorted(ids)
+        assert [p["id"] for p in plan.auxiliary_points] == \
+            ["aux2_1", "aux3_1"]
 
     def test_missing_simply_connected_flag(self):
         desc = MorseDescription(

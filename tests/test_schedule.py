@@ -193,8 +193,6 @@ class TestCompile:
         assert pr["tube_u"] == pr["tube_v"] > 0
         attach = next(seg for seg in s.segments if seg.kind == "handle-attach")
         assert attach.start.params["tube_u"] == attach.start.params["tube_v"]
-        _, rep = compile_reverse(s, desc)
-        assert rep["tube_rescale"][0] == rep["tube_rescale"][1]
 
     def test_broken_chaining_rejected(self, g0):
         segs = compile_gl_cobordism(g0, one_point_desc()).segments
@@ -437,6 +435,50 @@ class TestReverse:
         s = compile_gl_cobordism(g0, desc)
         with pytest.raises(HypothesisViolationError):
             compile_reverse(s, desc)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_dual_index_decides_admissibility(self, k):
+        # the dual of an index-k handle has index n + 1 - k
+        n = 7
+        desc = MorseDescription(n, [CriticalPoint("w", k, 0.5)])
+        empty = schedule.Schedule([])
+        if n + 1 - k <= n - 2:
+            assert compile_reverse(empty, desc)[1] == {
+                "identity": True, "max_profile_deviation": 0.0}
+        else:
+            with pytest.raises(HypothesisViolationError,
+                               match="reversed description is not "
+                                     "admissible"):
+                compile_reverse(empty, desc)
+
+    def test_every_standardize_segment_is_checked(self, two_handles):
+        desc, s = two_handles
+        stds = [seg for seg in s.segments if seg.kind == "standardize"]
+        assert len(stds) == 2
+        stds[1].end.params["tube_u"] = 99.0
+        _, rep = compile_reverse(s, desc)
+        assert not rep["identity"]
+        assert rep["max_profile_deviation"] > 1e-4
+
+
+@pytest.fixture()
+def two_handles():
+    """Index-3 a at 0.3 and index-4 b at 0.7 over the radius-1.5 round
+    7-sphere, compiled."""
+    desc = MorseDescription(7, [CriticalPoint("a", 3, 0.3),
+                                CriticalPoint("b", 4, 0.7)], {(4, 3): [[1]]})
+    return desc, compile_gl_cobordism(round_metric(7, 1.5), desc)
+
+
+class TestDescriptors:
+    def test_transition_smoothing_ends_where_it_starts(self, two_handles):
+        _, s = two_handles
+        (joint,) = [seg for seg in s.segments
+                    if seg.kind == "transition-smoothing"]
+        assert joint.end is joint.start
+        for seg in s.segments:
+            for d in (seg.start, seg.end):
+                assert list(d.to_json()) == ["kind", "params"]
 
 
 # per-leaf minima of the demo's stage-6 foliation (p, q) = (2, 4), (1, 3)
