@@ -142,4 +142,4 @@ class NotACylinderError(AlgebraicRejection):
 
 
 class NoIntegralBasisError(AlgebraicRejection):
-    """Normal form has non-unit invariant factors; no integral cancelling basis."""
+    """A non-unit invariant factor: no integral cancelling basis exists."""

@@ -86,23 +86,24 @@ def sample_grid(b, density=DEFAULT_GRID_DENSITY, interior=False):
 
 def _run_jet(compiled, u, k):
     """Orders 0..k as rows of one array pass at 1-D points u of a piece
-    compiled as (each reflection's b, outermost first; origin; (first, later
-    Horner columns) of orders 0..3, or None; None or (A w^j, w, phase))."""
-    bs, origin, poly, sine = compiled
+    compiled as (each reflection's b, outermost first; origin; the (4, m)
+    table of orders 0..3, highest power first, or None; None or
+    (A w^j, w, phase))."""
+    bs, origin, table, sine = compiled
     for b in bs:
         u = b - u
     if sine:
         amps, w, phase = sine
         vals = amps[:k + 1] * np.sin((w * u + phase) + _SHIFTS[:k + 1])
     else:
-        # numpy's Horner recurrence, its bits: an order not entered is +0.0
+        # numpy's Horner recurrence, its bits: at finite u a leading zero
+        # keeps an order at +0.0 until its first coefficient
         u = u - origin if origin else u
-        top, steps = poly
-        vals = top[:k + 1] + u * 0.0
-        for c in steps:
-            entered = vals[:len(c)]
-            entered *= u
-            entered += c[:k + 1]
+        rows = table[:k + 1]
+        vals = rows[:, :1] + u * 0.0
+        for c in rows.T[1:, :, None]:
+            vals *= u
+            vals += c
     if len(bs) % 2:
         vals[1::2] *= -1.0
     return vals
@@ -143,11 +144,9 @@ class PolyPiece(_Piece):
         for _ in range(3):
             c = cols[-1]
             cols.append([j * c[j] for j in range(1, len(c))] or [c[0] * 0])
-        m = len(cols[0])  # order j's top coefficient enters at min(j, m - 1)
-        pad = np.array([[0.0] * (m - len(c)) + c[::-1] for c in cols])
-        self._compiled = ((), self.origin, (pad[:, :1], [
-            pad[:4 if s == m - 1 else s + 1, s:s + 1] for s in range(1, m)]),
-            None)
+        m = len(cols[0])
+        self._compiled = ((), self.origin, np.array(
+            [[0.0] * (m - len(c)) + c[::-1] for c in cols]), None)
 
     def to_json(self):
         return {"kind": self.kind, "interval": list(self.interval),
@@ -180,8 +179,8 @@ class ConstPiece(_Piece):
     def __init__(self, interval, value):
         self.interval = _finite_interval(self.kind, interval, value)
         self.value = float(value)
-        self._compiled = ((), 0.0, (np.array([[self.value], [0.0], [0.0],
-                                              [0.0]]), ()), None)
+        self._compiled = ((), 0.0, np.array([[self.value], [0.0], [0.0],
+                                             [0.0]]), None)
 
     def to_json(self):
         return {"kind": self.kind, "interval": list(self.interval),
@@ -279,8 +278,10 @@ class SmoothFn1D:
     ``pieces`` must tile [0, b] with strictly increasing breakpoints.  At every
     interior breakpoint the adjacent pieces must agree in value and in the
     derivative orders listed in ``junction_orders`` (default: 0, 1, 2 -- the
-    C^2 contract) to within ``DEFAULT_JUNCTION_TOL``, each piece read at its
-    own end (``end_jets``), so a mirror passes when its source does.  ``jet``
+    C^2 contract) to within ``DEFAULT_JUNCTION_TOL`` times the largest of 1
+    and both pieces' values of that order at both their ends (a delta-cap's
+    f'' is of order 1/delta), each piece read at its own ends
+    (``end_jets``), so a mirror passes when its source does.  ``jet``
     reads the pieces' compiled data: they are the four piece classes here.
     """
 
@@ -331,7 +332,7 @@ class SmoothFn1D:
             t = left.interval[1]
             for order in self.junction_orders:
                 lv, rv = float(ljet[order, 1]), float(rjet[order, 0])
-                scale_ = max(1.0, abs(lv), abs(rv))
+                scale_ = max(1.0, *np.abs(ljet[order]), *np.abs(rjet[order]))
                 if not abs(lv - rv) <= DEFAULT_JUNCTION_TOL * scale_:
                     raise InvalidSpecError(
                         f"junction at t={t:.6g} fails C{order} contract: "

@@ -13,8 +13,9 @@ certificate per pair.
 
 All matrix arithmetic is exact and in Python integers: fraction-free
 (Bareiss) elimination for ranks, growth-controlled unimodular row/column
-operations for normal forms (whose determinants are the signs of their
-swaps and negations); a pairing that covers every point proves exactness.
+operations with unit pivots for cancelling bases (whose determinants are
+the signs of their swaps and negations); a pairing that covers every point
+proves exactness.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ __all__ = [
     "check_cylinder_exactness",
     "choose_cancelling_bases",
     "cancellation_plan",
-    "smith_normal_form",
     "rational_rank",
 ]
 
@@ -130,22 +130,22 @@ def _least(values):
     return at
 
 
-def smith_normal_form(m):
-    """Diagonalize an integer matrix by unimodular row/column operations.
-
-    Returns (d, s_inv, t, det_s, det_t) with  m @ t = s_inv @ d,  d diagonal
-    (invariant factors along the diagonal, each non-negative and dividing
-    the next) and s_inv, t unimodular; s_inv inverts the row transform s of
-    s @ m @ t = d, which is never formed.  det_s = det s_inv = det s and
-    det_t = det t multiply the signs of the swaps and negations (adds keep
-    them).  Step k starts from the smallest nonzero entry of the remaining
-    block; each pass then re-picks the pivot as the smallest nonzero entry
-    of column k (then of row k) and reduces the others by nearest-integer
-    quotients, so every remainder is at most half the pivot.  Ties go to
-    the lowest index.
+def _unit_reduction(m, degree):
+    """(r, s_inv, t, det_s, det_t) with  m @ t = s_inv @ e  for the boundary
+    d_degree = m, e holding 1 in its first r diagonal places and 0
+    elsewhere; s_inv and t are unimodular, each given as the list of its
+    columns, and s_inv inverts the row transform s of s @ m @ t = e, which
+    is never formed.  det_s = det s_inv = det s and det_t = det t multiply
+    the signs of the swaps and negations (adds keep them).  Step k starts
+    from the smallest nonzero entry of the remaining block; each pass then
+    re-picks the pivot as the smallest nonzero entry of column k (then of
+    row k) and reduces the others by nearest-integer quotients, so every
+    remainder is at most half the pivot.  Ties go to the lowest index.  A
+    cleared pivot p splits off a 1 x 1 block, so the invariant factors of
+    m multiply to a multiple of p: one that is not +-1 raises
+    ``NoIntegralBasisError``.
     """
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
+    rows, cols = len(m), len(m[0])
     d = [list(r) for r in m]
     # s_inv and t take only column operations: keep their transposes
     s_inv, t = _identity(rows), _identity(cols)
@@ -205,23 +205,15 @@ def smith_normal_form(m):
             if not any(d[i][k] for i in range(k + 1, rows)) and \
                     not any(d[k][j] for j in range(k + 1, cols)):
                 break
-        if d[k][k] < 0:
-            d[k] = [-x for x in d[k]]
+        if abs(d[k][k]) != 1:
+            raise NoIntegralBasisError(
+                f"d_{degree} has a non-unit invariant factor (pivot "
+                f"{d[k][k]}): no integral cancelling basis exists")
+        if d[k][k] < 0:     # row k is read no more: negate s_inv's column
             s_inv[k] = [-x for x in s_inv[k]]
             det_s = -det_s
-        # divisibility: fold in any remaining entry the pivot does not divide
-        if d[k][k] != 1:
-            bad = next((i for i in range(k + 1, rows)
-                        for j in range(k + 1, cols)
-                        if d[i][j] % d[k][k]), None)
-            if bad is not None:
-                # row k += row bad (s_inv: column bad -= column k)
-                d[k] = [x + y for x, y in zip(d[k], d[bad])]
-                s_inv[bad] = [x - y for x, y in zip(s_inv[bad], s_inv[k])]
-                continue  # re-run elimination at the same k
         k += 1
-    return (d, [list(r) for r in zip(*s_inv)], [list(r) for r in zip(*t)],
-            det_s, det_t)
+    return k, s_inv, t, det_s, det_t
 
 
 # ---------------------------------------------------------------------------
@@ -449,27 +441,24 @@ def check_cylinder_exactness(cc):
 def choose_cancelling_bases(cc):
     """Per adjacent degree, integer bases b, z with d(b_i) = z_i.
 
-    For each boundary map d: C_{k+1} -> C_k the normal form s d t = diag
-    must have all invariant factors equal to 1; then b_i is the i-th column
-    of t and z_i the i-th column of s^{-1}, and d(b_i) = z_i holds exactly.
-    Returns {k+1: {"b", "z", "t", "s_inv", "det_s", "det_t"}}, where det s =
-    det s^{-1} = +-1 and det t = +-1 are the normal form's own signs.
+    Unit pivots reduce each boundary map d: C_{k+1} -> C_k to s d t = e,
+    ones on the first r diagonal places and zeros elsewhere
+    (``_unit_reduction``); then b_i is the i-th column of t and z_i the
+    i-th column of s^{-1}, and d(b_i) = z_i holds exactly.  A map with an
+    invariant factor other than +-1 has no such bases: it raises
+    ``NoIntegralBasisError`` naming its degree.  Returns
+    {k+1: {"b", "z", "t", "s_inv", "det_s", "det_t"}}, where det s =
+    det s^{-1} = +-1 and det t = +-1 are the reduction's own signs.
     """
     out = {}
     for k in sorted(cc.boundary):
         mat = cc.d(k)
         if not mat or not mat[0]:
             continue
-        d, s_inv, t, det_s, det_t = smith_normal_form(mat)
-        r = sum(1 for i in range(min(len(d), len(d[0]))) if d[i][i])
-        factors = [d[i][i] for i in range(r)]
-        if any(abs(f) != 1 for f in factors):
-            raise NoIntegralBasisError(
-                f"d_{k} has non-unit invariant factors {factors}: no "
-                "integral cancelling basis exists")
-        b = [[t[i][j] for i in range(len(t))] for j in range(r)]
-        z = [[s_inv[i][j] for i in range(len(s_inv))] for j in range(r)]
-        out[k] = {"b": b, "z": z, "t": t, "s_inv": s_inv,
+        r, s_inv, t, det_s, det_t = _unit_reduction(mat, k)
+        out[k] = {"b": t[:r], "z": s_inv[:r],
+                  "t": [list(c) for c in zip(*t)],
+                  "s_inv": [list(c) for c in zip(*s_inv)],
                   "det_s": det_s, "det_t": det_t}
     return out
 

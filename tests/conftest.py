@@ -1,10 +1,11 @@
 """Profile wrappers shared by the evaluation-contract and NaN-margin tests,
-and a fresh set of geometry memos for every test."""
+a torpedo blend that fails its tube junction, and a fresh set of geometry
+memos for every test."""
 
 import numpy as np
 import pytest
 
-from gllab import certify
+from gllab import certify, fnspace
 
 
 @pytest.fixture(autouse=True)
@@ -14,6 +15,24 @@ def empty_memos():
     counted builds)."""
     for memo in certify._MEMOS:
         memo.entries.clear()
+
+
+@pytest.fixture
+def c2_tampered_blend(monkeypatch):
+    """Tamper the quintic blend of every torpedo of cap radius below 1e-5:
+    its f'' at the tube misses 0 by 1e-3 of the cap's scale 1/delta, while
+    it stays concave and nondecreasing and meets the cap as before, so the
+    blend/tube C2 junction is the one check that fails."""
+    real = fnspace._quintic_match
+
+    def tampered(t0, y0, t1, y1):
+        coeffs, d, h = real(t0, y0, t1, y1), y1[0], t1 - t0
+        if d < 1e-5:
+            # x^3 (x - h)^2, x = t - t0: 0 to order 2 at t0; f'' 2 h^3 at t1
+            bump = np.array([0.0, 0.0, 0.0, h * h, -2.0 * h, 1.0])
+            coeffs = coeffs - 1e-3 / (2.0 * d * h ** 3) * bump
+        return coeffs
+    monkeypatch.setattr(fnspace, "_quintic_match", tampered)
 
 
 class CountedProfile:

@@ -13,7 +13,7 @@ from click.testing import CliRunner
 
 import gllab
 from gllab.certify import IsotopyCertificate
-from gllab import cli, errors, glbend, schedule
+from gllab import cli, errors, fnspace, glbend, schedule
 from gllab.cli import main
 from gllab.curvature import WarpedSphereMetric, write_curvature_csv
 from gllab.fnspace import TorpedoSpec, make_torpedo, write_profile_csv
@@ -85,12 +85,16 @@ class TestTorpedoCmd:
         res = runner.invoke(main, ["torpedo", "--delta", "0"])
         assert res.exit_code == 2
 
-    def test_delta_below_the_junction_check_exit_2(self, runner, tmp_path):
-        # a delta the user gives stays an input error
+    def test_delta_below_the_junction_check_exit_2(self, runner, tmp_path,
+                                                   c2_tampered_blend):
+        # no delta fails the junction check, which scales with the cap's
+        # f'' ~ 1/delta: a tampered blend stands in, and a profile the user
+        # asks for stays an input error
         res = runner.invoke(main, ["--output-dir", str(tmp_path), "torpedo",
                                    "--delta", "1e-8"])
         assert res.exit_code == 2
         assert "InvalidSpecError: junction at" in res.output
+        assert not fnspace._torpedo_head.entries
 
     def test_json_format(self, runner, tmp_path):
         res = runner.invoke(main, ["--output-dir", str(tmp_path),
@@ -126,9 +130,11 @@ class TestBendCmd:
         assert "InvalidSpecError: need r0 < r1/2" in res.output
         assert not list(tmp_path.iterdir())
 
-    def test_tail_below_the_junction_check_exit_3(self, runner, tmp_path):
-        # the transition leaves r_inf ~ 4.8e-7, too small for the tail
-        # torpedo's junction check: derived data, so a failed construction
+    def test_tail_below_the_junction_check_exit_3(self, runner, tmp_path,
+                                                  c2_tampered_blend):
+        # the transition leaves r_inf ~ 4.8e-7, whose tail torpedo passes
+        # (exit 0 untampered); with its blend tampered the junction check
+        # fails on derived data, so a failed construction
         res = runner.invoke(main, [
             "--output-dir", str(tmp_path), "bend",
             "--r0q", "0.6297655346812344", "--cbound", "0.44282608382734256",
@@ -136,7 +142,8 @@ class TestBendCmd:
             "--r1", "0.12948791028358547", "--r0", "0.007223900734181511"])
         assert res.exit_code == 3
         assert ("ConstructionFailedError: tail torpedo of r_inf = 4.83226e-07"
-                in res.output)
+                " cannot be built: junction at" in res.output)
+        assert not fnspace._torpedo_head.entries
 
     def test_emit_isotopy(self, runner, tmp_path):
         res = runner.invoke(main, ["--output-dir", str(tmp_path), "bend",

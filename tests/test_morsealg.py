@@ -1,7 +1,9 @@
-"""Combinatorial handle algebra: normal forms, exactness, plans."""
+"""Combinatorial handle algebra: cancelling bases, exactness, plans."""
 
 import hashlib
+import itertools
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -18,7 +20,7 @@ from gllab.morsealg import (CancellationPlan, ChainComplex, CriticalPoint,
                             cancellation_plan, check_admissible,
                             check_cylinder_exactness,
                             choose_cancelling_bases, rational_rank,
-                            smith_normal_form, well_index)
+                            well_index)
 
 
 def two_point(n=7, b=1):
@@ -124,25 +126,61 @@ def scrambled(rank, gen_seed):
     return mat_mul(rand_unimod(rng, rank), rand_unimod(rng, rank))
 
 
-def snf_digest(snf):
-    """sha256 of (d, s_inv, t) over SCRAMBLED and 200 seeded random
-    matrices up to 8 x 8, so that any change of pivot rule shows."""
-    rng = random.Random(4520)
+def unit_factor(rng):
+    """A matrix up to 9 x 10 with every invariant factor 1: the identity of
+    its rank (full, or at random, deficient) between random unimodulars."""
+    r, c = rng.randint(1, 9), rng.randint(1, 10)
+    q = min(r, c) if rng.random() < 0.5 else rng.randint(0, min(r, c))
+    e = [[int(i == j < q) for j in range(c)] for i in range(r)]
+    return mat_mul(mat_mul(rand_unimod(rng, r), e), rand_unimod(rng, c))
+
+
+def bases_of(m, k=4):
+    """``choose_cancelling_bases`` of the complex whose one map d_k is m."""
+    cc = ChainComplex({k - 1: len(m), k: len(m[0])}, {k: m})
+    return choose_cancelling_bases(cc)[k]
+
+
+def bases_digest():
+    """sha256 of the bases over SCRAMBLED and 2,000 seeded unimodular and
+    rank-deficient matrices, so that any change of pivot rule shows."""
+    rng = random.Random(6020)
     mats = [scrambled(*case) for case in SCRAMBLED]
-    for _ in range(200):
-        r, c, lim = rng.randint(1, 8), rng.randint(1, 8), rng.choice([1, 3, 50])
-        mats.append([[rng.randint(-lim, lim) for _ in range(c)]
-                     for _ in range(r)])
+    mats += [unit_factor(rng) for _ in range(2000)]
     h = hashlib.sha256()
     for m in mats:
-        h.update(repr(snf(m)[:3]).encode())
+        h.update(repr(sorted(bases_of(m).items())).encode())
     return h.hexdigest()
+
+
+def check_bases(m, base):
+    """m t = s_inv e for e of rank len(b), b and z the first columns of t
+    and s_inv, and the reported determinants those of the transforms."""
+    t, s_inv, r = base["t"], base["s_inv"], len(base["b"])
+    e = [[int(i == j < r) for j in range(len(t))] for i in range(len(m))]
+    assert mat_mul(m, t) == mat_mul(s_inv, e)
+    assert base["b"] == [list(c) for c in zip(*t)][:r]
+    assert base["z"] == [list(c) for c in zip(*s_inv)][:r]
+    assert (base["det_s"], base["det_t"]) == (_bareiss(s_inv)[1],
+                                             _bareiss(t)[1])
+    assert abs(base["det_s"]) == abs(base["det_t"]) == 1
+
+
+def minors_gcd(m, q):
+    """gcd of the q x q minors of m, stopping at 1."""
+    g = 0
+    for rows in itertools.combinations(m, q):
+        for cols in itertools.combinations(range(len(m[0])), q):
+            g = math.gcd(g, _bareiss([[r[j] for j in cols] for r in rows])[1])
+            if g == 1:
+                return 1
+    return g
 
 
 NOT_EXACT = "^chain complex is not exact: description is not a cylinder$"
 
-SNF_DIGEST = \
-    "c9001bdd02ffded2cfd2b73569dc6e82b806f20c6078ccf93c9a40d1e979ba3c"
+BASES_DIGEST = \
+    "d3c7d412e104abf7df472b920af5a57727fd97d4a5cf91c2de04727596aab5aa"
 
 
 def fraction_rank_det(m):
@@ -317,48 +355,49 @@ class TestChainComplex:
 
 
 class TestNormalForm:
+    """``choose_cancelling_bases``: s d t = e by unit pivots, or a raise."""
+
     @given(st.integers(1, 8), st.integers(1, 8), st.integers(0, 10 ** 6))
     @settings(max_examples=60, deadline=None)
     def test_snf_random(self, r, c, seed):
+        # bases exactly when the rank-sized minors have gcd 1, i.e. every
+        # invariant factor is a unit (a zero matrix's one empty minor is 1)
         rng = random.Random(seed)
-        m = [[rng.randint(-50, 50) for _ in range(c)] for _ in range(r)]
-        d, s_inv, t, det_s, det_t = smith_normal_form(m)
-        assert mat_mul(m, t) == mat_mul(s_inv, d)
-        assert (det_s, det_t) == (_bareiss(s_inv)[1], _bareiss(t)[1])
-        assert abs(det_s) == abs(det_t) == 1
-        diag = [d[i][i] for i in range(min(r, c))]
-        assert all(a >= 0 for a in diag)
-        for a, b in zip(diag, diag[1:]):
-            assert (b % a == 0) if a else (b == 0)
-        for i in range(r):
-            for j in range(c):
-                if i != j:
-                    assert d[i][j] == 0
+        lim = rng.choice([1, 2, 50])
+        m = [[rng.randint(-lim, lim) for _ in range(c)] for _ in range(r)]
+        if minors_gcd(m, rational_rank(m)) == 1:
+            check_bases(m, bases_of(m))
+        else:
+            with pytest.raises(NoIntegralBasisError, match="^d_4 "):
+                bases_of(m)
 
     @pytest.mark.parametrize("rank, gen_seed", SCRAMBLED)
     def test_snf_scrambled_unimodular_stays_small(self, rank, gen_seed):
         m = scrambled(rank, gen_seed)
-        d, s_inv, t, det_s, det_t = smith_normal_form(m)
-        assert mat_mul(m, t) == mat_mul(s_inv, d)
-        assert (det_s, det_t) == (_bareiss(s_inv)[1], _bareiss(t)[1])
-        assert abs(det_s) == abs(det_t) == 1
-        assert d == eye(rank)
-        for mat in (s_inv, t):
+        base = bases_of(m)
+        check_bases(m, base)
+        assert len(base["b"]) == rank
+        for mat in (base["s_inv"], base["t"]):
             assert all(-2 ** 63 <= x < 2 ** 63 for row in mat for x in row)
 
     def test_snf_stops_at_an_all_zero_block(self):
         # rank 1: after the first pivot the remaining block is zero
         m = [[1, 2], [2, 4]]
-        d, s_inv, t, det_s, det_t = smith_normal_form(m)
-        assert d == [[1, 0], [0, 0]]
-        assert mat_mul(m, t) == mat_mul(s_inv, d)
-        assert (det_s, det_t) == (_bareiss(s_inv)[1], _bareiss(t)[1])
-        assert abs(det_s) == abs(det_t) == 1
+        base = bases_of(m)
+        assert len(base["b"]) == 1
+        check_bases(m, base)
 
     def test_snf_pivots_pinned(self):
-        # (d, s_inv, t) of the pivot rule that re-picks the least entry on
+        # the bases of the pivot rule that re-picks the least entry on
         # every pass, ties to the lowest index; another rule changes them
-        assert snf_digest(smith_normal_form) == SNF_DIGEST
+        assert bases_digest() == BASES_DIGEST
+
+    def test_non_unit_raises_naming_its_degree(self):
+        # d_4 = (1 0) has bases; d_5 = (0 2)^T has the factor 2
+        cc = ChainComplex({3: 1, 4: 2, 5: 1}, {4: [[1, 0]], 5: [[0], [2]]})
+        with pytest.raises(NoIntegralBasisError, match="^d_5 .*pivot 2"):
+            choose_cancelling_bases(cc)
+        assert bases_of([[1, 0]])["b"] == [[1, 0]]
 
     def test_bases_skip_an_empty_boundary(self):
         assert choose_cancelling_bases(ChainComplex({4: 2}, {4: []})) == {}
@@ -380,7 +419,7 @@ class TestNormalForm:
         assert abs(bases[4]["det_t"]) == 1
 
     def test_factor_two_rejected(self):
-        with pytest.raises(NoIntegralBasisError):
+        with pytest.raises(NoIntegralBasisError, match="^d_4 "):
             choose_cancelling_bases(build_chain_complex(two_point(b=2)))
 
 

@@ -498,25 +498,28 @@ _FOLIATION_MIN = {
 
 class TestDemo:
     @pytest.mark.parametrize("n, p, radius", [
-        (6, 1, 0.15), (7, 2, 0.15), (6, 1, 15.0), (6, 1, 0.05)])
+        (6, 1, 0.15), (7, 2, 0.15), (6, 1, 15.0), (6, 1, 0.05),
+        (6, 1, 30.0), (6, 1, 40.0), (6, 1, 100.0)])
     def test_small_and_large_radii_pass(self, n, p, radius):
         # caps shorter than the sampled reader's 5% end window, which the
-        # removed gates refused (exit 2, or an exhausted search at 15)
+        # removed gates refused (exit 2, or an exhausted search at 15),
+        # and from 30 on a tail torpedo of r_inf < 1e-6, whose junctions
+        # are read at its own f'' scale 1/r_inf
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             assert two_surgery_demo(n, p, radius).passed
 
-    def test_tail_torpedo_failure_raises_cold_and_warm(self):
-        # at radius 30 the bend's tail torpedo fails its blend/tube C2
-        # junction inside the torpedo's memo; nothing is stored, so the
-        # second, warm call raises the same error
+    def test_tail_torpedo_failure_raises_cold_and_warm(self,
+                                                       c2_tampered_blend):
+        # at radius 30 the bend's tail torpedo, its blend tampered, fails
+        # its blend/tube C2 junction inside the torpedo's memo; nothing is
+        # stored, so the second, warm call raises the same error
         message = ("tail torpedo of r_inf = 8.06617e-07 cannot be built: "
-                   "junction at t=1.58379e-06 fails C2 contract: "
-                   "1.280568540096283e-09 vs 0.0")
+                   "junction at t=1.58379e-06 fails C2 contract: ")
         for _ in range(2):
             with pytest.raises(ConstructionFailedError) as err:
                 two_surgery_demo(6, 1, 30.0)
-            assert str(err.value) == message
+            assert str(err.value).startswith(message)
             # the memo holds the demo's other torpedoes, not the tail's
             heads = fnspace._torpedo_head.entries
             assert heads and all(key[0] > 1e-5 for key in heads)
